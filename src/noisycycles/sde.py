@@ -33,7 +33,6 @@ how members are scheduled across workers.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -267,21 +266,37 @@ def _check_state(y, step_index, path_ids):
 
 
 def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
-    """Advance P paths in lock step; returns samples (n_rec + 1, P, n)."""
+    """Advance P paths in lock step; returns samples (n_rec + 1, P, n).
+
+    Each step runs the update of the module docstring, term by term in the
+    order written there, with the sums over j taken from j = 0 upwards.
+    Step i of a chunk writes its new state over row i of the chunk's S dW
+    array, once that row is added in; the recorded rows are copied out once
+    per chunk.
+    """
     F = _batched(system)
-    S = system.noise_matrix
+    ST = system.noise_matrix.T
     n = system.dimension
-    m = S.shape[1]
+    m = ST.shape[0]
     P = y0.shape[0]
     sq = np.sqrt(dt)
+    rk15 = scheme is Scheme.STRONG_RK15
+    dt_m, two_sq, dt_4 = dt / m, 2.0 * sq, dt / 4.0
+    add, multiply, subtract = np.add, np.multiply, np.subtract
+    max_abs = np.maximum.reduce
 
     n_rec = n_steps // record_every
     rec = np.empty((n_rec + 1, P, n))
     rec[0] = y0
-    y = y0.copy()
+    y = rec[0]
 
     # stage offsets for the 3/2 scheme: rows j and m + j are +/- sqrt(h) S_j
-    offsets = np.concatenate([sq * S.T, -sq * S.T])[:, None, :]  # (2m, 1, n)
+    offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]  # (2m, 1, n)
+    base = np.empty((P, n))
+    twice = np.empty((P, n))
+    stages = np.empty((2 * m, P, n))
+    pair = np.empty((m, P, n))
+    head = pair[0]
 
     # chunk draws; the per-path stream is element ordered, so the chunk
     # size never changes results, only the allocation high-water mark
@@ -290,27 +305,52 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
     while done < n_steps:
         span = min(step_budget, n_steps - done)
         dW, dZ = source.take(span)
+        # S dW one path at a time: a (1, n) @ (n, n) product per path and
+        # step is what a solo run computes, while a (P, n) stack takes
+        # another BLAS kernel that rounds a full noise matrix differently
+        path = (dW[..., None, :] @ ST)[..., 0, :]
+        dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
         for i in range(span):
-            k = done + i
-            if scheme is Scheme.EULER_MARUYAMA:
-                y = y + dt * F(y) + dW[i] @ S.T
-            else:
-                a0 = F(y)
-                stages = (y + (dt / m) * a0)[None] + offsets      # (2m, P, n)
+            y_next = path[i]
+            a0 = F(y)
+            if rk15:
+                multiply(a0, dt_m, out=base)
+                add(y, base, out=base)
+                add(base, offsets, out=stages)
                 A = F(stages)
-                diff = A[:m] - A[m:]
-                curv = A[:m] + A[m:] - 2.0 * a0[None]
-                y = (
-                    y
-                    + dt * a0
-                    + dW[i] @ S.T
-                    + np.einsum("jpn,pj->pn", diff, dZ[i]) / (2.0 * sq)
-                    + curv.sum(axis=0) * (dt / 4.0)
-                )
-            _check_state(y, k, path_ids)
-            if (k + 1) % record_every == 0:
-                rec[(k + 1) // record_every] = y
+                plus, minus = A[:m], A[m:]
+            # y + h f(y) + S dW
+            multiply(a0, dt, out=base)
+            add(y, base, out=base)
+            add(base, y_next, out=y_next)
+            if rk15:
+                # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
+                subtract(plus, minus, out=pair)
+                multiply(pair, dZ[i], out=pair)
+                for j in range(1, m):
+                    add(head, pair[j], out=head)
+                head /= two_sq
+                add(y_next, head, out=y_next)
+                # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
+                add(plus, minus, out=pair)
+                multiply(a0, 2.0, out=twice)
+                subtract(pair, twice, out=pair)
+                for j in range(1, m):
+                    add(head, pair[j], out=head)
+                head *= dt_4
+                add(y_next, head, out=y_next)
+            # NaN fails the comparison, so it reaches the exact check too
+            if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
+                _check_state(y_next, done + i, path_ids)
+            y = y_next
+        first = (-done - 1) % record_every  # chunk row of the next recorded step
+        kept = path[first::record_every]
+        at = (done + first + 1) // record_every
+        rec[at:at + len(kept)] = kept
         done += span
+        # free this chunk's arrays before the next draw allocates its own
+        y = y.copy()
+        del dW, dZ, path, kept
     return rec
 
 
@@ -370,12 +410,12 @@ def _member_config(config, k):
 
 
 def integrate_ensemble(
-    system, config, n_paths, record_every=1, channel_labels=None, threads=None
+    system, config, n_paths, record_every=1, channel_labels=None
 ) -> list:
     """Integrate ``n_paths`` independent paths.
 
     Member k draws from the sub-seed ``path_seed(config.seed, k)``, so the
-    result is independent of evaluation order and of ``threads``; a one-path
+    result is independent of evaluation order; a one-path
     ensemble reproduces ``integrate_path`` under that sub-seed exactly.
     Vectorized systems advance all members in lock step.
     """
@@ -402,15 +442,10 @@ def integrate_ensemble(
             for k in range(n_paths)
         ]
 
-    def run_one(k):
-        return integrate_path(
-            system, _member_config(config, k), record_every, labels
-        )
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, range(n_paths)))
-    return [run_one(k) for k in range(n_paths)]
+    return [
+        integrate_path(system, _member_config(config, k), record_every, labels)
+        for k in range(n_paths)
+    ]
 
 
 # ---------------------------------------------------------------------------

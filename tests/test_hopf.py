@@ -53,6 +53,32 @@ def test_drift_on_cycle_is_pure_rotation():
     assert f_out[0] < 0.0
 
 
+def _drift_as_written(params, state):
+    # the drift formula of the module docstring, term by term
+    state = np.asarray(state, dtype=float)
+    x, y = state[..., 0], state[..., 1]
+    lam, al, al0 = params.lambda_, params.alpha, params.alpha0
+    rho2 = (x * x + y * y) / params.r**2
+    fx = 0.5 * lam * x - al0 * y + rho2 * (-0.5 * lam * x - (al - al0) * y)
+    fy = al0 * x + 0.5 * lam * y + rho2 * ((al - al0) * x - 0.5 * lam * y)
+    return np.stack([fx, fy], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(2,), "list", (20, 2), (4, 20, 2)])
+def test_drift_is_bitwise_the_written_formula(shape):
+    p = HopfParams(alpha=TAU, alpha0=0.7 * TAU, lambda_=1.3 * TAU, r=1.7, sigma=0.2)
+    rng = np.random.default_rng(23)
+    if shape == "list":
+        state = [0.3, -1.9]
+    else:
+        state = rng.normal(scale=1.5, size=shape)
+        if state.ndim > 1:
+            state[..., :2, :] = [[0.0, -0.0], [1.7, 0.0]]  # signed zeros, a cycle point
+    expected = _drift_as_written(p, state).tobytes()
+    assert hopf_drift(p, state).tobytes() == expected
+    assert hopf_system(p).drift(state).tobytes() == expected
+
+
 def test_jacobian_matches_finite_differences():
     p = _params(alpha0=0.7 * TAU)
     y = np.array([0.43, -0.91])

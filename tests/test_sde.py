@@ -1,14 +1,21 @@
 """Core integrator behavior: seeding, schemes, convergence, guard rails."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisycycles import (
     ConfigError,
     DivergenceError,
+    HopfParams,
     IntegratorConfig,
     Scheme,
     SdeSystem,
+    hopf_system,
     integrate_ensemble,
     integrate_path,
     ornstein_uhlenbeck,
@@ -16,6 +23,9 @@ from noisycycles import (
     path_seed,
     strong_order_estimate,
 )
+from noisycycles.sde import _CHUNK
+
+TAU = 2.0 * np.pi
 
 
 def test_config_validation():
@@ -56,6 +66,58 @@ def test_trajectory_accessors():
     assert np.array_equal(tr.component("b"), tr.values[:, 1])
     with pytest.raises(ConfigError):
         tr.component("c")
+
+
+def _linear_system_with_full_noise():
+    def drift(y):
+        x, v = y[..., 0], y[..., 1]
+        return np.stack([-0.5 * x + 2.0 * v, -2.0 * x - 0.5 * v], axis=-1)
+
+    return SdeSystem(
+        dimension=2, drift=drift, noise_matrix=[[0.3, -0.2], [0.15, 0.5]], vectorized=True
+    )
+
+
+def _member(config, k):
+    # member k's solo config, derived here rather than by the library
+    return dataclasses.replace(config, seed=path_seed(config.seed, k))
+
+
+_PROPERTY_SYSTEMS = {
+    "hopf": (
+        hopf_system(HopfParams(alpha=TAU, alpha0=0.7 * TAU, lambda_=TAU, r=1.0, sigma=0.3)),
+        (1.0, 0.0),
+    ),
+    "linear": (_linear_system_with_full_noise(), (0.4, -0.3)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PROPERTY_SYSTEMS)),
+    scheme=st.sampled_from(list(Scheme)),
+    n_paths=st.integers(1, 40),
+    record_every=st.integers(1, 7),
+    beyond=st.integers(1, 40),
+    member=st.integers(0, 39),
+)
+@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1, member=19)
+@example(name="linear", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1, member=7)
+@example(name="linear", scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7, beyond=2, member=2)
+def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
+    name, scheme, n_paths, record_every, beyond, member
+):
+    # steps run past the first chunk of _CHUNK // n_paths steps, and the
+    # thinning need not divide the chunk length
+    system, initial = _PROPERTY_SYSTEMS[name]
+    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=n_steps, scheme=scheme, seed=17, initial_state=initial
+    )
+    k = member % n_paths
+    ens = integrate_ensemble(system, config, n_paths=n_paths, record_every=record_every)
+    solo = integrate_path(system, _member(config, k), record_every=record_every)
+    assert ens[k].values.tobytes() == solo.values.tobytes()
 
 
 def test_ensemble_member_matches_solo_run():
@@ -99,9 +161,36 @@ def test_vectorized_flag_does_not_change_results():
 def test_divergence_reports_step_and_path():
     system = SdeSystem(dimension=1, drift=lambda y: y**3, isotropic_sigma=0.0, vectorized=True)
     config = IntegratorConfig(dt=0.5, n_steps=200, seed=0, initial_state=(2.0,))
-    with pytest.raises(DivergenceError) as err:
-        integrate_path(system, config)
-    assert err.value.step_index is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            integrate_path(system, config)
+    assert err.value.step_index == 1
+    assert err.value.path_index is None
+
+
+def test_ensemble_divergence_is_the_earliest_solo_divergence():
+    # 40 paths make chunks of 409 steps and no member leaves the trust
+    # region in the first one, so the guard is checked across boundaries
+    system = SdeSystem(
+        dimension=1, drift=lambda y: 0.2 * y**3 - y, isotropic_sigma=0.7, vectorized=True
+    )
+    config = IntegratorConfig(dt=0.01, n_steps=900, seed=5, initial_state=(0.0,))
+    n_paths = 40
+    solo = []
+    for k in range(n_paths):
+        try:
+            integrate_path(system, _member(config, k))
+        except DivergenceError as err:
+            solo.append((err.step_index, k))
+    step, path = min(solo)  # lowest member index on a tie
+    assert step > _CHUNK // n_paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            integrate_ensemble(system, config, n_paths=n_paths)
+    assert (err.value.step_index, err.value.path_index) == (step, path)
+    assert str(err.value).endswith(f"at step {step} (path {path})")
 
 
 def test_strong_order_euler_maruyama_on_linear_process():
