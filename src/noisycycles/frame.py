@@ -45,10 +45,13 @@ from .exceptions import (
 )
 from .sde import (
     _CHUNK,
+    TRUST_RADIUS,
     IntegratorConfig,
     SdeSystem,
     Trajectory,
+    _diverged,
     _generator,
+    _normals,
     _validated_record_every,
     path_seed,
 )
@@ -455,6 +458,57 @@ def reduce(cycle: CycleParameterization, frame: ComovingFrame, sigma) -> Reduced
     return ReducedModel(J0=j0, speed=cycle.speed.copy(), sigma=float(sigma))
 
 
+def _spline_table(grid, values, period) -> np.ndarray:
+    """The coefficients of ``_periodic_spline(grid, values, period)`` as a
+    gather table of shape (5, m + 2, k), k values per sample.
+
+    Column r = searchsorted(knots, w, "right"), knots = (grid ..., period),
+    serves the phase w: row 0 holds the left knot of interval r - 1 and
+    rows 1-4 hold its coefficients 0.0 + c3, c2, c1, c0, in the order the
+    spline adds them up.  Column m + 1 repeats interval 0 with the left knot
+    ``period``: the spline wraps w == period to 0, which gives interval 0
+    and s = 0, and a NaN phase lands there too.  Column 0 is never selected
+    because the grid starts at 0.
+    """
+    c = _periodic_spline(grid, values, period).c
+    m = c.shape[1]
+    c = c.reshape(4, m, -1)
+    table = np.empty((5, m + 2, c.shape[2]))
+    table[0, 1:m + 1] = grid[:, None]
+    table[1, 1:m + 1] = 0.0 + c[3]
+    table[2:, 1:m + 1] = c[2::-1]
+    table[:, [0, m + 1]] = table[:, 1:2]
+    table[0, m + 1] = period
+    return table
+
+
+def _evaluator(table, knots, out):
+    """A function of wrapped phases w, of shape out.shape[:-1], that writes
+    the spline values from a :func:`_spline_table` into ``out``.
+
+    The sum runs (((0 + c3) + c2 s) + c1 s^2) + c0 s^3 with s = w - knot,
+    s^2 = s s and s^3 = s^2 s, which is scipy's evaluation step for step.
+    All scratch is allocated here, so a call makes no new arrays but the
+    interval indices.
+    """
+    gathered = np.empty((5,) + out.shape)
+    powers = np.ones((4,) + out.shape)  # 1, s, s^2, s^3
+    left, rows = gathered[0], gathered[1:]
+    s, s2, s3 = powers[1:]
+    find, take = knots.searchsorted, table.take
+    multiply, subtract, total = np.multiply, np.subtract, np.add.reduce
+
+    def evaluate(w):
+        take(find(w, "right"), axis=1, out=gathered, mode="clip")
+        subtract(w[..., None], left, out=s)
+        multiply(s, s, out=s2)
+        multiply(s2, s, out=s3)
+        multiply(rows, powers, out=rows)
+        total(rows, axis=0, out=out)
+
+    return evaluate
+
+
 def simulate_reduced(
     model: ReducedModel,
     cycle: CycleParameterization,
@@ -473,10 +527,25 @@ def simulate_reduced(
     are state dependent, which the derivative-free strong scheme does not
     cover.
 
+    The splines are not called per step.  Their coefficients are laid out
+    once in a gather table (``_spline_table``), and a phase w picks its
+    interval with ``searchsorted`` and sums the cubic in s = w - knot with
+    the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
+    so every value equals the spline's bit for bit.  The phase recursion
+    does not read z, so each chunk first advances tau for all its steps,
+    then evaluates J0 at all the stored phases at once, then advances z.
+
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
     on the cycle at phase zero.  With ``n_paths`` set, member k uses
     ``path_seed(config.seed, k)`` and the returned arrays gain a leading
     path axis.
+
+    Raises
+    ------
+    DivergenceError
+        At the first step where some |z0| component leaves
+        ``TRUST_RADIUS`` or z0 or tau stops being finite, with the lowest
+        such path; the step and path follow ``integrate_ensemble``.
 
     Returns
     -------
@@ -495,8 +564,10 @@ def simulate_reduced(
     else:
         raise ConfigError(f"initial_state must be empty or (z0 ..., tau0) of length {n}")
 
-    j0_sp = _periodic_spline(cycle.grid, model.J0, cycle.period)
-    speed_sp = _periodic_spline(cycle.grid, model.speed, cycle.period)
+    period = cycle.period
+    knots = np.append(cycle.grid, period)
+    j0_table = _spline_table(cycle.grid, model.J0, period)
+    speed_table = _spline_table(cycle.grid, model.speed, period)
 
     single = n_paths is None
     p = 1 if single else int(n_paths)
@@ -504,10 +575,10 @@ def simulate_reduced(
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     seeds = [config.seed] if single else [path_seed(config.seed, k) for k in range(p)]
     rngs = [_generator(s) for s in seeds]
+    path_ids = None if single else range(p)
 
     h = config.dt
-    sq = np.sqrt(h)
-    sig = model.sigma
+    kick_scale = model.sigma * np.sqrt(h)
     n_steps = config.n_steps
     n_rec = n_steps // record_every
     tau_out = np.empty((p, n_rec + 1))
@@ -517,22 +588,54 @@ def simulate_reduced(
     tau_out[:, 0] = tau
     z_out[:, 0] = z
 
+    add, divide, mod = np.add, np.divide, np.mod
+    speed = np.empty((p, 1))
+    speed_at = _evaluator(speed_table, knots, speed)
+    noise = speed[:, 0]  # overwritten with kick / speed each step
+    drift = np.empty((p, d))
+
+    # chunks of O(_CHUNK) path-steps; each stream is drawn element by
+    # element, so the chunk size never changes a value
+    step_budget = max(1, _CHUNK // p)
     done = 0
-    while done < n_steps:
-        span = min(_CHUNK, n_steps - done)
-        # frozen pattern: (steps, dim, 2) per path, normals in column 0
-        xi = np.stack(
-            [rng.standard_normal((span, n, 2))[..., 0] for rng in rngs], axis=1
-        )
-        for i in range(span):
-            wrapped = np.mod(tau, cycle.period)
-            z = z + h * np.einsum("pij,pj->pi", j0_sp(wrapped), z) + (sig * sq) * xi[i, :, :d]
-            tau = tau + h + (sig * sq) * xi[i, :, d] / speed_sp(wrapped)
-            k = done + i + 1
-            if k % record_every == 0:
-                tau_out[:, k // record_every] = tau
-                z_out[:, k // record_every] = z
-        done += span
+    # a diverging path overflows before the chunk is scanned; the scan
+    # raises DivergenceError instead of the warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < n_steps:
+            span = min(step_budget, n_steps - done)
+            xi = _normals(rngs, span, n)[..., 0]
+            zs = kick_scale * xi[..., :d]  # step i writes its z over row i
+            phase_kick = kick_scale * xi[..., d]
+            # the phase first: its recursion never reads z
+            wrapped = np.empty((span, p))  # kept for J0
+            taus = np.empty((span, p))
+            for i in range(span):
+                w = mod(tau, period, out=wrapped[i])
+                speed_at(w)
+                divide(phase_kick[i], noise, out=noise)
+                tau = add(tau, h, out=taus[i])
+                add(tau, noise, out=tau)
+            J = np.empty((span, p, d * d))
+            _evaluator(j0_table, knots, J)(wrapped)
+            J = J.reshape(span, p, d, d)
+            for i in range(span):
+                np.einsum("pij,pj->pi", J[i], z, out=drift)
+                drift *= h
+                add(z, drift, out=drift)
+                z = add(drift, zs[i], out=zs[i])
+            ok = (np.abs(zs) <= TRUST_RADIUS).all(axis=2) & np.isfinite(taus)
+            if not ok.all():
+                i = int(np.argmax(~ok.all(axis=1)))
+                _diverged(ok[i], done + i, path_ids)
+            first = (-done - 1) % record_every  # chunk row of the next recorded step
+            at = (done + first + 1) // record_every
+            kept = taus[first::record_every]
+            tau_out[:, at:at + len(kept)] = kept.T
+            z_out[:, at:at + len(kept)] = zs[first::record_every].swapaxes(0, 1)
+            done += span
+            # free this chunk's arrays before the next draw allocates its own
+            tau, z = tau.copy(), z.copy()
+            del xi, zs, phase_kick, wrapped, taus, J, kept
 
     if single:
         return tau_out[0], z_out[0]

@@ -38,7 +38,15 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .exceptions import ConfigError, SingularAmplitudeError
-from .sde import SdeSystem, Trajectory, _generator, _validated_record_every, integrate_path
+from .sde import (
+    _CHUNK,
+    SdeSystem,
+    Trajectory,
+    _generator,
+    _normals,
+    _validated_record_every,
+    integrate_path,
+)
 
 __all__ = [
     "HopfParams",
@@ -227,16 +235,12 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
     n = config.n_steps
     rng = _generator(config.seed)
 
-    # frozen draw pattern: chunks of (m, dim=2, 2); only column 0 (the
-    # Wiener normals) is consumed here, column 1 is the area auxiliary
-    from .sde import _CHUNK
-
+    # frozen draw pattern; only column 0 (the Wiener normals) is consumed
     xi = np.empty((n, 2))
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        u = rng.standard_normal((m, 2, 2))
-        xi[done:done + m] = u[:, :, 0]
+        xi[done:done + m] = _normals([rng], m, 2)[:, 0, :, 0]
         done += m
     xi_d, xi_p = xi[:, 0], xi[:, 1]
 

@@ -91,7 +91,13 @@ class SdeSystem:
         Shorthand for an isotropic noise matrix.
     vectorized : bool
         Whether ``drift`` accepts batched states; enables the fast
-        lock-step ensemble path.
+        lock-step ensemble path.  A vectorized drift must compute each row
+        of a stack exactly as it computes that row alone, or ensemble
+        members stop equalling their solo runs in the last bits without
+        any warning.  Elementwise formulas do; a matrix product such as
+        ``y @ A.T`` with a full ``A`` does not, because a (P, n) stack
+        takes another BLAS kernel than one (1, n) row and rounds
+        differently.
     jacobian : callable, optional
         Analytic Jacobian, (n,) -> (n, n).  Consumers fall back to central
         finite differences when absent.
@@ -217,6 +223,15 @@ def _batched(system: SdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
+def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
+    """The frozen draw pattern: (n_steps, P, dim, 2) normals, one path per
+    generator, drawn as (n_steps, dim, 2) from each.  Column 0 drives the
+    Wiener increments and column 1 the area auxiliary.  Each stream is
+    consumed element by element, so splitting a run into calls of any size
+    draws the same numbers."""
+    return np.stack([rng.standard_normal((n_steps, dim, 2)) for rng in rngs], axis=1)
+
+
 class _IncrementSource:
     """Chunked (dW, dZ) arrays of shape (m, P, n) for the step kernel."""
 
@@ -228,10 +243,7 @@ class _IncrementSource:
         self._inv3 = 1.0 / np.sqrt(3.0)
 
     def take(self, n_steps: int):
-        u = np.stack(
-            [rng.standard_normal((n_steps, self._dim, 2)) for rng in self._rngs],
-            axis=1,
-        )
+        u = _normals(self._rngs, n_steps, self._dim)
         dw = self._sq * u[..., 0]
         dz = self._z * (u[..., 0] + self._inv3 * u[..., 1])
         return dw, dz
@@ -253,9 +265,13 @@ class _ArraySource:
 
 def _check_state(y, step_index, path_ids):
     ok = np.abs(y) <= TRUST_RADIUS
-    if ok.all():
-        return
-    bad = int(np.argmax(~ok.all(axis=1)))
+    if not ok.all():
+        _diverged(ok.all(axis=1), step_index, path_ids)
+
+
+def _diverged(path_ok, step_index, path_ids):
+    """Raise for the lowest path whose ``path_ok`` entry is false."""
+    bad = int(np.argmax(~path_ok))
     pid = path_ids[bad] if path_ids is not None else None
     where = "" if pid is None else f" (path {pid})"
     raise DivergenceError(

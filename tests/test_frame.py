@@ -4,13 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from noisycycles import (
     ConfigError,
+    DivergenceError,
     FixedPointError,
     HopfParams,
     IntegratorConfig,
     NumericsError,
+    ReducedModel,
     SdeSystem,
     build_frame,
     find_limit_cycle,
@@ -23,6 +28,8 @@ from noisycycles import (
     simulate_reduced,
     van_der_pol,
 )
+from noisycycles.frame import _evaluator, _periodic_spline, _spline_table
+from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
 
 TAU = 2.0 * np.pi
 
@@ -51,6 +58,28 @@ def hopf_frame(hopf_cycle):
 @pytest.fixture(scope="module")
 def vdp_cycle():
     return find_limit_cycle(van_der_pol(1.0), (2.0, 0.0))
+
+
+def _tilted_hopf_drift(y):
+    # a planar Hopf cycle in (x, v) with a coupled, stable third direction w
+    x, v, w = y[..., 0], y[..., 1], y[..., 2]
+    rho2 = x * x + v * v
+    return np.stack(
+        [
+            0.5 * x - 2.0 * v - 0.5 * rho2 * x + 0.3 * w * v,
+            2.0 * x + 0.5 * v - 0.5 * rho2 * v,
+            -1.5 * w + 0.4 * x * v,
+        ],
+        axis=-1,
+    )
+
+
+@pytest.fixture(scope="module")
+def cycle_3d():
+    system = SdeSystem(
+        dimension=3, drift=_tilted_hopf_drift, isotropic_sigma=0.0, vectorized=True
+    )
+    return find_limit_cycle(system, (0.5, 0.1, 0.0), grid_size=256)
 
 
 def test_circular_cycle_geometry(hopf_cycle):
@@ -167,6 +196,192 @@ def test_reduced_ensemble_member_equals_solo_run(hopf_cycle, hopf_frame):
     tau_solo, z_solo = simulate_reduced(model, hopf_cycle, solo_cfg)
     assert np.array_equal(taus[2], tau_solo)
     assert np.array_equal(z0s[2], z_solo)
+
+
+def _spline_loop(model, cycle, config, record_every=1, n_paths=None):
+    """simulate_reduced as written before it evaluated coefficient tables:
+    two periodic CubicSpline calls per step."""
+    n = cycle.dimension
+    d = n - 1
+    if len(config.initial_state) == 0:
+        z_init = np.zeros(d)
+        tau_init = 0.0
+    else:
+        z_init = np.asarray(config.initial_state[:d], dtype=float)
+        tau_init = float(config.initial_state[-1])
+
+    def spline(values):
+        t = np.concatenate([cycle.grid, [cycle.period]])
+        v = np.concatenate([values, values[:1]], axis=0)
+        return CubicSpline(t, v, axis=0, bc_type="periodic")
+
+    j0_sp = spline(model.J0)
+    speed_sp = spline(model.speed)
+    single = n_paths is None
+    p = 1 if single else n_paths
+    seeds = [config.seed] if single else [path_seed(config.seed, k) for k in range(p)]
+    rngs = [_generator(s) for s in seeds]
+    h = config.dt
+    sq = np.sqrt(h)
+    sig = model.sigma
+    n_steps = config.n_steps
+    n_rec = n_steps // record_every
+    tau_out = np.empty((p, n_rec + 1))
+    z_out = np.empty((p, n_rec + 1, d))
+    tau = np.full(p, tau_init)
+    z = np.tile(z_init, (p, 1))
+    tau_out[:, 0] = tau
+    z_out[:, 0] = z
+    done = 0
+    while done < n_steps:
+        span = min(_CHUNK, n_steps - done)
+        xi = np.stack(
+            [rng.standard_normal((span, n, 2))[..., 0] for rng in rngs], axis=1
+        )
+        for i in range(span):
+            wrapped = np.mod(tau, cycle.period)
+            z = z + h * np.einsum("pij,pj->pi", j0_sp(wrapped), z) + (sig * sq) * xi[i, :, :d]
+            tau = tau + h + (sig * sq) * xi[i, :, d] / speed_sp(wrapped)
+            k = done + i + 1
+            if k % record_every == 0:
+                tau_out[:, k // record_every] = tau
+                z_out[:, k // record_every] = z
+        done += span
+    if single:
+        return tau_out[0], z_out[0]
+    return tau_out, z_out
+
+
+@pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
+def test_coefficient_table_is_bitwise_the_spline(request, cycle_name):
+    cycle = request.getfixturevalue(cycle_name)
+    model = reduce(cycle, build_frame(cycle), 0.1)
+    period = cycle.period
+    rng = np.random.default_rng(4)
+    w = np.concatenate([
+        rng.uniform(0.0, period, 4000),
+        cycle.grid,
+        np.nextafter(cycle.grid, -1.0)[1:],
+        [np.nextafter(period, 0.0), np.mod(-1e-300, period)],  # the last is period
+    ])
+    knots = np.append(cycle.grid, period)
+    for values in (model.J0, model.speed):
+        want = _periodic_spline(cycle.grid, values, period)(w)
+        got = np.empty((w.size, want[0].size))
+        _evaluator(_spline_table(cycle.grid, values, period), knots, got)(w)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cycle_name, sigma, n_paths, n_steps, record_every, initial",
+    [
+        ("hopf_cycle", 0.3, None, 600, 1, ()),
+        ("hopf_cycle", 0.0, 8, 2100, 7, (0.1, 1.0e4)),
+        ("vdp_cycle", 0.1, 1, 600, 5, (0.0, -1.0e-300)),
+        ("vdp_cycle", 0.1, 8, 2100, 3, (0.05, 0.37)),
+        ("cycle_3d", 0.2, None, 600, 1, (0.05, -0.02, -1.0e-300)),
+        ("cycle_3d", 0.2, 8, 2100, 3, (-0.1, 0.02, 2.5)),
+    ],
+)
+def test_reduced_run_is_bitwise_the_spline_loop(
+    request, cycle_name, sigma, n_paths, n_steps, record_every, initial
+):
+    # tau0 = -1e-300 wraps to exactly the period, the spline's wrap edge;
+    # 2100 steps at 8 paths cross the first chunk of _CHUNK // 8 steps,
+    # which record_every = 3 and 7 do not divide; sigma = 0 gives signed zeros
+    cycle = request.getfixturevalue(cycle_name)
+    model = reduce(cycle, build_frame(cycle), sigma)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=29, initial_state=initial)
+    got = simulate_reduced(model, cycle, config, record_every, n_paths)
+    want = _spline_loop(model, cycle, config, record_every, n_paths)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_paths=st.integers(1, 40),
+    record_every=st.integers(1, 7),
+    beyond=st.integers(1, 40),
+    member=st.integers(0, 39),
+)
+@example(n_paths=20, record_every=5, beyond=1, member=19)
+@example(n_paths=3, record_every=7, beyond=2, member=2)
+def test_reduced_member_is_its_solo_run_across_chunk_boundaries(
+    vdp_cycle, n_paths, record_every, beyond, member
+):
+    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
+    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=13, initial_state=(0.02, 0.4))
+    k = member % n_paths
+    taus, z0s = simulate_reduced(model, vdp_cycle, config, record_every, n_paths)
+    solo = IntegratorConfig(
+        dt=1e-3, n_steps=n_steps, seed=path_seed(13, k), initial_state=(0.02, 0.4)
+    )
+    tau, z0 = simulate_reduced(model, vdp_cycle, solo, record_every)
+    assert taus[k].tobytes() == tau.tobytes()
+    assert z0s[k].tobytes() == z0.tobytes()
+
+
+def _unstable(cycle, rate, sigma, speed=1.0):
+    m = cycle.grid_size
+    return ReducedModel(
+        J0=np.full((m, 1, 1), rate), speed=np.full(m, speed), sigma=sigma
+    )
+
+
+def test_reduced_divergence_reports_step_and_path(hopf_cycle):
+    # z grows by 1.05 per step from 1: |z| first exceeds the trust radius
+    # after step 283 (1.05^284 > 1e6 > 1.05^283); the run overflows long
+    # before its 16000 steps end, which must not surface as a warning
+    model = _unstable(hopf_cycle, 50.0, 0.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=16000, seed=3, initial_state=(1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate_reduced(model, hopf_cycle, config)
+        assert (err.value.step_index, err.value.path_index) == (283, None)
+        assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283"
+        # every member diverges at once: the lowest path is reported
+        with pytest.raises(DivergenceError) as err:
+            simulate_reduced(model, hopf_cycle, config, n_paths=3)
+        assert (err.value.step_index, err.value.path_index) == (283, 0)
+        # a phase that stops being finite: kick / speed overflows at step 0
+        tiny = _unstable(hopf_cycle, -1.0, 1.0, speed=1e-320)
+        with pytest.raises(DivergenceError) as err:
+            simulate_reduced(tiny, hopf_cycle, config)
+        assert err.value.step_index == 0
+
+
+def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence(hopf_cycle):
+    # 40 paths make chunks of 409 steps and no member leaves the trust
+    # region in the first one, so the scan is checked across boundaries
+    model = _unstable(hopf_cycle, 15.0, 1.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=8)
+    n_paths = 40
+    solo = []
+    for k in range(n_paths):
+        try:
+            simulate_reduced(model, hopf_cycle, _member(config, k))
+        except DivergenceError as err:
+            solo.append((err.step_index, k))
+    step, path = min(solo)  # lowest member index on a tie
+    assert step > _CHUNK // n_paths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
+    assert (err.value.step_index, err.value.path_index) == (step, path)
+    assert str(err.value).endswith(f"at step {step} (path {path})")
+
+
+def _member(config, k):
+    return IntegratorConfig(
+        dt=config.dt,
+        n_steps=config.n_steps,
+        seed=path_seed(config.seed, k),
+        initial_state=config.initial_state,
+    )
 
 
 def test_reconstruct_on_the_cycle_reproduces_it(hopf_cycle, hopf_frame):
