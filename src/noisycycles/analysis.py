@@ -155,6 +155,12 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     """Gaussian kernel density with the Silverman rule of thumb.
 
     bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly.
+
+    The kernel sums run over chunks of 4096 samples.  Each chunk's
+    exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in two
+    buffers of ``grid_size`` x min(N, 4096) doubles that every chunk
+    reuses (a short last chunk takes their leading part), and summed row
+    by row with the arithmetic of the plain expression.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
@@ -171,10 +177,20 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
     density = np.zeros(grid_size)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
-    for start in range(0, x.size, 4096):
-        chunk = x[start:start + 4096]
-        d = (grid[:, None] - chunk[None, :]) / bandwidth
-        density += np.exp(-0.5 * d * d).sum(axis=1)
+    width = min(x.size, 4096)
+    d_buf = np.empty(grid_size * width)
+    e_buf = np.empty(grid_size * width)
+    for start in range(0, x.size, width):
+        chunk = x[start:start + width]
+        used = grid_size * chunk.size
+        d = d_buf[:used].reshape(grid_size, chunk.size)
+        e = e_buf[:used].reshape(grid_size, chunk.size)
+        np.subtract(grid[:, None], chunk, out=d)
+        d /= bandwidth
+        np.multiply(-0.5, d, out=e)
+        e *= d
+        np.exp(e, out=e)
+        density += e.sum(axis=1)
     return DensityEstimate(grid=grid, density=norm * density, bandwidth=float(bandwidth))
 
 
@@ -198,6 +214,12 @@ def wk_transform(acv, omegas, max_lag=None, lag_step=None) -> PsdEstimate:
     automatically, extending until the block envelope of |ACV| falls below
     1e-6 of ACV(0) (non-decaying inputs, e.g. a noiseless template, raise
     :class:`DegenerateSpectrumError`).  Trapezoid quadrature throughout.
+
+    The frequencies are taken one at a time, each through two 1-D buffers
+    of the lag grid's length that every frequency reuses, with the
+    arithmetic of ``np.trapezoid``: cos(w u) ACV(u), then
+    d (y[1:] + y[:-1]) / 2 summed and doubled.  Memory beyond the lag grid
+    is those two buffers and the lag spacings d.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0.0):
@@ -218,11 +240,17 @@ def wk_transform(acv, omegas, max_lag=None, lag_step=None) -> PsdEstimate:
         lags, vals = _sampled_until_decay(acv, du, cap)
 
     values = np.empty(omegas.size)
-    for start in range(0, omegas.size, 64):
-        ws = omegas[start:start + 64, None]
-        values[start:start + 64] = 2.0 * np.trapezoid(
-            vals[None, :] * np.cos(ws * lags[None, :]), lags, axis=1
-        )
+    spacing = np.diff(lags)
+    y = np.empty(lags.size)
+    area = np.empty(spacing.size)
+    for k, w in enumerate(omegas):
+        np.multiply(w, lags, out=y)
+        np.cos(y, out=y)
+        np.multiply(vals, y, out=y)
+        np.add(y[1:], y[:-1], out=area)
+        np.multiply(spacing, area, out=area)
+        area /= 2.0
+        values[k] = 2.0 * area.sum()
     return PsdEstimate(omegas=omegas, values=values)
 
 

@@ -51,6 +51,7 @@ from .sde import (
     Trajectory,
     _diverged,
     _generator,
+    _labels,
     _normals,
     _validated_record_every,
     path_seed,
@@ -403,13 +404,20 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
 
     V = np.array([dU(cycle.grid[i], U[i]) for i in range(m)])
     frame = ComovingFrame(U=U, V=V, basis_P0=_normal_basis(t0))
-    _verify_frame(cycle, frame)
+    ortho, tangent_dev, lemma_dev = _frame_deviations(cycle, frame)
+    if ortho > 1e-8 or tangent_dev > 1e-6 or lemma_dev > 1e-6:
+        raise NumericsError(
+            "frame invariants violated "
+            f"(orthogonality {ortho:.2e}, tangent transport {tangent_dev:.2e}, "
+            f"rate norm {lemma_dev:.2e}); rebuild with a finer grid"
+        )
     return frame
 
 
-def _verify_frame(cycle, frame):
-    m, n = cycle.L.shape
-    eye = np.eye(n)
+def _frame_deviations(cycle, frame):
+    """Worst deviations from the frame invariants over the grid: from
+    orthogonality of U, of U T0 from T, and of |V| from |dT/dt|."""
+    eye = np.eye(cycle.dimension)
     ortho = max(np.linalg.norm(u.T @ u - eye) for u in frame.U)
     carried = np.einsum("mij,j->mi", frame.U, cycle.T[0])
     tangent_dev = np.linalg.norm(carried - cycle.T, axis=1).max()
@@ -418,12 +426,7 @@ def _verify_frame(cycle, frame):
     lemma_dev = np.abs(
         rate_norm - np.linalg.norm(cycle.tangent_rate(), axis=1)
     ).max()
-    if ortho > 1e-8 or tangent_dev > 1e-6 or lemma_dev > 1e-6:
-        raise NumericsError(
-            "frame invariants violated "
-            f"(orthogonality {ortho:.2e}, tangent transport {tangent_dev:.2e}, "
-            f"rate norm {lemma_dev:.2e}); rebuild with a finer grid"
-        )
+    return ortho, tangent_dev, lemma_dev
 
 
 def reduce(cycle: CycleParameterization, frame: ComovingFrame, sigma) -> ReducedModel:
@@ -533,7 +536,8 @@ def simulate_reduced(
     the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
     so every value equals the spline's bit for bit.  The phase recursion
     does not read z, so each chunk first advances tau for all its steps,
-    then evaluates J0 at all the stored phases at once, then advances z.
+    then evaluates J0 at all the stored phases at once, then advances z,
+    summing J0 z over the columns of J0 from the first upwards.
 
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
     on the cycle at phase zero.  With ``n_paths`` set, member k uses
@@ -587,12 +591,17 @@ def simulate_reduced(
     z = np.tile(z_init, (p, 1))
     tau_out[:, 0] = tau
     z_out[:, 0] = z
+    # the sums over j below start at j = 0, not at +0.0; a zero start
+    # turned a -0.0 deviation into +0.0 and no later state can be -0.0,
+    # so adding +0.0 once here keeps every value
+    z += 0.0
 
-    add, divide, mod = np.add, np.divide, np.mod
+    add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
     speed = np.empty((p, 1))
     speed_at = _evaluator(speed_table, knots, speed)
     noise = speed[:, 0]  # overwritten with kick / speed each step
     drift = np.empty((p, d))
+    term = np.empty((p, d))
 
     # chunks of O(_CHUNK) path-steps; each stream is drawn element by
     # element, so the chunk size never changes a value
@@ -617,9 +626,13 @@ def simulate_reduced(
                 add(tau, noise, out=tau)
             J = np.empty((span, p, d * d))
             _evaluator(j0_table, knots, J)(wrapped)
-            J = J.reshape(span, p, d, d)
+            J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
             for i in range(span):
-                np.einsum("pij,pj->pi", J[i], z, out=drift)
+                # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
+                multiply(J[0, i], z[:, :1], out=drift)
+                for j in range(1, d):
+                    multiply(J[j, i], z[:, j:j + 1], out=term)
+                    add(drift, term, out=drift)
                 drift *= h
                 add(z, drift, out=drift)
                 z = add(drift, zs[i], out=zs[i])
@@ -661,14 +674,5 @@ def reconstruct(cycle, frame, tau, z0, dt=1.0, channel_labels=None) -> Trajector
     wrapped = np.mod(tau, cycle.period)
     emb = z0 @ frame.basis_P0.T
     values = l_sp(wrapped) + np.einsum("tij,tj->ti", u_sp(wrapped), emb)
-    labels = _labels_for(cycle.dimension, channel_labels)
+    labels = _labels(cycle.dimension, channel_labels)
     return Trajectory(dt=float(dt), values=values, channel_labels=labels)
-
-
-def _labels_for(dim, channel_labels):
-    if channel_labels is None:
-        return tuple(f"y{i + 1}" for i in range(dim))
-    labels = tuple(channel_labels)
-    if len(labels) != dim:
-        raise ConfigError("one channel label per state component is required")
-    return labels

@@ -27,7 +27,10 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
     def drift(y):
         y = np.asarray(y, dtype=float)
         x, v = y[..., 0], y[..., 1]
-        return np.stack([v, mu * (1.0 - x * x) * v - x], axis=-1)
+        out = np.empty(y.shape)
+        out[..., 0] = v
+        out[..., 1] = mu * (1.0 - x * x) * v - x
+        return out
 
     def jacobian(y):
         x, v = np.asarray(y, dtype=float)

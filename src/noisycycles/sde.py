@@ -33,7 +33,7 @@ how members are scheduled across workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -379,11 +379,11 @@ def _initial(system, config) -> np.ndarray:
     return y0
 
 
-def _labels(system, channel_labels):
+def _labels(dimension, channel_labels):
     if channel_labels is None:
-        return tuple(f"y{i + 1}" for i in range(system.dimension))
+        return tuple(f"y{i + 1}" for i in range(dimension))
     labels = tuple(channel_labels)
-    if len(labels) != system.dimension:
+    if len(labels) != dimension:
         raise ConfigError("one channel label per state component is required")
     return labels
 
@@ -410,18 +410,8 @@ def integrate_path(system, config, record_every=1, channel_labels=None) -> Traje
     return Trajectory(
         dt=config.dt * record_every,
         values=rec[:, 0, :],
-        channel_labels=_labels(system, channel_labels),
+        channel_labels=_labels(system.dimension, channel_labels),
         seed=config.seed,
-    )
-
-
-def _member_config(config, k):
-    return IntegratorConfig(
-        dt=config.dt,
-        n_steps=config.n_steps,
-        scheme=config.scheme,
-        seed=path_seed(config.seed, k),
-        initial_state=config.initial_state,
     )
 
 
@@ -438,11 +428,12 @@ def integrate_ensemble(
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     record_every = _validated_record_every(config, record_every)
-    labels = _labels(system, channel_labels)
+    labels = _labels(system.dimension, channel_labels)
+    seeds = [path_seed(config.seed, k) for k in range(n_paths)]
 
     if system.vectorized:
         y0 = np.tile(_initial(system, config), (n_paths, 1))
-        rngs = [_generator(path_seed(config.seed, k)) for k in range(n_paths)]
+        rngs = [_generator(s) for s in seeds]
         source = _IncrementSource(rngs, system.dimension, config.dt)
         rec = _run(
             system, config.scheme, y0, config.dt, config.n_steps, source,
@@ -453,14 +444,14 @@ def integrate_ensemble(
                 dt=config.dt * record_every,
                 values=rec[:, k, :].copy(),
                 channel_labels=labels,
-                seed=path_seed(config.seed, k),
+                seed=s,
             )
-            for k in range(n_paths)
+            for k, s in enumerate(seeds)
         ]
 
     return [
-        integrate_path(system, _member_config(config, k), record_every, labels)
-        for k in range(n_paths)
+        integrate_path(system, replace(config, seed=s), record_every, labels)
+        for s in seeds
     ]
 
 

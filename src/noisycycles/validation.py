@@ -30,7 +30,14 @@ from .analysis import (
 )
 from .csvio import read_column
 from .fitting import FitProblem, FitTarget, fit
-from .frame import build_frame, find_limit_cycle, reduce, reconstruct, simulate_reduced
+from .frame import (
+    _frame_deviations,
+    build_frame,
+    find_limit_cycle,
+    reduce,
+    reconstruct,
+    simulate_reduced,
+)
 from .hopf import HopfParams, hopf_system, sigma_for_nsr, simulate_hopf_linear
 from .presets import van_der_pol
 from .sde import (
@@ -306,16 +313,6 @@ def _hopf_cycle_frame():
 def _vdp_cycle_frame():
     cycle = find_limit_cycle(van_der_pol(1.0), (2.0, 0.0))
     return cycle, build_frame(cycle)
-
-
-def _frame_deviations(cycle, frame):
-    eye = np.eye(cycle.dimension)
-    ortho = max(np.linalg.norm(u.T @ u - eye) for u in frame.U)
-    carried = np.einsum("mij,j->mi", frame.U, cycle.T[0])
-    transport = np.linalg.norm(carried - cycle.T, axis=1).max()
-    rate = np.array([np.linalg.norm(v, 2) for v in frame.V])
-    lemma = np.abs(rate - np.linalg.norm(cycle.tangent_rate(), axis=1)).max()
-    return ortho, transport, lemma
 
 
 def check_frame_invariants() -> CriterionResult:

@@ -18,6 +18,7 @@ from noisycycles import (
     sigma_for_nsr,
     wk_transform,
 )
+from noisycycles.analysis import _sampled_until_decay
 
 TAU = 2.0 * np.pi
 
@@ -125,6 +126,69 @@ def test_wk_transform_callable_and_sampled_agree():
 def test_wk_transform_rejects_non_decaying_input():
     with pytest.raises(DegenerateSpectrumError):
         wk_transform(lambda u: np.cos(u), np.array([0.5, 1.0]))
+
+
+def _wk_blocks(lags, vals, omegas):
+    # wk_transform's quadrature as written before it went frequency by
+    # frequency: np.trapezoid over blocks of 64 frequencies
+    values = np.empty(omegas.size)
+    for start in range(0, omegas.size, 64):
+        ws = omegas[start:start + 64, None]
+        values[start:start + 64] = 2.0 * np.trapezoid(
+            vals[None, :] * np.cos(ws * lags[None, :]), lags, axis=1
+        )
+    return values
+
+
+@pytest.mark.parametrize("n_omegas", [401, 65, 1])
+def test_wk_transform_is_bitwise_the_trapezoid_blocks(n_omegas):
+    p = _params(0.1)
+    w = np.linspace(0.3, 2.0 * TAU, n_omegas)
+
+    def fn(u):
+        return acv_formula(p, u)
+
+    got = wk_transform(fn, w).values
+    du = np.pi / (128.0 * w.max())
+    lags, vals = _sampled_until_decay(fn, du, 2**21 * du)
+    assert got.tobytes() == _wk_blocks(lags, vals, w).tobytes()
+
+    # an estimate whose 512-lag block envelope first falls below 1e-6 of
+    # ACV(0) in block 3 (lags 15.36-20.47): the transform keeps 2048 lags
+    rng = np.random.default_rng(12)
+    lags = np.arange(4001) * 0.01
+    vals = np.exp(-lags) * np.cos(TAU * lags) + 1e-9 * rng.normal(size=lags.size)
+    got = wk_transform(AcvEstimate(lags=lags, values=vals), w).values
+    assert got.tobytes() == _wk_blocks(lags[:2048], vals[:2048], w).tobytes()
+
+
+def test_wk_transform_of_a_single_lag_is_zero():
+    one = AcvEstimate(lags=np.array([0.0]), values=np.array([1.0]))
+    assert wk_transform(one, np.array([0.0, 1.0])).values.tolist() == [0.0, 0.0]
+
+
+def _kde_as_written(x, grid_size, bandwidth):
+    # kde's kernel sum as written before it reused its chunk buffers
+    grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
+    density = np.zeros(grid_size)
+    norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
+    for start in range(0, x.size, 4096):
+        chunk = x[start:start + 4096]
+        d = (grid[:, None] - chunk[None, :]) / bandwidth
+        density += np.exp(-0.5 * d * d).sum(axis=1)
+    return grid, norm * density
+
+
+@pytest.mark.parametrize(
+    "n, bandwidth",
+    [(2, None), (4095, None), (4096, None), (4097, None), (86_700, None), (9000, 0.3)],
+)
+def test_kde_is_bitwise_the_chunked_sum(n, bandwidth):
+    x = np.random.default_rng(n).normal(size=n) * 1.7 + 0.4
+    est = kde(x, grid_size=257, bandwidth=bandwidth)
+    grid, density = _kde_as_written(x, 257, est.bandwidth)
+    assert est.grid.tobytes() == grid.tobytes()
+    assert est.density.tobytes() == density.tobytes()
 
 
 def test_kde_recovers_a_normal_density():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +259,39 @@ def test_validate_reports_failure_and_skip(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out and "SKIP" in out
     assert "1 of 2 criteria passed, 1 skipped" in out
+
+
+def _readme_commands():
+    """The ``noisycycles`` lines of the README's command-line block, with
+    continuation lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True) for ln in lines if ln.startswith("noisycycles ")]
+
+
+README_COMMANDS = [argv for argv in _readme_commands() if argv[1] != "validate"]
+
+
+@pytest.fixture(scope="module")
+def readme_exit_codes(tmp_path_factory):
+    # every command in README order in one directory: later lines read what
+    # earlier ones wrote
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("readme"))
+        return [_call(*argv[1:]) for argv in README_COMMANDS]
+
+
+def _readme_case(index, argv):
+    name = f"{argv[1]}-{argv[3]}"  # subcommand and the value of its first flag
+    if name == "simulate-reduced" and "van-der-pol" in argv:
+        reason = "auto-thinning: record_every must divide n_steps"
+        return pytest.param(index, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return pytest.param(index, id=name)
+
+
+@pytest.mark.parametrize(
+    "index", [_readme_case(i, argv) for i, argv in enumerate(README_COMMANDS)]
+)
+def test_readme_command_runs_as_written(readme_exit_codes, index):
+    assert readme_exit_codes[index] == 0, " ".join(README_COMMANDS[index])

@@ -298,6 +298,29 @@ def test_reduced_run_is_bitwise_the_spline_loop(
     assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
+@pytest.mark.parametrize("n_paths", [None, 8])
+def test_reduced_run_from_negative_zero_is_bitwise_the_spline_loop(
+    request, cycle_name, n_paths
+):
+    # sigma = 0 keeps every kick a signed zero, so z stays zero; the old loop
+    # summed J0 z from +0.0, which turns the -0.0 start into +0.0 where a sum
+    # of the products alone would keep -0.0.  J0 has a positive entry at the
+    # start phase, where J0 (-0.0) is -0.0.
+    cycle = request.getfixturevalue(cycle_name)
+    model = reduce(cycle, build_frame(cycle), 0.0)
+    d = cycle.dimension - 1
+    tau0 = cycle.grid[np.argmax(model.J0.reshape(cycle.grid_size, -1).max(axis=1))]
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=600, seed=31, initial_state=(-0.0,) * d + (tau0,)
+    )
+    got = simulate_reduced(model, cycle, config, 1, n_paths)
+    want = _spline_loop(model, cycle, config, 1, n_paths)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.signbit(got[1][..., 0, :]).all()
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     n_paths=st.integers(1, 40),
