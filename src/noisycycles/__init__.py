@@ -34,7 +34,7 @@ from .exceptions import (
     SingularAmplitudeError,
     StabilityWarning,
 )
-from .fitting import FitProblem, FitResult, FitTarget, derived_quantities, fit, initial_guess
+from .fitting import FitProblem, FitResult, FitTarget, fit, initial_guess
 from .frame import (
     ComovingFrame,
     CycleParameterization,
@@ -48,15 +48,13 @@ from .frame import (
 from .hopf import (
     HopfParams,
     PhaseDeviationPath,
-    hopf_drift,
     hopf_jacobian,
     hopf_system,
     nsr,
     sigma_for_nsr,
-    simulate_hopf_exact,
     simulate_hopf_linear,
 )
-from .presets import named_system, van_der_pol
+from .presets import van_der_pol
 from .sde import (
     IntegratorConfig,
     OrderEstimate,
@@ -107,10 +105,8 @@ __all__ = [
     "acv_formula",
     "averaged_periodogram",
     "build_frame",
-    "derived_quantities",
     "find_limit_cycle",
     "fit",
-    "hopf_drift",
     "hopf_jacobian",
     "hopf_system",
     "initial_guess",
@@ -118,7 +114,6 @@ __all__ = [
     "integrate_path",
     "kde",
     "kurtosis",
-    "named_system",
     "nsr",
     "ornstein_uhlenbeck",
     "ou_exact_endpoint",
@@ -129,7 +124,6 @@ __all__ = [
     "run_all",
     "sample_acv",
     "sigma_for_nsr",
-    "simulate_hopf_exact",
     "simulate_hopf_linear",
     "simulate_reduced",
     "strong_order_estimate",

@@ -25,41 +25,21 @@ input files), 2 on numerical failures (divergence, no convergence).
 
 A JSON config file (``--config``) may supply any long flag; values given
 on the command line win.  The default seed may also be set through the
-``NOISYCYCLES_SEED`` environment variable.  Heavy imports happen after
-flag validation, so ``--threads`` can cap the numerical thread pools of
-the whole run.
+``NOISYCYCLES_SEED`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 SEED_ENV_VAR = "NOISYCYCLES_SEED"
 
-_FMT = "%.17g"
-
 _HOPF_DEFAULTS = {"r": 1.0, "alpha": math.tau, "lambda_": math.tau}
-
-
-@dataclass
-class RunConfig:
-    """A validated invocation: subcommand plus its merged option set."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +62,6 @@ def _add_hopf_flags(p):
 def build_parser() -> _Parser:
     top = _Parser(prog="noisycycles", description=__doc__.splitlines()[0])
     top.add_argument("--config", help="JSON file supplying defaults for any long flag")
-    top.add_argument("--threads", type=int,
-                     help="cap numerical thread pools (give before the subcommand)")
     sub = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
 
@@ -157,26 +135,23 @@ def build_parser() -> _Parser:
     return top
 
 
-def _load_config_layer(path, parser, namespace):
+def _load_config_layer(path, parser, options):
     """Fill flags absent from the command line with config-file values."""
+    from .csvio import load_json_config
+    from .exceptions import ConfigError
+
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"{path}: invalid JSON ({exc})")
-    if not isinstance(doc, dict):
-        parser.error(f"{path}: config must be a JSON object")
-    known = set(vars(namespace))
+        doc = load_json_config(path)
+    except ConfigError as exc:
+        parser.error(str(exc))
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest == "lambda":
             dest = "lambda_"
-        if dest not in known:
+        if dest not in options:
             parser.error(f"{path}: unknown config key {key!r} for this subcommand")
-        if getattr(namespace, dest) is None:
-            setattr(namespace, dest, value)
+        if options[dest] is None:
+            options[dest] = value
 
 
 def _floats(text, flag, parser):
@@ -220,27 +195,22 @@ def _hopf_params(options, parser):
     )
 
 
-def _csv_text(labels, columns):
-    import numpy as np
-
-    data = np.column_stack(columns)
-    lines = [",".join(labels)]
-    lines += [",".join(_FMT % v for v in row) for row in data]
-    return "\n".join(lines) + "\n"
-
-
 def _emit_curve(options, xlabel, ylabel, x, y):
-    if options.get("output"):
-        from .csvio import write_curve
+    from .csvio import _table_text, write_curve
 
+    if options.get("output"):
         write_curve(options["output"], xlabel, ylabel, x, y)
     else:
-        sys.stdout.write(_csv_text((xlabel, ylabel), (x, y)))
+        sys.stdout.write(_table_text((xlabel, ylabel), (x, y)))
 
 
-def _indexed(path, k, width):
+def _outputs(path, paths):
+    """One output file per path: ``path`` itself, or ``path`` with an _NNN suffix."""
+    if paths == 1:
+        return [path]
     root, ext = os.path.splitext(path)
-    return f"{root}_{k:0{width}d}{ext}"
+    width = max(3, len(str(paths - 1)))
+    return [f"{root}_{k:0{width}d}{ext}" for k in range(paths)]
 
 
 def _auto_thin(period, dt):
@@ -273,8 +243,39 @@ def _preset_system(options, parser):
     return hopf_system(quiet), (0.3 * p.r, 0.0)
 
 
+def _cycle_and_frame(options, system, guess):
+    """Detect the cycle of ``system`` and transport its frame, as
+    --grid-size, --substeps and --transient ask."""
+    from .frame import build_frame, find_limit_cycle
+
+    grid_size = 1024 if options.get("grid_size") is None else int(options["grid_size"])
+    substeps = 1 if options.get("substeps") is None else int(options["substeps"])
+    kw = {}
+    if options.get("transient") is not None:
+        kw["transient_time"] = float(options["transient"])
+    cycle = find_limit_cycle(system, guess, grid_size=grid_size, **kw)
+    return cycle, build_frame(cycle, substeps=substeps)
+
+
+def _reduced_model(options, parser):
+    """Cycle, frame and reduced SDE of the preset for --model reduced."""
+    from .frame import reduce
+
+    sigma, nsr = options.get("sigma"), options.get("nsr")
+    if sigma is not None and nsr is not None:
+        parser.error("--sigma and --nsr are mutually exclusive")
+    if (options.get("system") or "hopf") == "hopf":
+        sigma = _hopf_params(options, parser).sigma
+    elif sigma is None:
+        parser.error("--model reduced needs --sigma (or --nsr with the hopf preset)")
+
+    cycle, frame = _cycle_and_frame(options, *_preset_system(options, parser))
+    return cycle, frame, reduce(cycle, frame, float(sigma))
+
+
 def _cmd_simulate(options, parser):
     _require(options, parser, "model", "output")
+    from .csvio import write_phase_path, write_trajectory
     from .sde import IntegratorConfig, Scheme, integrate_ensemble, path_seed
 
     model = options["model"]
@@ -283,23 +284,42 @@ def _cmd_simulate(options, parser):
     if paths < 1:
         parser.error(f"--paths must be >= 1, got {paths}")
     seed = _seed(options)
-    width = max(3, len(str(paths - 1)))
 
     if model == "reduced":
-        _write_reduced(options, parser, dt, paths, seed, width)
-        return
-    from .csvio import write_phase_path, write_trajectory
-    from .hopf import hopf_system, simulate_hopf_linear
-
-    params = _hopf_params(options, parser)
-    period = 2.0 * 3.141592653589793 / params.alpha
+        cycle, frame, reduced = _reduced_model(options, parser)
+        period = cycle.period
+    else:
+        params = _hopf_params(options, parser)
+        period = 2.0 * 3.141592653589793 / params.alpha
     n_steps = _steps(options, period, dt, parser)
     thin = options.get("record_every") or _auto_thin(period, dt)
     initial = None
     if options.get("initial") is not None:
         initial = _floats(options["initial"], "--initial", parser)
+    outputs = _outputs(options["output"], paths)
 
-    if model == "hopf-exact":
+    if model == "reduced":
+        from .frame import reconstruct, simulate_reduced
+
+        config = IntegratorConfig(
+            dt=dt, n_steps=n_steps, seed=seed,
+            initial_state=initial if initial is not None else tuple([0.0] * cycle.dimension),
+        )
+        taus, z0s = simulate_reduced(
+            reduced, cycle, config, record_every=thin,
+            n_paths=None if paths == 1 else paths,
+        )
+        if paths == 1:
+            taus, z0s = taus[None], z0s[None]
+        labels = ("x", "v") if options.get("system") == "van-der-pol" else ("x", "y")
+        for k, out in enumerate(outputs):
+            tr = reconstruct(
+                cycle, frame, taus[k], z0s[k], dt=dt * thin, channel_labels=labels
+            )
+            write_trajectory(out, tr)
+    elif model == "hopf-exact":
+        from .hopf import hopf_system
+
         scheme = Scheme.EULER_MARUYAMA if options.get("scheme") == "euler-maruyama" \
             else Scheme.STRONG_RK15
         config = IntegratorConfig(
@@ -310,73 +330,26 @@ def _cmd_simulate(options, parser):
             hopf_system(params), config, n_paths=paths, record_every=thin,
             channel_labels=("x", "y"),
         )
-        for k, tr in enumerate(ens):
-            out = options["output"] if paths == 1 else _indexed(options["output"], k, width)
+        for out, tr in zip(outputs, ens):
             write_trajectory(out, tr)
-        return
+    else:
+        from .hopf import simulate_hopf_linear
 
-    leading = model == "hopf-leading"
-    for k in range(paths):
-        config = IntegratorConfig(
-            dt=dt, n_steps=n_steps,
-            seed=seed if paths == 1 else path_seed(seed, k),
-            initial_state=initial if initial is not None else (0.0, 0.0),
-        )
-        lp = simulate_hopf_linear(
-            params, config, leading_order=leading, record_every=thin
-        )
-        out = options["output"] if paths == 1 else _indexed(options["output"], k, width)
-        write_phase_path(out, lp)
-
-
-def _write_reduced(options, parser, dt, paths, seed, width):
-    from .csvio import write_trajectory
-    from .frame import build_frame, find_limit_cycle, reconstruct, reduce, simulate_reduced
-    from .sde import IntegratorConfig
-
-    sigma, nsr = options.get("sigma"), options.get("nsr")
-    if sigma is not None and nsr is not None:
-        parser.error("--sigma and --nsr are mutually exclusive")
-    if (options.get("system") or "hopf") == "hopf":
-        sigma = _hopf_params(options, parser).sigma
-    elif sigma is None:
-        parser.error("--model reduced needs --sigma (or --nsr with the hopf preset)")
-
-    system, guess = _preset_system(options, parser)
-    grid_size = 1024 if options.get("grid_size") is None else int(options["grid_size"])
-    substeps = 1 if options.get("substeps") is None else int(options["substeps"])
-    cycle = find_limit_cycle(system, guess, grid_size=grid_size)
-    frame = build_frame(cycle, substeps=substeps)
-    model = reduce(cycle, frame, float(sigma))
-
-    n_steps = _steps(options, cycle.period, dt, parser)
-    thin = options.get("record_every") or _auto_thin(cycle.period, dt)
-    initial = None
-    if options.get("initial") is not None:
-        initial = _floats(options["initial"], "--initial", parser)
-    config = IntegratorConfig(
-        dt=dt, n_steps=n_steps, seed=seed,
-        initial_state=initial if initial is not None else tuple([0.0] * cycle.dimension),
-    )
-    taus, z0s = simulate_reduced(
-        model, cycle, config, record_every=thin,
-        n_paths=None if paths == 1 else paths,
-    )
-    if paths == 1:
-        taus, z0s = taus[None], z0s[None]
-    labels = ("x", "v") if (options.get("system") or "hopf") == "van-der-pol" else ("x", "y")
-    for k in range(paths):
-        tr = reconstruct(
-            cycle, frame, taus[k], z0s[k], dt=dt * thin, channel_labels=labels
-        )
-        out = options["output"] if paths == 1 else _indexed(options["output"], k, width)
-        write_trajectory(out, tr)
+        for k, out in enumerate(outputs):
+            config = IntegratorConfig(
+                dt=dt, n_steps=n_steps,
+                seed=seed if paths == 1 else path_seed(seed, k),
+                initial_state=initial if initial is not None else (0.0, 0.0),
+            )
+            lp = simulate_hopf_linear(
+                params, config, leading_order=model == "hopf-leading", record_every=thin
+            )
+            write_phase_path(out, lp)
 
 
 def _cmd_decompose(options, parser):
     _require(options, parser, "output")
     from .csvio import write_cycle_frame
-    from .frame import build_frame, find_limit_cycle
 
     if options.get("plugin"):
         system, guess = _load_plugin(options, parser)
@@ -388,13 +361,7 @@ def _cmd_decompose(options, parser):
         guess = _floats(options["guess"], "--guess", parser)
     if guess is None:
         parser.error("--guess is required with --plugin")
-    grid_size = 1024 if options.get("grid_size") is None else int(options["grid_size"])
-    substeps = 1 if options.get("substeps") is None else int(options["substeps"])
-    kw = {}
-    if options.get("transient") is not None:
-        kw["transient_time"] = float(options["transient"])
-    cycle = find_limit_cycle(system, guess, grid_size=grid_size, **kw)
-    frame = build_frame(cycle, substeps=substeps)
+    cycle, frame = _cycle_and_frame(options, system, guess)
     write_cycle_frame(options["output"], cycle, frame)
 
 
@@ -483,7 +450,7 @@ def _cmd_formula(options, parser):
 def _cmd_fit(options, parser):
     _require(options, parser, "target", "input")
     from .analysis import AcvEstimate, PsdEstimate
-    from .csvio import read_curve, write_fit_json
+    from .csvio import _fit_text, read_curve, write_fit_json
     from .fitting import FitProblem, FitTarget, fit
 
     x, y, _ = read_curve(
@@ -505,8 +472,7 @@ def _cmd_fit(options, parser):
     if options.get("output"):
         write_fit_json(options["output"], result)
     else:
-        json.dump(result.to_dict(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(_fit_text(result))
 
 
 def _cmd_validate(options, parser):
@@ -540,32 +506,24 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
-    namespace = parser.parse_args(argv)
-    if namespace.config:
-        _load_config_layer(namespace.config, parser, namespace)
-
-    options = {k: v for k, v in vars(namespace).items() if k not in ("config",)}
-    config = RunConfig(subcommand=options.pop("subcommand"), options=options)
-
-    if options.get("threads") is not None:
-        n = str(int(options["threads"]))
-        # caps pools created after this point; heavy imports are deferred
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = n
+    options = vars(parser.parse_args(argv))
+    if options["config"]:
+        _load_config_layer(options["config"], parser, options)
+    del options["config"]
+    subcommand = options.pop("subcommand")
 
     from .exceptions import ConfigError, NumericsError
 
     try:
-        code = _HANDLERS[config.subcommand](config.options, parser)
+        code = _HANDLERS[subcommand](options, parser)
     except ConfigError as exc:
-        print(f"noisycycles {config.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"noisycycles {subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"noisycycles {config.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"noisycycles {subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
-        print(f"noisycycles {config.subcommand}: numerical failure: {exc}", file=sys.stderr)
+        print(f"noisycycles {subcommand}: numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0 if code is None else int(code)
 

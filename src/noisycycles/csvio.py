@@ -46,11 +46,15 @@ def _atomic_bytes(path, payload: bytes):
         raise
 
 
-def _write_table(path, header_fields, columns):
+def _table_text(header, columns):
+    """The text of a table: one header line, then one line per row."""
     arr = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    rows = "\n".join(",".join(_FMT % v for v in row) for row in arr)
-    payload = ",".join(header_fields) + "\n" + rows + "\n"
-    _atomic_bytes(path, payload.encode("ascii"))
+    lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in arr]
+    return "\n".join(lines) + "\n"
+
+
+def _write_table(path, header, columns):
+    _atomic_bytes(path, _table_text(header, columns).encode("ascii"))
 
 
 def _read_table(path):
@@ -174,10 +178,13 @@ def read_column(path, column=None):
     return data[:, index], dt
 
 
+def _fit_text(result):
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def write_fit_json(path, result):
     """FitResult as a JSON object (schema: params/residual/derived/...)."""
-    payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    _atomic_bytes(path, payload.encode("ascii"))
+    _atomic_bytes(path, _fit_text(result).encode("ascii"))
 
 
 def load_json_config(path) -> dict:

@@ -30,7 +30,6 @@ __all__ = [
     "FitResult",
     "initial_guess",
     "fit",
-    "derived_quantities",
 ]
 
 _RESTARTS = 5
@@ -317,12 +316,3 @@ def fit(problem: FitProblem) -> FitResult:
         )
     return result
 
-
-def derived_quantities(result: FitResult) -> dict:
-    """Diagnostics recomputed from the fitted parameters.
-
-    sigma^2 / ACV(0) with ACV(0) evaluated from the fitted template, the
-    focal Lyapunov exponent lambda / 2, the cycle period 2 pi / alpha,
-    and the NSR.
-    """
-    return _derived_record(result.params)

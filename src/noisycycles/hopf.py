@@ -31,32 +31,21 @@ stationary deviation spread over cycle radius.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .exceptions import ConfigError, SingularAmplitudeError
-from .sde import (
-    _CHUNK,
-    SdeSystem,
-    Trajectory,
-    _generator,
-    _normals,
-    _validated_record_every,
-    integrate_path,
-)
+from .sde import _CHUNK, SdeSystem, _generator, _normals, _validated_record_every
 
 __all__ = [
     "HopfParams",
     "PhaseDeviationPath",
-    "hopf_drift",
     "hopf_jacobian",
     "hopf_system",
     "nsr",
     "sigma_for_nsr",
-    "simulate_hopf_exact",
     "simulate_hopf_linear",
 ]
 
@@ -131,13 +120,8 @@ def _drift_for(params: HopfParams):
     return drift
 
 
-def hopf_drift(params: HopfParams, state) -> np.ndarray:
-    """Deterministic velocity at ``state``; broadcasts over leading axes."""
-    return _drift_for(params)(state)
-
-
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
-    """Analytic Jacobian of :func:`hopf_drift` at a single state."""
+    """Analytic Jacobian of the drift at a single state."""
     x, y = np.asarray(state, dtype=float)
     lam, al, al0 = params.lambda_, params.alpha, params.alpha0
     r2 = params.r**2
@@ -162,16 +146,6 @@ def hopf_system(params: HopfParams) -> SdeSystem:
         isotropic_sigma=params.sigma,
         vectorized=True,
         jacobian=lambda state: hopf_jacobian(params, state),
-    )
-
-
-def simulate_hopf_exact(params, config, record_every=1) -> Trajectory:
-    """Integrate the full oscillator; starts on the cycle at phase zero
-    unless the config carries an explicit initial state."""
-    if len(config.initial_state) == 0:
-        config = dataclasses.replace(config, initial_state=(params.r, 0.0))
-    return integrate_path(
-        hopf_system(params), config, record_every, channel_labels=("x", "y")
     )
 
 

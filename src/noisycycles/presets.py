@@ -9,10 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ConfigError
-from .hopf import HopfParams, hopf_system
-from .sde import SdeSystem, ornstein_uhlenbeck
+from .sde import SdeSystem
 
-__all__ = ["van_der_pol", "hopf", "ornstein_uhlenbeck", "named_system"]
+__all__ = ["van_der_pol"]
 
 
 def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
@@ -46,28 +45,3 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
         jacobian=jacobian,
     )
 
-
-def hopf(alpha, alpha0, lambda_, r, sigma) -> SdeSystem:
-    """Hopf normal-form oscillator; see :mod:`noisycycles.hopf`."""
-    return hopf_system(
-        HopfParams(alpha=alpha, alpha0=alpha0, lambda_=lambda_, r=r, sigma=sigma)
-    )
-
-
-def named_system(name, **params) -> SdeSystem:
-    """Look up a preset by its command-line name."""
-    factories = {
-        "hopf": hopf,
-        "van-der-pol": van_der_pol,
-        "ornstein-uhlenbeck": ornstein_uhlenbeck,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown system {name!r}; choose from {sorted(factories)}"
-        ) from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {name!r}: {exc}") from None

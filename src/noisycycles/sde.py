@@ -33,7 +33,7 @@ how members are scheduled across workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ TRUST_RADIUS = 1.0e6
 #: a seed pins the Brownian path regardless of scheme or ensemble layout)
 _CHUNK = 16384
 
-#: default integration step, as a fraction of the relevant cycle period
-DEFAULT_DT_PER_PERIOD = 1.0e-4
-
 
 class Scheme(enum.Enum):
     """Available stepping schemes."""
@@ -90,14 +87,14 @@ class SdeSystem:
     isotropic_sigma : float, optional
         Shorthand for an isotropic noise matrix.
     vectorized : bool
-        Whether ``drift`` accepts batched states; enables the fast
-        lock-step ensemble path.  A vectorized drift must compute each row
-        of a stack exactly as it computes that row alone, or ensemble
-        members stop equalling their solo runs in the last bits without
-        any warning.  Elementwise formulas do; a matrix product such as
-        ``y @ A.T`` with a full ``A`` does not, because a (P, n) stack
-        takes another BLAS kernel than one (1, n) row and rounds
-        differently.
+        Whether ``drift`` accepts batched states; otherwise the
+        integrator calls it once per state.  A vectorized drift must
+        compute each row of a stack exactly as it computes that row alone,
+        or ensemble members stop equalling their solo runs in the last
+        bits without any warning.  Elementwise formulas do; a matrix
+        product such as ``y @ A.T`` with a full ``A`` does not, because a
+        (P, n) stack takes another BLAS kernel than one (1, n) row and
+        rounds differently.
     jacobian : callable, optional
         Analytic Jacobian, (n,) -> (n, n).  Consumers fall back to central
         finite differences when absent.
@@ -396,6 +393,28 @@ def _validated_record_every(config, record_every):
     return record_every
 
 
+def _integrate(system, config, seeds, record_every, channel_labels, path_ids):
+    """Run one path per seed in lock step; one Trajectory per seed.
+
+    Path k starts at ``config.initial_state`` and draws from ``seeds[k]``;
+    ``path_ids`` names the paths in a divergence error (None for a solo
+    run).  Trajectory k views the shared record array.
+    """
+    record_every = _validated_record_every(config, record_every)
+    labels = _labels(system.dimension, channel_labels)
+    y0 = np.tile(_initial(system, config), (len(seeds), 1))
+    source = _IncrementSource([_generator(s) for s in seeds], system.dimension, config.dt)
+    rec = _run(
+        system, config.scheme, y0, config.dt, config.n_steps, source, record_every, path_ids
+    )
+    return [
+        Trajectory(
+            dt=config.dt * record_every, values=rec[:, k, :], channel_labels=labels, seed=s
+        )
+        for k, s in enumerate(seeds)
+    ]
+
+
 def integrate_path(system, config, record_every=1, channel_labels=None) -> Trajectory:
     """Integrate a single path; bit-reproducible for a given config.
 
@@ -403,56 +422,29 @@ def integrate_path(system, config, record_every=1, channel_labels=None) -> Traje
     trajectory holds every q-th state and its ``dt`` is q times the
     integration step.
     """
-    record_every = _validated_record_every(config, record_every)
-    y0 = _initial(system, config)[None]
-    source = _IncrementSource([_generator(config.seed)], system.dimension, config.dt)
-    rec = _run(system, config.scheme, y0, config.dt, config.n_steps, source, record_every)
-    return Trajectory(
-        dt=config.dt * record_every,
-        values=rec[:, 0, :],
-        channel_labels=_labels(system.dimension, channel_labels),
-        seed=config.seed,
-    )
+    return _integrate(system, config, [config.seed], record_every, channel_labels, None)[0]
 
 
 def integrate_ensemble(
     system, config, n_paths, record_every=1, channel_labels=None
 ) -> list:
-    """Integrate ``n_paths`` independent paths.
+    """Integrate ``n_paths`` independent paths in lock step.
 
     Member k draws from the sub-seed ``path_seed(config.seed, k)``, so the
     result is independent of evaluation order; a one-path
     ensemble reproduces ``integrate_path`` under that sub-seed exactly.
-    Vectorized systems advance all members in lock step.
+    A divergence raises for the earliest step, and the lowest member
+    index at that step.
     """
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    record_every = _validated_record_every(config, record_every)
-    labels = _labels(system.dimension, channel_labels)
     seeds = [path_seed(config.seed, k) for k in range(n_paths)]
-
-    if system.vectorized:
-        y0 = np.tile(_initial(system, config), (n_paths, 1))
-        rngs = [_generator(s) for s in seeds]
-        source = _IncrementSource(rngs, system.dimension, config.dt)
-        rec = _run(
-            system, config.scheme, y0, config.dt, config.n_steps, source,
-            record_every, path_ids=list(range(n_paths)),
-        )
-        return [
-            Trajectory(
-                dt=config.dt * record_every,
-                values=rec[:, k, :].copy(),
-                channel_labels=labels,
-                seed=s,
-            )
-            for k, s in enumerate(seeds)
-        ]
-
-    return [
-        integrate_path(system, replace(config, seed=s), record_every, labels)
-        for s in seeds
-    ]
+    members = _integrate(
+        system, config, seeds, record_every, channel_labels, list(range(n_paths))
+    )
+    for tr in members:  # compact rows of its own, not a strided view
+        tr.values = tr.values.copy()
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 import noisycycles.validation as validation_module
 from noisycycles.analysis import sample_acv
 from noisycycles.cli import run as cli_run
-from noisycycles.csvio import read_column, read_curve
+from noisycycles.csvio import load_json_config, read_column, read_curve
+from noisycycles.exceptions import ConfigError
 from noisycycles.validation import CriterionResult
 
 TAU = 2.0 * math.pi
@@ -121,14 +122,26 @@ def test_decompose_through_config_file(tmp_path):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
+    def decompose_with(cfg):
+        return _call(
+            "--config", str(cfg), "decompose", "--system", "hopf",
+            "--output", str(tmp_path / "x.csv"),
+        )
+
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid-size": 128, "bogus": 1}))
-    code = _call(
-        "--config", str(cfg), "decompose", "--system", "hopf",
-        "--output", str(tmp_path / "x.csv"),
-    )
-    assert code == 1
+    assert decompose_with(cfg) == 1
     assert "unknown config key" in capsys.readouterr().err
+    # a file that cannot be read as a JSON object is a usage error too,
+    # reported with the message of the library's config loader
+    for name, text in [("missing.json", None), ("bad.json", "{not json"), ("list.json", "[1, 2]")]:
+        cfg = tmp_path / name
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(ConfigError) as expected:
+            load_json_config(cfg)
+        assert decompose_with(cfg) == 1
+        assert capsys.readouterr().err.endswith(f"noisycycles: error: {expected.value}\n")
 
 
 def test_flags_override_config_values(tmp_path, capsys):
@@ -186,6 +199,27 @@ def test_analyze_psd_and_kde(capsys, simulated_csv):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "x,density"
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--what", "psd", "--input", "{series}", "--column", "x", "--segments", "4"),
+    ("formula", "--template", "acv", "--nsr", "0.1", "--umax", "5"),
+    ("formula", "--template", "acv", "--umax", "5", "--du", "-1"),
+    ("fit", "--target", "acv", "--input", "{curve}"),
+], ids=["analyze-psd", "formula-acv", "formula-no-rows", "fit-acv"])
+def test_stdout_is_the_output_file(tmp_path, capsys, simulated_csv, argv):
+    curve = tmp_path / "template.csv"
+    assert _call(
+        "formula", "--template", "acv", "--nsr", "0.1", "--umax", "5", "--output", str(curve),
+    ) == 0
+    argv = [a.format(series=simulated_csv, curve=curve) for a in argv]
+    capsys.readouterr()
+    assert _call(*argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert _call(*argv, "--output", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("ascii")
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

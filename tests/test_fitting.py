@@ -14,7 +14,6 @@ from noisycycles import (
     PsdEstimate,
     acv_formula,
     averaged_periodogram,
-    derived_quantities,
     fit,
     initial_guess,
     path_seed,
@@ -114,8 +113,7 @@ def test_bounds_are_respected():
 def test_derived_quantities_formulas(acv_selffit):
     _, res = acv_selffit
     p = res.params
-    d = derived_quantities(res)
-    assert d == res.derived
+    d = res.derived
     rho = p.sigma / (p.r * np.sqrt(2.0 * p.lambda_))
     assert d["nsr"] == pytest.approx(rho, rel=1e-12)
     assert d["period"] == pytest.approx(TAU / p.alpha, rel=1e-12)

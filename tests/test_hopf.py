@@ -8,13 +8,11 @@ from noisycycles import (
     HopfParams,
     IntegratorConfig,
     SingularAmplitudeError,
-    hopf_drift,
     hopf_jacobian,
     hopf_system,
     integrate_path,
     nsr,
     sigma_for_nsr,
-    simulate_hopf_exact,
     simulate_hopf_linear,
 )
 
@@ -45,11 +43,11 @@ def test_params_validation():
 
 
 def test_drift_on_cycle_is_pure_rotation():
-    p = _params()
-    f = hopf_drift(p, np.array([1.0, 0.0]))
+    drift = hopf_system(_params()).drift
+    f = drift(np.array([1.0, 0.0]))
     assert f == pytest.approx([0.0, TAU], abs=1e-12)
     # inward relaxation outside the cycle
-    f_out = hopf_drift(p, np.array([1.5, 0.0]))
+    f_out = drift(np.array([1.5, 0.0]))
     assert f_out[0] < 0.0
 
 
@@ -74,40 +72,31 @@ def test_drift_is_bitwise_the_written_formula(shape):
         state = rng.normal(scale=1.5, size=shape)
         if state.ndim > 1:
             state[..., :2, :] = [[0.0, -0.0], [1.7, 0.0]]  # signed zeros, a cycle point
-    expected = _drift_as_written(p, state).tobytes()
-    assert hopf_drift(p, state).tobytes() == expected
-    assert hopf_system(p).drift(state).tobytes() == expected
+    assert hopf_system(p).drift(state).tobytes() == _drift_as_written(p, state).tobytes()
 
 
 def test_jacobian_matches_finite_differences():
     p = _params(alpha0=0.7 * TAU)
+    drift = hopf_system(p).drift
     y = np.array([0.43, -0.91])
     J = hopf_jacobian(p, y)
     eps = 1e-7
     for j in range(2):
         step = np.zeros(2)
         step[j] = eps
-        col = (hopf_drift(p, y + step) - hopf_drift(p, y - step)) / (2 * eps)
+        col = (drift(y + step) - drift(y - step)) / (2 * eps)
         assert col == pytest.approx(J[:, j], abs=1e-6)
 
 
 def test_deterministic_cycle_is_invariant():
     p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)
     config = IntegratorConfig(dt=1e-3, n_steps=1000, seed=0, initial_state=(1.0, 0.0))
-    tr = simulate_hopf_exact(p, config)
+    tr = integrate_path(hopf_system(p), config)
     radius = np.hypot(tr.values[:, 0], tr.values[:, 1])
     assert np.abs(radius - 1.0).max() < 1e-5
     # one full turn per period; the phase carries the scheme's own
     # second-order error, about 4e-5 at this step size
     assert tr.values[-1] == pytest.approx([1.0, 0.0], abs=2e-4)
-
-
-def test_exact_wrapper_matches_generic_integrator():
-    p = _params()
-    config = IntegratorConfig(dt=1e-3, n_steps=500, seed=12, initial_state=(1.0, 0.0))
-    a = simulate_hopf_exact(p, config)
-    b = integrate_path(hopf_system(p), config)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_linear_deviation_is_the_exact_relaxation_process():

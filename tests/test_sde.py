@@ -95,21 +95,29 @@ _PROPERTY_SYSTEMS = {
 @settings(max_examples=12, deadline=None)
 @given(
     name=st.sampled_from(sorted(_PROPERTY_SYSTEMS)),
+    vectorized=st.booleans(),
     scheme=st.sampled_from(list(Scheme)),
     n_paths=st.integers(1, 40),
     record_every=st.integers(1, 7),
     beyond=st.integers(1, 40),
     member=st.integers(0, 39),
 )
-@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1, member=19)
-@example(name="linear", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1, member=7)
-@example(name="linear", scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7, beyond=2, member=2)
+@example(name="hopf", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
+         beyond=1, member=19)
+@example(name="linear", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
+         beyond=1, member=7)
+@example(name="linear", vectorized=True, scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
+         beyond=2, member=2)
+@example(name="linear", vectorized=False, scheme=Scheme.STRONG_RK15, n_paths=5, record_every=7,
+         beyond=2, member=3)
 def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
-    name, scheme, n_paths, record_every, beyond, member
+    name, vectorized, scheme, n_paths, record_every, beyond, member
 ):
     # steps run past the first chunk of _CHUNK // n_paths steps, and the
-    # thinning need not divide the chunk length
+    # thinning need not divide the chunk length; a row-wise drift takes
+    # the same lock-step driver one state at a time
     system, initial = _PROPERTY_SYSTEMS[name]
+    system = dataclasses.replace(system, vectorized=vectorized)
     n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
     config = IntegratorConfig(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=17, initial_state=initial
@@ -169,11 +177,12 @@ def test_divergence_reports_step_and_path():
     assert err.value.path_index is None
 
 
-def test_ensemble_divergence_is_the_earliest_solo_divergence():
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "rowwise"])
+def test_ensemble_divergence_is_the_earliest_solo_divergence(vectorized):
     # 40 paths make chunks of 409 steps and no member leaves the trust
     # region in the first one, so the guard is checked across boundaries
     system = SdeSystem(
-        dimension=1, drift=lambda y: 0.2 * y**3 - y, isotropic_sigma=0.7, vectorized=True
+        dimension=1, drift=lambda y: 0.2 * y**3 - y, isotropic_sigma=0.7, vectorized=vectorized
     )
     config = IntegratorConfig(dt=0.01, n_steps=900, seed=5, initial_state=(0.0,))
     n_paths = 40
