@@ -135,8 +135,15 @@ def build_parser() -> _Parser:
     return top
 
 
+def _subcommand_actions(parser, name):
+    """The argparse actions of subcommand ``name``, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[name]._actions}
+
+
 def _load_config_layer(path, parser, options):
-    """Fill flags absent from the command line with config-file values."""
+    """Fill flags absent from the command line with config-file values,
+    converted and checked as the flag's own ``type`` and ``choices`` would."""
     from .csvio import load_json_config
     from .exceptions import ConfigError
 
@@ -144,14 +151,26 @@ def _load_config_layer(path, parser, options):
         doc = load_json_config(path)
     except ConfigError as exc:
         parser.error(str(exc))
+    actions = _subcommand_actions(parser, options["subcommand"])
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest == "lambda":
             dest = "lambda_"
         if dest not in options:
             parser.error(f"{path}: unknown config key {key!r} for this subcommand")
-        if options[dest] is None:
-            options[dest] = value
+        if options[dest] is not None or value is None:
+            continue
+        action = actions[dest]
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError:
+                parser.error(f"{path}: invalid {action.type.__name__} value {value!r} "
+                             f"for config key {key!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"{path}: config key {key!r} must be one of "
+                         f"{', '.join(map(repr, action.choices))}, got {value!r}")
+        options[dest] = value
 
 
 def _floats(text, flag, parser):
@@ -159,6 +178,13 @@ def _floats(text, flag, parser):
         return tuple(float(part) for part in text.split(","))
     except ValueError:
         parser.error(f"{flag} expects comma separated numbers, got {text!r}")
+
+
+def _positive(parser, **values):
+    """Usage error for the first grid flag that is not a positive number."""
+    for name, value in values.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            parser.error(f"--{name} must be positive and finite, got {value:g}")
 
 
 def _require(options, parser, *names):
@@ -436,6 +462,7 @@ def _cmd_formula(options, parser):
 
         umax = 5.0 * period if options.get("umax") is None else float(options["umax"])
         du = umax / 500.0 if options.get("du") is None else float(options["du"])
+        _positive(parser, umax=umax, du=du)
         u = np.arange(0.0, umax + 0.5 * du, du)
         _emit_curve(options, "lag", "acv", u, acv_formula(params, u))
     else:
@@ -443,6 +470,7 @@ def _cmd_formula(options, parser):
 
         wmax = 4.0 * params.alpha if options.get("wmax") is None else float(options["wmax"])
         dw = wmax / 500.0 if options.get("dw") is None else float(options["dw"])
+        _positive(parser, wmax=wmax, dw=dw)
         w = np.arange(0.0, wmax + 0.5 * dw, dw)
         _emit_curve(options, "omega", "psd", w, psd_formula(params, w))
 

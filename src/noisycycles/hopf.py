@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
 from .sde import _CHUNK, SdeSystem, _generator, _normals, _validated_record_every
 
@@ -86,8 +87,9 @@ def nsr(params: HopfParams) -> float:
     return np.sqrt(params.sigma**2 / (2.0 * params.lambda_)) / params.r
 
 
-def _drift_for(params: HopfParams):
-    """The drift of ``params`` as a function of state, coefficients bound once.
+def _drift_for(params: HopfParams) -> _stepkernel.KernelSpec:
+    """The drift of ``params`` as a function of state, coefficients bound
+    once, in the kernel spec of its compiled twin.
 
     Each difference in the module docstring's formula is taken as a sum
     with a negated coefficient, which rounds to the same bits; the y-terms
@@ -117,7 +119,7 @@ def _drift_for(params: HopfParams):
         out += inner
         return out
 
-    return drift
+    return _stepkernel.spec("hopf", (half, neg_half, r2, params.alpha0, shift), drift)
 
 
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
@@ -140,12 +142,14 @@ def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
 
 def hopf_system(params: HopfParams) -> SdeSystem:
     """The oscillator as an additive-noise system with isotropic noise."""
+    kernel = _drift_for(params)
     return SdeSystem(
         dimension=2,
-        drift=_drift_for(params),
+        drift=kernel.drift,
         isotropic_sigma=params.sigma,
         vectorized=True,
         jacobian=lambda state: hopf_jacobian(params, state),
+        _kernel=kernel,
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _stepkernel
 from .exceptions import ConfigError
 from .sde import SdeSystem
 
@@ -43,5 +44,6 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
         isotropic_sigma=sigma,
         vectorized=True,
         jacobian=jacobian,
+        _kernel=_stepkernel.spec("van_der_pol", (mu,), drift),
     )
 

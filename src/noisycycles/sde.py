@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _stepkernel
 from .exceptions import ConfigError, DivergenceError
 
 __all__ = [
@@ -98,6 +99,11 @@ class SdeSystem:
     jacobian : callable, optional
         Analytic Jacobian, (n,) -> (n, n).  Consumers fall back to central
         finite differences when absent.
+
+    A drift passed in here always runs through the integrator's numpy
+    loop.  The systems the package builds (``hopf_system``,
+    ``van_der_pol``, ``ornstein_uhlenbeck``) carry a compiled loop that
+    gives the same bits faster; it is dropped once ``drift`` is replaced.
     """
 
     dimension: int
@@ -106,6 +112,7 @@ class SdeSystem:
     isotropic_sigma: Optional[float] = None
     vectorized: bool = False
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _kernel: Optional[_stepkernel.KernelSpec] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dimension
@@ -285,8 +292,11 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
     order written there, with the sums over j taken from j = 0 upwards.
     Step i of a chunk writes its new state over row i of the chunk's S dW
     array, once that row is added in; the recorded rows are copied out once
-    per chunk.
+    per chunk.  For the package's own drifts a compiled loop runs each
+    chunk's steps with the same operations in the same order
+    (``_stepkernel``); this numpy loop is the reference.
     """
+    loop = _stepkernel.loop_for(system)
     F = _batched(system)
     ST = system.noise_matrix.T
     n = system.dimension
@@ -322,40 +332,46 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
         # step is what a solo run computes, while a (P, n) stack takes
         # another BLAS kernel that rounds a full noise matrix differently
         path = (dW[..., None, :] @ ST)[..., 0, :]
-        dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
-        for i in range(span):
-            y_next = path[i]
-            a0 = F(y)
-            if rk15:
-                multiply(a0, dt_m, out=base)
+        if loop is not None:
+            bad = loop(y, path, dZ, offsets, rk15, dt, dt_m, two_sq, dt_4, TRUST_RADIUS)
+            if bad >= 0:
+                _check_state(path[bad], done + bad, path_ids)
+            y = path[-1]
+        else:
+            dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
+            for i in range(span):
+                y_next = path[i]
+                a0 = F(y)
+                if rk15:
+                    multiply(a0, dt_m, out=base)
+                    add(y, base, out=base)
+                    add(base, offsets, out=stages)
+                    A = F(stages)
+                    plus, minus = A[:m], A[m:]
+                # y + h f(y) + S dW
+                multiply(a0, dt, out=base)
                 add(y, base, out=base)
-                add(base, offsets, out=stages)
-                A = F(stages)
-                plus, minus = A[:m], A[m:]
-            # y + h f(y) + S dW
-            multiply(a0, dt, out=base)
-            add(y, base, out=base)
-            add(base, y_next, out=y_next)
-            if rk15:
-                # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
-                subtract(plus, minus, out=pair)
-                multiply(pair, dZ[i], out=pair)
-                for j in range(1, m):
-                    add(head, pair[j], out=head)
-                head /= two_sq
-                add(y_next, head, out=y_next)
-                # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
-                add(plus, minus, out=pair)
-                multiply(a0, 2.0, out=twice)
-                subtract(pair, twice, out=pair)
-                for j in range(1, m):
-                    add(head, pair[j], out=head)
-                head *= dt_4
-                add(y_next, head, out=y_next)
-            # NaN fails the comparison, so it reaches the exact check too
-            if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
-                _check_state(y_next, done + i, path_ids)
-            y = y_next
+                add(base, y_next, out=y_next)
+                if rk15:
+                    # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
+                    subtract(plus, minus, out=pair)
+                    multiply(pair, dZ[i], out=pair)
+                    for j in range(1, m):
+                        add(head, pair[j], out=head)
+                    head /= two_sq
+                    add(y_next, head, out=y_next)
+                    # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
+                    add(plus, minus, out=pair)
+                    multiply(a0, 2.0, out=twice)
+                    subtract(pair, twice, out=pair)
+                    for j in range(1, m):
+                        add(head, pair[j], out=head)
+                    head *= dt_4
+                    add(y_next, head, out=y_next)
+                # NaN fails the comparison, so it reaches the exact check too
+                if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
+                    _check_state(y_next, done + i, path_ids)
+                y = y_next
         first = (-done - 1) % record_every  # chunk row of the next recorded step
         kept = path[first::record_every]
         at = (done + first + 1) // record_every
@@ -548,6 +564,7 @@ def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
         drift=drift,
         isotropic_sigma=float(sigma),
         vectorized=True,
+        _kernel=_stepkernel.spec("ornstein_uhlenbeck", (lam,), drift),
     )
 
 

@@ -5,13 +5,21 @@ and prints the check's one-line verdict, so ``pytest -v`` yields one
 pass/fail line per criterion.  The checks share their simulation ensembles
 through module-level caches, which is why this file is much cheaper to run
 whole than test by test.
+
+The detail strings of the ensemble criteria 3, 5 and 10 are also compared
+with ``data/validate_details.json``, recorded once from the numpy step
+loop: any change to the integrator's bits shows there first.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from noisycycles import validation
+
+_RECORDED = json.loads((Path(__file__).parent / "data" / "validate_details.json").read_text())
 
 
 def _report(result):
@@ -33,6 +41,7 @@ def test_criterion_02_deviation_variance():
 def test_criterion_03_acv_agreement():
     result = _report(validation.check_acv_agreement())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["3"]
 
 
 def test_criterion_04_psd_peak():
@@ -43,6 +52,7 @@ def test_criterion_04_psd_peak():
 def test_criterion_05_acv_breakdown_off_regime():
     result = _report(validation.check_acv_breakdown())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["5"]
 
 
 def test_criterion_06_amplitude_kurtosis():
@@ -68,6 +78,7 @@ def test_criterion_09_transform_consistency():
 def test_criterion_10_fit_roundtrip():
     result = _report(validation.check_fit_roundtrip())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["10"]
 
 
 def test_criterion_11_nino_reproduction():

@@ -132,6 +132,22 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid-size": 128, "bogus": 1}))
     assert decompose_with(cfg) == 1
     assert "unknown config key" in capsys.readouterr().err
+    # values go through the flag's own type and choices, as on the command line
+    for doc, message in [
+        ({"grid-size": "abc"}, "invalid int value 'abc' for config key 'grid-size'"),
+        ({"grid-size": 2.5}, "invalid int value 2.5 for config key 'grid-size'"),
+        ({"mu": True}, "invalid float value True for config key 'mu'"),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        assert decompose_with(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"noisycycles: error: {cfg}: {message}"
+    cfg.write_text(json.dumps({"system": "lorenz"}))
+    assert _call("--config", str(cfg), "decompose", "--output", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"noisycycles: error: {cfg}: config key 'system' must be one of "
+        f"'hopf', 'van-der-pol', got 'lorenz'"
+    )
     # a file that cannot be read as a JSON object is a usage error too,
     # reported with the message of the library's config loader
     for name, text in [("missing.json", None), ("bad.json", "{not json"), ("list.json", "[1, 2]")]:
@@ -204,9 +220,8 @@ def test_analyze_psd_and_kde(capsys, simulated_csv):
 @pytest.mark.parametrize("argv", [
     ("analyze", "--what", "psd", "--input", "{series}", "--column", "x", "--segments", "4"),
     ("formula", "--template", "acv", "--nsr", "0.1", "--umax", "5"),
-    ("formula", "--template", "acv", "--umax", "5", "--du", "-1"),
     ("fit", "--target", "acv", "--input", "{curve}"),
-], ids=["analyze-psd", "formula-acv", "formula-no-rows", "fit-acv"])
+], ids=["analyze-psd", "formula-acv", "fit-acv"])
 def test_stdout_is_the_output_file(tmp_path, capsys, simulated_csv, argv):
     curve = tmp_path / "template.csv"
     assert _call(
@@ -220,6 +235,22 @@ def test_stdout_is_the_output_file(tmp_path, capsys, simulated_csv, argv):
     assert _call(*argv, "--output", str(out)) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode("ascii")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--template", "acv", "--umax", "0"),
+    ("--template", "acv", "--umax", "-2"),
+    ("--template", "acv", "--umax", "5", "--du", "-1"),
+    ("--template", "acv", "--du", "0"),
+    ("--template", "psd", "--wmax", "0"),
+    ("--template", "psd", "--wmax", "20", "--dw", "nan"),
+])
+def test_formula_grid_flags_must_be_positive(capsys, flags):
+    assert _call("formula", "--nsr", "0.1", *flags) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    flag = flags[-2]
+    assert err.splitlines()[-1].startswith(f"noisycycles: error: {flag} must be positive")
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cycle detection, frame transport, reduction, and reconstruction."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from noisycycles import (
     build_frame,
     find_limit_cycle,
     hopf_system,
+    integrate_path,
     path_seed,
     reconstruct,
     reduce,
@@ -186,6 +188,43 @@ def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):
     rec = reconstruct(hopf_cycle, hopf_frame, tau_r, z_r, dt=dt)
     dev = np.abs(rec.values - lp.reconstructed).max()
     assert dev < 5e-3
+
+
+def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monkeypatch):
+    # one seed pins one Brownian path: the generic integrator, with noise
+    # or without, the linear model and the reduced model all consume the
+    # same sde._normals stream, across a chunk boundary
+    import noisycycles.frame as frame_module
+    import noisycycles.hopf as hopf_module
+    import noisycycles.sde as sde_module
+
+    original = sde_module._normals
+    draws = []
+
+    def spy(rngs, n_steps, dim):
+        u = original(rngs, n_steps, dim)
+        draws.append(u)
+        return u
+
+    for module in (sde_module, hopf_module, frame_module):
+        monkeypatch.setattr(module, "_normals", spy)
+
+    def drawn(simulate):
+        draws.clear()
+        simulate()
+        return np.concatenate(draws).tobytes()
+
+    steps = _CHUNK + 100
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=steps, seed=31)
+    on_cycle = dataclasses.replace(config, initial_state=(1.0, 0.0))
+    generic = drawn(lambda: integrate_path(hopf_system(params), on_cycle))
+    assert len(generic) == steps * 2 * 2 * 8
+    quiet = dataclasses.replace(params, sigma=0.0)
+    assert drawn(lambda: integrate_path(hopf_system(quiet), on_cycle)) == generic
+    assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
+    model = reduce(hopf_cycle, hopf_frame, params.sigma)
+    assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic
 
 
 def test_reduced_ensemble_member_equals_solo_run(hopf_cycle, hopf_frame):

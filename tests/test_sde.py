@@ -1,7 +1,11 @@
 """Core integrator behavior: seeding, schemes, convergence, guard rails."""
 
+import contextlib
 import dataclasses
+import shutil
+import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from noisycycles import (
     ou_exact_endpoint,
     path_seed,
     strong_order_estimate,
+    van_der_pol,
 )
+from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK
 
 TAU = 2.0 * np.pi
@@ -89,6 +95,8 @@ _PROPERTY_SYSTEMS = {
         (1.0, 0.0),
     ),
     "linear": (_linear_system_with_full_noise(), (0.4, -0.3)),
+    "van-der-pol": (van_der_pol(1.5, sigma=0.3), (2.0, 0.0)),
+    "ou": (ornstein_uhlenbeck(2.0, 0.4, dimension=3), (0.5, -0.2, 0.1)),
 }
 
 
@@ -126,6 +134,189 @@ def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
     ens = integrate_ensemble(system, config, n_paths=n_paths, record_every=record_every)
     solo = integrate_path(system, _member(config, k), record_every=record_every)
     assert ens[k].values.tobytes() == solo.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the compiled step loop against the numpy loop
+
+requires_compiler = pytest.mark.skipif(
+    shutil.which(_stepkernel._COMPILER) is None, reason="no C compiler"
+)
+
+
+@contextlib.contextmanager
+def _numpy_loop():
+    # what a host without a compiler runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_stepkernel, "_library", lambda: None)
+        yield
+
+
+def _compiled_and_numpy(run):
+    """``run()`` with the compiled loop, then with the numpy loop; a
+    divergence is compared by message, step and path."""
+    outcomes = []
+    for loop in (contextlib.nullcontext(), _numpy_loop()):
+        with loop, np.errstate(over="ignore", invalid="ignore"):
+            try:
+                outcomes.append(run())
+            except DivergenceError as err:
+                outcomes.append((str(err), err.step_index, err.path_index))
+    return outcomes
+
+
+def _full_noise(system):
+    n = system.dimension
+    matrix = 0.1 * np.arange(1.0, n * n + 1).reshape(n, n) - 0.15 * np.eye(n)
+    return dataclasses.replace(system, noise_matrix=matrix, isotropic_sigma=None)
+
+
+_KERNEL_SYSTEMS = {
+    "hopf": hopf_system(HopfParams(alpha=TAU, alpha0=0.6 * TAU, lambda_=1.3 * TAU, r=1.4, sigma=0.3)),
+    "hopf-quiet": hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)),
+    "hopf-full-noise": _full_noise(
+        hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=TAU, r=0.8, sigma=0.2))
+    ),
+    "van-der-pol": van_der_pol(2.0, sigma=0.4),
+    "ou-1": ornstein_uhlenbeck(1.5, 0.5),
+    "ou-3": ornstein_uhlenbeck(1.5, 0.5, dimension=3),
+    "ou-3-full-noise": _full_noise(ornstein_uhlenbeck(0.7, 0.5, dimension=3)),
+}
+
+
+@requires_compiler
+@settings(max_examples=15, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_KERNEL_SYSTEMS)),
+    scheme=st.sampled_from(list(Scheme)),
+    n_paths=st.integers(1, 40),
+    record_every=st.integers(1, 7),
+    beyond=st.integers(1, 40),
+    initial=st.lists(st.sampled_from([0.0, -0.0, 0.7, -1.1, 2.0]), min_size=3, max_size=3),
+)
+@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1,
+         initial=[1.0, -0.0, 0.0])
+@example(name="ou-3-full-noise", scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
+         beyond=2, initial=[-0.0, 0.0, -0.0])
+def test_compiled_loop_is_bitwise_the_numpy_loop(
+    name, scheme, n_paths, record_every, beyond, initial
+):
+    system = _KERNEL_SYSTEMS[name]
+    assert _stepkernel.loop_for(system) is not None
+    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
+        initial_state=initial[:system.dimension],
+    )
+    compiled, reference = _compiled_and_numpy(
+        lambda: [tr.values.tobytes() for tr in integrate_ensemble(
+            system, config, n_paths=n_paths, record_every=record_every
+        )]
+    )
+    assert compiled == reference
+
+
+@requires_compiler
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
+    # strong_order_estimate feeds _run pre-composed increments; the strided
+    # ones here are not contiguous
+    from noisycycles.sde import _ArraySource, _run
+
+    for name in ("van-der-pol", "ou-3-full-noise"):
+        system = _KERNEL_SYSTEMS[name]
+        y0 = (2.0, -0.0, 0.5)[:system.dimension]
+        compiled, reference = _compiled_and_numpy(
+            lambda: strong_order_estimate(
+                system, y0, 0.5, (0.02, 0.01, 0.005), n_paths=8, scheme=scheme, seed=3
+            ).rms_errors.tobytes()
+        )
+        assert compiled == reference
+        rng = np.random.default_rng(4)
+        dw, dz = 0.05 * rng.standard_normal((2, 300, 6, system.dimension, 2))[..., ::2, :, 0]
+        start = np.tile(y0, (3, 1))
+        compiled, reference = _compiled_and_numpy(
+            lambda: _run(system, scheme, start, 0.01, 300, _ArraySource(dw, dz), 3).tobytes()
+        )
+        assert compiled == reference
+
+
+@requires_compiler
+def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
+    # member 26 leaves the trust region at step 431, in the second chunk
+    system = hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=4 * TAU, r=1.0, sigma=0.8))
+    config = IntegratorConfig(dt=0.08, n_steps=600, seed=3, initial_state=(1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            integrate_ensemble(system, config, n_paths=40)
+    assert err.value.step_index > _CHUNK // 40
+    compiled, reference = _compiled_and_numpy(
+        lambda: integrate_ensemble(system, config, n_paths=40)
+    )
+    assert compiled == reference == (str(err.value), err.value.step_index, err.value.path_index)
+
+
+@requires_compiler
+def test_a_replaced_drift_runs_itself_not_the_kernel():
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3)
+    other = hopf_system(dataclasses.replace(params, alpha0=0.5 * TAU)).drift
+    replaced = dataclasses.replace(hopf_system(params), drift=other)
+    assert _stepkernel.loop_for(replaced) is None
+    direct = SdeSystem(dimension=2, drift=other, isotropic_sigma=0.3, vectorized=True)
+    config = IntegratorConfig(dt=1e-2, n_steps=200, seed=8, initial_state=(1.0, 0.0))
+    got = integrate_path(replaced, config).values.tobytes()
+    assert got == integrate_path(direct, config).values.tobytes()
+    assert got != integrate_path(hopf_system(params), config).values.tobytes()
+    # coefficients that numpy would not round as float64 keep the numpy loop too
+    wide = dataclasses.replace(params, lambda_=np.longdouble(TAU))
+    assert _stepkernel.loop_for(hopf_system(wide)) is None
+
+
+def _files_under(root):
+    return {
+        p: (p.stat().st_size, p.stat().st_mtime_ns)
+        for p in Path(root).rglob("*") if p.is_file() and "__pycache__" not in p.parts
+    }
+
+
+@requires_compiler
+def test_kernel_is_built_once_into_the_user_cache(tmp_path, monkeypatch):
+    package = Path(_stepkernel.__file__).parent
+    before = _files_under(package.parent)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _stepkernel._library() is not None
+    cache = tmp_path / "noisycycles"
+    assert [p.name for p in cache.iterdir()] == [_stepkernel._NAME]  # no temporaries left
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert _files_under(package.parent) == before
+    # a new process loads the cached file and compiles nothing
+    monkeypatch.setattr(_stepkernel, "_loaded", {})
+    monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
+    assert _stepkernel._library() is not None
+
+
+@pytest.mark.parametrize("broken", ["no compiler", "cache not writable"])
+def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkeypatch, broken):
+    system = _KERNEL_SYSTEMS["hopf"]
+    config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(1.0, 0.0))
+
+    def run():
+        return [tr.values.tobytes() for tr in integrate_ensemble(system, config, n_paths=5)]
+
+    expected = run()
+    if broken == "no compiler":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
+    else:
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    assert _stepkernel._library() is None
+    assert _stepkernel.loop_for(system) is None
+    assert run() == expected
+    # nothing left behind in the cache
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] in ([], ["file"])
 
 
 def test_ensemble_member_matches_solo_run():
