@@ -302,13 +302,14 @@ def _reduced_model(options, parser):
 def _cmd_simulate(options, parser):
     _require(options, parser, "model", "output")
     from .csvio import write_phase_path, write_trajectory
-    from .sde import IntegratorConfig, Scheme, integrate_ensemble, path_seed
+    from .sde import IntegratorConfig, Scheme, _members, integrate_ensemble
 
     model = options["model"]
     dt = 1e-3 if options.get("dt") is None else float(options["dt"])
     paths = 1 if options.get("paths") is None else int(options["paths"])
     if paths < 1:
         parser.error(f"--paths must be >= 1, got {paths}")
+    members = None if paths == 1 else paths
     seed = _seed(options)
 
     if model == "reduced":
@@ -327,13 +328,9 @@ def _cmd_simulate(options, parser):
     if model == "reduced":
         from .frame import reconstruct, simulate_reduced
 
-        config = IntegratorConfig(
-            dt=dt, n_steps=n_steps, seed=seed,
-            initial_state=initial if initial is not None else tuple([0.0] * cycle.dimension),
-        )
+        config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed, initial_state=initial or ())
         taus, z0s = simulate_reduced(
-            reduced, cycle, config, record_every=thin,
-            n_paths=None if paths == 1 else paths,
+            reduced, cycle, config, record_every=thin, n_paths=members
         )
         if paths == 1:
             taus, z0s = taus[None], z0s[None]
@@ -361,11 +358,9 @@ def _cmd_simulate(options, parser):
     else:
         from .hopf import simulate_hopf_linear
 
-        for k, out in enumerate(outputs):
+        for member_seed, out in zip(_members(seed, members)[0], outputs):
             config = IntegratorConfig(
-                dt=dt, n_steps=n_steps,
-                seed=seed if paths == 1 else path_seed(seed, k),
-                initial_state=initial if initial is not None else (0.0, 0.0),
+                dt=dt, n_steps=n_steps, seed=member_seed, initial_state=initial or ()
             )
             lp = simulate_hopf_linear(
                 params, config, leading_order=model == "hopf-leading", record_every=thin

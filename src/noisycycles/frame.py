@@ -44,17 +44,19 @@ from .exceptions import (
     StabilityWarning,
 )
 from .sde import (
-    _CHUNK,
     TRUST_RADIUS,
     IntegratorConfig,
     SdeSystem,
     Trajectory,
+    _chunks,
     _diverged,
     _generator,
     _labels,
+    _members,
     _normals,
+    _phase_initial,
+    _record,
     _validated_record_every,
-    path_seed,
 )
 
 __all__ = [
@@ -372,37 +374,40 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
     m, n = cycle.L.shape
     t0 = cycle.T[0]
     p0 = np.eye(n) - np.outer(t0, t0)
-    tan = _periodic_spline(cycle.grid, cycle.T, cycle.period)
-    rate = _periodic_spline(cycle.grid, cycle.tangent_rate(), cycle.period)
-
-    def dU(t, U):
-        td = rate(t)
-        return -np.outer(tan(t), td) @ U @ p0 + np.outer(td, t0)
-
     h = cycle.period / (m * substeps)
+    # both splines are called once, at every time needed: RK4 step k at
+    # t[k], t[k] + h/2 and t[k] + h (rows k, s + k, 2s + k), with t summed
+    # h by h from 0, and V at the grid (rows 3s on)
+    s = m * substeps
+    t = np.concatenate([[0.0], np.add.accumulate(np.full(s - 1, h))])
+    times = np.concatenate([t, t + h / 2.0, t + h, cycle.grid])
+    tan = _periodic_spline(cycle.grid, cycle.T, cycle.period)(times)
+    rate = _periodic_spline(cycle.grid, cycle.tangent_rate(), cycle.period)(times)
+
+    def dU(at, U):
+        td = rate[at]
+        return -np.outer(tan[at], td) @ U @ p0 + np.outer(td, t0)
+
     U = np.empty((m, n, n))
     U[0] = np.eye(n)
     cur = np.eye(n)
-    t = 0.0
-    for i in range(1, m + 1):
-        for _ in range(substeps):
-            k1 = dU(t, cur)
-            k2 = dU(t + h / 2.0, cur + h / 2.0 * k1)
-            k3 = dU(t + h / 2.0, cur + h / 2.0 * k2)
-            k4 = dU(t + h, cur + h * k3)
-            cur = cur + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            drift_from_orthogonal = np.linalg.norm(cur.T @ cur - np.eye(n))
-            if drift_from_orthogonal > 1e-6:
-                raise NumericsError(
-                    f"frame lost orthogonality ({drift_from_orthogonal:.2e}) "
-                    f"at t = {t:.4g}; rebuild with a finer grid or more substeps"
-                )
-            cur = _nearest_orthogonal(cur)
-        if i < m:
-            U[i] = cur
+    for k in range(s):
+        k1 = dU(k, cur)
+        k2 = dU(s + k, cur + h / 2.0 * k1)
+        k3 = dU(s + k, cur + h / 2.0 * k2)
+        k4 = dU(2 * s + k, cur + h * k3)
+        cur = cur + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        drift_from_orthogonal = np.linalg.norm(cur.T @ cur - np.eye(n))
+        if drift_from_orthogonal > 1e-6:
+            raise NumericsError(
+                f"frame lost orthogonality ({drift_from_orthogonal:.2e}) "
+                f"at t = {t[k] + h:.4g}; rebuild with a finer grid or more substeps"
+            )
+        cur = _nearest_orthogonal(cur)
+        if (k + 1) % substeps == 0 and k + 1 < s:
+            U[(k + 1) // substeps] = cur
 
-    V = np.array([dU(cycle.grid[i], U[i]) for i in range(m)])
+    V = np.array([dU(3 * s + i, U[i]) for i in range(m)])
     frame = ComovingFrame(U=U, V=V, basis_P0=_normal_basis(t0))
     ortho, tangent_dev, lemma_dev = _frame_deviations(cycle, frame)
     if ortho > 1e-8 or tangent_dev > 1e-6 or lemma_dev > 1e-6:
@@ -559,27 +564,16 @@ def simulate_reduced(
     record_every = _validated_record_every(config, record_every)
     n = cycle.dimension
     d = n - 1
-    if len(config.initial_state) == 0:
-        z_init = np.zeros(d)
-        tau_init = 0.0
-    elif len(config.initial_state) == n:
-        z_init = np.asarray(config.initial_state[:d], dtype=float)
-        tau_init = float(config.initial_state[-1])
-    else:
-        raise ConfigError(f"initial_state must be empty or (z0 ..., tau0) of length {n}")
+    z_init, tau_init = _phase_initial(config.initial_state, n)
 
     period = cycle.period
     knots = np.append(cycle.grid, period)
     j0_table = _spline_table(cycle.grid, model.J0, period)
     speed_table = _spline_table(cycle.grid, model.speed, period)
 
-    single = n_paths is None
-    p = 1 if single else int(n_paths)
-    if p < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    seeds = [config.seed] if single else [path_seed(config.seed, k) for k in range(p)]
+    seeds, path_ids = _members(config.seed, n_paths)
     rngs = [_generator(s) for s in seeds]
-    path_ids = None if single else range(p)
+    p = len(seeds)
 
     h = config.dt
     kick_scale = model.sigma * np.sqrt(h)
@@ -603,15 +597,10 @@ def simulate_reduced(
     drift = np.empty((p, d))
     term = np.empty((p, d))
 
-    # chunks of O(_CHUNK) path-steps; each stream is drawn element by
-    # element, so the chunk size never changes a value
-    step_budget = max(1, _CHUNK // p)
-    done = 0
     # a diverging path overflows before the chunk is scanned; the scan
     # raises DivergenceError instead of the warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < n_steps:
-            span = min(step_budget, n_steps - done)
+        for done, span in _chunks(n_steps, p):
             xi = _normals(rngs, span, n)[..., 0]
             zs = kick_scale * xi[..., :d]  # step i writes its z over row i
             phase_kick = kick_scale * xi[..., d]
@@ -640,17 +629,13 @@ def simulate_reduced(
             if not ok.all():
                 i = int(np.argmax(~ok.all(axis=1)))
                 _diverged(ok[i], done + i, path_ids)
-            first = (-done - 1) % record_every  # chunk row of the next recorded step
-            at = (done + first + 1) // record_every
-            kept = taus[first::record_every]
-            tau_out[:, at:at + len(kept)] = kept.T
-            z_out[:, at:at + len(kept)] = zs[first::record_every].swapaxes(0, 1)
-            done += span
+            _record(tau_out.T, taus, done, record_every)
+            _record(z_out.swapaxes(0, 1), zs, done, record_every)
             # free this chunk's arrays before the next draw allocates its own
             tau, z = tau.copy(), z.copy()
-            del xi, zs, phase_kick, wrapped, taus, J, kept
+            del xi, zs, phase_kick, wrapped, taus, J
 
-    if single:
+    if path_ids is None:
         return tau_out[0], z_out[0]
     return tau_out, z_out
 

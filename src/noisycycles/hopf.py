@@ -38,7 +38,7 @@ from scipy.signal import lfilter
 
 from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
-from .sde import _CHUNK, SdeSystem, _generator, _normals, _validated_record_every
+from .sde import SdeSystem, _chunks, _generator, _normals, _phase_initial, _validated_record_every
 
 __all__ = [
     "HopfParams",
@@ -199,12 +199,7 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
     on the cycle, phase zero).
     """
     record_every = _validated_record_every(config, record_every)
-    if len(config.initial_state) == 0:
-        z0, tau0 = 0.0, 0.0
-    elif len(config.initial_state) == 2:
-        z0, tau0 = map(float, config.initial_state)
-    else:
-        raise ConfigError("initial_state must be empty or (z0, tau0)")
+    (z0,), tau0 = _phase_initial(config.initial_state, 2)
 
     lam, al, al0, r, sig = (
         params.lambda_, params.alpha, params.alpha0, params.r, params.sigma,
@@ -215,11 +210,8 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
 
     # frozen draw pattern; only column 0 (the Wiener normals) is consumed
     xi = np.empty((n, 2))
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        xi[done:done + m] = _normals([rng], m, 2)[:, 0, :, 0]
-        done += m
+    for done, span in _chunks(n, 1):
+        xi[done:done + span] = _normals([rng], span, 2)[:, 0, :, 0]
     xi_d, xi_p = xi[:, 0], xi[:, 1]
 
     # exact deviation update: z_{k+1} = phi z_k + s_h xi

@@ -26,8 +26,8 @@ of the local error dominates.
 Randomness is counter-based and splittable: every path owns a Philox stream
 keyed by ``SeedSequence([seed])`` (single paths) or by the sub-seed
 ``path_seed(seed, k)`` (ensemble member k), and normals are consumed in a
-fixed chunked pattern, so results do not depend on evaluation order or on
-how members are scheduled across workers.
+fixed chunked pattern, so results do not depend on evaluation order, on
+how a run is split into chunks or on how many members advance together.
 """
 
 from __future__ import annotations
@@ -227,6 +227,41 @@ def _batched(system: SdeSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
+def _members(seed, n_paths):
+    """Member seeds and path ids: ``path_seed(seed, k)`` and k for each of
+    ``n_paths`` members, or ``[seed]`` and no ids for a solo run (None)."""
+    if n_paths is None:
+        return [seed], None
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    ids = list(range(n_paths))
+    return [path_seed(seed, k) for k in ids], ids
+
+
+def _chunks(n_steps, p):
+    """Consecutive (done, span) runs of steps covering ``n_steps``, each of
+    at most ``_CHUNK`` path-steps for ``p`` paths but at least one step.
+    Streams are drawn element by element, so the split changes no value,
+    only the memory high-water mark; free a chunk's arrays before the next.
+    """
+    budget = max(1, _CHUNK // p)
+    for done in range(0, n_steps, budget):
+        yield done, min(budget, n_steps - done)
+
+
+def _record(out, rows, done, record_every):
+    """Copy into ``out`` the rows of a chunk that are recorded.
+
+    Row i of ``rows`` is the state after step ``done + i + 1``; row k of
+    ``out`` is the state after step ``k * record_every`` (row 0 is the
+    initial state, which the caller writes).
+    """
+    first = (-done - 1) % record_every  # chunk row of the next recorded step
+    kept = rows[first::record_every]
+    at = (done + first + 1) // record_every
+    out[at:at + len(kept)] = kept
+
+
 def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
     """The frozen draw pattern: (n_steps, P, dim, 2) normals, one path per
     generator, drawn as (n_steps, dim, 2) from each.  Column 0 drives the
@@ -321,12 +356,7 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
     pair = np.empty((m, P, n))
     head = pair[0]
 
-    # chunk draws; the per-path stream is element ordered, so the chunk
-    # size never changes results, only the allocation high-water mark
-    step_budget = max(1, _CHUNK // P)
-    done = 0
-    while done < n_steps:
-        span = min(step_budget, n_steps - done)
+    for done, span in _chunks(n_steps, P):
         dW, dZ = source.take(span)
         # S dW one path at a time: a (1, n) @ (n, n) product per path and
         # step is what a solo run computes, while a (P, n) stack takes
@@ -372,24 +402,29 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
                 if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
                     _check_state(y_next, done + i, path_ids)
                 y = y_next
-        first = (-done - 1) % record_every  # chunk row of the next recorded step
-        kept = path[first::record_every]
-        at = (done + first + 1) // record_every
-        rec[at:at + len(kept)] = kept
-        done += span
+        _record(rec, path, done, record_every)
         # free this chunk's arrays before the next draw allocates its own
         y = y.copy()
-        del dW, dZ, path, kept
+        del dW, dZ, path
     return rec
 
 
-def _initial(system, config) -> np.ndarray:
-    y0 = np.asarray(config.initial_state, dtype=float)
+def _initial(system, initial_state) -> np.ndarray:
+    y0 = np.asarray(initial_state, dtype=float)
     if y0.shape != (system.dimension,):
         raise ConfigError(
             f"initial_state must have shape ({system.dimension},), got {y0.shape}"
         )
     return y0
+
+
+def _phase_initial(initial_state, n):
+    """A phase/deviation start (z0 ..., tau0) of length n, or () for zeros."""
+    if len(initial_state) == 0:
+        return np.zeros(n - 1), 0.0
+    if len(initial_state) != n:
+        raise ConfigError(f"initial_state must be empty or (z0 ..., tau0) of length {n}")
+    return np.asarray(initial_state[:-1], dtype=float), float(initial_state[-1])
 
 
 def _labels(dimension, channel_labels):
@@ -409,16 +444,16 @@ def _validated_record_every(config, record_every):
     return record_every
 
 
-def _integrate(system, config, seeds, record_every, channel_labels, path_ids):
-    """Run one path per seed in lock step; one Trajectory per seed.
+def _integrate(system, config, n_paths, record_every, channel_labels):
+    """Run the members of ``_members(config.seed, n_paths)`` in lock step;
+    one Trajectory per member, each a view of the shared record array.
 
-    Path k starts at ``config.initial_state`` and draws from ``seeds[k]``;
-    ``path_ids`` names the paths in a divergence error (None for a solo
-    run).  Trajectory k views the shared record array.
+    Every path starts at ``config.initial_state``.
     """
+    seeds, path_ids = _members(config.seed, n_paths)
     record_every = _validated_record_every(config, record_every)
     labels = _labels(system.dimension, channel_labels)
-    y0 = np.tile(_initial(system, config), (len(seeds), 1))
+    y0 = np.tile(_initial(system, config.initial_state), (len(seeds), 1))
     source = _IncrementSource([_generator(s) for s in seeds], system.dimension, config.dt)
     rec = _run(
         system, config.scheme, y0, config.dt, config.n_steps, source, record_every, path_ids
@@ -438,7 +473,7 @@ def integrate_path(system, config, record_every=1, channel_labels=None) -> Traje
     trajectory holds every q-th state and its ``dt`` is q times the
     integration step.
     """
-    return _integrate(system, config, [config.seed], record_every, channel_labels, None)[0]
+    return _integrate(system, config, None, record_every, channel_labels)[0]
 
 
 def integrate_ensemble(
@@ -452,12 +487,7 @@ def integrate_ensemble(
     A divergence raises for the earliest step, and the lowest member
     index at that step.
     """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    seeds = [path_seed(config.seed, k) for k in range(n_paths)]
-    members = _integrate(
-        system, config, seeds, record_every, channel_labels, list(range(n_paths))
-    )
+    members = _integrate(system, config, n_paths, record_every, channel_labels)
     for tr in members:  # compact rows of its own, not a strided view
         tr.values = tr.values.copy()
     return members
@@ -518,14 +548,8 @@ def strong_order_estimate(
             )
         ratios.append(r)
 
-    y0 = np.asarray(initial_state, dtype=float)
-    if y0.shape != (system.dimension,):
-        raise ConfigError(
-            f"initial_state must have shape ({system.dimension},), got {y0.shape}"
-        )
-    y0 = np.tile(y0, (n_paths, 1))
-
-    rngs = [_generator(path_seed(seed, k)) for k in range(n_paths)]
+    y0 = np.tile(_initial(system, initial_state), (n_paths, 1))
+    rngs = [_generator(s) for s in _members(seed, n_paths)[0]]
     fine = _IncrementSource(rngs, system.dimension, hf)
     dw_f, dz_f = fine.take(nf)
 

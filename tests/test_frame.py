@@ -30,7 +30,7 @@ from noisycycles import (
     simulate_reduced,
     van_der_pol,
 )
-from noisycycles.frame import _evaluator, _periodic_spline, _spline_table
+from noisycycles.frame import _evaluator, _nearest_orthogonal, _periodic_spline, _spline_table
 from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
 
 TAU = 2.0 * np.pi
@@ -165,6 +165,65 @@ def test_coarse_grid_is_refused():
     cycle = find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=16)
     with pytest.raises(NumericsError):
         build_frame(cycle)
+
+
+def _frame_stage_loop(cycle, substeps):
+    """build_frame's U and V as written before it evaluated the splines
+    once: a scalar call of each spline per RK4 stage, t summed by t += h."""
+    m, n = cycle.L.shape
+    t0 = cycle.T[0]
+    p0 = np.eye(n) - np.outer(t0, t0)
+    tan = _periodic_spline(cycle.grid, cycle.T, cycle.period)
+    rate = _periodic_spline(cycle.grid, cycle.tangent_rate(), cycle.period)
+
+    def dU(t, U):
+        td = rate(t)
+        return -np.outer(tan(t), td) @ U @ p0 + np.outer(td, t0)
+
+    h = cycle.period / (m * substeps)
+    U = np.empty((m, n, n))
+    U[0] = np.eye(n)
+    cur = np.eye(n)
+    t = 0.0
+    for i in range(1, m + 1):
+        for _ in range(substeps):
+            k1 = dU(t, cur)
+            k2 = dU(t + h / 2.0, cur + h / 2.0 * k1)
+            k3 = dU(t + h / 2.0, cur + h / 2.0 * k2)
+            k4 = dU(t + h, cur + h * k3)
+            cur = _nearest_orthogonal(cur + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            t += h
+        if i < m:
+            U[i] = cur
+    V = np.array([dU(cycle.grid[i], U[i]) for i in range(m)])
+    return U, V
+
+
+@pytest.fixture(scope="module")
+def vdp2_cycle():
+    return find_limit_cycle(van_der_pol(2.0), (2.0, 0.0), grid_size=2048)
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("cycle_name", ["hopf_cycle", "vdp2_cycle"])
+def test_frame_is_bitwise_the_per_stage_spline_loop(request, cycle_name, substeps):
+    cycle = request.getfixturevalue(cycle_name)
+    frame = build_frame(cycle, substeps=substeps)
+    U, V = _frame_stage_loop(cycle, substeps)
+    assert frame.U.tobytes() == U.tobytes()
+    assert frame.V.tobytes() == V.tobytes()
+
+
+def test_phase_deviation_simulators_share_one_initial_state_check(hopf_cycle, hopf_frame):
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.1)
+    model = reduce(hopf_cycle, hopf_frame, params.sigma)
+    message = r"^initial_state must be empty or \(z0 \.\.\., tau0\) of length 2$"
+    for initial in [(0.1,), (0.1, 0.2, 0.3)]:
+        config = IntegratorConfig(dt=1e-3, n_steps=10, initial_state=initial)
+        with pytest.raises(ConfigError, match=message):
+            simulate_reduced(model, hopf_cycle, config)
+        with pytest.raises(ConfigError, match=message):
+            simulate_hopf_linear(params, config)
 
 
 def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):

@@ -29,7 +29,7 @@ from noisycycles import (
     van_der_pol,
 )
 from noisycycles import _stepkernel
-from noisycycles.sde import _CHUNK
+from noisycycles.sde import _CHUNK, _chunks, _members, _record
 
 TAU = 2.0 * np.pi
 
@@ -60,6 +60,42 @@ def test_path_seed_is_stable_and_distinct():
     assert len(seen) == 64
     with pytest.raises(ConfigError):
         path_seed(-1, 0)
+
+
+def test_members_are_path_seeds_and_a_solo_run_is_its_seed():
+    assert _members(7, None) == ([7], None)
+    assert _members(7, 3) == ([path_seed(7, k) for k in range(3)], [0, 1, 2])
+    with pytest.raises(ConfigError, match="n_paths must be >= 1, got 0"):
+        _members(7, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 2 * _CHUNK),
+    whole=st.integers(0, 3),
+    part=st.floats(0.0, 1.0),
+    record_every=st.integers(1, 9),
+)
+@example(p=1, whole=1, part=0.5, record_every=7)
+@example(p=20, whole=2, part=0.0, record_every=5)
+@example(p=_CHUNK + 1, whole=3, part=0.0, record_every=2)
+def test_chunks_cover_the_run_and_record_keeps_every_qth_row(p, whole, part, record_every):
+    # runs of whole budgets plus a part of one, so spans end on, before
+    # and after chunk boundaries that record_every need not divide
+    budget = max(1, _CHUNK // p)
+    n_steps = max(1, whole * budget + int(part * budget))
+    spans = list(_chunks(n_steps, p))
+    dones, widths = zip(*spans)
+    assert list(dones) == np.cumsum((0,) + widths[:-1]).tolist()
+    assert sum(widths) == n_steps
+    assert 1 <= min(widths) and max(widths) <= budget
+    # row i of a chunk is the state after step done + i + 1
+    all_rows = np.arange(1, n_steps + 1)
+    out = np.full(n_steps // record_every + 1, -1)
+    for done, span in spans:
+        _record(out, all_rows[done:done + span], done, record_every)
+    assert out[0] == -1
+    assert np.array_equal(out[1:], all_rows[record_every - 1::record_every])
 
 
 def test_trajectory_accessors():
@@ -391,6 +427,15 @@ def test_ensemble_divergence_is_the_earliest_solo_divergence(vectorized):
             integrate_ensemble(system, config, n_paths=n_paths)
     assert (err.value.step_index, err.value.path_index) == (step, path)
     assert str(err.value).endswith(f"at step {step} (path {path})")
+
+
+def test_order_harness_checks_the_initial_state_as_the_integrator_does():
+    system = ornstein_uhlenbeck(1.0, 0.5, dimension=3)
+    message = r"initial_state must have shape \(3,\), got \(2,\)"
+    with pytest.raises(ConfigError, match=message):
+        integrate_path(system, IntegratorConfig(dt=0.1, n_steps=4, initial_state=(1.0, 0.0)))
+    with pytest.raises(ConfigError, match=message):
+        strong_order_estimate(system, (1.0, 0.0), 1.0, [0.1, 0.05, 0.025], n_paths=2)
 
 
 def test_strong_order_euler_maruyama_on_linear_process():
