@@ -49,6 +49,10 @@ __all__ = [
     "wk_transform",
 ]
 
+# lag samples a callable ACV may take in wk_transform before it is judged
+# non-decaying
+_MAX_LAGS = 2**21
+
 
 @dataclass
 class AcvEstimate:
@@ -154,7 +158,9 @@ def psd_formula(params: HopfParams, omega) -> np.ndarray:
 def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     """Gaussian kernel density with the Silverman rule of thumb.
 
-    bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly.
+    bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly;
+    an explicit bandwidth must be positive and finite, and the grid needs
+    at least 2 points.
 
     The kernel sums run over chunks of 4096 samples.  Each chunk's
     exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in two
@@ -165,15 +171,19 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
+    if grid_size < 2:
+        raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
     if bandwidth is None:
         std = x.std()
         q75, q25 = np.percentile(x, [75.0, 25.0])
         spread = min(std, (q75 - q25) / 1.34)
         bandwidth = 0.9 * spread * x.size ** (-0.2)
-    if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
-        raise DegenerateSampleError(
-            f"sample spread is degenerate (bandwidth {bandwidth})"
-        )
+        if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
+            raise DegenerateSampleError(
+                f"sample spread is degenerate (bandwidth {bandwidth})"
+            )
+    elif not (bandwidth > 0.0 and np.isfinite(bandwidth)):
+        raise ConfigError(f"bandwidth must be positive and finite, got {bandwidth}")
     grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
     density = np.zeros(grid_size)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
@@ -206,14 +216,16 @@ def kurtosis(samples) -> float:
     return float(np.mean(x**4) / m2**2)
 
 
-def wk_transform(acv, omegas, max_lag=None, lag_step=None) -> PsdEstimate:
+def wk_transform(acv, omegas) -> PsdEstimate:
     """Cosine transform of an autocovariance:  PS(w) = 2 int_0^U ACV cos(wu) du.
 
     ``acv`` is either an :class:`AcvEstimate` (integrated on its own lag
     grid) or a callable u -> ACV(u); for callables the lag grid is built
-    automatically, extending until the block envelope of |ACV| falls below
-    1e-6 of ACV(0) (non-decaying inputs, e.g. a noiseless template, raise
-    :class:`DegenerateSpectrumError`).  Trapezoid quadrature throughout.
+    automatically with 256 lags per period of the highest frequency,
+    extending until the block envelope of |ACV| falls below 1e-6 of ACV(0)
+    (inputs that do not decay within 2**21 lags, e.g. a noiseless template,
+    raise :class:`DegenerateSpectrumError`).  Trapezoid quadrature
+    throughout.
 
     The frequencies are taken one at a time, each through two 1-D buffers
     of the lag grid's length that every frequency reuses, with the
@@ -235,9 +247,8 @@ def wk_transform(acv, omegas, max_lag=None, lag_step=None) -> PsdEstimate:
             lags, vals = lags[:cut], vals[:cut]
     else:
         w_max = max(omegas.max(), 1e-12)
-        du = lag_step if lag_step is not None else np.pi / (128.0 * w_max)
-        cap = max_lag if max_lag is not None else 2**21 * du
-        lags, vals = _sampled_until_decay(acv, du, cap)
+        du = np.pi / (128.0 * w_max)
+        lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)
 
     values = np.empty(omegas.size)
     spacing = np.diff(lags)

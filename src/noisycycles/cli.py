@@ -23,9 +23,11 @@ validate
 Exit status is 0 on success, 1 on usage errors (bad flags, malformed
 input files), 2 on numerical failures (divergence, no convergence).
 
-A JSON config file (``--config``) may supply any long flag; values given
-on the command line win.  The default seed may also be set through the
-``NOISYCYCLES_SEED`` environment variable.
+A JSON config file (``--config``) supplies defaults for any long flag of
+the subcommand; values given on the command line win.  A library
+parameter whose flag is given nowhere keeps the library's default.  The
+default seed may also be set through the ``NOISYCYCLES_SEED`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = ["build_parser", "run", "main"]
 
 SEED_ENV_VAR = "NOISYCYCLES_SEED"
 
-_HOPF_DEFAULTS = {"r": 1.0, "alpha": math.tau, "lambda_": math.tau}
-
 
 class _Parser(argparse.ArgumentParser):
     # the contract reserves status 2 for numerical failures, so usage
@@ -51,10 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_hopf_flags(p):
-    p.add_argument("--r", type=float, help="cycle radius (default 1)")
-    p.add_argument("--alpha", type=float, help="angular frequency on the cycle")
+    p.add_argument("--r", type=float, default=1.0, help="cycle radius (default %(default)g)")
+    p.add_argument("--alpha", type=float, default=math.tau,
+                   help="angular frequency on the cycle (default 2 pi)")
     p.add_argument("--alpha0", type=float, help="rotation rate off the cycle (default alpha)")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="radial relaxation rate")
+    p.add_argument("--lambda", dest="lambda_", type=float, default=math.tau,
+                   help="radial relaxation rate (default 2 pi)")
     p.add_argument("--sigma", type=float, help="noise amplitude")
     p.add_argument("--nsr", type=float, help="noise-to-signal ratio; alternative to --sigma")
 
@@ -71,31 +73,30 @@ def build_parser() -> _Parser:
         choices=["hopf-exact", "hopf-linear", "hopf-leading", "reduced"],
     )
     _add_hopf_flags(p)
-    p.add_argument("--system", choices=["hopf", "van-der-pol"],
-                   help="preset ODE for --model reduced (default hopf)")
-    p.add_argument("--mu", type=float, help="van der Pol stiffness (default 1)")
-    p.add_argument("--dt", type=float, help="integrator step (default 1e-3)")
+    p.add_argument("--system", choices=["hopf", "van-der-pol"], default="hopf",
+                   help="preset ODE for --model reduced (default %(default)s)")
+    p.add_argument("--mu", type=float, help="van der Pol stiffness")
+    p.add_argument("--dt", type=float, default=1e-3, help="integrator step (default %(default)g)")
     p.add_argument("--steps", type=int, help="number of steps")
     p.add_argument("--periods", type=float, help="horizon in cycle periods; alternative to --steps")
-    p.add_argument("--paths", type=int, help="ensemble size (default 1)")
+    p.add_argument("--paths", type=int, default=1, help="ensemble size (default %(default)s)")
     p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     p.add_argument("--record-every", dest="record_every", type=int,
                    help="thin the output to every k-th step (default: about 100 rows per period)")
     p.add_argument("--initial", help="comma separated initial state")
-    p.add_argument("--grid-size", dest="grid_size", type=int,
-                   help="cycle grid for --model reduced (default 1024)")
+    p.add_argument("--grid-size", dest="grid_size", type=int, help="cycle grid for --model reduced")
     p.add_argument("--substeps", type=int, help="frame substeps for --model reduced")
     p.add_argument("--scheme", choices=["strong-rk15", "euler-maruyama"],
-                   help="integration scheme for hopf-exact (default strong-rk15)")
+                   help="integration scheme for hopf-exact")
     p.add_argument("--output", help="trajectory CSV; multi-path runs get _NNN suffixes")
 
     p = sub.add_parser("decompose", help="detect a limit cycle and build its frame")
     p.add_argument("--system", choices=["hopf", "van-der-pol"])
     p.add_argument("--plugin", help="module.path:object naming an SdeSystem (or factory)")
     _add_hopf_flags(p)
-    p.add_argument("--mu", type=float, help="van der Pol stiffness (default 1)")
+    p.add_argument("--mu", type=float, help="van der Pol stiffness")
     p.add_argument("--guess", help="comma separated starting point (presets have defaults)")
-    p.add_argument("--grid-size", dest="grid_size", type=int, help="samples along the cycle (default 1024)")
+    p.add_argument("--grid-size", dest="grid_size", type=int, help="samples along the cycle")
     p.add_argument("--substeps", type=int, help="frame integration substeps per grid cell")
     p.add_argument("--transient", type=float, help="settle time before cycle detection")
     p.add_argument("--output", help="combined cycle and frame CSV")
@@ -106,9 +107,10 @@ def build_parser() -> _Parser:
     p.add_argument("--column", help="column name (default: first non-time column)")
     p.add_argument("--dt", type=float, help="sample spacing override (else from the t column)")
     p.add_argument("--max-lag", dest="max_lag", type=float, help="largest lag for --what acv")
-    p.add_argument("--segments", type=int,
-                   help="split the series into k segments and average periodograms (default 1)")
-    p.add_argument("--grid-size", dest="grid_size", type=int, help="kde grid size (default 512)")
+    p.add_argument("--segments", type=int, default=1,
+                   help="split the series into k segments and average periodograms "
+                        "(default %(default)s)")
+    p.add_argument("--grid-size", dest="grid_size", type=int, help="kde grid size")
     p.add_argument("--bandwidth", type=float, help="kde bandwidth (default: Silverman)")
     p.add_argument("--output", help="estimate CSV (default: stdout)")
 
@@ -135,15 +137,10 @@ def build_parser() -> _Parser:
     return top
 
 
-def _subcommand_actions(parser, name):
-    """The argparse actions of subcommand ``name``, by destination."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[name]._actions}
-
-
-def _load_config_layer(path, parser, options):
-    """Fill flags absent from the command line with config-file values,
-    converted and checked as the flag's own ``type`` and ``choices`` would."""
+def _config_defaults(path, parser, options):
+    """Make the config file's values the defaults of subcommand
+    ``options["subcommand"]``, converted and checked as the flag's own
+    ``type`` and ``choices`` would."""
     from .csvio import load_json_config
     from .exceptions import ConfigError
 
@@ -151,14 +148,18 @@ def _load_config_layer(path, parser, options):
         doc = load_json_config(path)
     except ConfigError as exc:
         parser.error(str(exc))
-    actions = _subcommand_actions(parser, options["subcommand"])
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[options["subcommand"]]
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest == "lambda":
             dest = "lambda_"
         if dest not in options:
             parser.error(f"{path}: unknown config key {key!r} for this subcommand")
-        if options[dest] is not None or value is None:
+        # "config" and "subcommand" are known keys but no flag of the subcommand
+        if value is None or dest not in actions:
             continue
         action = actions[dest]
         if action.type is not None:
@@ -170,7 +171,8 @@ def _load_config_layer(path, parser, options):
         if action.choices is not None and value not in action.choices:
             parser.error(f"{path}: config key {key!r} must be one of "
                          f"{', '.join(map(repr, action.choices))}, got {value!r}")
-        options[dest] = value
+        defaults[dest] = value
+    sub.set_defaults(**defaults)
 
 
 def _floats(text, flag, parser):
@@ -181,7 +183,7 @@ def _floats(text, flag, parser):
 
 
 def _positive(parser, **values):
-    """Usage error for the first grid flag that is not a positive number."""
+    """Usage error for the first flag that is not a positive, finite number."""
     for name, value in values.items():
         if not (value > 0.0 and math.isfinite(value)):
             parser.error(f"--{name} must be positive and finite, got {value:g}")
@@ -193,9 +195,16 @@ def _require(options, parser, *names):
             parser.error(f"--{name.rstrip('_').replace('_', '-')} is required here")
 
 
+def _given(options, **flags):
+    """Keyword arguments for the library parameters whose flags were given,
+    from ``parameter=flag`` pairs; a flag the subcommand lacks is not given."""
+    return {name: options[flag] for name, flag in flags.items()
+            if options.get(flag) is not None}
+
+
 def _seed(options):
-    if options.get("seed") is not None:
-        return int(options["seed"])
+    if options["seed"] is not None:
+        return options["seed"]
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
@@ -203,21 +212,15 @@ def _hopf_params(options, parser):
     """Build model parameters from flags; --sigma and --nsr conflict."""
     from .hopf import HopfParams, sigma_for_nsr
 
-    r = options.get("r")
-    alpha = options.get("alpha")
-    lam = options.get("lambda_")
-    r = _HOPF_DEFAULTS["r"] if r is None else float(r)
-    alpha = _HOPF_DEFAULTS["alpha"] if alpha is None else float(alpha)
-    lam = _HOPF_DEFAULTS["lambda_"] if lam is None else float(lam)
-    alpha0 = alpha if options.get("alpha0") is None else float(options["alpha0"])
-    sigma, nsr = options.get("sigma"), options.get("nsr")
+    r, alpha, lam = options["r"], options["alpha"], options["lambda_"]
+    alpha0 = alpha if options["alpha0"] is None else options["alpha0"]
+    sigma, nsr = options["sigma"], options["nsr"]
     if sigma is not None and nsr is not None:
         parser.error("--sigma and --nsr are mutually exclusive")
     if nsr is not None:
-        sigma = sigma_for_nsr(float(nsr), lam, r)
+        sigma = sigma_for_nsr(nsr, lam, r)
     return HopfParams(
-        alpha=alpha, alpha0=alpha0, lambda_=lam, r=r,
-        sigma=0.0 if sigma is None else float(sigma),
+        alpha=alpha, alpha0=alpha0, lambda_=lam, r=r, sigma=0.0 if sigma is None else sigma
     )
 
 
@@ -244,24 +247,23 @@ def _auto_thin(period, dt):
 
 
 def _steps(options, period, dt, parser):
-    steps, periods = options.get("steps"), options.get("periods")
+    steps, periods = options["steps"], options["periods"]
     if (steps is None) == (periods is None):
         parser.error("exactly one of --steps / --periods is required")
     if steps is None:
-        steps = int(round(float(periods) * period / dt))
-    return int(steps)
+        _positive(parser, periods=periods)
+        steps = int(round(periods * period / dt))
+    return steps
 
 
 def _preset_system(options, parser):
     """Noise-free ODE for cycle detection, with its default starting point."""
     from .presets import van_der_pol
 
-    name = options.get("system") or "hopf"
-    if name == "van-der-pol":
-        mu = 1.0 if options.get("mu") is None else float(options["mu"])
-        if options.get("nsr") is not None:
+    if options["system"] == "van-der-pol":
+        if options["nsr"] is not None:
             parser.error("--nsr needs the hopf preset; give --sigma for van-der-pol")
-        return van_der_pol(mu), (2.0, 0.0)
+        return van_der_pol(**_given(options, mu="mu")), (2.0, 0.0)
     from .hopf import HopfParams, hopf_system
 
     p = _hopf_params(options, parser)
@@ -274,29 +276,26 @@ def _cycle_and_frame(options, system, guess):
     --grid-size, --substeps and --transient ask."""
     from .frame import build_frame, find_limit_cycle
 
-    grid_size = 1024 if options.get("grid_size") is None else int(options["grid_size"])
-    substeps = 1 if options.get("substeps") is None else int(options["substeps"])
-    kw = {}
-    if options.get("transient") is not None:
-        kw["transient_time"] = float(options["transient"])
-    cycle = find_limit_cycle(system, guess, grid_size=grid_size, **kw)
-    return cycle, build_frame(cycle, substeps=substeps)
+    cycle = find_limit_cycle(
+        system, guess, **_given(options, grid_size="grid_size", transient_time="transient")
+    )
+    return cycle, build_frame(cycle, **_given(options, substeps="substeps"))
 
 
 def _reduced_model(options, parser):
     """Cycle, frame and reduced SDE of the preset for --model reduced."""
     from .frame import reduce
 
-    sigma, nsr = options.get("sigma"), options.get("nsr")
+    sigma, nsr = options["sigma"], options["nsr"]
     if sigma is not None and nsr is not None:
         parser.error("--sigma and --nsr are mutually exclusive")
-    if (options.get("system") or "hopf") == "hopf":
+    if options["system"] == "hopf":
         sigma = _hopf_params(options, parser).sigma
     elif sigma is None:
         parser.error("--model reduced needs --sigma (or --nsr with the hopf preset)")
 
     cycle, frame = _cycle_and_frame(options, *_preset_system(options, parser))
-    return cycle, frame, reduce(cycle, frame, float(sigma))
+    return cycle, frame, reduce(cycle, frame, sigma)
 
 
 def _cmd_simulate(options, parser):
@@ -304,9 +303,8 @@ def _cmd_simulate(options, parser):
     from .csvio import write_phase_path, write_trajectory
     from .sde import IntegratorConfig, Scheme, _members, integrate_ensemble
 
-    model = options["model"]
-    dt = 1e-3 if options.get("dt") is None else float(options["dt"])
-    paths = 1 if options.get("paths") is None else int(options["paths"])
+    model, dt, paths = options["model"], options["dt"], options["paths"]
+    _positive(parser, dt=dt)
     if paths < 1:
         parser.error(f"--paths must be >= 1, got {paths}")
     members = None if paths == 1 else paths
@@ -319,9 +317,11 @@ def _cmd_simulate(options, parser):
         params = _hopf_params(options, parser)
         period = 2.0 * 3.141592653589793 / params.alpha
     n_steps = _steps(options, period, dt, parser)
-    thin = options.get("record_every") or _auto_thin(period, dt)
+    thin = options["record_every"]
+    if thin is None:
+        thin = _auto_thin(period, dt)
     initial = None
-    if options.get("initial") is not None:
+    if options["initial"] is not None:
         initial = _floats(options["initial"], "--initial", parser)
     outputs = _outputs(options["output"], paths)
 
@@ -334,7 +334,7 @@ def _cmd_simulate(options, parser):
         )
         if paths == 1:
             taus, z0s = taus[None], z0s[None]
-        labels = ("x", "v") if options.get("system") == "van-der-pol" else ("x", "y")
+        labels = ("x", "v") if options["system"] == "van-der-pol" else ("x", "y")
         for k, out in enumerate(outputs):
             tr = reconstruct(
                 cycle, frame, taus[k], z0s[k], dt=dt * thin, channel_labels=labels
@@ -343,11 +343,10 @@ def _cmd_simulate(options, parser):
     elif model == "hopf-exact":
         from .hopf import hopf_system
 
-        scheme = Scheme.EULER_MARUYAMA if options.get("scheme") == "euler-maruyama" \
-            else Scheme.STRONG_RK15
+        scheme = {k: Scheme(v) for k, v in _given(options, scheme="scheme").items()}
         config = IntegratorConfig(
-            dt=dt, n_steps=n_steps, scheme=scheme, seed=seed,
-            initial_state=initial if initial is not None else (params.r, 0.0),
+            dt=dt, n_steps=n_steps, seed=seed,
+            initial_state=initial if initial is not None else (params.r, 0.0), **scheme,
         )
         ens = integrate_ensemble(
             hopf_system(params), config, n_paths=paths, record_every=thin,
@@ -412,7 +411,7 @@ def _cmd_analyze(options, parser):
 
     what = options["what"]
     values, inferred_dt = read_column(options["input"], column=options.get("column"))
-    dt = options.get("dt") if options.get("dt") is not None else inferred_dt
+    dt = options["dt"] if options["dt"] is not None else inferred_dt
 
     if what in ("acv", "psd") and dt is None:
         parser.error("--dt is required when the file has no uniform t column")
@@ -421,23 +420,22 @@ def _cmd_analyze(options, parser):
         _require(options, parser, "max_lag")
         from .analysis import sample_acv
 
-        est = sample_acv(values, float(dt), float(options["max_lag"]))
+        est = sample_acv(values, dt, options["max_lag"])
         _emit_curve(options, "lag", "acv", est.lags, est.values)
     elif what == "psd":
         from .analysis import averaged_periodogram
 
-        segments = 1 if options.get("segments") is None else int(options["segments"])
+        segments = options["segments"]
         if segments < 1 or values.size // segments < 2:
             parser.error(f"--segments must cut the series into usable pieces, got {segments}")
         length = values.size // segments
         rows = values[: segments * length].reshape(segments, length)
-        est = averaged_periodogram(rows, float(dt))
+        est = averaged_periodogram(rows, dt)
         _emit_curve(options, "omega", "psd", est.omegas, est.values)
     elif what == "kde":
         from .analysis import kde
 
-        grid_size = 512 if options.get("grid_size") is None else int(options["grid_size"])
-        est = kde(values, grid_size=grid_size, bandwidth=options.get("bandwidth"))
+        est = kde(values, **_given(options, grid_size="grid_size", bandwidth="bandwidth"))
         _emit_curve(options, "x", "density", est.grid, est.density)
     else:
         from .analysis import kurtosis
@@ -455,16 +453,16 @@ def _cmd_formula(options, parser):
     if options["template"] == "acv":
         from .analysis import acv_formula
 
-        umax = 5.0 * period if options.get("umax") is None else float(options["umax"])
-        du = umax / 500.0 if options.get("du") is None else float(options["du"])
+        umax = 5.0 * period if options["umax"] is None else options["umax"]
+        du = umax / 500.0 if options["du"] is None else options["du"]
         _positive(parser, umax=umax, du=du)
         u = np.arange(0.0, umax + 0.5 * du, du)
         _emit_curve(options, "lag", "acv", u, acv_formula(params, u))
     else:
         from .analysis import psd_formula
 
-        wmax = 4.0 * params.alpha if options.get("wmax") is None else float(options["wmax"])
-        dw = wmax / 500.0 if options.get("dw") is None else float(options["dw"])
+        wmax = 4.0 * params.alpha if options["wmax"] is None else options["wmax"]
+        dw = wmax / 500.0 if options["dw"] is None else options["dw"]
         _positive(parser, wmax=wmax, dw=dw)
         w = np.arange(0.0, wmax + 0.5 * dw, dw)
         _emit_curve(options, "omega", "psd", w, psd_formula(params, w))
@@ -531,7 +529,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     options = vars(parser.parse_args(argv))
     if options["config"]:
-        _load_config_layer(options["config"], parser, options)
+        # the file's values become the subcommand's defaults; parsing argv
+        # again lets every flag given on the command line win
+        _config_defaults(options["config"], parser, options)
+        options = vars(parser.parse_args(argv))
     del options["config"]
     subcommand = options.pop("subcommand")
 

@@ -91,15 +91,22 @@ def read_trajectory(path) -> Trajectory:
     labels, data = _read_table(path)
     if labels[0] != "t" or len(labels) < 2:
         raise ConfigError(f"{path}: expected header t,<labels...>, got {labels}")
-    t = data[:, 0]
-    if t.size < 2:
+    if data.shape[0] < 2:
         raise ConfigError(f"{path}: need at least two samples")
-    dt = t[1] - t[0]
-    if dt <= 0 or np.abs(np.diff(t) - dt).max() > 1e-9 * max(dt, 1.0):
+    dt = _uniform_step(data[:, 0])
+    if dt is None:
         raise ConfigError(f"{path}: time column is not uniformly spaced")
-    return Trajectory(
-        dt=float(dt), values=data[:, 1:], channel_labels=tuple(labels[1:])
-    )
+    return Trajectory(dt=dt, values=data[:, 1:], channel_labels=tuple(labels[1:]))
+
+
+def _uniform_step(t):
+    """The spacing of time column ``t`` (two or more samples) when it is
+    positive and every step is within 1e-9 max(dt, 1) of it, else None."""
+    steps = np.diff(t)
+    dt = steps[0]
+    if dt > 0 and np.abs(steps - dt).max() <= 1e-9 * max(dt, 1.0):
+        return float(dt)
+    return None
 
 
 def write_phase_path(path, phase_path):
@@ -172,9 +179,7 @@ def read_column(path, column=None):
             raise ConfigError(f"{path}: no column {column!r}; have {labels}") from None
     dt = None
     if labels[0] == "t" and data.shape[0] >= 2:
-        steps = np.diff(data[:, 0])
-        if steps[0] > 0 and np.abs(steps - steps[0]).max() <= 1e-9 * max(steps[0], 1.0):
-            dt = float(steps[0])
+        dt = _uniform_step(data[:, 0])
     return data[:, index], dt
 
 

@@ -5,6 +5,21 @@ malformed inputs) and numerical errors (divergence, degeneracy, failed
 convergence).  The command line maps them to exit codes 1 and 2.
 """
 
+__all__ = [
+    "NoisyCyclesError",
+    "ConfigError",
+    "NumericsError",
+    "DivergenceError",
+    "SingularAmplitudeError",
+    "FixedPointError",
+    "NoCycleError",
+    "DegenerateSpectrumError",
+    "DegenerateSampleError",
+    "GuessFailureError",
+    "ConvergenceError",
+    "StabilityWarning",
+]
+
 
 class NoisyCyclesError(Exception):
     """Base class for all package errors."""

@@ -48,6 +48,7 @@ from .sde import (
     IntegratorConfig,
     SdeSystem,
     Trajectory,
+    _batched,
     _chunks,
     _diverged,
     _generator,
@@ -75,6 +76,10 @@ __all__ = [
 _ODE_RTOL = 1.0e-12
 _ODE_ATOL = 1.0e-12
 _ESCAPE_RADIUS = 1.0e6
+# closure of the resampled cycle: |L(period) - L(0)| <= _CLOSURE_TOL (1 + |L(0)|)
+_CLOSURE_TOL = 1.0e-8
+# total horizon of the recurrence search
+_MAX_TIME = 1000.0
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,8 @@ def _require_deterministic(ode: SdeSystem):
 def find_limit_cycle(
     ode: SdeSystem,
     initial_guess,
-    tol=1e-8,
     grid_size=1024,
     transient_time=100.0,
-    max_time=1000.0,
 ) -> CycleParameterization:
     """Locate an attracting limit cycle reachable from ``initial_guess``.
 
@@ -166,7 +169,9 @@ def find_limit_cycle(
     are collected (event root-finding pins each crossing time to machine
     precision) until the return map has converged; the period is the
     spacing of the last two crossings and one period is resampled on a
-    uniform grid of ``grid_size`` points.
+    uniform grid of ``grid_size`` points.  The recurrence search gives up
+    after 1000 time units, and the resampled cycle must close to within
+    1e-8 (1 + |L(0)|).
 
     Parameters
     ----------
@@ -174,19 +179,17 @@ def find_limit_cycle(
         Noise-free system; only the drift (and Jacobian, if set) is used.
     initial_guess : array_like
         Starting state in the cycle's basin of attraction.
-    tol : float
-        Cycle-closure tolerance: |L(period) - L(0)| <= tol (1 + |L(0)|).
     grid_size : int
         Samples per period, m.
-    transient_time, max_time : float
-        Relaxation horizon, and total horizon for the recurrence search.
+    transient_time : float
+        Relaxation horizon, and the span of each recurrence-search window.
 
     Raises
     ------
     FixedPointError
         If the trajectory settles on a state with vanishing drift.
     NoCycleError
-        If no converged recurrence is found within ``max_time``.
+        If no converged recurrence is found, or the cycle does not close.
     """
     _require_deterministic(ode)
     f = _drift_fn(ode)
@@ -235,8 +238,8 @@ def find_limit_cycle(
     t_cur, y_cur = 0.0, ystar
     crossings_t, crossings_y = [], []
     converged = False
-    while t_cur < max_time and not converged:
-        span = min(transient_time, max_time - t_cur)
+    while t_cur < _MAX_TIME and not converged:
+        span = min(transient_time, _MAX_TIME - t_cur)
         sol = solve_ivp(
             rhs,
             (t_cur, t_cur + span),
@@ -270,10 +273,10 @@ def find_limit_cycle(
     if not converged:
         if not crossings_t:
             raise NoCycleError(
-                f"no section recurrence within the horizon {max_time:g}"
+                f"no section recurrence within the horizon {_MAX_TIME:g}"
             )
         raise NoCycleError(
-            f"return map did not converge within {max_time:g} "
+            f"return map did not converge within {_MAX_TIME:g} "
             f"({len(crossings_t)} crossings seen)"
         )
 
@@ -292,18 +295,14 @@ def find_limit_cycle(
     if not one_turn.success:
         raise NumericsError(f"cycle resampling failed: {one_turn.message}")
     closure = np.linalg.norm(one_turn.sol(period) - anchor)
-    if closure > tol * (1.0 + np.linalg.norm(anchor)):
+    if closure > _CLOSURE_TOL * (1.0 + np.linalg.norm(anchor)):
         raise NoCycleError(
             f"cycle does not close: |L(period) - L(0)| = {closure:.2e}"
         )
 
     grid = np.arange(grid_size) * (period / grid_size)
     L = one_turn.sol(grid).T
-    f_on_L = (
-        np.asarray(ode.drift(L), dtype=float)
-        if ode.vectorized
-        else np.array([f(p) for p in L])
-    )
+    f_on_L = np.asarray(_batched(ode)(L), dtype=float)
     speed = np.linalg.norm(f_on_L, axis=1)
     T = f_on_L / speed[:, None]
     J = _jacobian_samples(ode, f, L)
@@ -371,6 +370,8 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
     stay below 1e-6 or the grid is judged too coarse.  All frame
     invariants are verified before returning.
     """
+    if substeps < 1:
+        raise ConfigError(f"substeps must be >= 1, got {substeps}")
     m, n = cycle.L.shape
     t0 = cycle.T[0]
     p0 = np.eye(n) - np.outer(t0, t0)

@@ -62,6 +62,9 @@ TRUST_RADIUS = 1.0e6
 #: a seed pins the Brownian path regardless of scheme or ensemble layout)
 _CHUNK = 16384
 
+#: fine steps per smallest dt in ``strong_order_estimate``'s Brownian paths
+_REFINE = 16
+
 
 class Scheme(enum.Enum):
     """Available stepping schemes."""
@@ -516,12 +519,11 @@ def strong_order_estimate(
     scheme=Scheme.STRONG_RK15,
     seed=0,
     exact_endpoint=None,
-    refine=16,
 ) -> OrderEstimate:
     """Measure the strong convergence order of ``scheme`` on ``system``.
 
     All step sizes consume the same Brownian paths: increments are generated
-    on a fine grid (the smallest dt divided by ``refine``) and summed into
+    on a fine grid (the smallest dt divided by 16) and summed into
     coarse ones, area increments included.  The error at each dt is the RMS
     over paths of the euclidean endpoint distance to the reference, which is
     ``exact_endpoint(initial_state, h_fine, dW_fine, dZ_fine)`` when given
@@ -535,10 +537,10 @@ def strong_order_estimate(
         raise ConfigError("at least 3 step sizes are required")
     if n_paths < 2:
         raise ConfigError("at least 2 paths are required")
-    hf = dts[-1] / refine
+    hf = dts[-1] / _REFINE
     nf = int(round(t_final / hf))
     if not np.isclose(nf * hf, t_final, rtol=1e-12):
-        raise ConfigError("t_final must be an integer multiple of min(dts)/refine")
+        raise ConfigError(f"t_final must be an integer multiple of min(dts)/{_REFINE}")
     ratios = []
     for dt in dts:
         r = int(round(dt / hf))

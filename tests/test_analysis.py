@@ -211,6 +211,19 @@ def test_kde_bandwidth_override_and_degenerate_sample():
         kde(np.ones(100))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grid_size": 1}, {"grid_size": 0}, {"grid_size": -3},
+    {"bandwidth": 0.0}, {"bandwidth": -1.0}, {"bandwidth": np.nan}, {"bandwidth": np.inf},
+])
+def test_kde_rejects_bad_arguments_as_config_errors(kwargs):
+    # a bad explicit argument is the caller's error; only Silverman's zero
+    # bandwidth on a constant sample is a degenerate sample
+    with pytest.raises(ConfigError):
+        kde(np.random.default_rng(8).normal(size=100), **kwargs)
+    with pytest.raises(ConfigError):
+        kde(np.ones(100), **kwargs)
+
+
 def test_kurtosis_reference_values():
     rng = np.random.default_rng(9)
     assert kurtosis(rng.normal(size=200_000)) == pytest.approx(3.0, abs=0.05)

@@ -169,6 +169,33 @@ def test_flags_override_config_values(tmp_path, capsys):
     assert data[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_config_values_are_flag_defaults(tmp_path):
+    # a config value replaces a parser default, and the flag still wins
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"paths": 2}))
+    common = ("simulate", "--model", "hopf-linear", "--nsr", "0.1", "--periods", "1")
+    assert _call("--config", str(cfg), *common, "--output", str(tmp_path / "a.csv")) == 0
+    assert sorted(p.name for p in tmp_path.glob("a*.csv")) == ["a_000.csv", "a_001.csv"]
+    assert _call(
+        "--config", str(cfg), *common, "--paths", "3", "--output", str(tmp_path / "b.csv")
+    ) == 0
+    assert sorted(p.name for p in tmp_path.glob("b*.csv")) == [
+        "b_000.csv", "b_001.csv", "b_002.csv"
+    ]
+
+
+def test_config_value_equals_the_same_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": 0.002, "r": 2.0, "scheme": "euler-maruyama"}))
+    common = ("simulate", "--model", "hopf-exact", "--nsr", "0.1", "--steps", "500", "--seed", "4")
+    assert _call("--config", str(cfg), *common, "--output", str(tmp_path / "a.csv")) == 0
+    assert _call(
+        *common, "--dt", "0.002", "--r", "2", "--scheme", "euler-maruyama",
+        "--output", str(tmp_path / "b.csv"),
+    ) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def simulated_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("sim") / "sim.csv"
@@ -251,6 +278,57 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
     assert out == ""
     flag = flags[-2]
     assert err.splitlines()[-1].startswith(f"noisycycles: error: {flag} must be positive")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--model", "hopf-exact", "--periods", "1", "--dt", "0"),
+     "noisycycles: error: --dt must be positive and finite, got 0"),
+    (("simulate", "--model", "hopf-exact", "--steps", "10", "--dt", "0"),
+     "noisycycles: error: --dt must be positive and finite, got 0"),
+    (("simulate", "--model", "hopf-exact", "--periods", "nan"),
+     "noisycycles: error: --periods must be positive and finite, got nan"),
+    (("simulate", "--model", "hopf-exact", "--periods", "1", "--record-every", "0"),
+     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+    (("simulate", "--model", "hopf-linear", "--periods", "1", "--record-every", "0"),
+     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+    (("simulate", "--model", "reduced", "--periods", "1", "--record-every", "0",
+      "--grid-size", "256"),
+     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+    (("decompose", "--system", "hopf", "--substeps", "0"),
+     "noisycycles decompose: error: substeps must be >= 1, got 0"),
+    (("decompose", "--system", "hopf", "--substeps", "-1"),
+     "noisycycles decompose: error: substeps must be >= 1, got -1"),
+], ids=["dt-0-periods", "dt-0-steps", "periods-nan", "record-every-0-exact",
+        "record-every-0-linear", "record-every-0-reduced", "substeps-0", "substeps-neg"])
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    assert _call(*argv, "--nsr", "0.1", "--output", str(tmp_path / "x.csv")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == message
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (("--grid-size", "-3"), 1, "error: grid_size must be >= 2, got -3"),
+    (("--grid-size", "0"), 1, "error: grid_size must be >= 2, got 0"),
+    (("--bandwidth", "-1"), 1, "error: bandwidth must be positive and finite, got -1.0"),
+    (("--bandwidth", "nan"), 1, "error: bandwidth must be positive and finite, got nan"),
+])
+def test_kde_arguments_are_usage_errors(capsys, simulated_csv, flags, code, message):
+    argv = ("analyze", "--what", "kde", "--input", str(simulated_csv), "--column", "x")
+    assert _call(*argv, *flags) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"noisycycles analyze: {message}\n"
+
+
+def test_kde_of_a_constant_sample_stays_a_numerical_failure(tmp_path, capsys):
+    series = tmp_path / "flat.csv"
+    series.write_text("t,x\n" + "".join(f"{0.1 * k!r},1.0\n" for k in range(50)))
+    assert _call("analyze", "--what", "kde", "--input", str(series)) == 2
+    assert capsys.readouterr().err == (
+        "noisycycles analyze: numerical failure: sample spread is degenerate (bandwidth 0.0)\n"
+    )
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

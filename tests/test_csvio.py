@@ -169,6 +169,29 @@ def test_trajectory_needs_uniform_times(tmp_path):
         read_trajectory(p)
 
 
+@pytest.mark.parametrize("times", [
+    [0.0, 0.1, 0.2, 0.3],
+    [0.0, 0.1, 0.3],
+    [0.0, 0.0, 0.0],
+    [0.3, 0.2, 0.1],
+    [0.0, 0.1, 0.2 + 5e-10],
+    [0.0, 0.1, 0.2 + 2e-9],
+    [0.0, 10.0, 20.0 + 5e-9],
+    [0.0, 10.0, 20.0 + 2e-8],
+    [0.0, float("nan"), 0.2],
+])
+def test_trajectory_and_column_reads_share_one_time_check(tmp_path, times):
+    # read_column infers dt exactly when read_trajectory accepts the file
+    p = tmp_path / "t.csv"
+    p.write_text("t,x\n" + "".join(f"{t!r},1.0\n" for t in times))
+    _, dt = read_column(p)
+    if dt is None:
+        with pytest.raises(ConfigError, match="not uniformly spaced"):
+            read_trajectory(p)
+    else:
+        assert read_trajectory(p).dt == dt == times[1] - times[0]
+
+
 def test_failed_write_leaves_nothing_behind(tmp_path):
     class Boom:
         dt = 0.1

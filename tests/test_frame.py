@@ -161,6 +161,21 @@ def test_noisy_system_is_rejected():
         find_limit_cycle(noisy, (0.3, 0.0))
 
 
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_frame_needs_a_substep(hopf_cycle, substeps):
+    with pytest.raises(ConfigError, match="substeps must be >= 1"):
+        build_frame(hopf_cycle, substeps=substeps)
+
+
+def test_row_wise_drift_gives_the_vectorized_cycle_bitwise():
+    quiet = _quiet_hopf()
+    row_wise = dataclasses.replace(quiet, vectorized=False)
+    a = find_limit_cycle(quiet, (0.3, 0.0), grid_size=64)
+    b = find_limit_cycle(row_wise, (0.3, 0.0), grid_size=64)
+    for field in ("grid", "L", "f_on_L", "T", "J", "kappa", "speed"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
 def test_coarse_grid_is_refused():
     cycle = find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=16)
     with pytest.raises(NumericsError):
