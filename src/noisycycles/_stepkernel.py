@@ -1,11 +1,15 @@
-"""Compiled per-step loop of ``sde._run`` for the drifts the package builds.
+"""Compiled per-step loops of ``sde._run`` for the drifts the package
+builds, and of ``frame.simulate_reduced``.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a C drift below, the
-coefficients that drift binds, and the drift function it describes.  The
-C loop runs every floating-point operation of ``sde._run``'s numpy loop,
-in the same order and with the same operands, so its results are bitwise
-the same.  Numpy still draws the increments, forms S dW and slices the
+coefficients that drift binds, and the drift function it describes.
+:func:`loop_for` gives ``sde._run`` the C loop of such a system, and
+:func:`reduced_loop` gives ``simulate_reduced`` the C loop of the reduced
+phase/deviation SDE.  Each C loop runs every floating-point operation of
+its numpy loop, in the same order and with the same operands, so its
+results are bitwise the same; the numpy loops are the reference.  Numpy
+still draws the increments, forms the kicks and S dW and slices the
 records; only the loop over steps and paths runs here.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
@@ -126,11 +130,93 @@ static inline int64_t run(drift_fn f, const double *c, int64_t n, int64_t P,
 KERNEL(hopf)
 KERNEL(van_der_pol)
 KERNEL(ornstein_uhlenbeck)
+
+/* np.mod(a, b): numpy's npy_remainder, fmod with Python's sign rule */
+static inline double remainder_of(double a, double b)
+{
+    double mod = fmod(a, b);
+    if (!b)
+        return mod;
+    if (mod) {
+        if (isless(b, 0.0) != isless(mod, 0.0))
+            mod += b;
+    } else {
+        mod = copysign(0.0, b);
+    }
+    return mod;
+}
+
+/* The k values at phase w of a spline table (frame._spline_table: five
+   rows of m + 2 columns of k values).  The column is searchsorted(knots, w,
+   "right") over the m + 1 sorted knots, the count of knots <= w, which puts
+   NaN in the last column; it is never out of range, so take(mode="clip")
+   clips nothing.  Every value of a column shares its left knot. */
+static inline void spline(const double *table, const double *knots, int64_t m, int64_t k,
+                          double w, double *out)
+{
+    int64_t lo = 0, hi = m + 1;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (w < knots[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    const int64_t row = (m + 2) * k;
+    const double *col = table + lo * k;
+    double s = w - col[0];
+    double s2 = s * s, s3 = s2 * s;
+    for (int64_t j = 0; j < k; j++)
+        out[j] = ((col[row + j] * 1.0 + col[2 * row + j] * s) + col[3 * row + j] * s2)
+                 + col[4 * row + j] * s3;
+}
+
+/* One chunk of frame.simulate_reduced for P paths of d deviations: step i
+   writes the phases into taus[i] and the deviations over zs[i] (its kicks
+   until then), starting from tau and z.  Returns the first step where some
+   path has a non-finite phase or a component of z outside [-trust, trust]
+   (or NaN), after all paths of that step, else -1. */
+int64_t nc_reduced(const double *knots, int64_t m, const double *j0_table,
+                   const double *speed_table, int64_t d, int64_t P, int64_t span,
+                   double period, double h, double trust, const double *tau,
+                   const double *z, const double *phase_kick, double *taus, double *zs,
+                   double *J)
+{
+    for (int64_t i = 0; i < span; i++) {
+        double *tau_next = taus + i * P, *z_next = zs + i * P * d;
+        int bad = 0;
+        for (int64_t p = 0; p < P; p++) {
+            double w = remainder_of(tau[p], period), speed;
+            spline(speed_table, knots, m, 1, w, &speed);
+            double noise = phase_kick[i * P + p] / speed;
+            tau_next[p] = (tau[p] + h) + noise;
+            bad |= !isfinite(tau_next[p]);
+            /* J z = sum_j J[:, j] z_j from j = 0 upwards; then
+               (z + (J z) h) + kick */
+            spline(j0_table, knots, m, d * d, w, J);
+            const double *zp = z + p * d;
+            double *out = z_next + p * d;
+            for (int64_t k = 0; k < d; k++) {
+                double drift = J[k * d] * zp[0];
+                for (int64_t j = 1; j < d; j++)
+                    drift = drift + J[k * d + j] * zp[j];
+                out[k] = (zp[k] + drift * h) + out[k];
+                bad |= !(fabs(out[k]) <= trust);
+            }
+        }
+        if (bad)
+            return i;
+        tau = tau_next;
+        z = z_next;
+    }
+    return -1;
+}
 """
 
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_NAME = hashlib.sha256((_SOURCE + " ".join(_FLAGS)).encode()).hexdigest() + ".so"
+_LIBS = ("-lm",)  # after the source, where the linker looks for fmod
+_NAME = hashlib.sha256((_SOURCE + " ".join(_FLAGS + _LIBS)).encode()).hexdigest() + ".so"
 
 # state dimension each C drift is written for; None: any
 _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
@@ -139,6 +225,7 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
 _ARGTYPES = [_P, _I, _I, _I, _I, _P, _P, _P, _P, _D, _D, _D, _D, _D, _P]
+_REDUCED_ARGTYPES = [_P, _I, _P, _P, _I, _I, _I, _D, _D, _D, _P, _P, _P, _P, _P, _P]
 
 # cache file -> loaded library, or None when it could not be built or loaded
 _loaded: dict = {}
@@ -176,7 +263,7 @@ def _build(target: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp],
+            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp, *_LIBS],
             input=_SOURCE, text=True, capture_output=True, check=True,
         )
         os.replace(tmp, target)
@@ -196,6 +283,7 @@ def _library():
             for name in _DIMENSION:
                 fn = getattr(lib, f"nc_{name}")
                 fn.argtypes, fn.restype = _ARGTYPES, _I
+            lib.nc_reduced.argtypes, lib.nc_reduced.restype = _REDUCED_ARGTYPES, _I
         except (OSError, subprocess.SubprocessError):
             lib = None
         _loaded[target] = lib
@@ -237,6 +325,49 @@ def loop_for(system) -> Optional[Callable]:
             coefs.ctypes.data, n, P, span, int(rk15), y.ctypes.data, path.ctypes.data,
             dz.ctypes.data, offsets.ctypes.data, dt, dt_m, two_sq, dt_4, trust,
             work.ctypes.data,
+        )
+
+    return loop
+
+
+def reduced_loop(knots, j0_table, speed_table, period, h) -> Optional[Callable]:
+    """The compiled chunk loop of ``frame.simulate_reduced``, or None for
+    its numpy loop.
+
+    ``knots`` and the two tables are ``simulate_reduced``'s; ``period`` and
+    the step ``h`` must round like float64 in numpy, or the numpy loop runs.
+    The loop is called as ``loop(tau, z, phase_kick, taus, zs, trust)`` with
+    a chunk's arrays, writes ``taus`` and ``zs`` as the numpy loop does and
+    returns the first diverging chunk step, or -1.
+    """
+    if not all(np.result_type(x, np.float64) == np.float64 for x in (knots, period, h)):
+        return None
+    lib = _library()
+    if lib is None:
+        return None
+    knots = np.ascontiguousarray(knots, dtype=np.float64)
+    m = knots.size - 1
+    j0_table = np.ascontiguousarray(j0_table, dtype=np.float64)
+    speed_table = np.ascontiguousarray(speed_table, dtype=np.float64)
+    d2 = j0_table.shape[2]
+    if j0_table.shape != (5, m + 2, d2) or speed_table.shape != (5, m + 2, 1):
+        raise ValueError("the reduced loop got tables of mismatched shapes")
+    J = np.empty(d2)
+
+    def loop(tau, z, phase_kick, taus, zs, trust):
+        span, P, d = zs.shape
+        # the C loop writes into taus and zs and reads the rest in place
+        for a in (tau, z, phase_kick, taus, zs):
+            if not (a.dtype == np.float64 and a.flags.c_contiguous):
+                raise ValueError("the reduced loop needs C-contiguous float64 arrays")
+        if (tau.shape, z.shape, phase_kick.shape, taus.shape, d * d) != (
+            (P,), (P, d), (span, P), (span, P), d2
+        ):
+            raise ValueError("the reduced loop got arrays of mismatched shapes")
+        return lib.nc_reduced(
+            knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, P,
+            span, period, h, trust, tau.ctypes.data, z.ctypes.data,
+            phase_kick.ctypes.data, taus.ctypes.data, zs.ctypes.data, J.ctypes.data,
         )
 
     return loop

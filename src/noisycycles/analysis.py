@@ -92,6 +92,8 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
     n = x.size
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    if not (max_lag >= 0.0 and np.isfinite(max_lag)):
+        raise ConfigError(f"max_lag must be finite and >= 0, got {max_lag}")
     k_max = int(np.floor(max_lag / dt + 1e-9))
     if max_lag > n * dt / 2.0:
         raise ConfigError(

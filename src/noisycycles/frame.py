@@ -36,6 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
+from . import _stepkernel
 from .exceptions import (
     ConfigError,
     FixedPointError,
@@ -204,6 +205,8 @@ def find_limit_cycle(
         )
     if grid_size < 8:
         raise ConfigError("grid_size must be at least 8")
+    if not (transient_time > 0.0 and np.isfinite(transient_time)):
+        raise ConfigError(f"transient_time must be positive and finite, got {transient_time}")
 
     def check_not_fixed_point(y):
         sp = np.linalg.norm(f(y))
@@ -518,6 +521,49 @@ def _evaluator(table, knots, out):
     return evaluate
 
 
+def _reduced_loop(knots, j0_table, speed_table, period, h, p, d):
+    """The numpy chunk loop of :func:`simulate_reduced` for ``p`` paths of
+    ``d`` deviations, the reference for ``_stepkernel.reduced_loop``: called
+    the same way, with the same results.
+
+    The phase recursion does not read z, so a chunk first advances tau for
+    all its steps, then evaluates J0 at all the stored phases at once, then
+    advances z, summing J0 z over the columns of J0 from the first upwards.
+    """
+    add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
+    speed = np.empty((p, 1))
+    speed_at = _evaluator(speed_table, knots, speed)
+    noise = speed[:, 0]  # overwritten with kick / speed each step
+    drift = np.empty((p, d))
+    term = np.empty((p, d))
+
+    def loop(tau, z, phase_kick, taus, zs, trust):
+        span = len(taus)
+        wrapped = np.empty((span, p))  # kept for J0
+        for i in range(span):
+            w = mod(tau, period, out=wrapped[i])
+            speed_at(w)
+            divide(phase_kick[i], noise, out=noise)
+            tau = add(tau, h, out=taus[i])
+            add(tau, noise, out=tau)
+        J = np.empty((span, p, d * d))
+        _evaluator(j0_table, knots, J)(wrapped)
+        J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
+        for i in range(span):
+            # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
+            multiply(J[0, i], z[:, :1], out=drift)
+            for j in range(1, d):
+                multiply(J[j, i], z[:, j:j + 1], out=term)
+                add(drift, term, out=drift)
+            multiply(drift, h, out=drift)
+            add(z, drift, out=drift)
+            z = add(drift, zs[i], out=zs[i])
+        ok = ((np.abs(zs) <= trust).all(axis=2) & np.isfinite(taus)).all(axis=1)
+        return -1 if ok.all() else int(np.argmax(~ok))
+
+    return loop
+
+
 def simulate_reduced(
     model: ReducedModel,
     cycle: CycleParameterization,
@@ -540,10 +586,12 @@ def simulate_reduced(
     once in a gather table (``_spline_table``), and a phase w picks its
     interval with ``searchsorted`` and sums the cubic in s = w - knot with
     the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
-    so every value equals the spline's bit for bit.  The phase recursion
-    does not read z, so each chunk first advances tau for all its steps,
-    then evaluates J0 at all the stored phases at once, then advances z,
-    summing J0 z over the columns of J0 from the first upwards.
+    so every value equals the spline's bit for bit.  Numpy draws each
+    chunk's normals and forms the kicks; the steps of the chunk run in the
+    compiled loop of ``_stepkernel.reduced_loop``, which makes the same
+    floating-point operations in the same order as the numpy loop
+    (``_reduced_loop``).  The numpy loop is the reference, and it runs
+    instead, with the same results, where the loop cannot be compiled.
 
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
     on the cycle at phase zero.  With ``n_paths`` set, member k uses
@@ -564,6 +612,8 @@ def simulate_reduced(
     """
     record_every = _validated_record_every(config, record_every)
     n = cycle.dimension
+    if n < 2:
+        raise ConfigError(f"a reduced model needs a cycle of dimension >= 2, got {n}")
     d = n - 1
     z_init, tau_init = _phase_initial(config.initial_state, n)
 
@@ -586,18 +636,14 @@ def simulate_reduced(
     z = np.tile(z_init, (p, 1))
     tau_out[:, 0] = tau
     z_out[:, 0] = z
-    # the sums over j below start at j = 0, not at +0.0; a zero start
+    # the step loops sum J0 z from j = 0, not from +0.0; a zero start
     # turned a -0.0 deviation into +0.0 and no later state can be -0.0,
     # so adding +0.0 once here keeps every value
     z += 0.0
 
-    add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
-    speed = np.empty((p, 1))
-    speed_at = _evaluator(speed_table, knots, speed)
-    noise = speed[:, 0]  # overwritten with kick / speed each step
-    drift = np.empty((p, d))
-    term = np.empty((p, d))
-
+    loop = _stepkernel.reduced_loop(knots, j0_table, speed_table, period, h) or _reduced_loop(
+        knots, j0_table, speed_table, period, h, p, d
+    )
     # a diverging path overflows before the chunk is scanned; the scan
     # raises DivergenceError instead of the warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -605,36 +651,16 @@ def simulate_reduced(
             xi = _normals(rngs, span, n)[..., 0]
             zs = kick_scale * xi[..., :d]  # step i writes its z over row i
             phase_kick = kick_scale * xi[..., d]
-            # the phase first: its recursion never reads z
-            wrapped = np.empty((span, p))  # kept for J0
             taus = np.empty((span, p))
-            for i in range(span):
-                w = mod(tau, period, out=wrapped[i])
-                speed_at(w)
-                divide(phase_kick[i], noise, out=noise)
-                tau = add(tau, h, out=taus[i])
-                add(tau, noise, out=tau)
-            J = np.empty((span, p, d * d))
-            _evaluator(j0_table, knots, J)(wrapped)
-            J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
-            for i in range(span):
-                # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
-                multiply(J[0, i], z[:, :1], out=drift)
-                for j in range(1, d):
-                    multiply(J[j, i], z[:, j:j + 1], out=term)
-                    add(drift, term, out=drift)
-                drift *= h
-                add(z, drift, out=drift)
-                z = add(drift, zs[i], out=zs[i])
-            ok = (np.abs(zs) <= TRUST_RADIUS).all(axis=2) & np.isfinite(taus)
-            if not ok.all():
-                i = int(np.argmax(~ok.all(axis=1)))
-                _diverged(ok[i], done + i, path_ids)
+            bad = loop(tau, z, phase_kick, taus, zs, TRUST_RADIUS)
+            if bad >= 0:
+                ok = (np.abs(zs[bad]) <= TRUST_RADIUS).all(axis=1) & np.isfinite(taus[bad])
+                _diverged(ok, done + bad, path_ids)
             _record(tau_out.T, taus, done, record_every)
             _record(z_out.swapaxes(0, 1), zs, done, record_every)
             # free this chunk's arrays before the next draw allocates its own
-            tau, z = tau.copy(), z.copy()
-            del xi, zs, phase_kick, wrapped, taus, J
+            tau, z = taus[-1].copy(), zs[-1].copy()
+            del xi, zs, phase_kick, taus
 
     if path_ids is None:
         return tau_out[0], z_out[0]

@@ -440,7 +440,9 @@ def _labels(dimension, channel_labels):
 
 
 def _validated_record_every(config, record_every):
-    if record_every < 1 or config.n_steps % record_every:
+    if record_every < 1:
+        raise ConfigError(f"record_every must be >= 1, got {record_every}")
+    if config.n_steps % record_every:
         raise ConfigError(
             f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
         )

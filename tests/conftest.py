@@ -1,6 +1,17 @@
-"""Session-wide test settings."""
+"""Session-wide test settings, and helpers that run a simulation with the
+compiled step loops and with the numpy loops they must equal."""
 
+import contextlib
+import shutil
+
+import numpy as np
 import pytest
+
+from noisycycles import DivergenceError, _stepkernel
+
+requires_compiler = pytest.mark.skipif(
+    shutil.which(_stepkernel._COMPILER) is None, reason="no C compiler"
+)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -10,3 +21,24 @@ def _kernel_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         yield
+
+
+@contextlib.contextmanager
+def numpy_loop():
+    # what a host without a compiler runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_stepkernel, "_library", lambda: None)
+        yield
+
+
+def compiled_and_numpy(run):
+    """``run()`` with the compiled loops, then with the numpy loops; a
+    divergence is compared by message, step and path."""
+    outcomes = []
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, np.errstate(over="ignore", invalid="ignore"):
+            try:
+                outcomes.append(run())
+            except DivergenceError as err:
+                outcomes.append((str(err), err.step_index, err.path_index))
+    return outcomes

@@ -49,6 +49,19 @@ def test_sample_acv_rejects_lags_beyond_half_the_span():
         sample_acv(np.zeros(100), 0.1, max_lag=6.0)
 
 
+@pytest.mark.parametrize("max_lag", [-0.1, np.nan, np.inf])
+def test_sample_acv_needs_a_finite_nonnegative_lag(max_lag):
+    with pytest.raises(ConfigError, match=r"^max_lag must be finite and >= 0, got "):
+        sample_acv(np.zeros(100), 0.1, max_lag=max_lag)
+
+
+def test_sample_acv_at_lag_zero_is_the_variance():
+    x = np.random.default_rng(3).normal(size=200)
+    est = sample_acv(x, 0.1, max_lag=0.0)
+    assert est.lags.tolist() == [0.0]
+    assert est.values == pytest.approx([np.mean((x - x.mean()) ** 2)], abs=1e-12)
+
+
 def test_periodogram_matches_direct_dft():
     rng = np.random.default_rng(2)
     dt = 0.5

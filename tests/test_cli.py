@@ -288,18 +288,25 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
     (("simulate", "--model", "hopf-exact", "--periods", "nan"),
      "noisycycles: error: --periods must be positive and finite, got nan"),
     (("simulate", "--model", "hopf-exact", "--periods", "1", "--record-every", "0"),
-     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+     "noisycycles simulate: error: record_every must be >= 1, got 0"),
     (("simulate", "--model", "hopf-linear", "--periods", "1", "--record-every", "0"),
-     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+     "noisycycles simulate: error: record_every must be >= 1, got 0"),
     (("simulate", "--model", "reduced", "--periods", "1", "--record-every", "0",
       "--grid-size", "256"),
-     "noisycycles simulate: error: record_every must divide n_steps (1000), got 0"),
+     "noisycycles simulate: error: record_every must be >= 1, got 0"),
     (("decompose", "--system", "hopf", "--substeps", "0"),
      "noisycycles decompose: error: substeps must be >= 1, got 0"),
     (("decompose", "--system", "hopf", "--substeps", "-1"),
      "noisycycles decompose: error: substeps must be >= 1, got -1"),
+    (("decompose", "--system", "hopf", "--transient", "nan"),
+     "noisycycles decompose: error: transient_time must be positive and finite, got nan"),
+    (("decompose", "--system", "hopf", "--transient", "0"),
+     "noisycycles decompose: error: transient_time must be positive and finite, got 0.0"),
+    (("decompose", "--system", "hopf", "--transient", "-1"),
+     "noisycycles decompose: error: transient_time must be positive and finite, got -1.0"),
 ], ids=["dt-0-periods", "dt-0-steps", "periods-nan", "record-every-0-exact",
-        "record-every-0-linear", "record-every-0-reduced", "substeps-0", "substeps-neg"])
+        "record-every-0-linear", "record-every-0-reduced", "substeps-0", "substeps-neg",
+        "transient-nan", "transient-0", "transient-neg"])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert _call(*argv, "--nsr", "0.1", "--output", str(tmp_path / "x.csv")) == 1
     out, err = capsys.readouterr()
@@ -320,6 +327,18 @@ def test_kde_arguments_are_usage_errors(capsys, simulated_csv, flags, code, mess
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"noisycycles analyze: {message}\n"
+
+
+@pytest.mark.parametrize("max_lag", ["-1", "nan"])
+def test_acv_max_lag_must_be_finite_and_nonnegative(capsys, simulated_csv, max_lag):
+    argv = ("analyze", "--what", "acv", "--input", str(simulated_csv), "--column", "x")
+    assert _call(*argv, "--max-lag", max_lag) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "noisycycles analyze: error: max_lag must be finite and >= 0, "
+        f"got {float(max_lag)}\n"
+    )
 
 
 def test_kde_of_a_constant_sample_stays_a_numerical_failure(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cycle detection, frame transport, reduction, and reconstruction."""
 
+import contextlib
 import dataclasses
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.interpolate import CubicSpline
 
 from noisycycles import (
     ConfigError,
+    CycleParameterization,
     DivergenceError,
     FixedPointError,
     HopfParams,
@@ -30,8 +32,11 @@ from noisycycles import (
     simulate_reduced,
     van_der_pol,
 )
+from noisycycles import _stepkernel
 from noisycycles.frame import _evaluator, _nearest_orthogonal, _periodic_spline, _spline_table
 from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
+
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler
 
 TAU = 2.0 * np.pi
 
@@ -161,6 +166,12 @@ def test_noisy_system_is_rejected():
         find_limit_cycle(noisy, (0.3, 0.0))
 
 
+@pytest.mark.parametrize("transient_time", [np.nan, 0.0, -1.0, np.inf])
+def test_cycle_search_needs_a_positive_finite_transient(transient_time):
+    with pytest.raises(ConfigError, match=r"^transient_time must be positive and finite, got "):
+        find_limit_cycle(_quiet_hopf(), (0.3, 0.0), transient_time=transient_time)
+
+
 @pytest.mark.parametrize("substeps", [0, -1])
 def test_frame_needs_a_substep(hopf_cycle, substeps):
     with pytest.raises(ConfigError, match="substeps must be >= 1"):
@@ -239,6 +250,20 @@ def test_phase_deviation_simulators_share_one_initial_state_check(hopf_cycle, ho
             simulate_reduced(model, hopf_cycle, config)
         with pytest.raises(ConfigError, match=message):
             simulate_hopf_linear(params, config)
+
+
+def test_a_one_dimensional_cycle_has_no_reduced_model():
+    m = 16
+    grid = np.arange(m) / m
+    line = CycleParameterization(
+        period=1.0, grid=grid, L=grid[:, None], f_on_L=np.ones((m, 1)), T=np.ones((m, 1)),
+        J=np.zeros((m, 1, 1)), kappa=np.zeros(m), speed=np.ones(m),
+    )
+    model = ReducedModel(J0=np.zeros((m, 0, 0)), speed=np.ones(m), sigma=0.1)
+    message = r"^a reduced model needs a cycle of dimension >= 2, got 1$"
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, pytest.raises(ConfigError, match=message):
+            simulate_reduced(model, line, IntegratorConfig(dt=1e-3, n_steps=10))
 
 
 def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):
@@ -405,10 +430,12 @@ def test_reduced_run_is_bitwise_the_spline_loop(
     cycle = request.getfixturevalue(cycle_name)
     model = reduce(cycle, build_frame(cycle), sigma)
     config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=29, initial_state=initial)
-    got = simulate_reduced(model, cycle, config, record_every, n_paths)
     want = _spline_loop(model, cycle, config, record_every, n_paths)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    for got in compiled_and_numpy(
+        lambda: simulate_reduced(model, cycle, config, record_every, n_paths)
+    ):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
@@ -427,11 +454,94 @@ def test_reduced_run_from_negative_zero_is_bitwise_the_spline_loop(
     config = IntegratorConfig(
         dt=1e-3, n_steps=600, seed=31, initial_state=(-0.0,) * d + (tau0,)
     )
-    got = simulate_reduced(model, cycle, config, 1, n_paths)
     want = _spline_loop(model, cycle, config, 1, n_paths)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert np.signbit(got[1][..., 0, :]).all()
+    for got in compiled_and_numpy(lambda: simulate_reduced(model, cycle, config, 1, n_paths)):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.signbit(got[1][..., 0, :]).all()
+
+
+@pytest.fixture(scope="module")
+def reduced_models(hopf_cycle, hopf_frame, vdp_cycle, cycle_3d):
+    """Cycle and noise-free reduced model of a planar and a 3-D cycle each."""
+    return {
+        "hopf": (hopf_cycle, reduce(hopf_cycle, hopf_frame, 0.0)),
+        "van der pol": (vdp_cycle, reduce(vdp_cycle, build_frame(vdp_cycle), 0.0)),
+        "3-d": (cycle_3d, reduce(cycle_3d, build_frame(cycle_3d), 0.0)),
+    }
+
+
+# (z0 ..., tau0) of length n for a cycle: tau0 = -1e-300 wraps to exactly the
+# period, the splines' wrap edge; 1e4 periods wrap with a rounded remainder
+_STARTS = {
+    "zero": lambda cycle, d: (),
+    "wrap edge": lambda cycle, d: (0.05,) * d + (-1e-300,),
+    "1e4 periods": lambda cycle, d: (-0.02,) * d + (1e4 * cycle.period,),
+    "negative zero": lambda cycle, d: (-0.0,) * d + (0.37 * cycle.period,),
+}
+
+
+@requires_compiler
+@settings(max_examples=15, deadline=None)
+@given(
+    name=st.sampled_from(["hopf", "van der pol", "3-d"]),
+    n_paths=st.none() | st.integers(1, 40),
+    record_every=st.integers(1, 7),
+    beyond=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.05, 0.3]),
+    start=st.sampled_from(sorted(_STARTS)),
+)
+@example(name="3-d", n_paths=None, record_every=7, beyond=2, sigma=0.0, start="negative zero")
+@example(name="van der pol", n_paths=20, record_every=5, beyond=1, sigma=0.3, start="wrap edge")
+@example(name="hopf", n_paths=40, record_every=3, beyond=40, sigma=0.05, start="1e4 periods")
+def test_compiled_reduced_loop_is_bitwise_the_numpy_loop(
+    reduced_models, name, n_paths, record_every, beyond, sigma, start
+):
+    # the steps run past the first chunk of _CHUNK // P steps
+    cycle, model = reduced_models[name]
+    model = dataclasses.replace(model, sigma=sigma)
+    n_steps = record_every * (_CHUNK // (n_paths or 1) // record_every + beyond)
+    initial = _STARTS[start](cycle, cycle.dimension - 1)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=41, initial_state=initial)
+    compiled, reference = compiled_and_numpy(
+        lambda: [a.tobytes() for a in simulate_reduced(model, cycle, config, record_every, n_paths)]
+    )
+    assert compiled == reference
+
+
+@requires_compiler
+def test_simulate_reduced_runs_the_compiled_loop(vdp_cycle, monkeypatch):
+    taken = []
+    reduced_loop = _stepkernel.reduced_loop
+
+    def spy(*args):
+        loop = reduced_loop(*args)
+        taken.append(loop is not None)
+        return loop
+
+    monkeypatch.setattr(_stepkernel, "reduced_loop", spy)
+    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
+    simulate_reduced(model, vdp_cycle, IntegratorConfig(dt=1e-3, n_steps=50), n_paths=3)
+    assert taken == [True]
+
+
+def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monkeypatch):
+    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
+    config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(0.05, 0.37))
+
+    def run():
+        return [a.tobytes() for a in simulate_reduced(model, vdp_cycle, config, n_paths=5)]
+
+    expected = run()
+    knots = np.append(vdp_cycle.grid, vdp_cycle.period)
+    table = _spline_table(vdp_cycle.grid, model.speed, vdp_cycle.period)
+    # a step that numpy would not round as float64 keeps the numpy loop
+    period = vdp_cycle.period
+    assert _stepkernel.reduced_loop(knots, table, table, period, np.longdouble(1e-3)) is None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
+    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3) is None
+    assert run() == expected
 
 
 @settings(max_examples=10, deadline=None)
@@ -469,24 +579,27 @@ def _unstable(cycle, rate, sigma, speed=1.0):
 def test_reduced_divergence_reports_step_and_path(hopf_cycle):
     # z grows by 1.05 per step from 1: |z| first exceeds the trust radius
     # after step 283 (1.05^284 > 1e6 > 1.05^283); the run overflows long
-    # before its 16000 steps end, which must not surface as a warning
+    # before its 16000 steps end, which must not surface as a warning; the
+    # compiled and the numpy loop raise the same errors
     model = _unstable(hopf_cycle, 50.0, 0.0)
     config = IntegratorConfig(dt=1e-3, n_steps=16000, seed=3, initial_state=(1.0, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            simulate_reduced(model, hopf_cycle, config)
-        assert (err.value.step_index, err.value.path_index) == (283, None)
-        assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283"
-        # every member diverges at once: the lowest path is reported
-        with pytest.raises(DivergenceError) as err:
-            simulate_reduced(model, hopf_cycle, config, n_paths=3)
-        assert (err.value.step_index, err.value.path_index) == (283, 0)
-        # a phase that stops being finite: kick / speed overflows at step 0
-        tiny = _unstable(hopf_cycle, -1.0, 1.0, speed=1e-320)
-        with pytest.raises(DivergenceError) as err:
-            simulate_reduced(tiny, hopf_cycle, config)
-        assert err.value.step_index == 0
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate_reduced(model, hopf_cycle, config)
+            assert (err.value.step_index, err.value.path_index) == (283, None)
+            assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283"
+            # every member diverges at once: the lowest path is reported
+            with pytest.raises(DivergenceError) as err:
+                simulate_reduced(model, hopf_cycle, config, n_paths=3)
+            assert (err.value.step_index, err.value.path_index) == (283, 0)
+            assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283 (path 0)"
+            # a phase that stops being finite: kick / speed overflows at step 0
+            tiny = _unstable(hopf_cycle, -1.0, 1.0, speed=1e-320)
+            with pytest.raises(DivergenceError) as err:
+                simulate_reduced(tiny, hopf_cycle, config)
+            assert err.value.step_index == 0
 
 
 def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence(hopf_cycle):
@@ -503,12 +616,13 @@ def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence(hopf_cycle)
             solo.append((err.step_index, k))
     step, path = min(solo)  # lowest member index on a tie
     assert step > _CHUNK // n_paths
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
-    assert (err.value.step_index, err.value.path_index) == (step, path)
-    assert str(err.value).endswith(f"at step {step} (path {path})")
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
+        assert (err.value.step_index, err.value.path_index) == (step, path)
+        assert str(err.value).endswith(f"at step {step} (path {path})")
 
 
 def _member(config, k):

@@ -1,8 +1,6 @@
 """Core integrator behavior: seeding, schemes, convergence, guard rails."""
 
-import contextlib
 import dataclasses
-import shutil
 import stat
 import warnings
 from pathlib import Path
@@ -30,6 +28,8 @@ from noisycycles import (
 )
 from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK, _chunks, _members, _record
+
+from conftest import compiled_and_numpy, requires_compiler
 
 TAU = 2.0 * np.pi
 
@@ -175,32 +175,6 @@ def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
 # ---------------------------------------------------------------------------
 # the compiled step loop against the numpy loop
 
-requires_compiler = pytest.mark.skipif(
-    shutil.which(_stepkernel._COMPILER) is None, reason="no C compiler"
-)
-
-
-@contextlib.contextmanager
-def _numpy_loop():
-    # what a host without a compiler runs
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_stepkernel, "_library", lambda: None)
-        yield
-
-
-def _compiled_and_numpy(run):
-    """``run()`` with the compiled loop, then with the numpy loop; a
-    divergence is compared by message, step and path."""
-    outcomes = []
-    for loop in (contextlib.nullcontext(), _numpy_loop()):
-        with loop, np.errstate(over="ignore", invalid="ignore"):
-            try:
-                outcomes.append(run())
-            except DivergenceError as err:
-                outcomes.append((str(err), err.step_index, err.path_index))
-    return outcomes
-
-
 def _full_noise(system):
     n = system.dimension
     matrix = 0.1 * np.arange(1.0, n * n + 1).reshape(n, n) - 0.15 * np.eye(n)
@@ -244,7 +218,7 @@ def test_compiled_loop_is_bitwise_the_numpy_loop(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
         initial_state=initial[:system.dimension],
     )
-    compiled, reference = _compiled_and_numpy(
+    compiled, reference = compiled_and_numpy(
         lambda: [tr.values.tobytes() for tr in integrate_ensemble(
             system, config, n_paths=n_paths, record_every=record_every
         )]
@@ -262,7 +236,7 @@ def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
     for name in ("van-der-pol", "ou-3-full-noise"):
         system = _KERNEL_SYSTEMS[name]
         y0 = (2.0, -0.0, 0.5)[:system.dimension]
-        compiled, reference = _compiled_and_numpy(
+        compiled, reference = compiled_and_numpy(
             lambda: strong_order_estimate(
                 system, y0, 0.5, (0.02, 0.01, 0.005), n_paths=8, scheme=scheme, seed=3
             ).rms_errors.tobytes()
@@ -271,7 +245,7 @@ def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
         rng = np.random.default_rng(4)
         dw, dz = 0.05 * rng.standard_normal((2, 300, 6, system.dimension, 2))[..., ::2, :, 0]
         start = np.tile(y0, (3, 1))
-        compiled, reference = _compiled_and_numpy(
+        compiled, reference = compiled_and_numpy(
             lambda: _run(system, scheme, start, 0.01, 300, _ArraySource(dw, dz), 3).tobytes()
         )
         assert compiled == reference
@@ -287,7 +261,7 @@ def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
         with pytest.raises(DivergenceError) as err:
             integrate_ensemble(system, config, n_paths=40)
     assert err.value.step_index > _CHUNK // 40
-    compiled, reference = _compiled_and_numpy(
+    compiled, reference = compiled_and_numpy(
         lambda: integrate_ensemble(system, config, n_paths=40)
     )
     assert compiled == reference == (str(err.value), err.value.step_index, err.value.path_index)
