@@ -1,37 +1,56 @@
-"""Compiled per-step loops of ``sde._run`` for the drifts the package
-builds, and of ``frame.simulate_reduced``.
+"""Compiled loops of ``sde._run`` for the drifts the package builds, and of
+``frame.simulate_reduced``.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a C drift below, the
 coefficients that drift binds, and the drift function it describes.
-:func:`loop_for` gives ``sde._run`` the C loop of such a system, and
+:func:`loop_for` gives ``sde._run`` the member loop of such a system, and
 :func:`reduced_loop` gives ``simulate_reduced`` the C loop of the reduced
 phase/deviation SDE.  Each C loop runs every floating-point operation of
 its numpy loop, in the same order and with the same operands, so its
-results are bitwise the same; the numpy loops are the reference.  Numpy
-still draws the increments, forms the kicks and S dW and slices the
-records; only the loop over steps and paths runs here.
+results are bitwise the same; the numpy loops are the reference.
+
+The member loop runs one member at a time through its steps and writes
+only the recorded rows.  With a diagonal noise matrix (every system the
+package builds) it also draws each step's normals from the member's
+Philox generator with numpy's own ziggurat (``random_standard_normal_fill``
+from numpy's static ``libnpyrandom.a``, which gives the bytes of
+``Generator.standard_normal``) and forms dW, dZ and S dW itself; with a
+full noise matrix numpy draws and forms them and the loop reads them.
+Members are split into contiguous blocks, one per CPU this process may run
+on (at most one per member), each block in a thread of its own; ctypes
+releases the GIL for the call.  A member owns its generator, its state and
+its rows, so the split changes no value.  ``simulate_reduced`` still draws
+its kicks with numpy.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 into ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
-under the sha256 of its source and flags.  ``-ffp-contract=off`` keeps gcc
-from fusing a multiply and an add into one FMA, which rounds once where
-numpy rounds twice.  Without a compiler, or without a writable cache, the
-numpy loop runs instead, with the same results.
+under the sha256 of its source, flags and numpy version, and a build
+removes the builds of other hashes.  ``-ffp-contract=off`` keeps gcc from
+fusing a multiply and an add into one FMA, which rounds once where numpy
+rounds twice.  Without numpy's static library or the Python headers the
+member loop reads numpy's draws; without a compiler, or without a
+writable cache, the numpy loop runs instead, with the same results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import subprocess
+import sysconfig
 import tempfile
+import threading
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 _SOURCE = r"""
+#ifdef NC_DRAW
+#include <numpy/random/distributions.h> /* Python.h first, as it asks */
+#endif
 #include <math.h>
 #include <stdint.h>
 
@@ -63,68 +82,129 @@ static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *
         out[k] = -c[0] * s[k];
 }
 
-/* One chunk of sde._run: step i overwrites row i of path (its S dW) with
-   the new states.  Returns the first step with a component outside
-   [-trust, trust] (or NaN), after all paths of that step, else -1. */
-static inline int64_t run(drift_fn f, const double *c, int64_t n, int64_t P,
-                          int64_t span, int64_t rk15, const double *y, double *path,
-                          const double *dz, const double *off, double dt, double dt_m,
-                          double two_sq, double dt_4, double trust, double *work)
+#ifdef NC_DRAW
+/* One step's increments from the member's generator, as _IncrementSource
+   forms them from sde._normals: 2n normals u in (dim, 2) order, dW_j =
+   sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).  S dW_j = 0.0 + s_j dW_j for
+   the diagonal s of a diagonal S: the product's sum over k from +0.0
+   adds only zeros besides s_j dW_j, which leave it unchanged when it is
+   not zero and make a zero +0.0. */
+static inline void draw(void *gen, int64_t n, const double *s, const double *k,
+                        double *u, double *w, double *z)
 {
-    const int64_t m = n, mn = n * n;
-    double *a0 = work, *base = work + n, *st = work + 2 * n, *A = st + 2 * mn;
-    for (int64_t i = 0; i < span; i++) {
-        double *row = path + i * P * n;
-        int bad = 0;
-        for (int64_t p = 0; p < P; p++) {
-            const double *yp = y + p * n;
-            double *out = row + p * n;
-            f(c, n, yp, a0);
+    random_standard_normal_fill((bitgen_t *)gen, 2 * n, u);
+    for (int64_t j = 0; j < n; j++) {
+        double dw = k[0] * u[2 * j];
+        z[j] = k[1] * (u[2 * j] + k[2] * u[2 * j + 1]);
+        w[j] = 0.0 + s[j] * dw;
+    }
+}
+#endif
+
+int64_t nc_draws(void)
+{
+#ifdef NC_DRAW
+    return 1;
+#else
+    return 0;
+#endif
+}
+
+/* Members [0, count) of sde._run, one after another: member p runs steps
+   done + i, i < span, from its state at y + p n, which ends holding its
+   last state, and writes the state after step t into row t / record_every
+   of rec when record_every divides t.  Its S dW and dZ for step i are at
+   sdw and dz + (i P + p) n, or, when sdw is NULL, drawn from gens[p] with
+   the diagonal s of S (draw).  Rows of y, rec, sdw and dz hold P n values.
+   bad[p] is the first step at which a component of the member leaves
+   [-trust, trust] (or is NaN), where it stops, else -1.
+   k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, then draw's sq, zc, inv3). */
+static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
+                           int64_t count, int64_t done, int64_t span,
+                           int64_t record_every, int64_t rk15, double *y, double *rec,
+                           const double *sdw, const double *dz, void *const *gens,
+                           const double *s, const double *off, const double *k,
+                           int64_t *bad, double *work)
+{
+    const int64_t m = n, mn = n * n, row = P * n;
+    const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
+    double *a0 = work, *base = a0 + n, *st = base + n, *A = st + 2 * mn;
+    double *cur = A + 2 * mn, *next = cur + n, *w = next + n, *z = w + n, *u = z + n;
+    (void)gens;
+    (void)s;
+    for (int64_t p = 0; p < count; p++) {
+        int64_t left = record_every - done % record_every; /* steps to the next record */
+        bad[p] = -1;
+        for (int64_t j = 0; j < n; j++)
+            cur[j] = y[p * n + j];
+        for (int64_t i = 0; i < span; i++) {
+            const double *wp = w, *zp = z;
+            if (sdw) {
+                wp = sdw + i * row + p * n;
+                zp = dz + i * row + p * n;
+            }
+#ifdef NC_DRAW
+            else
+                draw(gens[p], n, s, k + 5, u, w, z);
+#endif
+            f(c, n, cur, a0);
             if (rk15) {
-                for (int64_t k = 0; k < n; k++)
-                    base[k] = yp[k] + a0[k] * dt_m;
+                for (int64_t j = 0; j < n; j++)
+                    base[j] = cur[j] + a0[j] * dt_m;
                 for (int64_t j = 0; j < 2 * m; j++) {
-                    for (int64_t k = 0; k < n; k++)
-                        st[j * n + k] = base[k] + off[j * n + k];
+                    for (int64_t q = 0; q < n; q++)
+                        st[j * n + q] = base[q] + off[j * n + q];
                     f(c, n, st + j * n, A + j * n);
                 }
             }
-            for (int64_t k = 0; k < n; k++)
-                out[k] = (yp[k] + a0[k] * dt) + out[k];
+            for (int64_t q = 0; q < n; q++)
+                next[q] = (cur[q] + a0[q] * dt) + wp[q];
             if (rk15) {
-                const double *dzp = dz + (i * P + p) * m;
-                for (int64_t k = 0; k < n; k++) {
-                    double h = (A[k] - A[mn + k]) * dzp[0];
+                for (int64_t q = 0; q < n; q++) {
+                    double h = (A[q] - A[mn + q]) * zp[0];
                     for (int64_t j = 1; j < m; j++)
-                        h = h + (A[j * n + k] - A[mn + j * n + k]) * dzp[j];
-                    out[k] = out[k] + h / two_sq;
+                        h = h + (A[j * n + q] - A[mn + j * n + q]) * zp[j];
+                    next[q] = next[q] + h / two_sq;
                 }
-                for (int64_t k = 0; k < n; k++) {
-                    double twice = a0[k] * 2.0;
-                    double h = (A[k] + A[mn + k]) - twice;
+                for (int64_t q = 0; q < n; q++) {
+                    double twice = a0[q] * 2.0;
+                    double h = (A[q] + A[mn + q]) - twice;
                     for (int64_t j = 1; j < m; j++)
-                        h = h + ((A[j * n + k] + A[mn + j * n + k]) - twice);
-                    out[k] = out[k] + h * dt_4;
+                        h = h + ((A[j * n + q] + A[mn + j * n + q]) - twice);
+                    next[q] = next[q] + h * dt_4;
                 }
             }
-            for (int64_t k = 0; k < n; k++)
-                bad |= !(fabs(out[k]) <= trust);
+            int out = 0;
+            for (int64_t q = 0; q < n; q++)
+                out |= !(fabs(next[q]) <= trust);
+            if (out) {
+                bad[p] = done + i;
+                break;
+            }
+            double *t = cur;
+            cur = next;
+            next = t;
+            if (!--left) {
+                double *r = rec + (done + i + 1) / record_every * row + p * n;
+                for (int64_t q = 0; q < n; q++)
+                    r[q] = cur[q];
+                left = record_every;
+            }
         }
-        if (bad)
-            return i;
-        y = row;
+        for (int64_t j = 0; j < n; j++)
+            y[p * n + j] = cur[j];
     }
-    return -1;
 }
 
 #define KERNEL(name)                                                              \
-    int64_t nc_##name(const double *c, int64_t n, int64_t P, int64_t span,        \
-                      int64_t rk15, const double *y, double *path, const double *dz,\
-                      const double *off, double dt, double dt_m, double two_sq,   \
-                      double dt_4, double trust, double *work)                    \
+    void nc_##name(const double *c, int64_t n, int64_t P, int64_t count,          \
+                   int64_t done, int64_t span, int64_t record_every, int64_t rk15,\
+                   double *y, double *rec, const double *sdw, const double *dz,   \
+                   void *const *gens, const double *s, const double *off,         \
+                   const double *k, int64_t *bad, double *work)                   \
     {                                                                             \
-        return run(name, c, n, P, span, rk15, y, path, dz, off, dt, dt_m, two_sq, \
-                   dt_4, trust, work);                                            \
+        members(name, c, n, P, count, done, span, record_every, rk15, y, rec, sdw,\
+                dz, gens, s, off, k, bad, work);                                  \
     }
 
 KERNEL(hopf)
@@ -216,7 +296,29 @@ int64_t nc_reduced(const double *knots, int64_t m, const double *j0_table,
 _COMPILER = "gcc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)  # after the source, where the linker looks for fmod
-_NAME = hashlib.sha256((_SOURCE + " ".join(_FLAGS + _LIBS)).encode()).hexdigest() + ".so"
+
+
+def _draw_build():
+    """The compiler flags and libraries that link numpy's ziggurat into the
+    member loop (``NC_DRAW``), or two empty tuples when its static library
+    or the headers it needs are missing."""
+    lib_dir = os.path.join(os.path.dirname(np.__file__), "random", "lib")
+    includes = (np.get_include(), sysconfig.get_paths()["include"])
+    needed = (
+        os.path.join(lib_dir, "libnpyrandom.a"),
+        os.path.join(includes[0], "numpy", "random", "distributions.h"),
+        os.path.join(includes[1], "Python.h"),
+    )
+    if not all(os.path.exists(f) for f in needed):
+        return (), ()
+    return ("-DNC_DRAW", *(f"-I{d}" for d in includes)), (f"-L{lib_dir}", "-lnpyrandom")
+
+
+_DRAW_FLAGS, _DRAW_LIBS = _draw_build()
+# the ziggurat is linked statically, so numpy's version is part of the build
+_NAME = hashlib.sha256(
+    " ".join((_SOURCE, *_FLAGS, *_DRAW_FLAGS, *_DRAW_LIBS, *_LIBS, np.__version__)).encode()
+).hexdigest() + ".so"
 
 # state dimension each C drift is written for; None: any
 _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
@@ -224,8 +326,12 @@ _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
-_ARGTYPES = [_P, _I, _I, _I, _I, _P, _P, _P, _P, _D, _D, _D, _D, _D, _P]
+_ARGTYPES = [_P, _I, _I, _I, _I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P]
 _REDUCED_ARGTYPES = [_P, _I, _P, _P, _I, _I, _I, _D, _D, _D, _P, _P, _P, _P, _P, _P]
+
+# path-steps one call of the member loop runs, a few milliseconds' worth,
+# unless one member's span is longer
+_CALL_PATH_STEPS = 1 << 14
 
 # cache file -> loaded library, or None when it could not be built or loaded
 _loaded: dict = {}
@@ -263,13 +369,19 @@ def _build(target: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp, *_LIBS],
+            [_COMPILER, *_FLAGS, *_DRAW_FLAGS, "-x", "c", "-", "-o", tmp, *_DRAW_LIBS, *_LIBS],
             input=_SOURCE, text=True, capture_output=True, check=True,
         )
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # builds of other sources or flags; a process that loaded one keeps it
+    with contextlib.suppress(OSError):
+        for name in os.listdir(directory):
+            if name.endswith(".so") and name != os.path.basename(target):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(directory, name))
 
 
 def _library():
@@ -282,7 +394,8 @@ def _library():
             lib = ctypes.CDLL(target)
             for name in _DIMENSION:
                 fn = getattr(lib, f"nc_{name}")
-                fn.argtypes, fn.restype = _ARGTYPES, _I
+                fn.argtypes, fn.restype = _ARGTYPES, None
+            lib.nc_draws.restype = _I
             lib.nc_reduced.argtypes, lib.nc_reduced.restype = _REDUCED_ARGTYPES, _I
         except (OSError, subprocess.SubprocessError):
             lib = None
@@ -290,13 +403,68 @@ def _library():
     return _loaded[target]
 
 
+def _threads(P) -> int:
+    """Threads for ``P`` members: one per CPU this process may run on, at
+    most ``P``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, P))
+
+
+def _in_threads(run, P, group) -> None:
+    """``run(a, b)`` over contiguous groups [a, b) of at most ``group`` of
+    ``P`` members, split into one block of groups per thread (``_threads``),
+    the first block in this thread.  This thread handles signals between
+    two calls.  When a call raises (KeyboardInterrupt, say), the other
+    threads stop after their current call and this thread raises it."""
+    t = _threads(P)
+    edges = [P * j // t for j in range(t + 1)]
+    stop = threading.Event()
+    errors = []
+
+    def block(a, b):
+        try:
+            for g in range(a, b, group):
+                if stop.is_set():
+                    return
+                run(g, min(g + group, b))
+        except BaseException as exc:  # re-raised below, in this thread
+            errors.append(exc)
+            stop.set()
+
+    others = [threading.Thread(target=block, args=edges[j:j + 2]) for j in range(1, t)]
+    for thread in others:
+        thread.start()
+    try:
+        block(*edges[:2])
+        for thread in others:
+            thread.join()
+    except BaseException:  # interrupted while joining
+        stop.set()
+        raise
+    if errors:
+        raise errors[0]
+
+
+def _address(a: Optional[np.ndarray], offset: int) -> Optional[int]:
+    """The address of ``a``'s flat element ``offset``; None (NULL) for None."""
+    return None if a is None else a.ctypes.data + offset * a.itemsize
+
+
 def loop_for(system) -> Optional[Callable]:
-    """The compiled chunk loop for ``system``, or None for the numpy loop.
+    """The compiled member loop for ``system``, or None for the numpy loop.
 
     Only a system whose drift is still the one its spec was built for
-    qualifies.  The loop is called as ``loop(y, path, dz, offsets, rk15,
-    dt, dt_m, two_sq, dt_4, trust)`` with ``sde._run``'s arrays and
-    constants and returns the first diverging chunk step, or -1.
+    qualifies.  The loop is called as ``loop(y, rec, record_every, done,
+    span, rk15, offsets, constants, ...)`` with ``sde._run``'s states,
+    record array and constants ``(dt, dt/m, 2 sqrt(dt), dt/4, trust)``,
+    and either ``sdw=`` and ``dz=``, the (span, P, n) S dW and dZ of steps
+    ``done ...``, or, when ``loop.draws``, ``draw=(rngs, s, sq, zc,
+    inv3)``: the members' generators, the diagonal of a diagonal S and
+    ``_IncrementSource``'s scales.  It runs the members in blocks across
+    threads, in calls of about ``_CALL_PATH_STEPS`` path-steps and at least
+    one member (``_in_threads``), leaves each member's last state in ``y`` and
+    returns each member's first diverging step, or -1.  Each member owns its
+    generator and its rows, so the split changes no value.
     """
     ks = system._kernel
     if ks is None or ks.drift is not system.drift or ks.coefs is None:
@@ -308,25 +476,53 @@ def loop_for(system) -> Optional[Callable]:
     if lib is None:
         return None
     fn = getattr(lib, f"nc_{ks.name}")
+    draws = bool(lib.nc_draws())
     coefs = np.array(ks.coefs)
-    work = np.empty(2 * n + 4 * n * n)
+    width = 8 * n + 4 * n * n
 
-    def loop(y, path, dz, offsets, rk15, dt, dt_m, two_sq, dt_4, trust):
-        span, P, _ = path.shape
-        dz = np.ascontiguousarray(dz, dtype=np.float64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        # the C loop writes into path and reads y in place
-        for a in (y, path):
+    def loop(y, rec, record_every, done, span, rk15, offsets, constants, sdw=None, dz=None,
+             draw=None):
+        P = y.shape[0]
+        # the C loop writes into y and rec and reads the rest in place
+        for a in (y, rec):
             if not (a.dtype == np.float64 and a.flags.c_contiguous):
-                raise ValueError("the step loop needs C-contiguous float64 states")
-        if y.shape != (P, n) or dz.shape != path.shape or offsets.size != 2 * n * n:
-            raise ValueError("the step loop got arrays of mismatched shapes")
-        return fn(
-            coefs.ctypes.data, n, P, span, int(rk15), y.ctypes.data, path.ctypes.data,
-            dz.ctypes.data, offsets.ctypes.data, dt, dt_m, two_sq, dt_4, trust,
-            work.ctypes.data,
-        )
+                raise ValueError("the member loop needs C-contiguous float64 states")
+        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+        if (y.shape, rec.shape[1:], offsets.size) != ((P, n), (P, n), 2 * n * n):
+            raise ValueError("the member loop got arrays of mismatched shapes")
+        if (done + span) // record_every >= rec.shape[0]:
+            raise ValueError("the member loop got too few record rows")
+        if draw is None:
+            sdw = np.ascontiguousarray(sdw, dtype=np.float64)
+            dz = np.ascontiguousarray(dz, dtype=np.float64)
+            if sdw.shape != (span, P, n) or dz.shape != (span, P, n):
+                raise ValueError("the member loop got increments of mismatched shapes")
+            gens, s, scales = None, None, (0.0, 0.0, 0.0)
+        else:
+            if not draws:
+                raise ValueError("this build of the member loop cannot draw")
+            rngs, s, *scales = draw
+            s = np.ascontiguousarray(s, dtype=np.float64)
+            if len(rngs) != P or s.shape != (n,):
+                raise ValueError("the member loop got generators or noise of mismatched shapes")
+            # the bitgen_t of each generator, which it keeps while rngs lives
+            gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
+        k = np.array([*constants, *scales], dtype=np.float64)
+        bad = np.empty(P, dtype=np.int64)
 
+        def block(a, b):
+            work = np.empty(width)
+            fn(
+                coefs.ctypes.data, n, P, b - a, done, span, record_every, int(rk15),
+                _address(y, a * n), _address(rec, a * n), _address(sdw, a * n),
+                _address(dz, a * n), _address(gens, a), _address(s, 0),
+                offsets.ctypes.data, k.ctypes.data, _address(bad, a), work.ctypes.data,
+            )
+
+        _in_threads(block, P, max(1, _CALL_PATH_STEPS // span))
+        return bad
+
+    loop.draws = draws
     return loop
 
 

@@ -34,7 +34,7 @@ from .exceptions import (
     DegenerateSampleError,
     DegenerateSpectrumError,
 )
-from .hopf import HopfParams, nsr as _nsr
+from .hopf import HopfParams, _nsr_of
 
 __all__ = [
     "AcvEstimate",
@@ -127,9 +127,14 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 def acv_formula(params: HopfParams, u) -> np.ndarray:
     """Leading-order autocovariance of the x component; even in the lag."""
     u = np.abs(np.asarray(u, dtype=float))
-    s2 = (params.sigma / params.r) ** 2
-    amp = 1.0 + _nsr(params) ** 2 * np.exp(-params.lambda_ * u)
-    return 0.5 * params.r**2 * amp * np.cos(params.alpha * u) * np.exp(-0.5 * s2 * u)
+    return _acv(params.r, params.alpha, params.lambda_, params.sigma, u)
+
+
+def _acv(r, alpha, lam, sigma, u):
+    """``acv_formula`` at lags ``u`` >= 0, for parameters already valid."""
+    s2 = (sigma / r) ** 2
+    amp = 1.0 + _nsr_of(sigma, lam, r) ** 2 * np.exp(-lam * u)
+    return 0.5 * r**2 * amp * np.cos(alpha * u) * np.exp(-0.5 * s2 * u)
 
 
 def _lorentzian_pair(alpha, w, r2, weight, width):
@@ -148,12 +153,16 @@ def psd_formula(params: HopfParams, omega) -> np.ndarray:
             "the density formula is degenerate there"
         )
     w = np.asarray(omega, dtype=float)
-    s2 = (params.sigma / params.r) ** 2
-    r2 = params.r**2
-    direct = _lorentzian_pair(params.alpha, w, r2, 1.0, s2)
-    broadened = _lorentzian_pair(
-        params.alpha, w, r2, _nsr(params) ** 2, s2 + 2.0 * params.lambda_
-    )
+    return _psd(params.r, params.alpha, params.lambda_, params.sigma, w)
+
+
+def _psd(r, alpha, lam, sigma, w):
+    """``psd_formula`` at frequencies ``w``, for parameters already valid
+    with sigma > 0."""
+    s2 = (sigma / r) ** 2
+    r2 = r**2
+    direct = _lorentzian_pair(alpha, w, r2, 1.0, s2)
+    broadened = _lorentzian_pair(alpha, w, r2, _nsr_of(sigma, lam, r) ** 2, s2 + 2.0 * lam)
     return direct + broadened
 
 

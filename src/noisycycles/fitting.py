@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .analysis import AcvEstimate, PsdEstimate, acv_formula, psd_formula
+from .analysis import AcvEstimate, PsdEstimate, _acv, _psd
 from .exceptions import ConfigError, ConvergenceError, GuessFailureError
 from .hopf import HopfParams, nsr as _nsr
 
@@ -214,6 +214,8 @@ def initial_guess(curve, target: FitTarget) -> HopfParams:
 
 
 def _prepared_data(problem: FitProblem):
+    """The grid, the data and the template arithmetic (``analysis._acv`` on
+    |lags|, or ``analysis._psd``) of the fit."""
     if problem.target is FitTarget.ACV:
         lags = np.asarray(problem.curve.lags, float)
         vals = np.asarray(problem.curve.values, float)
@@ -223,11 +225,11 @@ def _prepared_data(problem: FitProblem):
             if faded.size:
                 cut = int(faded[0])
                 lags, vals = lags[:cut], vals[:cut]
-        return lags, vals, acv_formula
+        return np.abs(lags), vals, _acv
     return (
         np.asarray(problem.curve.omegas, float),
         np.asarray(problem.curve.values, float),
-        psd_formula,
+        _psd,
     )
 
 
@@ -271,10 +273,11 @@ def fit(problem: FitProblem) -> FitResult:
             raise ConfigError("empty bound interval")
     x0 = np.clip(x0, [b[0] for b in log_bounds], [b[1] for b in log_bounds])
 
+    # inside the finite log bounds every exp is positive and finite, so the
+    # template needs no HopfParams and its validation per evaluation
     def objective(x):
         r, alpha, lam, sigma = np.exp(x)
-        params = HopfParams(alpha=alpha, alpha0=alpha, lambda_=lam, r=r, sigma=sigma)
-        resid = template(params, grid) - data
+        resid = template(r, alpha, lam, sigma, grid) - data
         return float(resid @ resid) / denom
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2654435761)))

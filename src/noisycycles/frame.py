@@ -615,6 +615,12 @@ def simulate_reduced(
     if n < 2:
         raise ConfigError(f"a reduced model needs a cycle of dimension >= 2, got {n}")
     d = n - 1
+    for name, values in (("J0", model.J0), ("speed", model.speed)):
+        if len(values) != cycle.grid_size:
+            raise ConfigError(
+                f"model.{name} has {len(values)} samples but the cycle grid has "
+                f"{cycle.grid_size}: reduce the model on this cycle"
+            )
     z_init, tau_init = _phase_initial(config.initial_state, n)
 
     period = cycle.period

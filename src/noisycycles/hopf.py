@@ -84,7 +84,11 @@ def sigma_for_nsr(nsr, lambda_, r) -> float:
 
 def nsr(params: HopfParams) -> float:
     """sqrt(sigma^2 / (2 lambda)) / r."""
-    return np.sqrt(params.sigma**2 / (2.0 * params.lambda_)) / params.r
+    return _nsr_of(params.sigma, params.lambda_, params.r)
+
+
+def _nsr_of(sigma, lambda_, r):
+    return np.sqrt(sigma**2 / (2.0 * lambda_)) / r
 
 
 def _drift_for(params: HopfParams) -> _stepkernel.KernelSpec:

@@ -27,7 +27,8 @@ Randomness is counter-based and splittable: every path owns a Philox stream
 keyed by ``SeedSequence([seed])`` (single paths) or by the sub-seed
 ``path_seed(seed, k)`` (ensemble member k), and normals are consumed in a
 fixed chunked pattern, so results do not depend on evaluation order, on
-how a run is split into chunks or on how many members advance together.
+how a run is split into chunks, on how many members advance together or
+on how members are split across threads.
 """
 
 from __future__ import annotations
@@ -275,19 +276,20 @@ def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
 
 
 class _IncrementSource:
-    """Chunked (dW, dZ) arrays of shape (m, P, n) for the step kernel."""
+    """Chunked (dW, dZ) arrays of shape (m, P, n) for the step kernel:
+    dW = sq u0 and dZ = z (u0 + inv3 u1) from the normals of ``rngs``."""
 
     def __init__(self, rngs, dim, dt):
-        self._rngs = rngs
+        self.rngs = rngs
         self._dim = dim
-        self._sq = np.sqrt(dt)
-        self._z = dt ** 1.5 / 2.0
-        self._inv3 = 1.0 / np.sqrt(3.0)
+        self.sq = np.sqrt(dt)
+        self.z = dt ** 1.5 / 2.0
+        self.inv3 = 1.0 / np.sqrt(3.0)
 
     def take(self, n_steps: int):
-        u = _normals(self._rngs, n_steps, self._dim)
-        dw = self._sq * u[..., 0]
-        dz = self._z * (u[..., 0] + self._inv3 * u[..., 1])
+        u = _normals(self.rngs, n_steps, self._dim)
+        dw = self.sq * u[..., 0]
+        dz = self.z * (u[..., 0] + self.inv3 * u[..., 1])
         return dw, dz
 
 
@@ -323,16 +325,44 @@ def _diverged(path_ok, step_index, path_ids):
     )
 
 
+def _diagonal(S):
+    """The diagonal of ``S`` when every other entry is zero, else None."""
+    return None if np.any(S - np.diag(np.diag(S))) else np.diag(S)
+
+
+def _times_st(dW, ST):
+    """S dW one path at a time: a (1, n) @ (n, n) product per path and step
+    is what a solo run computes, while a (P, n) stack takes another BLAS
+    kernel that rounds a full noise matrix differently."""
+    return (dW[..., None, :] @ ST)[..., 0, :]
+
+
+def _check_members(bad, path_ids):
+    """Raise for the earliest of the members' first diverging steps ``bad``
+    (-1: none), and the lowest path at that step."""
+    hit = bad[bad >= 0]
+    if hit.size:
+        step = int(hit.min())
+        _diverged(bad != step, step, path_ids)
+
+
 def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
-    """Advance P paths in lock step; returns samples (n_rec + 1, P, n).
+    """Advance P paths; returns samples (n_rec + 1, P, n).
 
     Each step runs the update of the module docstring, term by term in the
     order written there, with the sums over j taken from j = 0 upwards.
+
+    For the package's own drifts a compiled loop runs each member through
+    its steps with the same operations in the same order
+    (``_stepkernel.loop_for``), the members split across threads.  With a
+    diagonal S and ``_IncrementSource``'s generators it draws the normals
+    itself, one step at a time, and writes the recorded rows only;
+    otherwise it reads each chunk's S dW and dZ from numpy.
+
+    This numpy loop is the reference: it advances all paths in lock step.
     Step i of a chunk writes its new state over row i of the chunk's S dW
     array, once that row is added in; the recorded rows are copied out once
-    per chunk.  For the package's own drifts a compiled loop runs each
-    chunk's steps with the same operations in the same order
-    (``_stepkernel``); this numpy loop is the reference.
+    per chunk.
     """
     loop = _stepkernel.loop_for(system)
     F = _batched(system)
@@ -349,10 +379,26 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
     n_rec = n_steps // record_every
     rec = np.empty((n_rec + 1, P, n))
     rec[0] = y0
-    y = rec[0]
+    y = rec[0].copy()
 
     # stage offsets for the 3/2 scheme: rows j and m + j are +/- sqrt(h) S_j
     offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]  # (2m, 1, n)
+
+    if loop is not None:
+        constants = (dt, dt_m, two_sq, dt_4, TRUST_RADIUS)
+        s = _diagonal(system.noise_matrix)
+        if loop.draws and s is not None and isinstance(source, _IncrementSource):
+            draw = (source.rngs, s, source.sq, source.z, source.inv3)
+            bad = loop(y, rec, record_every, 0, n_steps, rk15, offsets, constants, draw=draw)
+            _check_members(bad, path_ids)
+            return rec
+        for done, span in _chunks(n_steps, P):
+            dW, dZ = source.take(span)
+            bad = loop(y, rec, record_every, done, span, rk15, offsets, constants,
+                       sdw=_times_st(dW, ST), dz=dZ)
+            _check_members(bad, path_ids)
+        return rec
+
     base = np.empty((P, n))
     twice = np.empty((P, n))
     stages = np.empty((2 * m, P, n))
@@ -361,50 +407,41 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
 
     for done, span in _chunks(n_steps, P):
         dW, dZ = source.take(span)
-        # S dW one path at a time: a (1, n) @ (n, n) product per path and
-        # step is what a solo run computes, while a (P, n) stack takes
-        # another BLAS kernel that rounds a full noise matrix differently
-        path = (dW[..., None, :] @ ST)[..., 0, :]
-        if loop is not None:
-            bad = loop(y, path, dZ, offsets, rk15, dt, dt_m, two_sq, dt_4, TRUST_RADIUS)
-            if bad >= 0:
-                _check_state(path[bad], done + bad, path_ids)
-            y = path[-1]
-        else:
-            dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
-            for i in range(span):
-                y_next = path[i]
-                a0 = F(y)
-                if rk15:
-                    multiply(a0, dt_m, out=base)
-                    add(y, base, out=base)
-                    add(base, offsets, out=stages)
-                    A = F(stages)
-                    plus, minus = A[:m], A[m:]
-                # y + h f(y) + S dW
-                multiply(a0, dt, out=base)
+        path = _times_st(dW, ST)
+        dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
+        for i in range(span):
+            y_next = path[i]
+            a0 = F(y)
+            if rk15:
+                multiply(a0, dt_m, out=base)
                 add(y, base, out=base)
-                add(base, y_next, out=y_next)
-                if rk15:
-                    # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
-                    subtract(plus, minus, out=pair)
-                    multiply(pair, dZ[i], out=pair)
-                    for j in range(1, m):
-                        add(head, pair[j], out=head)
-                    head /= two_sq
-                    add(y_next, head, out=y_next)
-                    # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
-                    add(plus, minus, out=pair)
-                    multiply(a0, 2.0, out=twice)
-                    subtract(pair, twice, out=pair)
-                    for j in range(1, m):
-                        add(head, pair[j], out=head)
-                    head *= dt_4
-                    add(y_next, head, out=y_next)
-                # NaN fails the comparison, so it reaches the exact check too
-                if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
-                    _check_state(y_next, done + i, path_ids)
-                y = y_next
+                add(base, offsets, out=stages)
+                A = F(stages)
+                plus, minus = A[:m], A[m:]
+            # y + h f(y) + S dW
+            multiply(a0, dt, out=base)
+            add(y, base, out=base)
+            add(base, y_next, out=y_next)
+            if rk15:
+                # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
+                subtract(plus, minus, out=pair)
+                multiply(pair, dZ[i], out=pair)
+                for j in range(1, m):
+                    add(head, pair[j], out=head)
+                head /= two_sq
+                add(y_next, head, out=y_next)
+                # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
+                add(plus, minus, out=pair)
+                multiply(a0, 2.0, out=twice)
+                subtract(pair, twice, out=pair)
+                for j in range(1, m):
+                    add(head, pair[j], out=head)
+                head *= dt_4
+                add(y_next, head, out=y_next)
+            # NaN fails the comparison, so it reaches the exact check too
+            if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
+                _check_state(y_next, done + i, path_ids)
+            y = y_next
         _record(rec, path, done, record_every)
         # free this chunk's arrays before the next draw allocates its own
         y = y.copy()
@@ -450,7 +487,7 @@ def _validated_record_every(config, record_every):
 
 
 def _integrate(system, config, n_paths, record_every, channel_labels):
-    """Run the members of ``_members(config.seed, n_paths)`` in lock step;
+    """Run the members of ``_members(config.seed, n_paths)`` together;
     one Trajectory per member, each a view of the shared record array.
 
     Every path starts at ``config.initial_state``.
@@ -484,7 +521,7 @@ def integrate_path(system, config, record_every=1, channel_labels=None) -> Traje
 def integrate_ensemble(
     system, config, n_paths, record_every=1, channel_labels=None
 ) -> list:
-    """Integrate ``n_paths`` independent paths in lock step.
+    """Integrate ``n_paths`` independent paths.
 
     Member k draws from the sub-seed ``path_seed(config.seed, k)``, so the
     result is independent of evaluation order; a one-path

@@ -31,6 +31,15 @@ def numpy_loop():
         yield
 
 
+@contextlib.contextmanager
+def threads(count):
+    # the compiled member loop split across at most ``count`` threads,
+    # whatever the CPUs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_stepkernel, "_threads", lambda P: min(count, P))
+        yield
+
+
 def compiled_and_numpy(run):
     """``run()`` with the compiled loops, then with the numpy loops; a
     divergence is compared by message, step and path."""

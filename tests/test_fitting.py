@@ -15,7 +15,9 @@ from noisycycles import (
     acv_formula,
     averaged_periodogram,
     fit,
+    hopf_system,
     initial_guess,
+    integrate_ensemble,
     path_seed,
     psd_formula,
     sample_acv,
@@ -235,3 +237,60 @@ def test_psd_pipeline_agrees_on_the_peak(strong_noise_ensemble):
         )
     )
     assert abs(acv_fit.params.alpha - res.params.alpha) / truth.alpha < 0.01
+
+
+@pytest.fixture(scope="module")
+def ensemble_curves():
+    # the ensemble benchmark's shape: 20 RK15 Hopf members, dt 2e-3, 25 000
+    # steps kept every 5th, NSR 0.1
+    config = IntegratorConfig(dt=2e-3, n_steps=25_000, seed=3001, initial_state=(1.0, 0.0))
+    members = integrate_ensemble(hopf_system(_params()), config, n_paths=20, record_every=5)
+    xs = [tr.values[:-1, 0] for tr in members]
+    acvs = [sample_acv(x, 1e-2, 2.0) for x in xs]
+    acv = AcvEstimate(lags=acvs[0].lags, values=np.mean([a.values for a in acvs], axis=0))
+    psd = averaged_periodogram(xs, 1e-2)
+    keep = psd.omegas <= 4 * TAU
+    return acv, PsdEstimate(omegas=psd.omegas[keep], values=psd.values[keep])
+
+
+def _hexed(value):
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return float(value).hex() if isinstance(value, float) else value
+
+
+# fit(...).to_dict() and restart_residuals of ensemble_curves, as float.hex
+_PINNED_FITS = {
+    FitTarget.ACV: (
+        {"params": {"r": "0x1.ff772ba8eac01p-1", "alpha": "0x1.9162eb0a74c14p+2",
+                    "lambda": "0x1.65d242467f4f3p+3", "sigma": "0x1.a7f66001f4aeap-2"},
+         "residual": "0x1.da019db48c567p-17",
+         "derived": {"sigma_sq_over_acv0": "0x1.5d1d84af698ccp-2",
+                     "focal_lyapunov": "0x1.65d242467f4f3p+2",
+                     "period": "0x1.00786881c1248p+0", "nsr": "0x1.66fa5dce0d5bcp-4"},
+         "target": "acv", "n_points": 201},
+        ["0x1.1eed721622059p-15", "0x1.1eed721622038p-15", "0x1.1eed721622002p-15",
+         "0x1.1eed721622002p-15", "0x1.da019db48c567p-17"],
+    ),
+    FitTarget.PSD: (
+        {"params": {"r": "0x1.0321f2f83146ep+0", "alpha": "0x1.9100e7e73bd99p+2",
+                    "lambda": "0x1.f3ffffffffffep+9", "sigma": "0x1.cb6538b3e0227p-2"},
+         "residual": "0x1.7b7d11964b432p-4",
+         "derived": {"sigma_sq_over_acv0": "0x1.924017c2e902ap-2",
+                     "focal_lyapunov": "0x1.f3ffffffffffep+8",
+                     "period": "0x1.00b71813e5bcap+0", "nsr": "0x1.44be27139bef5p-7"},
+         "target": "psd", "n_points": 201},
+        ["0x1.7b7d11964b43fp-4"] + ["0x1.7b7d11964b432p-4"] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
+def test_fit_of_an_ensemble_curve_keeps_its_bits(ensemble_curves, target):
+    # the objective evaluates the template arithmetic without building a
+    # HopfParams per evaluation; every bit of the result stays as it was
+    curve = ensemble_curves[target is FitTarget.PSD]
+    result = fit(FitProblem(target=target, curve=curve))
+    expected, residuals = _PINNED_FITS[target]
+    assert _hexed(result.to_dict()) == expected
+    assert [float(r).hex() for r in result.restart_residuals] == residuals

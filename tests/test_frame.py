@@ -292,7 +292,9 @@ def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):
 def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monkeypatch):
     # one seed pins one Brownian path: the generic integrator, with noise
     # or without, the linear model and the reduced model all consume the
-    # same sde._normals stream, across a chunk boundary
+    # same sde._normals stream, across a chunk boundary.  The generic
+    # integrator's compiled loop draws the same normals in C; the spy sees
+    # its numpy loop, whose paths the compiled loop's equal bit for bit
     import noisycycles.frame as frame_module
     import noisycycles.hopf as hopf_module
     import noisycycles.sde as sde_module
@@ -317,10 +319,16 @@ def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monk
     params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.0)
     config = IntegratorConfig(dt=1e-3, n_steps=steps, seed=31)
     on_cycle = dataclasses.replace(config, initial_state=(1.0, 0.0))
-    generic = drawn(lambda: integrate_path(hopf_system(params), on_cycle))
-    assert len(generic) == steps * 2 * 2 * 8
     quiet = dataclasses.replace(params, sigma=0.0)
-    assert drawn(lambda: integrate_path(hopf_system(quiet), on_cycle)) == generic
+    with numpy_loop():
+        generic = drawn(lambda: integrate_path(hopf_system(params), on_cycle))
+        assert len(generic) == steps * 2 * 2 * 8
+        assert drawn(lambda: integrate_path(hopf_system(quiet), on_cycle)) == generic
+    for p in (params, quiet):
+        compiled, reference = compiled_and_numpy(
+            lambda: integrate_path(hopf_system(p), on_cycle).values.tobytes()
+        )
+        assert compiled == reference
     assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
     model = reduce(hopf_cycle, hopf_frame, params.sigma)
     assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic
@@ -574,6 +582,19 @@ def _unstable(cycle, rate, sigma, speed=1.0):
     return ReducedModel(
         J0=np.full((m, 1, 1), rate), speed=np.full(m, speed), sigma=sigma
     )
+
+
+def test_a_model_reduced_on_another_grid_is_a_config_error(hopf_cycle):
+    coarse = find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=256)
+    model = reduce(coarse, build_frame(coarse), 0.1)
+    config = IntegratorConfig(dt=1e-3, n_steps=10, seed=1)
+    with pytest.raises(ConfigError, match="model.J0 has 256 samples but the cycle grid has 512"):
+        simulate_reduced(model, hopf_cycle, config)
+    speed_only = dataclasses.replace(
+        reduce(hopf_cycle, build_frame(hopf_cycle), 0.1), speed=model.speed
+    )
+    with pytest.raises(ConfigError, match="model.speed has 256 samples but the cycle grid has 512"):
+        simulate_reduced(speed_only, hopf_cycle, config)
 
 
 def test_reduced_divergence_reports_step_and_path(hopf_cycle):

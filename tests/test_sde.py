@@ -2,6 +2,8 @@
 
 import dataclasses
 import stat
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from noisycycles import (
 from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK, _chunks, _members, _record
 
-from conftest import compiled_and_numpy, requires_compiler
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
 
 TAU = 2.0 * np.pi
 
@@ -145,21 +147,27 @@ _PROPERTY_SYSTEMS = {
     record_every=st.integers(1, 7),
     beyond=st.integers(1, 40),
     member=st.integers(0, 39),
+    n_threads=st.integers(1, 4),
 )
 @example(name="hopf", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
-         beyond=1, member=19)
+         beyond=1, member=19, n_threads=1)
+@example(name="hopf", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
+         beyond=1, member=13, n_threads=3)
+@example(name="van-der-pol", vectorized=True, scheme=Scheme.EULER_MARUYAMA, n_paths=7,
+         record_every=3, beyond=2, member=6, n_threads=4)
 @example(name="linear", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
-         beyond=1, member=7)
+         beyond=1, member=7, n_threads=2)
 @example(name="linear", vectorized=True, scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
-         beyond=2, member=2)
+         beyond=2, member=2, n_threads=2)
 @example(name="linear", vectorized=False, scheme=Scheme.STRONG_RK15, n_paths=5, record_every=7,
-         beyond=2, member=3)
+         beyond=2, member=3, n_threads=1)
 def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
-    name, vectorized, scheme, n_paths, record_every, beyond, member
+    name, vectorized, scheme, n_paths, record_every, beyond, member, n_threads
 ):
     # steps run past the first chunk of _CHUNK // n_paths steps, and the
     # thinning need not divide the chunk length; a row-wise drift takes
-    # the same lock-step driver one state at a time
+    # the same lock-step driver one state at a time; the compiled loop
+    # runs the members in blocks on n_threads threads
     system, initial = _PROPERTY_SYSTEMS[name]
     system = dataclasses.replace(system, vectorized=vectorized)
     n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
@@ -167,7 +175,8 @@ def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=17, initial_state=initial
     )
     k = member % n_paths
-    ens = integrate_ensemble(system, config, n_paths=n_paths, record_every=record_every)
+    with threads(n_threads):
+        ens = integrate_ensemble(system, config, n_paths=n_paths, record_every=record_every)
     solo = integrate_path(system, _member(config, k), record_every=record_every)
     assert ens[k].values.tobytes() == solo.values.tobytes()
 
@@ -203,14 +212,21 @@ _KERNEL_SYSTEMS = {
     record_every=st.integers(1, 7),
     beyond=st.integers(1, 40),
     initial=st.lists(st.sampled_from([0.0, -0.0, 0.7, -1.1, 2.0]), min_size=3, max_size=3),
+    n_threads=st.integers(1, 4),
 )
 @example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1,
-         initial=[1.0, -0.0, 0.0])
+         initial=[1.0, -0.0, 0.0], n_threads=1)
+@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1,
+         initial=[1.0, -0.0, 0.0], n_threads=3)
+@example(name="ou-3", scheme=Scheme.EULER_MARUYAMA, n_paths=5, record_every=2, beyond=3,
+         initial=[0.7, -0.0, 2.0], n_threads=2)
 @example(name="ou-3-full-noise", scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
-         beyond=2, initial=[-0.0, 0.0, -0.0])
+         beyond=2, initial=[-0.0, 0.0, -0.0], n_threads=2)
 def test_compiled_loop_is_bitwise_the_numpy_loop(
-    name, scheme, n_paths, record_every, beyond, initial
+    name, scheme, n_paths, record_every, beyond, initial, n_threads
 ):
+    # a diagonal S draws its normals in the compiled loop, a full one takes
+    # numpy's S dW; members run in blocks on n_threads threads
     system = _KERNEL_SYSTEMS[name]
     assert _stepkernel.loop_for(system) is not None
     n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
@@ -218,12 +234,122 @@ def test_compiled_loop_is_bitwise_the_numpy_loop(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
         initial_state=initial[:system.dimension],
     )
-    compiled, reference = compiled_and_numpy(
-        lambda: [tr.values.tobytes() for tr in integrate_ensemble(
-            system, config, n_paths=n_paths, record_every=record_every
-        )]
-    )
+    with threads(n_threads):
+        compiled, reference = compiled_and_numpy(
+            lambda: [tr.values.tobytes() for tr in integrate_ensemble(
+                system, config, n_paths=n_paths, record_every=record_every
+            )]
+        )
     assert compiled == reference
+
+
+@requires_compiler
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_noiseless_runs_from_signed_zeros_are_bitwise_the_numpy_loop(scheme):
+    # with S = 0 every S dW is a zero, and numpy's product makes it +0.0;
+    # from -0.0 states, where the drift's term is -0.0 too, the sign of
+    # that zero reaches the states
+    for system, initial in (
+        (van_der_pol(2.0, sigma=0.0), (-0.0, -0.0)),
+        (van_der_pol(2.0, sigma=0.0), (-0.0, 0.0)),
+        (hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)),
+         (-0.0, -0.0)),
+        (ornstein_uhlenbeck(1.5, 0.0, dimension=3), (-0.0, 0.0, -0.0)),
+    ):
+        config = IntegratorConfig(dt=1e-2, n_steps=50, scheme=scheme, seed=5,
+                                  initial_state=initial)
+        for n_threads in (1, 3):
+            with threads(n_threads):
+                compiled, reference = compiled_and_numpy(
+                    lambda: [tr.values.tobytes() for tr in integrate_ensemble(
+                        system, config, n_paths=8
+                    )]
+                )
+            assert compiled == reference
+
+
+@requires_compiler
+def test_hopf_runs_draw_their_normals_in_the_compiled_loop(monkeypatch):
+    from noisycycles import sde
+
+    system = _KERNEL_SYSTEMS["hopf"]
+    assert _stepkernel.loop_for(system).draws
+    config = IntegratorConfig(dt=1e-3, n_steps=300, seed=6, initial_state=(1.0, 0.0))
+    expected = integrate_path(system, config).values.tobytes()
+
+    def no_numpy_draws(*args):
+        raise AssertionError("sde._run drew the normals with numpy")
+
+    monkeypatch.setattr(sde, "_normals", no_numpy_draws)
+    assert integrate_path(system, config).values.tobytes() == expected
+    integrate_ensemble(system, config, n_paths=3)
+    # a full noise matrix takes numpy's draws and S dW
+    with pytest.raises(AssertionError, match="numpy"):
+        integrate_path(_KERNEL_SYSTEMS["hopf-full-noise"], config)
+
+
+def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
+    calls = []
+
+    def record(a, b):
+        calls.append((a, b))
+
+    with threads(2):
+        _stepkernel._in_threads(record, 7, 3)
+    assert sorted(calls) == [(0, 3), (3, 6), (6, 7)]  # blocks [0, 3) and [3, 7)
+
+    def interrupted(a, b):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        record(a, b)
+        time.sleep(0.01)
+
+    calls.clear()
+    with threads(2), pytest.raises(KeyboardInterrupt):
+        _stepkernel._in_threads(interrupted, 200, 1)
+    # the other thread stops after its current call, not after 100 of them
+    assert len(calls) < 50
+
+    def failing_elsewhere(a, b):
+        assert threading.current_thread() is not threading.main_thread() or a == 0
+        if a == 3:
+            raise ValueError(f"members {a}-{b}")
+
+    # blocks [0, 1), [1, 3) and [3, 5): the third thread's error reaches the caller
+    with threads(3), pytest.raises(ValueError, match="members 3-4"):
+        _stepkernel._in_threads(failing_elsewhere, 5, 1)
+
+
+@requires_compiler
+def test_members_on_other_threads_report_the_earliest_divergence():
+    # solo, members 0-7 of this ensemble first leave the trust region at
+    # steps 11, 9, 2, 43, 4, 11, 29, 8: the earliest is not in the first
+    # block of members, and members 0 and 5 tie on another block each
+    params = HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=4 * TAU, r=1.0, sigma=2.5)
+    config = IntegratorConfig(dt=0.08, n_steps=300, seed=3, initial_state=(1.0, 0.0))
+    # noiseless and far off the cycle: every member diverges at one step
+    quiet = hopf_system(dataclasses.replace(params, sigma=0.0))
+    blowup = dataclasses.replace(config, initial_state=(30.0, 0.0))
+    with pytest.raises(DivergenceError) as solo:
+        integrate_path(quiet, blowup)
+    cases = [
+        (hopf_system(params), config, 8, (2, 2)),
+        (hopf_system(params), config, 7, (2, 2)),
+        (hopf_system(params), config, 2, (9, 1)),
+        (quiet, blowup, 7, (solo.value.step_index, 0)),
+    ]
+    for n_threads in (1, 2, 3, 8):
+        with threads(n_threads), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for system, cfg, n_paths, expected in cases:
+                with pytest.raises(DivergenceError) as err:
+                    integrate_ensemble(system, cfg, n_paths=n_paths)
+                assert (err.value.step_index, err.value.path_index) == expected
+    for system, cfg, n_paths, expected in cases:
+        with numpy_loop(), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                integrate_ensemble(system, cfg, n_paths=n_paths)
+        assert (err.value.step_index, err.value.path_index) == expected
 
 
 @requires_compiler
@@ -304,6 +430,17 @@ def test_kernel_is_built_once_into_the_user_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(_stepkernel, "_loaded", {})
     monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
     assert _stepkernel._library() is not None
+
+
+@requires_compiler
+def test_a_build_evicts_stale_libraries_from_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "noisycycles"
+    cache.mkdir(mode=0o700)
+    (cache / ("0" * 64 + ".so")).write_bytes(b"a build of an older source")
+    (cache / "other.tmp").write_bytes(b"")  # another process's build in progress
+    assert _stepkernel._library() is not None
+    assert sorted(p.name for p in cache.iterdir()) == sorted([_stepkernel._NAME, "other.tmp"])
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "cache not writable"])
