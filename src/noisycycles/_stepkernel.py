@@ -10,27 +10,28 @@ phase/deviation SDE.  Each C loop runs every floating-point operation of
 its numpy loop, in the same order and with the same operands, so its
 results are bitwise the same; the numpy loops are the reference.
 
-The member loop runs one member at a time through its steps and writes
-only the recorded rows.  With a diagonal noise matrix (every system the
-package builds) it also draws each step's normals from the member's
+The member loop serves systems with a diagonal noise matrix (every system
+the package builds); a full noise matrix, and the pre-composed increments
+of ``strong_order_estimate``, run the numpy loop.  It runs one member at a
+time through its steps, draws each step's normals from the member's
 Philox generator with numpy's own ziggurat (``random_standard_normal_fill``
 from numpy's static ``libnpyrandom.a``, which gives the bytes of
-``Generator.standard_normal``) and forms dW, dZ and S dW itself; with a
-full noise matrix numpy draws and forms them and the loop reads them.
-Members are split into contiguous blocks, one per CPU this process may run
-on (at most one per member), each block in a thread of its own; ctypes
-releases the GIL for the call.  A member owns its generator, its state and
-its rows, so the split changes no value.  ``simulate_reduced`` still draws
-its kicks with numpy.
+``Generator.standard_normal``), forms dW, dZ and S dW itself and writes
+only the recorded rows.  Members are split into contiguous blocks, one
+per CPU this process may run on (at most one per member), each block in a
+thread of its own; ctypes releases the GIL for the call.  A member owns
+its generator, its state and its rows, so the split changes no value.
+``simulate_reduced`` still draws its kicks with numpy.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
-into ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
-under the sha256 of its source, flags and numpy version, and a build
-removes the builds of other hashes.  ``-ffp-contract=off`` keeps gcc from
-fusing a multiply and an add into one FMA, which rounds once where numpy
-rounds twice.  Without numpy's static library or the Python headers the
-member loop reads numpy's draws; without a compiler, or without a
-writable cache, the numpy loop runs instead, with the same results.
+against numpy's ``bitgen.h`` (no Python headers) and linked with
+``libnpyrandom.a`` into ``$XDG_CACHE_HOME/noisycycles``
+(``~/.cache/noisycycles`` when unset), under the sha256 of its source,
+flags and numpy version, and a build removes the builds of other hashes.
+``-ffp-contract=off`` keeps gcc from fusing a multiply and an add into one
+FMA, which rounds once where numpy rounds twice.  Without a compiler,
+without numpy's static library, or without a writable cache, the numpy
+loops run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import ctypes
 import hashlib
 import os
 import subprocess
-import sysconfig
 import tempfile
 import threading
 from typing import Callable, NamedTuple, Optional
@@ -48,11 +48,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 _SOURCE = r"""
-#ifdef NC_DRAW
-#include <numpy/random/distributions.h> /* Python.h first, as it asks */
-#endif
 #include <math.h>
 #include <stdint.h>
+#include <numpy/random/bitgen.h> /* bitgen_t only: no Python.h */
+
+/* numpy's ziggurat, from its static libnpyrandom.a */
+void random_standard_normal_fill(bitgen_t *, intptr_t, double *);
 
 typedef void (*drift_fn)(const double *c, int64_t n, const double *s, double *out);
 
@@ -82,47 +83,34 @@ static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *
         out[k] = -c[0] * s[k];
 }
 
-#ifdef NC_DRAW
 /* One step's increments from the member's generator, as _IncrementSource
    forms them from sde._normals: 2n normals u in (dim, 2) order, dW_j =
    sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).  S dW_j = 0.0 + s_j dW_j for
    the diagonal s of a diagonal S: the product's sum over k from +0.0
    adds only zeros besides s_j dW_j, which leave it unchanged when it is
    not zero and make a zero +0.0. */
-static inline void draw(void *gen, int64_t n, const double *s, const double *k,
+static inline void draw(bitgen_t *gen, int64_t n, const double *s, const double *k,
                         double *u, double *w, double *z)
 {
-    random_standard_normal_fill((bitgen_t *)gen, 2 * n, u);
+    random_standard_normal_fill(gen, 2 * n, u);
     for (int64_t j = 0; j < n; j++) {
         double dw = k[0] * u[2 * j];
         z[j] = k[1] * (u[2 * j] + k[2] * u[2 * j + 1]);
         w[j] = 0.0 + s[j] * dw;
     }
 }
-#endif
 
-int64_t nc_draws(void)
-{
-#ifdef NC_DRAW
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-/* Members [0, count) of sde._run, one after another: member p runs steps
-   done + i, i < span, from its state at y + p n, which ends holding its
-   last state, and writes the state after step t into row t / record_every
-   of rec when record_every divides t.  Its S dW and dZ for step i are at
-   sdw and dz + (i P + p) n, or, when sdw is NULL, drawn from gens[p] with
-   the diagonal s of S (draw).  Rows of y, rec, sdw and dz hold P n values.
-   bad[p] is the first step at which a component of the member leaves
-   [-trust, trust] (or is NaN), where it stops, else -1.
+/* Members [0, count) of sde._run, one after another: member p runs
+   n_steps steps from its state at y + p n, which ends holding its last
+   state, and writes the state after step t into row t / record_every of
+   rec when record_every divides t.  Each step draws its S dW and dZ from
+   gens[p] with the diagonal s of S (draw).  Rows of y and rec hold P n
+   values.  bad[p] is the first step at which a component of the member
+   leaves [-trust, trust] (or is NaN), where it stops, else -1.
    k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, then draw's sq, zc, inv3). */
 static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
-                           int64_t count, int64_t done, int64_t span,
-                           int64_t record_every, int64_t rk15, double *y, double *rec,
-                           const double *sdw, const double *dz, void *const *gens,
+                           int64_t count, int64_t n_steps, int64_t record_every,
+                           int64_t rk15, double *y, double *rec, bitgen_t *const *gens,
                            const double *s, const double *off, const double *k,
                            int64_t *bad, double *work)
 {
@@ -130,23 +118,13 @@ static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
     const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
     double *a0 = work, *base = a0 + n, *st = base + n, *A = st + 2 * mn;
     double *cur = A + 2 * mn, *next = cur + n, *w = next + n, *z = w + n, *u = z + n;
-    (void)gens;
-    (void)s;
     for (int64_t p = 0; p < count; p++) {
-        int64_t left = record_every - done % record_every; /* steps to the next record */
+        int64_t left = record_every; /* steps to the next record */
         bad[p] = -1;
         for (int64_t j = 0; j < n; j++)
             cur[j] = y[p * n + j];
-        for (int64_t i = 0; i < span; i++) {
-            const double *wp = w, *zp = z;
-            if (sdw) {
-                wp = sdw + i * row + p * n;
-                zp = dz + i * row + p * n;
-            }
-#ifdef NC_DRAW
-            else
-                draw(gens[p], n, s, k + 5, u, w, z);
-#endif
+        for (int64_t i = 0; i < n_steps; i++) {
+            draw(gens[p], n, s, k + 5, u, w, z);
             f(c, n, cur, a0);
             if (rk15) {
                 for (int64_t j = 0; j < n; j++)
@@ -158,12 +136,12 @@ static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
                 }
             }
             for (int64_t q = 0; q < n; q++)
-                next[q] = (cur[q] + a0[q] * dt) + wp[q];
+                next[q] = (cur[q] + a0[q] * dt) + w[q];
             if (rk15) {
                 for (int64_t q = 0; q < n; q++) {
-                    double h = (A[q] - A[mn + q]) * zp[0];
+                    double h = (A[q] - A[mn + q]) * z[0];
                     for (int64_t j = 1; j < m; j++)
-                        h = h + (A[j * n + q] - A[mn + j * n + q]) * zp[j];
+                        h = h + (A[j * n + q] - A[mn + j * n + q]) * z[j];
                     next[q] = next[q] + h / two_sq;
                 }
                 for (int64_t q = 0; q < n; q++) {
@@ -178,14 +156,14 @@ static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
             for (int64_t q = 0; q < n; q++)
                 out |= !(fabs(next[q]) <= trust);
             if (out) {
-                bad[p] = done + i;
+                bad[p] = i;
                 break;
             }
             double *t = cur;
             cur = next;
             next = t;
             if (!--left) {
-                double *r = rec + (done + i + 1) / record_every * row + p * n;
+                double *r = rec + (i + 1) / record_every * row + p * n;
                 for (int64_t q = 0; q < n; q++)
                     r[q] = cur[q];
                 left = record_every;
@@ -196,15 +174,14 @@ static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
     }
 }
 
-#define KERNEL(name)                                                              \
-    void nc_##name(const double *c, int64_t n, int64_t P, int64_t count,          \
-                   int64_t done, int64_t span, int64_t record_every, int64_t rk15,\
-                   double *y, double *rec, const double *sdw, const double *dz,   \
-                   void *const *gens, const double *s, const double *off,         \
-                   const double *k, int64_t *bad, double *work)                   \
-    {                                                                             \
-        members(name, c, n, P, count, done, span, record_every, rk15, y, rec, sdw,\
-                dz, gens, s, off, k, bad, work);                                  \
+#define KERNEL(name)                                                               \
+    void nc_##name(const double *c, int64_t n, int64_t P, int64_t count,           \
+                   int64_t n_steps, int64_t record_every, int64_t rk15, double *y, \
+                   double *rec, bitgen_t *const *gens, const double *s,            \
+                   const double *off, const double *k, int64_t *bad, double *work) \
+    {                                                                              \
+        members(name, c, n, P, count, n_steps, record_every, rk15, y, rec, gens,   \
+                s, off, k, bad, work);                                             \
     }
 
 KERNEL(hopf)
@@ -294,30 +271,12 @@ int64_t nc_reduced(const double *knots, int64_t m, const double *j0_table,
 """
 
 _COMPILER = "gcc"
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_LIBS = ("-lm",)  # after the source, where the linker looks for fmod
-
-
-def _draw_build():
-    """The compiler flags and libraries that link numpy's ziggurat into the
-    member loop (``NC_DRAW``), or two empty tuples when its static library
-    or the headers it needs are missing."""
-    lib_dir = os.path.join(os.path.dirname(np.__file__), "random", "lib")
-    includes = (np.get_include(), sysconfig.get_paths()["include"])
-    needed = (
-        os.path.join(lib_dir, "libnpyrandom.a"),
-        os.path.join(includes[0], "numpy", "random", "distributions.h"),
-        os.path.join(includes[1], "Python.h"),
-    )
-    if not all(os.path.exists(f) for f in needed):
-        return (), ()
-    return ("-DNC_DRAW", *(f"-I{d}" for d in includes)), (f"-L{lib_dir}", "-lnpyrandom")
-
-
-_DRAW_FLAGS, _DRAW_LIBS = _draw_build()
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{np.get_include()}")
+# after the source, where the linker looks for the ziggurat and fmod
+_LIBS = (f"-L{os.path.dirname(np.__file__)}/random/lib", "-lnpyrandom", "-lm")
 # the ziggurat is linked statically, so numpy's version is part of the build
 _NAME = hashlib.sha256(
-    " ".join((_SOURCE, *_FLAGS, *_DRAW_FLAGS, *_DRAW_LIBS, *_LIBS, np.__version__)).encode()
+    " ".join((_SOURCE, *_FLAGS, *_LIBS, np.__version__)).encode()
 ).hexdigest() + ".so"
 
 # state dimension each C drift is written for; None: any
@@ -326,11 +285,11 @@ _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _D = ctypes.c_double
-_ARGTYPES = [_P, _I, _I, _I, _I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P]
+_ARGTYPES = [_P, _I, _I, _I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P]
 _REDUCED_ARGTYPES = [_P, _I, _P, _P, _I, _I, _I, _D, _D, _D, _P, _P, _P, _P, _P, _P]
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
-# unless one member's span is longer
+# unless one member's steps are more
 _CALL_PATH_STEPS = 1 << 14
 
 # cache file -> loaded library, or None when it could not be built or loaded
@@ -369,7 +328,7 @@ def _build(target: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [_COMPILER, *_FLAGS, *_DRAW_FLAGS, "-x", "c", "-", "-o", tmp, *_DRAW_LIBS, *_LIBS],
+            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp, *_LIBS],
             input=_SOURCE, text=True, capture_output=True, check=True,
         )
         os.replace(tmp, target)
@@ -395,7 +354,6 @@ def _library():
             for name in _DIMENSION:
                 fn = getattr(lib, f"nc_{name}")
                 fn.argtypes, fn.restype = _ARGTYPES, None
-            lib.nc_draws.restype = _I
             lib.nc_reduced.argtypes, lib.nc_reduced.restype = _REDUCED_ARGTYPES, _I
         except (OSError, subprocess.SubprocessError):
             lib = None
@@ -445,43 +403,43 @@ def _in_threads(run, P, group) -> None:
         raise errors[0]
 
 
-def _address(a: Optional[np.ndarray], offset: int) -> Optional[int]:
-    """The address of ``a``'s flat element ``offset``; None (NULL) for None."""
-    return None if a is None else a.ctypes.data + offset * a.itemsize
+def _address(a: np.ndarray, offset: int) -> int:
+    """The address of ``a``'s flat element ``offset``."""
+    return a.ctypes.data + offset * a.itemsize
 
 
 def loop_for(system) -> Optional[Callable]:
     """The compiled member loop for ``system``, or None for the numpy loop.
 
-    Only a system whose drift is still the one its spec was built for
-    qualifies.  The loop is called as ``loop(y, rec, record_every, done,
-    span, rk15, offsets, constants, ...)`` with ``sde._run``'s states,
-    record array and constants ``(dt, dt/m, 2 sqrt(dt), dt/4, trust)``,
-    and either ``sdw=`` and ``dz=``, the (span, P, n) S dW and dZ of steps
-    ``done ...``, or, when ``loop.draws``, ``draw=(rngs, s, sq, zc,
-    inv3)``: the members' generators, the diagonal of a diagonal S and
-    ``_IncrementSource``'s scales.  It runs the members in blocks across
-    threads, in calls of about ``_CALL_PATH_STEPS`` path-steps and at least
-    one member (``_in_threads``), leaves each member's last state in ``y`` and
-    returns each member's first diverging step, or -1.  Each member owns its
-    generator and its rows, so the split changes no value.
+    Only a system whose drift is still the one its spec was built for, and
+    whose noise matrix is diagonal, qualifies.  The loop is called as
+    ``loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw)``
+    with ``sde._run``'s states, record array and constants ``(dt, dt/m,
+    2 sqrt(dt), dt/4, trust)``, and ``draw=(rngs, sq, zc, inv3)``: the
+    members' generators and ``_IncrementSource``'s scales.  Each member
+    draws its normals from its generator, one step at a time, and runs all
+    ``n_steps`` steps from the start.  The loop runs the members in blocks
+    across threads, in calls of about ``_CALL_PATH_STEPS`` path-steps and
+    at least one member (``_in_threads``), leaves each member's last state
+    in ``y`` and returns each member's first diverging step, or -1.  Each
+    member owns its generator and its rows, so the split changes no value.
     """
     ks = system._kernel
     if ks is None or ks.drift is not system.drift or ks.coefs is None:
         return None
     n = system.dimension
-    if _DIMENSION[ks.name] not in (None, n):
+    S = system.noise_matrix
+    if _DIMENSION[ks.name] not in (None, n) or np.any(S - np.diag(np.diag(S))):
         return None
     lib = _library()
     if lib is None:
         return None
     fn = getattr(lib, f"nc_{ks.name}")
-    draws = bool(lib.nc_draws())
     coefs = np.array(ks.coefs)
+    s = np.ascontiguousarray(np.diag(S), dtype=np.float64)
     width = 8 * n + 4 * n * n
 
-    def loop(y, rec, record_every, done, span, rk15, offsets, constants, sdw=None, dz=None,
-             draw=None):
+    def loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw):
         P = y.shape[0]
         # the C loop writes into y and rec and reads the rest in place
         for a in (y, rec):
@@ -490,39 +448,27 @@ def loop_for(system) -> Optional[Callable]:
         offsets = np.ascontiguousarray(offsets, dtype=np.float64)
         if (y.shape, rec.shape[1:], offsets.size) != ((P, n), (P, n), 2 * n * n):
             raise ValueError("the member loop got arrays of mismatched shapes")
-        if (done + span) // record_every >= rec.shape[0]:
+        if n_steps // record_every >= rec.shape[0]:
             raise ValueError("the member loop got too few record rows")
-        if draw is None:
-            sdw = np.ascontiguousarray(sdw, dtype=np.float64)
-            dz = np.ascontiguousarray(dz, dtype=np.float64)
-            if sdw.shape != (span, P, n) or dz.shape != (span, P, n):
-                raise ValueError("the member loop got increments of mismatched shapes")
-            gens, s, scales = None, None, (0.0, 0.0, 0.0)
-        else:
-            if not draws:
-                raise ValueError("this build of the member loop cannot draw")
-            rngs, s, *scales = draw
-            s = np.ascontiguousarray(s, dtype=np.float64)
-            if len(rngs) != P or s.shape != (n,):
-                raise ValueError("the member loop got generators or noise of mismatched shapes")
-            # the bitgen_t of each generator, which it keeps while rngs lives
-            gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
+        rngs, *scales = draw
+        if len(rngs) != P:
+            raise ValueError("the member loop needs one generator per member")
+        # the bitgen_t of each generator, which it keeps while rngs lives
+        gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
         k = np.array([*constants, *scales], dtype=np.float64)
         bad = np.empty(P, dtype=np.int64)
 
         def block(a, b):
             work = np.empty(width)
             fn(
-                coefs.ctypes.data, n, P, b - a, done, span, record_every, int(rk15),
-                _address(y, a * n), _address(rec, a * n), _address(sdw, a * n),
-                _address(dz, a * n), _address(gens, a), _address(s, 0),
+                coefs.ctypes.data, n, P, b - a, n_steps, record_every, int(rk15),
+                _address(y, a * n), _address(rec, a * n), _address(gens, a), s.ctypes.data,
                 offsets.ctypes.data, k.ctypes.data, _address(bad, a), work.ctypes.data,
             )
 
-        _in_threads(block, P, max(1, _CALL_PATH_STEPS // span))
+        _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
         return bad
 
-    loop.draws = draws
     return loop
 
 

@@ -90,8 +90,8 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
     if x.ndim != 1:
         raise ConfigError(f"series must be 1-D, got shape {x.shape}")
     n = x.size
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     if not (max_lag >= 0.0 and np.isfinite(max_lag)):
         raise ConfigError(f"max_lag must be finite and >= 0, got {max_lag}")
     k_max = int(np.floor(max_lag / dt + 1e-9))
@@ -115,8 +115,8 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
     arr = np.atleast_2d(np.asarray(paths, dtype=float))
     if arr.size == 0 or arr.shape[0] == 0:
         raise ConfigError("at least one path is required")
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     n = arr.shape[1]
     centred = arr - arr.mean(axis=1, keepdims=True)
     pgram = np.abs(np.fft.rfft(centred, axis=1)) ** 2 * (dt / n)

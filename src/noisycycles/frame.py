@@ -141,13 +141,6 @@ class ReducedModel:
     sigma: float
 
 
-def _drift_fn(ode: SdeSystem):
-    def f(y):
-        return np.asarray(ode.drift(np.asarray(y, dtype=float)), dtype=float)
-
-    return f
-
-
 def _require_deterministic(ode: SdeSystem):
     if ode.noise_matrix is not None and np.any(ode.noise_matrix != 0.0):
         raise ConfigError(
@@ -193,10 +186,13 @@ def find_limit_cycle(
         If no converged recurrence is found, or the cycle does not close.
     """
     _require_deterministic(ode)
-    f = _drift_fn(ode)
 
+    # solve_ivp hands the drift float64 states and converts what it returns
     def rhs(t, y):
-        return f(y)
+        return ode.drift(y)
+
+    def f(y):
+        return np.asarray(ode.drift(y), dtype=float)
 
     y0 = np.asarray(initial_guess, dtype=float)
     if y0.shape != (ode.dimension,):

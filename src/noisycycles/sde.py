@@ -107,7 +107,8 @@ class SdeSystem:
     A drift passed in here always runs through the integrator's numpy
     loop.  The systems the package builds (``hopf_system``,
     ``van_der_pol``, ``ornstein_uhlenbeck``) carry a compiled loop that
-    gives the same bits faster; it is dropped once ``drift`` is replaced.
+    gives the same bits faster; it is dropped once ``drift`` is replaced,
+    and a full (non-diagonal) noise matrix runs the numpy loop too.
     """
 
     dimension: int
@@ -325,11 +326,6 @@ def _diverged(path_ok, step_index, path_ids):
     )
 
 
-def _diagonal(S):
-    """The diagonal of ``S`` when every other entry is zero, else None."""
-    return None if np.any(S - np.diag(np.diag(S))) else np.diag(S)
-
-
 def _times_st(dW, ST):
     """S dW one path at a time: a (1, n) @ (n, n) product per path and step
     is what a solo run computes, while a (P, n) stack takes another BLAS
@@ -352,19 +348,19 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
     Each step runs the update of the module docstring, term by term in the
     order written there, with the sums over j taken from j = 0 upwards.
 
-    For the package's own drifts a compiled loop runs each member through
+    For the package's own drifts with a diagonal S, and the generators of
+    an ``_IncrementSource``, a compiled loop runs each member through all
     its steps with the same operations in the same order
-    (``_stepkernel.loop_for``), the members split across threads.  With a
-    diagonal S and ``_IncrementSource``'s generators it draws the normals
-    itself, one step at a time, and writes the recorded rows only;
-    otherwise it reads each chunk's S dW and dZ from numpy.
+    (``_stepkernel.loop_for``), the members split across threads.  It
+    draws the normals itself, one step at a time, and writes the recorded
+    rows only.
 
-    This numpy loop is the reference: it advances all paths in lock step.
-    Step i of a chunk writes its new state over row i of the chunk's S dW
-    array, once that row is added in; the recorded rows are copied out once
-    per chunk.
+    Every other run takes this numpy loop, the reference: it advances all
+    paths in lock step.  Step i of a chunk writes its new state over row i
+    of the chunk's S dW array, once that row is added in; the recorded rows
+    are copied out once per chunk.
     """
-    loop = _stepkernel.loop_for(system)
+    loop = _stepkernel.loop_for(system) if isinstance(source, _IncrementSource) else None
     F = _batched(system)
     ST = system.noise_matrix.T
     n = system.dimension
@@ -386,17 +382,9 @@ def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
 
     if loop is not None:
         constants = (dt, dt_m, two_sq, dt_4, TRUST_RADIUS)
-        s = _diagonal(system.noise_matrix)
-        if loop.draws and s is not None and isinstance(source, _IncrementSource):
-            draw = (source.rngs, s, source.sq, source.z, source.inv3)
-            bad = loop(y, rec, record_every, 0, n_steps, rk15, offsets, constants, draw=draw)
-            _check_members(bad, path_ids)
-            return rec
-        for done, span in _chunks(n_steps, P):
-            dW, dZ = source.take(span)
-            bad = loop(y, rec, record_every, done, span, rk15, offsets, constants,
-                       sdw=_times_st(dW, ST), dz=dZ)
-            _check_members(bad, path_ids)
+        draw = (source.rngs, source.sq, source.z, source.inv3)
+        bad = loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw)
+        _check_members(bad, path_ids)
         return rec
 
     base = np.empty((P, n))

@@ -341,6 +341,18 @@ def test_acv_max_lag_must_be_finite_and_nonnegative(capsys, simulated_csv, max_l
     )
 
 
+@pytest.mark.parametrize("what", ["acv", "psd"])
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_sample_spacing_must_be_positive_and_finite(capsys, simulated_csv, what, dt):
+    argv = ("analyze", "--what", what, "--input", str(simulated_csv), "--column", "x")
+    assert _call(*argv, "--dt", dt, "--max-lag", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"noisycycles analyze: error: dt must be positive and finite, got {float(dt)}\n"
+    )
+
+
 def test_kde_of_a_constant_sample_stays_a_numerical_failure(tmp_path, capsys):
     series = tmp_path / "flat.csv"
     series.write_text("t,x\n" + "".join(f"{0.1 * k!r},1.0\n" for k in range(50)))

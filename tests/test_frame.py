@@ -181,10 +181,13 @@ def test_frame_needs_a_substep(hopf_cycle, substeps):
 def test_row_wise_drift_gives_the_vectorized_cycle_bitwise():
     quiet = _quiet_hopf()
     row_wise = dataclasses.replace(quiet, vectorized=False)
+    # a row-wise drift that returns a plain list of floats
+    as_list = dataclasses.replace(row_wise, drift=lambda y: quiet.drift(y).tolist())
     a = find_limit_cycle(quiet, (0.3, 0.0), grid_size=64)
-    b = find_limit_cycle(row_wise, (0.3, 0.0), grid_size=64)
-    for field in ("grid", "L", "f_on_L", "T", "J", "kappa", "speed"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    for other in (row_wise, as_list):
+        b = find_limit_cycle(other, (0.3, 0.0), grid_size=64)
+        for field in ("grid", "L", "f_on_L", "T", "J", "kappa", "speed"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 def test_coarse_grid_is_refused():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import stat
+import sysconfig
 import threading
 import time
 import warnings
@@ -225,10 +226,10 @@ _KERNEL_SYSTEMS = {
 def test_compiled_loop_is_bitwise_the_numpy_loop(
     name, scheme, n_paths, record_every, beyond, initial, n_threads
 ):
-    # a diagonal S draws its normals in the compiled loop, a full one takes
-    # numpy's S dW; members run in blocks on n_threads threads
+    # a diagonal S draws its normals in the compiled loop, a full one runs
+    # the numpy loop itself; members run in blocks on n_threads threads
     system = _KERNEL_SYSTEMS[name]
-    assert _stepkernel.loop_for(system) is not None
+    assert (_stepkernel.loop_for(system) is None) == name.endswith("-full-noise")
     n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
     config = IntegratorConfig(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
@@ -273,7 +274,7 @@ def test_hopf_runs_draw_their_normals_in_the_compiled_loop(monkeypatch):
     from noisycycles import sde
 
     system = _KERNEL_SYSTEMS["hopf"]
-    assert _stepkernel.loop_for(system).draws
+    assert _stepkernel.loop_for(system) is not None
     config = IntegratorConfig(dt=1e-3, n_steps=300, seed=6, initial_state=(1.0, 0.0))
     expected = integrate_path(system, config).values.tobytes()
 
@@ -283,7 +284,7 @@ def test_hopf_runs_draw_their_normals_in_the_compiled_loop(monkeypatch):
     monkeypatch.setattr(sde, "_normals", no_numpy_draws)
     assert integrate_path(system, config).values.tobytes() == expected
     integrate_ensemble(system, config, n_paths=3)
-    # a full noise matrix takes numpy's draws and S dW
+    # a full noise matrix runs the numpy loop, which draws with numpy
     with pytest.raises(AssertionError, match="numpy"):
         integrate_path(_KERNEL_SYSTEMS["hopf-full-noise"], config)
 
@@ -353,28 +354,40 @@ def test_members_on_other_threads_report_the_earliest_divergence():
 
 
 @requires_compiler
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
-    # strong_order_estimate feeds _run pre-composed increments; the strided
-    # ones here are not contiguous
-    from noisycycles.sde import _ArraySource, _run
+def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
+    # strong_order_estimate feeds _run pre-composed increments, and a full S
+    # has no diagonal to draw with: neither calls the compiled loop
+    calls = []
+    loop_for = _stepkernel.loop_for
 
+    def spy(system):
+        loop = loop_for(system)
+        if loop is None:
+            return None
+
+        def counted(*args):
+            calls.append(system)
+            return loop(*args)
+
+        return counted
+
+    monkeypatch.setattr(_stepkernel, "loop_for", spy)
     for name in ("van-der-pol", "ou-3-full-noise"):
         system = _KERNEL_SYSTEMS[name]
         y0 = (2.0, -0.0, 0.5)[:system.dimension]
-        compiled, reference = compiled_and_numpy(
-            lambda: strong_order_estimate(
+        for scheme in Scheme:
+            strong_order_estimate(
                 system, y0, 0.5, (0.02, 0.01, 0.005), n_paths=8, scheme=scheme, seed=3
-            ).rms_errors.tobytes()
-        )
-        assert compiled == reference
-        rng = np.random.default_rng(4)
-        dw, dz = 0.05 * rng.standard_normal((2, 300, 6, system.dimension, 2))[..., ::2, :, 0]
-        start = np.tile(y0, (3, 1))
-        compiled, reference = compiled_and_numpy(
-            lambda: _run(system, scheme, start, 0.01, 300, _ArraySource(dw, dz), 3).tobytes()
-        )
-        assert compiled == reference
+            )
+    config = IntegratorConfig(dt=1e-3, n_steps=50, seed=4, initial_state=(0.7, -0.0, 2.0))
+    for name in ("hopf-full-noise", "ou-3-full-noise"):
+        system = _KERNEL_SYSTEMS[name]
+        cfg = dataclasses.replace(config, initial_state=config.initial_state[:system.dimension])
+        integrate_ensemble(system, cfg, n_paths=3)
+    assert calls == []
+    # the spy does see a diagonal S drawing in the compiled loop
+    integrate_ensemble(_KERNEL_SYSTEMS["ou-3"], config, n_paths=3)
+    assert calls == [_KERNEL_SYSTEMS["ou-3"]]
 
 
 @requires_compiler
@@ -443,7 +456,9 @@ def test_a_build_evicts_stale_libraries_from_the_cache(tmp_path, monkeypatch):
     assert sorted(p.name for p in cache.iterdir()) == sorted([_stepkernel._NAME, "other.tmp"])
 
 
-@pytest.mark.parametrize("broken", ["no compiler", "cache not writable"])
+@pytest.mark.parametrize(
+    "broken", ["no compiler", "cache not writable", "numpy's static library missing"]
+)
 def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkeypatch, broken):
     system = _KERNEL_SYSTEMS["hopf"]
     config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(1.0, 0.0))
@@ -455,15 +470,41 @@ def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkey
     if broken == "no compiler":
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
-    else:
+    elif broken == "cache not writable":
         blocked = tmp_path / "file"
         blocked.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    else:
+        empty = tmp_path / "lib"
+        empty.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(_stepkernel, "_LIBS", (f"-L{empty}", "-lnpyrandom", "-lm"))
     assert _stepkernel._library() is None
     assert _stepkernel.loop_for(system) is None
     assert run() == expected
     # nothing left behind in the cache
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] in ([], ["file"])
+
+
+@requires_compiler
+def test_the_build_needs_no_python_headers(tmp_path, monkeypatch):
+    # numpy's bitgen.h and libnpyrandom.a suffice: no -I names a directory
+    # of Python.h, neither this interpreter's nor any other
+    commands = []
+    run = _stepkernel.subprocess.run
+
+    def spy(command, **kwargs):
+        commands.append(command)
+        return run(command, **kwargs)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_stepkernel.subprocess, "run", spy)
+    assert _stepkernel._library() is not None
+    [command] = commands
+    includes = [a[2:] for a in command if a.startswith("-I")]
+    assert includes == [np.get_include()]
+    python = {sysconfig.get_paths()[k] for k in ("include", "platinclude")}
+    assert not any(Path(d, "Python.h").exists() or d in python for d in includes)
 
 
 def test_ensemble_member_matches_solo_run():
