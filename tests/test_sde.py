@@ -354,6 +354,31 @@ def test_members_on_other_threads_report_the_earliest_divergence():
 
 
 @requires_compiler
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
+    # strong_order_estimate feeds _run pre-composed increments (the strided
+    # ones here are not contiguous): a built library must not change them
+    from noisycycles.sde import _ArraySource, _run
+
+    for name in ("van-der-pol", "ou-3-full-noise"):
+        system = _KERNEL_SYSTEMS[name]
+        y0 = (2.0, -0.0, 0.5)[:system.dimension]
+        compiled, reference = compiled_and_numpy(
+            lambda: strong_order_estimate(
+                system, y0, 0.5, (0.02, 0.01, 0.005), n_paths=8, scheme=scheme, seed=3
+            ).rms_errors.tobytes()
+        )
+        assert compiled == reference
+        rng = np.random.default_rng(4)
+        dw, dz = 0.05 * rng.standard_normal((2, 300, 6, system.dimension, 2))[..., ::2, :, 0]
+        start = np.tile(y0, (3, 1))
+        compiled, reference = compiled_and_numpy(
+            lambda: _run(system, scheme, start, 0.01, 300, _ArraySource(dw, dz), 3).tobytes()
+        )
+        assert compiled == reference
+
+
+@requires_compiler
 def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
     # strong_order_estimate feeds _run pre-composed increments, and a full S
     # has no diagonal to draw with: neither calls the compiled loop
