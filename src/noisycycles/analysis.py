@@ -127,22 +127,27 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 def acv_formula(params: HopfParams, u) -> np.ndarray:
     """Leading-order autocovariance of the x component; even in the lag."""
     u = np.abs(np.asarray(u, dtype=float))
-    return _acv(params.r, params.alpha, params.lambda_, params.sigma, u)
+    return _acv_curve(
+        _acv_coefficients(params.r, params.alpha, params.lambda_, params.sigma), u
+    )
 
 
-def _acv(r, alpha, lam, sigma, u):
-    """``acv_formula`` at lags ``u`` >= 0, for parameters already valid."""
-    s2 = (sigma / r) ** 2
-    amp = 1.0 + _nsr_of(sigma, lam, r) ** 2 * np.exp(-lam * u)
-    return 0.5 * r**2 * amp * np.cos(alpha * u) * np.exp(-0.5 * s2 * u)
+def _acv_coefficients(r, alpha, lam, sigma):
+    """The scalars of the ACV template at one parameter point:
+    (r^2/2, NSR^2, -lambda, alpha, -s^2/2).
+
+    Squares stay on scalars (``x**2`` is libm ``pow`` there, ``x*x`` on
+    arrays), so a point gives the same bits alone or in a batch.
+    """
+    return 0.5 * r**2, _nsr_of(sigma, lam, r) ** 2, -lam, alpha, -0.5 * (sigma / r) ** 2
 
 
-def _lorentzian_pair(alpha, w, r2, weight, width):
-    """weight * 2 r^2 width (4(alpha^2+w^2) + width^2) over the split-peak
-    denominator; ``width`` is the full decay rate of the matching ACV term."""
-    num = 4.0 * (alpha**2 + w**2) + width**2
-    den = (4.0 * (alpha - w) ** 2 + width**2) * (4.0 * (alpha + w) ** 2 + width**2)
-    return weight * 2.0 * r2 * width * num / den
+def _acv_curve(coefficients, u):
+    """The ACV template at lags ``u`` >= 0 from ``_acv_coefficients``,
+    each coefficient a scalar or a (points, 1) column of many points."""
+    half_r2, nsr2, neg_lam, alpha, neg_half_s2 = coefficients
+    amp = 1.0 + nsr2 * np.exp(neg_lam * u)
+    return half_r2 * amp * np.cos(alpha * u) * np.exp(neg_half_s2 * u)
 
 
 def psd_formula(params: HopfParams, omega) -> np.ndarray:
@@ -153,16 +158,36 @@ def psd_formula(params: HopfParams, omega) -> np.ndarray:
             "the density formula is degenerate there"
         )
     w = np.asarray(omega, dtype=float)
-    return _psd(params.r, params.alpha, params.lambda_, params.sigma, w)
+    return _psd_curve(
+        _psd_coefficients(params.r, params.alpha, params.lambda_, params.sigma), w
+    )
 
 
-def _psd(r, alpha, lam, sigma, w):
-    """``psd_formula`` at frequencies ``w``, for parameters already valid
-    with sigma > 0."""
+def _psd_coefficients(r, alpha, lam, sigma):
+    """The scalars of the PSD template at one parameter point, sigma > 0:
+    alpha, alpha^2, then the prefactor weight 2 r^2 width and width^2 of
+    the direct (width s^2) and the broadened (width g) Lorentzian pair."""
     s2 = (sigma / r) ** 2
     r2 = r**2
-    direct = _lorentzian_pair(alpha, w, r2, 1.0, s2)
-    broadened = _lorentzian_pair(alpha, w, r2, _nsr_of(sigma, lam, r) ** 2, s2 + 2.0 * lam)
+    g = s2 + 2.0 * lam
+    broadened = _nsr_of(sigma, lam, r) ** 2 * 2.0 * r2 * g
+    return alpha, alpha**2, 2.0 * r2 * s2, s2**2, broadened, g**2
+
+
+def _psd_curve(coefficients, w):
+    """The PSD template at frequencies ``w`` from ``_psd_coefficients``,
+    each coefficient a scalar or a (points, 1) column of many points.
+
+    Each pair is scale (4(alpha^2+w^2) + width^2) over the split-peak
+    denominator ([4(alpha-w)^2 + width^2][4(alpha+w)^2 + width^2]).
+    """
+    alpha, alpha2, *pairs = coefficients
+    base = 4.0 * (alpha2 + w**2)
+    left, right = 4.0 * (alpha - w) ** 2, 4.0 * (alpha + w) ** 2
+    direct, broadened = (
+        scale * (base + width2) / ((left + width2) * (right + width2))
+        for scale, width2 in (pairs[:2], pairs[2:])
+    )
     return direct + broadened
 
 

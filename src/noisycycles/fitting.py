@@ -10,17 +10,36 @@ a fixed schedule of five restarts jittered around the automatic initial
 guess.  The objective is normalized by the curve's sum of squares, which
 makes the whole procedure scale equivariant: scaling the curve by c^2
 scales the fitted r and sigma by c and leaves alpha and lambda unchanged.
+
+The Nelder-Mead is the package's own copy of scipy 1.17's bounded
+``_minimize_neldermead`` (``adaptive=False``), written on Python floats
+with every operation of scipy's in its order, so each restart returns
+the bits ``scipy.optimize.minimize(..., method="Nelder-Mead")`` returns.
+Each restart is a generator that yields the points it needs evaluated
+and receives their values; the five run in lock step, and a round takes
+``np.exp`` of all pending points at once and evaluates the template once
+on a (points, grid) array.  The template's per-point coefficients stay
+on scalars (``analysis._acv_coefficients``, ``_psd_coefficients``) and
+its curve on (points, 1) columns, so each row has the bits of the same
+point evaluated alone.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .analysis import AcvEstimate, PsdEstimate, _acv, _psd
+from .analysis import (
+    AcvEstimate,
+    PsdEstimate,
+    _acv_coefficients,
+    _acv_curve,
+    _psd_coefficients,
+    _psd_curve,
+)
 from .exceptions import ConfigError, ConvergenceError, GuessFailureError
 from .hopf import HopfParams, nsr as _nsr
 
@@ -36,6 +55,15 @@ _RESTARTS = 5
 _JITTER = 0.25
 # envelope fraction of ACV(0) below which lags are estimator-noise dominated
 _ACV_TRUNCATION = 0.05
+_NAMES = ("r", "alpha", "lambda", "sigma")
+
+# Nelder-Mead stopping rule and budget per restart
+_XATOL, _FATOL = 1e-8, 1e-12
+_MAXITER = _MAXFEV = 20000
+# reflection, expansion, contraction and shrink factors, and the initial
+# simplex steps of scipy's non-adaptive Nelder-Mead
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 class FitTarget(enum.Enum):
@@ -69,11 +97,26 @@ class FitProblem:
         grid = self.curve.lags if self.target is FitTarget.ACV else self.curve.omegas
         if np.asarray(grid).size == 0:
             raise ConfigError("curve is empty")
-        for name, (lo, hi) in (self.bounds or {}).items():
-            if name not in ("r", "alpha", "lambda", "sigma"):
+        if not isinstance(self.bounds, (dict, type(None))):
+            raise ConfigError(
+                f"bounds must be a dict, got {type(self.bounds).__name__}"
+            )
+        for name, pair in (self.bounds or {}).items():
+            if name not in _NAMES:
                 raise ConfigError(f"unknown bound {name!r}")
-            if not (0.0 < lo < hi):
+            try:
+                lo, hi = pair
+                ordered = 0.0 < lo < hi
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"bounds for {name} must be a (low, high) pair, got {pair!r}"
+                ) from None
+            if not ordered:
                 raise ConfigError(f"bounds for {name} must be positive and ordered")
+        if not isinstance(self.initial, (HopfParams, type(None))):
+            raise ConfigError(
+                f"initial must be a HopfParams, got {type(self.initial).__name__}"
+            )
 
 
 @dataclass
@@ -81,7 +124,10 @@ class FitResult:
     """Fitted parameters with the residual sum of squares and diagnostics.
 
     ``restart_residuals`` records the best residual after each restart of
-    the schedule (non-increasing).
+    the schedule (non-increasing), ``restart_evaluations`` each restart's
+    objective evaluations and ``restart_converged`` whether it reached the
+    simplex tolerance within its budget.  None of the three is part of
+    :meth:`to_dict`.
     """
 
     params: HopfParams
@@ -90,6 +136,8 @@ class FitResult:
     target: str
     n_points: int
     restart_residuals: tuple = field(default=())
+    restart_evaluations: tuple = field(default=())
+    restart_converged: tuple = field(default=())
 
     def to_dict(self) -> dict:
         p = self.params
@@ -214,8 +262,9 @@ def initial_guess(curve, target: FitTarget) -> HopfParams:
 
 
 def _prepared_data(problem: FitProblem):
-    """The grid, the data and the template arithmetic (``analysis._acv`` on
-    |lags|, or ``analysis._psd``) of the fit."""
+    """The grid, the data and the template (its per-point coefficients and
+    its curve: ``analysis._acv_*`` on |lags|, or ``analysis._psd_*``) of
+    the fit."""
     if problem.target is FitTarget.ACV:
         lags = np.asarray(problem.curve.lags, float)
         vals = np.asarray(problem.curve.values, float)
@@ -225,11 +274,11 @@ def _prepared_data(problem: FitProblem):
             if faded.size:
                 cut = int(faded[0])
                 lags, vals = lags[:cut], vals[:cut]
-        return np.abs(lags), vals, _acv
+        return np.abs(lags), vals, (_acv_coefficients, _acv_curve)
     return (
         np.asarray(problem.curve.omegas, float),
         np.asarray(problem.curve.values, float),
-        _psd,
+        (_psd_coefficients, _psd_curve),
     )
 
 
@@ -244,6 +293,210 @@ def _derived_record(params: HopfParams) -> dict:
     }
 
 
+def _starts(problem: FitProblem):
+    """The restarts' log-parameter starts (arrays) and the log bounds
+    (lists of lower and upper ends)."""
+    start = problem.initial or initial_guess(problem.curve, problem.target)
+    sigma_floor = 1e-9 * start.r * np.sqrt(start.alpha)
+    theta0 = np.array(
+        [start.r, start.alpha, start.lambda_, max(start.sigma, sigma_floor)]
+    )
+    given = problem.bounds or {}
+    log_bounds = [
+        np.log(given.get(nm, (th / 1e3, th * 1e3))) for nm, th in zip(_NAMES, theta0)
+    ]
+    for lo, hi in log_bounds:
+        if not (lo <= hi):
+            raise ConfigError("empty bound interval")
+    lower = [float(b[0]) for b in log_bounds]
+    upper = [float(b[1]) for b in log_bounds]
+    x0 = np.clip(np.log(theta0), lower, upper)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2654435761)))
+    jitters = [0.0] + [_JITTER * rng.standard_normal(4) for _ in range(1, _RESTARTS)]
+    return [np.clip(x0 + j, lower, upper) for j in jitters], lower, upper
+
+
+class _Run(NamedTuple):
+    """One restart's outcome, as ``scipy.optimize.minimize`` reports it."""
+
+    x: list
+    fun: np.float64
+    nfev: int
+    nit: int
+    success: bool
+    final_simplex: tuple
+
+
+def _nelder_mead(x0, lower, upper):
+    """One bounded Nelder-Mead restart from ``x0`` within [lower, upper]
+    (lists of floats), as a generator.
+
+    It yields the list of points it needs evaluated next, is sent their
+    values, and returns a :class:`_Run`.  Budget stops follow scipy's
+    wrapper, which refuses evaluation ``_MAXFEV + 1``: the iteration it
+    falls in ends there, uncounted, and keeps what it had changed.
+    """
+    n = len(x0)
+
+    def clipped(x):
+        # np.clip: v stays only if v > lo, then only if v < hi (so -0.0
+        # clips to a bound of 0.0), and NaN stays NaN
+        return [
+            hi if (m := lo if v <= lo else v) >= hi else m
+            for v, lo, hi in zip(x, lower, upper)
+        ]
+
+    x0 = clipped(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    # a vertex past an upper bound is reflected into the interior
+    sim = [
+        clipped([2 * hi - v if v > hi else v for v, hi in zip(x, upper)]) for x in sim
+    ]
+    nfev = min(n + 1, _MAXFEV)
+    values = (yield sim[:nfev]) if nfev else []
+    # sorted twice, as scipy does: a second argsort can reorder ties
+    sim, fsim = _ordered(*_ordered(sim, values + [np.inf] * (n + 1 - nfev)))
+
+    nit = 1
+    while nfev < _MAXFEV and nit < _MAXITER:
+        best, fbest = sim[0], fsim[0]
+        if all(
+            abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best)
+        ) and all(abs(fbest - f) <= _FATOL for f in fsim[1:]):
+            break
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+
+        def beyond(c):
+            # (1 + c) xbar - c worst: reflect, expand and both contractions
+            # (c = -psi gives scipy's (1 - psi) xbar + psi worst exactly)
+            return clipped([(1 + c) * b - c * w for b, w in zip(xbar, worst)])
+
+        xr = beyond(_RHO)
+        (fxr,) = yield [xr]
+        nfev += 1
+        shrink = False
+        # each `nfev < _MAXFEV` below is where scipy's wrapper would refuse
+        if fxr < fbest:
+            if nfev < _MAXFEV:
+                xe = beyond(_RHO * _CHI)
+                (fxe,) = yield [xe]
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                nit += 1
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+            nit += 1
+        elif nfev < _MAXFEV:
+            if fxr < fsim[-1]:
+                xc = beyond(_PSI * _RHO)
+                (fxc,) = yield [xc]
+                shrink = not fxc <= fxr
+            else:
+                xc = beyond(-_PSI)
+                (fxc,) = yield [xc]
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+                nit += 1
+        if shrink:
+            moved = [
+                clipped([b + _SIGMA * (v - b) for v, b in zip(x, best)])
+                for x in sim[1:]
+            ]
+            allowed = min(n, _MAXFEV - nfev)
+            values = (yield moved[:allowed]) if allowed else []
+            nfev += allowed
+            # a vertex the budget refuses is moved all the same
+            sim[1 : allowed + 2] = moved[: allowed + 1]
+            fsim[1 : allowed + 1] = values
+            nit += allowed == n
+        sim, fsim = _ordered(sim, fsim)
+
+    success = not (nfev >= _MAXFEV or nit >= _MAXITER)
+    return _Run(sim[0], np.min(fsim), nfev, nit, success, (sim, fsim))
+
+
+def _ordered(sim, fsim):
+    """Vertices and values sorted by value with numpy's default argsort,
+    whose order of ties, NaN and inf scipy's results depend on."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _lock_step(restarts, evaluate):
+    """Run generator restarts (see :func:`_nelder_mead`) side by side: each
+    round evaluates the pending points of every live restart with one call
+    of ``evaluate(points) -> values`` and sends each its own values."""
+    runs = [None] * len(restarts)
+    live = [(k, gen, None) for k, gen in enumerate(restarts)]
+    while live:
+        asked = []
+        for k, gen, values in live:
+            try:
+                asked.append((k, gen, gen.send(values)))
+            except StopIteration as stop:
+                runs[k] = stop.value
+        batch = [x for _, _, points in asked for x in points]
+        values = evaluate(batch) if batch else []
+        live, at = [], 0
+        for k, gen, points in asked:
+            live.append((k, gen, values[at : at + len(points)]))
+            at += len(points)
+    return runs
+
+
+def _curves(template, thetas, grid):
+    """The template (its coefficients and curve functions) on ``grid`` at
+    each row (r, alpha, lambda, sigma) of ``thetas``: a (points, grid)
+    array whose rows have the bits of each point evaluated alone."""
+    coefficients, curve = template
+    rows = []
+    for theta in thetas.tolist():
+        try:
+            rows.append(coefficients(*theta))
+        except (OverflowError, ZeroDivisionError):
+            # where a Python float raises, a numpy scalar overflows to inf
+            # or divides to inf or NaN; elsewhere the two round alike
+            rows.append(coefficients(*map(np.float64, theta)))
+    return curve(np.array(rows).T[:, :, None], grid)
+
+
+def _objective(problem: FitProblem):
+    """The fit's objective on a batch of log-parameter points, its
+    normalization and the grid size."""
+    grid, data, template = _prepared_data(problem)
+    denom = float(np.sum(data * data))
+    if denom <= 0.0 or grid.size < 4:
+        raise ConfigError("curve carries no signal to fit")
+
+    # inside finite log bounds every exp is positive and finite, so the
+    # template needs no HopfParams and its validation per evaluation;
+    # each row's sum of squares is its own BLAS dot, as one point's was
+    def objective(points):
+        resid = _curves(template, np.exp(points), grid) - data
+        return [float(row @ row) / denom for row in resid]
+
+    return objective, denom, grid.size
+
+
+def _restarts(problem: FitProblem):
+    """The normalization of the objective, the grid size and the
+    :class:`_Run` of each restart of ``problem``'s fit."""
+    objective, denom, n_points = _objective(problem)
+    starts, lower, upper = _starts(problem)
+    restarts = [_nelder_mead(x.tolist(), lower, upper) for x in starts]
+    return denom, n_points, _lock_step(restarts, objective)
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the squared template mismatch over (r, alpha, lambda, sigma).
 
@@ -252,53 +505,12 @@ def fit(problem: FitProblem) -> FitResult:
     restart reaches the simplex tolerance, and propagates
     :class:`GuessFailureError` when no initial point is available.
     """
-    grid, data, template = _prepared_data(problem)
-    denom = float(np.sum(data * data))
-    if denom <= 0.0 or grid.size < 4:
-        raise ConfigError("curve carries no signal to fit")
-
-    start = problem.initial or initial_guess(problem.curve, problem.target)
-    sigma_floor = 1e-9 * start.r * np.sqrt(start.alpha)
-    theta0 = np.array(
-        [start.r, start.alpha, start.lambda_, max(start.sigma, sigma_floor)]
-    )
-    names = ("r", "alpha", "lambda", "sigma")
-    given = problem.bounds or {}
-    log_bounds = [
-        np.log(given.get(nm, (th / 1e3, th * 1e3))) for nm, th in zip(names, theta0)
-    ]
-    x0 = np.log(theta0)
-    for lo, hi in log_bounds:
-        if not (lo <= hi):
-            raise ConfigError("empty bound interval")
-    x0 = np.clip(x0, [b[0] for b in log_bounds], [b[1] for b in log_bounds])
-
-    # inside the finite log bounds every exp is positive and finite, so the
-    # template needs no HopfParams and its validation per evaluation
-    def objective(x):
-        r, alpha, lam, sigma = np.exp(x)
-        resid = template(r, alpha, lam, sigma, grid) - data
-        return float(resid @ resid) / denom
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2654435761)))
+    denom, n_points, runs = _restarts(problem)
     best = None
     history = []
-    any_converged = False
-    for k in range(_RESTARTS):
-        jitter = 0.0 if k == 0 else _JITTER * rng.standard_normal(4)
-        xk = np.clip(
-            x0 + jitter, [b[0] for b in log_bounds], [b[1] for b in log_bounds]
-        )
-        res = minimize(
-            objective,
-            xk,
-            method="Nelder-Mead",
-            bounds=log_bounds,
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
-        )
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
+    for run in runs:
+        if best is None or run.fun < best.fun:
+            best = run
         history.append(best.fun * denom)
 
     r, alpha, lam, sigma = np.exp(best.x)
@@ -308,14 +520,15 @@ def fit(problem: FitProblem) -> FitResult:
         residual=float(best.fun * denom),
         derived=_derived_record(params),
         target=problem.target.value,
-        n_points=int(grid.size),
+        n_points=int(n_points),
         restart_residuals=tuple(history),
+        restart_evaluations=tuple(run.nfev for run in runs),
+        restart_converged=tuple(run.success for run in runs),
     )
-    if not any_converged:
+    if not any(result.restart_converged):
         raise ConvergenceError(
             f"no restart converged within the evaluation budget "
             f"(best residual {result.residual:.3e})",
             best=result,
         )
     return result
-
