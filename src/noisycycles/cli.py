@@ -33,6 +33,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -264,11 +265,10 @@ def _preset_system(options, parser):
         if options["nsr"] is not None:
             parser.error("--nsr needs the hopf preset; give --sigma for van-der-pol")
         return van_der_pol(**_given(options, mu="mu")), (2.0, 0.0)
-    from .hopf import HopfParams, hopf_system
+    from .hopf import hopf_system
 
     p = _hopf_params(options, parser)
-    quiet = HopfParams(alpha=p.alpha, alpha0=p.alpha0, lambda_=p.lambda_, r=p.r, sigma=0.0)
-    return hopf_system(quiet), (0.3 * p.r, 0.0)
+    return hopf_system(dataclasses.replace(p, sigma=0.0)), (0.3 * p.r, 0.0)
 
 
 def _cycle_and_frame(options, system, guess):
@@ -286,9 +286,7 @@ def _reduced_model(options, parser):
     """Cycle, frame and reduced SDE of the preset for --model reduced."""
     from .frame import reduce
 
-    sigma, nsr = options["sigma"], options["nsr"]
-    if sigma is not None and nsr is not None:
-        parser.error("--sigma and --nsr are mutually exclusive")
+    sigma = options["sigma"]
     if options["system"] == "hopf":
         sigma = _hopf_params(options, parser).sigma
     elif sigma is None:

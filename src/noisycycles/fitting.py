@@ -503,8 +503,19 @@ def fit(problem: FitProblem) -> FitResult:
     Deterministic: the restart schedule and its jitter are fixed.  Raises
     :class:`ConvergenceError` (with the best attempt attached) if no
     restart reaches the simplex tolerance, and propagates
-    :class:`GuessFailureError` when no initial point is available.
+    :class:`GuessFailureError` when no initial point is available.  Raises
+    :class:`ConfigError` before any step when the objective is not finite
+    at any of the restarts' start points.
     """
+    objective = _objective(problem)[0]
+    with np.errstate(all="ignore"):
+        starts = _starts(problem)[0]
+        at_starts = objective(np.array(starts))
+    if not np.isfinite(at_starts).any():
+        raise ConfigError(
+            f"the objective is not finite at any of the {len(starts)} start points: "
+            f"the template overflows there or the curve is not finite"
+        )
     denom, n_points, runs = _restarts(problem)
     best = None
     history = []

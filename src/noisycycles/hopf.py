@@ -38,7 +38,9 @@ from scipy.signal import lfilter
 
 from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
-from .sde import SdeSystem, _chunks, _generator, _normals, _phase_initial, _validated_record_every
+from .sde import (
+    SdeSystem, _chunks, _generator, _normals, _phase_initial, _record, _validated_record_every,
+)
 
 __all__ = [
     "HopfParams",
@@ -187,17 +189,20 @@ class PhaseDeviationPath:
 def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
     """Integrate the phase/deviation pair and reconstruct (x, y).
 
-    z advances through its exact Gaussian transition; tau by Euler-Maruyama
-    (its coefficients depend on z only, so this is the whole-path update; the
-    config's scheme field is not consulted).  The two Wiener components are
-    drawn per step in the order (deviation, phase) from the same chunked
-    Philox pattern as the generic integrator, so a seed here matches the
-    increments of a 2-dimensional generic run with the same seed.
+    z advances through its exact Gaussian transition (an ``lfilter``
+    recursion) and tau by Euler-Maruyama; the config's scheme field is not
+    consulted.  The two Wiener components are drawn per step in the order
+    (deviation, phase) from the same chunked Philox pattern as the generic
+    integrator, so a seed here matches the increments of a 2-dimensional
+    generic run with the same seed.  Like the other two simulators it holds
+    one chunk of steps at a time (``sde._chunks``) and keeps only the
+    recorded rows, so its memory does not grow with the step count.
 
     With the full phase-speed modulation the update divides by r + z; the
     step where r + z first reaches zero, if any, raises
-    :class:`SingularAmplitudeError` (expected only for NSR around 0.5 or
-    larger).  The leading-order variant never divides by the amplitude.
+    :class:`SingularAmplitudeError` (z = -r is a 1/NSR standard-deviation
+    excursion: rare at NSR 0.1, but at NSR 0.3 it can come within some
+    hundreds of 1/lambda).  The leading-order variant never divides by r + z.
 
     Initial (z, tau) come from ``config.initial_state`` (default (0, 0):
     on the cycle, phase zero).
@@ -205,48 +210,43 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
     record_every = _validated_record_every(config, record_every)
     (z0,), tau0 = _phase_initial(config.initial_state, 2)
 
-    lam, al, al0, r, sig = (
-        params.lambda_, params.alpha, params.alpha0, params.r, params.sigma,
-    )
+    lam, al, al0, r, sig = params.lambda_, params.alpha, params.alpha0, params.r, params.sigma
     h = config.dt
-    n = config.n_steps
     rng = _generator(config.seed)
-
-    # frozen draw pattern; only column 0 (the Wiener normals) is consumed
-    xi = np.empty((n, 2))
-    for done, span in _chunks(n, 1):
-        xi[done:done + span] = _normals([rng], span, 2)[:, 0, :, 0]
-    xi_d, xi_p = xi[:, 0], xi[:, 1]
 
     # exact deviation update: z_{k+1} = phi z_k + s_h xi
     phi = np.exp(-lam * h)
     s_h = sig * np.sqrt((1.0 - phi * phi) / (2.0 * lam)) if sig > 0 else 0.0
-    z = np.empty(n + 1)
-    z[0] = z0
-    z[1:] = lfilter([s_h], [1.0, -phi], xi_d, zi=[phi * z0])[0]
+    z, tau = np.empty((2, config.n_steps // record_every + 1))  # tau holds tau - tau0 till the end
+    z[0], tau[0] = z0, tau0
+    zi, z_last = [phi * z0], z0
+    for done, span in _chunks(config.n_steps, 1):
+        # frozen draw pattern; only column 0 (the Wiener normals) is consumed
+        xi = _normals([rng], span, 2)[:, 0, :, 0]
+        zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
+        dw_p = np.sqrt(h) * xi[:, 1]
+        if leading_order:
+            dtau = h + sig * dw_p / (al * r)
+        else:
+            z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
+            amp = r + z_start
+            if np.any(amp <= 0.0):
+                k = done + int(np.argmax(amp <= 0.0))
+                raise SingularAmplitudeError(
+                    f"r + z reached zero at step {k}: the phase-speed denominator is singular",
+                    step_index=k,
+                )
+            dtau = h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp)) + sig * dw_p / (al * amp)
+        # cumsum adds in sequence: the carried sum added into the first increment
+        # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0
+        if done:
+            dtau[0] += carry
+        sums = np.cumsum(dtau)
+        _record(z, zs, done, record_every)
+        _record(tau, sums, done, record_every)
+        z_last, carry = zs[-1], sums[-1]
 
-    dw_p = np.sqrt(h) * xi_p
-    if leading_order:
-        dtau = h + sig * dw_p / (al * r)
-    else:
-        amp = r + z[:-1]
-        if np.any(amp <= 0.0):
-            k = int(np.argmax(amp <= 0.0))
-            raise SingularAmplitudeError(
-                f"r + z reached zero at step {k}: the phase-speed "
-                f"denominator is singular",
-                step_index=k,
-            )
-        dtau = (
-            h * (1.0 + 2.0 * z[:-1] * (al - al0) / (al * amp))
-            + sig * dw_p / (al * amp)
-        )
-    tau = np.empty(n + 1)
-    tau[0] = tau0
-    tau[1:] = tau0 + np.cumsum(dtau)
-
-    z = z[::record_every]
-    tau = tau[::record_every]
+    tau[1:] += tau0
     amp = r + z
     angle = al * tau
     rec = np.stack([amp * np.cos(angle), amp * np.sin(angle)], axis=-1)

@@ -1,9 +1,12 @@
-"""Package surface: every exported name exists, once."""
+"""Package surface: every exported name exists, once, and the README's
+Python examples run as written."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,13 @@ def test_package_init_writes_out_no_layer_name():
     layer_names = {name for layer in LAYERS
                    for name in importlib.import_module(f"noisycycles.{layer}").__all__}
     assert written & layer_names == set()
+
+
+def test_readme_python_blocks_run_as_written():
+    # the quick start and the van der Pol reduction, in order, in one namespace
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -63,12 +63,16 @@ def test_simulate_is_reproducible(tmp_path):
 
 
 def test_sigma_and_nsr_are_mutually_exclusive(tmp_path, capsys):
-    code = _call(
-        "simulate", "--model", "hopf-exact", "--nsr", "0.1", "--sigma", "0.3",
-        "--periods", "1", "--output", str(tmp_path / "x.csv"),
-    )
-    assert code == 1
-    assert "mutually exclusive" in capsys.readouterr().err
+    out = ("--periods", "1", "--output", str(tmp_path / "x.csv"))
+    for argv, said in [
+        (("--model", "hopf-exact", "--nsr", "0.1", "--sigma", "0.3"), "mutually exclusive"),
+        (
+            ("--model", "reduced", "--system", "van-der-pol", "--sigma", "0.1", "--nsr", "0.1"),
+            "--nsr needs the hopf preset",
+        ),
+    ]:
+        assert _call("simulate", *argv, *out) == 1
+        assert said in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -384,6 +388,19 @@ def test_fit_round_trip_through_files(tmp_path):
     assert doc["params"]["r"] == pytest.approx(1.0, abs=1e-4)
     assert doc["params"]["alpha"] == pytest.approx(TAU, abs=1e-3)
     assert doc["derived"]["period"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_fit_from_a_start_with_no_finite_template_exits_one(tmp_path, capsys):
+    curve = tmp_path / "template.csv"
+    assert _call(
+        "formula", "--template", "acv", "--nsr", "0.1", "--umax", "5",
+        "--output", str(curve),
+    ) == 0
+    code = _call(
+        "fit", "--target", "acv", "--input", str(curve), "--initial", "1e250,6.28,6.28,0.3",
+    )
+    assert code == 1
+    assert "not finite at any" in capsys.readouterr().err
 
 
 def test_simulate_reduced_stays_near_the_cycle(tmp_path):

@@ -595,6 +595,19 @@ def test_no_converged_restart_raises_with_the_best_attached():
     assert (p.r, p.alpha, p.lambda_, p.sigma) == (r, alpha, lam, sigma)
 
 
+
+@pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
+@pytest.mark.parametrize("field", ["r", "sigma"])
+def test_start_with_no_finite_template_is_a_config_error(target, field):
+    # r = 1e250 overflows the template to inf, sigma = 1e300 to NaN: from
+    # such starts the optimizer's whole budget ends in ConvergenceError
+    start = {"alpha": TAU, "alpha0": TAU, "lambda_": TAU, "r": 1.0, "sigma": 0.3}
+    start[field] = 1e250 if field == "r" else 1e300
+    problem = _small_problem(target, initial=HopfParams(**start))
+    with mock.patch.object(fitting, "_lock_step", side_effect=AssertionError("optimizer ran")):
+        with pytest.raises(ConfigError, match="not finite at any of the 5 start points"):
+            fit(problem)
+
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
 def test_ensemble_fit_restarts_equal_scipy(ensemble_curves, target):
     curve = ensemble_curves[target is FitTarget.PSD]

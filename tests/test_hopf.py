@@ -1,5 +1,8 @@
 """Oscillator model: drift geometry, noise scaling, the linear companion."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,65 @@ def test_seed_reproducibility():
     a = simulate_hopf_linear(p, config)
     b = simulate_hopf_linear(p, config)
     assert np.array_equal(a.reconstructed, b.reconstructed)
+
+
+# sha256 of tau, z and reconstructed (in that order), recorded from the
+# whole-run implementation: 49 000 steps span three chunks, NSR 0.1, alpha0
+# off alpha so the full variant's phase-speed modulation is exercised
+_LINEAR_PINS = {
+    (False, (), 1): "31eed83785a2754c208623efa5533024",
+    (False, (), 7): "684526394965579df84d4d6eda3bd2ee",
+    (False, (), 1000): "bd232208a8410e28b1806fc48f22b51c",
+    (False, (0.05, 0.3), 1): "d280a387d9a63b2978183a4c11d1715e",
+    (False, (0.05, 0.3), 7): "1dc2138c3584f6648c6fdd6e7efca3d1",
+    (False, (0.05, 0.3), 1000): "4f6fee96fdab6e82842077fc736a8300",
+    (False, (-0.0, -0.0), 1): "4e8d2dd6034c383f7e82eba5a127923a",
+    (False, (-0.0, -0.0), 7): "7e1704e640229a5044f05937155c67f8",
+    (False, (-0.0, -0.0), 1000): "d03c5f686932b8866a0d0774a3df80d0",
+    (True, (), 1): "c7f25543f5817f111da64d01589a2865",
+    (True, (), 7): "f502e1694f8c689a0a80fb66c093bf27",
+    (True, (), 1000): "ad3fe9303a591eb04f2a040a30c7fa0d",
+    (True, (0.05, 0.3), 1): "e055d469f8dbceeb858fd9fb3ee75d8b",
+    (True, (0.05, 0.3), 7): "db936c7f793fca4be23e6726c4ff1d4e",
+    (True, (0.05, 0.3), 1000): "ed72e61228a2e7cba6008d775269eec6",
+    (True, (-0.0, -0.0), 1): "0059739d1fec8cc902d32feb04673a21",
+    (True, (-0.0, -0.0), 7): "ddf9dc3dac9f6866231815ece1344d5d",
+    (True, (-0.0, -0.0), 1000): "1e056cc7f2db7676ed8ca495ae0883f3",
+}
+
+
+def test_linear_simulator_bytes_are_pinned():
+    p = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=sigma_for_nsr(0.1, TAU, 1.0))
+    for (leading, initial, every), expected in _LINEAR_PINS.items():
+        config = IntegratorConfig(dt=1e-3, n_steps=49_000, seed=11, initial_state=initial)
+        lp = simulate_hopf_linear(p, config, leading_order=leading, record_every=every)
+        digest = hashlib.sha256()
+        for values in (lp.tau, lp.z, lp.reconstructed):
+            digest.update(values.tobytes())
+        assert digest.hexdigest()[:32] == expected, (leading, initial, every)
+
+
+def test_singular_amplitude_step_counts_across_chunks():
+    # the first r + z <= 0 falls in the second chunk of steps
+    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.2)
+    config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
+    with pytest.raises(SingularAmplitudeError) as caught:
+        simulate_hopf_linear(p, config)
+    assert caught.value.step_index == 26168
+
+
+def _traced_peak(n_steps):
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=1)
+    tracemalloc.start()
+    try:
+        simulate_hopf_linear(_params(), config, record_every=1000)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_linear_simulator_memory_does_not_grow_with_the_step_count():
+    # one chunk of steps at a time (whole-run arrays took 61 MiB at 1e6 steps)
+    short, long = _traced_peak(100_000), _traced_peak(1_000_000)
+    assert long < 8 * 2**20
+    assert abs(long - short) < 2**20
