@@ -263,7 +263,9 @@ def _preset_system(options, parser):
 
     if options["system"] == "van-der-pol":
         if options["nsr"] is not None:
-            parser.error("--nsr needs the hopf preset; give --sigma for van-der-pol")
+            parser.error(
+                "--nsr needs the hopf preset; drop --nsr and give --sigma for van-der-pol"
+            )
         return van_der_pol(**_given(options, mu="mu")), (2.0, 0.0)
     from .hopf import hopf_system
 

@@ -488,13 +488,11 @@ def _objective(problem: FitProblem):
     return objective, denom, grid.size
 
 
-def _restarts(problem: FitProblem):
-    """The normalization of the objective, the grid size and the
-    :class:`_Run` of each restart of ``problem``'s fit."""
-    objective, denom, n_points = _objective(problem)
-    starts, lower, upper = _starts(problem)
+def _restarts(objective, starts, lower, upper):
+    """The :class:`_Run` of each restart of a fit, from the objective of
+    :func:`_objective` and the starts and log bounds of :func:`_starts`."""
     restarts = [_nelder_mead(x.tolist(), lower, upper) for x in starts]
-    return denom, n_points, _lock_step(restarts, objective)
+    return _lock_step(restarts, objective)
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -507,16 +505,16 @@ def fit(problem: FitProblem) -> FitResult:
     :class:`ConfigError` before any step when the objective is not finite
     at any of the restarts' start points.
     """
-    objective = _objective(problem)[0]
+    objective, denom, n_points = _objective(problem)
     with np.errstate(all="ignore"):
-        starts = _starts(problem)[0]
+        starts, lower, upper = _starts(problem)
         at_starts = objective(np.array(starts))
     if not np.isfinite(at_starts).any():
         raise ConfigError(
             f"the objective is not finite at any of the {len(starts)} start points: "
             f"the template overflows there or the curve is not finite"
         )
-    denom, n_points, runs = _restarts(problem)
+    runs = _restarts(objective, starts, lower, upper)
     best = None
     history = []
     for run in runs:
@@ -524,7 +522,7 @@ def fit(problem: FitProblem) -> FitResult:
             best = run
         history.append(best.fun * denom)
 
-    r, alpha, lam, sigma = np.exp(best.x)
+    r, alpha, lam, sigma = map(float, np.exp(best.x))
     params = HopfParams(alpha=alpha, alpha0=alpha, lambda_=lam, r=r, sigma=sigma)
     result = FitResult(
         params=params,

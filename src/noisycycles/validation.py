@@ -2,7 +2,9 @@
 
 Each check compares a measured quantity against an independent expectation
 (closed form, precomputed high-accuracy constant, or a stated tolerance
-band) and reports a :class:`CriterionResult`.  The suite is deterministic;
+band) and reports a :class:`CriterionResult`.  A criterion is declared
+once, where its check is defined: ``@_criterion(index, name)`` enters the
+check in the table :func:`run_all` loops over.  The suite is deterministic;
 the heavyweight simulation products are cached per process so the checks
 that share a protocol do not rerun it.
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -43,10 +45,10 @@ from .presets import van_der_pol
 from .sde import (
     IntegratorConfig,
     Scheme,
+    _members,
     integrate_ensemble,
     ornstein_uhlenbeck,
     ou_exact_endpoint,
-    path_seed,
     strong_order_estimate,
 )
 
@@ -73,10 +75,31 @@ class CriterionResult:
     skipped: bool = False
 
 
+# (index, name, check) of each criterion, in order; filled by _criterion
+_CRITERIA = []
+
+
+def _criterion(index, name):
+    """Enter the decorated check in the table as criterion ``index``.
+
+    The check returns ``(passed, detail)``, or ``(passed, detail, skipped)``;
+    the registered function returns its :class:`CriterionResult`.
+    """
+
+    def register(body):
+        @wraps(body)
+        def check(*args):
+            passed, *rest = body(*args)
+            return CriterionResult(index, name, bool(passed), *rest)
+
+        _CRITERIA.append((index, name, check))
+        return check
+
+    return register
+
+
 def _rel_l2(measured, expected):
-    return float(
-        np.linalg.norm(measured - expected) / np.linalg.norm(expected)
-    )
+    return float(np.linalg.norm(measured - expected) / np.linalg.norm(expected))
 
 
 def _standard_params(alpha0=_ALPHA, nsr=_NSR) -> HopfParams:
@@ -95,36 +118,48 @@ def _mean_acv(xs, dt, max_lag):
     return lags, np.mean([v.values for v in vals], axis=0)
 
 
+def _exact_x(params, dt, n_steps, seed, n_paths, thin):
+    """x component of every recorded row of an exact oscillator ensemble
+    started at (1, 0), (paths, rows)."""
+    ens = integrate_ensemble(
+        hopf_system(params),
+        IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed, initial_state=(1.0, 0.0)),
+        n_paths=n_paths,
+        record_every=thin,
+    )
+    return np.stack([tr.values[:, 0] for tr in ens])
+
+
+def _linear_x(params, dt, n_steps, seed, thin, leading_order):
+    """x component of every recorded row of the linear phase/deviation
+    model, one member per seed of ``sde._members(seed, _PATHS)``."""
+    return np.stack(
+        [
+            simulate_hopf_linear(
+                params,
+                IntegratorConfig(dt=dt, n_steps=n_steps, seed=member),
+                leading_order=leading_order,
+                record_every=thin,
+            ).reconstructed[:, 0]
+            for member in _members(seed, _PATHS)[0]
+        ]
+    )
+
+
 @lru_cache(maxsize=None)
 def _exact_x_paths(alpha0):
     """x component of the exact oscillator ensemble, (paths, 10000)."""
     params = _standard_params(alpha0=alpha0)
-    ens = integrate_ensemble(
-        hopf_system(params),
-        IntegratorConfig(
-            dt=_DT, n_steps=_STEPS, seed=20_030, initial_state=(1.0, 0.0)
-        ),
-        n_paths=_PATHS,
-        record_every=_THIN,
-    )
-    return np.stack([tr.values[:-1, 0] for tr in ens])
+    return _exact_x(params, _DT, _STEPS, 20_030, _PATHS, _THIN)[:, :-1]
 
 
 @lru_cache(maxsize=None)
 def _linear_x_paths():
     """x component of the linear phase/deviation model, same protocol."""
-    params = _standard_params()
-    rows = []
-    for k in range(_PATHS):
-        lp = simulate_hopf_linear(
-            params,
-            IntegratorConfig(dt=_DT, n_steps=_STEPS, seed=path_seed(20_031, k)),
-            record_every=_THIN,
-        )
-        rows.append(lp.reconstructed[:-1, 0])
-    return np.stack(rows)
+    return _linear_x(_standard_params(), _DT, _STEPS, 20_031, _THIN, False)[:, :-1]
 
 
+@_criterion(1, "integrator strong order")
 def check_integrator_order() -> CriterionResult:
     """1: strong-order slopes of both schemes, each where its order holds.
 
@@ -159,13 +194,8 @@ def check_integrator_order() -> CriterionResult:
     em = slope(ou, (1.0,), Scheme.EULER_MARUYAMA, ou_exact)
     rk = slope(van_der_pol(1.0, sigma=0.5), (2.0, 0.0), Scheme.STRONG_RK15, None)
     rk_linear = slope(ou, (1.0,), Scheme.STRONG_RK15, ou_exact)
-    passed = (
-        abs(em - 1.0) <= 0.2 and abs(rk - 1.5) <= 0.2 and abs(rk_linear - 2.0) <= 0.2
-    )
-    return CriterionResult(
-        1,
-        "integrator strong order",
-        passed,
+    return (
+        abs(em - 1.0) <= 0.2 and abs(rk - 1.5) <= 0.2 and abs(rk_linear - 2.0) <= 0.2,
         f"Euler-Maruyama on Ornstein-Uhlenbeck vs exact endpoint: slope "
         f"{em:.3f} (band 1.0 +/- 0.2); 3/2 scheme on van der Pol vs fine-grid "
         f"reference: slope {rk:.3f} (band 1.5 +/- 0.2); 3/2 scheme on "
@@ -174,28 +204,27 @@ def check_integrator_order() -> CriterionResult:
     )
 
 
+@_criterion(2, "deviation process variance")
 def check_deviation_variance() -> CriterionResult:
     """2: stationary variance of the transverse deviation process."""
     params = _standard_params()
     lam = params.lambda_
     dt = 1e-3
     n_steps = int(round(1e4 / lam / dt))
-    lp = simulate_hopf_linear(
-        params, IntegratorConfig(dt=dt, n_steps=n_steps, seed=202)
-    )
+    config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=202)
+    lp = simulate_hopf_linear(params, config)
     burn = int(round(10.0 / lam / dt))
     measured = float(lp.z[burn:].var())
     expected = params.sigma**2 / (2.0 * lam)
     dev = abs(measured - expected) / expected
-    return CriterionResult(
-        2,
-        "deviation process variance",
+    return (
         dev <= 0.05,
         f"var(z) = {measured:.5f} vs sigma^2/(2 lambda) = {expected:.5f} "
         f"({100 * dev:.2f}% off, band 5%)",
     )
 
 
+@_criterion(3, "autocovariance agreement")
 def check_acv_agreement() -> CriterionResult:
     """3: sample ACV of the exact and linear runs against the template."""
     params = _standard_params()
@@ -204,9 +233,7 @@ def check_acv_agreement() -> CriterionResult:
     template = acv_formula(params, lags)
     err_exact = _rel_l2(acv_exact, template)
     err_linear = _rel_l2(acv_linear, template)
-    return CriterionResult(
-        3,
-        "autocovariance agreement",
+    return (
         err_exact <= 0.10 and err_linear <= 0.10,
         f"relative L2 error over 5 periods: exact {100 * err_exact:.1f}%, "
         f"linear {100 * err_linear:.1f}% (band 10%)",
@@ -219,6 +246,7 @@ def _three_bin_peak(omegas, values):
     return omegas[i], float(values[lo:hi].mean())
 
 
+@_criterion(4, "spectral peak agreement")
 def check_psd_peak() -> CriterionResult:
     """4: periodogram peak location and height against the template."""
     params = _standard_params()
@@ -228,9 +256,7 @@ def check_psd_peak() -> CriterionResult:
     w_ref, h_ref = _three_bin_peak(est.omegas, template)
     freq_dev = abs(w_meas - w_ref) / w_ref
     height_dev = abs(h_meas - h_ref) / h_ref
-    return CriterionResult(
-        4,
-        "spectral peak agreement",
+    return (
         freq_dev <= 0.02 and height_dev <= 0.15,
         f"peak frequency {w_meas:.4f} vs {w_ref:.4f} "
         f"({100 * freq_dev:.2f}% off, band 2%); "
@@ -239,6 +265,7 @@ def check_psd_peak() -> CriterionResult:
     )
 
 
+@_criterion(5, "documented breakdown regime")
 def check_acv_breakdown() -> CriterionResult:
     """5: the template must fail when the two frequencies differ by 2x.
 
@@ -254,9 +281,7 @@ def check_acv_breakdown() -> CriterionResult:
     err = _rel_l2(acv_exact, acv_formula(params, lags))
     _, acv_matched = _mean_acv(_exact_x_paths(_ALPHA), _DT * _THIN, window)
     err_matched = _rel_l2(acv_matched, acv_formula(params, lags))
-    return CriterionResult(
-        5,
-        "documented breakdown regime",
+    return (
         err > 0.25,
         f"relative L2 error over 15 periods with the rotation rate halved "
         f"off the cycle: {100 * err:.1f}% (must exceed 25%; the matched "
@@ -264,38 +289,16 @@ def check_acv_breakdown() -> CriterionResult:
     )
 
 
-@lru_cache(maxsize=None)
-def _kurtosis_samples():
-    params = _standard_params(nsr=0.5)
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=105_000, seed=606, initial_state=(1.0, 0.0)
-    )
-    ens = integrate_ensemble(
-        hopf_system(params), config, n_paths=_PATHS, record_every=10
-    )
-    exact = np.stack([tr.values[:, 0] for tr in ens])[:, 500::10]
-    rows = []
-    for k in range(_PATHS):
-        lp = simulate_hopf_linear(
-            params,
-            IntegratorConfig(dt=1e-3, n_steps=105_000, seed=path_seed(607, k)),
-            leading_order=True,
-            record_every=10,
-        )
-        rows.append(lp.reconstructed[500::10, 0])
-    return exact.ravel(), np.stack(rows).ravel()
-
-
+@_criterion(6, "strong-noise kurtosis")
 def check_kurtosis() -> CriterionResult:
     """6: heavy-noise kurtosis of the exact and leading-order models."""
-    exact_samples, linear_samples = _kurtosis_samples()
-    b2_exact = kurtosis(exact_samples)
-    b2_linear = kurtosis(linear_samples)
-    passed = abs(b2_exact - 2.1) <= 0.15 and abs(b2_linear - 2.6) <= 0.15
-    return CriterionResult(
-        6,
-        "strong-noise kurtosis",
-        passed,
+    params = _standard_params(nsr=0.5)
+    exact = _exact_x(params, 1e-3, 105_000, 606, _PATHS, 10)
+    linear = _linear_x(params, 1e-3, 105_000, 607, 10, True)
+    b2_exact = kurtosis(exact[:, 500::10].ravel())
+    b2_linear = kurtosis(linear[:, 500::10].ravel())
+    return (
+        abs(b2_exact - 2.1) <= 0.15 and abs(b2_linear - 2.6) <= 0.15,
         f"exact beta2 = {b2_exact:.3f} (band 2.1 +/- 0.15), "
         f"leading-order beta2 = {b2_linear:.3f} (band 2.6 +/- 0.15), "
         f"10^5 stationary samples each",
@@ -315,14 +318,13 @@ def _vdp_cycle_frame():
     return cycle, build_frame(cycle)
 
 
+@_criterion(7, "comoving frame invariants")
 def check_frame_invariants() -> CriterionResult:
     """7: frame orthogonality/transport/rate identities on two cycles."""
     hc, hf = _hopf_cycle_frame()
     vc, vf = _vdp_cycle_frame()
     devs = [_frame_deviations(hc, hf), _frame_deviations(vc, vf)]
-    worst_ortho = max(d[0] for d in devs)
-    worst_transport = max(d[1] for d in devs)
-    worst_lemma = max(d[2] for d in devs)
+    worst_ortho, worst_transport, worst_lemma = map(max, zip(*devs))
     period_ref = 6.663286859323118  # precomputed high-accuracy value
     period_dev = abs(vc.period - period_ref)
     passed = (
@@ -331,9 +333,7 @@ def check_frame_invariants() -> CriterionResult:
         and worst_lemma < 1e-6
         and period_dev <= 1e-3
     )
-    return CriterionResult(
-        7,
-        "comoving frame invariants",
+    return (
         passed,
         f"orthogonality {worst_ortho:.1e} (<1e-8), tangent transport "
         f"{worst_transport:.1e} (<1e-6), rate-norm identity {worst_lemma:.1e} "
@@ -342,6 +342,7 @@ def check_frame_invariants() -> CriterionResult:
     )
 
 
+@_criterion(8, "reduction correctness")
 def check_reduction() -> CriterionResult:
     """8: reduced coefficients and statistics of the reconstructed paths."""
     params = _standard_params()
@@ -357,24 +358,20 @@ def check_reduction() -> CriterionResult:
         record_every=thin,
         n_paths=_PATHS,
     )
-    xs = np.stack(
-        [
-            reconstruct(cycle, frame, taus[k], z0s[k], dt=dt * thin).values[:-1, 0]
-            for k in range(_PATHS)
-        ]
-    )
+    xs = [
+        reconstruct(cycle, frame, tau, z0, dt=dt * thin).values[:-1, 0]
+        for tau, z0 in zip(taus, z0s)
+    ]
     lags, acv = _mean_acv(xs, dt * thin, 5.0)
     err = _rel_l2(acv, acv_formula(params, lags))
-    passed = j0_dev <= 1e-6 and err <= 0.10
-    return CriterionResult(
-        8,
-        "reduction correctness",
-        passed,
+    return (
+        j0_dev <= 1e-6 and err <= 0.10,
         f"|J0 + lambda| max {j0_dev:.1e} (<=1e-6); reconstructed-path ACV "
         f"error {100 * err:.1f}% (band 10%)",
     )
 
 
+@_criterion(9, "transform consistency")
 def check_transform_consistency() -> CriterionResult:
     """9: cosine transform of the ACV template against the PSD template."""
     params = _standard_params()
@@ -382,14 +379,10 @@ def check_transform_consistency() -> CriterionResult:
     direct = psd_formula(params, omegas)
     transformed = wk_transform(lambda u: acv_formula(params, u), omegas)
     sup_dev = float(np.abs(transformed.values - direct).max() / direct.max())
-    return CriterionResult(
-        9,
-        "transform consistency",
-        sup_dev <= 0.01,
-        f"sup-norm discrepancy {100 * sup_dev:.4f}% (band 1%)",
-    )
+    return sup_dev <= 0.01, f"sup-norm discrepancy {100 * sup_dev:.4f}% (band 1%)"
 
 
+@_criterion(10, "fit roundtrip")
 def check_fit_roundtrip() -> CriterionResult:
     """10: recover generating parameters from synthetic data, 10 seeds.
 
@@ -406,19 +399,9 @@ def check_fit_roundtrip() -> CriterionResult:
     wins = 0
     outcomes = []
     for seed in range(3000, 3010):
-        ens = integrate_ensemble(
-            hopf_system(params),
-            IntegratorConfig(
-                dt=dt, n_steps=steps, seed=seed, initial_state=(1.0, 0.0)
-            ),
-            n_paths=20,
-            record_every=thin,
-        )
-        xs = np.stack([tr.values[:-1, 0] for tr in ens])
-        lags, mean_vals = _mean_acv(xs, dt * thin, 2.0)
-        est = AcvEstimate(lags=lags, values=mean_vals)
-        result = fit(FitProblem(target=FitTarget.ACV, curve=est))
-        p = result.params
+        xs = _exact_x(params, dt, steps, seed, 20, thin)[:, :-1]
+        curve = AcvEstimate(*_mean_acv(xs, dt * thin, 2.0))
+        p = fit(FitProblem(target=FitTarget.ACV, curve=curve)).params
         ok = (
             abs(p.r - params.r) / params.r <= 0.05
             and abs(p.alpha - params.alpha) / params.alpha <= 0.05
@@ -429,9 +412,7 @@ def check_fit_roundtrip() -> CriterionResult:
         outcomes.append(
             f"(r {p.r:.3f}, a {p.alpha:.3f}, l {p.lambda_:.2f}, s {p.sigma:.3f})"
         )
-    return CriterionResult(
-        10,
-        "fit roundtrip",
+    return (
         wins >= 8,
         f"{wins}/10 seeds within bands (r, alpha 5%; lambda, sigma 20%); "
         f"truth (r 1, a {params.alpha:.3f}, l {params.lambda_:.3f}, "
@@ -439,17 +420,15 @@ def check_fit_roundtrip() -> CriterionResult:
     )
 
 
+@_criterion(11, "sea-surface index reproduction")
 def check_nino_reproduction(path) -> CriterionResult:
     """11: published-series diagnostics, when the data file is supplied."""
-    name = "sea-surface index reproduction"
     if path is None or not os.path.exists(path):
-        return CriterionResult(
-            11,
-            name,
+        return (
             False,
             "monthly Nino 3.4 anomaly file not provided "
             f"(set ${NINO_ENV_VAR} to enable)",
-            skipped=True,
+            True,
         )
     series, dt = read_column(path)
     if dt is None:
@@ -478,9 +457,7 @@ def check_nino_reproduction(path) -> CriterionResult:
         and abs(p_ratio - 0.96) / 0.96 <= 0.15
         and abs(p_focal - 0.17) / 0.17 <= 0.30
     )
-    return CriterionResult(
-        11,
-        name,
+    return (
         passed,
         f"ACV fit: sigma^2/ACV(0) {a_ratio:.3f}/yr (0.83 +/- 15%), period "
         f"{a_period:.2f} yr (4.2 +/- 10%), lambda/2 {a_focal:.3f}/yr "
@@ -493,30 +470,16 @@ def run_all(nino_path=None) -> list:
     """Run the full suite; exceptions become failed results, not crashes."""
     if nino_path is None:
         nino_path = os.environ.get(NINO_ENV_VAR)
-    checks = [
-        check_integrator_order,
-        check_deviation_variance,
-        check_acv_agreement,
-        check_psd_peak,
-        check_acv_breakdown,
-        check_kurtosis,
-        check_frame_invariants,
-        check_reduction,
-        check_transform_consistency,
-        check_fit_roundtrip,
-        lambda: check_nino_reproduction(nino_path),
-    ]
     results = []
-    for index, check in enumerate(checks, start=1):
+    for index, name, check in _CRITERIA:
         try:
-            results.append(check())
+            results.append(
+                check(nino_path) if check is check_nino_reproduction else check()
+            )
         except Exception as exc:  # surface, don't abort the suite
             results.append(
                 CriterionResult(
-                    index,
-                    f"criterion {index}",
-                    False,
-                    f"raised {type(exc).__name__}: {exc}",
+                    index, name, False, f"raised {type(exc).__name__}: {exc}"
                 )
             )
     return results

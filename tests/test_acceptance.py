@@ -25,6 +25,7 @@ _RECORDED = json.loads((Path(__file__).parent / "data" / "validate_details.json"
 def _report(result):
     status = "SKIP" if result.skipped else ("PASS" if result.passed else "FAIL")
     print(f"criterion {result.index} [{status}] {result.name}: {result.detail}")
+    assert type(result.passed) is bool
     return result
 
 

@@ -68,7 +68,7 @@ def test_sigma_and_nsr_are_mutually_exclusive(tmp_path, capsys):
         (("--model", "hopf-exact", "--nsr", "0.1", "--sigma", "0.3"), "mutually exclusive"),
         (
             ("--model", "reduced", "--system", "van-der-pol", "--sigma", "0.1", "--nsr", "0.1"),
-            "--nsr needs the hopf preset",
+            "--nsr needs the hopf preset; drop --nsr and give --sigma for van-der-pol",
         ),
     ]:
         assert _call("simulate", *argv, *out) == 1

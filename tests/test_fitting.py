@@ -378,6 +378,15 @@ def _scipy_restarts(problem, maxfev=20000):
     return [_scipy(objective, x, lower, upper, maxfev) for x in starts]
 
 
+def _fit_restarts(problem):
+    """The runs of fit's lock-step restarts on ``problem``, from the
+    objective, starts and bounds that fit prepares."""
+    objective = fitting._objective(problem)[0]
+    with np.errstate(all="ignore"):
+        starts, lower, upper = fitting._starts(problem)
+    return fitting._restarts(objective, starts, lower, upper)
+
+
 def _lock_step_runs(objective, starts, lower, upper):
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -468,7 +477,7 @@ def _problems(draw):
 def test_lock_step_fit_equals_scipy_restart_by_restart(problem, maxfev):
     theirs = _scipy_restarts(problem, maxfev)
     with mock.patch.object(fitting, "_MAXFEV", maxfev), np.errstate(all="ignore"):
-        _, _, ours = fitting._restarts(problem)
+        ours = _fit_restarts(problem)
     _assert_same_runs(ours, theirs)
 
 
@@ -608,12 +617,33 @@ def test_start_with_no_finite_template_is_a_config_error(target, field):
         with pytest.raises(ConfigError, match="not finite at any of the 5 start points"):
             fit(problem)
 
+
+def test_fit_prepares_its_problem_once():
+    # the start check and the restarts share one objective and one set of
+    # starts: the guess and the data preparation each run once per fit
+    problem = _small_problem()
+    with mock.patch.object(
+        fitting, "initial_guess", wraps=fitting.initial_guess
+    ) as guess, mock.patch.object(
+        fitting, "_prepared_data", wraps=fitting._prepared_data
+    ) as prepared:
+        fit(problem)
+    assert guess.call_count == 1
+    assert prepared.call_count == 1
+
+
+@pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
+def test_fit_params_are_python_floats(target):
+    p = fit(_small_problem(target)).params
+    assert all(type(getattr(p, name)) is float for name in _FIELDS + ("alpha0",))
+
+
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
 def test_ensemble_fit_restarts_equal_scipy(ensemble_curves, target):
     curve = ensemble_curves[target is FitTarget.PSD]
     problem = FitProblem(target=target, curve=curve)
     theirs = _scipy_restarts(problem)
-    _assert_same_runs(fitting._restarts(problem)[2], theirs)
+    _assert_same_runs(_fit_restarts(problem), theirs)
     result = fit(problem)
     assert result.restart_evaluations == tuple(t.nfev for t in theirs)
     assert result.restart_converged == tuple(t.success for t in theirs)

@@ -1,0 +1,56 @@
+"""The validation suite's table of criteria and how ``run_all`` walks it,
+on stubbed checks: the real suite takes the better part of a minute."""
+
+from noisycycles import validation
+from noisycycles.validation import CriterionResult
+
+# the names `noisycycles validate` prints, by index
+_NAMES = [
+    "integrator strong order",
+    "deviation process variance",
+    "autocovariance agreement",
+    "spectral peak agreement",
+    "documented breakdown regime",
+    "strong-noise kurtosis",
+    "comoving frame invariants",
+    "reduction correctness",
+    "transform consistency",
+    "fit roundtrip",
+    "sea-surface index reproduction",
+]
+
+
+def test_table_holds_each_criterion_once_in_order():
+    table = [(index, name) for index, name, _ in validation._CRITERIA]
+    assert table == list(enumerate(_NAMES, start=1))
+    checks = [check for _, _, check in validation._CRITERIA]
+    assert checks[0] is validation.check_integrator_order
+    assert checks[-1] is validation.check_nino_reproduction
+    assert len(set(checks)) == len(_NAMES)
+
+
+def test_run_all_reports_a_raising_check_by_its_index_and_name(monkeypatch):
+    # a stub table; the last entry stands in for criterion 11, the only
+    # check run_all hands the data path to
+    monkeypatch.setattr(validation, "_CRITERIA", [])
+
+    @validation._criterion(1, "cheap pass")
+    def cheap():
+        return 1 < 2, "fine"
+
+    @validation._criterion(2, "cheap crash")
+    def crash():
+        raise ValueError("no data")
+
+    @validation._criterion(3, "cheap skip")
+    def skip(path):
+        return False, f"no file at {path}", True
+
+    monkeypatch.setattr(validation, "check_nino_reproduction", skip)
+    rows = validation.run_all(nino_path="series.csv")
+    assert rows == [
+        CriterionResult(1, "cheap pass", True, "fine"),
+        CriterionResult(2, "cheap crash", False, "raised ValueError: no data"),
+        CriterionResult(3, "cheap skip", False, "no file at series.csv", skipped=True),
+    ]
+    assert all(type(row.passed) is bool for row in rows)
