@@ -3,12 +3,17 @@
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a C drift below, the
-coefficients that drift binds, and the drift function it describes.
-:func:`loop_for` gives ``sde._run`` the member loop of such a system, and
-:func:`reduced_loop` gives ``simulate_reduced`` the C loop of the reduced
-phase/deviation SDE.  Each C loop runs every floating-point operation of
-its numpy loop, in the same order and with the same operands, so its
-results are bitwise the same; the numpy loops are the reference.
+coefficients that drift binds, and its formula, written once in Python as
+an elementwise function of the coefficients and the state's components
+with ``+ - * /`` in the C drift's order.  The system's numpy drift applies
+the formula to the columns of a state or a stack of states.
+:func:`single_state` gives ``frame.find_limit_cycle`` the formula itself on
+one state's Python floats, which skips numpy's per-call overhead and rounds
+the same.  :func:`loop_for` gives ``sde._run`` the member loop of such a
+system, and :func:`reduced_loop` gives ``simulate_reduced`` the C loop of
+the reduced phase/deviation SDE.  Each C loop runs every floating-point
+operation of its numpy loop, in the same order and with the same operands,
+so its results are bitwise the same; the numpy loops are the reference.
 
 The member loop serves systems with a diagonal noise matrix (every system
 the package builds); a full noise matrix, and the pre-composed increments
@@ -297,21 +302,69 @@ _loaded: dict = {}
 
 
 class KernelSpec(NamedTuple):
-    """The C drift ``name`` with coefficients ``coefs`` computes ``drift``.
+    """The C drift ``name`` with coefficients ``coefs`` computes ``drift``,
+    which is ``formula(*coefs, *components)`` on the state's columns.
 
     ``coefs`` is None when a coefficient would not round like a float64
-    in numpy (a long double, say); the numpy loop then runs.
+    in numpy (a long double, say); the numpy loops and drift then run.
     """
 
     name: str
     coefs: Optional[tuple]
+    formula: Callable
     drift: Callable
 
 
-def spec(name: str, coefs, drift) -> KernelSpec:
-    """The spec of the C drift ``name`` for ``drift``, which binds ``coefs``."""
-    exact = all(np.result_type(c, np.float64) == np.float64 for c in coefs)
-    return KernelSpec(name, tuple(float(c) for c in coefs) if exact else None, drift)
+def spec(name: str, coefs, formula) -> KernelSpec:
+    """The spec of the C drift ``name`` with coefficients ``coefs`` and the
+    numpy drift that applies ``formula`` to them and a state's columns."""
+    coefs = tuple(coefs)
+    dtype = np.result_type(np.float64, *coefs)
+    exact = dtype == np.float64
+
+    def drift(state):
+        s = np.asarray(state, dtype=float)
+        out = np.empty(s.shape, dtype)
+        # a state's components are the rows of its transpose
+        rows = out.T
+        for j, value in enumerate(formula(*coefs, *s.T)):
+            rows[j] = value
+        return out
+
+    return KernelSpec(name, tuple(float(c) for c in coefs) if exact else None, formula, drift)
+
+
+def _spec_of(system) -> Optional[KernelSpec]:
+    """``system``'s spec while its drift is still the spec's, its
+    coefficients round like float64 and its dimension is the C drift's;
+    else None."""
+    ks = system._kernel
+    if ks is None or ks.drift is not system.drift or ks.coefs is None:
+        return None
+    return ks if _DIMENSION[ks.name] in (None, system.dimension) else None
+
+
+def single_state(system) -> Optional[Callable]:
+    """``system``'s drift at one state as ``f(t, y)`` for ``solve_ivp``, or
+    None when ``_spec_of`` finds no spec.
+
+    ``f`` applies the spec's formula to the coefficients and ``y``'s
+    components as Python floats, whose ``+ - * /`` round as numpy's do, and
+    returns a tuple of them.  A division by zero, which numpy carries on
+    as inf or NaN, goes to the numpy drift instead.
+    """
+    ks = _spec_of(system)
+    if ks is None:
+        return None
+    formula, coefs = ks.formula, ks.coefs
+
+    def f(t, y):
+        try:
+            return formula(*coefs, *y.tolist())
+        except ZeroDivisionError:
+            return system.drift(y)
+
+    return f
 
 
 def _cache_dir() -> str:
@@ -362,7 +415,7 @@ def _library():
 
 
 def _threads(P) -> int:
-    """Threads for ``P`` members: one per CPU this process may run on, at
+    """Threads for ``P`` items: one per CPU this process may run on, at
     most ``P``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, P))
@@ -370,10 +423,11 @@ def _threads(P) -> int:
 
 def _in_threads(run, P, group) -> None:
     """``run(a, b)`` over contiguous groups [a, b) of at most ``group`` of
-    ``P`` members, split into one block of groups per thread (``_threads``),
-    the first block in this thread.  This thread handles signals between
-    two calls.  When a call raises (KeyboardInterrupt, say), the other
-    threads stop after their current call and this thread raises it."""
+    ``P`` items (members, or frequencies), split into one block of groups
+    per thread (``_threads``), the first block in this thread.  This thread
+    handles signals between two calls.  When a call raises
+    (KeyboardInterrupt, say), the other threads stop after their current
+    call and this thread raises it."""
     t = _threads(P)
     edges = [P * j // t for j in range(t + 1)]
     stop = threading.Event()
@@ -424,13 +478,11 @@ def loop_for(system) -> Optional[Callable]:
     in ``y`` and returns each member's first diverging step, or -1.  Each
     member owns its generator and its rows, so the split changes no value.
     """
-    ks = system._kernel
-    if ks is None or ks.drift is not system.drift or ks.coefs is None:
+    ks = _spec_of(system)
+    S = system.noise_matrix
+    if ks is None or np.any(S - np.diag(np.diag(S))):
         return None
     n = system.dimension
-    S = system.noise_matrix
-    if _DIMENSION[ks.name] not in (None, n) or np.any(S - np.diag(np.diag(S))):
-        return None
     lib = _library()
     if lib is None:
         return None

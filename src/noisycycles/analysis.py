@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _stepkernel
 from .exceptions import (
     ConfigError,
     DegenerateSampleError,
@@ -263,13 +264,17 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     raise :class:`DegenerateSpectrumError`).  Trapezoid quadrature
     throughout.
 
-    The frequencies are taken one at a time, each through two 1-D buffers
-    of the lag grid's length that every frequency reuses, with the
-    arithmetic of ``np.trapezoid``: cos(w u) ACV(u), then
-    d (y[1:] + y[:-1]) / 2 summed and doubled.  Memory beyond the lag grid
-    is those two buffers and the lag spacings d.
+    The frequencies are taken one at a time with the arithmetic of
+    ``np.trapezoid``: cos(w u) ACV(u), then d (y[1:] + y[:-1]) / 2 summed
+    and doubled.  Contiguous blocks of them run in one thread per CPU
+    (``_stepkernel._in_threads``), where numpy's calls release the GIL;
+    each block reuses two buffers of the lag grid's length, and no value
+    depends on the block.  ``omegas`` must be a nonempty 1-D array of
+    finite, nonnegative values (:class:`ConfigError` before any sampling).
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.ndim != 1 or omegas.size == 0 or not np.all(np.isfinite(omegas)):
+        raise ConfigError("omegas must be a nonempty 1-D array of finite values")
     if np.any(omegas < 0.0):
         raise ConfigError("omegas must be nonnegative")
 
@@ -288,16 +293,20 @@ def wk_transform(acv, omegas) -> PsdEstimate:
 
     values = np.empty(omegas.size)
     spacing = np.diff(lags)
-    y = np.empty(lags.size)
-    area = np.empty(spacing.size)
-    for k, w in enumerate(omegas):
-        np.multiply(w, lags, out=y)
-        np.cos(y, out=y)
-        np.multiply(vals, y, out=y)
-        np.add(y[1:], y[:-1], out=area)
-        np.multiply(spacing, area, out=area)
-        area /= 2.0
-        values[k] = 2.0 * area.sum()
+
+    def frequencies(a, b):
+        y = np.empty(lags.size)
+        area = np.empty(spacing.size)
+        for k in range(a, b):
+            np.multiply(omegas[k], lags, out=y)
+            np.cos(y, out=y)
+            np.multiply(vals, y, out=y)
+            np.add(y[1:], y[:-1], out=area)
+            np.multiply(spacing, area, out=area)
+            area /= 2.0
+            values[k] = 2.0 * area.sum()
+
+    _stepkernel._in_threads(frequencies, omegas.size, omegas.size)
     return PsdEstimate(omegas=omegas, values=values)
 
 

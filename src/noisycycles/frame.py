@@ -28,6 +28,7 @@ points per period and interpolated with periodic cubic splines.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -167,6 +168,12 @@ def find_limit_cycle(
     after 1000 time units, and the resampled cycle must close to within
     1e-8 (1 + |L(0)|).
 
+    The three ``solve_ivp`` calls take the drift at one state many
+    thousand times.  For a system the package builds, whose drift is
+    still its kernel spec's, they get ``_stepkernel.single_state``: the
+    spec's formula on Python floats, the numpy drift's bits without its
+    per-call overhead.  Any other drift is called as it is.
+
     Parameters
     ----------
     ode : SdeSystem
@@ -174,7 +181,7 @@ def find_limit_cycle(
     initial_guess : array_like
         Starting state in the cycle's basin of attraction.
     grid_size : int
-        Samples per period, m.
+        Samples per period, m; an integer of at least 8.
     transient_time : float
         Relaxation horizon, and the span of each recurrence-search window.
 
@@ -185,22 +192,21 @@ def find_limit_cycle(
     NoCycleError
         If no converged recurrence is found, or the cycle does not close.
     """
+    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 8):
+        raise ConfigError(f"grid_size must be an integer >= 8, got {grid_size!r}")
     _require_deterministic(ode)
 
     # solve_ivp hands the drift float64 states and converts what it returns
-    def rhs(t, y):
-        return ode.drift(y)
+    rhs = _stepkernel.single_state(ode) or (lambda t, y: ode.drift(y))
 
     def f(y):
-        return np.asarray(ode.drift(y), dtype=float)
+        return np.asarray(rhs(0.0, y), dtype=float)
 
     y0 = np.asarray(initial_guess, dtype=float)
     if y0.shape != (ode.dimension,):
         raise ConfigError(
             f"initial_guess must have shape ({ode.dimension},), got {y0.shape}"
         )
-    if grid_size < 8:
-        raise ConfigError("grid_size must be at least 8")
     if not (transient_time > 0.0 and np.isfinite(transient_time)):
         raise ConfigError(f"transient_time must be positive and finite, got {transient_time}")
 

@@ -93,39 +93,14 @@ def _nsr_of(sigma, lambda_, r):
     return np.sqrt(sigma**2 / (2.0 * lambda_)) / r
 
 
-def _drift_for(params: HopfParams) -> _stepkernel.KernelSpec:
-    """The drift of ``params`` as a function of state, coefficients bound
-    once, in the kernel spec of its compiled twin.
-
-    Each difference in the module docstring's formula is taken as a sum
-    with a negated coefficient, which rounds to the same bits; the y-terms
-    of dx and the x-terms of dy come from the swapped state against ``rot``
-    and ``twist``.
-    """
-    half = 0.5 * params.lambda_
-    neg_half = -0.5 * params.lambda_
-    r2 = params.r**2
-    shift = params.alpha - params.alpha0
-    rot = np.array([-params.alpha0, params.alpha0])
-    twist = np.array([-shift, shift])
-
-    def drift(state):
-        s = np.asarray(state, dtype=float)
-        swapped = s[..., ::-1]
-        sq = s * s
-        rho2 = sq[..., :1] + sq[..., 1:]
-        rho2 /= r2
-        out = half * s
-        term = swapped * rot
-        out += term
-        inner = neg_half * s
-        np.multiply(swapped, twist, out=term)
-        inner += term
-        inner *= rho2
-        out += inner
-        return out
-
-    return _stepkernel.spec("hopf", (half, neg_half, r2, params.alpha0, shift), drift)
+def _hopf_formula(half, neg_half, r2, alpha0, shift, x, y):
+    # each difference of the module docstring's formula is a sum with a
+    # negated coefficient, which rounds to the same bits
+    rho2 = (x * x + y * y) / r2
+    return (
+        (half * x + y * -alpha0) + (neg_half * x + y * -shift) * rho2,
+        (half * y + x * alpha0) + (neg_half * y + x * shift) * rho2,
+    )
 
 
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
@@ -147,8 +122,11 @@ def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
 
 
 def hopf_system(params: HopfParams) -> SdeSystem:
-    """The oscillator as an additive-noise system with isotropic noise."""
-    kernel = _drift_for(params)
+    """The oscillator as an additive-noise system with isotropic noise; its
+    drift is ``_hopf_formula`` in the kernel spec of its compiled twin."""
+    lam, alpha0 = params.lambda_, params.alpha0
+    coefs = (0.5 * lam, -0.5 * lam, params.r**2, alpha0, params.alpha - alpha0)
+    kernel = _stepkernel.spec("hopf", coefs, _hopf_formula)
     return SdeSystem(
         dimension=2,
         drift=kernel.drift,

@@ -24,13 +24,7 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
     if mu <= 0.0:
         raise ConfigError(f"mu must be positive, got {mu}")
 
-    def drift(y):
-        y = np.asarray(y, dtype=float)
-        x, v = y[..., 0], y[..., 1]
-        out = np.empty(y.shape)
-        out[..., 0] = v
-        out[..., 1] = mu * (1.0 - x * x) * v - x
-        return out
+    kernel = _stepkernel.spec("van_der_pol", (mu,), _van_der_pol_formula)
 
     def jacobian(y):
         x, v = np.asarray(y, dtype=float)
@@ -40,10 +34,14 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
 
     return SdeSystem(
         dimension=2,
-        drift=drift,
+        drift=kernel.drift,
         isotropic_sigma=sigma,
         vectorized=True,
         jacobian=jacobian,
-        _kernel=_stepkernel.spec("van_der_pol", (mu,), drift),
+        _kernel=kernel,
     )
+
+
+def _van_der_pol_formula(mu, x, v):
+    return v, mu * (1.0 - x * x) * v - x
 

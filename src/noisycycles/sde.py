@@ -607,18 +607,18 @@ def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
     """The linear relaxation process dz = -lambda z dt + sigma dW."""
     if lambda_ <= 0:
         raise ConfigError(f"lambda_ must be > 0, got {lambda_}")
-    lam = float(lambda_)
-
-    def drift(y):
-        return -lam * np.asarray(y, dtype=float)
-
+    kernel = _stepkernel.spec("ornstein_uhlenbeck", (float(lambda_),), _ou_formula)
     return SdeSystem(
         dimension=dimension,
-        drift=drift,
+        drift=kernel.drift,
         isotropic_sigma=float(sigma),
         vectorized=True,
-        _kernel=_stepkernel.spec("ornstein_uhlenbeck", (lam,), drift),
+        _kernel=kernel,
     )
+
+
+def _ou_formula(lam, *z):
+    return tuple(-lam * c for c in z)
 
 
 def ou_exact_endpoint(lambda_, sigma):

@@ -8,7 +8,9 @@ whole than test by test.
 
 The detail strings of the ensemble criteria 3, 5 and 10 are also compared
 with ``data/validate_details.json``, recorded once from the numpy step
-loop: any change to the integrator's bits shows there first.
+loop: any change to the integrator's bits shows there first.  The details
+of criteria 7, 8 and 9 (cycle finder, frame, reduction and the ACV
+template's cosine transform) are held the same way.
 """
 
 import json
@@ -64,16 +66,19 @@ def test_criterion_06_amplitude_kurtosis():
 def test_criterion_07_frame_invariants():
     result = _report(validation.check_frame_invariants())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["7"]
 
 
 def test_criterion_08_reduction_consistency():
     result = _report(validation.check_reduction())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["8"]
 
 
 def test_criterion_09_transform_consistency():
     result = _report(validation.check_transform_consistency())
     assert result.passed, result.detail
+    assert result.detail == _RECORDED["9"]
 
 
 def test_criterion_10_fit_roundtrip():

@@ -1,5 +1,7 @@
 """Estimators and closed-form curves, checked against slow direct oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from noisycycles import (
     wk_transform,
 )
 from noisycycles.analysis import _sampled_until_decay
+
+from conftest import threads
 
 TAU = 2.0 * np.pi
 
@@ -173,6 +177,41 @@ def test_wk_transform_is_bitwise_the_trapezoid_blocks(n_omegas):
     vals = np.exp(-lags) * np.cos(TAU * lags) + 1e-9 * rng.normal(size=lags.size)
     got = wk_transform(AcvEstimate(lags=lags, values=vals), w).values
     assert got.tobytes() == _wk_blocks(lags[:2048], vals[:2048], w).tobytes()
+
+
+@pytest.mark.parametrize("n_omegas", [401, 65, 1])
+def test_wk_transform_does_not_depend_on_the_thread_count(n_omegas):
+    p = _params(0.1)
+    w = np.linspace(0.3, 2.0 * TAU, n_omegas)
+    rng = np.random.default_rng(12)
+    lags = np.arange(4001) * 0.01
+    estimate = AcvEstimate(lags=lags, values=np.exp(-lags) * np.cos(TAU * lags)
+                           + 1e-9 * rng.normal(size=lags.size))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the GIL allows
+    try:
+        for acv in (lambda u: acv_formula(p, u), estimate):
+            runs = []
+            for count in (1, 2, 3):
+                with threads(count):
+                    runs.append(wk_transform(acv, w).values.tobytes())
+            assert runs[0] == runs[1] == runs[2]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("omegas", [[np.nan], [1.0, np.inf], [-np.inf], [], [[0.5, 1.0]]],
+                         ids=["nan", "inf", "minus-inf", "empty", "2-D"])
+def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omegas):
+    sampled = []
+
+    def acv(u):
+        sampled.append(u)
+        return np.exp(-np.abs(u))
+
+    with pytest.raises(ConfigError, match="^omegas must be a nonempty 1-D array of finite values$"):
+        wk_transform(acv, np.array(omegas, dtype=float))
+    assert not sampled
 
 
 def test_wk_transform_of_a_single_lag_is_zero():

@@ -24,6 +24,7 @@ from noisycycles import (
     find_limit_cycle,
     hopf_system,
     integrate_path,
+    ornstein_uhlenbeck,
     path_seed,
     reconstruct,
     reduce,
@@ -33,7 +34,10 @@ from noisycycles import (
     van_der_pol,
 )
 from noisycycles import _stepkernel
-from noisycycles.frame import _evaluator, _nearest_orthogonal, _periodic_spline, _spline_table
+from noisycycles import frame as frame_module
+from noisycycles.frame import (
+    _ESCAPE_RADIUS, _evaluator, _nearest_orthogonal, _periodic_spline, _spline_table,
+)
 from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
 
 from conftest import compiled_and_numpy, numpy_loop, requires_compiler
@@ -188,6 +192,94 @@ def test_row_wise_drift_gives_the_vectorized_cycle_bitwise():
         b = find_limit_cycle(other, (0.3, 0.0), grid_size=64)
         for field in ("grid", "L", "f_on_L", "T", "J", "kappa", "speed"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+@pytest.mark.parametrize("grid_size", [100.5, 7, 64.0, "64", None])
+def test_cycle_search_needs_an_integer_grid_of_eight_up_front(monkeypatch, grid_size):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the grid must be checked before any integration")
+
+    monkeypatch.setattr(frame_module, "solve_ivp", no_search)
+    with pytest.raises(ConfigError, match=r"^grid_size must be an integer >= 8, got "):
+        find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=grid_size)
+
+
+# the single-state drift find_limit_cycle hands solve_ivp
+_SPEC_SYSTEMS = {
+    "hopf": hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=TAU, r=1.3, sigma=0.0)),
+    "van-der-pol": van_der_pol(2.0),
+    "ou-1": ornstein_uhlenbeck(1.5, 0.0),
+    "ou-3": ornstein_uhlenbeck(0.7, 0.0, dimension=3),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SPEC_SYSTEMS)),
+    state=st.lists(st.floats(-_ESCAPE_RADIUS, _ESCAPE_RADIUS), min_size=3, max_size=3),
+)
+@example(name="hopf", state=[0.0, -0.0, 0.0])
+@example(name="hopf", state=[-0.0, -0.0, 0.0])
+@example(name="van-der-pol", state=[-0.0, 0.0, 0.0])
+@example(name="ou-3", state=[0.0, -0.0, -_ESCAPE_RADIUS])
+@example(name="hopf", state=[_ESCAPE_RADIUS, -_ESCAPE_RADIUS, 0.0])
+@example(name="van-der-pol", state=[-_ESCAPE_RADIUS, _ESCAPE_RADIUS, 0.0])
+def test_the_single_state_drift_is_bitwise_the_numpy_drift(name, state):
+    system = _SPEC_SYSTEMS[name]
+    y = np.array(state[:system.dimension])
+    got = np.asarray(_stepkernel.single_state(system)(0.0, y), dtype=float)
+    assert got.tobytes() == system.drift(y).tobytes()
+    assert got.tobytes() == system.drift(y[None])[0].tobytes()
+
+
+def test_the_single_state_drift_leaves_a_division_by_zero_to_numpy():
+    # r = 1e-170 is positive, but r^2 underflows to zero
+    system = hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1e-170, sigma=0.0))
+    y = np.array([0.5, -0.25])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = np.asarray(_stepkernel.single_state(system)(0.0, y), dtype=float)
+        assert got.tobytes() == system.drift(y).tobytes()
+
+
+@pytest.mark.parametrize("mu, guess", [(0.5, (2.0, 0.0)), (1.0, (2.0, 0.0)), (2.0, (2.0, 0.0)),
+                                       (None, (0.3, 0.0))], ids=["mu0.5", "mu1", "mu2", "hopf"])
+def test_cycle_from_the_single_state_drift_is_bitwise_the_numpy_drifts(mu, guess):
+    # the benchmark's four oscillators at a small grid
+    system = _quiet_hopf() if mu is None else van_der_pol(mu)
+    numpy_drift = dataclasses.replace(system, drift=lambda y: system.drift(y))
+    assert _stepkernel.single_state(numpy_drift) is None
+    a = find_limit_cycle(system, guess, grid_size=64)
+    b = find_limit_cycle(numpy_drift, guess, grid_size=64)
+    assert a.period == b.period
+    for field in ("L", "f_on_L", "T", "J", "kappa", "speed"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def test_solve_ivp_gets_the_single_state_drift_only_while_the_spec_holds(monkeypatch):
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)
+    quiet = hopf_system(params)
+    twin = _stepkernel.single_state(quiet).__code__
+    real = frame_module.solve_ivp
+    handed = []
+
+    def spy(fun, *args, **kwargs):
+        handed.append(fun)
+        return real(fun, *args, **kwargs)
+
+    monkeypatch.setattr(frame_module, "solve_ivp", spy)
+    cases = {
+        "spec": (quiet, True),
+        "row-wise": (dataclasses.replace(quiet, vectorized=False), True),
+        "replaced": (dataclasses.replace(quiet, drift=lambda y: quiet.drift(y)), False),
+        "long-double": (hopf_system(dataclasses.replace(params, lambda_=np.longdouble(TAU))),
+                        False),
+    }
+    for name, (system, fast) in cases.items():
+        handed.clear()
+        find_limit_cycle(system, (0.3, 0.0), grid_size=16, transient_time=5.0)
+        # the transient, the recurrence search's windows and the one turn
+        assert len(handed) >= 3, name
+        assert all((fun.__code__ is twin) == fast for fun in handed), name
 
 
 def test_coarse_grid_is_refused():
