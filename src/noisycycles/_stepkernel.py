@@ -10,23 +10,23 @@ the formula to the columns of a state or a stack of states.
 :func:`single_state` gives ``frame.find_limit_cycle`` the formula itself on
 one state's Python floats, which skips numpy's per-call overhead and rounds
 the same.  :func:`loop_for` gives ``sde._run`` the member loop of such a
-system, and :func:`reduced_loop` gives ``simulate_reduced`` the C loop of
-the reduced phase/deviation SDE.  Each C loop runs every floating-point
+system, and :func:`reduced_loop` gives ``simulate_reduced`` the member loop
+of the reduced phase/deviation SDE.  Each C loop runs every floating-point
 operation of its numpy loop, in the same order and with the same operands,
 so its results are bitwise the same; the numpy loops are the reference.
 
-The member loop serves systems with a diagonal noise matrix (every system
-the package builds); a full noise matrix, and the pre-composed increments
-of ``strong_order_estimate``, run the numpy loop.  It runs one member at a
-time through its steps, draws each step's normals from the member's
-Philox generator with numpy's own ziggurat (``random_standard_normal_fill``
-from numpy's static ``libnpyrandom.a``, which gives the bytes of
-``Generator.standard_normal``), forms dW, dZ and S dW itself and writes
-only the recorded rows.  Members are split into contiguous blocks, one
-per CPU this process may run on (at most one per member), each block in a
-thread of its own; ctypes releases the GIL for the call.  A member owns
-its generator, its state and its rows, so the split changes no value.
-``simulate_reduced`` still draws its kicks with numpy.
+The member loop of ``sde._run`` serves systems with a diagonal noise matrix
+(every system the package builds); a full noise matrix, and the
+pre-composed increments of ``strong_order_estimate``, run the numpy loop.
+Both member loops run one member at a time through its steps, draw each
+step's normals from the member's Philox generator with numpy's own
+ziggurat (``random_standard_normal_fill`` from numpy's static
+``libnpyrandom.a``, which gives the bytes of ``Generator.standard_normal``),
+form the increments or kicks themselves and write only the recorded rows.
+:func:`_run_members` splits the members into contiguous blocks, one per
+CPU this process may run on (at most one per member), each block in a
+thread of its own; ctypes releases the GIL for the call.  A member owns its
+generator, its state and its rows, so the split changes no value.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) and linked with
@@ -113,11 +113,10 @@ static inline void draw(bitgen_t *gen, int64_t n, const double *s, const double 
    values.  bad[p] is the first step at which a component of the member
    leaves [-trust, trust] (or is NaN), where it stops, else -1.
    k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, then draw's sq, zc, inv3). */
-static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
-                           int64_t count, int64_t n_steps, int64_t record_every,
-                           int64_t rk15, double *y, double *rec, bitgen_t *const *gens,
-                           const double *s, const double *off, const double *k,
-                           int64_t *bad, double *work)
+static inline void members(drift_fn f, int64_t count, bitgen_t *const *gens, int64_t *bad,
+                           double *work, double *y, double *rec, const double *c,
+                           int64_t n, int64_t P, int64_t n_steps, int64_t record_every,
+                           int64_t rk15, const double *s, const double *off, const double *k)
 {
     const int64_t m = n, mn = n * n, row = P * n;
     const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
@@ -179,14 +178,16 @@ static inline void members(drift_fn f, const double *c, int64_t n, int64_t P,
     }
 }
 
+/* Every member loop takes (count, gens, bad, work) first, then pointers at
+   member 0 of its per-member arrays, then what all members share. */
 #define KERNEL(name)                                                               \
-    void nc_##name(const double *c, int64_t n, int64_t P, int64_t count,           \
-                   int64_t n_steps, int64_t record_every, int64_t rk15, double *y, \
-                   double *rec, bitgen_t *const *gens, const double *s,            \
-                   const double *off, const double *k, int64_t *bad, double *work) \
+    void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work, \
+                   double *y, double *rec, const double *c, int64_t n, int64_t P,  \
+                   int64_t n_steps, int64_t record_every, int64_t rk15,            \
+                   const double *s, const double *off, const double *k)            \
     {                                                                              \
-        members(name, c, n, P, count, n_steps, record_every, rk15, y, rec, gens,   \
-                s, off, k, bad, work);                                             \
+        members(name, count, gens, bad, work, y, rec, c, n, P, n_steps,            \
+                record_every, rk15, s, off, k);                                    \
     }
 
 KERNEL(hopf)
@@ -233,45 +234,63 @@ static inline void spline(const double *table, const double *knots, int64_t m, i
                  + col[4 * row + j] * s3;
 }
 
-/* One chunk of frame.simulate_reduced for P paths of d deviations: step i
-   writes the phases into taus[i] and the deviations over zs[i] (its kicks
-   until then), starting from tau and z.  Returns the first step where some
-   path has a non-finite phase or a component of z outside [-trust, trust]
-   (or NaN), after all paths of that step, else -1. */
-int64_t nc_reduced(const double *knots, int64_t m, const double *j0_table,
-                   const double *speed_table, int64_t d, int64_t P, int64_t span,
-                   double period, double h, double trust, const double *tau,
-                   const double *z, const double *phase_kick, double *taus, double *zs,
-                   double *J)
+/* Members [0, count) of frame.simulate_reduced with d deviations, one
+   after another: member p runs n_steps steps from the phase tau[p] and the
+   deviations at z + p d.  Each step draws 2(d + 1) normals u from gens[p]
+   in (dim, 2) order, as sde._normals does; the deviation kicks are
+   kick u[2 j] and the phase kick is kick u[2 d].  The phase and deviations
+   after step t go to row t / record_every of the member's n_steps /
+   record_every + 1 rows of tau_out and of z_out (d values a row) when
+   record_every divides t.  bad[p] is the first step at which the phase is
+   not finite or a component of z leaves [-trust, trust] (or is NaN), where
+   the member stops, else -1.  k = (period, h, kick, trust). */
+void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
+                        double *work, const double *tau, const double *z, double *tau_out,
+                        double *z_out, const double *knots, int64_t m,
+                        const double *j0_table, const double *speed_table, int64_t d,
+                        int64_t n_steps, int64_t record_every, const double *k)
 {
-    for (int64_t i = 0; i < span; i++) {
-        double *tau_next = taus + i * P, *z_next = zs + i * P * d;
-        int bad = 0;
-        for (int64_t p = 0; p < P; p++) {
-            double w = remainder_of(tau[p], period), speed;
+    const double period = k[0], h = k[1], kick = k[2], trust = k[3];
+    const int64_t rows = n_steps / record_every + 1;
+    double *J = work, *u = J + d * d, *cur = u + 2 * (d + 1), *next = cur + d;
+    for (int64_t p = 0; p < count; p++) {
+        int64_t left = record_every; /* steps to the next record */
+        double t = tau[p];
+        bad[p] = -1;
+        for (int64_t j = 0; j < d; j++)
+            cur[j] = z[p * d + j];
+        for (int64_t i = 0; i < n_steps; i++) {
+            random_standard_normal_fill(gens[p], 2 * (d + 1), u);
+            double w = remainder_of(t, period), speed;
             spline(speed_table, knots, m, 1, w, &speed);
-            double noise = phase_kick[i * P + p] / speed;
-            tau_next[p] = (tau[p] + h) + noise;
-            bad |= !isfinite(tau_next[p]);
+            t = (t + h) + (kick * u[2 * d]) / speed;
+            int out = !isfinite(t);
             /* J z = sum_j J[:, j] z_j from j = 0 upwards; then
                (z + (J z) h) + kick */
             spline(j0_table, knots, m, d * d, w, J);
-            const double *zp = z + p * d;
-            double *out = z_next + p * d;
-            for (int64_t k = 0; k < d; k++) {
-                double drift = J[k * d] * zp[0];
+            for (int64_t q = 0; q < d; q++) {
+                double drift = J[q * d] * cur[0];
                 for (int64_t j = 1; j < d; j++)
-                    drift = drift + J[k * d + j] * zp[j];
-                out[k] = (zp[k] + drift * h) + out[k];
-                bad |= !(fabs(out[k]) <= trust);
+                    drift = drift + J[q * d + j] * cur[j];
+                next[q] = (cur[q] + drift * h) + kick * u[2 * q];
+                out |= !(fabs(next[q]) <= trust);
+            }
+            if (out) {
+                bad[p] = i;
+                break;
+            }
+            double *swap = cur;
+            cur = next;
+            next = swap;
+            if (!--left) {
+                int64_t r = p * rows + (i + 1) / record_every;
+                tau_out[r] = t;
+                for (int64_t q = 0; q < d; q++)
+                    z_out[r * d + q] = cur[q];
+                left = record_every;
             }
         }
-        if (bad)
-            return i;
-        tau = tau_next;
-        z = z_next;
     }
-    return -1;
 }
 """
 
@@ -289,9 +308,13 @@ _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
-_D = ctypes.c_double
-_ARGTYPES = [_P, _I, _I, _I, _I, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P]
-_REDUCED_ARGTYPES = [_P, _I, _P, _P, _I, _I, _I, _D, _D, _D, _P, _P, _P, _P, _P, _P]
+# each member loop's arguments: (count, gens, bad, work) as _run_members
+# passes them, pointers at the first member's arrays, then the shared ones
+_MEMBERS = [_I, _P, _P, _P]
+_ARGTYPES = {
+    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P, _P, _P, _I, _I, _I, _I, _I, _P, _P, _P]),
+    "phase_deviation": _MEMBERS + [_P, _P, _P, _P, _P, _I, _P, _P, _I, _I, _I, _P],
+}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless one member's steps are more
@@ -404,10 +427,9 @@ def _library():
             if not os.path.exists(target):
                 _build(target)
             lib = ctypes.CDLL(target)
-            for name in _DIMENSION:
+            for name, argtypes in _ARGTYPES.items():
                 fn = getattr(lib, f"nc_{name}")
-                fn.argtypes, fn.restype = _ARGTYPES, None
-            lib.nc_reduced.argtypes, lib.nc_reduced.restype = _REDUCED_ARGTYPES, _I
+                fn.argtypes, fn.restype = argtypes, None
         except (OSError, subprocess.SubprocessError):
             lib = None
         _loaded[target] = lib
@@ -423,7 +445,7 @@ def _threads(P) -> int:
 
 def _in_threads(run, P, group) -> None:
     """``run(a, b)`` over contiguous groups [a, b) of at most ``group`` of
-    ``P`` items (members, or frequencies), split into one block of groups
+    ``P`` items (members, frequencies or grid rows), split into one block of groups
     per thread (``_threads``), the first block in this thread.  This thread
     handles signals between two calls.  When a call raises
     (KeyboardInterrupt, say), the other threads stop after their current
@@ -462,6 +484,41 @@ def _address(a: np.ndarray, offset: int) -> int:
     return a.ctypes.data + offset * a.itemsize
 
 
+def _run_members(fn, rngs, n_steps, width, members, *shared) -> np.ndarray:
+    """Run the compiled member loop ``fn``, one member per generator of
+    ``rngs``, and return each member's first diverging step, or -1.
+
+    ``members`` are the (array, member axis) pairs of the arrays the loop
+    reads and writes in place, which must be C-contiguous float64 with one
+    entry per member on that axis.  The members run in blocks across
+    threads (``_in_threads``), in calls of about ``_CALL_PATH_STEPS``
+    path-steps of ``n_steps`` steps a member, and at least one member.  The
+    call for members [a, b) is ``fn(b - a, gens, bad, work, *pointers,
+    *shared)``: the members' ``bitgen_t`` addresses and first diverging
+    steps from member a on, ``width`` doubles of scratch, and a pointer at
+    member a of each of ``members``.
+    """
+    P = len(rngs)
+    for x, axis in members:
+        if not (x.dtype == np.float64 and x.flags.c_contiguous):
+            raise ValueError("the member loop needs C-contiguous float64 arrays")
+        if x.shape[axis] != P:
+            raise ValueError("the member loop needs one generator per member")
+    # the bitgen_t of each generator, which it keeps while rngs lives
+    gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
+    bad = np.empty(P, dtype=np.int64)
+    # elements from one member to the next
+    strides = [x.strides[axis] // x.itemsize for x, axis in members]
+
+    def block(a, b):
+        work = np.empty(width)
+        pointers = (_address(x, a * step) for (x, _), step in zip(members, strides))
+        fn(b - a, _address(gens, a), _address(bad, a), work.ctypes.data, *pointers, *shared)
+
+    _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
+    return bad
+
+
 def loop_for(system) -> Optional[Callable]:
     """The compiled member loop for ``system``, or None for the numpy loop.
 
@@ -472,11 +529,10 @@ def loop_for(system) -> Optional[Callable]:
     2 sqrt(dt), dt/4, trust)``, and ``draw=(rngs, sq, zc, inv3)``: the
     members' generators and ``_IncrementSource``'s scales.  Each member
     draws its normals from its generator, one step at a time, and runs all
-    ``n_steps`` steps from the start.  The loop runs the members in blocks
-    across threads, in calls of about ``_CALL_PATH_STEPS`` path-steps and
-    at least one member (``_in_threads``), leaves each member's last state
-    in ``y`` and returns each member's first diverging step, or -1.  Each
-    member owns its generator and its rows, so the split changes no value.
+    ``n_steps`` steps from the start (``_run_members``).  The loop leaves
+    each member's last state in ``y`` and returns each member's first
+    diverging step, or -1.  Each member owns its generator and its rows, so
+    the split across threads changes no value.
     """
     ks = _spec_of(system)
     S = system.noise_matrix
@@ -493,48 +549,38 @@ def loop_for(system) -> Optional[Callable]:
 
     def loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw):
         P = y.shape[0]
-        # the C loop writes into y and rec and reads the rest in place
-        for a in (y, rec):
-            if not (a.dtype == np.float64 and a.flags.c_contiguous):
-                raise ValueError("the member loop needs C-contiguous float64 states")
         offsets = np.ascontiguousarray(offsets, dtype=np.float64)
         if (y.shape, rec.shape[1:], offsets.size) != ((P, n), (P, n), 2 * n * n):
             raise ValueError("the member loop got arrays of mismatched shapes")
         if n_steps // record_every >= rec.shape[0]:
             raise ValueError("the member loop got too few record rows")
         rngs, *scales = draw
-        if len(rngs) != P:
-            raise ValueError("the member loop needs one generator per member")
-        # the bitgen_t of each generator, which it keeps while rngs lives
-        gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
         k = np.array([*constants, *scales], dtype=np.float64)
-        bad = np.empty(P, dtype=np.int64)
-
-        def block(a, b):
-            work = np.empty(width)
-            fn(
-                coefs.ctypes.data, n, P, b - a, n_steps, record_every, int(rk15),
-                _address(y, a * n), _address(rec, a * n), _address(gens, a), s.ctypes.data,
-                offsets.ctypes.data, k.ctypes.data, _address(bad, a), work.ctypes.data,
-            )
-
-        _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
-        return bad
+        return _run_members(
+            fn, rngs, n_steps, width, [(y, 0), (rec, 1)], coefs.ctypes.data, n, P, n_steps,
+            record_every, int(rk15), s.ctypes.data, offsets.ctypes.data, k.ctypes.data,
+        )
 
     return loop
 
 
-def reduced_loop(knots, j0_table, speed_table, period, h) -> Optional[Callable]:
-    """The compiled chunk loop of ``frame.simulate_reduced``, or None for
+def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optional[Callable]:
+    """The compiled member loop of ``frame.simulate_reduced``, or None for
     its numpy loop.
 
-    ``knots`` and the two tables are ``simulate_reduced``'s; ``period`` and
-    the step ``h`` must round like float64 in numpy, or the numpy loop runs.
-    The loop is called as ``loop(tau, z, phase_kick, taus, zs, trust)`` with
-    a chunk's arrays, writes ``taus`` and ``zs`` as the numpy loop does and
-    returns the first diverging chunk step, or -1.
+    ``knots`` and the two tables are ``simulate_reduced``'s; ``period``,
+    the step ``h`` and ``kick_scale`` (sigma sqrt(h)) must round like
+    float64 in numpy, or the numpy loop runs.  The loop is called as
+    ``loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust)``
+    with the members' starting phases (P,) and deviations (P, d), their
+    record arrays (P, rows) and (P, rows, d) whose row 0 the caller writes,
+    and their generators.  Each member draws its kicks from its generator,
+    one step at a time, runs all ``n_steps`` steps and writes its recorded
+    rows (``_run_members``); the loop returns each member's first diverging
+    step, or -1.
     """
-    if not all(np.result_type(x, np.float64) == np.float64 for x in (knots, period, h)):
+    checked = (knots, period, h, kick_scale)
+    if not all(np.result_type(x, np.float64) == np.float64 for x in checked):
         return None
     lib = _library()
     if lib is None:
@@ -546,22 +592,18 @@ def reduced_loop(knots, j0_table, speed_table, period, h) -> Optional[Callable]:
     d2 = j0_table.shape[2]
     if j0_table.shape != (5, m + 2, d2) or speed_table.shape != (5, m + 2, 1):
         raise ValueError("the reduced loop got tables of mismatched shapes")
-    J = np.empty(d2)
 
-    def loop(tau, z, phase_kick, taus, zs, trust):
-        span, P, d = zs.shape
-        # the C loop writes into taus and zs and reads the rest in place
-        for a in (tau, z, phase_kick, taus, zs):
-            if not (a.dtype == np.float64 and a.flags.c_contiguous):
-                raise ValueError("the reduced loop needs C-contiguous float64 arrays")
-        if (tau.shape, z.shape, phase_kick.shape, taus.shape, d * d) != (
-            (P,), (P, d), (span, P), (span, P), d2
-        ):
+    def loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust):
+        P, d = z.shape
+        rows = n_steps // record_every + 1
+        if (tau.shape, tau_out.shape, z_out.shape, d * d) != ((P,), (P, rows), (P, rows, d), d2):
             raise ValueError("the reduced loop got arrays of mismatched shapes")
-        return lib.nc_reduced(
-            knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, P,
-            span, period, h, trust, tau.ctypes.data, z.ctypes.data,
-            phase_kick.ctypes.data, taus.ctypes.data, zs.ctypes.data, J.ctypes.data,
+        k = np.array([period, h, kick_scale, trust], dtype=np.float64)
+        return _run_members(
+            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 2,
+            [(tau, 0), (z, 0), (tau_out, 0), (z_out, 0)], knots.ctypes.data, m,
+            j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps, record_every,
+            k.ctypes.data,
         )
 
     return loop

@@ -25,6 +25,7 @@ which are each other's Fourier transforms under the convention above.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ __all__ = [
 # lag samples a callable ACV may take in wk_transform before it is judged
 # non-decaying
 _MAX_LAGS = 2**21
+
+# samples in one kde chunk, and grid rows in one kde block: a block's two
+# buffers of 16 x 4096 doubles (1 MiB) stay in a core's L2 cache
+_KDE_CHUNK = 4096
+_KDE_ROWS = 16
 
 
 @dataclass
@@ -195,19 +201,28 @@ def _psd_curve(coefficients, w):
 def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     """Gaussian kernel density with the Silverman rule of thumb.
 
-    bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly;
-    an explicit bandwidth must be positive and finite, and the grid needs
-    at least 2 points.
+    bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly.
+    The samples must be finite, an explicit bandwidth positive and finite,
+    and ``grid_size`` an integer of at least 2 (:class:`ConfigError`
+    before any work).
 
-    The kernel sums run over chunks of 4096 samples.  Each chunk's
-    exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in two
-    buffers of ``grid_size`` x min(N, 4096) doubles that every chunk
-    reuses (a short last chunk takes their leading part), and summed row
-    by row with the arithmetic of the plain expression.
+    The kernel sums run over chunks of 4096 samples, in order.  Each
+    chunk's exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in
+    two buffers of ``_KDE_ROWS`` grid rows x min(N, 4096) doubles, small
+    enough to stay in a core's cache, and summed row by row with the
+    arithmetic of the plain expression; each row adds its chunk sums in
+    chunk order.  Contiguous blocks of grid rows run in one thread per CPU
+    (``_stepkernel._in_threads``), where numpy's calls release the GIL, each
+    with its own pair of buffers; no value depends on the block.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ConfigError(f"samples must be finite, got {x[bad[0]]} at index {bad[0]}")
+    if not isinstance(grid_size, numbers.Integral):
+        raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 2:
         raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
     if bandwidth is None:
@@ -224,20 +239,27 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
     density = np.zeros(grid_size)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
-    width = min(x.size, 4096)
-    d_buf = np.empty(grid_size * width)
-    e_buf = np.empty(grid_size * width)
-    for start in range(0, x.size, width):
-        chunk = x[start:start + width]
-        used = grid_size * chunk.size
-        d = d_buf[:used].reshape(grid_size, chunk.size)
-        e = e_buf[:used].reshape(grid_size, chunk.size)
-        np.subtract(grid[:, None], chunk, out=d)
-        d /= bandwidth
-        np.multiply(-0.5, d, out=e)
-        e *= d
-        np.exp(e, out=e)
-        density += e.sum(axis=1)
+    width = min(x.size, _KDE_CHUNK)
+
+    def rows(a, b):
+        d_buf = np.empty(_KDE_ROWS * width)
+        e_buf = np.empty(_KDE_ROWS * width)
+        for top in range(a, b, _KDE_ROWS):
+            at = grid[top:min(top + _KDE_ROWS, b), None]
+            total = density[top:top + at.size]
+            for start in range(0, x.size, width):
+                chunk = x[start:start + width]
+                used = at.size * chunk.size
+                d = d_buf[:used].reshape(at.size, chunk.size)
+                e = e_buf[:used].reshape(at.size, chunk.size)
+                np.subtract(at, chunk, out=d)
+                d /= bandwidth
+                np.multiply(-0.5, d, out=e)
+                e *= d
+                np.exp(e, out=e)
+                total += e.sum(axis=1)
+
+    _stepkernel._in_threads(rows, grid_size, grid_size)
     return DensityEstimate(grid=grid, density=norm * density, bandwidth=float(bandwidth))
 
 
@@ -261,8 +283,9 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     automatically with 256 lags per period of the highest frequency,
     extending until the block envelope of |ACV| falls below 1e-6 of ACV(0)
     (inputs that do not decay within 2**21 lags, e.g. a noiseless template,
-    raise :class:`DegenerateSpectrumError`).  Trapezoid quadrature
-    throughout.
+    raise :class:`DegenerateSpectrumError`; a block holding a value that is
+    not finite raises :class:`ConfigError` naming its first such lag).
+    Trapezoid quadrature throughout.
 
     The frequencies are taken one at a time with the arithmetic of
     ``np.trapezoid``: cos(w u) ACV(u), then d (y[1:] + y[:-1]) / 2 summed
@@ -328,6 +351,9 @@ def _sampled_until_decay(fn, du, cap):
         stop = start + block + (1 if start == 0 else 0)
         u = np.arange(start, stop) * du
         v = np.asarray(fn(u), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ConfigError(f"ACV must be finite, got {v[bad[0]]} at lag {u[bad[0]]:g}")
         chunks_u.append(u)
         chunks_v.append(v)
         if np.max(np.abs(v[-block:])) < 1e-6 * c0:

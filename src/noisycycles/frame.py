@@ -51,8 +51,8 @@ from .sde import (
     SdeSystem,
     Trajectory,
     _batched,
+    _check_members,
     _chunks,
-    _diverged,
     _generator,
     _labels,
     _members,
@@ -523,45 +523,61 @@ def _evaluator(table, knots, out):
     return evaluate
 
 
-def _reduced_loop(knots, j0_table, speed_table, period, h, p, d):
-    """The numpy chunk loop of :func:`simulate_reduced` for ``p`` paths of
-    ``d`` deviations, the reference for ``_stepkernel.reduced_loop``: called
-    the same way, with the same results.
+def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale):
+    """The numpy loop of :func:`simulate_reduced`, the reference for
+    ``_stepkernel.reduced_loop``: called the same way, with the same results.
 
-    The phase recursion does not read z, so a chunk first advances tau for
-    all its steps, then evaluates J0 at all the stored phases at once, then
+    All paths advance in lock step, one chunk of steps at a time
+    (``sde._chunks``), from the chunk's normals (``sde._normals``).  The
+    phase recursion does not read z, so a chunk first advances tau for all
+    its steps, then evaluates J0 at all the stored phases at once, then
     advances z, summing J0 z over the columns of J0 from the first upwards.
+    At the first chunk step where some path diverges, the loop gives that
+    step to each path that diverges there and stops.
     """
     add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
-    speed = np.empty((p, 1))
-    speed_at = _evaluator(speed_table, knots, speed)
-    noise = speed[:, 0]  # overwritten with kick / speed each step
-    drift = np.empty((p, d))
-    term = np.empty((p, d))
 
-    def loop(tau, z, phase_kick, taus, zs, trust):
-        span = len(taus)
-        wrapped = np.empty((span, p))  # kept for J0
-        for i in range(span):
-            w = mod(tau, period, out=wrapped[i])
-            speed_at(w)
-            divide(phase_kick[i], noise, out=noise)
-            tau = add(tau, h, out=taus[i])
-            add(tau, noise, out=tau)
-        J = np.empty((span, p, d * d))
-        _evaluator(j0_table, knots, J)(wrapped)
-        J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
-        for i in range(span):
-            # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
-            multiply(J[0, i], z[:, :1], out=drift)
-            for j in range(1, d):
-                multiply(J[j, i], z[:, j:j + 1], out=term)
-                add(drift, term, out=drift)
-            multiply(drift, h, out=drift)
-            add(z, drift, out=drift)
-            z = add(drift, zs[i], out=zs[i])
-        ok = ((np.abs(zs) <= trust).all(axis=2) & np.isfinite(taus)).all(axis=1)
-        return -1 if ok.all() else int(np.argmax(~ok))
+    def loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust):
+        p, d = z.shape
+        speed = np.empty((p, 1))
+        speed_at = _evaluator(speed_table, knots, speed)
+        noise = speed[:, 0]  # overwritten with kick / speed each step
+        drift = np.empty((p, d))
+        term = np.empty((p, d))
+        for done, span in _chunks(n_steps, p):
+            xi = _normals(rngs, span, d + 1)[..., 0]
+            zs = kick_scale * xi[..., :d]  # step i writes its z over row i
+            phase_kick = kick_scale * xi[..., d]
+            taus = np.empty((span, p))
+            wrapped = np.empty((span, p))  # kept for J0
+            for i in range(span):
+                w = mod(tau, period, out=wrapped[i])
+                speed_at(w)
+                divide(phase_kick[i], noise, out=noise)
+                tau = add(tau, h, out=taus[i])
+                add(tau, noise, out=tau)
+            J = np.empty((span, p, d * d))
+            _evaluator(j0_table, knots, J)(wrapped)
+            J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
+            for i in range(span):
+                # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
+                multiply(J[0, i], z[:, :1], out=drift)
+                for j in range(1, d):
+                    multiply(J[j, i], z[:, j:j + 1], out=term)
+                    add(drift, term, out=drift)
+                multiply(drift, h, out=drift)
+                add(z, drift, out=drift)
+                z = add(drift, zs[i], out=zs[i])
+            ok = (np.abs(zs) <= trust).all(axis=2) & np.isfinite(taus)
+            if not ok.all():
+                i = int(np.argmax(~ok.all(axis=1)))
+                return np.where(ok[i], -1, done + i)
+            _record(tau_out.T, taus, done, record_every)
+            _record(z_out.swapaxes(0, 1), zs, done, record_every)
+            # free this chunk's arrays before the next draw allocates its own
+            tau, z = taus[-1].copy(), zs[-1].copy()
+            del xi, zs, phase_kick, taus, wrapped, J
+        return np.full(p, -1)
 
     return loop
 
@@ -588,11 +604,13 @@ def simulate_reduced(
     once in a gather table (``_spline_table``), and a phase w picks its
     interval with ``searchsorted`` and sums the cubic in s = w - knot with
     the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
-    so every value equals the spline's bit for bit.  Numpy draws each
-    chunk's normals and forms the kicks; the steps of the chunk run in the
-    compiled loop of ``_stepkernel.reduced_loop``, which makes the same
-    floating-point operations in the same order as the numpy loop
-    (``_reduced_loop``).  The numpy loop is the reference, and it runs
+    so every value equals the spline's bit for bit.  The members run in
+    the compiled loop of ``_stepkernel.reduced_loop``: each member runs all
+    its steps, draws its own kicks from its generator one step at a time,
+    and writes its recorded rows, and contiguous blocks of members run in
+    one thread per CPU.  It makes the same floating-point operations in the
+    same order as the numpy loop (``_reduced_loop``), which advances all
+    members in lock step.  The numpy loop is the reference, and it runs
     instead, with the same results, where the loop cannot be compiled.
 
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
@@ -649,26 +667,13 @@ def simulate_reduced(
     # so adding +0.0 once here keeps every value
     z += 0.0
 
-    loop = _stepkernel.reduced_loop(knots, j0_table, speed_table, period, h) or _reduced_loop(
-        knots, j0_table, speed_table, period, h, p, d
-    )
-    # a diverging path overflows before the chunk is scanned; the scan
-    # raises DivergenceError instead of the warnings
+    tables = (knots, j0_table, speed_table, period, h, kick_scale)
+    loop = _stepkernel.reduced_loop(*tables) or _reduced_loop(*tables)
+    # a diverging path overflows before its divergence is reported, which
+    # must not surface as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for done, span in _chunks(n_steps, p):
-            xi = _normals(rngs, span, n)[..., 0]
-            zs = kick_scale * xi[..., :d]  # step i writes its z over row i
-            phase_kick = kick_scale * xi[..., d]
-            taus = np.empty((span, p))
-            bad = loop(tau, z, phase_kick, taus, zs, TRUST_RADIUS)
-            if bad >= 0:
-                ok = (np.abs(zs[bad]) <= TRUST_RADIUS).all(axis=1) & np.isfinite(taus[bad])
-                _diverged(ok, done + bad, path_ids)
-            _record(tau_out.T, taus, done, record_every)
-            _record(z_out.swapaxes(0, 1), zs, done, record_every)
-            # free this chunk's arrays before the next draw allocates its own
-            tau, z = taus[-1].copy(), zs[-1].copy()
-            del xi, zs, phase_kick, taus
+        bad = loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, TRUST_RADIUS)
+    _check_members(bad, path_ids)
 
     if path_ids is None:
         return tau_out[0], z_out[0]

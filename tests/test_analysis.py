@@ -145,6 +145,25 @@ def test_wk_transform_rejects_non_decaying_input():
         wk_transform(lambda u: np.cos(u), np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("value, after, block", [(np.nan, 1.0, 0), (np.inf, 150.0, 1)])
+def test_wk_transform_refuses_an_acv_that_is_not_finite_at_its_first_block(value, after, block):
+    # not a line spectrum sampled to the 2**21-lag cap: the first block that
+    # holds a value that is not finite stops the sampling and names its lag;
+    # at w = 1 the lags are k pi / 128 in blocks of 4097, then 4096
+    blocks = []
+
+    def acv(u):
+        if np.ndim(u):
+            blocks.append(u)
+        return np.where(u > after, value, np.exp(-0.01 * u))
+
+    lags = np.arange(2 * 4096 + 1) * (np.pi / 128.0)
+    first = lags[lags > after][0]
+    with pytest.raises(ConfigError, match=f"^ACV must be finite, got {value} at lag {first:g}$"):
+        wk_transform(acv, [1.0])
+    assert len(blocks) == block + 1
+
+
 def _wk_blocks(lags, vals, omegas):
     # wk_transform's quadrature as written before it went frequency by
     # frequency: np.trapezoid over blocks of 64 frequencies
@@ -266,6 +285,7 @@ def test_kde_bandwidth_override_and_degenerate_sample():
 @pytest.mark.parametrize("kwargs", [
     {"grid_size": 1}, {"grid_size": 0}, {"grid_size": -3},
     {"bandwidth": 0.0}, {"bandwidth": -1.0}, {"bandwidth": np.nan}, {"bandwidth": np.inf},
+    {"grid_size": 100.5}, {"grid_size": 16.0}, {"grid_size": "16"},
 ])
 def test_kde_rejects_bad_arguments_as_config_errors(kwargs):
     # a bad explicit argument is the caller's error; only Silverman's zero
@@ -274,6 +294,36 @@ def test_kde_rejects_bad_arguments_as_config_errors(kwargs):
         kde(np.random.default_rng(8).normal(size=100), **kwargs)
     with pytest.raises(ConfigError):
         kde(np.ones(100), **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bandwidth", [None, 0.5])
+def test_kde_refuses_samples_that_are_not_finite(value, bandwidth):
+    # not a degenerate spread and not an all-NaN density: the caller's error
+    x = np.array([0.0, 1.0, value, 2.0])
+    with pytest.raises(ConfigError, match=f"^samples must be finite, got {value} at index 2$"):
+        kde(x, bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("grid_size", [2, 17, 257])
+def test_kde_does_not_depend_on_the_thread_count(grid_size):
+    # grid sizes that are not multiples of the 16-row block, over samples
+    # of one, two and three 4096-sample chunks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the GIL allows
+    try:
+        for n in (300, 4097, 9000):
+            x = np.random.default_rng(n).normal(size=n) * 1.7 + 0.4
+            runs = []
+            for count in (1, 2, 3):
+                with threads(count):
+                    est = kde(x, grid_size=grid_size)
+                runs.append(est.grid.tobytes() + est.density.tobytes())
+            assert runs[0] == runs[1] == runs[2]
+            grid, density = _kde_as_written(x, grid_size, est.bandwidth)
+            assert runs[0] == grid.tobytes() + density.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_kurtosis_reference_values():

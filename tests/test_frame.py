@@ -40,7 +40,7 @@ from noisycycles.frame import (
 )
 from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
 
-from conftest import compiled_and_numpy, numpy_loop, requires_compiler
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
 
 TAU = 2.0 * np.pi
 
@@ -387,9 +387,10 @@ def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):
 def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monkeypatch):
     # one seed pins one Brownian path: the generic integrator, with noise
     # or without, the linear model and the reduced model all consume the
-    # same sde._normals stream, across a chunk boundary.  The generic
-    # integrator's compiled loop draws the same normals in C; the spy sees
-    # its numpy loop, whose paths the compiled loop's equal bit for bit
+    # same sde._normals stream, across a chunk boundary.  The compiled loops
+    # of the generic integrator and of the reduced model draw the same
+    # normals in C; the spy sees their numpy loops, whose paths the compiled
+    # loops' equal bit for bit
     import noisycycles.frame as frame_module
     import noisycycles.hopf as hopf_module
     import noisycycles.sde as sde_module
@@ -426,7 +427,12 @@ def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monk
         assert compiled == reference
     assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
     model = reduce(hopf_cycle, hopf_frame, params.sigma)
-    assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic
+    with numpy_loop():
+        assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic
+    compiled, reference = compiled_and_numpy(
+        lambda: [a.tobytes() for a in simulate_reduced(model, hopf_cycle, config)]
+    )
+    assert compiled == reference
 
 
 def test_reduced_ensemble_member_equals_solo_run(hopf_cycle, hopf_frame):
@@ -638,12 +644,15 @@ def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monke
     expected = run()
     knots = np.append(vdp_cycle.grid, vdp_cycle.period)
     table = _spline_table(vdp_cycle.grid, model.speed, vdp_cycle.period)
-    # a step that numpy would not round as float64 keeps the numpy loop
+    # a step or a kick scale that numpy would not round as float64 keeps the
+    # numpy loop
     period = vdp_cycle.period
-    assert _stepkernel.reduced_loop(knots, table, table, period, np.longdouble(1e-3)) is None
+    kick = 0.1 * np.sqrt(1e-3)
+    assert _stepkernel.reduced_loop(knots, table, table, period, np.longdouble(1e-3), kick) is None
+    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3, np.longdouble(kick)) is None
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
-    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3) is None
+    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3, kick) is None
     assert run() == expected
 
 
@@ -670,6 +679,68 @@ def test_reduced_member_is_its_solo_run_across_chunk_boundaries(
     tau, z0 = simulate_reduced(model, vdp_cycle, solo, record_every)
     assert taus[k].tobytes() == tau.tobytes()
     assert z0s[k].tobytes() == z0.tobytes()
+
+
+@requires_compiler
+@pytest.mark.parametrize("name", ["van der pol", "3-d"])
+@pytest.mark.parametrize("n_paths", [5, 8])
+@pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
+def test_reduced_members_do_not_depend_on_the_thread_count(
+    reduced_models, name, n_paths, calls
+):
+    # 3000 steps make calls of _CALL_PATH_STEPS // 3000 = 5 members, and one
+    # more step than _CALL_PATH_STEPS makes calls of one member; at 1, 2 and
+    # 3 threads every member equals the numpy loop's and its solo run
+    n_steps = {"many members a call": 3000,
+               "one member a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
+    record_every = 3 if n_steps % 3 == 0 else 1
+    cycle, model = reduced_models[name]
+    model = dataclasses.replace(model, sigma=0.1)
+    d = cycle.dimension - 1
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=n_steps, seed=17, initial_state=(0.02,) * d + (0.4,)
+    )
+
+    def run(config, n_paths=n_paths):
+        return [a.tobytes() for a in simulate_reduced(model, cycle, config, record_every, n_paths)]
+
+    with numpy_loop():
+        reference = run(config)
+    for count in (1, 2, 3):
+        with threads(count):
+            assert run(config) == reference
+    taus, z0s = simulate_reduced(model, cycle, config, record_every, n_paths)
+    for k in range(n_paths):
+        solo = _member(config, k)
+        assert run(solo, None) == [taus[k].tobytes(), z0s[k].tobytes()]
+
+
+def test_reduced_divergence_across_thread_blocks_is_the_earliest_and_lowest(hopf_cycle):
+    # member 6 diverges first, in the last block at 2 and at 3 threads,
+    # and members of the first block diverge later; with no noise every
+    # member diverges at step 283 and the lowest path is reported
+    model = _unstable(hopf_cycle, 15.0, 1.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=0)
+    n_paths = 8
+    solo = []
+    for k in range(n_paths):
+        with pytest.raises(DivergenceError) as err:
+            simulate_reduced(model, hopf_cycle, _member(config, k))
+        solo.append(err.value.step_index)
+    step = min(solo)
+    assert solo.index(step) == 6 and min(solo[:2]) > step
+    quiet = _unstable(hopf_cycle, 50.0, 0.0)
+    on_edge = IntegratorConfig(dt=1e-3, n_steps=1500, seed=3, initial_state=(1.0, 0.0))
+    for count in (1, 2, 3):
+        for loop in (threads(count), numpy_loop()):
+            with loop, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as err:
+                    simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
+                assert (err.value.step_index, err.value.path_index) == (step, 6)
+                with pytest.raises(DivergenceError) as err:
+                    simulate_reduced(quiet, hopf_cycle, on_edge, n_paths=n_paths)
+                assert (err.value.step_index, err.value.path_index) == (283, 0)
 
 
 def _unstable(cycle, rate, sigma, speed=1.0):
