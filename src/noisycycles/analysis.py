@@ -284,8 +284,11 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     extending until the block envelope of |ACV| falls below 1e-6 of ACV(0)
     (inputs that do not decay within 2**21 lags, e.g. a noiseless template,
     raise :class:`DegenerateSpectrumError`; a block holding a value that is
-    not finite raises :class:`ConfigError` naming its first such lag).
-    Trapezoid quadrature throughout.
+    not finite raises :class:`ConfigError` naming its first such lag).  An
+    estimate is refused with :class:`ConfigError` before any quadrature
+    when a value is not finite or its lags are not finite and strictly
+    increasing.  Trapezoid
+    quadrature throughout.
 
     The frequencies are taken one at a time with the arithmetic of
     ``np.trapezoid``: cos(w u) ACV(u), then d (y[1:] + y[:-1]) / 2 summed
@@ -303,6 +306,9 @@ def wk_transform(acv, omegas) -> PsdEstimate:
 
     if isinstance(acv, AcvEstimate):
         lags, vals = acv.lags, acv.values
+        if not (np.all(np.isfinite(lags)) and np.all(np.diff(lags) > 0.0)):
+            raise ConfigError("ACV lags must be finite and strictly increasing")
+        _require_finite(lags, vals)
         c0 = abs(vals[0])
         env = _block_envelope(vals, 512)
         below = np.nonzero(env < 1e-6 * c0)[0]
@@ -340,6 +346,12 @@ def _block_envelope(vals, block):
     return padded.reshape(nb, block).max(axis=1)
 
 
+def _require_finite(lags, vals):
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ConfigError(f"ACV must be finite, got {vals[bad[0]]} at lag {lags[bad[0]]:g}")
+
+
 def _sampled_until_decay(fn, du, cap):
     c0 = abs(float(fn(0.0)))
     if not np.isfinite(c0) or c0 == 0.0:
@@ -351,9 +363,7 @@ def _sampled_until_decay(fn, du, cap):
         stop = start + block + (1 if start == 0 else 0)
         u = np.arange(start, stop) * du
         v = np.asarray(fn(u), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ConfigError(f"ACV must be finite, got {v[bad[0]]} at lag {u[bad[0]]:g}")
+        _require_finite(u, v)
         chunks_u.append(u)
         chunks_v.append(v)
         if np.max(np.abs(v[-block:])) < 1e-6 * c0:

@@ -33,9 +33,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from . import _stepkernel
 from .exceptions import (
@@ -82,6 +83,8 @@ _ESCAPE_RADIUS = 1.0e6
 _CLOSURE_TOL = 1.0e-8
 # total horizon of the recurrence search
 _MAX_TIME = 1000.0
+# solve_ivp's tolerances for an event's root
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,21 @@ def find_limit_cycle(
     after 1000 time units, and the resampled cycle must close to within
     1e-8 (1 + |L(0)|).
 
-    The three ``solve_ivp`` calls take the drift at one state many
-    thousand times.  For a system the package builds, whose drift is
-    still its kernel spec's, they get ``_stepkernel.single_state``: the
-    spec's formula on Python floats, the numpy drift's bits without its
-    per-call overhead.  Any other drift is called as it is.
+    The search steps DOP853 itself, window by window, and takes each
+    crossing as soon as its step is taken, with the event rule of
+    ``solve_ivp``, so the crossings are the ones a windowed ``solve_ivp``
+    with section and escape events finds, bit for bit.  It stops at the
+    converged crossing, usually the second, one period after the start,
+    instead of integrating the rest of its window.  So an escape past
+    |y| = 1e6 later in the same window than the converged crossing, and
+    a stationary state at that window's end, are no longer watched for.
+
+    The transient, the search and the one-turn resampling take the drift
+    at one state many thousand times.  For a system the package builds,
+    whose drift is still its kernel spec's, they get
+    ``_stepkernel.single_state``: the spec's formula on Python floats, the
+    numpy drift's bits without its per-call overhead.  Any other drift is
+    called as it is.
 
     Parameters
     ----------
@@ -196,7 +209,7 @@ def find_limit_cycle(
         raise ConfigError(f"grid_size must be an integer >= 8, got {grid_size!r}")
     _require_deterministic(ode)
 
-    # solve_ivp hands the drift float64 states and converts what it returns
+    # the integrators hand the drift float64 states and convert what it returns
     rhs = _stepkernel.single_state(ode) or (lambda t, y: ode.drift(y))
 
     def f(y):
@@ -228,65 +241,30 @@ def find_limit_cycle(
     sp = check_not_fixed_point(ystar)
     normal = f(ystar) / sp
 
-    def section(t, y):
-        return normal @ (y - ystar)
-
-    section.direction = 1.0
-
-    def escape(t, y):
-        return y @ y - _ESCAPE_RADIUS**2
-
-    escape.terminal = True
-
-    # collect crossings window by window until two consecutive section
-    # states coincide to 1e-10 (relative); their spacing is the period
-    t_cur, y_cur = 0.0, ystar
-    crossings_t, crossings_y = [], []
-    converged = False
-    while t_cur < _MAX_TIME and not converged:
-        span = min(transient_time, _MAX_TIME - t_cur)
-        sol = solve_ivp(
-            rhs,
-            (t_cur, t_cur + span),
-            y_cur,
-            method="DOP853",
-            rtol=_ODE_RTOL,
-            atol=_ODE_ATOL,
-            events=[section, escape],
-        )
-        if not sol.success:
-            raise NumericsError(f"recurrence search failed: {sol.message}")
-        if sol.status == 1:
-            raise NoCycleError(
-                f"trajectory escaped |y| = {_ESCAPE_RADIUS:g} without recurring"
-            )
-        for te, ye in zip(sol.t_events[0], sol.y_events[0]):
-            # a spiral into a focus keeps crossing the section with ever
-            # smaller drift; catch that before the gaps look converged
-            check_not_fixed_point(ye)
-            crossings_t.append(te)
-            crossings_y.append(ye)
-            if len(crossings_y) >= 2:
-                gap = np.linalg.norm(crossings_y[-1] - crossings_y[-2])
-                if gap <= 1e-10 * (1.0 + np.linalg.norm(crossings_y[-1])):
-                    converged = True
-                    break
-        t_cur = sol.t[-1]
-        y_cur = sol.y[:, -1]
-        check_not_fixed_point(y_cur)
-
-    if not converged:
-        if not crossings_t:
+    # collect crossings until two consecutive section states coincide to
+    # 1e-10 (relative); their spacing is the period
+    crossings = []
+    for te, ye in _section_crossings(rhs, ystar, normal, transient_time, check_not_fixed_point):
+        # a spiral into a focus keeps crossing the section with ever
+        # smaller drift; catch that before the gaps look converged
+        check_not_fixed_point(ye)
+        crossings.append((te, ye))
+        if len(crossings) >= 2:
+            gap = np.linalg.norm(ye - crossings[-2][1])
+            if gap <= 1e-10 * (1.0 + np.linalg.norm(ye)):
+                break
+    else:
+        if not crossings:
             raise NoCycleError(
                 f"no section recurrence within the horizon {_MAX_TIME:g}"
             )
         raise NoCycleError(
             f"return map did not converge within {_MAX_TIME:g} "
-            f"({len(crossings_t)} crossings seen)"
+            f"({len(crossings)} crossings seen)"
         )
 
-    period = crossings_t[-1] - crossings_t[-2]
-    anchor = crossings_y[-1]
+    (t_before, _), (t_last, anchor) = crossings[-2:]
+    period = t_last - t_before
 
     one_turn = solve_ivp(
         rhs,
@@ -325,6 +303,48 @@ def find_limit_cycle(
     kappa = np.linalg.norm(cycle.tangent_rate(), axis=1) / speed
     object.__setattr__(cycle, "kappa", kappa)
     return cycle
+
+
+def _section_crossings(rhs, ystar, normal, window, check_window_end):
+    """The upward crossings (t, y) of the section normal @ (y - ystar) = 0
+    by the trajectory from ``ystar``, each yielded as soon as its step is
+    taken.  DOP853 runs in windows of ``window`` up to ``_MAX_TIME`` under
+    ``solve_ivp``'s event rule: section and escape values at each step's
+    end, and on a step where the section rose through zero a dense output,
+    brentq's root at solve_ivp's tolerances and the dense state there.  A
+    step that takes |y| across ``_ESCAPE_RADIUS`` raises NoCycleError, and
+    ``check_window_end`` gets each window's last state.
+    """
+    radius2 = _ESCAPE_RADIUS**2
+
+    def section(y):
+        return normal @ (y - ystar)
+
+    t, y = 0.0, ystar
+    while t < _MAX_TIME:
+        solver = DOP853(
+            rhs, t, y, t + min(window, _MAX_TIME - t), rtol=_ODE_RTOL, atol=_ODE_ATOL
+        )
+        g, e = section(y), y @ y - radius2
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericsError(f"recurrence search failed: {message}")
+            g_new, e_new = section(solver.y), solver.y @ solver.y - radius2
+            if e <= 0.0 <= e_new or e_new <= 0.0 <= e:
+                raise NoCycleError(
+                    f"trajectory escaped |y| = {_ESCAPE_RADIUS:g} without recurring"
+                )
+            if g <= 0.0 <= g_new:
+                sol = solver.dense_output()
+                te = brentq(
+                    lambda s: section(sol(s)), solver.t_old, solver.t,
+                    xtol=_ROOT_TOL, rtol=_ROOT_TOL,
+                )
+                yield te, sol(te)
+            g, e = g_new, e_new
+        t, y = solver.t, solver.y
+        check_window_end(y)
 
 
 def _jacobian_samples(ode, f, points) -> np.ndarray:
@@ -433,7 +453,7 @@ def _frame_deviations(cycle, frame):
     carried = np.einsum("mij,j->mi", frame.U, cycle.T[0])
     tangent_dev = np.linalg.norm(carried - cycle.T, axis=1).max()
     # the rotation-rate identity is about the operator norm, not Frobenius
-    rate_norm = np.array([np.linalg.norm(v, 2) for v in frame.V])
+    rate_norm = np.linalg.norm(frame.V, 2, axis=(1, 2))
     lemma_dev = np.abs(
         rate_norm - np.linalg.norm(cycle.tangent_rate(), axis=1)
     ).max()

@@ -20,6 +20,7 @@ from noisycycles import (
     sigma_for_nsr,
     wk_transform,
 )
+from noisycycles import _stepkernel
 from noisycycles.analysis import _sampled_until_decay
 
 from conftest import threads
@@ -236,6 +237,28 @@ def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omega
 def test_wk_transform_of_a_single_lag_is_zero():
     one = AcvEstimate(lags=np.array([0.0]), values=np.array([1.0]))
     assert wk_transform(one, np.array([0.0, 1.0])).values.tolist() == [0.0, 0.0]
+
+
+_LAGS = np.arange(100) * 0.1
+_WITH_NAN = np.where(np.arange(100) == 50, np.nan, np.exp(-_LAGS))
+
+
+@pytest.mark.parametrize("lags, vals, message", [
+    (_LAGS, _WITH_NAN, "^ACV must be finite, got nan at lag 5$"),
+    (_LAGS[::-1], np.exp(-_LAGS), "^ACV lags must be finite and strictly increasing$"),
+    (np.append(_LAGS[:-1], np.inf), np.exp(-_LAGS),
+     "^ACV lags must be finite and strictly increasing$"),
+], ids=["nan-value", "reversed-lags", "infinite-lag"])
+def test_wk_transform_refuses_an_estimate_it_cannot_integrate_before_quadrature(
+    monkeypatch, lags, vals, message
+):
+    # these gave [nan nan] and [nan] without a word
+    def no_quadrature(*args):
+        raise AssertionError("the estimate must be checked before any quadrature")
+
+    monkeypatch.setattr(_stepkernel, "_in_threads", no_quadrature)
+    with pytest.raises(ConfigError, match=message):
+        wk_transform(AcvEstimate(lags=lags, values=vals), np.array([1.0, 2.0]))
 
 
 def _kde_as_written(x, grid_size, bandwidth):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from noisycycles import (
@@ -17,6 +18,7 @@ from noisycycles import (
     FixedPointError,
     HopfParams,
     IntegratorConfig,
+    NoCycleError,
     NumericsError,
     ReducedModel,
     SdeSystem,
@@ -147,6 +149,8 @@ def test_frame_invariants_hold_everywhere(vdp_cycle):
     rate = np.array([np.linalg.norm(v, 2) for v in frame.V])
     want = np.linalg.norm(vdp_cycle.tangent_rate(), axis=1)
     assert np.abs(rate - want).max() < 1e-6
+    # build_frame's batched operator norms are these, bit for bit
+    assert frame_module._frame_deviations(vdp_cycle, frame)[2] == np.abs(rate - want).max()
 
 
 def test_spiral_sink_is_reported_as_fixed_point():
@@ -200,11 +204,12 @@ def test_cycle_search_needs_an_integer_grid_of_eight_up_front(monkeypatch, grid_
         raise AssertionError("the grid must be checked before any integration")
 
     monkeypatch.setattr(frame_module, "solve_ivp", no_search)
+    monkeypatch.setattr(frame_module, "DOP853", no_search)
     with pytest.raises(ConfigError, match=r"^grid_size must be an integer >= 8, got "):
         find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=grid_size)
 
 
-# the single-state drift find_limit_cycle hands solve_ivp
+# the single-state drift find_limit_cycle hands its integrators
 _SPEC_SYSTEMS = {
     "hopf": hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=TAU, r=1.3, sigma=0.0)),
     "van-der-pol": van_der_pol(2.0),
@@ -259,14 +264,21 @@ def test_solve_ivp_gets_the_single_state_drift_only_while_the_spec_holds(monkeyp
     params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)
     quiet = hopf_system(params)
     twin = _stepkernel.single_state(quiet).__code__
-    real = frame_module.solve_ivp
-    handed = []
+    handed, called = [], []
 
-    def spy(fun, *args, **kwargs):
-        handed.append(fun)
-        return real(fun, *args, **kwargs)
+    def spy(name):
+        real = getattr(frame_module, name)
 
-    monkeypatch.setattr(frame_module, "solve_ivp", spy)
+        def call(fun, *args, **kwargs):
+            handed.append(fun)
+            called.append(name)
+            return real(fun, *args, **kwargs)
+
+        monkeypatch.setattr(frame_module, name, call)
+
+    # solve_ivp for the transient and the one turn, the stepper for the search
+    spy("solve_ivp")
+    spy("DOP853")
     cases = {
         "spec": (quiet, True),
         "row-wise": (dataclasses.replace(quiet, vectorized=False), True),
@@ -276,10 +288,139 @@ def test_solve_ivp_gets_the_single_state_drift_only_while_the_spec_holds(monkeyp
     }
     for name, (system, fast) in cases.items():
         handed.clear()
+        called.clear()
         find_limit_cycle(system, (0.3, 0.0), grid_size=16, transient_time=5.0)
         # the transient, the recurrence search's windows and the one turn
         assert len(handed) >= 3, name
+        assert called[0] == called[-1] == "solve_ivp" and "DOP853" in called, name
         assert all((fun.__code__ is twin) == fast for fun in handed), name
+
+
+def _windowed_search(system, guess, transient_time):
+    """find_limit_cycle's transient and recurrence search as written
+    before the search stepped DOP853 itself: one solve_ivp call with
+    section and escape events per window, its crossings read after the
+    call.  Returns the drift handed to the integrators and the crossing
+    times and states up to the converged one."""
+    rhs = _stepkernel.single_state(system) or (lambda t, y: system.drift(y))
+    relax = solve_ivp(rhs, (0.0, transient_time), np.asarray(guess, dtype=float),
+                      method="DOP853", rtol=1e-10, atol=1e-12)
+    ystar = relax.y[:, -1]
+    drift = np.asarray(rhs(0.0, ystar), dtype=float)
+    normal = drift / np.linalg.norm(drift)
+
+    def section(t, y):
+        return normal @ (y - ystar)
+
+    section.direction = 1.0
+
+    def escape(t, y):
+        return y @ y - _ESCAPE_RADIUS**2
+
+    escape.terminal = True
+    t_cur, y_cur = 0.0, ystar
+    times, states = [], []
+    while t_cur < 1000.0:
+        sol = solve_ivp(rhs, (t_cur, t_cur + min(transient_time, 1000.0 - t_cur)), y_cur,
+                        method="DOP853", rtol=1e-12, atol=1e-12, events=[section, escape])
+        if sol.status == 1:
+            raise NoCycleError("trajectory escaped")
+        for te, ye in zip(sol.t_events[0], sol.y_events[0]):
+            times.append(te)
+            states.append(ye)
+            if len(states) >= 2:
+                gap = np.linalg.norm(states[-1] - states[-2])
+                if gap <= 1e-10 * (1.0 + np.linalg.norm(states[-1])):
+                    return rhs, times, states
+        t_cur, y_cur = sol.t[-1], sol.y[:, -1]
+    raise NoCycleError("return map did not converge")
+
+
+def _tilted_hopf():
+    return SdeSystem(dimension=3, drift=_tilted_hopf_drift, isotropic_sigma=0.0, vectorized=True)
+
+
+# the benchmark's four oscillators, van der Pol searches over several
+# windows, and the 3-D cycle over one window and over many
+_SEARCHES = {
+    "vdp-mu0.5": (lambda: van_der_pol(0.5), (2.0, 0.0), 100.0),
+    "vdp-mu1": (lambda: van_der_pol(1.0), (2.0, 0.0), 100.0),
+    "vdp-mu2": (lambda: van_der_pol(2.0), (2.0, 0.0), 100.0),
+    "hopf": (_quiet_hopf, (0.3, 0.0), 100.0),
+    **{f"vdp-mu{mu:g}-window{window:g}": (lambda mu=mu: van_der_pol(mu), (2.0, 0.0), window)
+       for mu in (0.5, 1.0, 2.0) for window in (3.0, 5.0, 20.0)},
+    "tilted-window100": (_tilted_hopf, (0.5, 0.1, 0.0), 100.0),
+    "tilted-window0.7": (_tilted_hopf, (0.5, 0.1, 0.0), 0.7),
+}
+
+
+def _spy_on_the_search(monkeypatch):
+    """Record the crossings the search yields and the (t_old, t) of each
+    step its stepper takes."""
+    crossings, steps = [], []
+    real = frame_module._section_crossings
+
+    def search(*args):
+        for crossing in real(*args):
+            crossings.append(crossing)
+            yield crossing
+
+    class Stepper(DOP853):
+        def step(self):
+            message = super().step()
+            steps.append((self.t_old, self.t))
+            return message
+
+    monkeypatch.setattr(frame_module, "_section_crossings", search)
+    monkeypatch.setattr(frame_module, "DOP853", Stepper)
+    return crossings, steps
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCHES))
+def test_the_search_finds_the_windowed_solve_ivp_crossings_bitwise(monkeypatch, case):
+    make, guess, window = _SEARCHES[case]
+    system = make()
+    rhs, times, states = _windowed_search(system, guess, window)
+    crossings, _ = _spy_on_the_search(monkeypatch)
+    cycle = find_limit_cycle(system, guess, grid_size=64, transient_time=window)
+    assert np.array([te for te, _ in crossings]).tobytes() == np.array(times).tobytes()
+    assert [ye.tobytes() for _, ye in crossings] == [ye.tobytes() for ye in states]
+    period = times[-1] - times[-2]
+    assert cycle.period == period
+    one_turn = solve_ivp(rhs, (0.0, period), states[-1], method="DOP853",
+                         rtol=1e-12, atol=1e-14, dense_output=True)
+    assert cycle.L.tobytes() == one_turn.sol(cycle.grid).T.tobytes()
+
+
+@pytest.mark.parametrize("case", ["vdp-mu2", "vdp-mu2-window3"])
+def test_the_search_stops_in_the_step_of_the_converged_crossing(monkeypatch, case):
+    make, guess, window = _SEARCHES[case]
+    crossings, steps = _spy_on_the_search(monkeypatch)
+    find_limit_cycle(make(), guess, grid_size=64, transient_time=window)
+    # with a window of 3 the converged crossing is the third, at t = 15.3
+    t_old, t = steps[-1]
+    assert t_old <= crossings[-1][0] <= t
+
+
+def _unstable_focus(y):
+    return np.stack([0.05 * y[..., 0] - y[..., 1], y[..., 0] + 0.05 * y[..., 1]], axis=-1)
+
+
+def test_the_search_reports_an_escape_as_the_windowed_search_did():
+    focus = SdeSystem(dimension=2, drift=_unstable_focus, isotropic_sigma=0.0, vectorized=True)
+    # the transient ends near |y| = e^5, inside the radius; the search
+    # then spirals out through it
+    with pytest.raises(NoCycleError, match="escaped"):
+        _windowed_search(focus, (1.0, 0.0), 100.0)
+    with pytest.raises(NoCycleError, match=r"^trajectory escaped \|y\| = 1e\+06 without recurring$"):
+        find_limit_cycle(focus, (1.0, 0.0), grid_size=16)
+
+
+def test_the_search_gives_up_at_its_horizon(monkeypatch):
+    # one crossing, at the start, and none a period later
+    monkeypatch.setattr(frame_module, "_MAX_TIME", 0.75 * VDP_PERIOD)
+    with pytest.raises(NoCycleError, match=r"^return map did not converge within .* \(1 crossings seen\)$"):
+        find_limit_cycle(van_der_pol(1.0), (2.0, 0.0), grid_size=16, transient_time=3.0)
 
 
 def test_coarse_grid_is_refused():
