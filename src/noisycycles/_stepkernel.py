@@ -18,15 +18,19 @@ so its results are bitwise the same; the numpy loops are the reference.
 The member loop of ``sde._run`` serves systems with a diagonal noise matrix
 (every system the package builds); a full noise matrix, and the
 pre-composed increments of ``strong_order_estimate``, run the numpy loop.
-Both member loops run one member at a time through its steps, draw each
-step's normals from the member's Philox generator with numpy's own
-ziggurat (``random_standard_normal_fill`` from numpy's static
-``libnpyrandom.a``, which gives the bytes of ``Generator.standard_normal``),
-form the increments or kicks themselves and write only the recorded rows.
-:func:`_run_members` splits the members into contiguous blocks, one per
-CPU this process may run on (at most one per member), each block in a
-thread of its own; ctypes releases the GIL for the call.  A member owns its
-generator, its state and its rows, so the split changes no value.
+Every member loop, compiled or numpy, fills in a member-major record,
+(P, n_steps // record_every + 1, ...), from the start the caller wrote in
+row 0, and returns each member's first diverging step, or -1, for
+``sde._check_members`` to raise.  The compiled loops run one member at a
+time through its steps, draw each step's normals from the member's Philox
+generator with numpy's own ziggurat (``random_standard_normal_fill`` from
+numpy's static ``libnpyrandom.a``, which gives the bytes of
+``Generator.standard_normal``), form the increments or kicks themselves
+and write only the recorded rows.  :func:`_run_members` splits the members
+into contiguous blocks, one per CPU this process may run on (at most one
+per member), each block in a thread of its own; ctypes releases the GIL
+for the call.  A member owns its generator, its state and its rows, so the
+split changes no value.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) and linked with
@@ -105,28 +109,29 @@ static inline void draw(bitgen_t *gen, int64_t n, const double *s, const double 
     }
 }
 
-/* Members [0, count) of sde._run, one after another: member p runs
-   n_steps steps from its state at y + p n, which ends holding its last
-   state, and writes the state after step t into row t / record_every of
-   rec when record_every divides t.  Each step draws its S dW and dZ from
-   gens[p] with the diagonal s of S (draw).  Rows of y and rec hold P n
-   values.  bad[p] is the first step at which a component of the member
-   leaves [-trust, trust] (or is NaN), where it stops, else -1.
+/* Members [0, count) of sde._run, one after another: member p has the
+   n_steps / record_every + 1 rows of n values at rec + p rows n, starts at
+   its row 0, runs n_steps steps and writes the state after step t into
+   its row t / record_every when record_every divides t.  Each step draws
+   its S dW and dZ from gens[p] with the diagonal s of S (draw).  bad[p] is
+   the first step at which a component of the member leaves [-trust, trust]
+   (or is NaN), where it stops, else -1.
    k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, then draw's sq, zc, inv3). */
 static inline void members(drift_fn f, int64_t count, bitgen_t *const *gens, int64_t *bad,
-                           double *work, double *y, double *rec, const double *c,
-                           int64_t n, int64_t P, int64_t n_steps, int64_t record_every,
-                           int64_t rk15, const double *s, const double *off, const double *k)
+                           double *work, double *rec, const double *c, int64_t n,
+                           int64_t n_steps, int64_t record_every, int64_t rk15,
+                           const double *s, const double *off, const double *k)
 {
-    const int64_t m = n, mn = n * n, row = P * n;
+    const int64_t m = n, mn = n * n, rows = n_steps / record_every + 1;
     const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
     double *a0 = work, *base = a0 + n, *st = base + n, *A = st + 2 * mn;
     double *cur = A + 2 * mn, *next = cur + n, *w = next + n, *z = w + n, *u = z + n;
     for (int64_t p = 0; p < count; p++) {
         int64_t left = record_every; /* steps to the next record */
+        double *own = rec + p * rows * n;
         bad[p] = -1;
         for (int64_t j = 0; j < n; j++)
-            cur[j] = y[p * n + j];
+            cur[j] = own[j];
         for (int64_t i = 0; i < n_steps; i++) {
             draw(gens[p], n, s, k + 5, u, w, z);
             f(c, n, cur, a0);
@@ -167,27 +172,25 @@ static inline void members(drift_fn f, int64_t count, bitgen_t *const *gens, int
             cur = next;
             next = t;
             if (!--left) {
-                double *r = rec + (i + 1) / record_every * row + p * n;
+                double *r = own + (i + 1) / record_every * n;
                 for (int64_t q = 0; q < n; q++)
                     r[q] = cur[q];
                 left = record_every;
             }
         }
-        for (int64_t j = 0; j < n; j++)
-            y[p * n + j] = cur[j];
     }
 }
 
 /* Every member loop takes (count, gens, bad, work) first, then pointers at
    member 0 of its per-member arrays, then what all members share. */
-#define KERNEL(name)                                                               \
+#define KERNEL(name)                                                                 \
     void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work, \
-                   double *y, double *rec, const double *c, int64_t n, int64_t P,  \
-                   int64_t n_steps, int64_t record_every, int64_t rk15,            \
-                   const double *s, const double *off, const double *k)            \
-    {                                                                              \
-        members(name, count, gens, bad, work, y, rec, c, n, P, n_steps,            \
-                record_every, rk15, s, off, k);                                    \
+                   double *rec, const double *c, int64_t n, int64_t n_steps,         \
+                   int64_t record_every, int64_t rk15, const double *s,              \
+                   const double *off, const double *k)                               \
+    {                                                                                \
+        members(name, count, gens, bad, work, rec, c, n, n_steps, record_every,     \
+                rk15, s, off, k);                                                    \
     }
 
 KERNEL(hopf)
@@ -235,30 +238,33 @@ static inline void spline(const double *table, const double *knots, int64_t m, i
 }
 
 /* Members [0, count) of frame.simulate_reduced with d deviations, one
-   after another: member p runs n_steps steps from the phase tau[p] and the
-   deviations at z + p d.  Each step draws 2(d + 1) normals u from gens[p]
-   in (dim, 2) order, as sde._normals does; the deviation kicks are
-   kick u[2 j] and the phase kick is kick u[2 d].  The phase and deviations
-   after step t go to row t / record_every of the member's n_steps /
-   record_every + 1 rows of tau_out and of z_out (d values a row) when
-   record_every divides t.  bad[p] is the first step at which the phase is
-   not finite or a component of z leaves [-trust, trust] (or is NaN), where
-   the member stops, else -1.  k = (period, h, kick, trust). */
+   after another: member p has the n_steps / record_every + 1 rows of
+   tau_out at tau_out + p rows and of z_out (d values a row) at
+   z_out + p rows d, starts at its row 0 and runs n_steps steps.  Each step
+   draws 2(d + 1) normals u from gens[p] in (dim, 2) order, as
+   sde._normals does; the deviation kicks are kick u[2 j] and the phase
+   kick is kick u[2 d].  The phase and deviations after step t go to the
+   member's row t / record_every when record_every divides t.  bad[p] is
+   the first step at which the phase is not finite or a component of z
+   leaves [-trust, trust] (or is NaN), where the member stops, else -1.
+   k = (period, h, kick, trust). */
 void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
-                        double *work, const double *tau, const double *z, double *tau_out,
-                        double *z_out, const double *knots, int64_t m,
-                        const double *j0_table, const double *speed_table, int64_t d,
-                        int64_t n_steps, int64_t record_every, const double *k)
+                        double *work, double *tau_out, double *z_out, const double *knots,
+                        int64_t m, const double *j0_table, const double *speed_table,
+                        int64_t d, int64_t n_steps, int64_t record_every, const double *k)
 {
     const double period = k[0], h = k[1], kick = k[2], trust = k[3];
     const int64_t rows = n_steps / record_every + 1;
     double *J = work, *u = J + d * d, *cur = u + 2 * (d + 1), *next = cur + d;
     for (int64_t p = 0; p < count; p++) {
         int64_t left = record_every; /* steps to the next record */
-        double t = tau[p];
+        double t = tau_out[p * rows];
         bad[p] = -1;
+        /* the steps sum J0 z from j = 0, not from +0.0, which would turn a
+           -0.0 start deviation into +0.0; adding +0.0 once here keeps every
+           value, as no later state can be -0.0 */
         for (int64_t j = 0; j < d; j++)
-            cur[j] = z[p * d + j];
+            cur[j] = z_out[p * rows * d + j] + 0.0;
         for (int64_t i = 0; i < n_steps; i++) {
             random_standard_normal_fill(gens[p], 2 * (d + 1), u);
             double w = remainder_of(t, period), speed;
@@ -312,8 +318,8 @@ _I = ctypes.c_int64
 # passes them, pointers at the first member's arrays, then the shared ones
 _MEMBERS = [_I, _P, _P, _P]
 _ARGTYPES = {
-    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P, _P, _P, _I, _I, _I, _I, _I, _P, _P, _P]),
-    "phase_deviation": _MEMBERS + [_P, _P, _P, _P, _P, _I, _P, _P, _I, _I, _I, _P],
+    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P, _P, _I, _I, _I, _I, _P, _P, _P]),
+    "phase_deviation": _MEMBERS + [_P, _P, _P, _I, _P, _P, _I, _I, _I, _P],
 }
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
@@ -479,40 +485,35 @@ def _in_threads(run, P, group) -> None:
         raise errors[0]
 
 
-def _address(a: np.ndarray, offset: int) -> int:
-    """The address of ``a``'s flat element ``offset``."""
-    return a.ctypes.data + offset * a.itemsize
+def _address(a: np.ndarray, member: int) -> int:
+    """The address of ``member``'s entries in ``a``, the member first."""
+    return a.ctypes.data + member * a.strides[0]
 
 
 def _run_members(fn, rngs, n_steps, width, members, *shared) -> np.ndarray:
     """Run the compiled member loop ``fn``, one member per generator of
     ``rngs``, and return each member's first diverging step, or -1.
 
-    ``members`` are the (array, member axis) pairs of the arrays the loop
-    reads and writes in place, which must be C-contiguous float64 with one
-    entry per member on that axis.  The members run in blocks across
-    threads (``_in_threads``), in calls of about ``_CALL_PATH_STEPS``
-    path-steps of ``n_steps`` steps a member, and at least one member.  The
-    call for members [a, b) is ``fn(b - a, gens, bad, work, *pointers,
-    *shared)``: the members' ``bitgen_t`` addresses and first diverging
-    steps from member a on, ``width`` doubles of scratch, and a pointer at
-    member a of each of ``members``.
+    ``members`` are the arrays the loop reads and writes in place, which
+    must be C-contiguous float64 with the member first: one entry per
+    member on axis 0.  The members run in blocks across threads
+    (``_in_threads``), in calls of about ``_CALL_PATH_STEPS`` path-steps of
+    ``n_steps`` steps a member, and at least one member.  The call for
+    members [a, b) is ``fn(b - a, gens, bad, work, *pointers, *shared)``:
+    the members' ``bitgen_t`` addresses and first diverging steps from
+    member a on, ``width`` doubles of scratch, and a pointer at member a of
+    each of ``members``.
     """
     P = len(rngs)
-    for x, axis in members:
-        if not (x.dtype == np.float64 and x.flags.c_contiguous):
-            raise ValueError("the member loop needs C-contiguous float64 arrays")
-        if x.shape[axis] != P:
-            raise ValueError("the member loop needs one generator per member")
+    if not all(x.dtype == np.float64 and x.flags.c_contiguous and len(x) == P for x in members):
+        raise ValueError("the member loop needs C-contiguous float64 arrays, a row per member")
     # the bitgen_t of each generator, which it keeps while rngs lives
     gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
     bad = np.empty(P, dtype=np.int64)
-    # elements from one member to the next
-    strides = [x.strides[axis] // x.itemsize for x, axis in members]
 
     def block(a, b):
         work = np.empty(width)
-        pointers = (_address(x, a * step) for (x, _), step in zip(members, strides))
+        pointers = (_address(x, a) for x in members)
         fn(b - a, _address(gens, a), _address(bad, a), work.ctypes.data, *pointers, *shared)
 
     _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
@@ -524,15 +525,11 @@ def loop_for(system) -> Optional[Callable]:
 
     Only a system whose drift is still the one its spec was built for, and
     whose noise matrix is diagonal, qualifies.  The loop is called as
-    ``loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw)``
-    with ``sde._run``'s states, record array and constants ``(dt, dt/m,
-    2 sqrt(dt), dt/4, trust)``, and ``draw=(rngs, sq, zc, inv3)``: the
-    members' generators and ``_IncrementSource``'s scales.  Each member
-    draws its normals from its generator, one step at a time, and runs all
-    ``n_steps`` steps from the start (``_run_members``).  The loop leaves
-    each member's last state in ``y`` and returns each member's first
-    diverging step, or -1.  Each member owns its generator and its rows, so
-    the split across threads changes no value.
+    ``sde._numpy_loop``'s is, ``loop(rec, record_every, n_steps, rk15,
+    offsets, constants, source)``, with ``sde._run``'s record, constants
+    ``(dt, dt/m, 2 sqrt(dt), dt/4, trust)`` and ``_IncrementSource``.  Each
+    member draws its normals from its generator, one step at a time, and
+    runs all ``n_steps`` steps from its row 0 (``_run_members``).
     """
     ks = _spec_of(system)
     S = system.noise_matrix
@@ -547,17 +544,14 @@ def loop_for(system) -> Optional[Callable]:
     s = np.ascontiguousarray(np.diag(S), dtype=np.float64)
     width = 8 * n + 4 * n * n
 
-    def loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw):
-        P = y.shape[0]
+    def loop(rec, record_every, n_steps, rk15, offsets, constants, source):
+        P = len(source.rngs)
         offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if (y.shape, rec.shape[1:], offsets.size) != ((P, n), (P, n), 2 * n * n):
+        if (rec.shape, offsets.size) != ((P, n_steps // record_every + 1, n), 2 * n * n):
             raise ValueError("the member loop got arrays of mismatched shapes")
-        if n_steps // record_every >= rec.shape[0]:
-            raise ValueError("the member loop got too few record rows")
-        rngs, *scales = draw
-        k = np.array([*constants, *scales], dtype=np.float64)
+        k = np.array([*constants, source.sq, source.z, source.inv3], dtype=np.float64)
         return _run_members(
-            fn, rngs, n_steps, width, [(y, 0), (rec, 1)], coefs.ctypes.data, n, P, n_steps,
+            fn, source.rngs, n_steps, width, [rec], coefs.ctypes.data, n, n_steps,
             record_every, int(rk15), s.ctypes.data, offsets.ctypes.data, k.ctypes.data,
         )
 
@@ -571,13 +565,11 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optiona
     ``knots`` and the two tables are ``simulate_reduced``'s; ``period``,
     the step ``h`` and ``kick_scale`` (sigma sqrt(h)) must round like
     float64 in numpy, or the numpy loop runs.  The loop is called as
-    ``loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust)``
-    with the members' starting phases (P,) and deviations (P, d), their
-    record arrays (P, rows) and (P, rows, d) whose row 0 the caller writes,
-    and their generators.  Each member draws its kicks from its generator,
-    one step at a time, runs all ``n_steps`` steps and writes its recorded
-    rows (``_run_members``); the loop returns each member's first diverging
-    step, or -1.
+    ``frame._reduced_loop``'s is, ``loop(tau_out, z_out, record_every,
+    n_steps, rngs, trust)``, with the records (P, rows) and (P, rows, d) and
+    the members' generators.  Each member draws its kicks from its
+    generator, one step at a time, and runs all ``n_steps`` steps from its
+    row 0 (``_run_members``).
     """
     checked = (knots, period, h, kick_scale)
     if not all(np.result_type(x, np.float64) == np.float64 for x in checked):
@@ -593,17 +585,15 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optiona
     if j0_table.shape != (5, m + 2, d2) or speed_table.shape != (5, m + 2, 1):
         raise ValueError("the reduced loop got tables of mismatched shapes")
 
-    def loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust):
-        P, d = z.shape
-        rows = n_steps // record_every + 1
-        if (tau.shape, tau_out.shape, z_out.shape, d * d) != ((P,), (P, rows), (P, rows, d), d2):
+    def loop(tau_out, z_out, record_every, n_steps, rngs, trust):
+        P, rows, d = z_out.shape
+        if (tau_out.shape, rows, d * d) != ((P, rows), n_steps // record_every + 1, d2):
             raise ValueError("the reduced loop got arrays of mismatched shapes")
         k = np.array([period, h, kick_scale, trust], dtype=np.float64)
         return _run_members(
-            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 2,
-            [(tau, 0), (z, 0), (tau_out, 0), (z_out, 0)], knots.ctypes.data, m,
-            j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps, record_every,
-            k.ctypes.data,
+            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 2, [tau_out, z_out],
+            knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps,
+            record_every, k.ctypes.data,
         )
 
     return loop

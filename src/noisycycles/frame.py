@@ -198,8 +198,17 @@ def find_limit_cycle(
     transient_time : float
         Relaxation horizon, and the span of each recurrence-search window.
 
+    A drift that is not finite at ``initial_guess`` is refused up front:
+    DOP853's first step size would be NaN, and scipy retries it without
+    end.  One that stops being finite later is not checked here; DOP853
+    then shrinks its step until the integration fails with NumericsError.
+
     Raises
     ------
+    ConfigError
+        If ``grid_size`` is not an integer >= 8, ``initial_guess`` has
+        the wrong shape, ``transient_time`` is not positive and finite, or
+        the drift at ``initial_guess`` is not finite.
     FixedPointError
         If the trajectory settles on a state with vanishing drift.
     NoCycleError
@@ -222,6 +231,8 @@ def find_limit_cycle(
         )
     if not (transient_time > 0.0 and np.isfinite(transient_time)):
         raise ConfigError(f"transient_time must be positive and finite, got {transient_time}")
+    if not np.isfinite(f(y0)).all():
+        raise ConfigError(f"the drift at initial_guess {y0} must be finite, got {f(y0)}")
 
     def check_not_fixed_point(y):
         sp = np.linalg.norm(f(y))
@@ -557,8 +568,13 @@ def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale):
     """
     add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
 
-    def loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, trust):
-        p, d = z.shape
+    def loop(tau_out, z_out, record_every, n_steps, rngs, trust):
+        p, _, d = z_out.shape
+        tau = tau_out[:, 0]
+        # the steps sum J0 z from j = 0, not from +0.0, which would turn a
+        # -0.0 start deviation into +0.0; adding +0.0 once here keeps every
+        # value, as no later state can be -0.0
+        z = z_out[:, 0] + 0.0
         speed = np.empty((p, 1))
         speed_at = _evaluator(speed_table, knots, speed)
         noise = speed[:, 0]  # overwritten with kick / speed each step
@@ -624,14 +640,16 @@ def simulate_reduced(
     once in a gather table (``_spline_table``), and a phase w picks its
     interval with ``searchsorted`` and sums the cubic in s = w - knot with
     the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
-    so every value equals the spline's bit for bit.  The members run in
-    the compiled loop of ``_stepkernel.reduced_loop``: each member runs all
-    its steps, draws its own kicks from its generator one step at a time,
-    and writes its recorded rows, and contiguous blocks of members run in
-    one thread per CPU.  It makes the same floating-point operations in the
-    same order as the numpy loop (``_reduced_loop``), which advances all
-    members in lock step.  The numpy loop is the reference, and it runs
-    instead, with the same results, where the loop cannot be compiled.
+    so every value equals the spline's bit for bit.  The records are
+    member-major, (P, N+1) and (P, N+1, n-1), and this function writes row
+    0, the start.  The members run in the compiled loop of
+    ``_stepkernel.reduced_loop``: each member runs all its steps, draws its
+    own kicks from its generator one step at a time, and writes its
+    recorded rows, and contiguous blocks of members run in one thread per
+    CPU.  It makes the same floating-point operations in the same order as
+    the numpy loop (``_reduced_loop``), which advances all members in lock
+    step.  The numpy loop is the reference, and it runs instead, with the
+    same results, where the loop cannot be compiled.
 
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
     on the cycle at phase zero.  With ``n_paths`` set, member k uses
@@ -675,24 +693,18 @@ def simulate_reduced(
     h = config.dt
     kick_scale = model.sigma * np.sqrt(h)
     n_steps = config.n_steps
-    n_rec = n_steps // record_every
-    tau_out = np.empty((p, n_rec + 1))
-    z_out = np.empty((p, n_rec + 1, d))
-    tau = np.full(p, tau_init)
-    z = np.tile(z_init, (p, 1))
-    tau_out[:, 0] = tau
-    z_out[:, 0] = z
-    # the step loops sum J0 z from j = 0, not from +0.0; a zero start
-    # turned a -0.0 deviation into +0.0 and no later state can be -0.0,
-    # so adding +0.0 once here keeps every value
-    z += 0.0
+    rows = n_steps // record_every + 1
+    tau_out = np.empty((p, rows))
+    z_out = np.empty((p, rows, d))
+    tau_out[:, 0] = tau_init
+    z_out[:, 0] = z_init
 
     tables = (knots, j0_table, speed_table, period, h, kick_scale)
     loop = _stepkernel.reduced_loop(*tables) or _reduced_loop(*tables)
     # a diverging path overflows before its divergence is reported, which
     # must not surface as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = loop(tau, z, tau_out, z_out, record_every, n_steps, rngs, TRUST_RADIUS)
+        bad = loop(tau_out, z_out, record_every, n_steps, rngs, TRUST_RADIUS)
     _check_members(bad, path_ids)
 
     if path_ids is None:

@@ -23,6 +23,8 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
     """
     if mu <= 0.0:
         raise ConfigError(f"mu must be positive, got {mu}")
+    if not np.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu}")
 
     kernel = _stepkernel.spec("van_der_pol", (mu,), _van_der_pol_formula)
 

@@ -34,6 +34,7 @@ on how members are split across threads.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -127,6 +128,8 @@ class SdeSystem:
             sigma = 0.0 if self.isotropic_sigma is None else float(self.isotropic_sigma)
             if sigma < 0.0:
                 raise ConfigError(f"isotropic_sigma must be >= 0, got {sigma}")
+            if not np.isfinite(sigma):
+                raise ConfigError(f"isotropic_sigma must be finite, got {sigma}")
             self.noise_matrix = sigma * np.eye(n)
         else:
             self.noise_matrix = np.asarray(self.noise_matrix, dtype=float)
@@ -160,10 +163,18 @@ class IntegratorConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
+        _require_integer("n_steps", self.n_steps)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _require_integer("seed", self.seed)
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"unknown scheme: {self.scheme!r}")
+
+
+def _require_integer(name, value):
+    # a float would run as its floor, or stop in range() with a TypeError
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -239,6 +250,7 @@ def _members(seed, n_paths):
         return [seed], None
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    _require_integer("n_paths", n_paths)
     ids = list(range(n_paths))
     return [path_seed(seed, k) for k in ids], ids
 
@@ -308,24 +320,6 @@ class _ArraySource:
         return self._dw[k:self._pos], self._dz[k:self._pos]
 
 
-def _check_state(y, step_index, path_ids):
-    ok = np.abs(y) <= TRUST_RADIUS
-    if not ok.all():
-        _diverged(ok.all(axis=1), step_index, path_ids)
-
-
-def _diverged(path_ok, step_index, path_ids):
-    """Raise for the lowest path whose ``path_ok`` entry is false."""
-    bad = int(np.argmax(~path_ok))
-    pid = path_ids[bad] if path_ids is not None else None
-    where = "" if pid is None else f" (path {pid})"
-    raise DivergenceError(
-        f"state left |y| <= {TRUST_RADIUS:g} at step {step_index}{where}",
-        step_index=step_index,
-        path_index=pid,
-    )
-
-
 def _times_st(dW, ST):
     """S dW one path at a time: a (1, n) @ (n, n) product per path and step
     is what a solo run computes, while a (P, n) stack takes another BLAS
@@ -339,102 +333,112 @@ def _check_members(bad, path_ids):
     hit = bad[bad >= 0]
     if hit.size:
         step = int(hit.min())
-        _diverged(bad != step, step, path_ids)
+        pid = None if path_ids is None else path_ids[int(np.argmax(bad == step))]
+        where = "" if pid is None else f" (path {pid})"
+        raise DivergenceError(
+            f"state left |y| <= {TRUST_RADIUS:g} at step {step}{where}",
+            step_index=step,
+            path_index=pid,
+        )
 
 
 def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
-    """Advance P paths; returns samples (n_rec + 1, P, n).
+    """Advance the P paths of ``source`` from ``y0`` (P, n); returns their
+    member-major record (P, n_steps // record_every + 1, n), row 0 ``y0``.
 
     Each step runs the update of the module docstring, term by term in the
     order written there, with the sums over j taken from j = 0 upwards.
-
     For the package's own drifts with a diagonal S, and the generators of
-    an ``_IncrementSource``, a compiled loop runs each member through all
-    its steps with the same operations in the same order
-    (``_stepkernel.loop_for``), the members split across threads.  It
-    draws the normals itself, one step at a time, and writes the recorded
-    rows only.
-
-    Every other run takes this numpy loop, the reference: it advances all
-    paths in lock step.  Step i of a chunk writes its new state over row i
-    of the chunk's S dW array, once that row is added in; the recorded rows
-    are copied out once per chunk.
+    an ``_IncrementSource``, the compiled loop of ``_stepkernel.loop_for``
+    runs, the members split across threads; every other run takes its
+    reference twin :func:`_numpy_loop`.  ``_check_members`` raises for the
+    first diverging steps the loop returns.
     """
-    loop = _stepkernel.loop_for(system) if isinstance(source, _IncrementSource) else None
+    ST = system.noise_matrix.T
+    m = ST.shape[0]
+    sq = np.sqrt(dt)
+    rec = np.empty((y0.shape[0], n_steps // record_every + 1, system.dimension))
+    rec[:, 0] = y0
+    # stage offsets for the 3/2 scheme: rows j and m + j are +/- sqrt(h) S_j
+    offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]  # (2m, 1, n)
+    constants = (dt, dt / m, 2.0 * sq, dt / 4.0, TRUST_RADIUS)
+    compiled = isinstance(source, _IncrementSource) and _stepkernel.loop_for(system)
+    loop = compiled or _numpy_loop(system)
+    rk15 = scheme is Scheme.STRONG_RK15
+    _check_members(loop(rec, record_every, n_steps, rk15, offsets, constants, source), path_ids)
+    return rec
+
+
+def _numpy_loop(system):
+    """The numpy loop of :func:`_run`, the reference for
+    ``_stepkernel.loop_for``: called the same way, with the same results.
+
+    All paths advance in lock step, one chunk of steps at a time
+    (``_chunks``), from the chunk's increments (``source.take``).  Step i
+    of a chunk writes its new state over row i of the chunk's S dW array,
+    once that row is added in; the recorded rows are copied out once per
+    chunk.  At the first step where some path diverges, the loop gives
+    that step to each path that diverges there and stops.
+    """
     F = _batched(system)
     ST = system.noise_matrix.T
-    n = system.dimension
     m = ST.shape[0]
-    P = y0.shape[0]
-    sq = np.sqrt(dt)
-    rk15 = scheme is Scheme.STRONG_RK15
-    dt_m, two_sq, dt_4 = dt / m, 2.0 * sq, dt / 4.0
     add, multiply, subtract = np.add, np.multiply, np.subtract
     max_abs = np.maximum.reduce
 
-    n_rec = n_steps // record_every
-    rec = np.empty((n_rec + 1, P, n))
-    rec[0] = y0
-    y = rec[0].copy()
-
-    # stage offsets for the 3/2 scheme: rows j and m + j are +/- sqrt(h) S_j
-    offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]  # (2m, 1, n)
-
-    if loop is not None:
-        constants = (dt, dt_m, two_sq, dt_4, TRUST_RADIUS)
-        draw = (source.rngs, source.sq, source.z, source.inv3)
-        bad = loop(y, rec, record_every, n_steps, rk15, offsets, constants, draw)
-        _check_members(bad, path_ids)
-        return rec
-
-    base = np.empty((P, n))
-    twice = np.empty((P, n))
-    stages = np.empty((2 * m, P, n))
-    pair = np.empty((m, P, n))
-    head = pair[0]
-
-    for done, span in _chunks(n_steps, P):
-        dW, dZ = source.take(span)
-        path = _times_st(dW, ST)
-        dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
-        for i in range(span):
-            y_next = path[i]
-            a0 = F(y)
-            if rk15:
-                multiply(a0, dt_m, out=base)
+    def loop(rec, record_every, n_steps, rk15, offsets, constants, source):
+        P, _, n = rec.shape
+        dt, dt_m, two_sq, dt_4, trust = constants
+        y = rec[:, 0].copy()
+        base = np.empty((P, n))
+        twice = np.empty((P, n))
+        stages = np.empty((2 * m, P, n))
+        pair = np.empty((m, P, n))
+        head = pair[0]
+        for done, span in _chunks(n_steps, P):
+            dW, dZ = source.take(span)
+            path = _times_st(dW, ST)
+            dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
+            for i in range(span):
+                y_next = path[i]
+                a0 = F(y)
+                if rk15:
+                    multiply(a0, dt_m, out=base)
+                    add(y, base, out=base)
+                    add(base, offsets, out=stages)
+                    A = F(stages)
+                    plus, minus = A[:m], A[m:]
+                # y + h f(y) + S dW
+                multiply(a0, dt, out=base)
                 add(y, base, out=base)
-                add(base, offsets, out=stages)
-                A = F(stages)
-                plus, minus = A[:m], A[m:]
-            # y + h f(y) + S dW
-            multiply(a0, dt, out=base)
-            add(y, base, out=base)
-            add(base, y_next, out=y_next)
-            if rk15:
-                # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
-                subtract(plus, minus, out=pair)
-                multiply(pair, dZ[i], out=pair)
-                for j in range(1, m):
-                    add(head, pair[j], out=head)
-                head /= two_sq
-                add(y_next, head, out=y_next)
-                # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
-                add(plus, minus, out=pair)
-                multiply(a0, 2.0, out=twice)
-                subtract(pair, twice, out=pair)
-                for j in range(1, m):
-                    add(head, pair[j], out=head)
-                head *= dt_4
-                add(y_next, head, out=y_next)
-            # NaN fails the comparison, so it reaches the exact check too
-            if not max_abs(np.abs(y_next, out=base), axis=None) <= TRUST_RADIUS:
-                _check_state(y_next, done + i, path_ids)
-            y = y_next
-        _record(rec, path, done, record_every)
-        # free this chunk's arrays before the next draw allocates its own
-        y = y.copy()
-        del dW, dZ, path
-    return rec
+                add(base, y_next, out=y_next)
+                if rk15:
+                    # + sum_j (f(Y+,j) - f(Y-,j)) dZ_j / (2 sqrt(h))
+                    subtract(plus, minus, out=pair)
+                    multiply(pair, dZ[i], out=pair)
+                    for j in range(1, m):
+                        add(head, pair[j], out=head)
+                    head /= two_sq
+                    add(y_next, head, out=y_next)
+                    # + sum_j (f(Y+,j) + f(Y-,j) - 2 f(y)) h / 4
+                    add(plus, minus, out=pair)
+                    multiply(a0, 2.0, out=twice)
+                    subtract(pair, twice, out=pair)
+                    for j in range(1, m):
+                        add(head, pair[j], out=head)
+                    head *= dt_4
+                    add(y_next, head, out=y_next)
+                # NaN fails the comparison, so it reaches the exact check too
+                if not max_abs(np.abs(y_next, out=base), axis=None) <= trust:
+                    return np.where((np.abs(y_next) <= trust).all(axis=1), -1, done + i)
+                y = y_next
+            _record(rec.swapaxes(0, 1), path, done, record_every)
+            # free this chunk's arrays before the next draw allocates its own
+            y = y.copy()
+            del dW, dZ, path
+        return np.full(P, -1)
+
+    return loop
 
 
 def _initial(system, initial_state) -> np.ndarray:
@@ -467,6 +471,7 @@ def _labels(dimension, channel_labels):
 def _validated_record_every(config, record_every):
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
+    _require_integer("record_every", record_every)
     if config.n_steps % record_every:
         raise ConfigError(
             f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
@@ -476,7 +481,7 @@ def _validated_record_every(config, record_every):
 
 def _integrate(system, config, n_paths, record_every, channel_labels):
     """Run the members of ``_members(config.seed, n_paths)`` together;
-    one Trajectory per member, each a view of the shared record array.
+    one Trajectory per member, its rows of the shared record as values.
 
     Every path starts at ``config.initial_state``.
     """
@@ -489,10 +494,8 @@ def _integrate(system, config, n_paths, record_every, channel_labels):
         system, config.scheme, y0, config.dt, config.n_steps, source, record_every, path_ids
     )
     return [
-        Trajectory(
-            dt=config.dt * record_every, values=rec[:, k, :], channel_labels=labels, seed=s
-        )
-        for k, s in enumerate(seeds)
+        Trajectory(dt=config.dt * record_every, values=values, channel_labels=labels, seed=s)
+        for values, s in zip(rec, seeds)
     ]
 
 
@@ -514,13 +517,11 @@ def integrate_ensemble(
     Member k draws from the sub-seed ``path_seed(config.seed, k)``, so the
     result is independent of evaluation order; a one-path
     ensemble reproduces ``integrate_path`` under that sub-seed exactly.
+    The members' values are C-contiguous views of one member-major record.
     A divergence raises for the earliest step, and the lowest member
     index at that step.
     """
-    members = _integrate(system, config, n_paths, record_every, channel_labels)
-    for tr in members:  # compact rows of its own, not a strided view
-        tr.values = tr.values.copy()
-    return members
+    return _integrate(system, config, n_paths, record_every, channel_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +587,7 @@ def strong_order_estimate(
         reference = exact_endpoint(y0[0], hf, dw_f, dz_f)
     else:
         rec = _run(system, scheme, y0, hf, nf, _ArraySource(dw_f, dz_f), nf)
-        reference = rec[-1]
+        reference = rec[:, -1]
 
     rms = np.empty(dts.size)
     for i, (dt, r) in enumerate(zip(dts, ratios)):
@@ -597,7 +598,7 @@ def strong_order_estimate(
         dw = bw.sum(axis=1)
         dz = bz.sum(axis=1) + hf * (np.cumsum(bw, axis=1) - bw).sum(axis=1)
         rec = _run(system, scheme, y0, dt, nc, _ArraySource(dw, dz), nc)
-        err = rec[-1] - reference
+        err = rec[:, -1] - reference
         rms[i] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return OrderEstimate(slope=slope, dts=dts, rms_errors=rms, scheme=scheme)
@@ -607,6 +608,8 @@ def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
     """The linear relaxation process dz = -lambda z dt + sigma dW."""
     if lambda_ <= 0:
         raise ConfigError(f"lambda_ must be > 0, got {lambda_}")
+    if not np.isfinite(lambda_):
+        raise ConfigError(f"lambda_ must be finite, got {lambda_}")
     kernel = _stepkernel.spec("ornstein_uhlenbeck", (float(lambda_),), _ou_formula)
     return SdeSystem(
         dimension=dimension,

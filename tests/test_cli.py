@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -486,3 +489,20 @@ def _readme_case(index, argv):
 )
 def test_readme_command_runs_as_written(readme_exit_codes, index):
     assert readme_exit_codes[index] == 0, " ".join(README_COMMANDS[index])
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_decompose_refuses_a_coefficient_that_is_not_finite(tmp_path, mu):
+    # in a process of its own: before the check, the cycle search's
+    # transient never returned
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["decompose", "--system", "van-der-pol", "--mu", mu, "--output", str(tmp_path / "f.csv")]
+    done = subprocess.run(
+        [sys.executable, "-m", "noisycycles.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"noisycycles decompose: error: mu must be finite, got {mu}\n"
+    assert not (tmp_path / "f.csv").exists()

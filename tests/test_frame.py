@@ -973,3 +973,41 @@ def test_stable_reduction_emits_no_warning(hopf_cycle, hopf_frame):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reduce(hopf_cycle, hopf_frame, 0.1)
+
+
+@pytest.mark.parametrize("coefficient", [np.nan, np.inf])
+def test_the_cycle_search_refuses_a_drift_not_finite_at_the_guess_up_front(
+    monkeypatch, coefficient
+):
+    # a --plugin system with a NaN or inf coefficient: DOP853 would retry
+    # its first step of the transient without end
+    def no_search(*args, **kwargs):
+        raise AssertionError("the drift must be checked before any integration")
+
+    monkeypatch.setattr(frame_module, "solve_ivp", no_search)
+    monkeypatch.setattr(frame_module, "DOP853", no_search)
+    def plugin_drift(y):
+        return np.array([y[1], coefficient * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+    plugin = SdeSystem(dimension=2, drift=plugin_drift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in the drift
+        for system, guess in ((plugin, (2.0, 0.0)), (_quiet_hopf(), (np.nan, 0.0))):
+            with pytest.raises(ConfigError) as err:
+                find_limit_cycle(system, guess)
+            start = f"the drift at initial_guess {np.array(guess)} must be finite, got ["
+            assert str(err.value).startswith(start)
+
+
+def test_reduced_records_are_member_major_from_row_zero(vdp_cycle):
+    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
+    config = IntegratorConfig(dt=1e-3, n_steps=60, seed=4, initial_state=(-0.0, 0.25))
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop:
+            taus, z0s = simulate_reduced(model, vdp_cycle, config, record_every=4, n_paths=3)
+        assert taus.shape == (3, 16) and z0s.shape == (3, 16, 1)
+        assert taus.flags.c_contiguous and z0s.flags.c_contiguous
+        # row 0 is the start as given, the -0.0 deviation included
+        assert (taus[:, 0] == 0.25).all() and np.signbit(z0s[:, 0, 0]).all()
+    with pytest.raises(ConfigError, match=r"^n_paths must be an integer, got 3\.0$"):
+        simulate_reduced(model, vdp_cycle, config, n_paths=3.0)

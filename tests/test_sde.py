@@ -1,5 +1,6 @@
 """Core integrator behavior: seeding, schemes, convergence, guard rails."""
 
+import contextlib
 import dataclasses
 import stat
 import sysconfig
@@ -693,3 +694,78 @@ def test_stationary_variance_of_linear_process():
     tr = integrate_path(system, config)
     x = tr.values[5_000:, 0]
     assert x.var() == pytest.approx(sig**2 / (2 * lam), rel=0.08)
+
+
+@pytest.mark.parametrize("system_name", ["hopf", "ou-3-full-noise"])
+def test_every_member_owns_c_contiguous_rows(system_name):
+    # the members' values are views of one member-major record: compiled
+    # (a diagonal S) and numpy (a full S, or no compiler) alike
+    system = _KERNEL_SYSTEMS[system_name]
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=60, seed=12, initial_state=(0.7, -0.2, 1.0)[:system.dimension]
+    )
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop:
+            runs = [
+                integrate_ensemble(system, config, n_paths=4, record_every=3),
+                [integrate_path(system, config, record_every=2)],
+            ]
+        for members in runs:
+            for tr in members:
+                assert tr.values.flags.c_contiguous
+                assert tr.values[0].tolist() == list(config.initial_state)
+        ensemble = runs[0]
+        assert [tr.values.shape for tr in ensemble] == [(21, system.dimension)] * 4
+        for a, b in zip(ensemble, ensemble[1:]):
+            assert not np.shares_memory(a.values, b.values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_model_coefficients_are_config_errors(value):
+    for build, message in (
+        (lambda: van_der_pol(value), f"mu must be finite, got {value}"),
+        (lambda: van_der_pol(1.0, value), f"isotropic_sigma must be finite, got {value}"),
+        (lambda: ornstein_uhlenbeck(value, 0.5), f"lambda_ must be finite, got {value}"),
+        (lambda: ornstein_uhlenbeck(1.0, value), f"isotropic_sigma must be finite, got {value}"),
+        (lambda: SdeSystem(dimension=2, drift=lambda y: -y, isotropic_sigma=value),
+         f"isotropic_sigma must be finite, got {value}"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
+    # values below the bounds keep their messages
+    for build, message in (
+        (lambda: van_der_pol(-value), f"mu must be positive, got {-value}"),
+        (lambda: ornstein_uhlenbeck(-value, 0.5), f"lambda_ must be > 0, got {-value}"),
+        (lambda: van_der_pol(1.0, -value), f"isotropic_sigma must be >= 0, got {-value}"),
+    ):
+        if np.isnan(value):
+            continue  # -nan is NaN, refused above
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_non_integral_counts_are_config_errors():
+    system = ornstein_uhlenbeck(1.0, 0.5)
+    for kwargs, message in (
+        (dict(n_steps=10.0), "n_steps must be an integer, got 10.0"),
+        (dict(n_steps=10, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(n_steps=10, seed=np.float64(2.0)), f"seed must be an integer, got {np.float64(2)!r}"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            IntegratorConfig(dt=0.1, initial_state=(1.0,), **kwargs)
+        assert str(err.value) == message
+    config = IntegratorConfig(dt=0.1, n_steps=np.int64(10), seed=np.uint32(3), initial_state=(1.0,))
+    with pytest.raises(ConfigError, match=r"^record_every must be an integer, got 2\.0$"):
+        integrate_path(system, config, record_every=2.0)
+    with pytest.raises(ConfigError, match=r"^n_paths must be an integer, got 2\.0$"):
+        integrate_ensemble(system, config, n_paths=2.0)
+    # the bounds and their messages come first, as before
+    with pytest.raises(ConfigError, match=r"^n_steps must be >= 1, got 0\.5$"):
+        IntegratorConfig(dt=0.1, n_steps=0.5)
+    with pytest.raises(ConfigError, match=r"^record_every must divide n_steps \(10\), got 3$"):
+        integrate_path(system, config, record_every=3)
+    # numpy integers count as integers
+    members = integrate_ensemble(system, config, n_paths=np.int64(2), record_every=np.int32(5))
+    assert members[1].seed == path_seed(3, 1)
