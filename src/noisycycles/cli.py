@@ -301,7 +301,7 @@ def _reduced_model(options, parser):
 def _cmd_simulate(options, parser):
     _require(options, parser, "model", "output")
     from .csvio import write_phase_path, write_trajectory
-    from .sde import IntegratorConfig, Scheme, _members, integrate_ensemble
+    from .sde import IntegratorConfig, Scheme, integrate_ensemble
 
     model, dt, paths = options["model"], options["dt"], options["paths"]
     _positive(parser, dt=dt)
@@ -357,14 +357,13 @@ def _cmd_simulate(options, parser):
     else:
         from .hopf import simulate_hopf_linear
 
-        for member_seed, out in zip(_members(seed, members)[0], outputs):
-            config = IntegratorConfig(
-                dt=dt, n_steps=n_steps, seed=member_seed, initial_state=initial or ()
-            )
-            lp = simulate_hopf_linear(
-                params, config, leading_order=model == "hopf-leading", record_every=thin
-            )
-            write_phase_path(out, lp)
+        config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed, initial_state=initial or ())
+        leading = model == "hopf-leading"
+        lp = simulate_hopf_linear(params, config, leading, record_every=thin, n_paths=members)
+        for k, out in enumerate(outputs):
+            write_phase_path(out, lp if members is None else dataclasses.replace(
+                lp, tau=lp.tau[k], z=lp.z[k], reconstructed=lp.reconstructed[k]
+            ))
 
 
 def _cmd_decompose(options, parser):

@@ -36,12 +36,15 @@ class NumericsError(NoisyCyclesError):
 class DivergenceError(NumericsError):
     """A trajectory left the trust region or became non-finite.
 
+    Every simulator raises it for the earliest step at which some member
+    diverged, and the lowest member at that step.
+
     Attributes
     ----------
     step_index : int
         Index of the integration step at which the blow-up was detected.
     path_index : int or None
-        Ensemble member, when applicable.
+        Ensemble member, or None for a solo run.
     """
 
     def __init__(self, message, step_index, path_index=None):
@@ -50,12 +53,10 @@ class DivergenceError(NumericsError):
         self.path_index = None if path_index is None else int(path_index)
 
 
-class SingularAmplitudeError(NumericsError):
-    """The amplitude deviation reached the cycle radius (r + z <= 0)."""
-
-    def __init__(self, message, step_index):
-        super().__init__(message)
-        self.step_index = int(step_index)
+class SingularAmplitudeError(DivergenceError):
+    """The amplitude deviation reached the cycle radius (r + z <= 0), where
+    the linear model's phase speed divides by zero; ``step_index`` and
+    ``path_index`` are those of :class:`DivergenceError`."""
 
 
 class FixedPointError(NumericsError):

@@ -437,8 +437,8 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
         drift_from_orthogonal = np.linalg.norm(cur.T @ cur - np.eye(n))
         if drift_from_orthogonal > 1e-6:
             raise NumericsError(
-                f"frame lost orthogonality ({drift_from_orthogonal:.2e}) "
-                f"at t = {t[k] + h:.4g}; rebuild with a finer grid or more substeps"
+                f"frame lost orthogonality ({drift_from_orthogonal:.2e}) at t = {t[k] + h:.4g}; "
+                "rebuild on a finer grid (find_limit_cycle's grid_size, the CLI's --grid-size)"
             )
         cur = _nearest_orthogonal(cur)
         if (k + 1) % substeps == 0 and k + 1 < s:

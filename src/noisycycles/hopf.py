@@ -39,7 +39,8 @@ from scipy.signal import lfilter
 from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
 from .sde import (
-    SdeSystem, _chunks, _generator, _normals, _phase_initial, _record, _validated_record_every,
+    SdeSystem, _check_members, _chunks, _generator, _members, _normals, _phase_initial, _record,
+    _validated_record_every,
 )
 
 __all__ = [
@@ -141,8 +142,10 @@ def hopf_system(params: HopfParams) -> SdeSystem:
 class PhaseDeviationPath:
     """Sampled (tau, z) pair plus the reconstructed planar trajectory.
 
-    ``reconstructed[k] = ((r + z[k]) cos(alpha tau[k]),
-                          (r + z[k]) sin(alpha tau[k]))`` exactly.
+    ``reconstructed[..., k, :] = ((r + z[..., k]) cos(alpha tau[..., k]),
+                                  (r + z[..., k]) sin(alpha tau[..., k]))``
+    exactly.  An ensemble's arrays lead with the path axis, (P, rows) and
+    (P, rows, 2); ``t``, ``x`` and ``y`` read the last axes.
     """
 
     dt: float
@@ -153,18 +156,18 @@ class PhaseDeviationPath:
 
     @property
     def t(self) -> np.ndarray:
-        return np.arange(self.tau.shape[0]) * self.dt
+        return np.arange(self.tau.shape[-1]) * self.dt
 
     @property
     def x(self) -> np.ndarray:
-        return self.reconstructed[:, 0]
+        return self.reconstructed[..., 0]
 
     @property
     def y(self) -> np.ndarray:
-        return self.reconstructed[:, 1]
+        return self.reconstructed[..., 1]
 
 
-def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
+def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_paths=None):
     """Integrate the phase/deviation pair and reconstruct (x, y).
 
     z advances through its exact Gaussian transition (an ``lfilter``
@@ -176,58 +179,67 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1):
     one chunk of steps at a time (``sde._chunks``) and keeps only the
     recorded rows, so its memory does not grow with the step count.
 
-    With the full phase-speed modulation the update divides by r + z; the
-    step where r + z first reaches zero, if any, raises
-    :class:`SingularAmplitudeError` (z = -r is a 1/NSR standard-deviation
+    With ``n_paths`` set, member k draws from ``path_seed(config.seed, k)``
+    and equals that solo run bit for bit: ``tau``, ``z`` and
+    ``reconstructed`` gain a leading path axis, member-major, and each
+    member runs all its steps into its own row.
+
+    With the full phase-speed modulation the update divides by r + z; a
+    member stops at its first step where r + z <= 0, and
+    :class:`SingularAmplitudeError` is raised for the earliest such step
+    and the lowest member at it (z = -r is a 1/NSR standard-deviation
     excursion: rare at NSR 0.1, but at NSR 0.3 it can come within some
     hundreds of 1/lambda).  The leading-order variant never divides by r + z.
 
-    Initial (z, tau) come from ``config.initial_state`` (default (0, 0):
-    on the cycle, phase zero).
+    Every member starts at (z, tau) = ``config.initial_state`` (default
+    (0, 0): on the cycle, phase zero).
     """
     record_every = _validated_record_every(config, record_every)
     (z0,), tau0 = _phase_initial(config.initial_state, 2)
+    seeds, path_ids = _members(config.seed, n_paths)
 
     lam, al, al0, r, sig = params.lambda_, params.alpha, params.alpha0, params.r, params.sigma
     h = config.dt
-    rng = _generator(config.seed)
 
     # exact deviation update: z_{k+1} = phi z_k + s_h xi
     phi = np.exp(-lam * h)
     s_h = sig * np.sqrt((1.0 - phi * phi) / (2.0 * lam)) if sig > 0 else 0.0
-    z, tau = np.empty((2, config.n_steps // record_every + 1))  # tau holds tau - tau0 till the end
-    z[0], tau[0] = z0, tau0
-    zi, z_last = [phi * z0], z0
-    for done, span in _chunks(config.n_steps, 1):
-        # frozen draw pattern; only column 0 (the Wiener normals) is consumed
-        xi = _normals([rng], span, 2)[:, 0, :, 0]
-        zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
-        dw_p = np.sqrt(h) * xi[:, 1]
-        if leading_order:
-            dtau = h + sig * dw_p / (al * r)
-        else:
-            z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
-            amp = r + z_start
-            if np.any(amp <= 0.0):
-                k = done + int(np.argmax(amp <= 0.0))
-                raise SingularAmplitudeError(
-                    f"r + z reached zero at step {k}: the phase-speed denominator is singular",
-                    step_index=k,
-                )
-            dtau = h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp)) + sig * dw_p / (al * amp)
-        # cumsum adds in sequence: the carried sum added into the first increment
-        # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0
-        if done:
-            dtau[0] += carry
-        sums = np.cumsum(dtau)
-        _record(z, zs, done, record_every)
-        _record(tau, sums, done, record_every)
-        z_last, carry = zs[-1], sums[-1]
+    z, tau = np.empty((2, len(seeds), config.n_steps // record_every + 1))
+    z[:, 0], tau[:, 0] = z0, tau0  # tau holds tau - tau0 till the end
+    bad = np.full(len(seeds), -1)
+    for k, rng in enumerate(map(_generator, seeds)):
+        zi, z_last = [phi * z0], z0
+        for done, span in _chunks(config.n_steps, 1):
+            # frozen draw pattern; only column 0 (the Wiener normals) is consumed
+            xi = _normals([rng], span, 2)[:, 0, :, 0]
+            zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
+            dw_p = np.sqrt(h) * xi[:, 1]
+            if leading_order:
+                dtau = h + sig * dw_p / (al * r)
+            else:
+                z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
+                amp = r + z_start
+                if np.any(amp <= 0.0):
+                    bad[k] = done + int(np.argmax(amp <= 0.0))
+                    break
+                dtau = h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp)) + sig * dw_p / (al * amp)
+            # cumsum adds in sequence: the carried sum added into the first increment
+            # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0
+            if done:
+                dtau[0] += carry
+            sums = np.cumsum(dtau)
+            _record(z[k], zs, done, record_every)
+            _record(tau[k], sums, done, record_every)
+            z_last, carry = zs[-1], sums[-1]
+    message = "r + z reached zero at step {step}{where}: the phase-speed denominator is singular"
+    _check_members(bad, path_ids, SingularAmplitudeError, message)
 
-    tau[1:] += tau0
+    tau[:, 1:] += tau0
     amp = r + z
     angle = al * tau
     rec = np.stack([amp * np.cos(angle), amp * np.sin(angle)], axis=-1)
+    if path_ids is None:
+        tau, z, rec = tau[0], z[0], rec[0]
     return PhaseDeviationPath(
         dt=h * record_every, tau=tau, z=z, reconstructed=rec, seed=config.seed
     )

@@ -59,9 +59,10 @@ __all__ = [
 
 #: divergence guard: abort when any state component leaves [-TRUST, TRUST]
 TRUST_RADIUS = 1.0e6
+_LEFT_TRUST = f"state left |y| <= {TRUST_RADIUS:g} at step {{step}}{{where}}"
 
-#: number of steps whose normals are drawn per generator call (frozen so that
-#: a seed pins the Brownian path regardless of scheme or ensemble layout)
+#: one chunk's budget of path-steps (``_chunks``); it bounds memory only,
+#: as a split changes no drawn value
 _CHUNK = 16384
 
 #: fine steps per smallest dt in ``strong_order_estimate``'s Brownian paths
@@ -218,6 +219,8 @@ def path_seed(seed: int, index: int) -> int:
     """
     if seed < 0 or index < 0:
         raise ConfigError("seed and index must be >= 0")
+    _require_integer("seed", seed)
+    _require_integer("index", index)
     ss = np.random.SeedSequence([int(seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -327,19 +330,17 @@ def _times_st(dW, ST):
     return (dW[..., None, :] @ ST)[..., 0, :]
 
 
-def _check_members(bad, path_ids):
-    """Raise for the earliest of the members' first diverging steps ``bad``
-    (-1: none), and the lowest path at that step."""
+def _check_members(bad, path_ids, error=DivergenceError, message=_LEFT_TRUST):
+    """Raise ``error`` for the earliest of the members' first diverging
+    steps ``bad`` (-1: none), and the lowest path at that step; ``message``
+    is formatted with that ``step`` and ``where``, " (path k)" in an
+    ensemble and empty for a solo run."""
     hit = bad[bad >= 0]
     if hit.size:
         step = int(hit.min())
         pid = None if path_ids is None else path_ids[int(np.argmax(bad == step))]
         where = "" if pid is None else f" (path {pid})"
-        raise DivergenceError(
-            f"state left |y| <= {TRUST_RADIUS:g} at step {step}{where}",
-            step_index=step,
-            path_index=pid,
-        )
+        raise error(message.format(step=step, where=where), step_index=step, path_index=pid)
 
 
 def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):

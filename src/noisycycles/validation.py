@@ -45,7 +45,6 @@ from .presets import van_der_pol
 from .sde import (
     IntegratorConfig,
     Scheme,
-    _members,
     integrate_ensemble,
     ornstein_uhlenbeck,
     ou_exact_endpoint,
@@ -132,18 +131,11 @@ def _exact_x(params, dt, n_steps, seed, n_paths, thin):
 
 def _linear_x(params, dt, n_steps, seed, thin, leading_order):
     """x component of every recorded row of the linear phase/deviation
-    model, one member per seed of ``sde._members(seed, _PATHS)``."""
-    return np.stack(
-        [
-            simulate_hopf_linear(
-                params,
-                IntegratorConfig(dt=dt, n_steps=n_steps, seed=member),
-                leading_order=leading_order,
-                record_every=thin,
-            ).reconstructed[:, 0]
-            for member in _members(seed, _PATHS)[0]
-        ]
-    )
+    model, (_PATHS, rows)."""
+    config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed)
+    return simulate_hopf_linear(
+        params, config, leading_order=leading_order, record_every=thin, n_paths=_PATHS
+    ).x
 
 
 @lru_cache(maxsize=None)

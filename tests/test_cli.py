@@ -506,3 +506,25 @@ def test_decompose_refuses_a_coefficient_that_is_not_finite(tmp_path, mu):
     assert done.returncode == 1
     assert done.stderr == f"noisycycles decompose: error: mu must be finite, got {mu}\n"
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["hopf-linear", "hopf-leading"])
+def test_a_linear_ensemble_writes_the_files_of_its_solo_runs(tmp_path, model):
+    from noisycycles.csvio import write_phase_path
+    from noisycycles.hopf import HopfParams, simulate_hopf_linear
+    from noisycycles.sde import IntegratorConfig, path_seed
+
+    assert _call(
+        "simulate", "--model", model, "--sigma", "0.3", "--alpha0", "5", "--steps", "2100",
+        "--record-every", "7", "--seed", "7", "--paths", "3", "--initial", "0.05,0.3",
+        "--output", str(tmp_path / "lin.csv"),
+    ) == 0
+    params = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=0.3)
+    for k in range(3):
+        config = IntegratorConfig(
+            dt=1e-3, n_steps=2100, seed=path_seed(7, k), initial_state=(0.05, 0.3)
+        )
+        solo = simulate_hopf_linear(params, config, model == "hopf-leading", record_every=7)
+        write_phase_path(tmp_path / f"solo_{k}.csv", solo)
+        written = (tmp_path / f"lin_{k:03d}.csv").read_bytes()
+        assert written == (tmp_path / f"solo_{k}.csv").read_bytes(), k

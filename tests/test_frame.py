@@ -1011,3 +1011,14 @@ def test_reduced_records_are_member_major_from_row_zero(vdp_cycle):
         assert (taus[:, 0] == 0.25).all() and np.signbit(z0s[:, 0, 0]).all()
     with pytest.raises(ConfigError, match=r"^n_paths must be an integer, got 3\.0$"):
         simulate_reduced(model, vdp_cycle, config, n_paths=3.0)
+
+
+def test_the_orthogonality_error_sends_the_user_to_a_finer_grid():
+    # more substeps never reach the limit on this grid; a finer grid does
+    cycle = find_limit_cycle(van_der_pol(1.0), (2.0, 0.0), grid_size=64)
+    with pytest.raises(NumericsError) as err:
+        build_frame(cycle)
+    message = str(err.value)
+    assert message.startswith("frame lost orthogonality (3.93e-05) at t = ")
+    assert "grid_size" in message and "--grid-size" in message
+    assert "substep" not in message

@@ -8,6 +8,7 @@ import pytest
 
 from noisycycles import (
     ConfigError,
+    DivergenceError,
     HopfParams,
     IntegratorConfig,
     SingularAmplitudeError,
@@ -15,9 +16,11 @@ from noisycycles import (
     hopf_system,
     integrate_path,
     nsr,
+    path_seed,
     sigma_for_nsr,
     simulate_hopf_linear,
 )
+from noisycycles.sde import _CHUNK, _check_members
 
 TAU = 2.0 * np.pi
 
@@ -224,3 +227,77 @@ def test_linear_simulator_memory_does_not_grow_with_the_step_count():
     short, long = _traced_peak(100_000), _traced_peak(1_000_000)
     assert long < 8 * 2**20
     assert abs(long - short) < 2**20
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize(
+    "initial", [(), (0.05, 0.3), (-0.0, -0.0)], ids=["origin", "off", "neg-zero"]
+)
+@pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
+def test_ensemble_member_k_is_the_solo_run_seeded_path_seed_k(leading, initial, every):
+    # alpha0 off alpha exercises the full variant's modulation; the steps
+    # cross a chunk boundary
+    p = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=sigma_for_nsr(0.1, TAU, 1.0))
+    n_steps = 7 * (_CHUNK // 7 + 300)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=13, initial_state=initial)
+    ens = simulate_hopf_linear(p, config, leading, record_every=every, n_paths=3)
+    assert ens.seed == 13
+    for k in range(3):
+        solo_config = IntegratorConfig(
+            dt=1e-3, n_steps=n_steps, seed=path_seed(13, k), initial_state=initial
+        )
+        solo = simulate_hopf_linear(p, solo_config, leading, record_every=every)
+        for name in ("tau", "z", "reconstructed"):
+            member = getattr(ens, name)[k]
+            assert member.tobytes() == getattr(solo, name).tobytes(), (k, name)
+
+
+def test_an_ensemble_reads_t_x_and_y_on_the_last_axes():
+    config = IntegratorConfig(dt=1e-3, n_steps=1000, seed=2, initial_state=(0.05, 0.3))
+    ens = simulate_hopf_linear(_params(), config, record_every=10, n_paths=3)
+    assert ens.tau.shape == ens.z.shape == (3, 101)
+    assert ens.reconstructed.shape == (3, 101, 2)
+    assert np.array_equal(ens.t, np.arange(101) * 0.01)
+    assert ens.x.shape == ens.y.shape == (3, 101)
+    assert np.array_equal(ens.x, ens.reconstructed[:, :, 0])
+    assert np.array_equal(ens.y, ens.reconstructed[:, :, 1])
+    # row 0 of every member is the start
+    assert (ens.z[:, 0] == 0.05).all() and (ens.tau[:, 0] == 0.3).all()
+    one = simulate_hopf_linear(_params(), config, n_paths=1)
+    assert one.tau.shape == (1, 1001) and one.x.shape == (1, 1001)
+
+
+def test_an_ensemble_reports_the_earliest_singular_step_and_its_lowest_path():
+    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.2)
+    config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
+    with pytest.raises(SingularAmplitudeError) as solo:
+        simulate_hopf_linear(p, config)
+    # the solo report is unchanged
+    assert str(solo.value) == (
+        "r + z reached zero at step 26168: the phase-speed denominator is singular"
+    )
+    assert solo.value.step_index == 26168 and solo.value.path_index is None
+    steps = []
+    for k in range(4):
+        member_config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=path_seed(1, k))
+        with pytest.raises(SingularAmplitudeError) as member:
+            simulate_hopf_linear(p, member_config)
+        steps.append(member.value.step_index)
+    with pytest.raises(SingularAmplitudeError) as caught:
+        simulate_hopf_linear(p, config, n_paths=4)
+    err = caught.value
+    assert isinstance(err, DivergenceError)
+    assert err.step_index == min(steps) and err.path_index == int(np.argmin(steps))
+    assert str(err) == (
+        f"r + z reached zero at step {min(steps)} (path {err.path_index}): "
+        "the phase-speed denominator is singular"
+    )
+    assert (err.step_index, err.path_index) == (5118, 1)
+
+
+def test_a_tie_goes_to_the_lowest_path():
+    with pytest.raises(SingularAmplitudeError) as caught:
+        _check_members(np.array([-1, 9, 7, 7]), [0, 1, 2, 3], SingularAmplitudeError,
+                       "{step}{where}")
+    assert (caught.value.step_index, caught.value.path_index) == (7, 2)
+    assert str(caught.value) == "7 (path 2)"

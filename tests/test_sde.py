@@ -66,6 +66,20 @@ def test_path_seed_is_stable_and_distinct():
         path_seed(-1, 0)
 
 
+def test_path_seed_refuses_a_seed_or_index_that_is_not_integral():
+    for args, message in (
+        ((1.5, 0), "seed must be an integer, got 1.5"),
+        ((1, 2.7), "index must be an integer, got 2.7"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            path_seed(*args)
+        assert str(err.value) == message
+    # the range check and its message come first, as before
+    with pytest.raises(ConfigError, match=r"^seed and index must be >= 0$"):
+        path_seed(-1.5, 0)
+    assert path_seed(np.int64(1), np.uint32(2)) == path_seed(1, 2)
+
+
 def test_members_are_path_seeds_and_a_solo_run_is_its_seed():
     assert _members(7, None) == ([7], None)
     assert _members(7, 3) == ([path_seed(7, k) for k in range(3)], [0, 1, 2])
