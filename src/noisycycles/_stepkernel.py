@@ -23,24 +23,26 @@ Every member loop, compiled or numpy, fills in a member-major record,
 row 0, and returns each member's first diverging step, or -1, for
 ``sde._check_members`` to raise.  The compiled loops run one member at a
 time through its steps, draw each step's normals from the member's Philox
-generator with numpy's own ziggurat (``random_standard_normal_fill`` from
-numpy's static ``libnpyrandom.a``, which gives the bytes of
-``Generator.standard_normal``), form the increments or kicks themselves
-and write only the recorded rows.  :func:`_run_members` splits the members
+generator with ``normal``, a copy of numpy's ziggurat in the source below
+that reads numpy's own tables and gives the bytes of
+``Generator.standard_normal``, form the increments or kicks themselves and
+write only the recorded rows.  :func:`_run_members` splits the members
 into contiguous blocks, one per CPU this process may run on (at most one
 per member), each block in a thread of its own; ctypes releases the GIL
 for the call.  A member owns its generator, its state and its rows, so the
 split changes no value.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
-against numpy's ``bitgen.h`` (no Python headers) and linked with
-``libnpyrandom.a`` into ``$XDG_CACHE_HOME/noisycycles``
-(``~/.cache/noisycycles`` when unset), under the sha256 of its source,
-flags and numpy version, and a build removes the builds of other hashes.
+against numpy's ``bitgen.h`` (no Python headers) into
+``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
+under the sha256 of its source, flags and numpy version, and a build
+removes the builds of other hashes.  The ziggurat's tables are local
+symbols of numpy's static ``libnpyrandom.a``; the build links a copy of
+the archive in which ``objcopy --globalize-symbol`` has made them global.
 ``-ffp-contract=off`` keeps gcc from fusing a multiply and an add into one
 FMA, which rounds once where numpy rounds twice.  Without a compiler,
-without numpy's static library, or without a writable cache, the numpy
-loops run instead, with the same results.
+without ``objcopy``, without numpy's static library, or without a
+writable cache, the numpy loops run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -61,8 +63,46 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <numpy/random/bitgen.h> /* bitgen_t only: no Python.h */
 
-/* numpy's ziggurat, from its static libnpyrandom.a */
-void random_standard_normal_fill(bitgen_t *, intptr_t, double *);
+/* numpy's ziggurat tables, made global in the build's copy of its static
+   libnpyrandom.a; hidden, so the library does not export them */
+extern const uint64_t ki_double[256] __attribute__((visibility("hidden")));
+extern const double wi_double[256] __attribute__((visibility("hidden")));
+extern const double fi_double[256] __attribute__((visibility("hidden")));
+/* r and 1/r of numpy's ziggurat_constants.h, which numpy's code holds as
+   immediates, not as symbols */
+#define ZIGGURAT_NOR_R 3.6541528853610087963519472518
+#define ZIGGURAT_NOR_INV_R 0.27366123732975827203338247596
+
+/* numpy's random_standard_normal (Marsaglia and Tsang's ziggurat), which
+   gives the bytes of Generator.standard_normal: the same words of gen,
+   the same operations and libm's exp and log1p.  Only the sign differs in
+   form: bit 8 of the word is XOR-ed into the double's sign bit where
+   numpy branches on it, which flips the sign all the same. */
+static inline double normal(bitgen_t *gen)
+{
+    for (;;) {
+        uint64_t r = gen->next_uint64(gen->state);
+        int idx = r & 0xff;
+        uint64_t rabs = (r >> 9) & 0x000fffffffffffff;
+        union { double d; uint64_t u; } x = {rabs * wi_double[idx]};
+        x.u ^= (r & 0x100) << 55;
+        if (rabs < ki_double[idx])
+            return x.d; /* 99.3% of the time return here */
+        if (idx == 0) {
+            for (;;) {
+                /* log(1 - U), which is never log(0) */
+                double xx = -ZIGGURAT_NOR_INV_R * log1p(-gen->next_double(gen->state));
+                double yy = -log1p(-gen->next_double(gen->state));
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
+            }
+        } else {
+            if (((fi_double[idx - 1] - fi_double[idx]) * gen->next_double(gen->state)
+                 + fi_double[idx]) < exp(-0.5 * x.d * x.d))
+                return x.d;
+        }
+    }
+}
 
 typedef void (*drift_fn)(const double *c, int64_t n, const double *s, double *out);
 
@@ -93,15 +133,17 @@ static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *
 }
 
 /* One step's increments from the member's generator, as _IncrementSource
-   forms them from sde._normals: 2n normals u in (dim, 2) order, dW_j =
-   sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).  S dW_j = 0.0 + s_j dW_j for
-   the diagonal s of a diagonal S: the product's sum over k from +0.0
-   adds only zeros besides s_j dW_j, which leave it unchanged when it is
-   not zero and make a zero +0.0. */
+   forms them from sde._normals: 2n normals u in (dim, 2) order, drawn one
+   by one with normal, which gives the bytes of sde._normals'
+   standard_normal, dW_j = sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).
+   S dW_j = 0.0 + s_j dW_j for the diagonal s of a diagonal S: the
+   product's sum over k from +0.0 adds only zeros besides s_j dW_j, which
+   leave it unchanged when it is not zero and make a zero +0.0. */
 static inline void draw(bitgen_t *gen, int64_t n, const double *s, const double *k,
                         double *u, double *w, double *z)
 {
-    random_standard_normal_fill(gen, 2 * n, u);
+    for (int64_t j = 0; j < 2 * n; j++)
+        u[j] = normal(gen);
     for (int64_t j = 0; j < n; j++) {
         double dw = k[0] * u[2 * j];
         z[j] = k[1] * (u[2 * j] + k[2] * u[2 * j + 1]);
@@ -266,7 +308,8 @@ void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
         for (int64_t j = 0; j < d; j++)
             cur[j] = z_out[p * rows * d + j] + 0.0;
         for (int64_t i = 0; i < n_steps; i++) {
-            random_standard_normal_fill(gens[p], 2 * (d + 1), u);
+            for (int64_t j = 0; j < 2 * (d + 1); j++)
+                u[j] = normal(gens[p]);
             double w = remainder_of(t, period), speed;
             spline(speed_table, knots, m, 1, w, &speed);
             t = (t + h) + (kick * u[2 * d]) / speed;
@@ -301,12 +344,15 @@ void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
 """
 
 _COMPILER = "gcc"
+_OBJCOPY = "objcopy"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{np.get_include()}")
-# after the source, where the linker looks for the ziggurat and fmod
-_LIBS = (f"-L{os.path.dirname(np.__file__)}/random/lib", "-lnpyrandom", "-lm")
-# the ziggurat is linked statically, so numpy's version is part of the build
+# numpy's static library, whose ziggurat tables are local symbols; the
+# build links a copy in which they are global
+_ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+_TABLES = ("ki_double", "wi_double", "fi_double")
+# the tables are linked statically, so numpy's version is part of the build
 _NAME = hashlib.sha256(
-    " ".join((_SOURCE, *_FLAGS, *_LIBS, np.__version__)).encode()
+    " ".join((_SOURCE, *_FLAGS, np.__version__)).encode()
 ).hexdigest() + ".so"
 
 # state dimension each C drift is written for; None: any
@@ -401,22 +447,21 @@ def _cache_dir() -> str:
     return os.path.join(root, "noisycycles")
 
 
-def _build(target: str) -> None:
-    """Compile the source into ``target``; another process may do the same
+def _build(target: str, source: str = _SOURCE) -> None:
+    """Compile ``source`` into ``target``; another process may do the same
     at once, so the file appears under its name only when complete."""
     directory = os.path.dirname(target)
     os.makedirs(directory, mode=0o700, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
+    with tempfile.TemporaryDirectory(dir=directory, suffix=".tmp") as tmp:
+        archive, built = os.path.join(tmp, "libnpyrandom.a"), os.path.join(tmp, "build.so")
+        globalize = [f"--globalize-symbol={name}" for name in _TABLES]
+        subprocess.run([_OBJCOPY, *globalize, _ARCHIVE, archive], capture_output=True, check=True)
+        # -x none: the archive after the stdin source is not C
         subprocess.run(
-            [_COMPILER, *_FLAGS, "-x", "c", "-", "-o", tmp, *_LIBS],
-            input=_SOURCE, text=True, capture_output=True, check=True,
+            [_COMPILER, *_FLAGS, "-x", "c", "-", "-x", "none", archive, "-lm", "-o", built],
+            input=source, text=True, capture_output=True, check=True,
         )
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.replace(built, target)
     # builds of other sources or flags; a process that loaded one keeps it
     with contextlib.suppress(OSError):
         for name in os.listdir(directory):

@@ -10,7 +10,8 @@ import pytest
 from noisycycles import DivergenceError, _stepkernel
 
 requires_compiler = pytest.mark.skipif(
-    shutil.which(_stepkernel._COMPILER) is None, reason="no C compiler"
+    shutil.which(_stepkernel._COMPILER) is None or shutil.which(_stepkernel._OBJCOPY) is None,
+    reason="no C compiler or no objcopy",
 )
 
 

@@ -497,7 +497,8 @@ def test_a_build_evicts_stale_libraries_from_the_cache(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "broken", ["no compiler", "cache not writable", "numpy's static library missing"]
+    "broken",
+    ["no compiler", "no objcopy", "cache not writable", "numpy's static library missing"],
 )
 def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkeypatch, broken):
     system = _KERNEL_SYSTEMS["hopf"]
@@ -510,15 +511,16 @@ def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkey
     if broken == "no compiler":
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
+    elif broken == "no objcopy":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_stepkernel, "_OBJCOPY", str(tmp_path / "no-such-objcopy"))
     elif broken == "cache not writable":
         blocked = tmp_path / "file"
         blocked.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
     else:
-        empty = tmp_path / "lib"
-        empty.mkdir()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(_stepkernel, "_LIBS", (f"-L{empty}", "-lnpyrandom", "-lm"))
+        monkeypatch.setattr(_stepkernel, "_ARCHIVE", str(tmp_path / "lib" / "libnpyrandom.a"))
     assert _stepkernel._library() is None
     assert _stepkernel.loop_for(system) is None
     assert run() == expected
@@ -529,7 +531,8 @@ def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkey
 @requires_compiler
 def test_the_build_needs_no_python_headers(tmp_path, monkeypatch):
     # numpy's bitgen.h and libnpyrandom.a suffice: no -I names a directory
-    # of Python.h, neither this interpreter's nor any other
+    # of Python.h, neither this interpreter's nor any other.  The first
+    # command copies the archive, the second compiles
     commands = []
     run = _stepkernel.subprocess.run
 
@@ -540,7 +543,8 @@ def test_the_build_needs_no_python_headers(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_stepkernel.subprocess, "run", spy)
     assert _stepkernel._library() is not None
-    [command] = commands
+    [objcopy, command] = commands
+    assert (objcopy[0], command[0]) == (_stepkernel._OBJCOPY, _stepkernel._COMPILER)
     includes = [a[2:] for a in command if a.startswith("-I")]
     assert includes == [np.get_include()]
     python = {sysconfig.get_paths()[k] for k in ("include", "platinclude")}
