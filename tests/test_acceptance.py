@@ -14,10 +14,11 @@ template's cosine transform) are held the same way.
 
 The details keep two to four figures, which a one-ulp change would not
 move.  So every array ``validation._exact_x`` returns during criteria 3 to 6
-and 10 is held by its sha256 in ``data/validate_pins.json``, keyed by the
-arguments of the call, and so are criterion 10's fitted parameters, as
-``float.hex``.  Both are collected from the runs above, which run no
-ensemble twice.
+and 10, and ``validation._linear_x`` during criteria 3 and 6, is held by its
+sha256 in ``data/validate_pins.json``, keyed by the arguments of the call;
+so are the tau and z0 records ``simulate_reduced`` returns in criterion 8,
+and criterion 10's fitted parameters, as ``float.hex``.  All are collected
+from the runs above, which run no ensemble twice.
 """
 
 import dataclasses
@@ -35,33 +36,65 @@ _RECORDED = json.loads((_DATA / "validate_details.json").read_text())
 _PINS = json.loads((_DATA / "validate_pins.json").read_text())
 
 
-def _call_key(params, dt, n_steps, seed, n_paths, thin):
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _exact_key(params, dt, n_steps, seed, n_paths, thin):
     return (
         f"seed {seed}, alpha0 {params.alpha0.hex()}, sigma {params.sigma.hex()}, "
         f"dt {dt!r}, {n_steps} steps, {n_paths} paths, every {thin}"
     )
 
 
-@pytest.fixture
-def exact_x_digests(monkeypatch):
-    """The sha256 of each array ``validation._exact_x`` returns during the
-    test, by the key of its call; an ensemble another test already cached
+def _linear_key(params, dt, n_steps, seed, thin, leading_order):
+    order = "leading order" if leading_order else "linear"
+    return f"{order}, {_exact_key(params, dt, n_steps, seed, validation._PATHS, thin)}"
+
+
+def _reduced_key(model, cycle, config, record_every=1, n_paths=None):
+    return (
+        f"seed {config.seed}, sigma {model.sigma.hex()}, dt {config.dt!r}, "
+        f"{config.n_steps} steps, {n_paths} paths, every {record_every}"
+    )
+
+
+def _recording(monkeypatch, name, key, digest):
+    """The ``digest`` of each result ``validation.<name>`` returns during the
+    test, by the ``key`` of its call; an ensemble another test already cached
     does not run again and is not in it."""
     digests = {}
-    exact_x = validation._exact_x
+    original = getattr(validation, name)
 
-    def recording(*args):
-        x = exact_x(*args)
-        digests[_call_key(*args)] = hashlib.sha256(x.tobytes()).hexdigest()
-        return x
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        digests[key(*args, **kwargs)] = digest(result)
+        return result
 
-    monkeypatch.setattr(validation, "_exact_x", recording)
+    monkeypatch.setattr(validation, name, recording)
     return digests
 
 
-def _assert_pinned(digests, ran):
+@pytest.fixture
+def exact_x_digests(monkeypatch):
+    return _recording(monkeypatch, "_exact_x", _exact_key, _sha256)
+
+
+@pytest.fixture
+def linear_x_digests(monkeypatch):
+    return _recording(monkeypatch, "_linear_x", _linear_key, _sha256)
+
+
+@pytest.fixture
+def reduced_digests(monkeypatch):
+    return _recording(
+        monkeypatch, "simulate_reduced", _reduced_key, lambda records: [*map(_sha256, records)]
+    )
+
+
+def _assert_pinned(digests, pins, ran):
     assert not ran or digests, "the criterion ran no ensemble"
-    assert digests == {key: _PINS["exact_x"].get(key) for key in digests}
+    assert digests == {key: _PINS[pins].get(key) for key in digests}
 
 
 def _report(result):
@@ -81,31 +114,33 @@ def test_criterion_02_deviation_variance():
     assert result.passed, result.detail
 
 
-def test_criterion_03_acv_agreement(exact_x_digests):
+def test_criterion_03_acv_agreement(exact_x_digests, linear_x_digests):
     result = _report(validation.check_acv_agreement())
     assert result.passed, result.detail
     assert result.detail == _RECORDED["3"]
-    _assert_pinned(exact_x_digests, ran=True)
+    _assert_pinned(exact_x_digests, "exact_x", ran=True)
+    _assert_pinned(linear_x_digests, "linear_x", ran=True)
 
 
 def test_criterion_04_psd_peak(exact_x_digests):
     result = _report(validation.check_psd_peak())
     assert result.passed, result.detail
     # criterion 3's ensemble, which runs here only when criterion 3 has not
-    _assert_pinned(exact_x_digests, ran=False)
+    _assert_pinned(exact_x_digests, "exact_x", ran=False)
 
 
 def test_criterion_05_acv_breakdown_off_regime(exact_x_digests):
     result = _report(validation.check_acv_breakdown())
     assert result.passed, result.detail
     assert result.detail == _RECORDED["5"]
-    _assert_pinned(exact_x_digests, ran=True)
+    _assert_pinned(exact_x_digests, "exact_x", ran=True)
 
 
-def test_criterion_06_amplitude_kurtosis(exact_x_digests):
+def test_criterion_06_amplitude_kurtosis(exact_x_digests, linear_x_digests):
     result = _report(validation.check_kurtosis())
     assert result.passed, result.detail
-    _assert_pinned(exact_x_digests, ran=True)
+    _assert_pinned(exact_x_digests, "exact_x", ran=True)
+    _assert_pinned(linear_x_digests, "linear_x", ran=True)
 
 
 def test_criterion_07_frame_invariants():
@@ -114,10 +149,11 @@ def test_criterion_07_frame_invariants():
     assert result.detail == _RECORDED["7"]
 
 
-def test_criterion_08_reduction_consistency():
+def test_criterion_08_reduction_consistency(reduced_digests):
     result = _report(validation.check_reduction())
     assert result.passed, result.detail
     assert result.detail == _RECORDED["8"]
+    _assert_pinned(reduced_digests, "reduced_8", ran=True)
 
 
 def test_criterion_09_transform_consistency():
@@ -139,7 +175,7 @@ def test_criterion_10_fit_roundtrip(exact_x_digests, monkeypatch):
     result = _report(validation.check_fit_roundtrip())
     assert result.passed, result.detail
     assert result.detail == _RECORDED["10"]
-    _assert_pinned(exact_x_digests, ran=True)
+    _assert_pinned(exact_x_digests, "exact_x", ran=True)
     assert fitted == _PINS["fit_10"]
 
 
