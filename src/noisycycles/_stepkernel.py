@@ -21,33 +21,38 @@ pre-composed increments of ``strong_order_estimate``, run the numpy loop.
 Every member loop, compiled or numpy, fills in a member-major record,
 (P, n_steps // record_every + 1, ...), from the start the caller wrote in
 row 0, and returns each member's first diverging step, or -1, for
-``sde._check_members`` to raise.  The compiled loops run one member at a
-time through its steps, draw each step's normals from the member's Philox
-generator with ``normal``, a copy of numpy's ziggurat in the source below
-that reads numpy's own tables and gives the bytes of
-``Generator.standard_normal``, form the increments or kicks themselves and
-write only the recorded rows.  :func:`_run_members` splits the members
-into contiguous blocks, one per CPU this process may run on (at most one
-per member), each block in a thread of its own; ctypes releases the GIL
-for the call.  A member owns its generator, its state and its rows, so the
-split changes no value.
+``sde._check_members`` to raise.  The C source writes the compiled member
+loop once, ``MEMBER_LOOP``: one member at a time through its steps, each
+step's normals drawn from the member's Philox generator with ``normal``, a
+copy of numpy's ziggurat below that reads numpy's own tables and gives the
+bytes of ``Generator.standard_normal``, a stop at the member's first bad
+step, and only the recorded rows written.  Each ``nc_`` function supplies
+its step, which forms the increments or kicks from the normals
+(``sde_step``: the 3/2 scheme or Euler-Maruyama with a C drift;
+``phase_deviation_step``: the reduced SDE on the state (z ..., tau)), and
+the load and store of its rows.  :func:`_run_members` splits the members into contiguous blocks, one
+per CPU this process may run on (at most one per member), each block in a
+thread of its own; ctypes releases the GIL for the call.  A member owns
+its generator, its state and its rows, so the split changes no value.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
-under the sha256 of its source, flags and numpy version, and a build
-removes the builds of other hashes.  The ziggurat's tables are local
-symbols of numpy's static ``libnpyrandom.a``; the build links a copy of
-the archive in which ``objcopy --globalize-symbol`` has made them global.
-``-ffp-contract=off`` keeps gcc from fusing a multiply and an add into one
-FMA, which rounds once where numpy rounds twice.  Without a compiler,
-without ``objcopy``, without numpy's static library, or without a
-writable cache, the numpy loops run instead, with the same results.
+under the sha256 of its source, flags and numpy version; builds of other
+hashes stay, so checkouts that share the cache do not rebuild each other's
+(a build is about 60 KB).  The ziggurat's tables are local symbols of
+numpy's static ``libnpyrandom.a``; the build links a copy of the archive in
+which ``objcopy --globalize-symbol`` has made them global, and
+``--exclude-libs`` keeps the archive's symbols out of the library's
+exports, which are the four ``nc_`` functions.  ``-ffp-contract=off`` keeps
+gcc from fusing a multiply and an add into one FMA, which rounds once where
+numpy rounds twice.  Without a compiler, without ``objcopy``, without
+numpy's static library, or without a writable cache, the numpy loops run
+instead, with the same results.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
@@ -61,6 +66,7 @@ import numpy as np
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #include <numpy/random/bitgen.h> /* bitgen_t only: no Python.h */
 
 /* numpy's ziggurat tables, made global in the build's copy of its static
@@ -104,6 +110,42 @@ static inline double normal(bitgen_t *gen)
     }
 }
 
+/* The member loop every nc_ function runs, once: members [0, count), one
+   after another, each with a state of dim values.  Member p owns rows
+   [p rows, (p + 1) rows) of the loop's record(s), rows = n_steps /
+   record_every + 1.  LOAD reads the start from `row`, the member's row 0,
+   into cur.  Each of the n_steps steps draws the step's 2 dim normals u
+   from gens[p] with normal, in (dim, 2) order, as sde._normals does; STEP
+   writes the state after the step into next and is nonzero when that
+   state is bad, where the member stops with bad[p] the step, else bad[p]
+   is -1.  cur and next swap, and after step t, when record_every divides
+   t, STORE writes cur into `row`, the member's row t / record_every.  The
+   caller declares count, gens, bad, n_steps, record_every, u, cur and
+   next; LOAD, STEP and STORE see p, row and i besides. */
+#define MEMBER_LOOP(dim, LOAD, STEP, STORE)                                  \
+    for (int64_t p = 0, rows = n_steps / record_every + 1; p < count; p++) { \
+        int64_t left = record_every; /* steps to the next record */          \
+        int64_t row = p * rows;                                              \
+        bad[p] = -1;                                                         \
+        LOAD;                                                                \
+        for (int64_t i = 0; i < n_steps; i++) {                              \
+            for (int64_t j = 0; j < 2 * (dim); j++)                          \
+                u[j] = normal(gens[p]);                                      \
+            if (STEP) {                                                      \
+                bad[p] = i;                                                  \
+                break;                                                       \
+            }                                                                \
+            double *swap = cur;                                              \
+            cur = next;                                                      \
+            next = swap;                                                     \
+            if (!--left) {                                                   \
+                row++;                                                       \
+                STORE;                                                       \
+                left = record_every;                                         \
+            }                                                                \
+        }                                                                    \
+    }
+
 typedef void (*drift_fn)(const double *c, int64_t n, const double *s, double *out);
 
 /* c = (lambda/2, -lambda/2, r^2, alpha0, alpha - alpha0) */
@@ -132,107 +174,66 @@ static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *
         out[k] = -c[0] * s[k];
 }
 
-/* One step's increments from the member's generator, as _IncrementSource
-   forms them from sde._normals: 2n normals u in (dim, 2) order, drawn one
-   by one with normal, which gives the bytes of sde._normals'
-   standard_normal, dW_j = sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).
-   S dW_j = 0.0 + s_j dW_j for the diagonal s of a diagonal S: the
-   product's sum over k from +0.0 adds only zeros besides s_j dW_j, which
-   leave it unchanged when it is not zero and make a zero +0.0. */
-static inline void draw(bitgen_t *gen, int64_t n, const double *s, const double *k,
-                        double *u, double *w, double *z)
+/* One step of sde._run from cur to next with the drift f, the 3/2 scheme
+   when rk15, else Euler-Maruyama; nonzero when a component of next leaves
+   [-trust, trust] (or is NaN).  The increments are formed from the
+   normals u as _IncrementSource forms them from sde._normals: dW_j =
+   sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).  S dW_j = 0.0 + s_j dW_j for
+   the diagonal s of a diagonal S: the product's sum over k from +0.0 adds
+   only zeros besides s_j dW_j, which leave it unchanged when it is not
+   zero and make a zero +0.0.  k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, sq,
+   zc, inv3); work holds 3n + 4n^2 doubles. */
+static inline int sde_step(drift_fn f, const double *c, int64_t n, int64_t rk15,
+                           const double *s, const double *off, const double *k,
+                           const double *u, const double *cur, double *next, double *work)
 {
-    for (int64_t j = 0; j < 2 * n; j++)
-        u[j] = normal(gen);
-    for (int64_t j = 0; j < n; j++) {
-        double dw = k[0] * u[2 * j];
-        z[j] = k[1] * (u[2 * j] + k[2] * u[2 * j + 1]);
-        w[j] = 0.0 + s[j] * dw;
-    }
-}
-
-/* Members [0, count) of sde._run, one after another: member p has the
-   n_steps / record_every + 1 rows of n values at rec + p rows n, starts at
-   its row 0, runs n_steps steps and writes the state after step t into
-   its row t / record_every when record_every divides t.  Each step draws
-   its S dW and dZ from gens[p] with the diagonal s of S (draw).  bad[p] is
-   the first step at which a component of the member leaves [-trust, trust]
-   (or is NaN), where it stops, else -1.
-   k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, then draw's sq, zc, inv3). */
-static inline void members(drift_fn f, int64_t count, bitgen_t *const *gens, int64_t *bad,
-                           double *work, double *rec, const double *c, int64_t n,
-                           int64_t n_steps, int64_t record_every, int64_t rk15,
-                           const double *s, const double *off, const double *k)
-{
-    const int64_t m = n, mn = n * n, rows = n_steps / record_every + 1;
+    const int64_t m = n, mn = n * n;
     const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
-    double *a0 = work, *base = a0 + n, *st = base + n, *A = st + 2 * mn;
-    double *cur = A + 2 * mn, *next = cur + n, *w = next + n, *z = w + n, *u = z + n;
-    for (int64_t p = 0; p < count; p++) {
-        int64_t left = record_every; /* steps to the next record */
-        double *own = rec + p * rows * n;
-        bad[p] = -1;
-        for (int64_t j = 0; j < n; j++)
-            cur[j] = own[j];
-        for (int64_t i = 0; i < n_steps; i++) {
-            draw(gens[p], n, s, k + 5, u, w, z);
-            f(c, n, cur, a0);
-            if (rk15) {
-                for (int64_t j = 0; j < n; j++)
-                    base[j] = cur[j] + a0[j] * dt_m;
-                for (int64_t j = 0; j < 2 * m; j++) {
-                    for (int64_t q = 0; q < n; q++)
-                        st[j * n + q] = base[q] + off[j * n + q];
-                    f(c, n, st + j * n, A + j * n);
-                }
-            }
+    const double sq = k[5], zc = k[6], inv3 = k[7];
+    double *a0 = work, *base = a0 + n, *z = base + n, *st = z + n, *A = st + 2 * mn;
+    f(c, n, cur, a0);
+    for (int64_t q = 0; q < n; q++)
+        next[q] = (cur[q] + a0[q] * dt) + (0.0 + s[q] * (sq * u[2 * q]));
+    if (rk15) {
+        for (int64_t j = 0; j < n; j++) {
+            base[j] = cur[j] + a0[j] * dt_m;
+            z[j] = zc * (u[2 * j] + inv3 * u[2 * j + 1]);
+        }
+        for (int64_t j = 0; j < 2 * m; j++) {
             for (int64_t q = 0; q < n; q++)
-                next[q] = (cur[q] + a0[q] * dt) + w[q];
-            if (rk15) {
-                for (int64_t q = 0; q < n; q++) {
-                    double h = (A[q] - A[mn + q]) * z[0];
-                    for (int64_t j = 1; j < m; j++)
-                        h = h + (A[j * n + q] - A[mn + j * n + q]) * z[j];
-                    next[q] = next[q] + h / two_sq;
-                }
-                for (int64_t q = 0; q < n; q++) {
-                    double twice = a0[q] * 2.0;
-                    double h = (A[q] + A[mn + q]) - twice;
-                    for (int64_t j = 1; j < m; j++)
-                        h = h + ((A[j * n + q] + A[mn + j * n + q]) - twice);
-                    next[q] = next[q] + h * dt_4;
-                }
+                st[j * n + q] = base[q] + off[j * n + q];
+            f(c, n, st + j * n, A + j * n);
+        }
+        for (int64_t q = 0; q < n; q++) {
+            double twice = a0[q] * 2.0;
+            double h = (A[q] - A[mn + q]) * z[0], g = (A[q] + A[mn + q]) - twice;
+            for (int64_t j = 1; j < m; j++) {
+                h = h + (A[j * n + q] - A[mn + j * n + q]) * z[j];
+                g = g + ((A[j * n + q] + A[mn + j * n + q]) - twice);
             }
-            int out = 0;
-            for (int64_t q = 0; q < n; q++)
-                out |= !(fabs(next[q]) <= trust);
-            if (out) {
-                bad[p] = i;
-                break;
-            }
-            double *t = cur;
-            cur = next;
-            next = t;
-            if (!--left) {
-                double *r = own + (i + 1) / record_every * n;
-                for (int64_t q = 0; q < n; q++)
-                    r[q] = cur[q];
-                left = record_every;
-            }
+            next[q] = (next[q] + h / two_sq) + g * dt_4;
         }
     }
+    int out = 0;
+    for (int64_t q = 0; q < n; q++)
+        out |= !(fabs(next[q]) <= trust);
+    return out;
 }
 
-/* Every member loop takes (count, gens, bad, work) first, then pointers at
-   member 0 of its per-member arrays, then what all members share. */
+/* Members [0, count) of sde._run with the C drift name (MEMBER_LOOP): the
+   record rows of n values start at rec, and each step is sde_step's.
+   Every nc_ function takes (count, gens, bad, work) first, then pointers
+   at member 0 of its per-member arrays, then what all members share. */
 #define KERNEL(name)                                                                 \
     void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work, \
                    double *rec, const double *c, int64_t n, int64_t n_steps,         \
                    int64_t record_every, int64_t rk15, const double *s,              \
                    const double *off, const double *k)                               \
     {                                                                                \
-        members(name, count, gens, bad, work, rec, c, n, n_steps, record_every,     \
-                rk15, s, off, k);                                                    \
+        double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;    \
+        MEMBER_LOOP(n, memcpy(cur, rec + row * n, n * sizeof *cur),                  \
+                    sde_step(name, c, n, rk15, s, off, k, u, cur, next, scratch),    \
+                    memcpy(rec + row * n, cur, n * sizeof *cur))                     \
     }
 
 KERNEL(hopf)
@@ -279,73 +280,57 @@ static inline void spline(const double *table, const double *knots, int64_t m, i
                  + col[4 * row + j] * s3;
 }
 
-/* Members [0, count) of frame.simulate_reduced with d deviations, one
-   after another: member p has the n_steps / record_every + 1 rows of
-   tau_out at tau_out + p rows and of z_out (d values a row) at
-   z_out + p rows d, starts at its row 0 and runs n_steps steps.  Each step
-   draws 2(d + 1) normals u from gens[p] in (dim, 2) order, as
-   sde._normals does; the deviation kicks are kick u[2 j] and the phase
-   kick is kick u[2 d].  The phase and deviations after step t go to the
-   member's row t / record_every when record_every divides t.  bad[p] is
-   the first step at which the phase is not finite or a component of z
-   leaves [-trust, trust] (or is NaN), where the member stops, else -1.
-   k = (period, h, kick, trust). */
+/* One step of frame.simulate_reduced with d deviations from cur = (z ...,
+   tau) to next; nonzero when the phase is not finite or a component of z
+   leaves [-trust, trust] (or is NaN).  The deviation kicks are kick u[2 j]
+   and the phase kick is kick u[2 d].  k = (period, h, kick, trust); J
+   holds d^2 doubles. */
+static inline int phase_deviation_step(const double *knots, int64_t m,
+                                       const double *j0_table, const double *speed_table,
+                                       int64_t d, const double *k, const double *u,
+                                       const double *cur, double *next, double *J)
+{
+    const double period = k[0], h = k[1], kick = k[2], trust = k[3];
+    double w = remainder_of(cur[d], period), speed;
+    spline(speed_table, knots, m, 1, w, &speed);
+    next[d] = (cur[d] + h) + (kick * u[2 * d]) / speed;
+    int out = !isfinite(next[d]);
+    /* J z = sum_j J[:, j] z_j from j = 0 upwards; then (z + (J z) h) + kick */
+    spline(j0_table, knots, m, d * d, w, J);
+    for (int64_t q = 0; q < d; q++) {
+        double drift = J[q * d] * cur[0];
+        for (int64_t j = 1; j < d; j++)
+            drift = drift + J[q * d + j] * cur[j];
+        next[q] = (cur[q] + drift * h) + kick * u[2 * q];
+        out |= !(fabs(next[q]) <= trust);
+    }
+    return out;
+}
+
+/* Members [0, count) of frame.simulate_reduced (MEMBER_LOOP): the record
+   rows start at tau_out, one value a row, and at z_out, d values a row,
+   and each step is phase_deviation_step's.  The steps sum J0 z from j =
+   0, not from +0.0, which would turn a -0.0 start deviation into +0.0;
+   adding +0.0 once to the start keeps every value, as no later state can
+   be -0.0. */
 void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
                         double *work, double *tau_out, double *z_out, const double *knots,
                         int64_t m, const double *j0_table, const double *speed_table,
                         int64_t d, int64_t n_steps, int64_t record_every, const double *k)
 {
-    const double period = k[0], h = k[1], kick = k[2], trust = k[3];
-    const int64_t rows = n_steps / record_every + 1;
-    double *J = work, *u = J + d * d, *cur = u + 2 * (d + 1), *next = cur + d;
-    for (int64_t p = 0; p < count; p++) {
-        int64_t left = record_every; /* steps to the next record */
-        double t = tau_out[p * rows];
-        bad[p] = -1;
-        /* the steps sum J0 z from j = 0, not from +0.0, which would turn a
-           -0.0 start deviation into +0.0; adding +0.0 once here keeps every
-           value, as no later state can be -0.0 */
-        for (int64_t j = 0; j < d; j++)
-            cur[j] = z_out[p * rows * d + j] + 0.0;
-        for (int64_t i = 0; i < n_steps; i++) {
-            for (int64_t j = 0; j < 2 * (d + 1); j++)
-                u[j] = normal(gens[p]);
-            double w = remainder_of(t, period), speed;
-            spline(speed_table, knots, m, 1, w, &speed);
-            t = (t + h) + (kick * u[2 * d]) / speed;
-            int out = !isfinite(t);
-            /* J z = sum_j J[:, j] z_j from j = 0 upwards; then
-               (z + (J z) h) + kick */
-            spline(j0_table, knots, m, d * d, w, J);
-            for (int64_t q = 0; q < d; q++) {
-                double drift = J[q * d] * cur[0];
-                for (int64_t j = 1; j < d; j++)
-                    drift = drift + J[q * d + j] * cur[j];
-                next[q] = (cur[q] + drift * h) + kick * u[2 * q];
-                out |= !(fabs(next[q]) <= trust);
-            }
-            if (out) {
-                bad[p] = i;
-                break;
-            }
-            double *swap = cur;
-            cur = next;
-            next = swap;
-            if (!--left) {
-                int64_t r = p * rows + (i + 1) / record_every;
-                tau_out[r] = t;
-                for (int64_t q = 0; q < d; q++)
-                    z_out[r * d + q] = cur[q];
-                left = record_every;
-            }
-        }
-    }
+    double *u = work, *cur = u + 2 * (d + 1), *next = cur + d + 1, *J = next + d + 1;
+    MEMBER_LOOP(d + 1,
+                { for (int64_t j = 0; j < d; j++) cur[j] = z_out[row * d + j] + 0.0;
+                  cur[d] = tau_out[row]; },
+                phase_deviation_step(knots, m, j0_table, speed_table, d, k, u, cur, next, J),
+                { memcpy(z_out + row * d, cur, d * sizeof *cur); tau_out[row] = cur[d]; })
 }
 """
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{np.get_include()}")
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-Wl,--exclude-libs,ALL",
+          f"-I{np.get_include()}")
 # numpy's static library, whose ziggurat tables are local symbols; the
 # build links a copy in which they are global
 _ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
@@ -462,12 +447,6 @@ def _build(target: str, source: str = _SOURCE) -> None:
             input=source, text=True, capture_output=True, check=True,
         )
         os.replace(built, target)
-    # builds of other sources or flags; a process that loaded one keeps it
-    with contextlib.suppress(OSError):
-        for name in os.listdir(directory):
-            if name.endswith(".so") and name != os.path.basename(target):
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(directory, name))
 
 
 def _library():
@@ -587,7 +566,7 @@ def loop_for(system) -> Optional[Callable]:
     fn = getattr(lib, f"nc_{ks.name}")
     coefs = np.array(ks.coefs)
     s = np.ascontiguousarray(np.diag(S), dtype=np.float64)
-    width = 8 * n + 4 * n * n
+    width = 7 * n + 4 * n * n
 
     def loop(rec, record_every, n_steps, rk15, offsets, constants, source):
         P = len(source.rngs)
@@ -636,7 +615,7 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optiona
             raise ValueError("the reduced loop got arrays of mismatched shapes")
         k = np.array([period, h, kick_scale, trust], dtype=np.float64)
         return _run_members(
-            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 2, [tau_out, z_out],
+            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 4, [tau_out, z_out],
             knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps,
             record_every, k.ctypes.data,
         )

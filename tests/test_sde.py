@@ -2,7 +2,9 @@
 
 import contextlib
 import dataclasses
+import shutil
 import stat
+import subprocess
 import sysconfig
 import threading
 import time
@@ -486,14 +488,32 @@ def test_kernel_is_built_once_into_the_user_cache(tmp_path, monkeypatch):
 
 
 @requires_compiler
-def test_a_build_evicts_stale_libraries_from_the_cache(tmp_path, monkeypatch):
+def test_a_build_keeps_the_builds_of_other_sources(tmp_path, monkeypatch):
+    # two checkouts of different sources share one cache: neither build
+    # removes the other's, so alternating between them compiles nothing
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cache = tmp_path / "noisycycles"
-    cache.mkdir(mode=0o700)
-    (cache / ("0" * 64 + ".so")).write_bytes(b"a build of an older source")
+    other = "0" * 64 + ".so"
+    _stepkernel._build(str(cache / other), _stepkernel._SOURCE + "/* another checkout */\n")
     (cache / "other.tmp").write_bytes(b"")  # another process's build in progress
     assert _stepkernel._library() is not None
-    assert sorted(p.name for p in cache.iterdir()) == sorted([_stepkernel._NAME, "other.tmp"])
+    assert sorted(p.name for p in cache.iterdir()) == sorted([_stepkernel._NAME, other, "other.tmp"])
+    monkeypatch.setattr(_stepkernel, "_loaded", {})
+    monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
+    monkeypatch.setattr(_stepkernel, "_NAME", other)
+    assert _stepkernel._library() is not None
+
+
+@requires_compiler
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
+def test_the_library_exports_only_its_member_loops():
+    assert _stepkernel._library() is not None
+    library = Path(_stepkernel._cache_dir(), _stepkernel._NAME)
+    listing = subprocess.run(
+        ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
+    ).stdout
+    exported = {line.split()[-1] for line in listing.splitlines() if line.strip()}
+    assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation"}
 
 
 @pytest.mark.parametrize(
