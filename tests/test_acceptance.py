@@ -16,9 +16,11 @@ The details keep two to four figures, which a one-ulp change would not
 move.  So every array ``validation._exact_x`` returns during criteria 3 to 6
 and 10, and ``validation._linear_x`` during criteria 3 and 6, is held by its
 sha256 in ``data/validate_pins.json``, keyed by the arguments of the call;
-so are the tau and z0 records ``simulate_reduced`` returns in criterion 8,
-and criterion 10's fitted parameters, as ``float.hex``.  All are collected
-from the runs above, which run no ensemble twice.
+so are the tau and z0 records ``simulate_reduced`` returns in criterion 8
+and the z and tau of criterion 2's ``simulate_hopf_linear`` run.  Criterion
+1's ``strong_order_estimate`` results (RMS errors and slope) and criterion
+10's fitted parameters are held as ``float.hex``.  All are collected from
+the runs above, which run no ensemble twice.
 """
 
 import dataclasses
@@ -59,6 +61,24 @@ def _reduced_key(model, cycle, config, record_every=1, n_paths=None):
     )
 
 
+def _linear_run_key(params, config, leading_order=False, record_every=1, n_paths=None):
+    order = "leading order" if leading_order else "linear"
+    return f"{order}, {_reduced_key(params, None, config, record_every, n_paths)}"
+
+
+def _order_key(system, initial_state, t_final, dts, n_paths, scheme, seed, exact_endpoint):
+    reference = "fine grid" if exact_endpoint is None else "exact endpoint"
+    return (
+        f"{scheme.value}, {system.dimension}-d from {tuple(initial_state)}, {reference}, "
+        f"seed {seed}, {n_paths} paths, T {t_final!r}, dts {tuple(dts)}"
+    )
+
+
+def _order_digest(estimate):
+    return {"rms_errors": [v.hex() for v in estimate.rms_errors.tolist()],
+            "slope": estimate.slope.hex()}
+
+
 def _recording(monkeypatch, name, key, digest):
     """The ``digest`` of each result ``validation.<name>`` returns during the
     test, by the ``key`` of its call; an ensemble another test already cached
@@ -92,6 +112,19 @@ def reduced_digests(monkeypatch):
     )
 
 
+@pytest.fixture
+def linear_run_digests(monkeypatch):
+    return _recording(
+        monkeypatch, "simulate_hopf_linear", _linear_run_key,
+        lambda path: [_sha256(path.z), _sha256(path.tau)],
+    )
+
+
+@pytest.fixture
+def order_estimates(monkeypatch):
+    return _recording(monkeypatch, "strong_order_estimate", _order_key, _order_digest)
+
+
 def _assert_pinned(digests, pins, ran):
     assert not ran or digests, "the criterion ran no ensemble"
     assert digests == {key: _PINS[pins].get(key) for key in digests}
@@ -104,14 +137,17 @@ def _report(result):
     return result
 
 
-def test_criterion_01_strong_order():
+def test_criterion_01_strong_order(order_estimates):
     result = _report(validation.check_integrator_order())
     assert result.passed, result.detail
+    assert len(order_estimates) == 3
+    _assert_pinned(order_estimates, "order_1", ran=True)
 
 
-def test_criterion_02_deviation_variance():
+def test_criterion_02_deviation_variance(linear_run_digests):
     result = _report(validation.check_deviation_variance())
     assert result.passed, result.detail
+    _assert_pinned(linear_run_digests, "linear_2", ran=True)
 
 
 def test_criterion_03_acv_agreement(exact_x_digests, linear_x_digests):
