@@ -1,5 +1,5 @@
-"""Compiled loops of ``sde._run`` for the drifts the package builds, and of
-``frame.simulate_reduced``.
+"""Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
+package builds, and of ``frame.simulate_reduced``.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a C drift below, the
@@ -9,28 +9,30 @@ with ``+ - * /`` in the C drift's order.  The system's numpy drift applies
 the formula to the columns of a state or a stack of states.
 :func:`single_state` gives ``frame.find_limit_cycle`` the formula itself on
 one state's Python floats, which skips numpy's per-call overhead and rounds
-the same.  :func:`loop_for` gives ``sde._run`` the member loop of such a
+the same.  :func:`loop_for` gives the integrator the member loop of such a
 system, and :func:`reduced_loop` gives ``simulate_reduced`` the member loop
 of the reduced phase/deviation SDE.  Each C loop runs every floating-point
 operation of its numpy loop, in the same order and with the same operands,
 so its results are bitwise the same; the numpy loops are the reference.
 
-The member loop of ``sde._run`` serves systems with a diagonal noise matrix
+The integrator's member loop serves systems with a diagonal noise matrix
 (every system the package builds); a full noise matrix, and the
 pre-composed increments of ``strong_order_estimate``, run the numpy loop.
-Every member loop, compiled or numpy, fills in a member-major record,
-(P, n_steps // record_every + 1, ...), from the start the caller wrote in
-row 0, and returns each member's first diverging step, or -1, for
-``sde._check_members`` to raise.  The C source writes the compiled member
-loop once, ``MEMBER_LOOP``: one member at a time through its steps, each
-step's normals drawn from the member's Philox generator with ``normal``, a
-copy of numpy's ziggurat below that reads numpy's own tables and gives the
-bytes of ``Generator.standard_normal``, a stop at the member's first bad
-step, and only the recorded rows written.  Each ``nc_`` function supplies
-its step, which forms the increments or kicks from the normals
-(``sde_step``: the 3/2 scheme or Euler-Maruyama with a C drift;
-``phase_deviation_step``: the reduced SDE on the state (z ..., tau)), and
-the load and store of its rows.  :func:`_run_members` splits the members into contiguous blocks, one
+Every member loop, compiled or numpy, is built with its constants and
+called by the one member driver, ``sde._simulate``, as ``loop(*records,
+record_every, n_steps, rngs)``: it fills in the member-major records, (P,
+n_steps // record_every + 1, ...), from the start in row 0, and returns
+each member's first diverging step, or -1, for the driver to raise.  The C
+source writes the compiled member loop once, ``MEMBER_LOOP``: one member
+at a time through its steps, each step's normals drawn from the member's
+Philox generator with ``normal``, a copy of numpy's ziggurat below that
+reads numpy's own tables and gives the bytes of
+``Generator.standard_normal``, a stop at the member's first bad step, and
+only the recorded rows written.  Each ``nc_`` function supplies its step,
+which forms the increments or kicks from the normals (``sde_step``: the
+3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``: the
+reduced SDE on the state (z ..., tau)), and the load and store of its
+rows.  :func:`_run_members` splits the members into contiguous blocks, one
 per CPU this process may run on (at most one per member), each block in a
 thread of its own; ctypes releases the GIL for the call.  A member owns
 its generator, its state and its rows, so the split changes no value.
@@ -174,15 +176,15 @@ static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *
         out[k] = -c[0] * s[k];
 }
 
-/* One step of sde._run from cur to next with the drift f, the 3/2 scheme
-   when rk15, else Euler-Maruyama; nonzero when a component of next leaves
-   [-trust, trust] (or is NaN).  The increments are formed from the
-   normals u as _IncrementSource forms them from sde._normals: dW_j =
-   sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1).  S dW_j = 0.0 + s_j dW_j for
-   the diagonal s of a diagonal S: the product's sum over k from +0.0 adds
-   only zeros besides s_j dW_j, which leave it unchanged when it is not
-   zero and make a zero +0.0.  k = (dt, dt/m, 2 sqrt(dt), dt/4, trust, sq,
-   zc, inv3); work holds 3n + 4n^2 doubles. */
+/* One step of the integrator (sde._numpy_loop) from cur to next with the
+   drift f, the 3/2 scheme when rk15, else Euler-Maruyama; nonzero when a
+   component of next leaves [-trust, trust] (or is NaN).  The increments
+   are sde._increments': dW_j = sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1)
+   from the normals u.  S dW_j = 0.0 + s_j dW_j for the diagonal s of a
+   diagonal S: the product's sum over k from +0.0 adds only zeros besides
+   s_j dW_j, which leave it unchanged when it is not zero and make a zero
+   +0.0.  k = sde._stepping's (dt, dt/m, 2 sqrt(dt), dt/4, trust, sq, zc,
+   inv3); work holds 3n + 4n^2 doubles. */
 static inline int sde_step(drift_fn f, const double *c, int64_t n, int64_t rk15,
                            const double *s, const double *off, const double *k,
                            const double *u, const double *cur, double *next, double *work)
@@ -220,7 +222,7 @@ static inline int sde_step(drift_fn f, const double *c, int64_t n, int64_t rk15,
     return out;
 }
 
-/* Members [0, count) of sde._run with the C drift name (MEMBER_LOOP): the
+/* Members [0, count) of the integrator with drift name (MEMBER_LOOP): the
    record rows of n values start at rec, and each step is sde_step's.
    Every nc_ function takes (count, gens, bad, work) first, then pointers
    at member 0 of its per-member arrays, then what all members share. */
@@ -544,45 +546,45 @@ def _run_members(fn, rngs, n_steps, width, members, *shared) -> np.ndarray:
     return bad
 
 
-def loop_for(system) -> Optional[Callable]:
-    """The compiled member loop for ``system``, or None for the numpy loop.
+def loop_for(system, rk15, offsets, constants) -> Optional[Callable]:
+    """The compiled member loop of ``system``, or None for the numpy loop.
 
     Only a system whose drift is still the one its spec was built for, and
-    whose noise matrix is diagonal, qualifies.  The loop is called as
-    ``sde._numpy_loop``'s is, ``loop(rec, record_every, n_steps, rk15,
-    offsets, constants, source)``, with ``sde._run``'s record, constants
-    ``(dt, dt/m, 2 sqrt(dt), dt/4, trust)`` and ``_IncrementSource``.  Each
-    member draws its normals from its generator, one step at a time, and
-    runs all ``n_steps`` steps from its row 0 (``_run_members``).
+    whose noise matrix is diagonal, qualifies.  The loop binds the
+    arguments ``sde._stepping`` gives ``sde._numpy_loop`` and is called as
+    that loop is, ``loop(rec, record_every, n_steps, rngs)``, with a record
+    of ``sde._simulate`` and the members' generators.  Each member draws its
+    normals from its generator, one step at a time, and runs all
+    ``n_steps`` steps from its row 0 (``_run_members``).
     """
     ks = _spec_of(system)
     S = system.noise_matrix
     if ks is None or np.any(S - np.diag(np.diag(S))):
         return None
-    n = system.dimension
     lib = _library()
     if lib is None:
         return None
+    n = system.dimension
     fn = getattr(lib, f"nc_{ks.name}")
     coefs = np.array(ks.coefs)
     s = np.ascontiguousarray(np.diag(S), dtype=np.float64)
-    width = 7 * n + 4 * n * n
+    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+    k = np.array(constants, dtype=np.float64)
+    if (offsets.size, k.size) != (2 * n * n, 8):
+        raise ValueError("the member loop got constants of mismatched shapes")
 
-    def loop(rec, record_every, n_steps, rk15, offsets, constants, source):
-        P = len(source.rngs)
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if (rec.shape, offsets.size) != ((P, n_steps // record_every + 1, n), 2 * n * n):
+    def loop(rec, record_every, n_steps, rngs):
+        if rec.shape != (len(rngs), n_steps // record_every + 1, n):
             raise ValueError("the member loop got arrays of mismatched shapes")
-        k = np.array([*constants, source.sq, source.z, source.inv3], dtype=np.float64)
         return _run_members(
-            fn, source.rngs, n_steps, width, [rec], coefs.ctypes.data, n, n_steps,
+            fn, rngs, n_steps, 7 * n + 4 * n * n, [rec], coefs.ctypes.data, n, n_steps,
             record_every, int(rk15), s.ctypes.data, offsets.ctypes.data, k.ctypes.data,
         )
 
     return loop
 
 
-def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optional[Callable]:
+def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust) -> Optional[Callable]:
     """The compiled member loop of ``frame.simulate_reduced``, or None for
     its numpy loop.
 
@@ -590,10 +592,10 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optiona
     the step ``h`` and ``kick_scale`` (sigma sqrt(h)) must round like
     float64 in numpy, or the numpy loop runs.  The loop is called as
     ``frame._reduced_loop``'s is, ``loop(tau_out, z_out, record_every,
-    n_steps, rngs, trust)``, with the records (P, rows) and (P, rows, d) and
-    the members' generators.  Each member draws its kicks from its
-    generator, one step at a time, and runs all ``n_steps`` steps from its
-    row 0 (``_run_members``).
+    n_steps, rngs)``, with the records (P, rows) and (P, rows, d) and the
+    members' generators.  Each member draws its kicks from its generator,
+    one step at a time, and runs all ``n_steps`` steps from its row 0
+    (``_run_members``), until a deviation leaves ``trust``.
     """
     checked = (knots, period, h, kick_scale)
     if not all(np.result_type(x, np.float64) == np.float64 for x in checked):
@@ -608,12 +610,12 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale) -> Optiona
     d2 = j0_table.shape[2]
     if j0_table.shape != (5, m + 2, d2) or speed_table.shape != (5, m + 2, 1):
         raise ValueError("the reduced loop got tables of mismatched shapes")
+    k = np.array([period, h, kick_scale, trust], dtype=np.float64)
 
-    def loop(tau_out, z_out, record_every, n_steps, rngs, trust):
+    def loop(tau_out, z_out, record_every, n_steps, rngs):
         P, rows, d = z_out.shape
         if (tau_out.shape, rows, d * d) != ((P, rows), n_steps // record_every + 1, d2):
             raise ValueError("the reduced loop got arrays of mismatched shapes")
-        k = np.array([period, h, kick_scale, trust], dtype=np.float64)
         return _run_members(
             lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 4, [tau_out, z_out],
             knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps,

@@ -52,15 +52,12 @@ from .sde import (
     SdeSystem,
     Trajectory,
     _batched,
-    _check_members,
     _chunks,
-    _generator,
     _labels,
-    _members,
     _normals,
     _phase_initial,
     _record,
-    _validated_record_every,
+    _simulate,
 )
 
 __all__ = [
@@ -554,9 +551,10 @@ def _evaluator(table, knots, out):
     return evaluate
 
 
-def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale):
+def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust):
     """The numpy loop of :func:`simulate_reduced`, the reference for
-    ``_stepkernel.reduced_loop``: called the same way, with the same results.
+    ``_stepkernel.reduced_loop``: built from the same arguments, called the
+    same way, with the same results.
 
     All paths advance in lock step, one chunk of steps at a time
     (``sde._chunks``), from the chunk's normals (``sde._normals``).  The
@@ -568,7 +566,7 @@ def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale):
     """
     add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
 
-    def loop(tau_out, z_out, record_every, n_steps, rngs, trust):
+    def loop(tau_out, z_out, record_every, n_steps, rngs):
         p, _, d = z_out.shape
         tau = tau_out[:, 0]
         # the steps sum J0 z from j = 0, not from +0.0, which would turn a
@@ -641,12 +639,12 @@ def simulate_reduced(
     interval with ``searchsorted`` and sums the cubic in s = w - knot with
     the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
     so every value equals the spline's bit for bit.  The records are
-    member-major, (P, N+1) and (P, N+1, n-1), and this function writes row
-    0, the start.  The members run in the compiled loop of
-    ``_stepkernel.reduced_loop``: each member runs all its steps, draws its
-    own kicks from its generator one step at a time, and writes its
-    recorded rows, and contiguous blocks of members run in one thread per
-    CPU.  It makes the same floating-point operations in the same order as
+    member-major, (P, N+1) and (P, N+1, n-1), with the start in row 0, from
+    the member driver of all three simulators (``sde._simulate``).  The
+    members run in the compiled loop of ``_stepkernel.reduced_loop``: each
+    member runs all its steps, draws its own kicks from its generator one
+    step at a time, and writes its recorded rows, and contiguous blocks of
+    members run in one thread per CPU.  It makes the same floating-point operations in the same order as
     the numpy loop (``_reduced_loop``), which advances all members in lock
     step.  The numpy loop is the reference, and it runs instead, with the
     same results, where the loop cannot be compiled.
@@ -658,6 +656,9 @@ def simulate_reduced(
 
     Raises
     ------
+    ConfigError
+        For a start that is not finite, or a ``record_every`` or
+        ``n_paths`` the other simulators refuse too.
     DivergenceError
         At the first step where some |z0| component leaves
         ``TRUST_RADIUS`` or z0 or tau stops being finite, with the lowest
@@ -668,11 +669,9 @@ def simulate_reduced(
     tau : ndarray, (N+1,) or (n_paths, N+1)
     z0 : ndarray, (N+1, n-1) or (n_paths, N+1, n-1)
     """
-    record_every = _validated_record_every(config, record_every)
     n = cycle.dimension
     if n < 2:
         raise ConfigError(f"a reduced model needs a cycle of dimension >= 2, got {n}")
-    d = n - 1
     for name, values in (("J0", model.J0), ("speed", model.speed)):
         if len(values) != cycle.grid_size:
             raise ConfigError(
@@ -685,29 +684,14 @@ def simulate_reduced(
     knots = np.append(cycle.grid, period)
     j0_table = _spline_table(cycle.grid, model.J0, period)
     speed_table = _spline_table(cycle.grid, model.speed, period)
-
-    seeds, path_ids = _members(config.seed, n_paths)
-    rngs = [_generator(s) for s in seeds]
-    p = len(seeds)
-
     h = config.dt
-    kick_scale = model.sigma * np.sqrt(h)
-    n_steps = config.n_steps
-    rows = n_steps // record_every + 1
-    tau_out = np.empty((p, rows))
-    z_out = np.empty((p, rows, d))
-    tau_out[:, 0] = tau_init
-    z_out[:, 0] = z_init
-
-    tables = (knots, j0_table, speed_table, period, h, kick_scale)
+    tables = (knots, j0_table, speed_table, period, h, model.sigma * np.sqrt(h), TRUST_RADIUS)
     loop = _stepkernel.reduced_loop(*tables) or _reduced_loop(*tables)
     # a diverging path overflows before its divergence is reported, which
     # must not surface as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = loop(tau_out, z_out, record_every, n_steps, rngs, TRUST_RADIUS)
-    _check_members(bad, path_ids)
-
-    if path_ids is None:
+        (tau_out, z_out), _ = _simulate(config, n_paths, record_every, (tau_init, z_init), loop)
+    if n_paths is None:
         return tau_out[0], z_out[0]
     return tau_out, z_out
 

@@ -38,10 +38,7 @@ from scipy.signal import lfilter
 
 from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
-from .sde import (
-    SdeSystem, _check_members, _chunks, _generator, _members, _normals, _phase_initial, _record,
-    _validated_record_every,
-)
+from .sde import SdeSystem, _chunks, _normals, _phase_initial, _record, _simulate
 
 __all__ = [
     "HopfParams",
@@ -177,7 +174,8 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     integrator, so a seed here matches the increments of a 2-dimensional
     generic run with the same seed.  Like the other two simulators it holds
     one chunk of steps at a time (``sde._chunks``) and keeps only the
-    recorded rows, so its memory does not grow with the step count.
+    recorded rows, so its memory does not grow with the step count, and
+    shares their member driver, ``sde._simulate``.
 
     With ``n_paths`` set, member k draws from ``path_seed(config.seed, k)``
     and equals that solo run bit for bit: ``tau``, ``z`` and
@@ -191,55 +189,63 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     excursion: rare at NSR 0.1, but at NSR 0.3 it can come within some
     hundreds of 1/lambda).  The leading-order variant never divides by r + z.
 
-    Every member starts at (z, tau) = ``config.initial_state`` (default
-    (0, 0): on the cycle, phase zero).
+    Every member starts at (z, tau) = ``config.initial_state``, which must
+    be finite (default (0, 0): on the cycle, phase zero).
     """
-    record_every = _validated_record_every(config, record_every)
     (z0,), tau0 = _phase_initial(config.initial_state, 2)
-    seeds, path_ids = _members(config.seed, n_paths)
+    message = "r + z reached zero at step {step}{where}: the phase-speed denominator is singular"
+    (z, tau), _ = _simulate(
+        config, n_paths, record_every, (z0, tau0),
+        _linear_loop(params, config.dt, leading_order), SingularAmplitudeError, message,
+    )
+    tau[:, 1:] += tau0
+    amp = params.r + z
+    angle = params.alpha * tau
+    rec = np.stack([amp * np.cos(angle), amp * np.sin(angle)], axis=-1)
+    if n_paths is None:
+        tau, z, rec = tau[0], z[0], rec[0]
+    return PhaseDeviationPath(
+        dt=config.dt * record_every, tau=tau, z=z, reconstructed=rec, seed=config.seed
+    )
 
+
+def _linear_loop(params, h, leading_order):
+    """The member loop of :func:`simulate_hopf_linear` at step ``h``, as
+    ``loop(z, tau, record_every, n_steps, rngs)``: each member runs its
+    steps from row 0 in chunks (``sde._chunks``), records tau - tau0 after
+    row 0, and stops at its first step where r + z <= 0."""
     lam, al, al0, r, sig = params.lambda_, params.alpha, params.alpha0, params.r, params.sigma
-    h = config.dt
-
     # exact deviation update: z_{k+1} = phi z_k + s_h xi
     phi = np.exp(-lam * h)
     s_h = sig * np.sqrt((1.0 - phi * phi) / (2.0 * lam)) if sig > 0 else 0.0
-    z, tau = np.empty((2, len(seeds), config.n_steps // record_every + 1))
-    z[:, 0], tau[:, 0] = z0, tau0  # tau holds tau - tau0 till the end
-    bad = np.full(len(seeds), -1)
-    for k, rng in enumerate(map(_generator, seeds)):
-        zi, z_last = [phi * z0], z0
-        for done, span in _chunks(config.n_steps, 1):
-            # frozen draw pattern; only column 0 (the Wiener normals) is consumed
-            xi = _normals([rng], span, 2)[:, 0, :, 0]
-            zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
-            dw_p = np.sqrt(h) * xi[:, 1]
-            if leading_order:
-                dtau = h + sig * dw_p / (al * r)
-            else:
-                z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
-                amp = r + z_start
-                if np.any(amp <= 0.0):
-                    bad[k] = done + int(np.argmax(amp <= 0.0))
-                    break
-                dtau = h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp)) + sig * dw_p / (al * amp)
-            # cumsum adds in sequence: the carried sum added into the first increment
-            # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0
-            if done:
-                dtau[0] += carry
-            sums = np.cumsum(dtau)
-            _record(z[k], zs, done, record_every)
-            _record(tau[k], sums, done, record_every)
-            z_last, carry = zs[-1], sums[-1]
-    message = "r + z reached zero at step {step}{where}: the phase-speed denominator is singular"
-    _check_members(bad, path_ids, SingularAmplitudeError, message)
 
-    tau[:, 1:] += tau0
-    amp = r + z
-    angle = al * tau
-    rec = np.stack([amp * np.cos(angle), amp * np.sin(angle)], axis=-1)
-    if path_ids is None:
-        tau, z, rec = tau[0], z[0], rec[0]
-    return PhaseDeviationPath(
-        dt=h * record_every, tau=tau, z=z, reconstructed=rec, seed=config.seed
-    )
+    def loop(z, tau, record_every, n_steps, rngs):
+        bad = np.full(len(rngs), -1)
+        for k, rng in enumerate(rngs):
+            zi, z_last = [phi * z[k, 0]], z[k, 0]
+            for done, span in _chunks(n_steps, 1):
+                # frozen draw pattern; only column 0 (the Wiener normals) is consumed
+                xi = _normals([rng], span, 2)[:, 0, :, 0]
+                zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
+                dw_p = np.sqrt(h) * xi[:, 1]
+                if leading_order:
+                    dtau = h + sig * dw_p / (al * r)
+                else:
+                    z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
+                    amp = r + z_start
+                    if np.any(amp <= 0.0):
+                        bad[k] = done + int(np.argmax(amp <= 0.0))
+                        break
+                    dtau = (h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp))
+                            + sig * dw_p / (al * amp))
+                # cumsum adds in sequence: the carried sum added into the first increment
+                # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0
+                if done:
+                    dtau[0] += carry
+                sums = np.cumsum(dtau)
+                _record(z[k], zs, done, record_every)
+                _record(tau[k], sums, done, record_every)
+                z_last, carry = zs[-1], sums[-1]
+        return bad
+
+    return loop

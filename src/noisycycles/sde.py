@@ -28,7 +28,10 @@ keyed by ``SeedSequence([seed])`` (single paths) or by the sub-seed
 ``path_seed(seed, k)`` (ensemble member k), and normals are consumed in a
 fixed chunked pattern, so results do not depend on evaluation order, on
 how a run is split into chunks, on how many members advance together or
-on how members are split across threads.
+on how members are split across threads.  All three simulators (this
+integrator, ``frame.simulate_reduced`` and ``hopf.simulate_hopf_linear``)
+run their members through one driver, ``_simulate``, and supply only
+their start and their member loop.
 """
 
 from __future__ import annotations
@@ -291,36 +294,17 @@ def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
     return np.stack([rng.standard_normal((n_steps, dim, 2)) for rng in rngs], axis=1)
 
 
-class _IncrementSource:
-    """Chunked (dW, dZ) arrays of shape (m, P, n) for the step kernel:
-    dW = sq u0 and dZ = z (u0 + inv3 u1) from the normals of ``rngs``."""
-
-    def __init__(self, rngs, dim, dt):
-        self.rngs = rngs
-        self._dim = dim
-        self.sq = np.sqrt(dt)
-        self.z = dt ** 1.5 / 2.0
-        self.inv3 = 1.0 / np.sqrt(3.0)
-
-    def take(self, n_steps: int):
-        u = _normals(self.rngs, n_steps, self._dim)
-        dw = self.sq * u[..., 0]
-        dz = self.z * (u[..., 0] + self.inv3 * u[..., 1])
-        return dw, dz
+def _scales(dt):
+    """sq = sqrt(dt), zc = dt^1.5 / 2 and inv3 = 1 / sqrt(3) of ``_increments``."""
+    return np.sqrt(dt), dt ** 1.5 / 2.0, 1.0 / np.sqrt(3.0)
 
 
-class _ArraySource:
-    """Pre-composed increments, used by the convergence harness."""
-
-    def __init__(self, dw, dz):
-        self._dw = dw
-        self._dz = dz
-        self._pos = 0
-
-    def take(self, n_steps: int):
-        k = self._pos
-        self._pos += n_steps
-        return self._dw[k:self._pos], self._dz[k:self._pos]
+def _increments(rngs, n_steps, dim, dt):
+    """dW = sq u0 and dZ = zc (u0 + inv3 u1), each (n_steps, P, dim), from
+    the next ``n_steps`` steps' normals u of ``rngs`` at step ``dt``."""
+    sq, zc, inv3 = _scales(dt)
+    u = _normals(rngs, n_steps, dim)
+    return sq * u[..., 0], zc * (u[..., 0] + inv3 * u[..., 1])
 
 
 def _times_st(dW, ST):
@@ -343,53 +327,76 @@ def _check_members(bad, path_ids, error=DivergenceError, message=_LEFT_TRUST):
         raise error(message.format(step=step, where=where), step_index=step, path_index=pid)
 
 
-def _run(system, scheme, y0, dt, n_steps, source, record_every, path_ids=None):
-    """Advance the P paths of ``source`` from ``y0`` (P, n); returns their
-    member-major record (P, n_steps // record_every + 1, n), row 0 ``y0``.
+def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError,
+              message=_LEFT_TRUST):
+    """Run the members of ``_members(config.seed, n_paths)`` through
+    ``loop``, every member from ``starts``; returns their records and seeds.
+
+    Each start gets a member-major record, (P, n_steps // record_every + 1,
+    *start.shape), with the start in row 0.  ``loop(*records, record_every,
+    n_steps, rngs)`` fills in the other rows, member p drawing from
+    ``rngs[p]``, the Philox generator of its seed, and returns each member's
+    first bad step, or -1, for which ``_check_members`` raises ``error``
+    with ``message``.  Every simulator runs its members here.
+    """
+    if record_every < 1:
+        raise ConfigError(f"record_every must be >= 1, got {record_every}")
+    _require_integer("record_every", record_every)
+    if config.n_steps % record_every:
+        raise ConfigError(
+            f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
+        )
+    seeds, path_ids = _members(config.seed, n_paths)
+    if not all(np.isfinite(start).all() for start in starts):
+        start = tuple(map(float, config.initial_state))
+        raise ConfigError(f"initial_state must be finite, got {start}")
+    shape = (len(seeds), config.n_steps // record_every + 1)
+    records = [np.empty(shape + np.shape(start)) for start in starts]
+    for rec, start in zip(records, starts):
+        rec[:, 0] = start
+    bad = loop(*records, record_every, config.n_steps, [_generator(s) for s in seeds])
+    _check_members(bad, path_ids, error, message)
+    return records, seeds
+
+
+def _stepping(system, scheme, dt):
+    """``(system, rk15, offsets, constants)`` of ``_stepkernel.loop_for``
+    and :func:`_numpy_loop` for ``scheme`` at step ``dt``: whether the 3/2
+    scheme runs, its stage offsets (2m, 1, n), rows j and m + j +/- sqrt(h)
+    S_j, and (dt, dt/m, 2 sqrt(dt), dt/4, trust, *_scales(dt))."""
+    ST = system.noise_matrix.T
+    m = ST.shape[0]
+    scales = _scales(dt)
+    sq = scales[0]
+    offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]
+    constants = (dt, dt / m, 2.0 * sq, dt / 4.0, TRUST_RADIUS, *scales)
+    return system, scheme is Scheme.STRONG_RK15, offsets, constants
+
+
+def _numpy_loop(system, rk15, offsets, constants, increments=None):
+    """The numpy member loop of ``system``, the reference for
+    ``_stepkernel.loop_for``: built and called the same way, ``loop(rec,
+    record_every, n_steps, rngs)``, with the same results.
 
     Each step runs the update of the module docstring, term by term in the
     order written there, with the sums over j taken from j = 0 upwards.
-    For the package's own drifts with a diagonal S, and the generators of
-    an ``_IncrementSource``, the compiled loop of ``_stepkernel.loop_for``
-    runs, the members split across threads; every other run takes its
-    reference twin :func:`_numpy_loop`.  ``_check_members`` raises for the
-    first diverging steps the loop returns.
-    """
-    ST = system.noise_matrix.T
-    m = ST.shape[0]
-    sq = np.sqrt(dt)
-    rec = np.empty((y0.shape[0], n_steps // record_every + 1, system.dimension))
-    rec[:, 0] = y0
-    # stage offsets for the 3/2 scheme: rows j and m + j are +/- sqrt(h) S_j
-    offsets = np.concatenate([sq * ST, -sq * ST])[:, None, :]  # (2m, 1, n)
-    constants = (dt, dt / m, 2.0 * sq, dt / 4.0, TRUST_RADIUS)
-    compiled = isinstance(source, _IncrementSource) and _stepkernel.loop_for(system)
-    loop = compiled or _numpy_loop(system)
-    rk15 = scheme is Scheme.STRONG_RK15
-    _check_members(loop(rec, record_every, n_steps, rk15, offsets, constants, source), path_ids)
-    return rec
-
-
-def _numpy_loop(system):
-    """The numpy loop of :func:`_run`, the reference for
-    ``_stepkernel.loop_for``: called the same way, with the same results.
-
     All paths advance in lock step, one chunk of steps at a time
-    (``_chunks``), from the chunk's increments (``source.take``).  Step i
-    of a chunk writes its new state over row i of the chunk's S dW array,
-    once that row is added in; the recorded rows are copied out once per
-    chunk.  At the first step where some path diverges, the loop gives
-    that step to each path that diverges there and stops.
+    (``_chunks``), from the chunk's ``_increments`` of ``rngs``, or its rows
+    of the pre-composed ``increments`` (dW, dZ).  Step i of a chunk writes
+    its new state over row i of the chunk's S dW array, once that row is
+    added in; the recorded rows are copied out once per chunk.  At the
+    first step where some path diverges, the loop gives that step to each
+    path that diverges there and stops.
     """
     F = _batched(system)
     ST = system.noise_matrix.T
     m = ST.shape[0]
+    dt, dt_m, two_sq, dt_4, trust = constants[:5]
     add, multiply, subtract = np.add, np.multiply, np.subtract
     max_abs = np.maximum.reduce
 
-    def loop(rec, record_every, n_steps, rk15, offsets, constants, source):
+    def loop(rec, record_every, n_steps, rngs):
         P, _, n = rec.shape
-        dt, dt_m, two_sq, dt_4, trust = constants
         y = rec[:, 0].copy()
         base = np.empty((P, n))
         twice = np.empty((P, n))
@@ -397,7 +404,10 @@ def _numpy_loop(system):
         pair = np.empty((m, P, n))
         head = pair[0]
         for done, span in _chunks(n_steps, P):
-            dW, dZ = source.take(span)
+            if increments is None:
+                dW, dZ = _increments(rngs, span, n, dt)
+            else:
+                dW, dZ = (a[done:done + span] for a in increments)
             path = _times_st(dW, ST)
             dZ = dZ.transpose(0, 2, 1)[..., None]  # (span, m, P, 1): dZ_j per path
             for i in range(span):
@@ -469,31 +479,19 @@ def _labels(dimension, channel_labels):
     return labels
 
 
-def _validated_record_every(config, record_every):
-    if record_every < 1:
-        raise ConfigError(f"record_every must be >= 1, got {record_every}")
-    _require_integer("record_every", record_every)
-    if config.n_steps % record_every:
-        raise ConfigError(
-            f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
-        )
-    return record_every
-
-
 def _integrate(system, config, n_paths, record_every, channel_labels):
-    """Run the members of ``_members(config.seed, n_paths)`` together;
-    one Trajectory per member, its rows of the shared record as values.
+    """One Trajectory per member of ``_simulate``, its rows of the shared
+    record as values; every path starts at ``config.initial_state``.
 
-    Every path starts at ``config.initial_state``.
+    For the package's own drifts with a diagonal S the compiled loop of
+    ``_stepkernel.loop_for`` runs, the members split across threads; every
+    other system takes its reference twin :func:`_numpy_loop`.
     """
-    seeds, path_ids = _members(config.seed, n_paths)
-    record_every = _validated_record_every(config, record_every)
     labels = _labels(system.dimension, channel_labels)
-    y0 = np.tile(_initial(system, config.initial_state), (len(seeds), 1))
-    source = _IncrementSource([_generator(s) for s in seeds], system.dimension, config.dt)
-    rec = _run(
-        system, config.scheme, y0, config.dt, config.n_steps, source, record_every, path_ids
-    )
+    y0 = _initial(system, config.initial_state)
+    stepping = _stepping(system, config.scheme, config.dt)
+    loop = _stepkernel.loop_for(*stepping) or _numpy_loop(*stepping)
+    (rec,), seeds = _simulate(config, n_paths, record_every, (y0,), loop)
     return [
         Trajectory(dt=config.dt * record_every, values=values, channel_labels=labels, seed=s)
         for values, s in zip(rec, seeds)
@@ -579,16 +577,21 @@ def strong_order_estimate(
             )
         ratios.append(r)
 
-    y0 = np.tile(_initial(system, initial_state), (n_paths, 1))
+    y0 = _initial(system, initial_state)
     rngs = [_generator(s) for s in _members(seed, n_paths)[0]]
-    fine = _IncrementSource(rngs, system.dimension, hf)
-    dw_f, dz_f = fine.take(nf)
+    dw_f, dz_f = _increments(rngs, nf, system.dimension, hf)
+
+    def endpoints(dt, dw, dz):
+        # the numpy loop on the composed increments, recording start and end
+        rec = np.tile(y0, (n_paths, 2, 1))
+        loop = _numpy_loop(*_stepping(system, scheme, dt), increments=(dw, dz))
+        _check_members(loop(rec, len(dw), len(dw), rngs), None)
+        return rec[:, -1]
 
     if exact_endpoint is not None:
-        reference = exact_endpoint(y0[0], hf, dw_f, dz_f)
+        reference = exact_endpoint(y0, hf, dw_f, dz_f)
     else:
-        rec = _run(system, scheme, y0, hf, nf, _ArraySource(dw_f, dz_f), nf)
-        reference = rec[:, -1]
+        reference = endpoints(hf, dw_f, dz_f)
 
     rms = np.empty(dts.size)
     for i, (dt, r) in enumerate(zip(dts, ratios)):
@@ -598,8 +601,7 @@ def strong_order_estimate(
         bz = dz_f.reshape(shape)
         dw = bw.sum(axis=1)
         dz = bz.sum(axis=1) + hf * (np.cumsum(bw, axis=1) - bw).sum(axis=1)
-        rec = _run(system, scheme, y0, dt, nc, _ArraySource(dw, dz), nc)
-        err = rec[:, -1] - reference
+        err = endpoints(dt, dw, dz) - reference
         rms[i] = np.sqrt(np.mean(np.sum(err * err, axis=1)))
     slope = float(np.polyfit(np.log(dts), np.log(rms), 1)[0])
     return OrderEstimate(slope=slope, dts=dts, rms_errors=rms, scheme=scheme)

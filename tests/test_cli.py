@@ -301,6 +301,10 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
     (("simulate", "--model", "reduced", "--periods", "1", "--record-every", "0",
       "--grid-size", "256"),
      "noisycycles simulate: error: record_every must be >= 1, got 0"),
+    (("simulate", "--model", "hopf-exact", "--periods", "1", "--initial", "nan,0"),
+     "noisycycles simulate: error: initial_state must be finite, got (nan, 0.0)"),
+    (("simulate", "--model", "hopf-linear", "--periods", "1", "--initial", "nan,0"),
+     "noisycycles simulate: error: initial_state must be finite, got (nan, 0.0)"),
     (("decompose", "--system", "hopf", "--substeps", "0"),
      "noisycycles decompose: error: substeps must be >= 1, got 0"),
     (("decompose", "--system", "hopf", "--substeps", "-1"),
@@ -312,7 +316,8 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
     (("decompose", "--system", "hopf", "--transient", "-1"),
      "noisycycles decompose: error: transient_time must be positive and finite, got -1.0"),
 ], ids=["dt-0-periods", "dt-0-steps", "periods-nan", "record-every-0-exact",
-        "record-every-0-linear", "record-every-0-reduced", "substeps-0", "substeps-neg",
+        "record-every-0-linear", "record-every-0-reduced", "initial-nan-exact",
+        "initial-nan-linear", "substeps-0", "substeps-neg",
         "transient-nan", "transient-0", "transient-neg"])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert _call(*argv, "--nsr", "0.1", "--output", str(tmp_path / "x.csv")) == 1

@@ -25,6 +25,7 @@ from noisycycles import (
     build_frame,
     find_limit_cycle,
     hopf_system,
+    integrate_ensemble,
     integrate_path,
     ornstein_uhlenbeck,
     path_seed,
@@ -488,6 +489,49 @@ def test_phase_deviation_simulators_share_one_initial_state_check(hopf_cycle, ho
             simulate_hopf_linear(params, config)
 
 
+def test_the_simulators_refuse_the_same_runs_with_the_same_message(hopf_cycle):
+    # record_every, n_paths and the start are checked once, where every
+    # simulator runs its members (sde._simulate), solo and in an ensemble
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.1)
+    system = hopf_system(params)
+    model = _unstable(hopf_cycle, -1.0, 0.1)
+    config = IntegratorConfig(dt=1e-3, n_steps=10, seed=5, initial_state=(0.05, 0.0))
+
+    def simulators(config, record_every, n_paths):
+        if n_paths is None:
+            yield lambda: integrate_path(system, config, record_every)
+        else:
+            yield lambda: integrate_ensemble(system, config, n_paths, record_every)
+        yield lambda: simulate_reduced(model, hopf_cycle, config, record_every, n_paths)
+        for leading_order in (False, True):
+            yield lambda: simulate_hopf_linear(params, config, leading_order, record_every, n_paths)
+
+    cases = [
+        (config, 1, 0, "n_paths must be >= 1, got 0"),
+        (config, 1, 2.0, "n_paths must be an integer, got 2.0"),
+    ]
+    for n_paths in (None, 3):
+        cases += [
+            (config, 0, n_paths, "record_every must be >= 1, got 0"),
+            (config, 2.0, n_paths, "record_every must be an integer, got 2.0"),
+            (config, 3, n_paths, "record_every must divide n_steps (10), got 3"),
+        ]
+        for start in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0)):
+            not_finite = dataclasses.replace(config, initial_state=start)
+            cases.append((not_finite, 1, n_paths, f"initial_state must be finite, got {start}"))
+    for cfg, record_every, n_paths, message in cases:
+        for run in simulators(cfg, record_every, n_paths):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError) as err:
+                    run()
+            assert str(err.value) == message
+    # the same calls run once the counts and the start are right
+    for n_paths in (None, 3):
+        for run in simulators(config, 2, n_paths):
+            run()
+
+
 def test_a_one_dimensional_cycle_has_no_reduced_model():
     m = 16
     grid = np.arange(m) / m
@@ -789,11 +833,15 @@ def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monke
     # numpy loop
     period = vdp_cycle.period
     kick = 0.1 * np.sqrt(1e-3)
-    assert _stepkernel.reduced_loop(knots, table, table, period, np.longdouble(1e-3), kick) is None
-    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3, np.longdouble(kick)) is None
+
+    def compiled(h, kick_scale):
+        return _stepkernel.reduced_loop(knots, table, table, period, h, kick_scale, TRUST_RADIUS)
+
+    assert compiled(np.longdouble(1e-3), kick) is None
+    assert compiled(1e-3, np.longdouble(kick)) is None
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
-    assert _stepkernel.reduced_loop(knots, table, table, period, 1e-3, kick) is None
+    assert compiled(1e-3, kick) is None
     assert run() == expected
 
 
@@ -1009,8 +1057,6 @@ def test_reduced_records_are_member_major_from_row_zero(vdp_cycle):
         assert taus.flags.c_contiguous and z0s.flags.c_contiguous
         # row 0 is the start as given, the -0.0 deviation included
         assert (taus[:, 0] == 0.25).all() and np.signbit(z0s[:, 0, 0]).all()
-    with pytest.raises(ConfigError, match=r"^n_paths must be an integer, got 3\.0$"):
-        simulate_reduced(model, vdp_cycle, config, n_paths=3.0)
 
 
 def test_the_orthogonality_error_sends_the_user_to_a_finer_grid():

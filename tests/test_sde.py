@@ -33,11 +33,16 @@ from noisycycles import (
     van_der_pol,
 )
 from noisycycles import _stepkernel
-from noisycycles.sde import _CHUNK, _chunks, _members, _record
+from noisycycles.sde import _CHUNK, _chunks, _members, _numpy_loop, _record, _stepping
 
 from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
 
 TAU = 2.0 * np.pi
+
+
+def _compiled_loop(system):
+    # the compiled member loop of ``system`` for the 3/2 scheme, or None
+    return _stepkernel.loop_for(*_stepping(system, Scheme.STRONG_RK15, 1e-3))
 
 
 def test_config_validation():
@@ -246,7 +251,7 @@ def test_compiled_loop_is_bitwise_the_numpy_loop(
     # a diagonal S draws its normals in the compiled loop, a full one runs
     # the numpy loop itself; members run in blocks on n_threads threads
     system = _KERNEL_SYSTEMS[name]
-    assert (_stepkernel.loop_for(system) is None) == name.endswith("-full-noise")
+    assert (_compiled_loop(system) is None) == name.endswith("-full-noise")
     n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
     config = IntegratorConfig(
         dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
@@ -291,12 +296,12 @@ def test_hopf_runs_draw_their_normals_in_the_compiled_loop(monkeypatch):
     from noisycycles import sde
 
     system = _KERNEL_SYSTEMS["hopf"]
-    assert _stepkernel.loop_for(system) is not None
+    assert _compiled_loop(system) is not None
     config = IntegratorConfig(dt=1e-3, n_steps=300, seed=6, initial_state=(1.0, 0.0))
     expected = integrate_path(system, config).values.tobytes()
 
     def no_numpy_draws(*args):
-        raise AssertionError("sde._run drew the normals with numpy")
+        raise AssertionError("the member loop drew the normals with numpy")
 
     monkeypatch.setattr(sde, "_normals", no_numpy_draws)
     assert integrate_path(system, config).values.tobytes() == expected
@@ -373,10 +378,8 @@ def test_members_on_other_threads_report_the_earliest_divergence():
 @requires_compiler
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
-    # strong_order_estimate feeds _run pre-composed increments (the strided
-    # ones here are not contiguous): a built library must not change them
-    from noisycycles.sde import _ArraySource, _run
-
+    # strong_order_estimate feeds the numpy loop pre-composed increments (the
+    # strided ones here are not contiguous): a built library must not change them
     for name in ("van-der-pol", "ou-3-full-noise"):
         system = _KERNEL_SYSTEMS[name]
         y0 = (2.0, -0.0, 0.5)[:system.dimension]
@@ -388,22 +391,27 @@ def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
         assert compiled == reference
         rng = np.random.default_rng(4)
         dw, dz = 0.05 * rng.standard_normal((2, 300, 6, system.dimension, 2))[..., ::2, :, 0]
-        start = np.tile(y0, (3, 1))
-        compiled, reference = compiled_and_numpy(
-            lambda: _run(system, scheme, start, 0.01, 300, _ArraySource(dw, dz), 3).tobytes()
-        )
+
+        def run():
+            rec = np.empty((3, 101, system.dimension))
+            rec[:, 0] = y0
+            loop = _numpy_loop(*_stepping(system, scheme, 0.01), increments=(dw, dz))
+            assert (loop(rec, 3, 300, ()) == -1).all()
+            return rec.tobytes()
+
+        compiled, reference = compiled_and_numpy(run)
         assert compiled == reference
 
 
 @requires_compiler
 def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
-    # strong_order_estimate feeds _run pre-composed increments, and a full S
-    # has no diagonal to draw with: neither calls the compiled loop
+    # strong_order_estimate feeds the numpy loop pre-composed increments, and
+    # a full S has no diagonal to draw with: neither calls the compiled loop
     calls = []
     loop_for = _stepkernel.loop_for
 
-    def spy(system):
-        loop = loop_for(system)
+    def spy(system, *stepping):
+        loop = loop_for(system, *stepping)
         if loop is None:
             return None
 
@@ -453,7 +461,7 @@ def test_a_replaced_drift_runs_itself_not_the_kernel():
     params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3)
     other = hopf_system(dataclasses.replace(params, alpha0=0.5 * TAU)).drift
     replaced = dataclasses.replace(hopf_system(params), drift=other)
-    assert _stepkernel.loop_for(replaced) is None
+    assert _compiled_loop(replaced) is None
     direct = SdeSystem(dimension=2, drift=other, isotropic_sigma=0.3, vectorized=True)
     config = IntegratorConfig(dt=1e-2, n_steps=200, seed=8, initial_state=(1.0, 0.0))
     got = integrate_path(replaced, config).values.tobytes()
@@ -461,7 +469,7 @@ def test_a_replaced_drift_runs_itself_not_the_kernel():
     assert got != integrate_path(hopf_system(params), config).values.tobytes()
     # coefficients that numpy would not round as float64 keep the numpy loop too
     wide = dataclasses.replace(params, lambda_=np.longdouble(TAU))
-    assert _stepkernel.loop_for(hopf_system(wide)) is None
+    assert _compiled_loop(hopf_system(wide)) is None
 
 
 def _files_under(root):
@@ -542,7 +550,7 @@ def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkey
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_stepkernel, "_ARCHIVE", str(tmp_path / "lib" / "libnpyrandom.a"))
     assert _stepkernel._library() is None
-    assert _stepkernel.loop_for(system) is None
+    assert _compiled_loop(system) is None
     assert run() == expected
     # nothing left behind in the cache
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] in ([], ["file"])
@@ -794,16 +802,11 @@ def test_non_integral_counts_are_config_errors():
         with pytest.raises(ConfigError) as err:
             IntegratorConfig(dt=0.1, initial_state=(1.0,), **kwargs)
         assert str(err.value) == message
-    config = IntegratorConfig(dt=0.1, n_steps=np.int64(10), seed=np.uint32(3), initial_state=(1.0,))
-    with pytest.raises(ConfigError, match=r"^record_every must be an integer, got 2\.0$"):
-        integrate_path(system, config, record_every=2.0)
-    with pytest.raises(ConfigError, match=r"^n_paths must be an integer, got 2\.0$"):
-        integrate_ensemble(system, config, n_paths=2.0)
     # the bounds and their messages come first, as before
     with pytest.raises(ConfigError, match=r"^n_steps must be >= 1, got 0\.5$"):
         IntegratorConfig(dt=0.1, n_steps=0.5)
-    with pytest.raises(ConfigError, match=r"^record_every must divide n_steps \(10\), got 3$"):
-        integrate_path(system, config, record_every=3)
-    # numpy integers count as integers
+    # numpy integers count as integers (test_frame.py checks the refusals of
+    # record_every and n_paths, for every simulator)
+    config = IntegratorConfig(dt=0.1, n_steps=np.int64(10), seed=np.uint32(3), initial_state=(1.0,))
     members = integrate_ensemble(system, config, n_paths=np.int64(2), record_every=np.int32(5))
     assert members[1].seed == path_seed(3, 1)
