@@ -32,10 +32,19 @@ only the recorded rows written.  Each ``nc_`` function supplies its step,
 which forms the increments or kicks from the normals (``sde_step``: the
 3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``: the
 reduced SDE on the state (z ..., tau)), and the load and store of its
-rows.  :func:`_run_members` splits the members into contiguous blocks, one
-per CPU this process may run on (at most one per member), each block in a
-thread of its own; ctypes releases the GIL for the call.  A member owns
-its generator, its state and its rows, so the split changes no value.
+rows.
+
+Every ``nc_`` function takes ``(count, gens, bad, work, n_steps,
+record_every, records..., shared...)``: members [0, count)'s ``bitgen_t``
+pointers and first bad steps, scratch, the counts, a pointer at the first
+member of each record, then what all members share.  :func:`_bind` alone
+calls them.  It converts each shared value by its ``_ARGTYPES`` entry (one
+that would not round like float64 in numpy gives the numpy loop), checks
+the records, and runs contiguous blocks of members, one per CPU this
+process may run on, each in a thread of its own; ctypes releases the GIL
+for the call.  A member owns its generator, its state and its rows, so the
+split changes no value.  :func:`loop_for` and :func:`reduced_loop` add
+only their own rules and end in ``_bind``.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -122,8 +132,9 @@ static inline double normal(bitgen_t *gen)
    state is bad, where the member stops with bad[p] the step, else bad[p]
    is -1.  cur and next swap, and after step t, when record_every divides
    t, STORE writes cur into `row`, the member's row t / record_every.  The
-   caller declares count, gens, bad, n_steps, record_every, u, cur and
-   next; LOAD, STEP and STORE see p, row and i besides. */
+   caller, an nc_ function, takes count, gens, bad, work, n_steps and
+   record_every first (the order _bind calls it with) and declares u, cur
+   and next; LOAD, STEP and STORE see p, row and i besides. */
 #define MEMBER_LOOP(dim, LOAD, STEP, STORE)                                  \
     for (int64_t p = 0, rows = n_steps / record_every + 1; p < count; p++) { \
         int64_t left = record_every; /* steps to the next record */          \
@@ -223,14 +234,12 @@ static inline int sde_step(drift_fn f, const double *c, int64_t n, int64_t rk15,
 }
 
 /* Members [0, count) of the integrator with drift name (MEMBER_LOOP): the
-   record rows of n values start at rec, and each step is sde_step's.
-   Every nc_ function takes (count, gens, bad, work) first, then pointers
-   at member 0 of its per-member arrays, then what all members share. */
+   record rows of n values start at rec, and each step is sde_step's. */
 #define KERNEL(name)                                                                 \
     void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work, \
-                   double *rec, const double *c, int64_t n, int64_t n_steps,         \
-                   int64_t record_every, int64_t rk15, const double *s,              \
-                   const double *off, const double *k)                               \
+                   int64_t n_steps, int64_t record_every, double *rec, const double *c, \
+                   int64_t n, int64_t rk15, const double *s, const double *off,      \
+                   const double *k)                                                  \
     {                                                                                \
         double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;    \
         MEMBER_LOOP(n, memcpy(cur, rec + row * n, n * sizeof *cur),                  \
@@ -316,9 +325,10 @@ static inline int phase_deviation_step(const double *knots, int64_t m,
    adding +0.0 once to the start keeps every value, as no later state can
    be -0.0. */
 void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
-                        double *work, double *tau_out, double *z_out, const double *knots,
-                        int64_t m, const double *j0_table, const double *speed_table,
-                        int64_t d, int64_t n_steps, int64_t record_every, const double *k)
+                        double *work, int64_t n_steps, int64_t record_every,
+                        double *tau_out, double *z_out, const double *knots, int64_t m,
+                        const double *j0_table, const double *speed_table, int64_t d,
+                        const double *k)
 {
     double *u = work, *cur = u + 2 * (d + 1), *next = cur + d + 1, *J = next + d + 1;
     MEMBER_LOOP(d + 1,
@@ -347,12 +357,13 @@ _DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
-# each member loop's arguments: (count, gens, bad, work) as _run_members
-# passes them, pointers at the first member's arrays, then the shared ones
-_MEMBERS = [_I, _P, _P, _P]
+# each member loop's arguments: (count, gens, bad, work, n_steps,
+# record_every) and a pointer at member 0 of each record, as _bind passes
+# them, then the values _bind binds: an _I as an int, a _P as a float64 copy
+_MEMBERS = [_I, _P, _P, _P, _I, _I]
 _ARGTYPES = {
-    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P, _P, _I, _I, _I, _I, _P, _P, _P]),
-    "phase_deviation": _MEMBERS + [_P, _P, _P, _I, _P, _P, _I, _I, _I, _P],
+    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
+    "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
 }
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
@@ -511,115 +522,81 @@ def _in_threads(run, P, group) -> None:
         raise errors[0]
 
 
-def _address(a: np.ndarray, member: int) -> int:
-    """The address of ``member``'s entries in ``a``, the member first."""
-    return a.ctypes.data + member * a.strides[0]
-
-
-def _run_members(fn, rngs, n_steps, width, members, *shared) -> np.ndarray:
-    """Run the compiled member loop ``fn``, one member per generator of
-    ``rngs``, and return each member's first diverging step, or -1.
-
-    ``members`` are the arrays the loop reads and writes in place, which
-    must be C-contiguous float64 with the member first: one entry per
-    member on axis 0.  The members run in blocks across threads
-    (``_in_threads``), in calls of about ``_CALL_PATH_STEPS`` path-steps of
-    ``n_steps`` steps a member, and at least one member.  The call for
-    members [a, b) is ``fn(b - a, gens, bad, work, *pointers, *shared)``:
-    the members' ``bitgen_t`` addresses and first diverging steps from
-    member a on, ``width`` doubles of scratch, and a pointer at member a of
-    each of ``members``.
+def _bind(name, width, shapes, *shared) -> Optional[Callable]:
+    """The member loop ``nc_<name>`` with ``shared`` bound, called as
+    ``loop(*records, record_every, n_steps, rngs)``, or None for the numpy
+    loop.  ``width`` is the doubles of scratch a call needs, and ``shapes``
+    the shape of a row of each record, (P, rows, *shape) float64 and
+    C-contiguous; a call runs about ``_CALL_PATH_STEPS`` path-steps, at
+    least one member.
     """
-    P = len(rngs)
-    if not all(x.dtype == np.float64 and x.flags.c_contiguous and len(x) == P for x in members):
-        raise ValueError("the member loop needs C-contiguous float64 arrays, a row per member")
-    # the bitgen_t of each generator, which it keeps while rngs lives
-    gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
-    bad = np.empty(P, dtype=np.int64)
+    values = []
+    for kind, x in zip(_ARGTYPES[name][len(_MEMBERS) + len(shapes):], shared, strict=True):
+        if kind is _I:
+            values.append(int(x))
+        elif np.result_type(np.asarray(x), np.float64) != np.float64:
+            return None
+        else:
+            values.append(np.array(x, dtype=np.float64, order="C"))
+    lib = _library()
+    if lib is None:
+        return None
+    fn = getattr(lib, f"nc_{name}")
 
-    def block(a, b):
-        work = np.empty(width)
-        pointers = (_address(x, a) for x in members)
-        fn(b - a, _address(gens, a), _address(bad, a), work.ctypes.data, *pointers, *shared)
+    def loop(*args):
+        *records, record_every, n_steps, rngs = args
+        P = len(rngs)
+        lead = (P, n_steps // record_every + 1)
+        if len(records) != len(shapes) or not all(
+            x.dtype == np.float64 and x.flags.c_contiguous and x.shape == lead + shape
+            for x, shape in zip(records, shapes)
+        ):
+            raise ValueError(f"nc_{name} got records of mismatched shapes")
+        # the bitgen_t of each generator, which it keeps while rngs lives
+        gens = np.array([r.bit_generator.ctypes.bit_generator.value for r in rngs], np.uintp)
+        bad = np.empty(P, dtype=np.int64)
+        bound = [x.ctypes.data if isinstance(x, np.ndarray) else x for x in values]
 
-    _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
-    return bad
+        def at(x, a):  # member a's entries in x
+            return x.ctypes.data + a * x.strides[0]
+
+        def block(a, b):
+            work = np.empty(width)
+            fn(b - a, at(gens, a), at(bad, a), work.ctypes.data, n_steps, record_every,
+               *(at(x, a) for x in records), *bound)
+
+        _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
+        return bad
+
+    return loop
 
 
 def loop_for(system, rk15, offsets, constants) -> Optional[Callable]:
-    """The compiled member loop of ``system``, or None for the numpy loop.
+    """The compiled member loop of ``system`` on the arguments
+    ``sde._stepping`` gives ``sde._numpy_loop``, or None for that loop.
 
     Only a system whose drift is still the one its spec was built for, and
-    whose noise matrix is diagonal, qualifies.  The loop binds the
-    arguments ``sde._stepping`` gives ``sde._numpy_loop`` and is called as
-    that loop is, ``loop(rec, record_every, n_steps, rngs)``, with a record
-    of ``sde._simulate`` and the members' generators.  Each member draws its
-    normals from its generator, one step at a time, and runs all
-    ``n_steps`` steps from its row 0 (``_run_members``).
+    whose noise matrix is diagonal, qualifies; ``_bind`` does the rest.
     """
     ks = _spec_of(system)
     S = system.noise_matrix
     if ks is None or np.any(S - np.diag(np.diag(S))):
         return None
-    lib = _library()
-    if lib is None:
-        return None
     n = system.dimension
-    fn = getattr(lib, f"nc_{ks.name}")
-    coefs = np.array(ks.coefs)
-    s = np.ascontiguousarray(np.diag(S), dtype=np.float64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    k = np.array(constants, dtype=np.float64)
-    if (offsets.size, k.size) != (2 * n * n, 8):
-        raise ValueError("the member loop got constants of mismatched shapes")
-
-    def loop(rec, record_every, n_steps, rngs):
-        if rec.shape != (len(rngs), n_steps // record_every + 1, n):
-            raise ValueError("the member loop got arrays of mismatched shapes")
-        return _run_members(
-            fn, rngs, n_steps, 7 * n + 4 * n * n, [rec], coefs.ctypes.data, n, n_steps,
-            record_every, int(rk15), s.ctypes.data, offsets.ctypes.data, k.ctypes.data,
-        )
-
-    return loop
+    return _bind(ks.name, 7 * n + 4 * n * n, [(n,)],
+                 ks.coefs, n, rk15, np.diag(S), offsets, constants)
 
 
 def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust) -> Optional[Callable]:
-    """The compiled member loop of ``frame.simulate_reduced``, or None for
-    its numpy loop.
-
-    ``knots`` and the two tables are ``simulate_reduced``'s; ``period``,
-    the step ``h`` and ``kick_scale`` (sigma sqrt(h)) must round like
-    float64 in numpy, or the numpy loop runs.  The loop is called as
-    ``frame._reduced_loop``'s is, ``loop(tau_out, z_out, record_every,
-    n_steps, rngs)``, with the records (P, rows) and (P, rows, d) and the
-    members' generators.  Each member draws its kicks from its generator,
-    one step at a time, and runs all ``n_steps`` steps from its row 0
-    (``_run_members``), until a deviation leaves ``trust``.
+    """The compiled member loop of ``frame.simulate_reduced`` on the
+    arguments of its numpy loop, ``frame._reduced_loop``, or None for that
+    loop.  The tables must agree in shape with ``knots``; the records are
+    tau (P, rows) and z (P, rows, d), for a J0 table of d * d values a
+    column.
     """
-    checked = (knots, period, h, kick_scale)
-    if not all(np.result_type(x, np.float64) == np.float64 for x in checked):
-        return None
-    lib = _library()
-    if lib is None:
-        return None
-    knots = np.ascontiguousarray(knots, dtype=np.float64)
-    m = knots.size - 1
-    j0_table = np.ascontiguousarray(j0_table, dtype=np.float64)
-    speed_table = np.ascontiguousarray(speed_table, dtype=np.float64)
-    d2 = j0_table.shape[2]
-    if j0_table.shape != (5, m + 2, d2) or speed_table.shape != (5, m + 2, 1):
+    m = np.size(knots) - 1
+    d = math.isqrt(np.shape(j0_table)[2])
+    if np.shape(j0_table) != (5, m + 2, d * d) or np.shape(speed_table) != (5, m + 2, 1):
         raise ValueError("the reduced loop got tables of mismatched shapes")
-    k = np.array([period, h, kick_scale, trust], dtype=np.float64)
-
-    def loop(tau_out, z_out, record_every, n_steps, rngs):
-        P, rows, d = z_out.shape
-        if (tau_out.shape, rows, d * d) != ((P, rows), n_steps // record_every + 1, d2):
-            raise ValueError("the reduced loop got arrays of mismatched shapes")
-        return _run_members(
-            lib.nc_phase_deviation, rngs, n_steps, d * d + 4 * d + 4, [tau_out, z_out],
-            knots.ctypes.data, m, j0_table.ctypes.data, speed_table.ctypes.data, d, n_steps,
-            record_every, k.ctypes.data,
-        )
-
-    return loop
+    return _bind("phase_deviation", d * d + 4 * d + 4, [(), (d,)],
+                 knots, m, j0_table, speed_table, d, (period, h, kick_scale, trust))

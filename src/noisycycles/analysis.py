@@ -90,12 +90,13 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
     """Biased mean-subtracted sample autocovariance up to ``max_lag``.
 
     Computed with an FFT over a zero-padded copy, identical to the direct
-    sum  (1/N) sum_t (x_t - m)(x_{t+k} - m).  The series must cover at
-    least twice the requested lag span.
+    sum  (1/N) sum_t (x_t - m)(x_{t+k} - m).  The series must be finite
+    and cover at least twice the requested lag span.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError(f"series must be 1-D, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0:
+        raise ConfigError(f"series must be 1-D and nonempty, got shape {x.shape}")
+    _require_finite_samples(x, "series")
     n = x.size
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ConfigError(f"dt must be positive and finite, got {dt}")
@@ -117,11 +118,13 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
     """Mean periodogram of equally long paths, each centred on its own mean.
 
     Per path the raw (untapered) periodogram |DFT|^2 dt / N is taken on the
-    frequency grid w_k = 2 pi k / (N dt); no windowing is applied.
+    frequency grid w_k = 2 pi k / (N dt); no windowing is applied.  The
+    paths must be finite.
     """
     arr = np.atleast_2d(np.asarray(paths, dtype=float))
     if arr.size == 0 or arr.shape[0] == 0:
         raise ConfigError("at least one path is required")
+    _require_finite_samples(arr, "paths")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ConfigError(f"dt must be positive and finite, got {dt}")
     n = arr.shape[1]
@@ -218,9 +221,7 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ConfigError(f"samples must be finite, got {x[bad[0]]} at index {bad[0]}")
+    _require_finite_samples(x, "samples")
     if not isinstance(grid_size, numbers.Integral):
         raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 2:
@@ -264,10 +265,12 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
 
 
 def kurtosis(samples) -> float:
-    """Non-excess kurtosis m4 / m2^2 with population moments."""
+    """Non-excess kurtosis m4 / m2^2 with population moments of at least
+    30 finite samples."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 30:
         raise ConfigError(f"kurtosis needs >= 30 samples, got {x.size}")
+    _require_finite_samples(x, "samples")
     x = x - x.mean()
     m2 = np.mean(x * x)
     if m2 == 0.0:
@@ -344,6 +347,15 @@ def _block_envelope(vals, block):
     padded = np.full(nb * block, 0.0)
     padded[: vals.size] = np.abs(vals)
     return padded.reshape(nb, block).max(axis=1)
+
+
+def _require_finite_samples(x, name):
+    """Refuse an estimator's input ``x`` when a value is not finite."""
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        where = at[0] if x.ndim == 1 else at
+        raise ConfigError(f"{name} must be finite, got {x[at]} at index {where}")
 
 
 def _require_finite(lags, vals):

@@ -57,6 +57,7 @@ from .sde import (
     _normals,
     _phase_initial,
     _record,
+    _require_integer,
     _simulate,
 )
 
@@ -405,6 +406,7 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
     """
     if substeps < 1:
         raise ConfigError(f"substeps must be >= 1, got {substeps}")
+    _require_integer("substeps", substeps)
     m, n = cycle.L.shape
     t0 = cycle.T[0]
     p0 = np.eye(n) - np.outer(t0, t0)

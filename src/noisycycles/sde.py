@@ -31,7 +31,8 @@ how a run is split into chunks, on how many members advance together or
 on how members are split across threads.  All three simulators (this
 integrator, ``frame.simulate_reduced`` and ``hopf.simulate_hopf_linear``)
 run their members through one driver, ``_simulate``, and supply only
-their start and their member loop.
+their start and their member loop; so does ``strong_order_estimate``, with
+the numpy loop on its composed increments.
 """
 
 from __future__ import annotations
@@ -128,6 +129,7 @@ class SdeSystem:
         n = self.dimension
         if n < 1:
             raise ConfigError(f"dimension must be >= 1, got {n}")
+        _require_integer("dimension", n)
         if self.noise_matrix is None:
             sigma = 0.0 if self.isotropic_sigma is None else float(self.isotropic_sigma)
             if sigma < 0.0:
@@ -555,7 +557,9 @@ def strong_order_estimate(
     over paths of the euclidean endpoint distance to the reference, which is
     ``exact_endpoint(initial_state, h_fine, dW_fine, dZ_fine)`` when given
     (use :func:`ou_exact_endpoint` for the linear test system) and otherwise
-    the same scheme run on the fine grid.
+    the same scheme run on the fine grid.  Each run goes through the member
+    driver of the simulators, so it refuses the same starts and raises the
+    same ``DivergenceError``, path included, as ``integrate_ensemble``.
 
     Returns the least-squares slope of log RMS error against log dt.
     """
@@ -583,9 +587,9 @@ def strong_order_estimate(
 
     def endpoints(dt, dw, dz):
         # the numpy loop on the composed increments, recording start and end
-        rec = np.tile(y0, (n_paths, 2, 1))
+        config = IntegratorConfig(dt, len(dw), scheme, seed, initial_state)
         loop = _numpy_loop(*_stepping(system, scheme, dt), increments=(dw, dz))
-        _check_members(loop(rec, len(dw), len(dw), rngs), None)
+        (rec,), _ = _simulate(config, n_paths, len(dw), (y0,), loop)
         return rec[:, -1]
 
     if exact_endpoint is not None:

@@ -328,6 +328,27 @@ def test_kde_refuses_samples_that_are_not_finite(value, bandwidth):
         kde(x, bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_acv_psd_and_kurtosis_refuse_samples_that_are_not_finite(value):
+    # as kde does, rather than return NaN estimates
+    x = np.sin(0.3 * np.arange(40.0))
+    x[5] = value
+    for estimate, message in (
+        (lambda: sample_acv(x, 1.0, 2.0), f"series must be finite, got {value} at index 5"),
+        (lambda: averaged_periodogram(x, 1.0), f"paths must be finite, got {value} at index (0, 5)"),
+        (lambda: kurtosis(x), f"samples must be finite, got {value} at index 5"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            estimate()
+        assert str(err.value) == message
+
+
+def test_sample_acv_refuses_an_empty_series():
+    with pytest.raises(ConfigError) as err:
+        sample_acv([], 1.0, 0.0)
+    assert str(err.value) == "series must be 1-D and nonempty, got shape (0,)"
+
+
 @pytest.mark.parametrize("grid_size", [2, 17, 257])
 def test_kde_does_not_depend_on_the_thread_count(grid_size):
     # grid sizes that are not multiples of the 16-row block, over samples

@@ -374,6 +374,24 @@ def test_kde_of_a_constant_sample_stays_a_numerical_failure(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("what, message", [
+    ("acv", "series must be finite, got nan at index 1"),
+    ("psd", "paths must be finite, got nan at index (0, 1)"),
+    ("kde", "samples must be finite, got nan at index 1"),
+    ("kurtosis", "samples must be finite, got nan at index 1"),
+])
+def test_a_series_that_is_not_finite_is_a_usage_error(tmp_path, capsys, what, message):
+    # every estimator refuses it, where acv and psd once wrote nan rows
+    series = tmp_path / "gap.csv"
+    values = ["nan" if k == 1 else repr(float(np.sin(0.3 * k))) for k in range(40)]
+    series.write_text("t,x\n" + "".join(f"{0.1 * k!r},{v}\n" for k, v in enumerate(values)))
+    out = tmp_path / "est.csv"
+    argv = ("analyze", "--what", what, "--input", str(series), "--max-lag", "1")
+    assert _call(*argv, "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"noisycycles analyze: error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_input_exits_one(tmp_path, capsys):
     code = _call(
         "analyze", "--what", "acv", "--input", str(tmp_path / "nope.csv"),

@@ -34,6 +34,7 @@ from noisycycles import (
     sigma_for_nsr,
     simulate_hopf_linear,
     simulate_reduced,
+    strong_order_estimate,
     van_der_pol,
 )
 from noisycycles import _stepkernel
@@ -181,10 +182,12 @@ def test_cycle_search_needs_a_positive_finite_transient(transient_time):
         find_limit_cycle(_quiet_hopf(), (0.3, 0.0), transient_time=transient_time)
 
 
-@pytest.mark.parametrize("substeps", [0, -1])
+@pytest.mark.parametrize("substeps", [0, -1, 2.0, 1.5])
 def test_frame_needs_a_substep(hopf_cycle, substeps):
-    with pytest.raises(ConfigError, match="substeps must be >= 1"):
+    rule = "be >= 1" if substeps < 1 else "be an integer"
+    with pytest.raises(ConfigError) as err:
         build_frame(hopf_cycle, substeps=substeps)
+    assert str(err.value) == f"substeps must {rule}, got {substeps!r}"
 
 
 def test_row_wise_drift_gives_the_vectorized_cycle_bitwise():
@@ -489,6 +492,9 @@ def test_phase_deviation_simulators_share_one_initial_state_check(hopf_cycle, ho
             simulate_hopf_linear(params, config)
 
 
+_NOT_FINITE = ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0))
+
+
 def test_the_simulators_refuse_the_same_runs_with_the_same_message(hopf_cycle):
     # record_every, n_paths and the start are checked once, where every
     # simulator runs its members (sde._simulate), solo and in an ensemble
@@ -516,16 +522,23 @@ def test_the_simulators_refuse_the_same_runs_with_the_same_message(hopf_cycle):
             (config, 2.0, n_paths, "record_every must be an integer, got 2.0"),
             (config, 3, n_paths, "record_every must divide n_steps (10), got 3"),
         ]
-        for start in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0)):
+        for start in _NOT_FINITE:
             not_finite = dataclasses.replace(config, initial_state=start)
             cases.append((not_finite, 1, n_paths, f"initial_state must be finite, got {start}"))
-    for cfg, record_every, n_paths, message in cases:
-        for run in simulators(cfg, record_every, n_paths):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ConfigError) as err:
-                    run()
-            assert str(err.value) == message
+    runs = [(run, message) for cfg, record_every, n_paths, message in cases
+            for run in simulators(cfg, record_every, n_paths)]
+    # the order harness runs its members through the same driver
+    runs += [
+        (lambda start=start: strong_order_estimate(system, start, 0.5, (0.02, 0.01, 0.005), 4),
+         f"initial_state must be finite, got {start}")
+        for start in _NOT_FINITE
+    ]
+    for run, message in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                run()
+        assert str(err.value) == message
     # the same calls run once the counts and the start are right
     for n_paths in (None, 3):
         for run in simulators(config, 2, n_paths):

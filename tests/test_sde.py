@@ -63,6 +63,13 @@ def test_system_validation():
         SdeSystem(dimension=2, drift=lambda y: y, noise_matrix=np.eye(3))
     with pytest.raises(ConfigError):
         SdeSystem(dimension=1, drift=lambda y: y, isotropic_sigma=-1.0)
+    for make, message in (
+        (lambda: SdeSystem(dimension=2.0, drift=lambda y: y), "dimension must be an integer, got 2.0"),
+        (lambda: ornstein_uhlenbeck(1.0, 0.1, dimension=2.5), "dimension must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == message
 
 
 def test_path_seed_is_stable_and_distinct():
@@ -456,6 +463,18 @@ def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
     assert compiled == reference == (str(err.value), err.value.step_index, err.value.path_index)
 
 
+def test_a_long_double_step_gives_the_same_bytes_compiled_and_numpy():
+    # a step that does not round like float64 makes the numpy loop compute
+    # in long double, which the compiled loop cannot: both run the numpy loop
+    system = hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3))
+    config = IntegratorConfig(dt=np.longdouble(1e-3), n_steps=200, seed=3, initial_state=(1.0, 0.0))
+    assert _stepkernel.loop_for(*_stepping(system, config.scheme, config.dt)) is None
+    compiled, reference = compiled_and_numpy(
+        lambda: [tr.values.tobytes() for tr in integrate_ensemble(system, config, n_paths=3)]
+    )
+    assert compiled == reference
+
+
 @requires_compiler
 def test_a_replaced_drift_runs_itself_not_the_kernel():
     params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3)
@@ -660,6 +679,16 @@ def test_order_harness_checks_the_initial_state_as_the_integrator_does():
         integrate_path(system, IntegratorConfig(dt=0.1, n_steps=4, initial_state=(1.0, 0.0)))
     with pytest.raises(ConfigError, match=message):
         strong_order_estimate(system, (1.0, 0.0), 1.0, [0.1, 0.05, 0.025], n_paths=2)
+
+
+def test_order_harness_raises_the_ensemble_divergence_error():
+    # every path of a noiseless blow-up leaves at the same step: the lowest
+    # member is named, as integrate_ensemble names it
+    system = SdeSystem(dimension=1, drift=lambda y: y**3, isotropic_sigma=0.0, vectorized=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        strong_order_estimate(system, (2.0,), 1.0, [0.1, 0.05, 0.025], n_paths=3)
+    assert err.value.path_index == 0
+    assert str(err.value).endswith(f"at step {err.value.step_index} (path 0)")
 
 
 def test_strong_order_euler_maruyama_on_linear_process():
