@@ -80,8 +80,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3, help="integrator step (default %(default)g)")
     p.add_argument("--steps", type=int, help="number of steps")
     p.add_argument("--periods", type=float, help="horizon in cycle periods; alternative to --steps")
-    p.add_argument("--paths", type=int, default=1, help="ensemble size (default %(default)s)")
-    p.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--paths", type=int, default=1,
+                   help="ensemble size; output k is member k, whatever the size "
+                        "(default %(default)s)")
+    p.add_argument("--seed", type=int,
+                   help=f"RNG seed; member k draws from path_seed(seed, k), one-path runs "
+                        f"included (default ${SEED_ENV_VAR} or 0)")
     p.add_argument("--record-every", dest="record_every", type=int,
                    help="thin the output to every k-th step (default: about 100 rows per period)")
     p.add_argument("--initial", help="comma separated initial state")
@@ -300,70 +304,65 @@ def _reduced_model(options, parser):
 
 def _cmd_simulate(options, parser):
     _require(options, parser, "model", "output")
-    from .csvio import write_phase_path, write_trajectory
-    from .sde import IntegratorConfig, Scheme, integrate_ensemble
+    import numpy as np
+
+    from .csvio import write_trajectory
+    from .sde import IntegratorConfig, Scheme, Trajectory
 
     model, dt, paths = options["model"], options["dt"], options["paths"]
     _positive(parser, dt=dt)
     if paths < 1:
         parser.error(f"--paths must be >= 1, got {paths}")
-    members = None if paths == 1 else paths
-    seed = _seed(options)
 
     if model == "reduced":
         cycle, frame, reduced = _reduced_model(options, parser)
         period = cycle.period
     else:
         params = _hopf_params(options, parser)
-        period = 2.0 * 3.141592653589793 / params.alpha
+        period = math.tau / params.alpha
     n_steps = _steps(options, period, dt, parser)
     thin = options["record_every"]
     if thin is None:
         thin = _auto_thin(period, dt)
-    initial = None
     if options["initial"] is not None:
         initial = _floats(options["initial"], "--initial", parser)
-    outputs = _outputs(options["output"], paths)
+    else:
+        initial = (params.r, 0.0) if model == "hopf-exact" else ()
+    scheme = {k: Scheme(v) for k, v in _given(options, scheme="scheme").items()}
+    # member k of every model draws from path_seed(seed, k), one-path runs included
+    config = IntegratorConfig(
+        dt=dt, n_steps=n_steps, seed=_seed(options), initial_state=initial, **scheme
+    )
 
     if model == "reduced":
         from .frame import reconstruct, simulate_reduced
 
-        config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed, initial_state=initial or ())
-        taus, z0s = simulate_reduced(
-            reduced, cycle, config, record_every=thin, n_paths=members
-        )
-        if paths == 1:
-            taus, z0s = taus[None], z0s[None]
+        taus, z0s = simulate_reduced(reduced, cycle, config, record_every=thin, n_paths=paths)
         labels = ("x", "v") if options["system"] == "van-der-pol" else ("x", "y")
-        for k, out in enumerate(outputs):
-            tr = reconstruct(
-                cycle, frame, taus[k], z0s[k], dt=dt * thin, channel_labels=labels
-            )
-            write_trajectory(out, tr)
+        trajectories = (
+            reconstruct(cycle, frame, tau, z0, dt=dt * thin, channel_labels=labels)
+            for tau, z0 in zip(taus, z0s)
+        )
     elif model == "hopf-exact":
         from .hopf import hopf_system
+        from .sde import integrate_ensemble
 
-        scheme = {k: Scheme(v) for k, v in _given(options, scheme="scheme").items()}
-        config = IntegratorConfig(
-            dt=dt, n_steps=n_steps, seed=seed,
-            initial_state=initial if initial is not None else (params.r, 0.0), **scheme,
-        )
-        ens = integrate_ensemble(
+        trajectories = integrate_ensemble(
             hopf_system(params), config, n_paths=paths, record_every=thin,
             channel_labels=("x", "y"),
         )
-        for out, tr in zip(outputs, ens):
-            write_trajectory(out, tr)
     else:
         from .hopf import simulate_hopf_linear
 
-        config = IntegratorConfig(dt=dt, n_steps=n_steps, seed=seed, initial_state=initial or ())
-        leading = model == "hopf-leading"
-        lp = simulate_hopf_linear(params, config, leading, record_every=thin, n_paths=members)
-        for k, out in enumerate(outputs):
-            write_phase_path(out, lp if members is None else dataclasses.replace(
-                lp, tau=lp.tau[k], z=lp.z[k], reconstructed=lp.reconstructed[k]
-            ))
+        lp = simulate_hopf_linear(
+            params, config, model == "hopf-leading", record_every=thin, n_paths=paths
+        )
+        trajectories = (
+            Trajectory(lp.dt, np.column_stack([tau, z, rec]), ("tau", "z", "x", "y"))
+            for tau, z, rec in zip(lp.tau, lp.z, lp.reconstructed)
+        )
+    for out, trajectory in zip(_outputs(options["output"], paths), trajectories):
+        write_trajectory(out, trajectory)
 
 
 def _cmd_decompose(options, parser):
@@ -447,24 +446,20 @@ def _cmd_formula(options, parser):
     _require(options, parser, "template")
     import numpy as np
 
+    from .analysis import acv_formula, psd_formula
+
     params = _hopf_params(options, parser)
-    period = 2.0 * np.pi / params.alpha
-    if options["template"] == "acv":
-        from .analysis import acv_formula
-
-        umax = 5.0 * period if options["umax"] is None else options["umax"]
-        du = umax / 500.0 if options["du"] is None else options["du"]
-        _positive(parser, umax=umax, du=du)
-        u = np.arange(0.0, umax + 0.5 * du, du)
-        _emit_curve(options, "lag", "acv", u, acv_formula(params, u))
-    else:
-        from .analysis import psd_formula
-
-        wmax = 4.0 * params.alpha if options["wmax"] is None else options["wmax"]
-        dw = wmax / 500.0 if options["dw"] is None else options["dw"]
-        _positive(parser, wmax=wmax, dw=dw)
-        w = np.arange(0.0, wmax + 0.5 * dw, dw)
-        _emit_curve(options, "omega", "psd", w, psd_formula(params, w))
+    # per template: end flag, step flag, default end, column names, formula
+    end_flag, step_flag, end, labels, formula = {
+        "acv": ("umax", "du", 5.0 * (math.tau / params.alpha), ("lag", "acv"), acv_formula),
+        "psd": ("wmax", "dw", 4.0 * params.alpha, ("omega", "psd"), psd_formula),
+    }[options["template"]]
+    if options[end_flag] is not None:
+        end = options[end_flag]
+    step = end / 500.0 if options[step_flag] is None else options[step_flag]
+    _positive(parser, **{end_flag: end, step_flag: step})
+    grid = np.arange(0.0, end + 0.5 * step, step)
+    _emit_curve(options, *labels, grid, formula(params, grid))
 
 
 def _cmd_fit(options, parser):
@@ -539,10 +534,7 @@ def run(argv=None) -> int:
 
     try:
         code = _HANDLERS[subcommand](options, parser)
-    except ConfigError as exc:
-        print(f"noisycycles {subcommand}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"noisycycles {subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -21,7 +21,6 @@ from .sde import Trajectory
 __all__ = [
     "write_trajectory",
     "read_trajectory",
-    "write_phase_path",
     "write_cycle_frame",
     "write_curve",
     "read_curve",
@@ -107,16 +106,6 @@ def _uniform_step(t):
     if dt > 0 and np.abs(steps - dt).max() <= 1e-9 * max(dt, 1.0):
         return float(dt)
     return None
-
-
-def write_phase_path(path, phase_path):
-    """Table with header t,tau,z,x,y for a planar phase/deviation path."""
-    rec = phase_path.reconstructed
-    _write_table(
-        path,
-        ("t", "tau", "z", "x", "y"),
-        [phase_path.t, phase_path.tau, phase_path.z, rec[:, 0], rec[:, 1]],
-    )
 
 
 def write_cycle_frame(path, cycle, frame):

@@ -205,15 +205,6 @@ class Trajectory:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def component(self, label: str) -> np.ndarray:
-        try:
-            j = self.channel_labels.index(label)
-        except ValueError:
-            raise ConfigError(
-                f"no channel {label!r}; have {self.channel_labels}"
-            ) from None
-        return self.values[:, j]
-
 
 def path_seed(seed: int, index: int) -> int:
     """Sub-seed for ensemble member ``index`` derived from ``seed``.

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config layering, exit codes, outputs."""
 
+import dataclasses
 import json
 import math
 import os
@@ -531,9 +532,17 @@ def test_decompose_refuses_a_coefficient_that_is_not_finite(tmp_path, mu):
     assert not (tmp_path / "f.csv").exists()
 
 
+def _phase_trajectory(lp):
+    """One member of a phase/deviation path as the table the CLI writes."""
+    from noisycycles.sde import Trajectory
+
+    values = np.column_stack([lp.tau, lp.z, lp.reconstructed])
+    return Trajectory(dt=lp.dt, values=values, channel_labels=("tau", "z", "x", "y"))
+
+
 @pytest.mark.parametrize("model", ["hopf-linear", "hopf-leading"])
 def test_a_linear_ensemble_writes_the_files_of_its_solo_runs(tmp_path, model):
-    from noisycycles.csvio import write_phase_path
+    from noisycycles.csvio import write_trajectory
     from noisycycles.hopf import HopfParams, simulate_hopf_linear
     from noisycycles.sde import IntegratorConfig, path_seed
 
@@ -548,6 +557,62 @@ def test_a_linear_ensemble_writes_the_files_of_its_solo_runs(tmp_path, model):
             dt=1e-3, n_steps=2100, seed=path_seed(7, k), initial_state=(0.05, 0.3)
         )
         solo = simulate_hopf_linear(params, config, model == "hopf-leading", record_every=7)
-        write_phase_path(tmp_path / f"solo_{k}.csv", solo)
+        write_trajectory(tmp_path / f"solo_{k}.csv", _phase_trajectory(solo))
         written = (tmp_path / f"lin_{k:03d}.csv").read_bytes()
         assert written == (tmp_path / f"solo_{k}.csv").read_bytes(), k
+
+
+@pytest.mark.parametrize("model", ["hopf-exact", "hopf-linear", "hopf-leading", "reduced"])
+def test_one_path_writes_member_zero_of_any_ensemble(tmp_path, model):
+    # --grid-size sets only the reduced model's cycle grid
+    common = (
+        "simulate", "--model", model, "--sigma", "0.3", "--grid-size", "256", "--steps", "300",
+        "--record-every", "10", "--seed", "7", "--output",
+    )
+    assert _call(*common, str(tmp_path / "solo.csv")) == 0
+    assert _call(*common, str(tmp_path / "pair.csv"), "--paths", "2") == 0
+    solo = (tmp_path / "solo.csv").read_bytes()
+    assert solo == (tmp_path / "pair_000.csv").read_bytes()
+    assert solo != (tmp_path / "pair_001.csv").read_bytes()
+
+
+def test_one_path_runs_are_the_library_runs_of_member_zero(tmp_path):
+    # both models draw member 0's increments from path_seed(seed, 0)
+    from noisycycles.csvio import write_trajectory
+    from noisycycles.hopf import HopfParams, hopf_system, simulate_hopf_linear
+    from noisycycles.sde import IntegratorConfig, integrate_path, path_seed
+
+    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3)
+    common = ("--sigma", "0.3", "--steps", "300", "--record-every", "10", "--seed", "7")
+    for model in ("hopf-exact", "hopf-linear"):
+        out = tmp_path / f"{model}.csv"
+        assert _call("simulate", "--model", model, *common, "--output", str(out)) == 0
+    config = IntegratorConfig(dt=1e-3, n_steps=300, seed=path_seed(7, 0))
+    exact = integrate_path(
+        hopf_system(params), dataclasses.replace(config, initial_state=(1.0, 0.0)),
+        record_every=10, channel_labels=("x", "y"),
+    )
+    linear = simulate_hopf_linear(params, config, record_every=10)
+    write_trajectory(tmp_path / "exact.csv", exact)
+    write_trajectory(tmp_path / "linear.csv", _phase_trajectory(linear))
+    assert (tmp_path / "hopf-exact.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+    assert (tmp_path / "hopf-linear.csv").read_bytes() == (tmp_path / "linear.csv").read_bytes()
+
+
+def test_a_linear_run_writes_the_phase_path_layout(tmp_path):
+    from noisycycles.hopf import HopfParams, sigma_for_nsr, simulate_hopf_linear
+    from noisycycles.sde import IntegratorConfig, path_seed
+
+    out = tmp_path / "phase.csv"
+    assert _call(
+        "simulate", "--model", "hopf-linear", "--nsr", "0.1", "--steps", "50",
+        "--record-every", "1", "--seed", "3", "--output", str(out),
+    ) == 0
+    assert out.read_text().splitlines()[0] == "t,tau,z,x,y"
+    vals, dt = read_column(out, column="tau")
+    assert dt == pytest.approx(1e-3, abs=1e-15)
+    params = HopfParams(
+        alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=sigma_for_nsr(0.1, TAU, 1.0)
+    )
+    lp = simulate_hopf_linear(params, IntegratorConfig(dt=1e-3, n_steps=50, seed=path_seed(3, 0)))
+    assert np.array_equal(vals, lp.tau)

@@ -13,7 +13,6 @@ from noisycycles import (
     FitProblem,
     FitTarget,
     HopfParams,
-    IntegratorConfig,
     Trajectory,
     acv_formula,
     build_frame,
@@ -21,7 +20,6 @@ from noisycycles import (
     fit,
     hopf_system,
     sigma_for_nsr,
-    simulate_hopf_linear,
 )
 from noisycycles.csvio import (
     load_json_config,
@@ -31,7 +29,6 @@ from noisycycles.csvio import (
     write_curve,
     write_cycle_frame,
     write_fit_json,
-    write_phase_path,
     write_trajectory,
 )
 
@@ -104,16 +101,6 @@ def test_read_column_infers_dt_from_t(tmp_path):
     assert np.array_equal(vals, tr.values[:, 1])
     first, _ = read_column(p)
     assert np.array_equal(first, tr.values[:, 0])
-
-
-def test_phase_path_layout(tmp_path):
-    lp = simulate_hopf_linear(_params(), IntegratorConfig(dt=1e-3, n_steps=50, seed=3))
-    p = tmp_path / "phase.csv"
-    write_phase_path(p, lp)
-    assert p.read_text().splitlines()[0] == "t,tau,z,x,y"
-    vals, dt = read_column(p, column="tau")
-    assert dt == pytest.approx(1e-3, abs=1e-15)
-    assert np.array_equal(vals, lp.tau)
 
 
 def test_cycle_frame_layout(tmp_path):

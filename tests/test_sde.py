@@ -137,9 +137,6 @@ def test_trajectory_accessors():
     assert tr.dimension == 2
     assert tr.values.shape == (21, 2)
     assert np.allclose(tr.t[:3], [0.0, 0.01, 0.02])
-    assert np.array_equal(tr.component("b"), tr.values[:, 1])
-    with pytest.raises(ConfigError):
-        tr.component("c")
 
 
 def _linear_system_with_full_noise():
