@@ -1,5 +1,6 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
-package builds, and of ``frame.simulate_reduced``.
+package builds, of ``frame.simulate_reduced`` and of
+``hopf.simulate_hopf_linear``.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a C drift below, the
@@ -10,8 +11,10 @@ the formula to the columns of a state or a stack of states.
 :func:`single_state` gives ``frame.find_limit_cycle`` the formula itself on
 one state's Python floats, which skips numpy's per-call overhead and rounds
 the same.  :func:`loop_for` gives the integrator the member loop of such a
-system, and :func:`reduced_loop` gives ``simulate_reduced`` the member loop
-of the reduced phase/deviation SDE.  Each C loop runs every floating-point
+system, :func:`reduced_loop` gives ``simulate_reduced`` the member loop
+of the reduced phase/deviation SDE, and :func:`linear_loop` gives
+``simulate_hopf_linear`` the member loop of the Hopf model's linear
+phase/deviation pair.  Each C loop runs every floating-point
 operation of its numpy loop, in the same order and with the same operands,
 so its results are bitwise the same; the numpy loops are the reference.
 
@@ -31,8 +34,11 @@ reads numpy's own tables and gives the bytes of
 only the recorded rows written.  Each ``nc_`` function supplies its step,
 which forms the increments or kicks from the normals (``sde_step``: the
 3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``: the
-reduced SDE on the state (z ..., tau)), and the load and store of its
-rows.
+reduced SDE on the state (z ..., tau); ``linear_step``: z through scipy's
+``lfilter`` recursion and tau by Euler-Maruyama), and the load and store of
+its rows: ``nc_hopf``, ``nc_van_der_pol`` and ``nc_ornstein_uhlenbeck`` run
+``sde_step``, ``nc_phase_deviation`` runs ``phase_deviation_step`` and
+``nc_linear`` runs ``linear_step``.
 
 Every ``nc_`` function takes ``(count, gens, bad, work, n_steps,
 record_every, records..., shared...)``: members [0, count)'s ``bitgen_t``
@@ -43,8 +49,8 @@ that would not round like float64 in numpy gives the numpy loop), checks
 the records, and runs contiguous blocks of members, one per CPU this
 process may run on, each in a thread of its own; ctypes releases the GIL
 for the call.  A member owns its generator, its state and its rows, so the
-split changes no value.  :func:`loop_for` and :func:`reduced_loop` add
-only their own rules and end in ``_bind``.
+split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
+:func:`linear_loop` add only their own rules and end in ``_bind``.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
@@ -55,7 +61,7 @@ hashes stay, so checkouts that share the cache do not rebuild each other's
 numpy's static ``libnpyrandom.a``; the build links a copy of the archive in
 which ``objcopy --globalize-symbol`` has made them global, and
 ``--exclude-libs`` keeps the archive's symbols out of the library's
-exports, which are the four ``nc_`` functions.  ``-ffp-contract=off`` keeps
+exports, which are the five ``nc_`` functions.  ``-ffp-contract=off`` keeps
 gcc from fusing a multiply and an add into one FMA, which rounds once where
 numpy rounds twice.  Without a compiler, without ``objcopy``, without
 numpy's static library, or without a writable cache, the numpy loops run
@@ -123,15 +129,15 @@ static inline double normal(bitgen_t *gen)
 }
 
 /* The member loop every nc_ function runs, once: members [0, count), one
-   after another, each with a state of dim values.  Member p owns rows
+   after another, each driven by dim Wiener components.  Member p owns rows
    [p rows, (p + 1) rows) of the loop's record(s), rows = n_steps /
    record_every + 1.  LOAD reads the start from `row`, the member's row 0,
    into cur.  Each of the n_steps steps draws the step's 2 dim normals u
    from gens[p] with normal, in (dim, 2) order, as sde._normals does; STEP
-   writes the state after the step into next and is nonzero when that
-   state is bad, where the member stops with bad[p] the step, else bad[p]
-   is -1.  cur and next swap, and after step t, when record_every divides
-   t, STORE writes cur into `row`, the member's row t / record_every.  The
+   writes the state after the step into next and is nonzero when the step
+   is bad, where the member stops with bad[p] the step, else bad[p] is -1.
+   cur and next swap, and after step t, when record_every divides t,
+   STORE writes cur into `row`, the member's row t / record_every.  The
    caller, an nc_ function, takes count, gens, bad, work, n_steps and
    record_every first (the order _bind calls it with) and declares u, cur
    and next; LOAD, STEP and STORE see p, row and i besides. */
@@ -337,6 +343,50 @@ void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
                 phase_deviation_step(knots, m, j0_table, speed_table, d, k, u, cur, next, J),
                 { memcpy(z_out + row * d, cur, d * sizeof *cur); tau_out[row] = cur[d]; })
 }
+
+/* One step i of hopf.simulate_hopf_linear from cur = (z, tau - tau0, Z)
+   to next, where Z is the delay of scipy's lfilter: the deviation kick is
+   u[0] and the phase kick u[2].  z advances through lfilter's first-order
+   direct form II transposed, y = Z + s_h x and then Z = x 0.0 - y (-phi)
+   (b padded with 0.0, a = (1, -phi)).  tau - tau0 is cumsum's running sum,
+   whose first element is the first increment itself, not 0.0 plus it.
+   Unless leading, the step is bad when r + z <= 0 before it (NaN is not).
+   k = hopf._linear_terms' (phi, s_h, sqrt(h), h, sigma, alpha, r, alpha r,
+   alpha - alpha0). */
+static inline int linear_step(int64_t leading, const double *k, int64_t i, const double *u,
+                              const double *cur, double *next)
+{
+    const double phi = k[0], s_h = k[1], sq = k[2], h = k[3], sig = k[4];
+    const double al = k[5], r = k[6], al_r = k[7], shift = k[8];
+    double dw_p = sq * u[2], dtau;
+    if (leading) {
+        dtau = h + sig * dw_p / al_r;
+    } else {
+        double amp = r + cur[0];
+        if (amp <= 0.0)
+            return 1;
+        dtau = h * (1.0 + 2.0 * cur[0] * shift / (al * amp)) + sig * dw_p / (al * amp);
+    }
+    next[0] = cur[2] + s_h * u[0];
+    next[2] = u[0] * 0.0 - next[0] * -phi;
+    next[1] = i ? cur[1] + dtau : dtau;
+    return 0;
+}
+
+/* Members [0, count) of hopf.simulate_hopf_linear (MEMBER_LOOP): the
+   record rows start at z_out and at tau_out, one value a row, and each
+   step is linear_step's.  The delay starts at phi z0, and tau_out's rows
+   after row 0 get tau - tau0. */
+void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
+               int64_t n_steps, int64_t record_every, double *z_out, double *tau_out,
+               int64_t leading, const double *k)
+{
+    double *u = work, *cur = u + 4, *next = cur + 3;
+    MEMBER_LOOP(2,
+                { cur[0] = z_out[row]; cur[1] = 0.0; cur[2] = k[0] * cur[0]; },
+                linear_step(leading, k, i, u, cur, next),
+                { z_out[row] = cur[0]; tau_out[row] = cur[1]; })
+}
 """
 
 _COMPILER = "gcc"
@@ -364,6 +414,7 @@ _MEMBERS = [_I, _P, _P, _P, _I, _I]
 _ARGTYPES = {
     **dict.fromkeys(_DIMENSION, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
     "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
+    "linear": _MEMBERS + [_P, _P] + [_I, _P],
 }
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
@@ -600,3 +651,10 @@ def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust) -> 
         raise ValueError("the reduced loop got tables of mismatched shapes")
     return _bind("phase_deviation", d * d + 4 * d + 4, [(), (d,)],
                  knots, m, j0_table, speed_table, d, (period, h, kick_scale, trust))
+
+
+def linear_loop(leading_order, terms) -> Optional[Callable]:
+    """The compiled member loop of ``hopf.simulate_hopf_linear`` on the
+    arguments of its numpy loop, ``hopf._linear_loop``, or None for that
+    loop; the records are z (P, rows) and tau (P, rows)."""
+    return _bind("linear", 10, [(), ()], leading_order, terms)

@@ -207,10 +207,14 @@ def _given(options, **flags):
             if options.get(flag) is not None}
 
 
-def _seed(options):
+def _seed(options, parser):
     if options["seed"] is not None:
         return options["seed"]
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"{SEED_ENV_VAR} must be an integer, got {text!r}")
 
 
 def _hopf_params(options, parser):
@@ -331,7 +335,7 @@ def _cmd_simulate(options, parser):
     scheme = {k: Scheme(v) for k, v in _given(options, scheme="scheme").items()}
     # member k of every model draws from path_seed(seed, k), one-path runs included
     config = IntegratorConfig(
-        dt=dt, n_steps=n_steps, seed=_seed(options), initial_state=initial, **scheme
+        dt=dt, n_steps=n_steps, seed=_seed(options, parser), initial_state=initial, **scheme
     )
 
     if model == "reduced":

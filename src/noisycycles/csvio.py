@@ -46,10 +46,11 @@ def _atomic_bytes(path, payload: bytes):
 
 
 def _table_text(header, columns):
-    """The text of a table: one header line, then one line per row."""
+    """The text of a table: one header line, then one line per row.  One
+    template of ``_FMT`` fields formats every value at once."""
     arr = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in arr]
-    return "\n".join(lines) + "\n"
+    row = ",".join([_FMT] * arr.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 
 def _write_table(path, header, columns):

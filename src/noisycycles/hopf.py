@@ -20,7 +20,9 @@ z relaxing at rate lambda and a reparameterised time tau:
 
 reconstructed through x = (r + z) cos(alpha tau), y = (r + z) sin(alpha tau).
 ``simulate_hopf_linear`` integrates this pair: z exactly per step through its
-Gaussian transition density, tau by Euler-Maruyama.  With
+Gaussian transition density, tau by Euler-Maruyama, in a compiled member loop
+(``_stepkernel.linear_loop``) whose numpy twin, ``_linear_loop``, is the
+reference and runs where the loop cannot be compiled.  With
 ``leading_order=True`` the amplitude modulation of the phase speed is dropped
 (denominators frozen at alpha r, deterministic tau correction gone), which is
 the variant whose autocovariance and spectrum have closed forms.
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import _stepkernel
 from .exceptions import ConfigError, SingularAmplitudeError
@@ -167,9 +168,14 @@ class PhaseDeviationPath:
 def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_paths=None):
     """Integrate the phase/deviation pair and reconstruct (x, y).
 
-    z advances through its exact Gaussian transition (an ``lfilter``
-    recursion) and tau by Euler-Maruyama; the config's scheme field is not
-    consulted.  The two Wiener components are drawn per step in the order
+    z advances through its exact Gaussian transition and tau by
+    Euler-Maruyama; the config's scheme field is not consulted.  The members
+    run in the compiled loop of ``_stepkernel.linear_loop``, split across
+    one thread per CPU, which makes the floating-point operations of the
+    numpy loop (``_linear_loop``: one ``lfilter`` recursion and one
+    ``cumsum`` a chunk) in their order; the numpy loop is the reference,
+    and it runs instead, with the same results, where the loop cannot be
+    compiled.  The two Wiener components are drawn per step in the order
     (deviation, phase) from the same chunked Philox pattern as the generic
     integrator, so a seed here matches the increments of a 2-dimensional
     generic run with the same seed.  Like the other two simulators it holds
@@ -194,9 +200,10 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     """
     (z0,), tau0 = _phase_initial(config.initial_state, 2)
     message = "r + z reached zero at step {step}{where}: the phase-speed denominator is singular"
+    terms = _linear_terms(params, config.dt)
+    loop = _stepkernel.linear_loop(leading_order, terms) or _linear_loop(leading_order, terms)
     (z, tau), _ = _simulate(
-        config, n_paths, record_every, (z0, tau0),
-        _linear_loop(params, config.dt, leading_order), SingularAmplitudeError, message,
+        config, n_paths, record_every, (z0, tau0), loop, SingularAmplitudeError, message
     )
     tau[:, 1:] += tau0
     amp = params.r + z
@@ -209,15 +216,27 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     )
 
 
-def _linear_loop(params, h, leading_order):
-    """The member loop of :func:`simulate_hopf_linear` at step ``h``, as
-    ``loop(z, tau, record_every, n_steps, rngs)``: each member runs its
-    steps from row 0 in chunks (``sde._chunks``), records tau - tau0 after
-    row 0, and stops at its first step where r + z <= 0."""
+def _linear_terms(params, h):
+    """The constants of a linear step of ``h``, as both member loops take
+    them: (phi, s_h, sqrt(h), h, sigma, alpha, r, alpha r, alpha - alpha0),
+    with z's exact update z_{k+1} = phi z_k + s_h xi."""
     lam, al, al0, r, sig = params.lambda_, params.alpha, params.alpha0, params.r, params.sigma
-    # exact deviation update: z_{k+1} = phi z_k + s_h xi
     phi = np.exp(-lam * h)
     s_h = sig * np.sqrt((1.0 - phi * phi) / (2.0 * lam)) if sig > 0 else 0.0
+    return phi, s_h, np.sqrt(h), h, sig, al, r, al * r, al - al0
+
+
+def _linear_loop(leading_order, terms):
+    """The numpy member loop of :func:`simulate_hopf_linear`, the reference
+    for ``_stepkernel.linear_loop``: built from the same arguments, called
+    the same way, ``loop(z, tau, record_every, n_steps, rngs)``, with the
+    same results.  Each member runs its steps from row 0 in chunks
+    (``sde._chunks``): z is one ``lfilter`` recursion a chunk and tau - tau0,
+    recorded after row 0, one ``cumsum``; a member stops at its first step
+    where r + z <= 0."""
+    from scipy.signal import lfilter  # only here: scipy.signal is slow to import
+
+    phi, s_h, sq, h, sig, al, r, al_r, shift = terms
 
     def loop(z, tau, record_every, n_steps, rngs):
         bad = np.full(len(rngs), -1)
@@ -227,16 +246,16 @@ def _linear_loop(params, h, leading_order):
                 # frozen draw pattern; only column 0 (the Wiener normals) is consumed
                 xi = _normals([rng], span, 2)[:, 0, :, 0]
                 zs, zi = lfilter([s_h], [1.0, -phi], xi[:, 0], zi=zi)
-                dw_p = np.sqrt(h) * xi[:, 1]
+                dw_p = sq * xi[:, 1]
                 if leading_order:
-                    dtau = h + sig * dw_p / (al * r)
+                    dtau = h + sig * dw_p / al_r
                 else:
                     z_start = np.concatenate(([z_last], zs[:-1]))  # z before each step
                     amp = r + z_start
                     if np.any(amp <= 0.0):
                         bad[k] = done + int(np.argmax(amp <= 0.0))
                         break
-                    dtau = (h * (1.0 + 2.0 * z_start * (al - al0) / (al * amp))
+                    dtau = (h * (1.0 + 2.0 * z_start * shift / (al * amp))
                             + sig * dw_p / (al * amp))
                 # cumsum adds in sequence: the carried sum added into the first increment
                 # keeps every bit; the first chunk adds none, as 0.0 + -0.0 is +0.0

@@ -321,7 +321,7 @@ def _check_members(bad, path_ids, error=DivergenceError, message=_LEFT_TRUST):
 
 
 def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError,
-              message=_LEFT_TRUST):
+              message=_LEFT_TRUST, members=None):
     """Run the members of ``_members(config.seed, n_paths)`` through
     ``loop``, every member from ``starts``; returns their records and seeds.
 
@@ -331,6 +331,8 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
     ``rngs[p]``, the Philox generator of its seed, and returns each member's
     first bad step, or -1, for which ``_check_members`` raises ``error``
     with ``message``.  Every simulator runs its members here.
+    ``members``, when given, is the ``(seeds, path_ids, rngs)`` those
+    members already have, which spares deriving them again.
     """
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
@@ -339,7 +341,11 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
         raise ConfigError(
             f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
         )
-    seeds, path_ids = _members(config.seed, n_paths)
+    if members is None:
+        seeds, path_ids = _members(config.seed, n_paths)
+        rngs = [_generator(s) for s in seeds]
+    else:
+        seeds, path_ids, rngs = members
     if not all(np.isfinite(start).all() for start in starts):
         start = tuple(map(float, config.initial_state))
         raise ConfigError(f"initial_state must be finite, got {start}")
@@ -347,7 +353,7 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
     records = [np.empty(shape + np.shape(start)) for start in starts]
     for rec, start in zip(records, starts):
         rec[:, 0] = start
-    bad = loop(*records, record_every, config.n_steps, [_generator(s) for s in seeds])
+    bad = loop(*records, record_every, config.n_steps, rngs)
     _check_members(bad, path_ids, error, message)
     return records, seeds
 
@@ -573,14 +579,17 @@ def strong_order_estimate(
         ratios.append(r)
 
     y0 = _initial(system, initial_state)
-    rngs = [_generator(s) for s in _members(seed, n_paths)[0]]
+    seeds, path_ids = _members(seed, n_paths)
+    rngs = [_generator(s) for s in seeds]
     dw_f, dz_f = _increments(rngs, nf, system.dimension, hf)
 
     def endpoints(dt, dw, dz):
-        # the numpy loop on the composed increments, recording start and end
+        # the numpy loop on the composed increments, recording start and end;
+        # it reads no generator, so every step size shares the members' own
         config = IntegratorConfig(dt, len(dw), scheme, seed, initial_state)
         loop = _numpy_loop(*_stepping(system, scheme, dt), increments=(dw, dz))
-        (rec,), _ = _simulate(config, n_paths, len(dw), (y0,), loop)
+        (rec,), _ = _simulate(config, n_paths, len(dw), (y0,), loop,
+                              members=(seeds, path_ids, rngs))
         return rec[:, -1]
 
     if exact_endpoint is not None:

@@ -105,6 +105,21 @@ def test_seed_env_var_matches_explicit_flag(tmp_path, monkeypatch):
     assert by_env.read_bytes() == by_flag.read_bytes()
 
 
+@pytest.mark.parametrize("value, said", [
+    ("abc", "error: NOISYCYCLES_SEED must be an integer, got 'abc'"),
+    ("1.5", "error: NOISYCYCLES_SEED must be an integer, got '1.5'"),
+    ("-1", "error: seed must be >= 0, got -1"),
+])
+def test_a_seed_variable_that_is_no_seed_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                          value, said):
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("NOISYCYCLES_SEED", value)
+    assert _call("simulate", "--model", "hopf-linear", "--nsr", "0.1", "--periods", "1",
+                 "--output", str(out)) == 1
+    assert said in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_multi_path_files_are_suffixed_and_distinct(tmp_path):
     out = tmp_path / "lin.csv"
     assert _call(

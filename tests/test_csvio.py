@@ -22,6 +22,7 @@ from noisycycles import (
     sigma_for_nsr,
 )
 from noisycycles.csvio import (
+    _table_text,
     load_json_config,
     read_column,
     read_curve,
@@ -70,6 +71,24 @@ def test_any_finite_doubles_survive_the_text_format(tmp_path_factory, values):
     write_curve(p, "x", "y", x, np.array(values))
     _, back, _ = read_curve(p)
     assert np.array_equal(back, np.array(values))
+
+
+def test_table_text_is_pinned_for_signed_zeros_infinities_nan_and_subnormals():
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1 / 3]
+    text = _table_text(("a", "b"), [values, values[::-1]])
+    assert text == (
+        "a,b\n"
+        "0,0.33333333333333331\n"
+        "-0,4.9406564584124654e-324\n"
+        "inf,nan\n"
+        "-inf,-inf\n"
+        "nan,inf\n"
+        "4.9406564584124654e-324,-0\n"
+        "0.33333333333333331,0\n"
+    )
+    # a header may hold what a format string would read as a field
+    assert _table_text(("100%", "x"), [[1.0], [2.0]]) == "100%,x\n1,2\n"
+    assert _table_text(("t",), [np.empty(0)]) == "t\n"
 
 
 def test_curve_round_trip_and_column_reads(tmp_path):

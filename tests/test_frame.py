@@ -586,9 +586,8 @@ def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monk
     # one seed pins one Brownian path: the generic integrator, with noise
     # or without, the linear model and the reduced model all consume the
     # same sde._normals stream, across a chunk boundary.  The compiled loops
-    # of the generic integrator and of the reduced model draw the same
-    # normals in C; the spy sees their numpy loops, whose paths the compiled
-    # loops' equal bit for bit
+    # of all three draw the same normals in C; the spy sees their numpy
+    # loops, whose paths the compiled loops' equal bit for bit
     import noisycycles.frame as frame_module
     import noisycycles.hopf as hopf_module
     import noisycycles.sde as sde_module
@@ -623,7 +622,12 @@ def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monk
             lambda: integrate_path(hopf_system(p), on_cycle).values.tobytes()
         )
         assert compiled == reference
-    assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
+    with numpy_loop():
+        assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
+    compiled, reference = compiled_and_numpy(
+        lambda: simulate_hopf_linear(params, config).reconstructed.tobytes()
+    )
+    assert compiled == reference
     model = reduce(hopf_cycle, hopf_frame, params.sigma)
     with numpy_loop():
         assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic

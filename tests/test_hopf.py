@@ -1,7 +1,11 @@
 """Oscillator model: drift geometry, noise scaling, the linear companion."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,10 @@ from noisycycles import (
     sigma_for_nsr,
     simulate_hopf_linear,
 )
+from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK, _check_members
+
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
 
 TAU = 2.0 * np.pi
 
@@ -301,3 +308,129 @@ def test_a_tie_goes_to_the_lowest_path():
                        "{step}{where}")
     assert (caught.value.step_index, caught.value.path_index) == (7, 2)
     assert str(caught.value) == "7 (path 2)"
+
+
+def _linear_bytes(params, config, leading=False, every=1, n_paths=None):
+    lp = simulate_hopf_linear(params, config, leading, every, n_paths)
+    return [a.tobytes() for a in (lp.tau, lp.z, lp.reconstructed)]
+
+
+def _solo(config, k):
+    return IntegratorConfig(dt=config.dt, n_steps=config.n_steps, seed=path_seed(config.seed, k),
+                            initial_state=config.initial_state)
+
+
+@requires_compiler
+@pytest.mark.parametrize(
+    "initial", [(), (0.05, 0.3), (-0.0, -0.0)], ids=["origin", "off", "neg-zero"]
+)
+@pytest.mark.parametrize("nsr_value", [0.1, 0.0], ids=["noisy", "quiet"])
+@pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
+def test_compiled_linear_loop_is_bitwise_the_numpy_loop(leading, nsr_value, initial):
+    # alpha0 off alpha exercises the full variant's modulation; the steps run
+    # past the first chunk of _CHUNK steps, which record_every = 7 does not
+    # divide; sigma = 0 keeps every kick a signed zero
+    p = _params(nsr_value, alpha0=5.0)
+    n_steps = 7 * (_CHUNK // 7 + 300)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=23, initial_state=initial)
+    for every, n_paths in [(1, None), (7, 3)]:
+        compiled, reference = compiled_and_numpy(
+            lambda: _linear_bytes(p, config, leading, every, n_paths)
+        )
+        assert compiled == reference, (every, n_paths)
+
+
+@requires_compiler
+def test_simulate_hopf_linear_runs_the_compiled_loop(monkeypatch):
+    taken = []
+    linear_loop = _stepkernel.linear_loop
+
+    def spy(*args):
+        loop = linear_loop(*args)
+        taken.append(loop is not None)
+        return loop
+
+    monkeypatch.setattr(_stepkernel, "linear_loop", spy)
+    for leading in (False, True):
+        simulate_hopf_linear(_params(), IntegratorConfig(dt=1e-3, n_steps=50), leading, n_paths=3)
+    # a long-double step, which numpy would not round as float64, keeps the numpy loop
+    wide = IntegratorConfig(dt=np.longdouble(1e-3), n_steps=50)
+    compiled, reference = compiled_and_numpy(lambda: _linear_bytes(_params(), wide, n_paths=2))
+    assert compiled == reference
+    assert taken == [True, True, False, False]
+
+
+@requires_compiler
+@pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
+@pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
+def test_linear_members_are_their_solo_runs_at_any_thread_count(leading, calls):
+    # 3000 steps make calls of _CALL_PATH_STEPS // 3000 = 5 members, and one
+    # more step than _CALL_PATH_STEPS makes calls of one member; 1 and 2
+    # members and one more member than CPUs, at 1, 2 and 3 threads, each
+    # equal the numpy loop's and every member its solo run
+    n_steps = {"many members a call": 3000,
+               "one member a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
+    every = 3 if n_steps % 3 == 0 else 1
+    p = _params(alpha0=5.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=17, initial_state=(0.02, 0.4))
+    for n_paths in (1, 2, _stepkernel._threads(1 << 20) + 1):
+        with numpy_loop():
+            reference = _linear_bytes(p, config, leading, every, n_paths)
+        for count in (1, 2, 3):
+            with threads(count):
+                assert _linear_bytes(p, config, leading, every, n_paths) == reference
+        ens = simulate_hopf_linear(p, config, leading, every, n_paths)
+        for k in range(n_paths):
+            solo = simulate_hopf_linear(p, _solo(config, k), leading, every)
+            for name in ("tau", "z", "reconstructed"):
+                assert getattr(ens, name)[k].tobytes() == getattr(solo, name).tobytes()
+
+
+def test_linear_singular_step_across_thread_blocks_is_the_earliest_and_lowest():
+    # member 5 meets r + z <= 0 first, in the last block at 2 and at 3
+    # threads, and a member of the first block meets it later; from z = -r
+    # every member is singular at step 0 and the lowest path is reported
+    p = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=1.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=40_000, seed=15)
+    n_paths = 8
+    solo = []
+    for k in range(n_paths):
+        try:
+            simulate_hopf_linear(p, _solo(config, k))
+            solo.append(config.n_steps)
+        except SingularAmplitudeError as err:
+            solo.append(err.step_index)
+    step = min(solo)
+    assert solo.index(step) == 5 and step < min(solo[:2]) and solo[0] < config.n_steps
+    at_zero = IntegratorConfig(dt=1e-3, n_steps=100, seed=3, initial_state=(-1.0, 0.0))
+    for count in (1, 2, 3):
+        for loop in (threads(count), numpy_loop()):
+            with loop:
+                with pytest.raises(SingularAmplitudeError) as err:
+                    simulate_hopf_linear(p, config, n_paths=n_paths)
+                assert (err.value.step_index, err.value.path_index) == (step, 5)
+                with pytest.raises(SingularAmplitudeError) as err:
+                    simulate_hopf_linear(p, at_zero, n_paths=n_paths)
+                assert (err.value.step_index, err.value.path_index) == (0, 0)
+                # the leading-order variant never divides by r + z
+                simulate_hopf_linear(p, at_zero, leading_order=True, n_paths=n_paths)
+
+
+_RUN = """
+from noisycycles import HopfParams, IntegratorConfig, _stepkernel, simulate_hopf_linear
+assert _stepkernel._library() is not None, "the compiled loops did not build"
+simulate_hopf_linear(HopfParams(1.0, 1.0, 1.0, 1.0, 0.1), IntegratorConfig(1e-3, 100), n_paths=2)
+"""
+
+
+@pytest.mark.parametrize("then", ["", pytest.param(_RUN, marks=requires_compiler)],
+                         ids=["import", "compiled run"])
+def test_scipy_signal_is_not_imported(then):
+    # only the numpy reference of the linear loop needs scipy.signal, whose
+    # import (scipy.stats with it) takes longer than the package's own
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = f"import sys\nimport noisycycles\n{then}\nprint('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

@@ -537,7 +537,8 @@ def test_the_library_exports_only_its_member_loops():
         ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
     ).stdout
     exported = {line.split()[-1] for line in listing.splitlines() if line.strip()}
-    assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation"}
+    assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation",
+                        "nc_linear"}
 
 
 @pytest.mark.parametrize(
@@ -686,6 +687,27 @@ def test_order_harness_raises_the_ensemble_divergence_error():
         strong_order_estimate(system, (2.0,), 1.0, [0.1, 0.05, 0.025], n_paths=3)
     assert err.value.path_index == 0
     assert str(err.value).endswith(f"at step {err.value.step_index} (path 0)")
+
+
+def test_order_harness_derives_each_member_once(monkeypatch):
+    # the step sizes run on composed increments and read no generator, so
+    # the members' seeds and generators are derived once, not per step size
+    import noisycycles.sde as sde_module
+
+    calls = {"path_seed": 0, "_generator": 0}
+    for name in calls:
+        original = getattr(sde_module, name)
+
+        def spy(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sde_module, name, spy)
+    for exact in (ou_exact_endpoint(1.0, 0.5), None):
+        calls.update(dict.fromkeys(calls, 0))
+        strong_order_estimate(ornstein_uhlenbeck(1.0, 0.5), (1.0,), 1.0, [0.1, 0.05, 0.025],
+                              n_paths=3, exact_endpoint=exact)
+        assert calls == {"path_seed": 3, "_generator": 3}
 
 
 def test_strong_order_euler_maruyama_on_linear_process():
