@@ -42,6 +42,7 @@ from .analysis import (
 )
 from .exceptions import ConfigError, ConvergenceError, GuessFailureError
 from .hopf import HopfParams, nsr as _nsr
+from .sde import _generator
 
 __all__ = [
     "FitTarget",
@@ -311,7 +312,7 @@ def _starts(problem: FitProblem):
     lower = [float(b[0]) for b in log_bounds]
     upper = [float(b[1]) for b in log_bounds]
     x0 = np.clip(np.log(theta0), lower, upper)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2654435761)))
+    rng = _generator(2654435761)
     jitters = [0.0] + [_JITTER * rng.standard_normal(4) for _ in range(1, _RESTARTS)]
     return [np.clip(x0 + j, lower, upper) for j in jitters], lower, upper
 

@@ -208,7 +208,9 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     tau[:, 1:] += tau0
     amp = params.r + z
     angle = params.alpha * tau
-    rec = np.stack([amp * np.cos(angle), amp * np.sin(angle)], axis=-1)
+    rec = np.empty(z.shape + (2,))
+    np.multiply(amp, np.cos(angle), out=rec[..., 0])
+    np.multiply(amp, np.sin(angle), out=rec[..., 1])
     if n_paths is None:
         tau, z, rec = tau[0], z[0], rec[0]
     return PhaseDeviationPath(

@@ -557,10 +557,16 @@ def strong_order_estimate(
     the same scheme run on the fine grid.  Each run goes through the member
     driver of the simulators, so it refuses the same starts and raises the
     same ``DivergenceError``, path included, as ``integrate_ensemble``.
+    ``t_final`` and every step size must be positive and finite
+    (:class:`ConfigError` before any draw).
 
     Returns the least-squares slope of log RMS error against log dt.
     """
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
+    for name, values in (("t_final", [t_final]), ("dt", dts)):
+        for value in values:
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
     if dts.size < 3:
         raise ConfigError("at least 3 step sizes are required")
     if n_paths < 2:

@@ -2,12 +2,13 @@
 compiled step loops and with the numpy loops they must equal."""
 
 import contextlib
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
 
-from noisycycles import DivergenceError, _stepkernel
+from noisycycles import DivergenceError, _stepkernel, path_seed
 
 requires_compiler = pytest.mark.skipif(
     shutil.which(_stepkernel._COMPILER) is None or shutil.which(_stepkernel._OBJCOPY) is None,
@@ -52,3 +53,8 @@ def compiled_and_numpy(run):
             except DivergenceError as err:
                 outcomes.append((str(err), err.step_index, err.path_index))
     return outcomes
+
+
+def member(config, k):
+    # member k's solo config, seeded path_seed(seed, k) here, not by the library
+    return dataclasses.replace(config, seed=path_seed(config.seed, k))

@@ -14,7 +14,6 @@ from scipy.interpolate import CubicSpline
 from noisycycles import (
     ConfigError,
     CycleParameterization,
-    DivergenceError,
     FixedPointError,
     HopfParams,
     IntegratorConfig,
@@ -25,8 +24,6 @@ from noisycycles import (
     build_frame,
     find_limit_cycle,
     hopf_system,
-    integrate_ensemble,
-    integrate_path,
     ornstein_uhlenbeck,
     path_seed,
     reconstruct,
@@ -34,7 +31,6 @@ from noisycycles import (
     sigma_for_nsr,
     simulate_hopf_linear,
     simulate_reduced,
-    strong_order_estimate,
     van_der_pol,
 )
 from noisycycles import _stepkernel
@@ -44,7 +40,8 @@ from noisycycles.frame import (
 )
 from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
 
-from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler
+import test_member_loops as contract
 
 TAU = 2.0 * np.pi
 
@@ -54,15 +51,9 @@ VDP_PERIOD = 6.663286859323118
 VDP_LOG_FLOQUET = -7.0589328088
 
 
-def _quiet_hopf(alpha=TAU, lambda_=TAU, r=1.0):
-    return hopf_system(
-        HopfParams(alpha=alpha, alpha0=alpha, lambda_=lambda_, r=r, sigma=0.0)
-    )
-
-
 @pytest.fixture(scope="module")
 def hopf_cycle():
-    return find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=512)
+    return contract.limit_cycle("hopf")
 
 
 @pytest.fixture(scope="module")
@@ -72,29 +63,12 @@ def hopf_frame(hopf_cycle):
 
 @pytest.fixture(scope="module")
 def vdp_cycle():
-    return find_limit_cycle(van_der_pol(1.0), (2.0, 0.0))
-
-
-def _tilted_hopf_drift(y):
-    # a planar Hopf cycle in (x, v) with a coupled, stable third direction w
-    x, v, w = y[..., 0], y[..., 1], y[..., 2]
-    rho2 = x * x + v * v
-    return np.stack(
-        [
-            0.5 * x - 2.0 * v - 0.5 * rho2 * x + 0.3 * w * v,
-            2.0 * x + 0.5 * v - 0.5 * rho2 * v,
-            -1.5 * w + 0.4 * x * v,
-        ],
-        axis=-1,
-    )
+    return contract.limit_cycle("van der pol")
 
 
 @pytest.fixture(scope="module")
 def cycle_3d():
-    system = SdeSystem(
-        dimension=3, drift=_tilted_hopf_drift, isotropic_sigma=0.0, vectorized=True
-    )
-    return find_limit_cycle(system, (0.5, 0.1, 0.0), grid_size=256)
+    return contract.limit_cycle("3-d")
 
 
 def test_circular_cycle_geometry(hopf_cycle):
@@ -179,7 +153,7 @@ def test_noisy_system_is_rejected():
 @pytest.mark.parametrize("transient_time", [np.nan, 0.0, -1.0, np.inf])
 def test_cycle_search_needs_a_positive_finite_transient(transient_time):
     with pytest.raises(ConfigError, match=r"^transient_time must be positive and finite, got "):
-        find_limit_cycle(_quiet_hopf(), (0.3, 0.0), transient_time=transient_time)
+        find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), transient_time=transient_time)
 
 
 @pytest.mark.parametrize("substeps", [0, -1, 2.0, 1.5])
@@ -191,7 +165,7 @@ def test_frame_needs_a_substep(hopf_cycle, substeps):
 
 
 def test_row_wise_drift_gives_the_vectorized_cycle_bitwise():
-    quiet = _quiet_hopf()
+    quiet = contract.quiet_hopf()
     row_wise = dataclasses.replace(quiet, vectorized=False)
     # a row-wise drift that returns a plain list of floats
     as_list = dataclasses.replace(row_wise, drift=lambda y: quiet.drift(y).tolist())
@@ -210,7 +184,7 @@ def test_cycle_search_needs_an_integer_grid_of_eight_up_front(monkeypatch, grid_
     monkeypatch.setattr(frame_module, "solve_ivp", no_search)
     monkeypatch.setattr(frame_module, "DOP853", no_search)
     with pytest.raises(ConfigError, match=r"^grid_size must be an integer >= 8, got "):
-        find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=grid_size)
+        find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=grid_size)
 
 
 # the single-state drift find_limit_cycle hands its integrators
@@ -254,7 +228,7 @@ def test_the_single_state_drift_leaves_a_division_by_zero_to_numpy():
                                        (None, (0.3, 0.0))], ids=["mu0.5", "mu1", "mu2", "hopf"])
 def test_cycle_from_the_single_state_drift_is_bitwise_the_numpy_drifts(mu, guess):
     # the benchmark's four oscillators at a small grid
-    system = _quiet_hopf() if mu is None else van_der_pol(mu)
+    system = contract.quiet_hopf() if mu is None else van_der_pol(mu)
     numpy_drift = dataclasses.replace(system, drift=lambda y: system.drift(y))
     assert _stepkernel.single_state(numpy_drift) is None
     a = find_limit_cycle(system, guess, grid_size=64)
@@ -341,7 +315,8 @@ def _windowed_search(system, guess, transient_time):
 
 
 def _tilted_hopf():
-    return SdeSystem(dimension=3, drift=_tilted_hopf_drift, isotropic_sigma=0.0, vectorized=True)
+    return SdeSystem(dimension=3, drift=contract.tilted_hopf_drift, isotropic_sigma=0.0,
+                     vectorized=True)
 
 
 # the benchmark's four oscillators, van der Pol searches over several
@@ -350,7 +325,7 @@ _SEARCHES = {
     "vdp-mu0.5": (lambda: van_der_pol(0.5), (2.0, 0.0), 100.0),
     "vdp-mu1": (lambda: van_der_pol(1.0), (2.0, 0.0), 100.0),
     "vdp-mu2": (lambda: van_der_pol(2.0), (2.0, 0.0), 100.0),
-    "hopf": (_quiet_hopf, (0.3, 0.0), 100.0),
+    "hopf": (contract.quiet_hopf, (0.3, 0.0), 100.0),
     **{f"vdp-mu{mu:g}-window{window:g}": (lambda mu=mu: van_der_pol(mu), (2.0, 0.0), window)
        for mu in (0.5, 1.0, 2.0) for window in (3.0, 5.0, 20.0)},
     "tilted-window100": (_tilted_hopf, (0.5, 0.1, 0.0), 100.0),
@@ -428,7 +403,7 @@ def test_the_search_gives_up_at_its_horizon(monkeypatch):
 
 
 def test_coarse_grid_is_refused():
-    cycle = find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=16)
+    cycle = find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=16)
     with pytest.raises(NumericsError):
         build_frame(cycle)
 
@@ -480,69 +455,9 @@ def test_frame_is_bitwise_the_per_stage_spline_loop(request, cycle_name, substep
     assert frame.V.tobytes() == V.tobytes()
 
 
-def test_phase_deviation_simulators_share_one_initial_state_check(hopf_cycle, hopf_frame):
-    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.1)
-    model = reduce(hopf_cycle, hopf_frame, params.sigma)
-    message = r"^initial_state must be empty or \(z0 \.\.\., tau0\) of length 2$"
-    for initial in [(0.1,), (0.1, 0.2, 0.3)]:
-        config = IntegratorConfig(dt=1e-3, n_steps=10, initial_state=initial)
-        with pytest.raises(ConfigError, match=message):
-            simulate_reduced(model, hopf_cycle, config)
-        with pytest.raises(ConfigError, match=message):
-            simulate_hopf_linear(params, config)
-
-
-_NOT_FINITE = ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0))
-
-
-def test_the_simulators_refuse_the_same_runs_with_the_same_message(hopf_cycle):
-    # record_every, n_paths and the start are checked once, where every
-    # simulator runs its members (sde._simulate), solo and in an ensemble
-    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.1)
-    system = hopf_system(params)
-    model = _unstable(hopf_cycle, -1.0, 0.1)
-    config = IntegratorConfig(dt=1e-3, n_steps=10, seed=5, initial_state=(0.05, 0.0))
-
-    def simulators(config, record_every, n_paths):
-        if n_paths is None:
-            yield lambda: integrate_path(system, config, record_every)
-        else:
-            yield lambda: integrate_ensemble(system, config, n_paths, record_every)
-        yield lambda: simulate_reduced(model, hopf_cycle, config, record_every, n_paths)
-        for leading_order in (False, True):
-            yield lambda: simulate_hopf_linear(params, config, leading_order, record_every, n_paths)
-
-    cases = [
-        (config, 1, 0, "n_paths must be >= 1, got 0"),
-        (config, 1, 2.0, "n_paths must be an integer, got 2.0"),
-    ]
-    for n_paths in (None, 3):
-        cases += [
-            (config, 0, n_paths, "record_every must be >= 1, got 0"),
-            (config, 2.0, n_paths, "record_every must be an integer, got 2.0"),
-            (config, 3, n_paths, "record_every must divide n_steps (10), got 3"),
-        ]
-        for start in _NOT_FINITE:
-            not_finite = dataclasses.replace(config, initial_state=start)
-            cases.append((not_finite, 1, n_paths, f"initial_state must be finite, got {start}"))
-    runs = [(run, message) for cfg, record_every, n_paths, message in cases
-            for run in simulators(cfg, record_every, n_paths)]
-    # the order harness runs its members through the same driver
-    runs += [
-        (lambda start=start: strong_order_estimate(system, start, 0.5, (0.02, 0.01, 0.005), 4),
-         f"initial_state must be finite, got {start}")
-        for start in _NOT_FINITE
-    ]
-    for run, message in runs:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError) as err:
-                run()
-        assert str(err.value) == message
-    # the same calls run once the counts and the start are right
-    for n_paths in (None, 3):
-        for run in simulators(config, 2, n_paths):
-            run()
+def test_phase_deviation_simulators_share_one_initial_state_check():
+    for name in ("reduced hopf", "linear"):
+        contract.check_refusals(name)
 
 
 def test_a_one_dimensional_cycle_has_no_reduced_model():
@@ -582,69 +497,13 @@ def test_reduced_paths_track_the_linear_model(hopf_cycle, hopf_frame):
     assert dev < 5e-3
 
 
-def test_the_three_simulators_draw_the_same_normals(hopf_cycle, hopf_frame, monkeypatch):
-    # one seed pins one Brownian path: the generic integrator, with noise
-    # or without, the linear model and the reduced model all consume the
-    # same sde._normals stream, across a chunk boundary.  The compiled loops
-    # of all three draw the same normals in C; the spy sees their numpy
-    # loops, whose paths the compiled loops' equal bit for bit
-    import noisycycles.frame as frame_module
-    import noisycycles.hopf as hopf_module
-    import noisycycles.sde as sde_module
+# ---------------------------------------------------------------------------
+# the reduced model's named examples of the member-loop contract, whose
+# properties test_member_loops.py tests over every simulator
 
-    original = sde_module._normals
-    draws = []
-
-    def spy(rngs, n_steps, dim):
-        u = original(rngs, n_steps, dim)
-        draws.append(u)
-        return u
-
-    for module in (sde_module, hopf_module, frame_module):
-        monkeypatch.setattr(module, "_normals", spy)
-
-    def drawn(simulate):
-        draws.clear()
-        simulate()
-        return np.concatenate(draws).tobytes()
-
-    steps = _CHUNK + 100
-    params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=steps, seed=31)
-    on_cycle = dataclasses.replace(config, initial_state=(1.0, 0.0))
-    quiet = dataclasses.replace(params, sigma=0.0)
-    with numpy_loop():
-        generic = drawn(lambda: integrate_path(hopf_system(params), on_cycle))
-        assert len(generic) == steps * 2 * 2 * 8
-        assert drawn(lambda: integrate_path(hopf_system(quiet), on_cycle)) == generic
-    for p in (params, quiet):
-        compiled, reference = compiled_and_numpy(
-            lambda: integrate_path(hopf_system(p), on_cycle).values.tobytes()
-        )
-        assert compiled == reference
-    with numpy_loop():
-        assert drawn(lambda: simulate_hopf_linear(params, config)) == generic
-    compiled, reference = compiled_and_numpy(
-        lambda: simulate_hopf_linear(params, config).reconstructed.tobytes()
-    )
-    assert compiled == reference
-    model = reduce(hopf_cycle, hopf_frame, params.sigma)
-    with numpy_loop():
-        assert drawn(lambda: simulate_reduced(model, hopf_cycle, config)) == generic
-    compiled, reference = compiled_and_numpy(
-        lambda: [a.tobytes() for a in simulate_reduced(model, hopf_cycle, config)]
-    )
-    assert compiled == reference
-
-
-def test_reduced_ensemble_member_equals_solo_run(hopf_cycle, hopf_frame):
-    model = reduce(hopf_cycle, hopf_frame, 0.3)
+def test_reduced_ensemble_member_equals_solo_run():
     config = IntegratorConfig(dt=1e-3, n_steps=200, seed=6)
-    taus, z0s = simulate_reduced(model, hopf_cycle, config, n_paths=4)
-    solo_cfg = IntegratorConfig(dt=1e-3, n_steps=200, seed=path_seed(6, 2))
-    tau_solo, z_solo = simulate_reduced(model, hopf_cycle, solo_cfg)
-    assert np.array_equal(taus[2], tau_solo)
-    assert np.array_equal(z0s[2], z_solo)
+    contract.check_member_is_solo("reduced hopf", config, 1, 4, 2)
 
 
 def _spline_loop(model, cycle, config, record_every=1, n_paths=None):
@@ -772,192 +631,65 @@ def test_reduced_run_from_negative_zero_is_bitwise_the_spline_loop(
         assert np.signbit(got[1][..., 0, :]).all()
 
 
-@pytest.fixture(scope="module")
-def reduced_models(hopf_cycle, hopf_frame, vdp_cycle, cycle_3d):
-    """Cycle and noise-free reduced model of a planar and a 3-D cycle each."""
-    return {
-        "hopf": (hopf_cycle, reduce(hopf_cycle, hopf_frame, 0.0)),
-        "van der pol": (vdp_cycle, reduce(vdp_cycle, build_frame(vdp_cycle), 0.0)),
-        "3-d": (cycle_3d, reduce(cycle_3d, build_frame(cycle_3d), 0.0)),
-    }
-
-
-# (z0 ..., tau0) of length n for a cycle: tau0 = -1e-300 wraps to exactly the
-# period, the splines' wrap edge; 1e4 periods wrap with a rounded remainder
-_STARTS = {
-    "zero": lambda cycle, d: (),
-    "wrap edge": lambda cycle, d: (0.05,) * d + (-1e-300,),
-    "1e4 periods": lambda cycle, d: (-0.02,) * d + (1e4 * cycle.period,),
-    "negative zero": lambda cycle, d: (-0.0,) * d + (0.37 * cycle.period,),
-}
+@requires_compiler
+def test_compiled_reduced_loop_is_bitwise_the_numpy_loop():
+    for name, n_paths, record_every, beyond, sigma, start in [
+        ("3-d", None, 7, 2, 0.0, "negative zero"),
+        ("van der pol", 20, 5, 1, 0.3, "wrap edge"),
+        ("hopf", 40, 3, 40, 0.05, "1e4 periods"),
+    ]:
+        c = contract.limit_cycle(name)
+        initial = contract.REDUCED_STARTS[start](c, c.dimension - 1)
+        config = contract.past_a_chunk(n_paths or 1, record_every, beyond, seed=41,
+                                       initial_state=initial)
+        contract.check_compiled_is_numpy(f"reduced {name}", config, record_every, n_paths,
+                                         sigma=sigma)
 
 
 @requires_compiler
-@settings(max_examples=15, deadline=None)
-@given(
-    name=st.sampled_from(["hopf", "van der pol", "3-d"]),
-    n_paths=st.none() | st.integers(1, 40),
-    record_every=st.integers(1, 7),
-    beyond=st.integers(1, 40),
-    sigma=st.sampled_from([0.0, 0.05, 0.3]),
-    start=st.sampled_from(sorted(_STARTS)),
-)
-@example(name="3-d", n_paths=None, record_every=7, beyond=2, sigma=0.0, start="negative zero")
-@example(name="van der pol", n_paths=20, record_every=5, beyond=1, sigma=0.3, start="wrap edge")
-@example(name="hopf", n_paths=40, record_every=3, beyond=40, sigma=0.05, start="1e4 periods")
-def test_compiled_reduced_loop_is_bitwise_the_numpy_loop(
-    reduced_models, name, n_paths, record_every, beyond, sigma, start
-):
-    # the steps run past the first chunk of _CHUNK // P steps
-    cycle, model = reduced_models[name]
-    model = dataclasses.replace(model, sigma=sigma)
-    n_steps = record_every * (_CHUNK // (n_paths or 1) // record_every + beyond)
-    initial = _STARTS[start](cycle, cycle.dimension - 1)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=41, initial_state=initial)
-    compiled, reference = compiled_and_numpy(
-        lambda: [a.tobytes() for a in simulate_reduced(model, cycle, config, record_every, n_paths)]
-    )
-    assert compiled == reference
-
-
-@requires_compiler
-def test_simulate_reduced_runs_the_compiled_loop(vdp_cycle, monkeypatch):
-    taken = []
-    reduced_loop = _stepkernel.reduced_loop
-
-    def spy(*args):
-        loop = reduced_loop(*args)
-        taken.append(loop is not None)
-        return loop
-
-    monkeypatch.setattr(_stepkernel, "reduced_loop", spy)
-    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
-    simulate_reduced(model, vdp_cycle, IntegratorConfig(dt=1e-3, n_steps=50), n_paths=3)
-    assert taken == [True]
+def test_simulate_reduced_runs_the_compiled_loop():
+    contract.check_loop_choice("reduced van der pol")
 
 
 def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monkeypatch):
-    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
-    config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(0.05, 0.37))
-
-    def run():
-        return [a.tobytes() for a in simulate_reduced(model, vdp_cycle, config, n_paths=5)]
-
-    expected = run()
+    # a kick scale that numpy would not round as float64 keeps the numpy
+    # loop, and so does a missing compiler
     knots = np.append(vdp_cycle.grid, vdp_cycle.period)
-    table = _spline_table(vdp_cycle.grid, model.speed, vdp_cycle.period)
-    # a step or a kick scale that numpy would not round as float64 keeps the
-    # numpy loop
-    period = vdp_cycle.period
-    kick = 0.1 * np.sqrt(1e-3)
+    table = _spline_table(vdp_cycle.grid, vdp_cycle.speed, vdp_cycle.period)
 
-    def compiled(h, kick_scale):
-        return _stepkernel.reduced_loop(knots, table, table, period, h, kick_scale, TRUST_RADIUS)
+    def compiled(kick_scale):
+        return _stepkernel.reduced_loop(knots, table, table, vdp_cycle.period, 1e-3, kick_scale,
+                                        TRUST_RADIUS)
 
-    assert compiled(np.longdouble(1e-3), kick) is None
-    assert compiled(1e-3, np.longdouble(kick)) is None
+    assert compiled(np.longdouble(3e-3)) is None
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
-    assert compiled(1e-3, kick) is None
-    assert run() == expected
+    assert compiled(3e-3) is None
+    contract.check_loop_choice("reduced van der pol", compiled=False)
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    n_paths=st.integers(1, 40),
-    record_every=st.integers(1, 7),
-    beyond=st.integers(1, 40),
-    member=st.integers(0, 39),
-)
-@example(n_paths=20, record_every=5, beyond=1, member=19)
-@example(n_paths=3, record_every=7, beyond=2, member=2)
-def test_reduced_member_is_its_solo_run_across_chunk_boundaries(
-    vdp_cycle, n_paths, record_every, beyond, member
-):
-    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
-    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=13, initial_state=(0.02, 0.4))
-    k = member % n_paths
-    taus, z0s = simulate_reduced(model, vdp_cycle, config, record_every, n_paths)
-    solo = IntegratorConfig(
-        dt=1e-3, n_steps=n_steps, seed=path_seed(13, k), initial_state=(0.02, 0.4)
-    )
-    tau, z0 = simulate_reduced(model, vdp_cycle, solo, record_every)
-    assert taus[k].tobytes() == tau.tobytes()
-    assert z0s[k].tobytes() == z0.tobytes()
+def test_reduced_member_is_its_solo_run_across_chunk_boundaries():
+    for n_paths, record_every, beyond, k in [(20, 5, 1, 19), (3, 7, 2, 2)]:
+        config = contract.past_a_chunk(n_paths, record_every, beyond, seed=13,
+                                       initial_state=(0.02, 0.4))
+        contract.check_member_is_solo("reduced van der pol", config, record_every, n_paths, k)
 
 
 @requires_compiler
 @pytest.mark.parametrize("name", ["van der pol", "3-d"])
 @pytest.mark.parametrize("n_paths", [5, 8])
 @pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
-def test_reduced_members_do_not_depend_on_the_thread_count(
-    reduced_models, name, n_paths, calls
-):
-    # 3000 steps make calls of _CALL_PATH_STEPS // 3000 = 5 members, and one
-    # more step than _CALL_PATH_STEPS makes calls of one member; at 1, 2 and
-    # 3 threads every member equals the numpy loop's and its solo run
-    n_steps = {"many members a call": 3000,
-               "one member a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
-    record_every = 3 if n_steps % 3 == 0 else 1
-    cycle, model = reduced_models[name]
-    model = dataclasses.replace(model, sigma=0.1)
-    d = cycle.dimension - 1
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=n_steps, seed=17, initial_state=(0.02,) * d + (0.4,)
-    )
-
-    def run(config, n_paths=n_paths):
-        return [a.tobytes() for a in simulate_reduced(model, cycle, config, record_every, n_paths)]
-
-    with numpy_loop():
-        reference = run(config)
-    for count in (1, 2, 3):
-        with threads(count):
-            assert run(config) == reference
-    taus, z0s = simulate_reduced(model, cycle, config, record_every, n_paths)
-    for k in range(n_paths):
-        solo = _member(config, k)
-        assert run(solo, None) == [taus[k].tobytes(), z0s[k].tobytes()]
+def test_reduced_members_do_not_depend_on_the_thread_count(name, n_paths, calls):
+    contract.check_members_at_any_thread_count(f"reduced {name}", calls, n_paths)
 
 
-def test_reduced_divergence_across_thread_blocks_is_the_earliest_and_lowest(hopf_cycle):
-    # member 6 diverges first, in the last block at 2 and at 3 threads,
-    # and members of the first block diverge later; with no noise every
-    # member diverges at step 283 and the lowest path is reported
-    model = _unstable(hopf_cycle, 15.0, 1.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=0)
-    n_paths = 8
-    solo = []
-    for k in range(n_paths):
-        with pytest.raises(DivergenceError) as err:
-            simulate_reduced(model, hopf_cycle, _member(config, k))
-        solo.append(err.value.step_index)
-    step = min(solo)
-    assert solo.index(step) == 6 and min(solo[:2]) > step
-    quiet = _unstable(hopf_cycle, 50.0, 0.0)
-    on_edge = IntegratorConfig(dt=1e-3, n_steps=1500, seed=3, initial_state=(1.0, 0.0))
-    for count in (1, 2, 3):
-        for loop in (threads(count), numpy_loop()):
-            with loop, warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DivergenceError) as err:
-                    simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
-                assert (err.value.step_index, err.value.path_index) == (step, 6)
-                with pytest.raises(DivergenceError) as err:
-                    simulate_reduced(quiet, hopf_cycle, on_edge, n_paths=n_paths)
-                assert (err.value.step_index, err.value.path_index) == (283, 0)
-
-
-def _unstable(cycle, rate, sigma, speed=1.0):
-    m = cycle.grid_size
-    return ReducedModel(
-        J0=np.full((m, 1, 1), rate), speed=np.full(m, speed), sigma=sigma
-    )
+def test_reduced_divergence_across_thread_blocks_is_the_earliest_and_lowest():
+    for setup in ("8 members", "blow-up of 8"):
+        contract.check_divergence("reduced hopf", setup, solo=False)
 
 
 def test_a_model_reduced_on_another_grid_is_a_config_error(hopf_cycle):
-    coarse = find_limit_cycle(_quiet_hopf(), (0.3, 0.0), grid_size=256)
+    coarse = find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=256)
     model = reduce(coarse, build_frame(coarse), 0.1)
     config = IntegratorConfig(dt=1e-3, n_steps=10, seed=1)
     with pytest.raises(ConfigError, match="model.J0 has 256 samples but the cycle grid has 512"):
@@ -969,62 +701,13 @@ def test_a_model_reduced_on_another_grid_is_a_config_error(hopf_cycle):
         simulate_reduced(speed_only, hopf_cycle, config)
 
 
-def test_reduced_divergence_reports_step_and_path(hopf_cycle):
-    # z grows by 1.05 per step from 1: |z| first exceeds the trust radius
-    # after step 283 (1.05^284 > 1e6 > 1.05^283); the run overflows long
-    # before its 16000 steps end, which must not surface as a warning; the
-    # compiled and the numpy loop raise the same errors
-    model = _unstable(hopf_cycle, 50.0, 0.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=16000, seed=3, initial_state=(1.0, 0.0))
-    for loop in (contextlib.nullcontext(), numpy_loop()):
-        with loop, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError) as err:
-                simulate_reduced(model, hopf_cycle, config)
-            assert (err.value.step_index, err.value.path_index) == (283, None)
-            assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283"
-            # every member diverges at once: the lowest path is reported
-            with pytest.raises(DivergenceError) as err:
-                simulate_reduced(model, hopf_cycle, config, n_paths=3)
-            assert (err.value.step_index, err.value.path_index) == (283, 0)
-            assert str(err.value) == f"state left |y| <= {TRUST_RADIUS:g} at step 283 (path 0)"
-            # a phase that stops being finite: kick / speed overflows at step 0
-            tiny = _unstable(hopf_cycle, -1.0, 1.0, speed=1e-320)
-            with pytest.raises(DivergenceError) as err:
-                simulate_reduced(tiny, hopf_cycle, config)
-            assert err.value.step_index == 0
+def test_reduced_divergence_reports_step_and_path():
+    for setup in ("blow-up", "blow-up of 3", "phase overflow"):
+        contract.check_divergence("reduced hopf", setup)
 
 
-def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence(hopf_cycle):
-    # 40 paths make chunks of 409 steps and no member leaves the trust
-    # region in the first one, so the scan is checked across boundaries
-    model = _unstable(hopf_cycle, 15.0, 1.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=8)
-    n_paths = 40
-    solo = []
-    for k in range(n_paths):
-        try:
-            simulate_reduced(model, hopf_cycle, _member(config, k))
-        except DivergenceError as err:
-            solo.append((err.step_index, k))
-    step, path = min(solo)  # lowest member index on a tie
-    assert step > _CHUNK // n_paths
-    for loop in (contextlib.nullcontext(), numpy_loop()):
-        with loop, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergenceError) as err:
-                simulate_reduced(model, hopf_cycle, config, n_paths=n_paths)
-        assert (err.value.step_index, err.value.path_index) == (step, path)
-        assert str(err.value).endswith(f"at step {step} (path {path})")
-
-
-def _member(config, k):
-    return IntegratorConfig(
-        dt=config.dt,
-        n_steps=config.n_steps,
-        seed=path_seed(config.seed, k),
-        initial_state=config.initial_state,
-    )
+def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence():
+    contract.check_divergence("reduced hopf", "40 members", solo=False)
 
 
 def test_reconstruct_on_the_cycle_reproduces_it(hopf_cycle, hopf_frame):
@@ -1057,23 +740,15 @@ def test_the_cycle_search_refuses_a_drift_not_finite_at_the_guess_up_front(
     plugin = SdeSystem(dimension=2, drift=plugin_drift)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # inf * 0 in the drift
-        for system, guess in ((plugin, (2.0, 0.0)), (_quiet_hopf(), (np.nan, 0.0))):
+        for system, guess in ((plugin, (2.0, 0.0)), (contract.quiet_hopf(), (np.nan, 0.0))):
             with pytest.raises(ConfigError) as err:
                 find_limit_cycle(system, guess)
             start = f"the drift at initial_guess {np.array(guess)} must be finite, got ["
             assert str(err.value).startswith(start)
 
 
-def test_reduced_records_are_member_major_from_row_zero(vdp_cycle):
-    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
-    config = IntegratorConfig(dt=1e-3, n_steps=60, seed=4, initial_state=(-0.0, 0.25))
-    for loop in (contextlib.nullcontext(), numpy_loop()):
-        with loop:
-            taus, z0s = simulate_reduced(model, vdp_cycle, config, record_every=4, n_paths=3)
-        assert taus.shape == (3, 16) and z0s.shape == (3, 16, 1)
-        assert taus.flags.c_contiguous and z0s.flags.c_contiguous
-        # row 0 is the start as given, the -0.0 deviation included
-        assert (taus[:, 0] == 0.25).all() and np.signbit(z0s[:, 0, 0]).all()
+def test_reduced_records_are_member_major_from_row_zero():
+    contract.check_records("reduced van der pol")
 
 
 def test_the_orthogonality_error_sends_the_user_to_a_finer_grid():

@@ -12,7 +12,6 @@ import pytest
 
 from noisycycles import (
     ConfigError,
-    DivergenceError,
     HopfParams,
     IntegratorConfig,
     SingularAmplitudeError,
@@ -20,14 +19,14 @@ from noisycycles import (
     hopf_system,
     integrate_path,
     nsr,
-    path_seed,
     sigma_for_nsr,
     simulate_hopf_linear,
 )
 from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK, _check_members
 
-from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
+from conftest import requires_compiler
+import test_member_loops as contract
 
 TAU = 2.0 * np.pi
 
@@ -37,6 +36,11 @@ def _params(nsr_value=0.1, alpha0=TAU):
         alpha=TAU, alpha0=alpha0, lambda_=TAU, r=1.0,
         sigma=sigma_for_nsr(nsr_value, TAU, 1.0),
     )
+
+
+def _case(leading):
+    # the linear pair's case of the member-loop contract
+    return "linear leading order" if leading else "linear"
 
 
 def test_noise_ratio_round_trip():
@@ -151,12 +155,7 @@ def test_leading_order_phase_diffuses_at_the_predicted_rate():
 
 
 def test_record_every_consistency():
-    p = _params()
-    config = IntegratorConfig(dt=1e-3, n_steps=1000, seed=3)
-    full = simulate_hopf_linear(p, config)
-    thin = simulate_hopf_linear(p, config, record_every=10)
-    assert np.array_equal(thin.z, full.z[::10])
-    assert np.array_equal(thin.tau, full.tau[::10])
+    contract.check_record_every("linear")
 
 
 def test_full_variant_rejects_amplitude_hitting_zero():
@@ -211,12 +210,7 @@ def test_linear_simulator_bytes_are_pinned():
 
 
 def test_singular_amplitude_step_counts_across_chunks():
-    # the first r + z <= 0 falls in the second chunk of steps
-    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.2)
-    config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
-    with pytest.raises(SingularAmplitudeError) as caught:
-        simulate_hopf_linear(p, config)
-    assert caught.value.step_index == 26168
+    contract.check_divergence("linear", "long")
 
 
 def _traced_peak(n_steps):
@@ -236,6 +230,10 @@ def test_linear_simulator_memory_does_not_grow_with_the_step_count():
     assert abs(long - short) < 2**20
 
 
+# ---------------------------------------------------------------------------
+# the linear pair's named examples of the member-loop contract, whose
+# properties test_member_loops.py tests over every simulator
+
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize(
     "initial", [(), (0.05, 0.3), (-0.0, -0.0)], ids=["origin", "off", "neg-zero"]
@@ -244,62 +242,28 @@ def test_linear_simulator_memory_does_not_grow_with_the_step_count():
 def test_ensemble_member_k_is_the_solo_run_seeded_path_seed_k(leading, initial, every):
     # alpha0 off alpha exercises the full variant's modulation; the steps
     # cross a chunk boundary
-    p = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=sigma_for_nsr(0.1, TAU, 1.0))
-    n_steps = 7 * (_CHUNK // 7 + 300)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=13, initial_state=initial)
-    ens = simulate_hopf_linear(p, config, leading, record_every=every, n_paths=3)
-    assert ens.seed == 13
+    config = IntegratorConfig(dt=1e-3, n_steps=7 * (_CHUNK // 7 + 300), seed=13,
+                              initial_state=initial)
     for k in range(3):
-        solo_config = IntegratorConfig(
-            dt=1e-3, n_steps=n_steps, seed=path_seed(13, k), initial_state=initial
-        )
-        solo = simulate_hopf_linear(p, solo_config, leading, record_every=every)
-        for name in ("tau", "z", "reconstructed"):
-            member = getattr(ens, name)[k]
-            assert member.tobytes() == getattr(solo, name).tobytes(), (k, name)
+        contract.check_member_is_solo(_case(leading), config, every, 3, k)
 
 
 def test_an_ensemble_reads_t_x_and_y_on_the_last_axes():
     config = IntegratorConfig(dt=1e-3, n_steps=1000, seed=2, initial_state=(0.05, 0.3))
     ens = simulate_hopf_linear(_params(), config, record_every=10, n_paths=3)
+    assert ens.seed == 2
     assert ens.tau.shape == ens.z.shape == (3, 101)
     assert ens.reconstructed.shape == (3, 101, 2)
     assert np.array_equal(ens.t, np.arange(101) * 0.01)
     assert ens.x.shape == ens.y.shape == (3, 101)
     assert np.array_equal(ens.x, ens.reconstructed[:, :, 0])
     assert np.array_equal(ens.y, ens.reconstructed[:, :, 1])
-    # row 0 of every member is the start
-    assert (ens.z[:, 0] == 0.05).all() and (ens.tau[:, 0] == 0.3).all()
     one = simulate_hopf_linear(_params(), config, n_paths=1)
     assert one.tau.shape == (1, 1001) and one.x.shape == (1, 1001)
 
 
 def test_an_ensemble_reports_the_earliest_singular_step_and_its_lowest_path():
-    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=1.2)
-    config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
-    with pytest.raises(SingularAmplitudeError) as solo:
-        simulate_hopf_linear(p, config)
-    # the solo report is unchanged
-    assert str(solo.value) == (
-        "r + z reached zero at step 26168: the phase-speed denominator is singular"
-    )
-    assert solo.value.step_index == 26168 and solo.value.path_index is None
-    steps = []
-    for k in range(4):
-        member_config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=path_seed(1, k))
-        with pytest.raises(SingularAmplitudeError) as member:
-            simulate_hopf_linear(p, member_config)
-        steps.append(member.value.step_index)
-    with pytest.raises(SingularAmplitudeError) as caught:
-        simulate_hopf_linear(p, config, n_paths=4)
-    err = caught.value
-    assert isinstance(err, DivergenceError)
-    assert err.step_index == min(steps) and err.path_index == int(np.argmin(steps))
-    assert str(err) == (
-        f"r + z reached zero at step {min(steps)} (path {err.path_index}): "
-        "the phase-speed denominator is singular"
-    )
-    assert (err.step_index, err.path_index) == (5118, 1)
+    contract.check_divergence("linear", "long of 4")
 
 
 def test_a_tie_goes_to_the_lowest_path():
@@ -310,16 +274,6 @@ def test_a_tie_goes_to_the_lowest_path():
     assert str(caught.value) == "7 (path 2)"
 
 
-def _linear_bytes(params, config, leading=False, every=1, n_paths=None):
-    lp = simulate_hopf_linear(params, config, leading, every, n_paths)
-    return [a.tobytes() for a in (lp.tau, lp.z, lp.reconstructed)]
-
-
-def _solo(config, k):
-    return IntegratorConfig(dt=config.dt, n_steps=config.n_steps, seed=path_seed(config.seed, k),
-                            initial_state=config.initial_state)
-
-
 @requires_compiler
 @pytest.mark.parametrize(
     "initial", [(), (0.05, 0.3), (-0.0, -0.0)], ids=["origin", "off", "neg-zero"]
@@ -327,93 +281,36 @@ def _solo(config, k):
 @pytest.mark.parametrize("nsr_value", [0.1, 0.0], ids=["noisy", "quiet"])
 @pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
 def test_compiled_linear_loop_is_bitwise_the_numpy_loop(leading, nsr_value, initial):
-    # alpha0 off alpha exercises the full variant's modulation; the steps run
-    # past the first chunk of _CHUNK steps, which record_every = 7 does not
-    # divide; sigma = 0 keeps every kick a signed zero
-    p = _params(nsr_value, alpha0=5.0)
-    n_steps = 7 * (_CHUNK // 7 + 300)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=23, initial_state=initial)
+    # the steps run past the first chunk of _CHUNK steps, which
+    # record_every = 7 does not divide; sigma = 0 keeps every kick a signed zero
+    config = IntegratorConfig(dt=1e-3, n_steps=7 * (_CHUNK // 7 + 300), seed=23,
+                              initial_state=initial)
     for every, n_paths in [(1, None), (7, 3)]:
-        compiled, reference = compiled_and_numpy(
-            lambda: _linear_bytes(p, config, leading, every, n_paths)
-        )
-        assert compiled == reference, (every, n_paths)
+        contract.check_compiled_is_numpy(_case(leading), config, every, n_paths,
+                                         sigma=sigma_for_nsr(nsr_value, TAU, 1.0))
 
 
 @requires_compiler
-def test_simulate_hopf_linear_runs_the_compiled_loop(monkeypatch):
-    taken = []
-    linear_loop = _stepkernel.linear_loop
-
-    def spy(*args):
-        loop = linear_loop(*args)
-        taken.append(loop is not None)
-        return loop
-
-    monkeypatch.setattr(_stepkernel, "linear_loop", spy)
+def test_simulate_hopf_linear_runs_the_compiled_loop():
     for leading in (False, True):
-        simulate_hopf_linear(_params(), IntegratorConfig(dt=1e-3, n_steps=50), leading, n_paths=3)
-    # a long-double step, which numpy would not round as float64, keeps the numpy loop
-    wide = IntegratorConfig(dt=np.longdouble(1e-3), n_steps=50)
-    compiled, reference = compiled_and_numpy(lambda: _linear_bytes(_params(), wide, n_paths=2))
-    assert compiled == reference
-    assert taken == [True, True, False, False]
+        contract.check_loop_choice(_case(leading))
 
 
 @requires_compiler
 @pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
 @pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
 def test_linear_members_are_their_solo_runs_at_any_thread_count(leading, calls):
-    # 3000 steps make calls of _CALL_PATH_STEPS // 3000 = 5 members, and one
-    # more step than _CALL_PATH_STEPS makes calls of one member; 1 and 2
-    # members and one more member than CPUs, at 1, 2 and 3 threads, each
-    # equal the numpy loop's and every member its solo run
-    n_steps = {"many members a call": 3000,
-               "one member a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
-    every = 3 if n_steps % 3 == 0 else 1
-    p = _params(alpha0=5.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=17, initial_state=(0.02, 0.4))
+    # 1 and 2 members and one more member than CPUs
     for n_paths in (1, 2, _stepkernel._threads(1 << 20) + 1):
-        with numpy_loop():
-            reference = _linear_bytes(p, config, leading, every, n_paths)
-        for count in (1, 2, 3):
-            with threads(count):
-                assert _linear_bytes(p, config, leading, every, n_paths) == reference
-        ens = simulate_hopf_linear(p, config, leading, every, n_paths)
-        for k in range(n_paths):
-            solo = simulate_hopf_linear(p, _solo(config, k), leading, every)
-            for name in ("tau", "z", "reconstructed"):
-                assert getattr(ens, name)[k].tobytes() == getattr(solo, name).tobytes()
+        contract.check_members_at_any_thread_count(_case(leading), calls, n_paths)
 
 
 def test_linear_singular_step_across_thread_blocks_is_the_earliest_and_lowest():
-    # member 5 meets r + z <= 0 first, in the last block at 2 and at 3
-    # threads, and a member of the first block meets it later; from z = -r
-    # every member is singular at step 0 and the lowest path is reported
-    p = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=1.0)
-    config = IntegratorConfig(dt=1e-3, n_steps=40_000, seed=15)
-    n_paths = 8
-    solo = []
-    for k in range(n_paths):
-        try:
-            simulate_hopf_linear(p, _solo(config, k))
-            solo.append(config.n_steps)
-        except SingularAmplitudeError as err:
-            solo.append(err.step_index)
-    step = min(solo)
-    assert solo.index(step) == 5 and step < min(solo[:2]) and solo[0] < config.n_steps
-    at_zero = IntegratorConfig(dt=1e-3, n_steps=100, seed=3, initial_state=(-1.0, 0.0))
-    for count in (1, 2, 3):
-        for loop in (threads(count), numpy_loop()):
-            with loop:
-                with pytest.raises(SingularAmplitudeError) as err:
-                    simulate_hopf_linear(p, config, n_paths=n_paths)
-                assert (err.value.step_index, err.value.path_index) == (step, 5)
-                with pytest.raises(SingularAmplitudeError) as err:
-                    simulate_hopf_linear(p, at_zero, n_paths=n_paths)
-                assert (err.value.step_index, err.value.path_index) == (0, 0)
-                # the leading-order variant never divides by r + z
-                simulate_hopf_linear(p, at_zero, leading_order=True, n_paths=n_paths)
+    for setup in ("8 members", "8 at zero"):
+        contract.check_divergence("linear", setup, solo=False)
+    # the leading-order variant never divides by r + z
+    at_zero = contract.CASES["linear"].divergences()["8 at zero"].config
+    contract.CASES["linear leading order"].make(1.0)(at_zero, 1, 8)
 
 
 _RUN = """

@@ -1,6 +1,5 @@
 """Core integrator behavior: seeding, schemes, convergence, guard rails."""
 
-import contextlib
 import dataclasses
 import shutil
 import stat
@@ -8,7 +7,6 @@ import subprocess
 import sysconfig
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +31,18 @@ from noisycycles import (
     van_der_pol,
 )
 from noisycycles import _stepkernel
+from noisycycles import sde as sde_module
 from noisycycles.sde import _CHUNK, _chunks, _members, _numpy_loop, _record, _stepping
 
-from conftest import compiled_and_numpy, numpy_loop, requires_compiler, threads
+from conftest import compiled_and_numpy, requires_compiler, threads
+import test_member_loops as contract
 
 TAU = 2.0 * np.pi
+
+
+def _system(name):
+    # the system of an integrator case of the member-loop contract
+    return contract.SYSTEMS[name](contract.CASES[name].sigmas[-1])
 
 
 def _compiled_loop(system):
@@ -139,135 +144,35 @@ def test_trajectory_accessors():
     assert np.allclose(tr.t[:3], [0.0, 0.01, 0.02])
 
 
-def _linear_system_with_full_noise():
-    def drift(y):
-        x, v = y[..., 0], y[..., 1]
-        return np.stack([-0.5 * x + 2.0 * v, -2.0 * x - 0.5 * v], axis=-1)
-
-    return SdeSystem(
-        dimension=2, drift=drift, noise_matrix=[[0.3, -0.2], [0.15, 0.5]], vectorized=True
-    )
-
-
-def _member(config, k):
-    # member k's solo config, derived here rather than by the library
-    return dataclasses.replace(config, seed=path_seed(config.seed, k))
-
-
-_PROPERTY_SYSTEMS = {
-    "hopf": (
-        hopf_system(HopfParams(alpha=TAU, alpha0=0.7 * TAU, lambda_=TAU, r=1.0, sigma=0.3)),
-        (1.0, 0.0),
-    ),
-    "linear": (_linear_system_with_full_noise(), (0.4, -0.3)),
-    "van-der-pol": (van_der_pol(1.5, sigma=0.3), (2.0, 0.0)),
-    "ou": (ornstein_uhlenbeck(2.0, 0.4, dimension=3), (0.5, -0.2, 0.1)),
-}
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    name=st.sampled_from(sorted(_PROPERTY_SYSTEMS)),
-    vectorized=st.booleans(),
-    scheme=st.sampled_from(list(Scheme)),
-    n_paths=st.integers(1, 40),
-    record_every=st.integers(1, 7),
-    beyond=st.integers(1, 40),
-    member=st.integers(0, 39),
-    n_threads=st.integers(1, 4),
-)
-@example(name="hopf", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
-         beyond=1, member=19, n_threads=1)
-@example(name="hopf", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
-         beyond=1, member=13, n_threads=3)
-@example(name="van-der-pol", vectorized=True, scheme=Scheme.EULER_MARUYAMA, n_paths=7,
-         record_every=3, beyond=2, member=6, n_threads=4)
-@example(name="linear", vectorized=True, scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5,
-         beyond=1, member=7, n_threads=2)
-@example(name="linear", vectorized=True, scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
-         beyond=2, member=2, n_threads=2)
-@example(name="linear", vectorized=False, scheme=Scheme.STRONG_RK15, n_paths=5, record_every=7,
-         beyond=2, member=3, n_threads=1)
-def test_ensemble_member_is_its_solo_run_across_chunk_boundaries(
-    name, vectorized, scheme, n_paths, record_every, beyond, member, n_threads
-):
-    # steps run past the first chunk of _CHUNK // n_paths steps, and the
-    # thinning need not divide the chunk length; a row-wise drift takes
-    # the same lock-step driver one state at a time; the compiled loop
-    # runs the members in blocks on n_threads threads
-    system, initial = _PROPERTY_SYSTEMS[name]
-    system = dataclasses.replace(system, vectorized=vectorized)
-    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=n_steps, scheme=scheme, seed=17, initial_state=initial
-    )
-    k = member % n_paths
-    with threads(n_threads):
-        ens = integrate_ensemble(system, config, n_paths=n_paths, record_every=record_every)
-    solo = integrate_path(system, _member(config, k), record_every=record_every)
-    assert ens[k].values.tobytes() == solo.values.tobytes()
-
-
 # ---------------------------------------------------------------------------
-# the compiled step loop against the numpy loop
+# the integrator's named examples of the member-loop contract, whose
+# properties test_member_loops.py tests over every simulator
 
-def _full_noise(system):
-    n = system.dimension
-    matrix = 0.1 * np.arange(1.0, n * n + 1).reshape(n, n) - 0.15 * np.eye(n)
-    return dataclasses.replace(system, noise_matrix=matrix, isotropic_sigma=None)
-
-
-_KERNEL_SYSTEMS = {
-    "hopf": hopf_system(HopfParams(alpha=TAU, alpha0=0.6 * TAU, lambda_=1.3 * TAU, r=1.4, sigma=0.3)),
-    "hopf-quiet": hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)),
-    "hopf-full-noise": _full_noise(
-        hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=TAU, r=0.8, sigma=0.2))
-    ),
-    "van-der-pol": van_der_pol(2.0, sigma=0.4),
-    "ou-1": ornstein_uhlenbeck(1.5, 0.5),
-    "ou-3": ornstein_uhlenbeck(1.5, 0.5, dimension=3),
-    "ou-3-full-noise": _full_noise(ornstein_uhlenbeck(0.7, 0.5, dimension=3)),
-}
+def test_ensemble_member_is_its_solo_run_across_chunk_boundaries():
+    for name, scheme, n_paths, record_every, beyond, k, n_threads in [
+        ("hopf", Scheme.STRONG_RK15, 20, 5, 1, 19, 1),
+        ("hopf", Scheme.STRONG_RK15, 20, 5, 1, 13, 3),
+        ("van der pol", Scheme.EULER_MARUYAMA, 7, 3, 2, 6, 4),
+        ("full noise", Scheme.STRONG_RK15, 20, 5, 1, 7, 2),
+        ("full noise", Scheme.EULER_MARUYAMA, 3, 7, 2, 2, 2),
+        ("row-wise", Scheme.STRONG_RK15, 5, 7, 2, 3, 1),
+    ]:
+        config = contract.past_a_chunk(n_paths, record_every, beyond, scheme=scheme, seed=17,
+                                       initial_state=contract.CASES[name].start)
+        contract.check_member_is_solo(name, config, record_every, n_paths, k, n_threads)
 
 
 @requires_compiler
-@settings(max_examples=15, deadline=None)
-@given(
-    name=st.sampled_from(sorted(_KERNEL_SYSTEMS)),
-    scheme=st.sampled_from(list(Scheme)),
-    n_paths=st.integers(1, 40),
-    record_every=st.integers(1, 7),
-    beyond=st.integers(1, 40),
-    initial=st.lists(st.sampled_from([0.0, -0.0, 0.7, -1.1, 2.0]), min_size=3, max_size=3),
-    n_threads=st.integers(1, 4),
-)
-@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1,
-         initial=[1.0, -0.0, 0.0], n_threads=1)
-@example(name="hopf", scheme=Scheme.STRONG_RK15, n_paths=20, record_every=5, beyond=1,
-         initial=[1.0, -0.0, 0.0], n_threads=3)
-@example(name="ou-3", scheme=Scheme.EULER_MARUYAMA, n_paths=5, record_every=2, beyond=3,
-         initial=[0.7, -0.0, 2.0], n_threads=2)
-@example(name="ou-3-full-noise", scheme=Scheme.EULER_MARUYAMA, n_paths=3, record_every=7,
-         beyond=2, initial=[-0.0, 0.0, -0.0], n_threads=2)
-def test_compiled_loop_is_bitwise_the_numpy_loop(
-    name, scheme, n_paths, record_every, beyond, initial, n_threads
-):
-    # a diagonal S draws its normals in the compiled loop, a full one runs
-    # the numpy loop itself; members run in blocks on n_threads threads
-    system = _KERNEL_SYSTEMS[name]
-    assert (_compiled_loop(system) is None) == name.endswith("-full-noise")
-    n_steps = record_every * (_CHUNK // n_paths // record_every + beyond)
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=n_steps, scheme=scheme, seed=23,
-        initial_state=initial[:system.dimension],
-    )
-    with threads(n_threads):
-        compiled, reference = compiled_and_numpy(
-            lambda: [tr.values.tobytes() for tr in integrate_ensemble(
-                system, config, n_paths=n_paths, record_every=record_every
-            )]
-        )
-    assert compiled == reference
+def test_compiled_loop_is_bitwise_the_numpy_loop():
+    for name, scheme, n_paths, record_every, beyond, start, n_threads in [
+        ("hopf", Scheme.STRONG_RK15, 20, 5, 1, (1.0, -0.0), 1),
+        ("hopf", Scheme.STRONG_RK15, 20, 5, 1, (1.0, -0.0), 3),
+        ("ou-3", Scheme.EULER_MARUYAMA, 5, 2, 3, (0.7, -0.0, 2.0), 2),
+        ("ou-3 full noise", Scheme.EULER_MARUYAMA, 3, 7, 2, (-0.0, 0.0, -0.0), 2),
+    ]:
+        config = contract.past_a_chunk(n_paths, record_every, beyond, scheme=scheme, seed=23,
+                                       initial_state=start)
+        contract.check_compiled_is_numpy(name, config, record_every, n_paths, n_threads)
 
 
 @requires_compiler
@@ -276,43 +181,16 @@ def test_noiseless_runs_from_signed_zeros_are_bitwise_the_numpy_loop(scheme):
     # with S = 0 every S dW is a zero, and numpy's product makes it +0.0;
     # from -0.0 states, where the drift's term is -0.0 too, the sign of
     # that zero reaches the states
-    for system, initial in (
-        (van_der_pol(2.0, sigma=0.0), (-0.0, -0.0)),
-        (van_der_pol(2.0, sigma=0.0), (-0.0, 0.0)),
-        (hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)),
-         (-0.0, -0.0)),
-        (ornstein_uhlenbeck(1.5, 0.0, dimension=3), (-0.0, 0.0, -0.0)),
-    ):
-        config = IntegratorConfig(dt=1e-2, n_steps=50, scheme=scheme, seed=5,
-                                  initial_state=initial)
+    for name, start in [("van der pol", (-0.0, -0.0)), ("van der pol", (-0.0, 0.0)),
+                        ("hopf", (-0.0, -0.0)), ("ou-3", (-0.0, 0.0, -0.0))]:
+        config = IntegratorConfig(dt=1e-2, n_steps=50, scheme=scheme, seed=5, initial_state=start)
         for n_threads in (1, 3):
-            with threads(n_threads):
-                compiled, reference = compiled_and_numpy(
-                    lambda: [tr.values.tobytes() for tr in integrate_ensemble(
-                        system, config, n_paths=8
-                    )]
-                )
-            assert compiled == reference
+            contract.check_compiled_is_numpy(name, config, 1, 8, n_threads, sigma=0.0)
 
 
 @requires_compiler
-def test_hopf_runs_draw_their_normals_in_the_compiled_loop(monkeypatch):
-    from noisycycles import sde
-
-    system = _KERNEL_SYSTEMS["hopf"]
-    assert _compiled_loop(system) is not None
-    config = IntegratorConfig(dt=1e-3, n_steps=300, seed=6, initial_state=(1.0, 0.0))
-    expected = integrate_path(system, config).values.tobytes()
-
-    def no_numpy_draws(*args):
-        raise AssertionError("the member loop drew the normals with numpy")
-
-    monkeypatch.setattr(sde, "_normals", no_numpy_draws)
-    assert integrate_path(system, config).values.tobytes() == expected
-    integrate_ensemble(system, config, n_paths=3)
-    # a full noise matrix runs the numpy loop, which draws with numpy
-    with pytest.raises(AssertionError, match="numpy"):
-        integrate_path(_KERNEL_SYSTEMS["hopf-full-noise"], config)
+def test_hopf_runs_draw_their_normals_in_the_compiled_loop():
+    contract.check_loop_choice("hopf")
 
 
 def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
@@ -347,36 +225,9 @@ def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
         _stepkernel._in_threads(failing_elsewhere, 5, 1)
 
 
-@requires_compiler
 def test_members_on_other_threads_report_the_earliest_divergence():
-    # solo, members 0-7 of this ensemble first leave the trust region at
-    # steps 11, 9, 2, 43, 4, 11, 29, 8: the earliest is not in the first
-    # block of members, and members 0 and 5 tie on another block each
-    params = HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=4 * TAU, r=1.0, sigma=2.5)
-    config = IntegratorConfig(dt=0.08, n_steps=300, seed=3, initial_state=(1.0, 0.0))
-    # noiseless and far off the cycle: every member diverges at one step
-    quiet = hopf_system(dataclasses.replace(params, sigma=0.0))
-    blowup = dataclasses.replace(config, initial_state=(30.0, 0.0))
-    with pytest.raises(DivergenceError) as solo:
-        integrate_path(quiet, blowup)
-    cases = [
-        (hopf_system(params), config, 8, (2, 2)),
-        (hopf_system(params), config, 7, (2, 2)),
-        (hopf_system(params), config, 2, (9, 1)),
-        (quiet, blowup, 7, (solo.value.step_index, 0)),
-    ]
-    for n_threads in (1, 2, 3, 8):
-        with threads(n_threads), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for system, cfg, n_paths, expected in cases:
-                with pytest.raises(DivergenceError) as err:
-                    integrate_ensemble(system, cfg, n_paths=n_paths)
-                assert (err.value.step_index, err.value.path_index) == expected
-    for system, cfg, n_paths, expected in cases:
-        with numpy_loop(), np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                integrate_ensemble(system, cfg, n_paths=n_paths)
-        assert (err.value.step_index, err.value.path_index) == expected
+    for setup in ("8 members", "7 members", "2 members", "blow-up of 7"):
+        contract.check_divergence("hopf", setup, solo=False)
 
 
 @requires_compiler
@@ -384,8 +235,8 @@ def test_members_on_other_threads_report_the_earliest_divergence():
 def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
     # strong_order_estimate feeds the numpy loop pre-composed increments (the
     # strided ones here are not contiguous): a built library must not change them
-    for name in ("van-der-pol", "ou-3-full-noise"):
-        system = _KERNEL_SYSTEMS[name]
+    for name in ("van der pol", "ou-3 full noise"):
+        system = _system(name)
         y0 = (2.0, -0.0, 0.5)[:system.dimension]
         compiled, reference = compiled_and_numpy(
             lambda: strong_order_estimate(
@@ -409,8 +260,8 @@ def test_compiled_loop_is_bitwise_the_numpy_loop_in_the_order_harness(scheme):
 
 @requires_compiler
 def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
-    # strong_order_estimate feeds the numpy loop pre-composed increments, and
-    # a full S has no diagonal to draw with: neither calls the compiled loop
+    # strong_order_estimate feeds the numpy loop pre-composed increments: it
+    # calls no compiled loop (test_member_loops.py checks the full-noise runs)
     calls = []
     loop_for = _stepkernel.loop_for
 
@@ -426,50 +277,27 @@ def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
         return counted
 
     monkeypatch.setattr(_stepkernel, "loop_for", spy)
-    for name in ("van-der-pol", "ou-3-full-noise"):
-        system = _KERNEL_SYSTEMS[name]
+    for name in ("van der pol", "ou-3 full noise"):
+        system = _system(name)
         y0 = (2.0, -0.0, 0.5)[:system.dimension]
         for scheme in Scheme:
             strong_order_estimate(
                 system, y0, 0.5, (0.02, 0.01, 0.005), n_paths=8, scheme=scheme, seed=3
             )
-    config = IntegratorConfig(dt=1e-3, n_steps=50, seed=4, initial_state=(0.7, -0.0, 2.0))
-    for name in ("hopf-full-noise", "ou-3-full-noise"):
-        system = _KERNEL_SYSTEMS[name]
-        cfg = dataclasses.replace(config, initial_state=config.initial_state[:system.dimension])
-        integrate_ensemble(system, cfg, n_paths=3)
     assert calls == []
     # the spy does see a diagonal S drawing in the compiled loop
-    integrate_ensemble(_KERNEL_SYSTEMS["ou-3"], config, n_paths=3)
-    assert calls == [_KERNEL_SYSTEMS["ou-3"]]
+    ou = _system("ou-3")
+    integrate_ensemble(ou, IntegratorConfig(dt=1e-3, n_steps=50, initial_state=(0.7, -0.0, 2.0)), 3)
+    assert calls == [ou]
+
+
+def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
+    contract.check_divergence("hopf", "40 members", solo=False)
 
 
 @requires_compiler
-def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
-    # member 26 leaves the trust region at step 431, in the second chunk
-    system = hopf_system(HopfParams(alpha=TAU, alpha0=0.5 * TAU, lambda_=4 * TAU, r=1.0, sigma=0.8))
-    config = IntegratorConfig(dt=0.08, n_steps=600, seed=3, initial_state=(1.0, 0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            integrate_ensemble(system, config, n_paths=40)
-    assert err.value.step_index > _CHUNK // 40
-    compiled, reference = compiled_and_numpy(
-        lambda: integrate_ensemble(system, config, n_paths=40)
-    )
-    assert compiled == reference == (str(err.value), err.value.step_index, err.value.path_index)
-
-
 def test_a_long_double_step_gives_the_same_bytes_compiled_and_numpy():
-    # a step that does not round like float64 makes the numpy loop compute
-    # in long double, which the compiled loop cannot: both run the numpy loop
-    system = hopf_system(HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.3))
-    config = IntegratorConfig(dt=np.longdouble(1e-3), n_steps=200, seed=3, initial_state=(1.0, 0.0))
-    assert _stepkernel.loop_for(*_stepping(system, config.scheme, config.dt)) is None
-    compiled, reference = compiled_and_numpy(
-        lambda: [tr.values.tobytes() for tr in integrate_ensemble(system, config, n_paths=3)]
-    )
-    assert compiled == reference
+    contract.check_loop_choice("hopf")
 
 
 @requires_compiler
@@ -546,7 +374,7 @@ def test_the_library_exports_only_its_member_loops():
     ["no compiler", "no objcopy", "cache not writable", "numpy's static library missing"],
 )
 def test_without_the_kernel_the_numpy_loop_gives_the_same_bytes(tmp_path, monkeypatch, broken):
-    system = _KERNEL_SYSTEMS["hopf"]
+    system = _system("hopf")
     config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(1.0, 0.0))
 
     def run():
@@ -597,27 +425,15 @@ def test_the_build_needs_no_python_headers(tmp_path, monkeypatch):
 
 
 def test_ensemble_member_matches_solo_run():
-    # lockstep ensembles must be bit-identical to one path integrated with
-    # the member's derived sub-seed, whatever the internal chunking does
-    system = ornstein_uhlenbeck(2.0, 0.7, dimension=2)
-    config = IntegratorConfig(dt=0.005, n_steps=400, seed=9, initial_state=(0.3, -0.2))
-    ens = integrate_ensemble(system, config, n_paths=8)
-    solo_cfg = IntegratorConfig(
-        dt=0.005, n_steps=400, seed=path_seed(9, 5), initial_state=(0.3, -0.2)
-    )
-    solo = integrate_path(system, solo_cfg)
-    assert np.array_equal(ens[5].values, solo.values)
+    config = IntegratorConfig(dt=0.005, n_steps=400, seed=9, initial_state=(0.3, -0.2, 0.1))
+    contract.check_member_is_solo("ou-3", config, 1, 8, 5)
 
 
 def test_record_every_thins_the_same_states():
-    system = ornstein_uhlenbeck(1.0, 1.0)
-    full_cfg = IntegratorConfig(dt=0.01, n_steps=100, seed=2, initial_state=(1.0,))
-    full = integrate_path(system, full_cfg)
-    thin = integrate_path(system, full_cfg, record_every=10)
-    assert np.array_equal(thin.values, full.values[::10])
+    contract.check_record_every("ou-1")
+    config = IntegratorConfig(dt=0.01, n_steps=100, seed=2, initial_state=(1.0,))
+    thin = integrate_path(ornstein_uhlenbeck(1.0, 1.0), config, record_every=10)
     assert thin.dt == pytest.approx(0.1)
-    with pytest.raises(ConfigError):
-        integrate_path(system, full_cfg, record_every=7)  # must divide n_steps
 
 
 def test_vectorized_flag_does_not_change_results():
@@ -635,39 +451,12 @@ def test_vectorized_flag_does_not_change_results():
 
 
 def test_divergence_reports_step_and_path():
-    system = SdeSystem(dimension=1, drift=lambda y: y**3, isotropic_sigma=0.0, vectorized=True)
-    config = IntegratorConfig(dt=0.5, n_steps=200, seed=0, initial_state=(2.0,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            integrate_path(system, config)
-    assert err.value.step_index == 1
-    assert err.value.path_index is None
+    contract.check_divergence("full noise", "blow-up")
 
 
-@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "rowwise"])
-def test_ensemble_divergence_is_the_earliest_solo_divergence(vectorized):
-    # 40 paths make chunks of 409 steps and no member leaves the trust
-    # region in the first one, so the guard is checked across boundaries
-    system = SdeSystem(
-        dimension=1, drift=lambda y: 0.2 * y**3 - y, isotropic_sigma=0.7, vectorized=vectorized
-    )
-    config = IntegratorConfig(dt=0.01, n_steps=900, seed=5, initial_state=(0.0,))
-    n_paths = 40
-    solo = []
-    for k in range(n_paths):
-        try:
-            integrate_path(system, _member(config, k))
-        except DivergenceError as err:
-            solo.append((err.step_index, k))
-    step, path = min(solo)  # lowest member index on a tie
-    assert step > _CHUNK // n_paths
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            integrate_ensemble(system, config, n_paths=n_paths)
-    assert (err.value.step_index, err.value.path_index) == (step, path)
-    assert str(err.value).endswith(f"at step {step} (path {path})")
+@pytest.mark.parametrize("name", ["full noise", "row-wise"], ids=["vectorized", "rowwise"])
+def test_ensemble_divergence_is_the_earliest_solo_divergence(name):
+    contract.check_divergence(name, "40 members", solo=False)
 
 
 def test_order_harness_checks_the_initial_state_as_the_integrator_does():
@@ -677,6 +466,19 @@ def test_order_harness_checks_the_initial_state_as_the_integrator_does():
         integrate_path(system, IntegratorConfig(dt=0.1, n_steps=4, initial_state=(1.0, 0.0)))
     with pytest.raises(ConfigError, match=message):
         strong_order_estimate(system, (1.0, 0.0), 1.0, [0.1, 0.05, 0.025], n_paths=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t_final", -1.0), ("t_final", 0.0), ("t_final", np.nan), ("t_final", np.inf),
+    ("dt", -0.01), ("dt", 0.0), ("dt", np.nan), ("dt", np.inf),
+])
+def test_order_harness_needs_a_positive_finite_horizon_and_steps(monkeypatch, name, value):
+    # refused before any draw
+    monkeypatch.setattr(sde_module, "_generator", None)
+    t_final, dts = (value, [0.1, 0.05, 0.025]) if name == "t_final" else (1.0, [0.1, value, 0.025])
+    with pytest.raises(ConfigError) as err:
+        strong_order_estimate(ornstein_uhlenbeck(1.0, 0.5), (1.0,), t_final, dts, n_paths=2)
+    assert str(err.value) == f"{name} must be positive and finite, got {value}"
 
 
 def test_order_harness_raises_the_ensemble_divergence_error():
@@ -692,8 +494,6 @@ def test_order_harness_raises_the_ensemble_divergence_error():
 def test_order_harness_derives_each_member_once(monkeypatch):
     # the step sizes run on composed increments and read no generator, so
     # the members' seeds and generators are derived once, not per step size
-    import noisycycles.sde as sde_module
-
     calls = {"path_seed": 0, "_generator": 0}
     for name in calls:
         original = getattr(sde_module, name)
@@ -790,28 +590,9 @@ def test_stationary_variance_of_linear_process():
     assert x.var() == pytest.approx(sig**2 / (2 * lam), rel=0.08)
 
 
-@pytest.mark.parametrize("system_name", ["hopf", "ou-3-full-noise"])
-def test_every_member_owns_c_contiguous_rows(system_name):
-    # the members' values are views of one member-major record: compiled
-    # (a diagonal S) and numpy (a full S, or no compiler) alike
-    system = _KERNEL_SYSTEMS[system_name]
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=60, seed=12, initial_state=(0.7, -0.2, 1.0)[:system.dimension]
-    )
-    for loop in (contextlib.nullcontext(), numpy_loop()):
-        with loop:
-            runs = [
-                integrate_ensemble(system, config, n_paths=4, record_every=3),
-                [integrate_path(system, config, record_every=2)],
-            ]
-        for members in runs:
-            for tr in members:
-                assert tr.values.flags.c_contiguous
-                assert tr.values[0].tolist() == list(config.initial_state)
-        ensemble = runs[0]
-        assert [tr.values.shape for tr in ensemble] == [(21, system.dimension)] * 4
-        for a, b in zip(ensemble, ensemble[1:]):
-            assert not np.shares_memory(a.values, b.values)
+@pytest.mark.parametrize("name", ["hopf", "ou-3 full noise"], ids=["hopf", "ou-3-full-noise"])
+def test_every_member_owns_c_contiguous_rows(name):
+    contract.check_records(name)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -853,8 +634,8 @@ def test_non_integral_counts_are_config_errors():
     # the bounds and their messages come first, as before
     with pytest.raises(ConfigError, match=r"^n_steps must be >= 1, got 0\.5$"):
         IntegratorConfig(dt=0.1, n_steps=0.5)
-    # numpy integers count as integers (test_frame.py checks the refusals of
-    # record_every and n_paths, for every simulator)
+    # numpy integers count as integers (test_member_loops.py checks the
+    # refusals of record_every and n_paths, for every simulator)
     config = IntegratorConfig(dt=0.1, n_steps=np.int64(10), seed=np.uint32(3), initial_state=(1.0,))
     members = integrate_ensemble(system, config, n_paths=np.int64(2), record_every=np.int32(5))
     assert members[1].seed == path_seed(3, 1)
