@@ -455,11 +455,6 @@ def test_frame_is_bitwise_the_per_stage_spline_loop(request, cycle_name, substep
     assert frame.V.tobytes() == V.tobytes()
 
 
-def test_phase_deviation_simulators_share_one_initial_state_check():
-    for name in ("reduced hopf", "linear"):
-        contract.check_refusals(name)
-
-
 def test_a_one_dimensional_cycle_has_no_reduced_model():
     m = 16
     grid = np.arange(m) / m
@@ -646,26 +641,31 @@ def test_compiled_reduced_loop_is_bitwise_the_numpy_loop():
                                          sigma=sigma)
 
 
-@requires_compiler
-def test_simulate_reduced_runs_the_compiled_loop():
-    contract.check_loop_choice("reduced van der pol")
-
-
 def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monkeypatch):
-    # a kick scale that numpy would not round as float64 keeps the numpy
-    # loop, and so does a missing compiler
-    knots = np.append(vdp_cycle.grid, vdp_cycle.period)
-    table = _spline_table(vdp_cycle.grid, vdp_cycle.speed, vdp_cycle.period)
+    model = reduce(vdp_cycle, build_frame(vdp_cycle), 0.1)
+    config = IntegratorConfig(dt=1e-3, n_steps=600, seed=2, initial_state=(0.05, 0.37))
 
-    def compiled(kick_scale):
-        return _stepkernel.reduced_loop(knots, table, table, vdp_cycle.period, 1e-3, kick_scale,
+    def run():
+        return [a.tobytes() for a in simulate_reduced(model, vdp_cycle, config, n_paths=5)]
+
+    expected = run()
+    knots = np.append(vdp_cycle.grid, vdp_cycle.period)
+    table = _spline_table(vdp_cycle.grid, model.speed, vdp_cycle.period)
+    kick = 0.1 * np.sqrt(1e-3)
+
+    def compiled(h, kick_scale):
+        return _stepkernel.reduced_loop(knots, table, table, vdp_cycle.period, h, kick_scale,
                                         TRUST_RADIUS)
 
-    assert compiled(np.longdouble(3e-3)) is None
+    # a step or a kick scale that numpy would not round as float64 keeps
+    # the numpy loop, and so does a missing compiler, with the bytes the
+    # library gave
+    assert compiled(np.longdouble(1e-3), kick) is None
+    assert compiled(1e-3, np.longdouble(kick)) is None
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_stepkernel, "_COMPILER", str(tmp_path / "no-such-compiler"))
-    assert compiled(3e-3) is None
-    contract.check_loop_choice("reduced van der pol", compiled=False)
+    assert compiled(1e-3, kick) is None
+    assert run() == expected
 
 
 def test_reduced_member_is_its_solo_run_across_chunk_boundaries():
@@ -683,11 +683,6 @@ def test_reduced_members_do_not_depend_on_the_thread_count(name, n_paths, calls)
     contract.check_members_at_any_thread_count(f"reduced {name}", calls, n_paths)
 
 
-def test_reduced_divergence_across_thread_blocks_is_the_earliest_and_lowest():
-    for setup in ("8 members", "blow-up of 8"):
-        contract.check_divergence("reduced hopf", setup, solo=False)
-
-
 def test_a_model_reduced_on_another_grid_is_a_config_error(hopf_cycle):
     coarse = find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=256)
     model = reduce(coarse, build_frame(coarse), 0.1)
@@ -699,15 +694,6 @@ def test_a_model_reduced_on_another_grid_is_a_config_error(hopf_cycle):
     )
     with pytest.raises(ConfigError, match="model.speed has 256 samples but the cycle grid has 512"):
         simulate_reduced(speed_only, hopf_cycle, config)
-
-
-def test_reduced_divergence_reports_step_and_path():
-    for setup in ("blow-up", "blow-up of 3", "phase overflow"):
-        contract.check_divergence("reduced hopf", setup)
-
-
-def test_reduced_ensemble_divergence_is_the_earliest_solo_divergence():
-    contract.check_divergence("reduced hopf", "40 members", solo=False)
 
 
 def test_reconstruct_on_the_cycle_reproduces_it(hopf_cycle, hopf_frame):
@@ -745,10 +731,6 @@ def test_the_cycle_search_refuses_a_drift_not_finite_at_the_guess_up_front(
                 find_limit_cycle(system, guess)
             start = f"the drift at initial_guess {np.array(guess)} must be finite, got ["
             assert str(err.value).startswith(start)
-
-
-def test_reduced_records_are_member_major_from_row_zero():
-    contract.check_records("reduced van der pol")
 
 
 def test_the_orthogonality_error_sends_the_user_to_a_finer_grid():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from noisycycles import (
 from noisycycles import _stepkernel
 from noisycycles.sde import _CHUNK, _check_members
 
-from conftest import requires_compiler
+from conftest import numpy_loop, requires_compiler, threads
 import test_member_loops as contract
 
 TAU = 2.0 * np.pi
@@ -154,10 +155,6 @@ def test_leading_order_phase_diffuses_at_the_predicted_rate():
     assert inc.var() * len(inc) == pytest.approx(predicted, rel=0.1)
 
 
-def test_record_every_consistency():
-    contract.check_record_every("linear")
-
-
 def test_full_variant_rejects_amplitude_hitting_zero():
     p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=8.0)
     config = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=2)
@@ -209,10 +206,6 @@ def test_linear_simulator_bytes_are_pinned():
         assert digest.hexdigest()[:32] == expected, (leading, initial, every)
 
 
-def test_singular_amplitude_step_counts_across_chunks():
-    contract.check_divergence("linear", "long")
-
-
 def _traced_peak(n_steps):
     config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=1)
     tracemalloc.start()
@@ -262,10 +255,6 @@ def test_an_ensemble_reads_t_x_and_y_on_the_last_axes():
     assert one.tau.shape == (1, 1001) and one.x.shape == (1, 1001)
 
 
-def test_an_ensemble_reports_the_earliest_singular_step_and_its_lowest_path():
-    contract.check_divergence("linear", "long of 4")
-
-
 def test_a_tie_goes_to_the_lowest_path():
     with pytest.raises(SingularAmplitudeError) as caught:
         _check_members(np.array([-1, 9, 7, 7]), [0, 1, 2, 3], SingularAmplitudeError,
@@ -291,12 +280,6 @@ def test_compiled_linear_loop_is_bitwise_the_numpy_loop(leading, nsr_value, init
 
 
 @requires_compiler
-def test_simulate_hopf_linear_runs_the_compiled_loop():
-    for leading in (False, True):
-        contract.check_loop_choice(_case(leading))
-
-
-@requires_compiler
 @pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
 @pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
 def test_linear_members_are_their_solo_runs_at_any_thread_count(leading, calls):
@@ -305,12 +288,15 @@ def test_linear_members_are_their_solo_runs_at_any_thread_count(leading, calls):
         contract.check_members_at_any_thread_count(_case(leading), calls, n_paths)
 
 
-def test_linear_singular_step_across_thread_blocks_is_the_earliest_and_lowest():
-    for setup in ("8 members", "8 at zero"):
-        contract.check_divergence("linear", setup, solo=False)
-    # the leading-order variant never divides by r + z
-    at_zero = contract.CASES["linear"].divergences()["8 at zero"].config
-    contract.CASES["linear leading order"].make(1.0)(at_zero, 1, 8)
+def test_the_leading_order_variant_runs_on_from_z_equal_minus_r():
+    # the full variant is singular at step 0 of every member from there;
+    # the leading order never divides by r + z
+    at_zero = contract.DIVERGENCES["linear: 8 at zero"].config
+    run = contract.CASES["linear leading order"].make(1.0)
+    for loop in [threads(count) for count in (1, 2, 3)] + [numpy_loop()]:
+        with loop, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(run(at_zero, 1, 8)) == 8
 
 
 _RUN = """

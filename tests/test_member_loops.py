@@ -3,10 +3,11 @@
 ``integrate_ensemble``, ``simulate_reduced`` and ``simulate_hopf_linear`` run
 their members through one driver (``sde._simulate``) and, where the library
 builds, one compiled member loop (``_stepkernel._bind``) whose numpy twin is
-the reference.  Each simulator enters ``CASES`` as cases: a run, the binder it
-asks for its compiled loop and its divergence set-ups.  Each property is one
-``check_*`` function, tested here over the table; the simulators' own test
-modules call the same checks on their named examples.  A run,
+the reference.  Each simulator enters ``CASES`` as cases, a run and the binder
+it asks for its compiled loop, and ``DIVERGENCES`` as named set-ups that must
+raise.  Each property is one ``check_*`` function, tested here over the
+tables; the simulators' own test modules call the same checks on named
+examples the searches here need not draw.  A run,
 ``run(config, record_every, n_paths)``, returns its members, each a tuple of
 its records in the order of ``config.initial_state``, start in row 0.
 """
@@ -127,13 +128,6 @@ def _model(name):
     return reduce(c, build_frame(c), 0.0)
 
 
-def _unstable(c, rate, sigma, speed=1.0):
-    """A reduced model on cycle ``c`` whose deviation grows at ``rate``."""
-    m, d = c.grid_size, c.dimension - 1
-    return ReducedModel(J0=np.tile(rate * np.eye(d), (m, 1, 1)), speed=np.full(m, speed),
-                        sigma=sigma)
-
-
 # (z0 ..., tau0) of a reduced run: tau0 = -1e-300 wraps to exactly the
 # period, the tables' wrap edge; 1e4 periods wrap with a rounded remainder
 REDUCED_STARTS = {
@@ -142,103 +136,6 @@ REDUCED_STARTS = {
     "1e4 periods": lambda c, d: (-0.02,) * d + (1e4 * c.period,),
     "negative zero": lambda c, d: (-0.0,) * d + (0.37 * c.period,),
 }
-
-
-# ---------------------------------------------------------------------------
-# divergence set-ups
-
-class Divergence(NamedTuple):
-    """``run(config, 1, n_paths)`` raises ``error`` for the earliest bad ``step``
-    and the lowest ``path`` at it, with ``message`` formatted with both."""
-
-    run: Callable
-    config: IntegratorConfig
-    n_paths: Optional[int]
-    step: int
-    path: Optional[int]
-    error: type = DivergenceError
-    message: str = f"state left |y| <= {TRUST_RADIUS:g} at step {{step}}{{where}}"
-
-
-def _hopf_divergences():
-    noisy = IntegratorConfig(dt=0.08, n_steps=300, seed=3, initial_state=(1.0, 0.0))
-    # noiseless and far off the cycle: every member diverges at step 0
-    blowup = dataclasses.replace(noisy, initial_state=(30.0, 0.0))
-    run = CASES["hopf"].make
-    return {
-        # solo, members 0-7 first leave the trust region at steps 11, 9, 2,
-        # 43, 4, 11, 29, 8: the earliest is not in the first block of
-        # members, and members 0 and 5 tie on another block each
-        "8 members": Divergence(run(2.5), noisy, 8, 2, 2),
-        "7 members": Divergence(run(2.5), noisy, 7, 2, 2),
-        "2 members": Divergence(run(2.5), noisy, 2, 9, 1),
-        "blow-up of 7": Divergence(run(0.0), blowup, 7, 0, 0),
-        # member 26 leaves at step 431, past the first chunk of _CHUNK // 40 steps
-        "40 members": Divergence(run(0.8), dataclasses.replace(noisy, n_steps=600), 40, 431, 26),
-    }
-
-
-def _cubic_divergences(vectorized):
-    # 40 paths make chunks of 409 steps and no member leaves the trust
-    # region in the first one, so the scan is checked across boundaries
-    config = IntegratorConfig(dt=0.01, n_steps=900, seed=5, initial_state=(0.0,))
-    return {"40 members": Divergence(_ensemble(_cubic(0.7, vectorized)), config, 40, 853, 38)}
-
-
-def _full_noise_divergences():
-    quiet = _ensemble(_cubic(0.0, True, cubic=1.0, linear=0.0))
-    config = IntegratorConfig(dt=0.5, n_steps=200, seed=0, initial_state=(2.0,))
-    return {**_cubic_divergences(True), "blow-up": Divergence(quiet, config, None, 1, None),
-            "blow-up of 3": Divergence(quiet, config, 3, 1, 0)}
-
-
-def _reduced_divergences(name):
-    c = limit_cycle(name)
-    d = c.dimension - 1
-    noisy = _reduced(_unstable(c, 15.0, 1.0), c)
-    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=0)
-    # z grows by 1.05 per step from 1: |z| first exceeds the trust radius
-    # after step 283 (1.05^284 > 1e6 > 1.05^283), and every member with it;
-    # the run overflows long before its 16000 steps end
-    quiet = _reduced(_unstable(c, 50.0, 0.0), c)
-    on_edge = IntegratorConfig(dt=1e-3, n_steps=16000, seed=3, initial_state=(1.0,) * d + (0.0,))
-    # a phase that stops being finite: kick / speed overflows at step 0
-    tiny = _reduced(_unstable(c, -1.0, 1.0, speed=1e-320), c)
-    first = {"hopf": (982, 6, 996, 6), "3-d": (1015, 6, 981, 0)}[name]
-    return {
-        # member 6 diverges first, in the last block at 2 and at 3 threads
-        "8 members": Divergence(noisy, config, 8, *first[:2]),
-        # the earliest of 40 members is past the first chunk of 409 steps
-        "40 members": Divergence(noisy, dataclasses.replace(config, seed=8), 40, *first[2:]),
-        "blow-up": Divergence(quiet, on_edge, None, 283, None),
-        "blow-up of 3": Divergence(quiet, on_edge, 3, 283, 0),
-        "blow-up of 8": Divergence(quiet, dataclasses.replace(on_edge, n_steps=1500), 8, 283, 0),
-        "phase overflow": Divergence(tiny, on_edge, None, 0, None),
-    }
-
-
-def _linear_divergences():
-    def singular(params, config, n_paths, step, path):
-        message = ("r + z reached zero at step {step}{where}: "
-                   "the phase-speed denominator is singular")
-        run = _linear(dataclasses.replace(_LINEAR, **params), False)
-        return Divergence(run, config, n_paths, step, path, SingularAmplitudeError, message)
-
-    config = IntegratorConfig(dt=1e-3, n_steps=40_000, seed=15)
-    # from z = -r every member is singular at step 0
-    at_zero = IntegratorConfig(dt=1e-3, n_steps=100, seed=3, initial_state=(-1.0, 0.0))
-    # the first r + z <= 0 of this solo run falls in its second chunk of steps
-    long = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
-    return {
-        # member 5 meets r + z <= 0 first, in the last block at 2 and at 3
-        # threads, and a member of the first block meets it later
-        "8 members": singular(dict(sigma=1.0), config, 8, 6422, 5),
-        "member 5": singular(dict(sigma=1.0), member(config, 5), None, 6422, None),
-        "at zero": singular(dict(sigma=1.0), at_zero, None, 0, None),
-        "8 at zero": singular(dict(sigma=1.0), at_zero, 8, 0, 0),
-        "long": singular(dict(alpha0=TAU, sigma=1.2), long, None, 26168, None),
-        "long of 4": singular(dict(alpha0=TAU, sigma=1.2), long, 4, 5118, 1),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +149,7 @@ class Case(NamedTuple):
     sigmas: tuple  # the noise levels tried; the last is the default
     starts: st.SearchStrategy  # initial states
     start: tuple  # a start with signed zeros
-    compiled: bool = True  # whether the binder gives a compiled loop at the default sigma
-    twin: bool = True  # whether the drift has a compiled twin at all
-    divergences: Optional[Callable] = None  # () -> the divergence set-ups by name
+    compiled: bool = True  # whether the binder gives a compiled loop
 
     @property
     def run(self):
@@ -287,8 +182,7 @@ def _reduced_case(name, sigmas, start):
 
     starts = st.sampled_from(sorted(REDUCED_STARTS)).map(
         lambda k: REDUCED_STARTS[k](limit_cycle(name), len(start) - 1))
-    divergences = None if name == "van der pol" else functools.partial(_reduced_divergences, name)
-    return Case("reduced_loop", make, sigmas, starts, start, divergences=divergences)
+    return Case("reduced_loop", make, sigmas, starts, start)
 
 
 _LINEAR = HopfParams(alpha=TAU, alpha0=5.0, lambda_=TAU, r=1.0, sigma=0.0)
@@ -299,24 +193,20 @@ def _linear_case(leading_order):
         "linear_loop", lambda s: _linear(dataclasses.replace(_LINEAR, sigma=s), leading_order),
         (0.0, sigma_for_nsr(0.1, TAU, 1.0)), st.sampled_from([(), (0.05, 0.3), (-0.0, -0.0)]),
         (-0.0, -0.0),
-        # the leading-order variant never divides by r + z
-        divergences=None if leading_order else _linear_divergences,
     )
 
 
 CASES = {
-    "hopf": _integrator("hopf", (0.0, 0.3), (-0.0, -0.0), divergences=_hopf_divergences),
+    "hopf": _integrator("hopf", (0.0, 0.3), (-0.0, -0.0)),
     "van der pol": _integrator("van der pol", (0.0, 0.4), (-0.0, 0.0)),
     "ou-1": _integrator("ou-1", (0.0, 0.5), (-0.0,)),
     "ou-3": _integrator("ou-3", (0.0, 0.4), (-0.0, 0.0, -0.0)),
     # the numpy loop: a full noise matrix, vectorized or with a kernel's
     # drift, and a drift called one state at a time
-    "full noise": _integrator("full noise", (1.0,), (0.4, -0.0), compiled=False, twin=False,
-                              divergences=_full_noise_divergences),
+    "full noise": _integrator("full noise", (1.0,), (0.4, -0.0), compiled=False),
     "hopf full noise": _integrator("hopf full noise", (1.0,), (0.8, -0.0), compiled=False),
     "ou-3 full noise": _integrator("ou-3 full noise", (1.0,), (-0.0, 0.0, -0.0), compiled=False),
-    "row-wise": _integrator("row-wise", (1.0,), (0.4, -0.0), compiled=False, twin=False,
-                            divergences=functools.partial(_cubic_divergences, False)),
+    "row-wise": _integrator("row-wise", (1.0,), (0.4, -0.0), compiled=False),
     # van der Pol's J0 is positive at tau = 5.6: J0 (-0.0) is -0.0 there
     "reduced hopf": _reduced_case("hopf", (0.0, 0.05, 0.3), (-0.0, 0.25)),
     "reduced van der pol": _reduced_case("van der pol", (0.0, 0.05, 0.3, 0.1), (-0.0, 5.6)),
@@ -328,9 +218,140 @@ CASES = {
 _BINDERS = sorted({case.binder for case in CASES.values()})
 
 
-def _cases_of(binder, twin_only=False):
-    return [name for name, case in CASES.items()
-            if case.binder == binder and (case.twin or not twin_only)]
+def _cases_of(binder):
+    return [name for name, case in CASES.items() if case.binder == binder]
+
+
+# ---------------------------------------------------------------------------
+# divergence set-ups
+
+class Divergence(NamedTuple):
+    """``run(config, 1, n_paths)`` raises ``error`` for the earliest bad ``step``
+    and the lowest ``path`` at it, with ``message`` formatted with both.
+    The solo runs of the members ``later``, in a block before the lowest
+    path's at some thread count, diverge too, at a later step: the earliest
+    is not merely the first block's.  ``compiled`` says whether a compiled
+    loop runs the set-up where one builds."""
+
+    run: Callable
+    config: IntegratorConfig
+    n_paths: Optional[int]
+    step: int
+    path: Optional[int]
+    later: tuple = ()
+    compiled: bool = True
+    error: type = DivergenceError
+    message: str = f"state left |y| <= {TRUST_RADIUS:g} at step {{step}}{{where}}"
+
+
+def _unstable(name, rate, sigma, speed=1.0):
+    """The reduced run on cycle ``name`` of a model whose deviation grows at
+    ``rate``; the cycle is found at the first run, not at collection."""
+
+    def run(config, record_every, n_paths):
+        c = limit_cycle(name)
+        m, d = c.grid_size, c.dimension - 1
+        model = ReducedModel(J0=np.tile(rate * np.eye(d), (m, 1, 1)), speed=np.full(m, speed),
+                             sigma=sigma)
+        return _reduced(model, c)(config, record_every, n_paths)
+
+    return run
+
+
+def _hopf_divergences():
+    noisy = IntegratorConfig(dt=0.08, n_steps=300, seed=3, initial_state=(1.0, 0.0))
+    # noiseless and far off the cycle: every member diverges at step 0
+    blowup = dataclasses.replace(noisy, initial_state=(30.0, 0.0))
+    run = _ensemble(SYSTEMS["hopf"](2.5))
+    return {
+        # solo, members 0-7 first leave the trust region at steps 11, 9, 2,
+        # 43, 4, 11, 29, 8: the earliest is not in the first block of
+        # members, and members 0 and 5 tie on another block each
+        "8 members": Divergence(run, noisy, 8, 2, 2, later=(0, 1)),
+        "7 members": Divergence(run, noisy, 7, 2, 2, later=(0, 1)),
+        "2 members": Divergence(run, noisy, 2, 9, 1, later=(0,)),
+        "blow-up of 7": Divergence(_ensemble(SYSTEMS["hopf"](0.0)), blowup, 7, 0, 0),
+        # member 26 leaves at step 431, past the first chunk of _CHUNK // 40 steps
+        "40 members": Divergence(_ensemble(SYSTEMS["hopf"](0.8)),
+                                 dataclasses.replace(noisy, n_steps=600), 40, 431, 26),
+    }
+
+
+def _cubic_divergences():
+    # a 1-D cubic drift has no compiled twin: the numpy loop runs it.  40
+    # paths make chunks of 409 steps and no member leaves the trust region
+    # in the first one, so the scan is checked across boundaries
+    config = IntegratorConfig(dt=0.01, n_steps=900, seed=5, initial_state=(0.0,))
+    quiet = _ensemble(_cubic(0.0, True, cubic=1.0, linear=0.0))
+    blowup = IntegratorConfig(dt=0.5, n_steps=200, seed=0, initial_state=(2.0,))
+    return {
+        "40 members": Divergence(_ensemble(_cubic(0.7, True)), config, 40, 853, 38,
+                                 compiled=False),
+        "40 members row-wise": Divergence(_ensemble(_cubic(0.7, False)), config, 40, 853, 38,
+                                          compiled=False),
+        "blow-up": Divergence(quiet, blowup, None, 1, None, compiled=False),
+        "blow-up of 3": Divergence(quiet, blowup, 3, 1, 0, compiled=False),
+    }
+
+
+def _reduced_divergences(name):
+    d = {"hopf": 1, "3-d": 2}[name]
+    noisy = _unstable(name, 15.0, 1.0)
+    config = IntegratorConfig(dt=1e-3, n_steps=1500, seed=0)
+    # z grows by 1.05 per step from 1: |z| first exceeds the trust radius
+    # after step 283 (1.05^284 > 1e6 > 1.05^283), and every member with it;
+    # the run overflows long before its 16000 steps end
+    quiet = _unstable(name, 50.0, 0.0)
+    on_edge = IntegratorConfig(dt=1e-3, n_steps=16000, seed=3, initial_state=(1.0,) * d + (0.0,))
+    # a phase that stops being finite: kick / speed overflows at step 0
+    tiny = _unstable(name, -1.0, 1.0, speed=1e-320)
+    first = {"hopf": (982, 6, 996, 6), "3-d": (1015, 6, 981, 0)}[name]
+    return {
+        # member 6 diverges first, in the last block at 2 and at 3 threads
+        "8 members": Divergence(noisy, config, 8, *first[:2], later=(0, 1)),
+        # the earliest of 40 members is past the first chunk of 409 steps
+        "40 members": Divergence(noisy, dataclasses.replace(config, seed=8), 40, *first[2:]),
+        "blow-up": Divergence(quiet, on_edge, None, 283, None),
+        "blow-up of 3": Divergence(quiet, on_edge, 3, 283, 0),
+        "blow-up of 8": Divergence(quiet, dataclasses.replace(on_edge, n_steps=1500), 8, 283, 0),
+        "phase overflow": Divergence(tiny, on_edge, None, 0, None),
+    }
+
+
+def _linear_divergences():
+    def singular(params, config, n_paths, step, path, later=()):
+        message = ("r + z reached zero at step {step}{where}: "
+                   "the phase-speed denominator is singular")
+        run = _linear(dataclasses.replace(_LINEAR, **params), False)
+        return Divergence(run, config, n_paths, step, path, later,
+                          error=SingularAmplitudeError, message=message)
+
+    config = IntegratorConfig(dt=1e-3, n_steps=40_000, seed=15)
+    # from z = -r every member is singular at step 0
+    at_zero = IntegratorConfig(dt=1e-3, n_steps=100, seed=3, initial_state=(-1.0, 0.0))
+    # the first r + z <= 0 of this solo run falls in its second chunk of steps
+    long = IntegratorConfig(dt=1e-3, n_steps=100_000, seed=1)
+    return {
+        # member 5 meets r + z <= 0 first, in the last block at 2 and at 3
+        # threads, and member 0 of the first block meets it later
+        "8 members": singular(dict(sigma=1.0), config, 8, 6422, 5, later=(0,)),
+        "member 5": singular(dict(sigma=1.0), member(config, 5), None, 6422, None),
+        "at zero": singular(dict(sigma=1.0), at_zero, None, 0, None),
+        "8 at zero": singular(dict(sigma=1.0), at_zero, 8, 0, 0),
+        "long": singular(dict(alpha0=TAU, sigma=1.2), long, None, 26168, None),
+        "long of 4": singular(dict(alpha0=TAU, sigma=1.2), long, 4, 5118, 1, later=(0,)),
+    }
+
+
+# every divergence set-up, by "simulator: set-up"
+DIVERGENCES = {
+    f"{group}: {setup}": divergence
+    for group, setups in [("hopf", _hopf_divergences()), ("cubic", _cubic_divergences()),
+                          ("reduced hopf", _reduced_divergences("hopf")),
+                          ("reduced 3-d", _reduced_divergences("3-d")),
+                          ("linear", _linear_divergences())]
+    for setup, divergence in setups.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +403,22 @@ def check_compiled_is_numpy(name, config, record_every, n_paths, n_threads=1, si
     assert compiled == reference
 
 
-def check_divergence(name, setup, solo=True):
-    """Divergence set-up ``setup`` of case ``name`` raises the earliest
-    divergence and the lowest path at it, with the same error and message
-    at every thread count and from the numpy loop, and no warning escapes.
-    With ``solo``, the expected step and path are checked against the
-    members' solo runs."""
-    case = CASES[name]
-    run, config, n_paths, step, path, error, message = case.divergences()[setup]
-    if solo and n_paths is not None:
-        firsts = []
+def check_divergence(setup):
+    """Divergence set-up ``setup`` raises the earliest divergence and the
+    lowest path at it, with the same error and message at every thread
+    count and from the numpy loop, and no warning escapes.  The expected
+    step and path are the earliest of the members' solo runs."""
+    run, config, n_paths, step, path, later, compiled, error, message = DIVERGENCES[setup]
+    if n_paths is not None:
+        firsts = {}
         for k in range(n_paths):
             try:
                 run(member(config, k), 1, None)
             except error as err:
-                firsts.append((err.step_index, k))
-        assert min(firsts) == (step, path)
-    loops = [threads(count) for count in (1, 2, 3, 8)] if case.compiled else []
+                firsts[k] = err.step_index
+        assert min((s, k) for k, s in firsts.items()) == (step, path)
+        assert all(firsts.get(k, -1) > step for k in later)
+    loops = [threads(count) for count in (1, 2, 3, 8)] if compiled else []
     for loop in loops + [numpy_loop()]:
         with loop, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -440,15 +460,14 @@ def check_record_every(name):
         assert [tuple(a[::10].tobytes() for a in records) for records in full] == thin
 
 
-def check_loop_choice(name, compiled=None):
+def check_loop_choice(name):
     """The simulator asks its binder once and runs the compiled loop, which
-    draws its own normals, where the case has one (or ``compiled`` says so).
-    A step that does not round like float64, and a missing library, run the
-    numpy loop, which gives the bytes it gives with the library, from the
-    case's signed-zero start at each of its noise levels: at sigma = 0 every
-    kick is a signed zero, and the sign of a zero reaches the states."""
+    draws its own normals, where the case has one.  A step that does not
+    round like float64, and a missing library, run the numpy loop, which
+    gives the bytes it gives with the library, from the case's signed-zero
+    start at each of its noise levels: at sigma = 0 every kick is a signed
+    zero, and the sign of a zero reaches the states."""
     case = CASES[name]
-    compiled = case.compiled if compiled is None else compiled
     taken = []
     bind = getattr(_stepkernel, case.binder)
 
@@ -464,13 +483,16 @@ def check_loop_choice(name, compiled=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_stepkernel, case.binder, spy)
         case.run(config, 1, 3)
-        assert taken == [compiled]
+        assert taken == [case.compiled]
         with pytest.MonkeyPatch.context() as draws:
             for module in (sde, frame, hopf):
                 draws.setattr(module, "_normals", no_numpy_draws)
             for n_paths in (None, 3):
-                with contextlib.nullcontext() if compiled else pytest.raises(AssertionError):
+                if case.compiled:
                     case.run(config, 1, n_paths)
+                else:
+                    with pytest.raises(AssertionError):
+                        case.run(config, 1, n_paths)
         wide = dataclasses.replace(config, dt=np.longdouble(config.dt))
         taken.clear()
         on_library, reference = compiled_and_numpy(lambda: record_bytes(case.run(wide, 1, 3)))
@@ -516,7 +538,7 @@ def check_refusals(name):
 
 
 # ---------------------------------------------------------------------------
-# the contract over the table
+# the contract over the tables
 
 # the strategies of a run, which both searches below share
 _RUNS = dict(data=st.data(), scheme=st.sampled_from(list(Scheme)),
@@ -545,8 +567,8 @@ def test_member_is_its_solo_run(binder, data, scheme, n_paths, record_every, bey
 def test_compiled_loop_is_bitwise_the_numpy_loop(binder, data, scheme, n_paths, record_every,
                                                  beyond, n_threads):
     # signed-zero starts and sigma = 0, where every kick is a signed zero,
-    # included; a full noise matrix must keep a drift with a twin in numpy
-    name = data.draw(st.sampled_from(_cases_of(binder, twin_only=True)), label="case")
+    # included; with a full noise matrix, a library must not change the bytes
+    name = data.draw(st.sampled_from(_cases_of(binder)), label="case")
     start = data.draw(CASES[name].starts, label="start")
     sigma = data.draw(st.sampled_from(CASES[name].sigmas), label="sigma")
     config = past_a_chunk(n_paths or 1, record_every, beyond, scheme=scheme, seed=23,
@@ -562,10 +584,9 @@ def test_a_long_ensemble_draws_its_normals_as_numpy_does():
     check_compiled_is_numpy("hopf", config, 100, 40)
 
 
-@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case.divergences])
-def test_the_earliest_divergence_and_its_lowest_path_are_reported(name):
-    for setup in CASES[name].divergences():
-        check_divergence(name, setup)
+@pytest.mark.parametrize("setup", sorted(DIVERGENCES))
+def test_the_earliest_divergence_and_its_lowest_path_are_reported(setup):
+    check_divergence(setup)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -622,7 +643,7 @@ def test_the_simulators_draw_the_same_normals():
                 for module in (sde, hopf, frame):
                     mp.setattr(module, "_normals", spy)
                 reference = record_bytes(run(config, 1, n_paths))
-            if case.twin:
+            if case.compiled:
                 assert record_bytes(run(config, 1, n_paths)) == reference, (name, sigma)
             members = [np.concatenate(draws).tobytes() for draws in streams.values()]
             dim = len(members[0]) // (n_steps * 2 * 8)

