@@ -34,7 +34,8 @@ reads numpy's own tables and gives the bytes of
 only the recorded rows written.  Each ``nc_`` function supplies its step,
 which forms the increments or kicks from the normals (``sde_step``: the
 3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``: the
-reduced SDE on the state (z ..., tau); ``linear_step``: z through scipy's
+reduced SDE on the state (z ..., tau), its splines read from the gather
+tables of ``_spline_table``; ``linear_step``: z through scipy's
 ``lfilter`` recursion and tau by Euler-Maruyama), and the load and store of
 its rows: ``nc_hopf``, ``nc_van_der_pol`` and ``nc_ornstein_uhlenbeck`` run
 ``sde_step``, ``nc_phase_deviation`` runs ``phase_deviation_step`` and
@@ -272,11 +273,10 @@ static inline double remainder_of(double a, double b)
     return mod;
 }
 
-/* The k values at phase w of a spline table (frame._spline_table: five
-   rows of m + 2 columns of k values).  The column is searchsorted(knots, w,
+/* The k values at phase w of a spline table (_spline_table: five rows of
+   m + 2 columns of k values).  The column is searchsorted(knots, w,
    "right") over the m + 1 sorted knots, the count of knots <= w, which puts
-   NaN in the last column; it is never out of range, so take(mode="clip")
-   clips nothing.  Every value of a column shares its left knot. */
+   NaN in the last column.  Every value of a column shares its left knot. */
 static inline void spline(const double *table, const double *knots, int64_t m, int64_t k,
                           double w, double *out)
 {
@@ -638,19 +638,41 @@ def loop_for(system, rk15, offsets, constants) -> Optional[Callable]:
                  ks.coefs, n, rk15, np.diag(S), offsets, constants)
 
 
-def reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust) -> Optional[Callable]:
+def _spline_table(spline) -> np.ndarray:
+    """The coefficients of a periodic ``CubicSpline`` on the knots (grid ...,
+    period) as the gather table ``spline()`` reads, of shape (5, m + 2, k),
+    k values per sample.
+
+    Column r = searchsorted(knots, w, "right") serves the phase w: row 0
+    holds the left knot of interval r - 1 and rows 1-4 hold its
+    coefficients 0.0 + c3, c2, c1, c0, in the order the spline adds them
+    up.  Column m + 1 repeats interval 0 with the left knot ``period``: the
+    spline wraps w == period to 0, which gives interval 0 and s = 0, and a
+    NaN phase lands there too.  Column 0 is never selected because the grid
+    starts at 0.
+    """
+    knots = spline.x
+    m = knots.size - 1
+    c = spline.c.reshape(4, m, -1)
+    table = np.empty((5, m + 2, c.shape[2]))
+    table[0, 1:m + 1] = knots[:-1, None]
+    table[1, 1:m + 1] = 0.0 + c[3]
+    table[2:, 1:m + 1] = c[2::-1]
+    table[:, [0, m + 1]] = table[:, 1:2]
+    table[0, m + 1] = knots[-1]
+    return table
+
+
+def reduced_loop(j0, speed, period, h, kick_scale, trust) -> Optional[Callable]:
     """The compiled member loop of ``frame.simulate_reduced`` on the
     arguments of its numpy loop, ``frame._reduced_loop``, or None for that
-    loop.  The tables must agree in shape with ``knots``; the records are
-    tau (P, rows) and z (P, rows, d), for a J0 table of d * d values a
-    column.
+    loop: the periodic splines of J0 and the speed, on the same knots.  The
+    records are tau (P, rows) and z (P, rows, d), for a d x d J0.
     """
-    m = np.size(knots) - 1
-    d = math.isqrt(np.shape(j0_table)[2])
-    if np.shape(j0_table) != (5, m + 2, d * d) or np.shape(speed_table) != (5, m + 2, 1):
-        raise ValueError("the reduced loop got tables of mismatched shapes")
-    return _bind("phase_deviation", d * d + 4 * d + 4, [(), (d,)],
-                 knots, m, j0_table, speed_table, d, (period, h, kick_scale, trust))
+    j0_table = _spline_table(j0)
+    d = math.isqrt(j0_table.shape[2])
+    return _bind("phase_deviation", d * d + 4 * d + 4, [(), (d,)], j0.x, j0.x.size - 1,
+                 j0_table, _spline_table(speed), d, (period, h, kick_scale, trust))
 
 
 def linear_loop(leading_order, terms) -> Optional[Callable]:

@@ -167,12 +167,13 @@ def _config_defaults(path, parser, options):
         if value is None or dest not in actions:
             continue
         action = actions[dest]
-        if action.type is not None:
-            try:
-                value = action.type(str(value))
-            except ValueError:
-                parser.error(f"{path}: invalid {action.type.__name__} value {value!r} "
-                             f"for config key {key!r}")
+        # a flag without a type reads the text, as argparse does
+        convert = action.type or str
+        try:
+            value = convert(str(value))
+        except ValueError:
+            parser.error(f"{path}: invalid {convert.__name__} value {value!r} "
+                         f"for config key {key!r}")
         if action.choices is not None and value not in action.choices:
             parser.error(f"{path}: config key {key!r} must be one of "
                          f"{', '.join(map(repr, action.choices))}, got {value!r}")

@@ -66,11 +66,17 @@ def _read_table(path):
             labels = tuple(field.strip() for field in header.split(","))
             try:
                 data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            except UnicodeDecodeError:
+                raise  # reported below, wherever the byte is
             except ValueError as exc:
                 # numpy's message carries the row/column of the bad cell
                 raise ConfigError(f"{path}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: the table must be ASCII, and it holds the byte 0x{exc.object[exc.start]:02x}"
+        ) from None
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no data rows")
     if data.shape[1] != len(labels):
@@ -139,6 +145,8 @@ def read_curve(path, xlabel=None, ylabel=None):
     first two columns are used.
     """
     labels, data = _read_table(path)
+    if data.shape[1] < 2:
+        raise ConfigError(f"{path}: a curve needs an x and a y column, got only {labels}")
 
     def column(name, default_index):
         if name is None:

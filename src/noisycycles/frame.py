@@ -502,71 +502,22 @@ def reduce(cycle: CycleParameterization, frame: ComovingFrame, sigma) -> Reduced
     return ReducedModel(J0=j0, speed=cycle.speed.copy(), sigma=float(sigma))
 
 
-def _spline_table(grid, values, period) -> np.ndarray:
-    """The coefficients of ``_periodic_spline(grid, values, period)`` as a
-    gather table of shape (5, m + 2, k), k values per sample.
-
-    Column r = searchsorted(knots, w, "right"), knots = (grid ..., period),
-    serves the phase w: row 0 holds the left knot of interval r - 1 and
-    rows 1-4 hold its coefficients 0.0 + c3, c2, c1, c0, in the order the
-    spline adds them up.  Column m + 1 repeats interval 0 with the left knot
-    ``period``: the spline wraps w == period to 0, which gives interval 0
-    and s = 0, and a NaN phase lands there too.  Column 0 is never selected
-    because the grid starts at 0.
-    """
-    c = _periodic_spline(grid, values, period).c
-    m = c.shape[1]
-    c = c.reshape(4, m, -1)
-    table = np.empty((5, m + 2, c.shape[2]))
-    table[0, 1:m + 1] = grid[:, None]
-    table[1, 1:m + 1] = 0.0 + c[3]
-    table[2:, 1:m + 1] = c[2::-1]
-    table[:, [0, m + 1]] = table[:, 1:2]
-    table[0, m + 1] = period
-    return table
-
-
-def _evaluator(table, knots, out):
-    """A function of wrapped phases w, of shape out.shape[:-1], that writes
-    the spline values from a :func:`_spline_table` into ``out``.
-
-    The sum runs (((0 + c3) + c2 s) + c1 s^2) + c0 s^3 with s = w - knot,
-    s^2 = s s and s^3 = s^2 s, which is scipy's evaluation step for step.
-    All scratch is allocated here, so a call makes no new arrays but the
-    interval indices.
-    """
-    gathered = np.empty((5,) + out.shape)
-    powers = np.ones((4,) + out.shape)  # 1, s, s^2, s^3
-    left, rows = gathered[0], gathered[1:]
-    s, s2, s3 = powers[1:]
-    find, take = knots.searchsorted, table.take
-    multiply, subtract, total = np.multiply, np.subtract, np.add.reduce
-
-    def evaluate(w):
-        take(find(w, "right"), axis=1, out=gathered, mode="clip")
-        subtract(w[..., None], left, out=s)
-        multiply(s, s, out=s2)
-        multiply(s2, s, out=s3)
-        multiply(rows, powers, out=rows)
-        total(rows, axis=0, out=out)
-
-    return evaluate
-
-
-def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust):
+def _reduced_loop(j0, speed, period, h, kick_scale, trust):
     """The numpy loop of :func:`simulate_reduced`, the reference for
-    ``_stepkernel.reduced_loop``: built from the same arguments, called the
-    same way, with the same results.
+    ``_stepkernel.reduced_loop``: built from the same arguments, the
+    periodic splines of J0 and the speed among them, called the same way,
+    with the same results.
 
     All paths advance in lock step, one chunk of steps at a time
     (``sde._chunks``), from the chunk's normals (``sde._normals``).  The
     phase recursion does not read z, so a chunk first advances tau for all
-    its steps, then evaluates J0 at all the stored phases at once, then
-    advances z, summing J0 z over the columns of J0 from the first upwards.
-    At the first chunk step where some path diverges, the loop gives that
-    step to each path that diverges there and stops.
+    its steps, calling the speed's spline once a step, then calls J0's at
+    all the stored phases at once, then advances z, summing J0 z over the
+    columns of J0 from the first upwards.  At the first chunk step where
+    some path diverges, the loop gives that step to each path that diverges
+    there and stops.
     """
-    add, divide, mod, multiply = np.add, np.divide, np.mod, np.multiply
+    add, mod, multiply = np.add, np.mod, np.multiply
 
     def loop(tau_out, z_out, record_every, n_steps, rngs):
         p, _, d = z_out.shape
@@ -575,9 +526,6 @@ def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust):
         # -0.0 start deviation into +0.0; adding +0.0 once here keeps every
         # value, as no later state can be -0.0
         z = z_out[:, 0] + 0.0
-        speed = np.empty((p, 1))
-        speed_at = _evaluator(speed_table, knots, speed)
-        noise = speed[:, 0]  # overwritten with kick / speed each step
         drift = np.empty((p, d))
         term = np.empty((p, d))
         for done, span in _chunks(n_steps, p):
@@ -588,13 +536,9 @@ def _reduced_loop(knots, j0_table, speed_table, period, h, kick_scale, trust):
             wrapped = np.empty((span, p))  # kept for J0
             for i in range(span):
                 w = mod(tau, period, out=wrapped[i])
-                speed_at(w)
-                divide(phase_kick[i], noise, out=noise)
                 tau = add(tau, h, out=taus[i])
-                add(tau, noise, out=tau)
-            J = np.empty((span, p, d * d))
-            _evaluator(j0_table, knots, J)(wrapped)
-            J = J.reshape(span, p, d, d).transpose(3, 0, 1, 2)  # J[j, i]: column j
+                add(tau, phase_kick[i] / speed(w), out=tau)
+            J = j0(wrapped).transpose(3, 0, 1, 2)  # J[j, i]: column j
             for i in range(span):
                 # J z = sum_j J[:, :, j] z_j, from j = 0 upwards
                 multiply(J[0, i], z[:, :1], out=drift)
@@ -636,20 +580,21 @@ def simulate_reduced(
     are state dependent, which the derivative-free strong scheme does not
     cover.
 
-    The splines are not called per step.  Their coefficients are laid out
-    once in a gather table (``_spline_table``), and a phase w picks its
-    interval with ``searchsorted`` and sums the cubic in s = w - knot with
-    the operations, in the order, of scipy's periodic ``PPoly`` evaluation,
-    so every value equals the spline's bit for bit.  The records are
-    member-major, (P, N+1) and (P, N+1, n-1), with the start in row 0, from
-    the member driver of all three simulators (``sde._simulate``).  The
-    members run in the compiled loop of ``_stepkernel.reduced_loop``: each
-    member runs all its steps, draws its own kicks from its generator one
-    step at a time, and writes its recorded rows, and contiguous blocks of
-    members run in one thread per CPU.  It makes the same floating-point operations in the same order as
-    the numpy loop (``_reduced_loop``), which advances all members in lock
-    step.  The numpy loop is the reference, and it runs instead, with the
-    same results, where the loop cannot be compiled.
+    The records are member-major, (P, N+1) and (P, N+1, n-1), with the
+    start in row 0, from the member driver of all three simulators
+    (``sde._simulate``).  The members run in the compiled loop of
+    ``_stepkernel.reduced_loop``: each member runs all its steps, draws its
+    own kicks from its generator one step at a time, and writes its
+    recorded rows, and contiguous blocks of members run in one thread per
+    CPU.  That loop does not call the splines: their coefficients are laid
+    out once in a gather table (``_stepkernel._spline_table``), and a phase
+    w picks its interval by binary search and sums the cubic in s = w -
+    knot with the operations, in the order, of scipy's periodic ``PPoly``
+    evaluation.  So it makes the same floating-point operations in the
+    same order as the numpy loop (``_reduced_loop``), which calls the
+    splines and advances all members in lock step.  The numpy loop is the
+    reference, and it runs instead, with the same results, where the loop
+    cannot be compiled.
 
     ``config.initial_state`` is (z0 ..., tau0), defaulting to (0, ..., 0):
     on the cycle at phase zero.  With ``n_paths`` set, member k uses
@@ -683,12 +628,11 @@ def simulate_reduced(
     z_init, tau_init = _phase_initial(config.initial_state, n)
 
     period = cycle.period
-    knots = np.append(cycle.grid, period)
-    j0_table = _spline_table(cycle.grid, model.J0, period)
-    speed_table = _spline_table(cycle.grid, model.speed, period)
+    j0 = _periodic_spline(cycle.grid, model.J0, period)
+    speed = _periodic_spline(cycle.grid, model.speed, period)
     h = config.dt
-    tables = (knots, j0_table, speed_table, period, h, model.sigma * np.sqrt(h), TRUST_RADIUS)
-    loop = _stepkernel.reduced_loop(*tables) or _reduced_loop(*tables)
+    args = (j0, speed, period, h, model.sigma * np.sqrt(h), TRUST_RADIUS)
+    loop = _stepkernel.reduced_loop(*args) or _reduced_loop(*args)
     # a diverging path overflows before its divergence is reported, which
     # must not surface as a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -144,27 +144,41 @@ def test_decompose_through_config_file(tmp_path):
     assert len(lines) == 513
 
 
-def test_unknown_config_key_exits_one(tmp_path, capsys):
+def test_unknown_config_key_exits_one(tmp_path, capsys, monkeypatch):
+    decompose = ("decompose", "--system", "hopf", "--output", str(tmp_path / "x.csv"))
+
     def decompose_with(cfg):
-        return _call(
-            "--config", str(cfg), "decompose", "--system", "hopf",
-            "--output", str(tmp_path / "x.csv"),
-        )
+        return _call("--config", str(cfg), *decompose)
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid-size": 128, "bogus": 1}))
     assert decompose_with(cfg) == 1
     assert "unknown config key" in capsys.readouterr().err
-    # values go through the flag's own type and choices, as on the command line
-    for doc, message in [
-        ({"grid-size": "abc"}, "invalid int value 'abc' for config key 'grid-size'"),
-        ({"grid-size": 2.5}, "invalid int value 2.5 for config key 'grid-size'"),
-        ({"mu": True}, "invalid float value True for config key 'mu'"),
+    # values go through the flag's own type and choices, as on the command
+    # line; a flag without a type reads the value's text
+    simulate = ("simulate", "--model", "hopf-exact", "--steps", "10",
+                "--output", str(tmp_path / "y.csv"))
+    formula = ("formula", "--template", "acv", "--nsr", "0.1")
+    monkeypatch.chdir(tmp_path)
+    for argv, doc, message in [
+        (decompose, {"grid-size": "abc"},
+         f"{cfg}: invalid int value 'abc' for config key 'grid-size'"),
+        (decompose, {"grid-size": 2.5}, f"{cfg}: invalid int value 2.5 for config key 'grid-size'"),
+        (decompose, {"mu": True}, f"{cfg}: invalid float value True for config key 'mu'"),
+        (simulate, {"initial": [1.0, 0.0]},
+         "--initial expects comma separated numbers, got '[1.0, 0.0]'"),
+        # the text "5" names an output file, which the run writes
+        (formula, {"output": 5}, None),
     ]:
         cfg.write_text(json.dumps(doc))
-        assert decompose_with(cfg) == 1
+        code = _call("--config", str(cfg), *argv)
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == f"noisycycles: error: {cfg}: {message}"
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err.splitlines()[-1] == f"noisycycles: error: {message}"
+    assert (tmp_path / "5").read_text().startswith("lag,acv\n")
     cfg.write_text(json.dumps({"system": "lorenz"}))
     assert _call("--config", str(cfg), "decompose", "--output", str(tmp_path / "x.csv")) == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
@@ -414,6 +428,27 @@ def test_missing_input_exits_one(tmp_path, capsys):
         "--max-lag", "1",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    # a UTF-8 byte-order mark, and a micro sign in a data row
+    (("analyze", "--what", "kurtosis"), b"\xef\xbb\xbft,x\n0,1\n0.1,2\n",
+     "the table must be ASCII, and it holds the byte 0xef"),
+    (("analyze", "--what", "kurtosis"), "t,x\n0,1\n0.1,2\u00b5\n".encode(),
+     "the table must be ASCII, and it holds the byte 0xc2"),
+    # the micro sign past the first 8 KiB, which numpy's reader decodes
+    (("analyze", "--what", "kurtosis"), ("t,x\n" + "0,1\n" * 3000 + "0.1,2\u00b5\n").encode(),
+     "the table must be ASCII, and it holds the byte 0xc2"),
+    (("fit", "--target", "acv"), b"lag\n0\n1\n",
+     "a curve needs an x and a y column, got only ('lag',)"),
+], ids=["byte-order mark", "non-ascii short", "non-ascii long", "one-column curve"])
+def test_a_table_the_command_cannot_read_exits_one(tmp_path, capsys, argv, text, message):
+    p = tmp_path / "f.csv"
+    p.write_bytes(text)
+    assert _call(*argv, "--input", str(p)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == f"noisycycles {argv[0]}: error: {p}: {message}"
 
 
 def test_fit_round_trip_through_files(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from noisycycles import (
     ConfigError,
@@ -25,7 +24,6 @@ from noisycycles import (
     find_limit_cycle,
     hopf_system,
     ornstein_uhlenbeck,
-    path_seed,
     reconstruct,
     reduce,
     sigma_for_nsr,
@@ -36,11 +34,11 @@ from noisycycles import (
 from noisycycles import _stepkernel
 from noisycycles import frame as frame_module
 from noisycycles.frame import (
-    _ESCAPE_RADIUS, _evaluator, _nearest_orthogonal, _periodic_spline, _spline_table,
+    _ESCAPE_RADIUS, _nearest_orthogonal, _periodic_spline,
 )
-from noisycycles.sde import _CHUNK, TRUST_RADIUS, _generator
+from noisycycles.sde import TRUST_RADIUS
 
-from conftest import compiled_and_numpy, numpy_loop, requires_compiler
+from conftest import numpy_loop, requires_compiler
 import test_member_loops as contract
 
 TAU = 2.0 * np.pi
@@ -501,60 +499,6 @@ def test_reduced_ensemble_member_equals_solo_run():
     contract.check_member_is_solo("reduced hopf", config, 1, 4, 2)
 
 
-def _spline_loop(model, cycle, config, record_every=1, n_paths=None):
-    """simulate_reduced as written before it evaluated coefficient tables:
-    two periodic CubicSpline calls per step."""
-    n = cycle.dimension
-    d = n - 1
-    if len(config.initial_state) == 0:
-        z_init = np.zeros(d)
-        tau_init = 0.0
-    else:
-        z_init = np.asarray(config.initial_state[:d], dtype=float)
-        tau_init = float(config.initial_state[-1])
-
-    def spline(values):
-        t = np.concatenate([cycle.grid, [cycle.period]])
-        v = np.concatenate([values, values[:1]], axis=0)
-        return CubicSpline(t, v, axis=0, bc_type="periodic")
-
-    j0_sp = spline(model.J0)
-    speed_sp = spline(model.speed)
-    single = n_paths is None
-    p = 1 if single else n_paths
-    seeds = [config.seed] if single else [path_seed(config.seed, k) for k in range(p)]
-    rngs = [_generator(s) for s in seeds]
-    h = config.dt
-    sq = np.sqrt(h)
-    sig = model.sigma
-    n_steps = config.n_steps
-    n_rec = n_steps // record_every
-    tau_out = np.empty((p, n_rec + 1))
-    z_out = np.empty((p, n_rec + 1, d))
-    tau = np.full(p, tau_init)
-    z = np.tile(z_init, (p, 1))
-    tau_out[:, 0] = tau
-    z_out[:, 0] = z
-    done = 0
-    while done < n_steps:
-        span = min(_CHUNK, n_steps - done)
-        xi = np.stack(
-            [rng.standard_normal((span, n, 2))[..., 0] for rng in rngs], axis=1
-        )
-        for i in range(span):
-            wrapped = np.mod(tau, cycle.period)
-            z = z + h * np.einsum("pij,pj->pi", j0_sp(wrapped), z) + (sig * sq) * xi[i, :, :d]
-            tau = tau + h + (sig * sq) * xi[i, :, d] / speed_sp(wrapped)
-            k = done + i + 1
-            if k % record_every == 0:
-                tau_out[:, k // record_every] = tau
-                z_out[:, k // record_every] = z
-        done += span
-    if single:
-        return tau_out[0], z_out[0]
-    return tau_out, z_out
-
-
 @pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
 def test_coefficient_table_is_bitwise_the_spline(request, cycle_name):
     cycle = request.getfixturevalue(cycle_name)
@@ -567,63 +511,16 @@ def test_coefficient_table_is_bitwise_the_spline(request, cycle_name):
         np.nextafter(cycle.grid, -1.0)[1:],
         [np.nextafter(period, 0.0), np.mod(-1e-300, period)],  # the last is period
     ])
-    knots = np.append(cycle.grid, period)
     for values in (model.J0, model.speed):
-        want = _periodic_spline(cycle.grid, values, period)(w)
-        got = np.empty((w.size, want[0].size))
-        _evaluator(_spline_table(cycle.grid, values, period), knots, got)(w)
+        spline = _periodic_spline(cycle.grid, values, period)
+        want = spline(w).reshape(w.size, -1)
+        # the C spline(): the column searchsorted(knots, w, "right") and
+        # ((c3 * 1.0 + c2 s) + c1 s^2) + c0 s^3 with s = w - knot
+        col = _stepkernel._spline_table(spline)[:, spline.x.searchsorted(w, "right")]
+        s = (w - col[0, :, 0])[:, None]
+        s2 = s * s
+        got = ((col[1] * 1.0 + col[2] * s) + col[3] * s2) + col[4] * (s2 * s)
         assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize(
-    "cycle_name, sigma, n_paths, n_steps, record_every, initial",
-    [
-        ("hopf_cycle", 0.3, None, 600, 1, ()),
-        ("hopf_cycle", 0.0, 8, 2100, 7, (0.1, 1.0e4)),
-        ("vdp_cycle", 0.1, 1, 600, 5, (0.0, -1.0e-300)),
-        ("vdp_cycle", 0.1, 8, 2100, 3, (0.05, 0.37)),
-        ("cycle_3d", 0.2, None, 600, 1, (0.05, -0.02, -1.0e-300)),
-        ("cycle_3d", 0.2, 8, 2100, 3, (-0.1, 0.02, 2.5)),
-    ],
-)
-def test_reduced_run_is_bitwise_the_spline_loop(
-    request, cycle_name, sigma, n_paths, n_steps, record_every, initial
-):
-    # tau0 = -1e-300 wraps to exactly the period, the spline's wrap edge;
-    # 2100 steps at 8 paths cross the first chunk of _CHUNK // 8 steps,
-    # which record_every = 3 and 7 do not divide; sigma = 0 gives signed zeros
-    cycle = request.getfixturevalue(cycle_name)
-    model = reduce(cycle, build_frame(cycle), sigma)
-    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=29, initial_state=initial)
-    want = _spline_loop(model, cycle, config, record_every, n_paths)
-    for got in compiled_and_numpy(
-        lambda: simulate_reduced(model, cycle, config, record_every, n_paths)
-    ):
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-
-
-@pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
-@pytest.mark.parametrize("n_paths", [None, 8])
-def test_reduced_run_from_negative_zero_is_bitwise_the_spline_loop(
-    request, cycle_name, n_paths
-):
-    # sigma = 0 keeps every kick a signed zero, so z stays zero; the old loop
-    # summed J0 z from +0.0, which turns the -0.0 start into +0.0 where a sum
-    # of the products alone would keep -0.0.  J0 has a positive entry at the
-    # start phase, where J0 (-0.0) is -0.0.
-    cycle = request.getfixturevalue(cycle_name)
-    model = reduce(cycle, build_frame(cycle), 0.0)
-    d = cycle.dimension - 1
-    tau0 = cycle.grid[np.argmax(model.J0.reshape(cycle.grid_size, -1).max(axis=1))]
-    config = IntegratorConfig(
-        dt=1e-3, n_steps=600, seed=31, initial_state=(-0.0,) * d + (tau0,)
-    )
-    want = _spline_loop(model, cycle, config, 1, n_paths)
-    for got in compiled_and_numpy(lambda: simulate_reduced(model, cycle, config, 1, n_paths)):
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert np.signbit(got[1][..., 0, :]).all()
 
 
 @requires_compiler
@@ -639,6 +536,29 @@ def test_compiled_reduced_loop_is_bitwise_the_numpy_loop():
                                        initial_state=initial)
         contract.check_compiled_is_numpy(f"reduced {name}", config, record_every, n_paths,
                                          sigma=sigma)
+    # starts off the contract's: tau0 = 1e4 is no whole number of periods;
+    # 2100 steps at 8 paths cross the first chunk of _CHUNK // 8 steps, which
+    # record_every = 3 and 7 do not divide
+    for name, sigma, record_every, initial in [
+        ("hopf", 0.0, 7, (0.1, 1.0e4)),
+        ("van der pol", 0.1, 3, (0.05, 0.37)),
+        ("3-d", 0.2, 3, (-0.1, 0.02, 2.5)),
+    ]:
+        config = IntegratorConfig(dt=1e-3, n_steps=2100, seed=29, initial_state=initial)
+        contract.check_compiled_is_numpy(f"reduced {name}", config, record_every, 8, sigma=sigma)
+    # at sigma = 0 every kick is a signed zero; J0 has a positive entry at the
+    # start phase, where J0 (-0.0) is -0.0, which a sum of J0 z from +0.0
+    # would turn into +0.0
+    for name in ("van der pol", "3-d"):
+        c, case = contract.limit_cycle(name), contract.CASES[f"reduced {name}"]
+        J0 = reduce(c, build_frame(c), 0.0).J0
+        tau0 = c.grid[np.argmax(J0.reshape(c.grid_size, -1).max(axis=1))]
+        config = IntegratorConfig(dt=1e-3, n_steps=600, seed=31,
+                                  initial_state=(-0.0,) * (c.dimension - 1) + (tau0,))
+        for n_paths in (None, 8):
+            contract.check_compiled_is_numpy(f"reduced {name}", config, 1, n_paths, sigma=0.0)
+            for z, _ in case.make(0.0)(config, 1, n_paths):
+                assert np.signbit(z[0]).all()
 
 
 def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monkeypatch):
@@ -649,12 +569,11 @@ def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monke
         return [a.tobytes() for a in simulate_reduced(model, vdp_cycle, config, n_paths=5)]
 
     expected = run()
-    knots = np.append(vdp_cycle.grid, vdp_cycle.period)
-    table = _spline_table(vdp_cycle.grid, model.speed, vdp_cycle.period)
+    speed = _periodic_spline(vdp_cycle.grid, model.speed, vdp_cycle.period)
     kick = 0.1 * np.sqrt(1e-3)
 
     def compiled(h, kick_scale):
-        return _stepkernel.reduced_loop(knots, table, table, vdp_cycle.period, h, kick_scale,
+        return _stepkernel.reduced_loop(speed, speed, vdp_cycle.period, h, kick_scale,
                                         TRUST_RADIUS)
 
     # a step or a kick scale that numpy would not round as float64 keeps

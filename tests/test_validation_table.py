@@ -2,7 +2,8 @@
 on stubbed checks: the real suite takes the better part of a minute."""
 
 from noisycycles import validation
-from noisycycles.validation import CriterionResult
+from noisycycles.cli import run as cli_run
+from noisycycles.validation import NINO_ENV_VAR, CriterionResult
 
 # the names `noisycycles validate` prints, by index
 _NAMES = [
@@ -54,3 +55,26 @@ def test_run_all_reports_a_raising_check_by_its_index_and_name(monkeypatch):
         CriterionResult(3, "cheap skip", False, "no file at series.csv", skipped=True),
     ]
     assert all(type(row.passed) is bool for row in rows)
+
+
+def test_a_named_nino_file_that_cannot_be_read_fails_check_11(tmp_path, monkeypatch, capsys):
+    # the real check alone: only a run with no file named skips it
+    monkeypatch.setattr(validation, "_CRITERIA", [
+        (11, "sea-surface index reproduction", validation.check_nino_reproduction)])
+    skipped = [CriterionResult(
+        11, "sea-surface index reproduction", False,
+        f"monthly Nino 3.4 anomaly file not provided (set ${NINO_ENV_VAR} to enable)",
+        skipped=True)]
+    monkeypatch.delenv(NINO_ENV_VAR, raising=False)
+    assert validation.run_all() == skipped
+    monkeypatch.setenv(NINO_ENV_VAR, "")
+    assert validation.run_all() == skipped
+    typo = tmp_path / "typo.csv"
+    failed = CriterionResult(11, "sea-surface index reproduction", False,
+                             f"raised ConfigError: cannot read {typo}: [Errno 2] "
+                             f"No such file or directory: '{typo}'")
+    assert validation.run_all(nino_path=str(typo)) == [failed]
+    monkeypatch.setenv(NINO_ENV_VAR, str(typo))
+    assert validation.run_all() == [failed]
+    assert cli_run(["validate", "--nino", str(typo)]) == 1
+    assert "FAIL" in capsys.readouterr().out
