@@ -38,7 +38,7 @@ from noisycycles.frame import (
 )
 from noisycycles.sde import TRUST_RADIUS
 
-from conftest import numpy_loop, requires_compiler
+from conftest import compiled_and_numpy, numpy_loop, requires_compiler
 import test_member_loops as contract
 
 TAU = 2.0 * np.pi
@@ -523,6 +523,57 @@ def test_coefficient_table_is_bitwise_the_spline(request, cycle_name):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "cycle_name, sigma, n_paths, n_steps, record_every, initial",
+    [
+        ("hopf_cycle", 0.3, None, 600, 1, ()),
+        ("hopf_cycle", 0.0, 8, 2100, 7, (0.1, 1.0e4)),
+        ("vdp_cycle", 0.1, 1, 600, 5, (0.0, -1.0e-300)),
+        ("vdp_cycle", 0.1, 8, 2100, 3, (0.05, 0.37)),
+        ("cycle_3d", 0.2, None, 600, 1, (0.05, -0.02, -1.0e-300)),
+        ("cycle_3d", 0.2, 8, 2100, 3, (-0.1, 0.02, 2.5)),
+    ],
+)
+def test_reduced_run_is_bitwise_the_spline_loop(
+    request, cycle_name, sigma, n_paths, n_steps, record_every, initial
+):
+    # tau0 = -1e-300 wraps to exactly the period, the spline's wrap edge;
+    # tau0 = 1e4 is no whole number of periods; 2100 steps at 8 paths cross
+    # the first chunk of _CHUNK // 8 steps, which record_every = 3 and 7 do
+    # not divide; sigma = 0 gives signed zeros
+    cycle = request.getfixturevalue(cycle_name)
+    model = reduce(cycle, build_frame(cycle), sigma)
+    config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=29, initial_state=initial)
+    # the numpy loop, frame._reduced_loop, calls the two periodic CubicSplines
+    compiled, spline_loop = compiled_and_numpy(
+        lambda: simulate_reduced(model, cycle, config, record_every, n_paths)
+    )
+    assert [a.tobytes() for a in compiled] == [a.tobytes() for a in spline_loop]
+
+
+@pytest.mark.parametrize("cycle_name", ["vdp_cycle", "cycle_3d"])
+@pytest.mark.parametrize("n_paths", [None, 8])
+def test_reduced_run_from_negative_zero_is_bitwise_the_spline_loop(
+    request, cycle_name, n_paths
+):
+    # sigma = 0 keeps every kick a signed zero, so z stays zero; J0 has a
+    # positive entry at the start phase, where J0 (-0.0) is -0.0, which a sum
+    # of J0 z from +0.0 turns into +0.0 where a sum of the products alone
+    # would keep -0.0
+    cycle = request.getfixturevalue(cycle_name)
+    model = reduce(cycle, build_frame(cycle), 0.0)
+    d = cycle.dimension - 1
+    tau0 = cycle.grid[np.argmax(model.J0.reshape(cycle.grid_size, -1).max(axis=1))]
+    config = IntegratorConfig(
+        dt=1e-3, n_steps=600, seed=31, initial_state=(-0.0,) * d + (tau0,)
+    )
+    compiled, spline_loop = compiled_and_numpy(
+        lambda: simulate_reduced(model, cycle, config, 1, n_paths)
+    )
+    assert [a.tobytes() for a in compiled] == [a.tobytes() for a in spline_loop]
+    assert np.signbit(compiled[1][..., 0, :]).all()
+
+
 @requires_compiler
 def test_compiled_reduced_loop_is_bitwise_the_numpy_loop():
     for name, n_paths, record_every, beyond, sigma, start in [
@@ -536,29 +587,6 @@ def test_compiled_reduced_loop_is_bitwise_the_numpy_loop():
                                        initial_state=initial)
         contract.check_compiled_is_numpy(f"reduced {name}", config, record_every, n_paths,
                                          sigma=sigma)
-    # starts off the contract's: tau0 = 1e4 is no whole number of periods;
-    # 2100 steps at 8 paths cross the first chunk of _CHUNK // 8 steps, which
-    # record_every = 3 and 7 do not divide
-    for name, sigma, record_every, initial in [
-        ("hopf", 0.0, 7, (0.1, 1.0e4)),
-        ("van der pol", 0.1, 3, (0.05, 0.37)),
-        ("3-d", 0.2, 3, (-0.1, 0.02, 2.5)),
-    ]:
-        config = IntegratorConfig(dt=1e-3, n_steps=2100, seed=29, initial_state=initial)
-        contract.check_compiled_is_numpy(f"reduced {name}", config, record_every, 8, sigma=sigma)
-    # at sigma = 0 every kick is a signed zero; J0 has a positive entry at the
-    # start phase, where J0 (-0.0) is -0.0, which a sum of J0 z from +0.0
-    # would turn into +0.0
-    for name in ("van der pol", "3-d"):
-        c, case = contract.limit_cycle(name), contract.CASES[f"reduced {name}"]
-        J0 = reduce(c, build_frame(c), 0.0).J0
-        tau0 = c.grid[np.argmax(J0.reshape(c.grid_size, -1).max(axis=1))]
-        config = IntegratorConfig(dt=1e-3, n_steps=600, seed=31,
-                                  initial_state=(-0.0,) * (c.dimension - 1) + (tau0,))
-        for n_paths in (None, 8):
-            contract.check_compiled_is_numpy(f"reduced {name}", config, 1, n_paths, sigma=0.0)
-            for z, _ in case.make(0.0)(config, 1, n_paths):
-                assert np.signbit(z[0]).all()
 
 
 def test_without_a_compiler_the_reduced_loop_is_numpy(vdp_cycle, tmp_path, monkeypatch):
