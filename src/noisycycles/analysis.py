@@ -25,7 +25,6 @@ which are each other's Fourier transforms under the convention above.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,8 @@ from .exceptions import (
     ConfigError,
     DegenerateSampleError,
     DegenerateSpectrumError,
+    _require_count,
+    _require_real,
 )
 from .hopf import HopfParams, _nsr_of
 
@@ -98,10 +99,8 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
         raise ConfigError(f"series must be 1-D and nonempty, got shape {x.shape}")
     _require_finite_samples(x, "series")
     n = x.size
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
-    if not (max_lag >= 0.0 and np.isfinite(max_lag)):
-        raise ConfigError(f"max_lag must be finite and >= 0, got {max_lag}")
+    _require_real("dt", dt)
+    _require_real("max_lag", max_lag, zero=True)
     k_max = int(np.floor(max_lag / dt + 1e-9))
     if max_lag > n * dt / 2.0:
         raise ConfigError(
@@ -125,8 +124,7 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
     if arr.size == 0 or arr.shape[0] == 0:
         raise ConfigError("at least one path is required")
     _require_finite_samples(arr, "paths")
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    _require_real("dt", dt)
     n = arr.shape[1]
     centred = arr - arr.mean(axis=1, keepdims=True)
     pgram = np.abs(np.fft.rfft(centred, axis=1)) ** 2 * (dt / n)
@@ -222,10 +220,7 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
     _require_finite_samples(x, "samples")
-    if not isinstance(grid_size, numbers.Integral):
-        raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 2:
-        raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
+    _require_count("grid_size", grid_size, 2)
     if bandwidth is None:
         std = x.std()
         q75, q25 = np.percentile(x, [75.0, 25.0])
@@ -235,8 +230,8 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
             raise DegenerateSampleError(
                 f"sample spread is degenerate (bandwidth {bandwidth})"
             )
-    elif not (bandwidth > 0.0 and np.isfinite(bandwidth)):
-        raise ConfigError(f"bandwidth must be positive and finite, got {bandwidth}")
+    else:
+        _require_real("bandwidth", bandwidth)
     grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
     density = np.zeros(grid_size)
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)

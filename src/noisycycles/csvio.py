@@ -148,17 +148,9 @@ def read_curve(path, xlabel=None, ylabel=None):
     if data.shape[1] < 2:
         raise ConfigError(f"{path}: a curve needs an x and a y column, got only {labels}")
 
-    def column(name, default_index):
-        if name is None:
-            return data[:, default_index]
-        try:
-            return data[:, labels.index(name)]
-        except ValueError:
-            raise ConfigError(
-                f"{path}: no column {name!r}; have {labels}"
-            ) from None
-
-    return column(xlabel, 0), column(ylabel, 1), labels
+    ix = _column_index(path, labels, xlabel, 0)
+    iy = _column_index(path, labels, ylabel, 1)
+    return data[:, ix], data[:, iy], labels
 
 
 def read_column(path, column=None):
@@ -168,17 +160,21 @@ def read_column(path, column=None):
     column to infer it from.
     """
     labels, data = _read_table(path)
-    if column is None:
-        index = 1 if len(labels) > 1 else 0
-    else:
-        try:
-            index = labels.index(column)
-        except ValueError:
-            raise ConfigError(f"{path}: no column {column!r}; have {labels}") from None
+    index = _column_index(path, labels, column, 1 if len(labels) > 1 else 0)
     dt = None
     if labels[0] == "t" and data.shape[0] >= 2:
         dt = _uniform_step(data[:, 0])
     return data[:, index], dt
+
+
+def _column_index(path, labels, name, default):
+    """Index of the column labelled ``name``, or ``default`` for no name."""
+    if name is None:
+        return default
+    try:
+        return labels.index(name)
+    except ValueError:
+        raise ConfigError(f"{path}: no column {name!r}; have {labels}") from None
 
 
 def _fit_text(result):

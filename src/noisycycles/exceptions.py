@@ -3,7 +3,25 @@
 Two broad families matter to callers: configuration errors (bad arguments,
 malformed inputs) and numerical errors (divergence, degeneracy, failed
 convergence).  The command line maps them to exit codes 1 and 2.
+
+Every scalar argument of the package obeys one of two rules, written once
+here and raised as :class:`ConfigError`, whose text names the argument and
+the value as given:
+
+- a count (``_require_count``) is an integer of at least ``least``:
+  "{name} must be >= {least}, got {value}", checked first, then
+  "{name} must be an integer, got {value!r}", which is also the message
+  for a value that is not a real number at all;
+- a real (``_require_real``) is a finite real number, positive
+  ("{name} must be positive and finite, got {value}") or, where zero is
+  allowed, nonnegative ("{name} must be finite and >= 0, got {value}").
+
+A ``str`` or ``None`` is not a real number, and is refused like a value out
+of range, never with a ``TypeError``.
 """
+
+import math
+import numbers
 
 __all__ = [
     "NoisyCyclesError",
@@ -27,6 +45,21 @@ class NoisyCyclesError(Exception):
 
 class ConfigError(NoisyCyclesError):
     """Invalid argument, parameter combination or input file."""
+
+
+def _require_count(name, value, least):
+    # a float would run as its floor, or stop in range() with a TypeError
+    if isinstance(value, numbers.Real) and not value >= least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name, value, zero=False):
+    if not (isinstance(value, numbers.Real) and (value >= 0 if zero else value > 0)
+            and math.isfinite(value)):
+        rule = "finite and >= 0" if zero else "positive and finite"
+        raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
 class NumericsError(NoisyCyclesError):

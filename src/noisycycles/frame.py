@@ -28,7 +28,6 @@ points per period and interpolated with periodic cubic splines.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +44,8 @@ from .exceptions import (
     NoCycleError,
     NumericsError,
     StabilityWarning,
+    _require_count,
+    _require_real,
 )
 from .sde import (
     TRUST_RADIUS,
@@ -57,7 +58,6 @@ from .sde import (
     _normals,
     _phase_initial,
     _record,
-    _require_integer,
     _simulate,
 )
 
@@ -120,8 +120,12 @@ class CycleParameterization:
 
     def tangent_rate(self) -> np.ndarray:
         """dT/dt on the grid via the projected Jacobian, (I - TT^T) J T."""
-        jt = np.einsum("mij,mj->mi", self.J, self.T)
-        return jt - self.T * np.einsum("mi,mi->m", self.T, jt)[:, None]
+        return _tangent_rate(self.J, self.T)
+
+
+def _tangent_rate(J, T):
+    jt = np.einsum("mij,mj->mi", J, T)
+    return jt - T * np.einsum("mi,mi->m", T, jt)[:, None]
 
 
 @dataclass(frozen=True)
@@ -212,8 +216,7 @@ def find_limit_cycle(
     NoCycleError
         If no converged recurrence is found, or the cycle does not close.
     """
-    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 8):
-        raise ConfigError(f"grid_size must be an integer >= 8, got {grid_size!r}")
+    _require_count("grid_size", grid_size, 8)
     _require_deterministic(ode)
 
     # the integrators hand the drift float64 states and convert what it returns
@@ -227,8 +230,7 @@ def find_limit_cycle(
         raise ConfigError(
             f"initial_guess must have shape ({ode.dimension},), got {y0.shape}"
         )
-    if not (transient_time > 0.0 and np.isfinite(transient_time)):
-        raise ConfigError(f"transient_time must be positive and finite, got {transient_time}")
+    _require_real("transient_time", transient_time)
     if not np.isfinite(f(y0)).all():
         raise ConfigError(f"the drift at initial_guess {y0} must be finite, got {f(y0)}")
 
@@ -298,20 +300,16 @@ def find_limit_cycle(
     speed = np.linalg.norm(f_on_L, axis=1)
     T = f_on_L / speed[:, None]
     J = _jacobian_samples(ode, f, L)
-
-    cycle = CycleParameterization(
+    return CycleParameterization(
         period=float(period),
         grid=grid,
         L=L,
         f_on_L=f_on_L,
         T=T,
         J=J,
-        kappa=np.zeros(grid_size),
+        kappa=np.linalg.norm(_tangent_rate(J, T), axis=1) / speed,
         speed=speed,
     )
-    kappa = np.linalg.norm(cycle.tangent_rate(), axis=1) / speed
-    object.__setattr__(cycle, "kappa", kappa)
-    return cycle
 
 
 def _section_crossings(rhs, ystar, normal, window, check_window_end):
@@ -404,9 +402,7 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
     stay below 1e-6 or the grid is judged too coarse.  All frame
     invariants are verified before returning.
     """
-    if substeps < 1:
-        raise ConfigError(f"substeps must be >= 1, got {substeps}")
-    _require_integer("substeps", substeps)
+    _require_count("substeps", substeps, 1)
     m, n = cycle.L.shape
     t0 = cycle.T[0]
     p0 = np.eye(n) - np.outer(t0, t0)
@@ -479,8 +475,7 @@ def reduce(cycle: CycleParameterization, frame: ComovingFrame, sigma) -> Reduced
     Emits :class:`StabilityWarning` when the one-period monodromy of J0 is
     not a contraction.
     """
-    if sigma < 0.0 or not np.isfinite(sigma):
-        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+    _require_real("sigma", sigma, zero=True)
     U, B = frame.U, frame.basis_P0
     ub = np.einsum("mij,jk->mik", U, B)
     jub = np.einsum("mij,mjk->mik", cycle.J, ub)

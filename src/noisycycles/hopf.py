@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError, SingularAmplitudeError
+from .exceptions import SingularAmplitudeError, _require_real
 from .sde import SdeSystem, _chunks, _normals, _phase_initial, _record, _simulate
 
 __all__ = [
@@ -64,11 +64,8 @@ class HopfParams:
 
     def __post_init__(self):
         for name in ("alpha", "alpha0", "lambda_", "r"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise ConfigError(f"{name} must be positive, got {v}")
-        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+            _require_real(name, getattr(self, name))
+        _require_real("sigma", self.sigma, zero=True)
 
     @classmethod
     def from_nsr(cls, alpha, alpha0, lambda_, r, nsr) -> "HopfParams":
@@ -77,9 +74,11 @@ class HopfParams:
 
 
 def sigma_for_nsr(nsr, lambda_, r) -> float:
-    """Noise amplitude giving the requested noise-to-signal ratio."""
-    if nsr < 0:
-        raise ConfigError(f"nsr must be >= 0, got {nsr}")
+    """Noise amplitude giving the requested noise-to-signal ratio; nsr is
+    finite and >= 0, lambda_ and r positive and finite (ConfigError)."""
+    _require_real("nsr", nsr, zero=True)
+    _require_real("lambda_", lambda_)
+    _require_real("r", r)
     return float(nsr) * r * np.sqrt(2.0 * lambda_)
 
 

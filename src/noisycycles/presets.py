@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError
+from .exceptions import _require_real
 from .sde import SdeSystem
 
 __all__ = ["van_der_pol"]
@@ -21,10 +21,7 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
     State is (x, v) with v = x'.  Isotropic noise of level ``sigma`` on
     both components.
     """
-    if mu <= 0.0:
-        raise ConfigError(f"mu must be positive, got {mu}")
-    if not np.isfinite(mu):
-        raise ConfigError(f"mu must be finite, got {mu}")
+    _require_real("mu", mu)
 
     kernel = _stepkernel.spec("van_der_pol", (mu,), _van_der_pol_formula)
 

@@ -38,14 +38,13 @@ the numpy loop on its composed increments.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import ConfigError, DivergenceError, _require_count, _require_real
 
 __all__ = [
     "Scheme",
@@ -127,16 +126,11 @@ class SdeSystem:
 
     def __post_init__(self):
         n = self.dimension
-        if n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {n}")
-        _require_integer("dimension", n)
+        _require_count("dimension", n, 1)
         if self.noise_matrix is None:
-            sigma = 0.0 if self.isotropic_sigma is None else float(self.isotropic_sigma)
-            if sigma < 0.0:
-                raise ConfigError(f"isotropic_sigma must be >= 0, got {sigma}")
-            if not np.isfinite(sigma):
-                raise ConfigError(f"isotropic_sigma must be finite, got {sigma}")
-            self.noise_matrix = sigma * np.eye(n)
+            sigma = 0.0 if self.isotropic_sigma is None else self.isotropic_sigma
+            _require_real("isotropic_sigma", sigma, zero=True)
+            self.noise_matrix = float(sigma) * np.eye(n)
         else:
             self.noise_matrix = np.asarray(self.noise_matrix, dtype=float)
             if self.noise_matrix.shape != (n, n):
@@ -165,22 +159,11 @@ class IntegratorConfig:
     initial_state: Sequence[float] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        _require_integer("n_steps", self.n_steps)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        _require_integer("seed", self.seed)
+        _require_real("dt", self.dt)
+        _require_count("n_steps", self.n_steps, 1)
+        _require_count("seed", self.seed, 0)
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"unknown scheme: {self.scheme!r}")
-
-
-def _require_integer(name, value):
-    # a float would run as its floor, or stop in range() with a TypeError
-    if not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -213,10 +196,8 @@ def path_seed(seed: int, index: int) -> int:
     which order; member k of an ensemble is bit-identical to a single path
     integrated with this sub-seed.
     """
-    if seed < 0 or index < 0:
-        raise ConfigError("seed and index must be >= 0")
-    _require_integer("seed", seed)
-    _require_integer("index", index)
+    _require_count("seed", seed, 0)
+    _require_count("index", index, 0)
     ss = np.random.SeedSequence([int(seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -247,9 +228,7 @@ def _members(seed, n_paths):
     ``n_paths`` members, or ``[seed]`` and no ids for a solo run (None)."""
     if n_paths is None:
         return [seed], None
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    _require_integer("n_paths", n_paths)
+    _require_count("n_paths", n_paths, 1)
     ids = list(range(n_paths))
     return [path_seed(seed, k) for k in ids], ids
 
@@ -334,9 +313,7 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
     ``members``, when given, is the ``(seeds, path_ids, rngs)`` those
     members already have, which spares deriving them again.
     """
-    if record_every < 1:
-        raise ConfigError(f"record_every must be >= 1, got {record_every}")
-    _require_integer("record_every", record_every)
+    _require_count("record_every", record_every, 1)
     if config.n_steps % record_every:
         raise ConfigError(
             f"record_every must divide n_steps ({config.n_steps}), got {record_every}"
@@ -562,15 +539,14 @@ def strong_order_estimate(
 
     Returns the least-squares slope of log RMS error against log dt.
     """
+    _require_real("t_final", t_final)
+    dts = list(dts)
+    for dt in dts:
+        _require_real("dt", dt)
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
-    for name, values in (("t_final", [t_final]), ("dt", dts)):
-        for value in values:
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
     if dts.size < 3:
         raise ConfigError("at least 3 step sizes are required")
-    if n_paths < 2:
-        raise ConfigError("at least 2 paths are required")
+    _require_count("n_paths", n_paths, 2)
     hf = dts[-1] / _REFINE
     nf = int(round(t_final / hf))
     if not np.isclose(nf * hf, t_final, rtol=1e-12):
@@ -619,15 +595,12 @@ def strong_order_estimate(
 
 def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
     """The linear relaxation process dz = -lambda z dt + sigma dW."""
-    if lambda_ <= 0:
-        raise ConfigError(f"lambda_ must be > 0, got {lambda_}")
-    if not np.isfinite(lambda_):
-        raise ConfigError(f"lambda_ must be finite, got {lambda_}")
+    _require_real("lambda_", lambda_)
     kernel = _stepkernel.spec("ornstein_uhlenbeck", (float(lambda_),), _ou_formula)
     return SdeSystem(
         dimension=dimension,
         drift=kernel.drift,
-        isotropic_sigma=float(sigma),
+        isotropic_sigma=sigma,
         vectorized=True,
         _kernel=kernel,
     )

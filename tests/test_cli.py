@@ -357,6 +357,15 @@ def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_nsr_that_is_not_finite_is_named_as_the_nsr(tmp_path, capsys):
+    argv = ("simulate", "--model", "hopf-linear", "--periods", "1", "--nsr", "nan")
+    assert _call(*argv, "--output", str(tmp_path / "x.csv")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == "noisycycles simulate: error: nsr must be finite and >= 0, got nan"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (("--grid-size", "-3"), 1, "error: grid_size must be >= 2, got -3"),
     (("--grid-size", "0"), 1, "error: grid_size must be >= 2, got 0"),
@@ -578,7 +587,7 @@ def test_decompose_refuses_a_coefficient_that_is_not_finite(tmp_path, mu):
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert done.returncode == 1
-    assert done.stderr == f"noisycycles decompose: error: mu must be finite, got {mu}\n"
+    assert done.stderr == f"noisycycles decompose: error: mu must be positive and finite, got {mu}\n"
     assert not (tmp_path / "f.csv").exists()
 
 

@@ -60,6 +60,21 @@ def test_params_validation():
         HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=0.0, sigma=0.1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-0.1, 1.0, 1.0), "nsr must be finite and >= 0, got -0.1"),
+    ((0.1, -1.0, 1.0), "lambda_ must be positive and finite, got -1.0"),
+    ((0.1, 1.0, 0.0), "r must be positive and finite, got 0.0"),
+], ids=["nsr-negative", "lambda-negative", "r-zero"])
+def test_sigma_for_nsr_refuses_what_gives_no_positive_sigma(args, message):
+    # not a NaN from sqrt with its warning; non-finite values are in
+    # test_api.py's table of scalars
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            sigma_for_nsr(*args)
+    assert str(err.value) == message
+
+
 def test_drift_on_cycle_is_pure_rotation():
     drift = hopf_system(_params()).drift
     f = drift(np.array([1.0, 0.0]))

@@ -94,7 +94,7 @@ def test_path_seed_refuses_a_seed_or_index_that_is_not_integral():
             path_seed(*args)
         assert str(err.value) == message
     # the range check and its message come first, as before
-    with pytest.raises(ConfigError, match=r"^seed and index must be >= 0$"):
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1\.5$"):
         path_seed(-1.5, 0)
     assert path_seed(np.int64(1), np.uint32(2)) == path_seed(1, 2)
 
@@ -561,21 +561,21 @@ def test_stationary_variance_of_linear_process():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_model_coefficients_are_config_errors(value):
     for build, message in (
-        (lambda: van_der_pol(value), f"mu must be finite, got {value}"),
-        (lambda: van_der_pol(1.0, value), f"isotropic_sigma must be finite, got {value}"),
-        (lambda: ornstein_uhlenbeck(value, 0.5), f"lambda_ must be finite, got {value}"),
-        (lambda: ornstein_uhlenbeck(1.0, value), f"isotropic_sigma must be finite, got {value}"),
+        (lambda: van_der_pol(value), f"mu must be positive and finite, got {value}"),
+        (lambda: van_der_pol(1.0, value), f"isotropic_sigma must be finite and >= 0, got {value}"),
+        (lambda: ornstein_uhlenbeck(value, 0.5), f"lambda_ must be positive and finite, got {value}"),
+        (lambda: ornstein_uhlenbeck(1.0, value), f"isotropic_sigma must be finite and >= 0, got {value}"),
         (lambda: SdeSystem(dimension=2, drift=lambda y: -y, isotropic_sigma=value),
-         f"isotropic_sigma must be finite, got {value}"),
+         f"isotropic_sigma must be finite and >= 0, got {value}"),
     ):
         with pytest.raises(ConfigError) as err:
             build()
         assert str(err.value) == message
-    # values below the bounds keep their messages
+    # values below the bounds get the same rule's message
     for build, message in (
-        (lambda: van_der_pol(-value), f"mu must be positive, got {-value}"),
-        (lambda: ornstein_uhlenbeck(-value, 0.5), f"lambda_ must be > 0, got {-value}"),
-        (lambda: van_der_pol(1.0, -value), f"isotropic_sigma must be >= 0, got {-value}"),
+        (lambda: van_der_pol(-value), f"mu must be positive and finite, got {-value}"),
+        (lambda: ornstein_uhlenbeck(-value, 0.5), f"lambda_ must be positive and finite, got {-value}"),
+        (lambda: van_der_pol(1.0, -value), f"isotropic_sigma must be finite and >= 0, got {-value}"),
     ):
         if np.isnan(value):
             continue  # -nan is NaN, refused above
