@@ -34,6 +34,7 @@ from .exceptions import (
     ConfigError,
     DegenerateSampleError,
     DegenerateSpectrumError,
+    _require_array,
     _require_count,
     _require_real,
 )
@@ -94,10 +95,7 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
     sum  (1/N) sum_t (x_t - m)(x_{t+k} - m).  The series must be finite
     and cover at least twice the requested lag span.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError(f"series must be 1-D and nonempty, got shape {x.shape}")
-    _require_finite_samples(x, "series")
+    x = _require_array("series", series, (None,))
     n = x.size
     _require_real("dt", dt)
     _require_real("max_lag", max_lag, zero=True)
@@ -120,10 +118,7 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
     frequency grid w_k = 2 pi k / (N dt); no windowing is applied.  The
     paths must be finite.
     """
-    arr = np.atleast_2d(np.asarray(paths, dtype=float))
-    if arr.size == 0 or arr.shape[0] == 0:
-        raise ConfigError("at least one path is required")
-    _require_finite_samples(arr, "paths")
+    arr = _require_array("paths", np.atleast_2d(paths), (None, None))
     _require_real("dt", dt)
     n = arr.shape[1]
     centred = arr - arr.mean(axis=1, keepdims=True)
@@ -216,10 +211,9 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     (``_stepkernel._in_threads``), where numpy's calls release the GIL, each
     with its own pair of buffers; no value depends on the block.
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    x = _require_array("samples", np.ravel(samples), None)
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
-    _require_finite_samples(x, "samples")
     _require_count("grid_size", grid_size, 2)
     if bandwidth is None:
         std = x.std()
@@ -262,10 +256,9 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
 def kurtosis(samples) -> float:
     """Non-excess kurtosis m4 / m2^2 with population moments of at least
     30 finite samples."""
-    x = np.asarray(samples, dtype=float).ravel()
+    x = _require_array("samples", np.ravel(samples), None)
     if x.size < 30:
         raise ConfigError(f"kurtosis needs >= 30 samples, got {x.size}")
-    _require_finite_samples(x, "samples")
     x = x - x.mean()
     m2 = np.mean(x * x)
     if m2 == 0.0:
@@ -284,9 +277,8 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     raise :class:`DegenerateSpectrumError`; a block holding a value that is
     not finite raises :class:`ConfigError` naming its first such lag).  An
     estimate is refused with :class:`ConfigError` before any quadrature
-    when a value is not finite or its lags are not finite and strictly
-    increasing.  Trapezoid
-    quadrature throughout.
+    unless its lags and values are finite real 1-D arrays of one length
+    and its lags strictly increase.  Trapezoid quadrature throughout.
 
     The frequencies are taken one at a time with the arithmetic of
     ``np.trapezoid``: cos(w u) ACV(u), then d (y[1:] + y[:-1]) / 2 summed
@@ -296,17 +288,15 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     depends on the block.  ``omegas`` must be a nonempty 1-D array of
     finite, nonnegative values (:class:`ConfigError` before any sampling).
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if omegas.ndim != 1 or omegas.size == 0 or not np.all(np.isfinite(omegas)):
-        raise ConfigError("omegas must be a nonempty 1-D array of finite values")
+    omegas = _require_array("omegas", np.atleast_1d(omegas), (None,))
     if np.any(omegas < 0.0):
         raise ConfigError("omegas must be nonnegative")
 
     if isinstance(acv, AcvEstimate):
-        lags, vals = acv.lags, acv.values
-        if not (np.all(np.isfinite(lags)) and np.all(np.diff(lags) > 0.0)):
-            raise ConfigError("ACV lags must be finite and strictly increasing")
-        _require_finite(lags, vals)
+        lags = _require_array("acv.lags", acv.lags, (None,))
+        vals = _require_array("acv.values", acv.values, (lags.size,))
+        if not np.all(np.diff(lags) > 0.0):
+            raise ConfigError("ACV lags must be strictly increasing")
         c0 = abs(vals[0])
         env = _block_envelope(vals, 512)
         below = np.nonzero(env < 1e-6 * c0)[0]
@@ -342,15 +332,6 @@ def _block_envelope(vals, block):
     padded = np.full(nb * block, 0.0)
     padded[: vals.size] = np.abs(vals)
     return padded.reshape(nb, block).max(axis=1)
-
-
-def _require_finite_samples(x, name):
-    """Refuse an estimator's input ``x`` when a value is not finite."""
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        at = tuple(bad[0].tolist())
-        where = at[0] if x.ndim == 1 else at
-        raise ConfigError(f"{name} must be finite, got {x[at]} at index {where}")
 
 
 def _require_finite(lags, vals):

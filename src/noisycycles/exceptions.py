@@ -4,9 +4,9 @@ Two broad families matter to callers: configuration errors (bad arguments,
 malformed inputs) and numerical errors (divergence, degeneracy, failed
 convergence).  The command line maps them to exit codes 1 and 2.
 
-Every scalar argument of the package obeys one of two rules, written once
-here and raised as :class:`ConfigError`, whose text names the argument and
-the value as given:
+Every scalar argument of the package obeys one of two rules, and every
+array argument a third, written once here and raised as
+:class:`ConfigError`, whose text names the argument:
 
 - a count (``_require_count``) is an integer of at least ``least``:
   "{name} must be >= {least}, got {value}", checked first, then
@@ -14,14 +14,22 @@ the value as given:
   for a value that is not a real number at all;
 - a real (``_require_real``) is a finite real number, positive
   ("{name} must be positive and finite, got {value}") or, where zero is
-  allowed, nonnegative ("{name} must be finite and >= 0, got {value}").
+  allowed, nonnegative ("{name} must be finite and >= 0, got {value}");
+  an int too large for a float is not finite;
+- an array (``_require_array``) is real ("{name} must be an array of real
+  numbers, got dtype {dtype}"), then of its shape ("{name} must have shape
+  {spec}, got {shape}", where an ``N`` axis, as in ``(N,)`` or ``(N, 1)``,
+  takes any length of at least 1), then finite ("{name} must be finite,
+  got {x} at index {i}" for the first such element, i an int in 1-D).
 
 A ``str`` or ``None`` is not a real number, and is refused like a value out
 of range, never with a ``TypeError``.
 """
 
-import math
 import numbers
+import sys
+
+import numpy as np
 
 __all__ = [
     "NoisyCyclesError",
@@ -56,10 +64,31 @@ def _require_count(name, value, least):
 
 
 def _require_real(name, value, zero=False):
+    # compared, not converted: float() of an int beyond the float range overflows
     if not (isinstance(value, numbers.Real) and (value >= 0 if zero else value > 0)
-            and math.isfinite(value)):
+            and value <= sys.float_info.max):
         rule = "finite and >= 0" if zero else "positive and finite"
         raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
+def _require_array(name, value, shape):
+    """``np.asarray(value, dtype=float)``, refused unless it is real, of
+    ``shape`` (None: any length of at least 1; a None ``shape``: any shape)
+    and finite."""
+    dtype = np.asarray(value).dtype
+    if dtype.kind not in "biuf":
+        raise ConfigError(f"{name} must be an array of real numbers, got dtype {dtype}")
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and not (arr.ndim == len(shape) and all(
+            n == s or s is None and n >= 1 for n, s in zip(arr.shape, shape))):
+        spec = ", ".join("N" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)
+        raise ConfigError(f"{name} must have shape ({spec}), got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        where = at[0] if arr.ndim == 1 else at
+        raise ConfigError(f"{name} must be finite, got {arr[at]} at index {where}")
+    return arr
 
 
 class NumericsError(NoisyCyclesError):

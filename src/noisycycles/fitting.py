@@ -40,7 +40,7 @@ from .analysis import (
     _psd_coefficients,
     _psd_curve,
 )
-from .exceptions import ConfigError, ConvergenceError, GuessFailureError
+from .exceptions import ConfigError, ConvergenceError, GuessFailureError, _require_array
 from .hopf import HopfParams, nsr as _nsr
 from .sde import _generator
 
@@ -95,9 +95,9 @@ class FitProblem:
                 f"{self.target.value} fits need a {expected.__name__}, "
                 f"got {type(self.curve).__name__}"
             )
-        grid = self.curve.lags if self.target is FitTarget.ACV else self.curve.omegas
-        if np.asarray(grid).size == 0:
-            raise ConfigError("curve is empty")
+        axis = "lags" if self.target is FitTarget.ACV else "omegas"
+        grid = _require_array(f"curve.{axis}", getattr(self.curve, axis), (None,))
+        _require_array("curve.values", self.curve.values, (grid.size,))
         if not isinstance(self.bounds, (dict, type(None))):
             raise ConfigError(
                 f"bounds must be a dict, got {type(self.bounds).__name__}"

@@ -44,6 +44,7 @@ from .exceptions import (
     NoCycleError,
     NumericsError,
     StabilityWarning,
+    _require_array,
     _require_count,
     _require_real,
 )
@@ -208,9 +209,10 @@ def find_limit_cycle(
     Raises
     ------
     ConfigError
-        If ``grid_size`` is not an integer >= 8, ``initial_guess`` has
-        the wrong shape, ``transient_time`` is not positive and finite, or
-        the drift at ``initial_guess`` is not finite.
+        If ``grid_size`` is not an integer >= 8, ``initial_guess`` is not
+        a finite real array of shape (n,), ``transient_time`` is not
+        positive and finite, or the drift at ``initial_guess`` is not
+        finite.
     FixedPointError
         If the trajectory settles on a state with vanishing drift.
     NoCycleError
@@ -225,11 +227,7 @@ def find_limit_cycle(
     def f(y):
         return np.asarray(rhs(0.0, y), dtype=float)
 
-    y0 = np.asarray(initial_guess, dtype=float)
-    if y0.shape != (ode.dimension,):
-        raise ConfigError(
-            f"initial_guess must have shape ({ode.dimension},), got {y0.shape}"
-        )
+    y0 = _require_array("initial_guess", initial_guess, (ode.dimension,))
     _require_real("transient_time", transient_time)
     if not np.isfinite(f(y0)).all():
         raise ConfigError(f"the drift at initial_guess {y0} must be finite, got {f(y0)}")
@@ -599,8 +597,9 @@ def simulate_reduced(
     Raises
     ------
     ConfigError
-        For a start that is not finite, or a ``record_every`` or
-        ``n_paths`` the other simulators refuse too.
+        For a start that is not a finite real array of length n, checked
+        first, or a ``record_every`` or ``n_paths`` the other simulators
+        refuse too.
     DivergenceError
         At the first step where some |z0| component leaves
         ``TRUST_RADIUS`` or z0 or tau stops being finite, with the lowest
@@ -643,14 +642,11 @@ def reconstruct(cycle, frame, tau, z0, dt=1.0, channel_labels=None) -> Trajector
     ``tau`` wraps modulo the period; L and U are interpolated with
     periodic cubic splines on the cycle grid.  ``dt`` only sets the time
     axis of the returned trajectory (the sample spacing of the series).
+    ``tau`` (N,) and ``z0`` (N, n-1) must be finite real arrays
+    (:class:`ConfigError`).
     """
-    tau = np.asarray(tau, dtype=float)
-    z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    if tau.ndim != 1 or z0.shape != (tau.size, cycle.dimension - 1):
-        raise ConfigError(
-            f"need tau (N,) and z0 (N, {cycle.dimension - 1}); "
-            f"got {tau.shape} and {z0.shape}"
-        )
+    tau = _require_array("tau", tau, (None,))
+    z0 = _require_array("z0", np.atleast_2d(z0), (tau.size, cycle.dimension - 1))
     l_sp = _periodic_spline(cycle.grid, cycle.L, cycle.period)
     u_sp = _periodic_spline(cycle.grid, frame.U, cycle.period)
     wrapped = np.mod(tau, cycle.period)

@@ -194,8 +194,9 @@ def simulate_hopf_linear(params, config, leading_order=False, record_every=1, n_
     excursion: rare at NSR 0.1, but at NSR 0.3 it can come within some
     hundreds of 1/lambda).  The leading-order variant never divides by r + z.
 
-    Every member starts at (z, tau) = ``config.initial_state``, which must
-    be finite (default (0, 0): on the cycle, phase zero).
+    Every member starts at (z, tau) = ``config.initial_state`` (default
+    (0, 0): on the cycle, phase zero), a pair of finite reals checked
+    before ``record_every`` and ``n_paths``.
     """
     (z0,), tau0 = _phase_initial(config.initial_state, 2)
     message = "r + z reached zero at step {step}{where}: the phase-speed denominator is singular"

@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError, DivergenceError, _require_count, _require_real
+from .exceptions import ConfigError, DivergenceError, _require_array, _require_count, _require_real
 
 __all__ = [
     "Scheme",
@@ -132,14 +132,7 @@ class SdeSystem:
             _require_real("isotropic_sigma", sigma, zero=True)
             self.noise_matrix = float(sigma) * np.eye(n)
         else:
-            self.noise_matrix = np.asarray(self.noise_matrix, dtype=float)
-            if self.noise_matrix.shape != (n, n):
-                raise ConfigError(
-                    f"noise_matrix must have shape ({n}, {n}), "
-                    f"got {self.noise_matrix.shape}"
-                )
-            if not np.all(np.isfinite(self.noise_matrix)):
-                raise ConfigError("noise_matrix must be finite")
+            self.noise_matrix = _require_array("noise_matrix", self.noise_matrix, (n, n))
             if self.isotropic_sigma is not None:
                 expected = float(self.isotropic_sigma) * np.eye(n)
                 if not np.allclose(self.noise_matrix, expected):
@@ -323,9 +316,6 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
         rngs = [_generator(s) for s in seeds]
     else:
         seeds, path_ids, rngs = members
-    if not all(np.isfinite(start).all() for start in starts):
-        start = tuple(map(float, config.initial_state))
-        raise ConfigError(f"initial_state must be finite, got {start}")
     shape = (len(seeds), config.n_steps // record_every + 1)
     records = [np.empty(shape + np.shape(start)) for start in starts]
     for rec, start in zip(records, starts):
@@ -428,22 +418,14 @@ def _numpy_loop(system, rk15, offsets, constants, increments=None):
     return loop
 
 
-def _initial(system, initial_state) -> np.ndarray:
-    y0 = np.asarray(initial_state, dtype=float)
-    if y0.shape != (system.dimension,):
-        raise ConfigError(
-            f"initial_state must have shape ({system.dimension},), got {y0.shape}"
-        )
-    return y0
-
-
 def _phase_initial(initial_state, n):
     """A phase/deviation start (z0 ..., tau0) of length n, or () for zeros."""
-    if len(initial_state) == 0:
+    if np.shape(initial_state) == (0,):
         return np.zeros(n - 1), 0.0
-    if len(initial_state) != n:
+    start = _require_array("initial_state", initial_state, (None,))
+    if start.size != n:
         raise ConfigError(f"initial_state must be empty or (z0 ..., tau0) of length {n}")
-    return np.asarray(initial_state[:-1], dtype=float), float(initial_state[-1])
+    return start[:-1], float(start[-1])
 
 
 def _labels(dimension, channel_labels):
@@ -464,7 +446,7 @@ def _integrate(system, config, n_paths, record_every, channel_labels):
     other system takes its reference twin :func:`_numpy_loop`.
     """
     labels = _labels(system.dimension, channel_labels)
-    y0 = _initial(system, config.initial_state)
+    y0 = _require_array("initial_state", config.initial_state, (system.dimension,))
     stepping = _stepping(system, config.scheme, config.dt)
     loop = _stepkernel.loop_for(*stepping) or _numpy_loop(*stepping)
     (rec,), seeds = _simulate(config, n_paths, record_every, (y0,), loop)
@@ -531,9 +513,10 @@ def strong_order_estimate(
     over paths of the euclidean endpoint distance to the reference, which is
     ``exact_endpoint(initial_state, h_fine, dW_fine, dZ_fine)`` when given
     (use :func:`ou_exact_endpoint` for the linear test system) and otherwise
-    the same scheme run on the fine grid.  Each run goes through the member
-    driver of the simulators, so it refuses the same starts and raises the
-    same ``DivergenceError``, path included, as ``integrate_ensemble``.
+    the same scheme run on the fine grid.  It refuses the starts
+    ``integrate_ensemble`` refuses, and each run goes through the member
+    driver of the simulators, so it raises the same ``DivergenceError``,
+    path included.
     ``t_final`` and every step size must be positive and finite
     (:class:`ConfigError` before any draw).
 
@@ -560,7 +543,7 @@ def strong_order_estimate(
             )
         ratios.append(r)
 
-    y0 = _initial(system, initial_state)
+    y0 = _require_array("initial_state", initial_state, (system.dimension,))
     seeds, path_ids = _members(seed, n_paths)
     rngs = [_generator(s) for s in seeds]
     dw_f, dz_f = _increments(rngs, nf, system.dimension, hf)

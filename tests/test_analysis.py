@@ -220,16 +220,21 @@ def test_wk_transform_does_not_depend_on_the_thread_count(n_omegas):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("omegas", [[np.nan], [1.0, np.inf], [-np.inf], [], [[0.5, 1.0]]],
-                         ids=["nan", "inf", "minus-inf", "empty", "2-D"])
-def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omegas):
+@pytest.mark.parametrize("omegas, message", [
+    ([np.nan], "omegas must be finite, got nan at index 0"),
+    ([1.0, np.inf], "omegas must be finite, got inf at index 1"),
+    ([-np.inf], "omegas must be finite, got -inf at index 0"),
+    ([], r"omegas must have shape \(N,\), got \(0,\)"),
+    ([[0.5, 1.0]], r"omegas must have shape \(N,\), got \(1, 2\)"),
+], ids=["nan", "inf", "minus-inf", "empty", "2-D"])
+def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omegas, message):
     sampled = []
 
     def acv(u):
         sampled.append(u)
         return np.exp(-np.abs(u))
 
-    with pytest.raises(ConfigError, match="^omegas must be a nonempty 1-D array of finite values$"):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
         wk_transform(acv, np.array(omegas, dtype=float))
     assert not sampled
 
@@ -244,10 +249,10 @@ _WITH_NAN = np.where(np.arange(100) == 50, np.nan, np.exp(-_LAGS))
 
 
 @pytest.mark.parametrize("lags, vals, message", [
-    (_LAGS, _WITH_NAN, "^ACV must be finite, got nan at lag 5$"),
-    (_LAGS[::-1], np.exp(-_LAGS), "^ACV lags must be finite and strictly increasing$"),
+    (_LAGS, _WITH_NAN, "^acv.values must be finite, got nan at index 50$"),
+    (_LAGS[::-1], np.exp(-_LAGS), "^ACV lags must be strictly increasing$"),
     (np.append(_LAGS[:-1], np.inf), np.exp(-_LAGS),
-     "^ACV lags must be finite and strictly increasing$"),
+     "^acv.lags must be finite, got inf at index 99$"),
 ], ids=["nan-value", "reversed-lags", "infinite-lag"])
 def test_wk_transform_refuses_an_estimate_it_cannot_integrate_before_quadrature(
     monkeypatch, lags, vals, message
@@ -346,7 +351,7 @@ def test_acv_psd_and_kurtosis_refuse_samples_that_are_not_finite(value):
 def test_sample_acv_refuses_an_empty_series():
     with pytest.raises(ConfigError) as err:
         sample_acv([], 1.0, 0.0)
-    assert str(err.value) == "series must be 1-D and nonempty, got shape (0,)"
+    assert str(err.value) == "series must have shape (N,), got (0,)"
 
 
 @pytest.mark.parametrize("grid_size", [2, 17, 257])

@@ -2,6 +2,7 @@
 Python examples run as written."""
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -14,25 +15,37 @@ import pytest
 
 import noisycycles
 from noisycycles import (
+    AcvEstimate,
     ConfigError,
+    FitProblem,
+    FitTarget,
     HopfParams,
     IntegratorConfig,
+    PsdEstimate,
     SdeSystem,
     averaged_periodogram,
     build_frame,
     find_limit_cycle,
+    fit,
     hopf_system,
     integrate_ensemble,
     integrate_path,
     kde,
+    kurtosis,
     ornstein_uhlenbeck,
     path_seed,
+    reconstruct,
     reduce,
     sample_acv,
     sigma_for_nsr,
+    simulate_hopf_linear,
+    simulate_reduced,
     strong_order_estimate,
     van_der_pol,
+    wk_transform,
 )
+
+import test_member_loops as contract
 
 MODULES = ["noisycycles"] + [
     f"noisycycles.{info.name}" for info in pkgutil.iter_modules(noisycycles.__path__)
@@ -157,10 +170,12 @@ def _message(name, rule, value):
 
 
 @pytest.mark.parametrize("entry, value", [
-    pytest.param(entry, value, id=f"{entry}-{value!r}")
-    for entry, (*_, takes_none) in SCALARS.items()
-    for value in ("1", None, np.nan, np.inf, -np.inf)
+    pytest.param(entry, value, id=f"{entry}-{'10**400' if value == 10**400 else repr(value)}")
+    for entry, (_, _, rule, takes_none) in SCALARS.items()
+    # an int beyond the float range is not finite; a count takes it
+    for value in ("1", None, np.nan, np.inf, -np.inf, 10**400)
     if not (value is None and takes_none)
+    and not (value == 10**400 and rule not in ("positive", "zero"))
 ])
 def test_a_wrongly_typed_or_non_finite_scalar_is_a_config_error(entry, value):
     call, name, rule, _ = SCALARS[entry]
@@ -169,3 +184,116 @@ def test_a_wrongly_typed_or_non_finite_scalar_is_a_config_error(entry, value):
         with pytest.raises(ConfigError) as err:
             call(value)
     assert str(err.value) == _message(name, rule, value)
+
+
+_LAGS = list(np.arange(10) * 0.5)
+_DECAY = list(np.exp(-np.arange(10) * 0.5))
+
+
+@functools.cache
+def _reduction():
+    """The quiet planar Hopf cycle, its frame and its reduced model."""
+    cycle = contract.limit_cycle("hopf")
+    frame = build_frame(cycle)
+    return cycle, frame, reduce(cycle, frame, 0.1)
+
+
+def _run(start):
+    return IntegratorConfig(dt=0.1, n_steps=4, initial_state=start)
+
+
+# every array argument of the public entry points: the call that takes it,
+# its name in the message, a value it takes, and a value of the wrong shape
+# with the shape its rule asks for, or None where the rule takes any shape
+ARRAYS = {
+    "SdeSystem noise_matrix": (
+        lambda v: SdeSystem(dimension=2, drift=np.negative, noise_matrix=v),
+        "noise_matrix", [[0.1, 0.0], [0.0, 0.1]], ([[0.1, 0.0]], "(2, 2)")),
+    "integrate_path initial_state": (
+        lambda v: integrate_path(_OU, _run(v)), "initial_state", [0.5], ([0.5, 0.5], "(1,)")),
+    "strong_order_estimate initial_state": (
+        lambda v: strong_order_estimate(_OU, v, 1.0, [0.1, 0.05, 0.025], n_paths=2),
+        "initial_state", [1.0], ([[1.0]], "(1,)")),
+    # a phase start has a length message of its own
+    "simulate_hopf_linear initial_state": (
+        lambda v: simulate_hopf_linear(_hopf(), _run(v)),
+        "initial_state", [0.1, 0.2], ([[0.1, 0.2]], "(N,)")),
+    "simulate_reduced initial_state": (
+        lambda v: simulate_reduced(_reduction()[2], _reduction()[0], _run(v)),
+        "initial_state", [0.1, 0.2], ([[0.1, 0.2]], "(N,)")),
+    "find_limit_cycle initial_guess": (
+        lambda v: find_limit_cycle(_QUIET, v), "initial_guess", [0.3, 0.0], ([0.3], "(2,)")),
+    "reconstruct tau": (
+        lambda v: reconstruct(*_reduction()[:2], v, [[0.0], [0.1]]),
+        "tau", [0.0, 0.5], ([[0.0, 0.5]], "(N,)")),
+    "reconstruct z0": (
+        lambda v: reconstruct(*_reduction()[:2], [0.0, 0.5], v),
+        "z0", [[0.0], [0.1]], ([[0.0, 0.1]], "(2, 1)")),
+    "sample_acv series": (
+        lambda v: sample_acv(v, 1.0, 1.0), "series", list(_SERIES), ([list(_SERIES)], "(N,)")),
+    "averaged_periodogram paths": (
+        lambda v: averaged_periodogram(v, 1.0),
+        "paths", [list(_SERIES)] * 2, (np.ones((2, 2, 40)), "(N, N)")),
+    # both ravel their samples
+    "kde samples": (kde, "samples", list(_SERIES), None),
+    "kurtosis samples": (kurtosis, "samples", list(_SERIES), None),
+    "wk_transform omegas": (
+        lambda v: wk_transform(AcvEstimate(_LAGS, _DECAY), v),
+        "omegas", [0.5, 1.0], ([[0.5, 1.0]], "(N,)")),
+    "wk_transform acv.lags": (
+        lambda v: wk_transform(AcvEstimate(v, _DECAY), [1.0]),
+        "acv.lags", _LAGS, ([_LAGS], "(N,)")),
+    "wk_transform acv.values": (
+        lambda v: wk_transform(AcvEstimate(_LAGS, v), [1.0]),
+        "acv.values", _DECAY, (_DECAY[:-1], "(10,)")),
+    "fit curve.lags": (
+        lambda v: fit(FitProblem(FitTarget.ACV, AcvEstimate(v, _DECAY))),
+        "curve.lags", _LAGS, ([_LAGS], "(N,)")),
+    "fit curve.omegas": (
+        lambda v: fit(FitProblem(FitTarget.PSD, PsdEstimate(v, _DECAY))),
+        "curve.omegas", _LAGS, ([_LAGS], "(N,)")),
+    "fit curve.values": (
+        lambda v: fit(FitProblem(FitTarget.ACV, AcvEstimate(_LAGS, v))),
+        "curve.values", _DECAY, (_DECAY[:-1], "(10,)")),
+}
+
+# None is the isotropic default there
+_TAKES_NONE = {"SdeSystem noise_matrix"}
+
+# a fault: the element it puts in the value, and that element's flat index
+_ELEMENTS = {"str": ("a", 0), "nan": (np.nan, 0), "inf": (np.inf, -1), "-inf": (-np.inf, -1)}
+
+
+def _faulty(entry, fault):
+    """The value of ``entry`` with ``fault`` and the message it must get."""
+    _, name, value, wrong = ARRAYS[entry]
+    if fault == "shape":
+        value, spec = wrong
+        return value, f"{name} must have shape {spec}, got {np.shape(value)}"
+    if fault == "None":
+        return None, f"{name} must be an array of real numbers, got dtype object"
+    element, k = _ELEMENTS[fault]
+    k %= np.size(value)
+    bad = np.array(value, dtype=object)
+    bad.flat[k] = element
+    bad = bad.tolist()
+    if fault == "str":
+        return bad, f"{name} must be an array of real numbers, got dtype {np.asarray(bad).dtype}"
+    at = tuple(int(i) for i in np.unravel_index(k, np.shape(value)))
+    return bad, f"{name} must be finite, got {element} at index {at[0] if len(at) == 1 else at}"
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault)
+    for entry, (*_, wrong) in ARRAYS.items()
+    for fault in ("str", "None", "nan", "inf", "-inf", "shape")
+    if not (fault == "shape" and wrong is None)
+    and not (fault == "None" and entry in _TAKES_NONE)
+])
+def test_a_wrongly_typed_shaped_or_non_finite_array_is_a_config_error(entry, fault):
+    value, message = _faulty(entry, fault)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            ARRAYS[entry][0](value)
+    assert str(err.value) == message

@@ -332,9 +332,9 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
       "--grid-size", "256"),
      "noisycycles simulate: error: record_every must be >= 1, got 0"),
     (("simulate", "--model", "hopf-exact", "--periods", "1", "--initial", "nan,0"),
-     "noisycycles simulate: error: initial_state must be finite, got (nan, 0.0)"),
+     "noisycycles simulate: error: initial_state must be finite, got nan at index 0"),
     (("simulate", "--model", "hopf-linear", "--periods", "1", "--initial", "nan,0"),
-     "noisycycles simulate: error: initial_state must be finite, got (nan, 0.0)"),
+     "noisycycles simulate: error: initial_state must be finite, got nan at index 0"),
     (("decompose", "--system", "hopf", "--substeps", "0"),
      "noisycycles decompose: error: substeps must be >= 1, got 0"),
     (("decompose", "--system", "hopf", "--substeps", "-1"),

@@ -504,9 +504,9 @@ def check_loop_choice(name):
 
 
 def check_refusals(name):
-    """A bad ``record_every``, ``n_paths`` or start is refused with the
-    driver's message, solo and in an ensemble, with no warning; the same
-    runs go once they are right."""
+    """A bad ``record_every``, ``n_paths`` or start is refused with one
+    message for all simulators, solo and in an ensemble, with no warning;
+    the same runs go once they are right."""
     case = CASES[name]
     n = len(case.start)
     config = IntegratorConfig(dt=1e-3, n_steps=10, seed=5, initial_state=case.start)
@@ -522,7 +522,7 @@ def check_refusals(name):
             start = list(case.start)
             start[i] = value
             refused.append((dataclasses.replace(config, initial_state=tuple(start)), 1, n_paths,
-                            f"initial_state must be finite, got {tuple(start)}"))
+                            f"initial_state must be finite, got {value} at index {i % n}"))
         for length in (n - 1, n + 1):
             message = (f"initial_state must have shape ({n},), got ({length},)"
                        if case.binder == "loop_for" else
@@ -606,17 +606,20 @@ def test_the_simulator_takes_its_compiled_loop(name):
 
 
 def test_the_simulators_refuse_the_same_runs_with_the_same_message():
-    # record_every, n_paths and the start are checked once, where every
-    # simulator runs its members (sde._simulate), solo and in an ensemble
+    # record_every and n_paths are checked once, where every simulator runs
+    # its members (sde._simulate), and the start by the array rule, solo and
+    # in an ensemble
     for name in CASES:
         check_refusals(name)
-    # the order harness runs its members through the same driver
+    # the order harness refuses the same starts
     system = hopf_system(_hopf(0.1))
-    for start in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0)):
+    for i, value in ((0, np.nan), (1, np.nan), (0, np.inf), (0, -np.inf)):
+        start = [0.0, 0.0]
+        start[i] = value
         with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
             warnings.simplefilter("error")
             strong_order_estimate(system, start, 0.5, (0.02, 0.01, 0.005), 4)
-        assert str(err.value) == f"initial_state must be finite, got {start}"
+        assert str(err.value) == f"initial_state must be finite, got {value} at index {i}"
 
 
 def test_the_simulators_draw_the_same_normals():
