@@ -3,20 +3,26 @@ package builds, of ``frame.simulate_reduced`` and of
 ``hopf.simulate_hopf_linear``.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
-:class:`KernelSpec` to their system: the name of a C drift below, the
-coefficients that drift binds, and its formula, written once in Python as
-an elementwise function of the coefficients and the state's components
-with ``+ - * /`` in the C drift's order.  The system's numpy drift applies
-the formula to the columns of a state or a stack of states.
-:func:`single_state` gives ``frame.find_limit_cycle`` the formula itself on
-one state's Python floats, which skips numpy's per-call overhead and rounds
-the same.  :func:`loop_for` gives the integrator the member loop of such a
-system, :func:`reduced_loop` gives ``simulate_reduced`` the member loop
-of the reduced phase/deviation SDE, and :func:`linear_loop` gives
-``simulate_hopf_linear`` the member loop of the Hopf model's linear
-phase/deviation pair.  Each C loop runs every floating-point
-operation of its numpy loop, in the same order and with the same operands,
-so its results are bitwise the same; the numpy loops are the reference.
+:class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
+and the coefficients it binds.  Each drift's formula is written once, in
+Python, below: an elementwise function of the coefficients and the state's
+components with ``+ - * /``, and the state dimension it is written for
+(None for any, Ornstein-Uhlenbeck's, a component at a time).  The system's
+numpy drift applies the formula to the columns of a state or a stack of
+states.  :func:`single_state` gives ``frame.find_limit_cycle`` the formula
+itself on one state's Python floats, which skips numpy's per-call overhead
+and rounds the same.  The C drifts are emitted from the same formulas
+when this module is imported (``_c_drift``): the formula runs once on
+tracing values (``_Traced``) that record each ``+ - * /`` and unary minus
+as one C statement, in the formula's order, with constants as exact hex
+floats, so C rounds as numpy does.  :func:`loop_for` gives the integrator
+the member loop of such a system, :func:`reduced_loop` gives
+``simulate_reduced`` the member loop of the reduced phase/deviation SDE,
+and :func:`linear_loop` gives ``simulate_hopf_linear`` the member loop of
+the Hopf model's linear phase/deviation pair.  Each C loop runs every
+floating-point operation of its numpy loop, in the same order and with the
+same operands, so its results are bitwise the same; the numpy loops are
+the reference.
 
 The integrator's member loop serves systems with a diagonal noise matrix
 (every system the package builds); a full noise matrix, and the
@@ -32,14 +38,30 @@ Philox generator with ``normal``, a copy of numpy's ziggurat below that
 reads numpy's own tables and gives the bytes of
 ``Generator.standard_normal``, a stop at the member's first bad step, and
 only the recorded rows written.  Each ``nc_`` function supplies its step,
-which forms the increments or kicks from the normals (``sde_step``: the
-3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``: the
-reduced SDE on the state (z ..., tau), its splines read from the gather
+which forms the increments or kicks from the normals (``sde_step_double``:
+the 3/2 scheme or Euler-Maruyama with a C drift; ``phase_deviation_step``:
+the reduced SDE on the state (z ..., tau), its splines read from the gather
 tables of ``_spline_table``; ``linear_step``: z through scipy's
 ``lfilter`` recursion and tau by Euler-Maruyama), and the load and store of
 its rows: ``nc_hopf``, ``nc_van_der_pol`` and ``nc_ornstein_uhlenbeck`` run
-``sde_step``, ``nc_phase_deviation`` runs ``phase_deviation_step`` and
-``nc_linear`` runs ``linear_step``.
+``sde_step_double``, ``nc_phase_deviation`` runs ``phase_deviation_step``
+and ``nc_linear`` runs ``linear_step``.
+
+The drifts of a fixed dimension, Hopf's and van der Pol's, also get a lane
+twin (``hopf_lanes``, ``van_der_pol_lanes``): the same statements on a
+``lane``, a gcc vector of two doubles, one member each, which is the
+16-byte width of SSE2, the x86-64 baseline, so the build needs no ``-m``
+flag and no CPU check.  Their loops take members in pairs (``sde_pair``):
+``sde_step_lane``, the step of ``sde_step_double`` written once for both
+(``SDE_STEP``), advances both lanes, each drawing its own member's normals
+in the scalar order, and each lane rounds as its member alone would.  When
+a member's step is bad it stops there, and its partner, if its step was
+good, goes on in the scalar loop from its state; a member without a
+partner (the last of an odd count, of a call or of a thread's block) runs
+the scalar loop from the start.  A wider vector would be split into
+16-byte pieces at these flags and run slower than the scalar loop; CI
+compiles the source with ``-Wvector-operation-performance -Werror``, which
+refuses that.
 
 Every ``nc_`` function takes ``(count, gens, bad, work, n_steps,
 record_every, records..., shared...)``: members [0, count)'s ``bitgen_t``
@@ -56,17 +78,18 @@ split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
-under the sha256 of its source, flags and numpy version; builds of other
-hashes stay, so checkouts that share the cache do not rebuild each other's
-(a build is about 60 KB).  The ziggurat's tables are local symbols of
-numpy's static ``libnpyrandom.a``; the build links a copy of the archive in
-which ``objcopy --globalize-symbol`` has made them global, and
-``--exclude-libs`` keeps the archive's symbols out of the library's
-exports, which are the five ``nc_`` functions.  ``-ffp-contract=off`` keeps
-gcc from fusing a multiply and an add into one FMA, which rounds once where
-numpy rounds twice.  Without a compiler, without ``objcopy``, without
-numpy's static library, or without a writable cache, the numpy loops run
-instead, with the same results.
+under the sha256 of its source (the emitted drifts included), flags and
+numpy version; builds of other hashes stay, so checkouts that share the
+cache do not rebuild each other's (a build is about 70 KB).  The
+ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
+the build links a copy of the archive in which ``objcopy
+--globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
+the archive's symbols out of the library's exports, which are the five
+``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
+and an add into one FMA, which rounds once where numpy rounds twice.
+Without a compiler, without ``objcopy``, without numpy's static library,
+or without a writable cache, the numpy loops run instead, with the same
+results.
 """
 
 from __future__ import annotations
@@ -82,7 +105,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-_SOURCE = r"""
+_PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -141,14 +164,18 @@ static inline double normal(bitgen_t *gen)
    STORE writes cur into `row`, the member's row t / record_every.  The
    caller, an nc_ function, takes count, gens, bad, work, n_steps and
    record_every first (the order _bind calls it with) and declares u, cur
-   and next; LOAD, STEP and STORE see p, row and i besides. */
+   and next; LOAD, STEP and STORE see p, row and i besides.  LOAD may run
+   steps itself (PAIRED below): it then leaves p, i, row, left and cur
+   where the member it hands over goes on, and `following` at the first
+   member it has not run. */
 #define MEMBER_LOOP(dim, LOAD, STEP, STORE)                                  \
-    for (int64_t p = 0, rows = n_steps / record_every + 1; p < count; p++) { \
+    for (int64_t p = 0, following = 1, rows = n_steps / record_every + 1;    \
+         p < count; p = following++) {                                       \
         int64_t left = record_every; /* steps to the next record */          \
-        int64_t row = p * rows;                                              \
+        int64_t row = p * rows, i = 0;                                       \
         bad[p] = -1;                                                         \
         LOAD;                                                                \
-        for (int64_t i = 0; i < n_steps; i++) {                              \
+        for (; i < n_steps; i++) {                                           \
             for (int64_t j = 0; j < 2 * (dim); j++)                          \
                 u[j] = normal(gens[p]);                                      \
             if (STEP) {                                                      \
@@ -166,98 +193,166 @@ static inline double normal(bitgen_t *gen)
         }                                                                    \
     }
 
-typedef void (*drift_fn)(const double *c, int64_t n, const double *s, double *out);
+/* Two members in one value: a lane each.  Sixteen bytes is the width of
+   SSE2, the baseline of x86-64 (and of NEON), so every lane operation is
+   one instruction at the build's flags; gcc splits a wider vector into
+   pieces there, which runs slower than the scalar loop. */
+typedef double lane __attribute__((vector_size(16)));
 
-/* c = (lambda/2, -lambda/2, r^2, alpha0, alpha - alpha0) */
-static inline void hopf(const double *c, int64_t n, const double *s, double *out)
-{
-    double x = s[0], y = s[1];
-    double rho2 = (x * x + y * y) / c[2];
-    (void)n;
-    out[0] = (c[0] * x + y * -c[3]) + (c[1] * x + y * -c[4]) * rho2;
-    out[1] = (c[0] * y + x * c[3]) + (c[1] * y + x * c[4]) * rho2;
-}
-
-/* c = (mu,) */
-static inline void van_der_pol(const double *c, int64_t n, const double *s, double *out)
-{
-    (void)n;
-    out[0] = s[1];
-    out[1] = (c[0] * (1.0 - s[0] * s[0])) * s[1] - s[0];
-}
-
-/* c = (lambda,) */
-static inline void ornstein_uhlenbeck(const double *c, int64_t n, const double *s,
-                                      double *out)
-{
-    for (int64_t k = 0; k < n; k++)
-        out[k] = -c[0] * s[k];
-}
-
-/* One step of the integrator (sde._numpy_loop) from cur to next with the
-   drift f, the 3/2 scheme when rk15, else Euler-Maruyama; nonzero when a
-   component of next leaves [-trust, trust] (or is NaN).  The increments
-   are sde._increments': dW_j = sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1)
-   from the normals u.  S dW_j = 0.0 + s_j dW_j for the diagonal s of a
-   diagonal S: the product's sum over k from +0.0 adds only zeros besides
-   s_j dW_j, which leave it unchanged when it is not zero and make a zero
-   +0.0.  k = sde._stepping's (dt, dt/m, 2 sqrt(dt), dt/4, trust, sq, zc,
-   inv3); work holds 3n + 4n^2 doubles. */
-static inline int sde_step(drift_fn f, const double *c, int64_t n, int64_t rk15,
-                           const double *s, const double *off, const double *k,
-                           const double *u, const double *cur, double *next, double *work)
-{
-    const int64_t m = n, mn = n * n;
-    const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3], trust = k[4];
-    const double sq = k[5], zc = k[6], inv3 = k[7];
-    double *a0 = work, *base = a0 + n, *z = base + n, *st = z + n, *A = st + 2 * mn;
-    f(c, n, cur, a0);
-    for (int64_t q = 0; q < n; q++)
-        next[q] = (cur[q] + a0[q] * dt) + (0.0 + s[q] * (sq * u[2 * q]));
-    if (rk15) {
-        for (int64_t j = 0; j < n; j++) {
-            base[j] = cur[j] + a0[j] * dt_m;
-            z[j] = zc * (u[2 * j] + inv3 * u[2 * j + 1]);
-        }
-        for (int64_t j = 0; j < 2 * m; j++) {
-            for (int64_t q = 0; q < n; q++)
-                st[j * n + q] = base[q] + off[j * n + q];
-            f(c, n, st + j * n, A + j * n);
-        }
-        for (int64_t q = 0; q < n; q++) {
-            double twice = a0[q] * 2.0;
-            double h = (A[q] - A[mn + q]) * z[0], g = (A[q] + A[mn + q]) - twice;
-            for (int64_t j = 1; j < m; j++) {
-                h = h + (A[j * n + q] - A[mn + j * n + q]) * z[j];
-                g = g + ((A[j * n + q] + A[mn + j * n + q]) - twice);
-            }
-            next[q] = (next[q] + h / two_sq) + g * dt_4;
-        }
+/* sde_step_double and sde_step_lane: one step of the integrator
+   (sde._numpy_loop) from cur to next with the drift f, the 3/2 scheme
+   when rk15, else Euler-Maruyama, on one member's doubles or on two
+   members' lanes, each lane taking the operations of sde_step_double on
+   its member.  The increments are sde._increments':
+   dW_j = sq u_j0 and dZ_j = zc (u_j0 + inv3 u_j1) from the normals u.
+   S dW_j = 0.0 + s_j dW_j for the diagonal s of a diagonal S: the
+   product's sum over k from +0.0 adds only zeros besides s_j dW_j, which
+   leave it unchanged when it is not zero and make a zero +0.0.  k =
+   sde._stepping's (dt, dt/m, 2 sqrt(dt), dt/4, trust, sq, zc, inv3); work
+   holds 3n + 4n^2 values. */
+#define SDE_STEP(T)                                                                      \
+    static inline void sde_step_##T(void (*f)(const double *, int64_t, const T *, T *),  \
+                                    const double *c, int64_t n, int64_t rk15,             \
+                                    const double *s, const double *off, const double *k,  \
+                                    const T *u, const T *cur, T *next, T *work)           \
+    {                                                                                    \
+        const int64_t m = n, mn = n * n;                                                 \
+        const double dt = k[0], dt_m = k[1], two_sq = k[2], dt_4 = k[3];                 \
+        const double sq = k[5], zc = k[6], inv3 = k[7];                                  \
+        T *a0 = work, *base = a0 + n, *z = base + n, *st = z + n, *A = st + 2 * mn;      \
+        f(c, n, cur, a0);                                                                \
+        for (int64_t q = 0; q < n; q++)                                                  \
+            next[q] = (cur[q] + a0[q] * dt) + (0.0 + s[q] * (sq * u[2 * q]));            \
+        if (rk15) {                                                                      \
+            for (int64_t j = 0; j < n; j++) {                                            \
+                base[j] = cur[j] + a0[j] * dt_m;                                         \
+                z[j] = zc * (u[2 * j] + inv3 * u[2 * j + 1]);                            \
+            }                                                                            \
+            for (int64_t j = 0; j < 2 * m; j++) {                                        \
+                for (int64_t q = 0; q < n; q++)                                          \
+                    st[j * n + q] = base[q] + off[j * n + q];                            \
+                f(c, n, st + j * n, A + j * n);                                          \
+            }                                                                            \
+            for (int64_t q = 0; q < n; q++) {                                            \
+                T twice = a0[q] * 2.0;                                                   \
+                T h = (A[q] - A[mn + q]) * z[0], g = (A[q] + A[mn + q]) - twice;         \
+                for (int64_t j = 1; j < m; j++) {                                        \
+                    h = h + (A[j * n + q] - A[mn + j * n + q]) * z[j];                   \
+                    g = g + ((A[j * n + q] + A[mn + j * n + q]) - twice);                \
+                }                                                                        \
+                next[q] = (next[q] + h / two_sq) + g * dt_4;                             \
+            }                                                                            \
+        }                                                                                \
     }
+
+SDE_STEP(double)
+SDE_STEP(lane)
+
+/* Whether one of the n values x, or lane l of the n lanes x, leaves
+   [-trust, trust] (or is NaN).  Lanes are checked one at a time: gcc
+   splits a comparison of lanes into pieces at the build's flags. */
+static inline int outside(const double *x, int64_t n, double trust)
+{
     int out = 0;
     for (int64_t q = 0; q < n; q++)
-        out |= !(fabs(next[q]) <= trust);
+        out |= !(fabs(x[q]) <= trust);
     return out;
 }
 
-/* Members [0, count) of the integrator with drift name (MEMBER_LOOP): the
-   record rows of n values start at rec, and each step is sde_step's. */
-#define KERNEL(name)                                                                 \
-    void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work, \
-                   int64_t n_steps, int64_t record_every, double *rec, const double *c, \
-                   int64_t n, int64_t rk15, const double *s, const double *off,      \
-                   const double *k)                                                  \
-    {                                                                                \
-        double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;    \
-        MEMBER_LOOP(n, memcpy(cur, rec + row * n, n * sizeof *cur),                  \
-                    sde_step(name, c, n, rk15, s, off, k, u, cur, next, scratch),    \
-                    memcpy(rec + row * n, cur, n * sizeof *cur))                     \
+static inline int lane_outside(const lane *x, int64_t n, int l, double trust)
+{
+    int out = 0;
+    for (int64_t q = 0; q < n; q++)
+        out |= !(fabs(x[q][l]) <= trust);
+    return out;
+}
+
+/* Members p and p + 1 of an integrator loop (MEMBER_LOOP, whose i, row and
+   left it takes) with the lane drift f, one member a lane, from their row
+   0 through the steps both take.  Each lane draws its member's 2 n normals
+   a step from the member's own generator, in MEMBER_LOOP's order, and
+   writes the member's rows.  At the first bad step of either member, bad
+   gets that step and the pair ends; a member whose step there was good is
+   handed to the scalar loop: its state in cur, and i, row and left where
+   it goes on.  Returns that member, or p + 1 with i = n_steps when there
+   is none. */
+__attribute__((always_inline)) static inline int64_t sde_pair(
+    void (*f)(const double *, int64_t, const lane *, lane *), const double *c, int64_t n,
+    int64_t rk15, const double *s, const double *off, const double *k, bitgen_t *const *gens,
+    int64_t *bad, int64_t p, int64_t n_steps, int64_t record_every, double *rec, int64_t rows,
+    int64_t *i, int64_t *row, int64_t *left, double *cur)
+{
+    /* inlined into each nc_ loop, f is its lane drift and n a constant,
+       and gcc keeps these arrays in registers */
+    lane u[2 * n], x[n], y[n], work[3 * n + 4 * n * n], *now = x, *after = y;
+    double *member[2] = {rec + *row * n, rec + (*row + rows) * n};
+    int64_t written = 0;
+    bad[p + 1] = -1;
+    for (int64_t q = 0; q < n; q++)
+        x[q] = (lane){member[0][q], member[1][q]};
+    for (; *i < n_steps; ++*i) {
+        for (int l = 0; l < 2; l++)
+            for (int64_t j = 0; j < 2 * n; j++)
+                u[j][l] = normal(gens[p + l]);
+        sde_step_lane(f, c, n, rk15, s, off, k, u, now, after, work);
+        int ok[2] = {!lane_outside(after, n, 0, k[4]), !lane_outside(after, n, 1, k[4])};
+        lane *swap = now;
+        now = after;
+        after = swap;
+        if (!--*left) {
+            written++;
+            for (int l = 0; l < 2; l++)
+                for (int64_t q = 0; ok[l] && q < n; q++)
+                    member[l][written * n + q] = now[q][l];
+            *left = record_every;
+        }
+        if (!ok[0] || !ok[1]) {
+            for (int l = 0; l < 2; l++)
+                if (!ok[l])
+                    bad[p + l] = *i;
+            if (!ok[0] && !ok[1])
+                break;
+            int l = !ok[0];
+            for (int64_t q = 0; q < n; q++)
+                cur[q] = now[q][l];
+            ++*i;
+            *row += l * rows + written;
+            return p + l;
+        }
     }
+    *i = n_steps;
+    return p + 1;
+}
 
-KERNEL(hopf)
-KERNEL(van_der_pol)
-KERNEL(ornstein_uhlenbeck)
+/* Members [0, count) of the integrator with the drift name of dim
+   components, n when set at run time (MEMBER_LOOP): the record rows of n
+   values start at rec, and each step is sde_step_double's, bad when next
+   is outside the trust region k[4].  LOAD is START, or PAIRED(name, dim)
+   for a drift with a lane twin name_lanes, which runs members p and p + 1
+   together (sde_pair) where p has a partner. */
+#define KERNEL(name, dim, LOAD)                                                          \
+    void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,     \
+                   int64_t n_steps, int64_t record_every, double *rec, const double *c,  \
+                   int64_t n, int64_t rk15, const double *s, const double *off,          \
+                   const double *k)                                                      \
+    {                                                                                    \
+        double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;        \
+        MEMBER_LOOP(dim, LOAD,                                                           \
+                    (sde_step_double(name, c, dim, rk15, s, off, k, u, cur, next, scratch), \
+                     outside(next, dim, k[4])),                                          \
+                    memcpy(rec + row * n, cur, n * sizeof *cur))                         \
+    }
+#define START memcpy(cur, rec + row * n, n * sizeof *cur)
+#define PAIRED(name, dim)                                                               \
+    if (p + 1 < count) {                                                                \
+        following = p + 2;                                                              \
+        p = sde_pair(name##_lanes, c, dim, rk15, s, off, k, gens, bad, p, n_steps,      \
+                     record_every, rec, rows, &i, &row, &left, cur);                    \
+    } else                                                                              \
+        START
+"""
 
+_LOOPS = r"""
 /* np.mod(a, b): numpy's npy_remainder, fmod with Python's sign rule */
 static inline double remainder_of(double a, double b)
 {
@@ -389,6 +484,102 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
 }
 """
 
+# The formula of each drift the package builds, written once: an
+# elementwise function of the coefficients, then the state's components,
+# with + - * / in the order they round.  The numpy drift of ``spec``,
+# ``single_state`` and the C drifts (``_c_drift``) all apply it.
+
+def _hopf(half, neg_half, r2, alpha0, shift, x, y):
+    # the drift of hopf's module docstring, each difference a sum with a
+    # negated coefficient, which rounds to the same bits
+    rho2 = (x * x + y * y) / r2
+    return (
+        (half * x + y * -alpha0) + (neg_half * x + y * -shift) * rho2,
+        (half * y + x * alpha0) + (neg_half * y + x * shift) * rho2,
+    )
+
+
+def _van_der_pol(mu, x, v):
+    return v, mu * (1.0 - x * x) * v - x
+
+
+def _ornstein_uhlenbeck(lam, *z):
+    return tuple(-lam * c for c in z)
+
+
+# name -> (formula, the state dimension it is written for); None: any, the
+# formula acting on each component alike
+_FORMULAS = {
+    "hopf": (_hopf, 2),
+    "van_der_pol": (_van_der_pol, 2),
+    "ornstein_uhlenbeck": (_ornstein_uhlenbeck, None),
+}
+
+
+class _Traced:
+    """A value of a formula traced into C (``_c_drift``): the C operand
+    that names it, and whether it varies with the state or comes from
+    coefficients and constants alone.  ``+ - * /`` and unary minus each
+    append one statement (name, varies, expression) to ``lines`` and give
+    the value it names; a number becomes an exact hex float constant.  Any
+    other operation is a ``TypeError``."""
+
+    def __init__(self, text, varies, lines):
+        self.text, self.varies, self.lines = text, varies, lines
+
+    def _let(self, expression, varies):
+        name = f"t{len(self.lines)}"
+        self.lines.append((name, varies, expression))
+        return _Traced(name, varies, self.lines)
+
+    def _binary(self, op, a, b):
+        a, b = (x if isinstance(x, _Traced) else _Traced(f"({float(x).hex()})", False, self.lines)
+                for x in (a, b))
+        return self._let(f"{a.text} {op} {b.text}", a.varies or b.varies)
+
+    def __neg__(self):
+        return self._let(f"-{self.text}", self.varies)
+
+
+for _op, _method in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv")):
+    setattr(_Traced, f"__{_method}__", lambda a, b, op=_op: a._binary(op, a, b))
+    setattr(_Traced, f"__r{_method}__", lambda a, b, op=_op: a._binary(op, b, a))
+
+
+def _c_drift(name, formula, dimension) -> str:
+    """C of the drift ``name``: ``formula`` traced into ``void name(c, n,
+    s, out)`` on doubles, one statement an operation in the formula's
+    order, and the integrator loop ``nc_name`` that steps with it
+    (``KERNEL``).  For a fixed ``dimension`` the same statements on lanes
+    give ``name_lanes``, which the loop runs two members at a time; else
+    the formula is traced on one component, s[k], for each of the n."""
+    lines = []
+    components = range(dimension) if dimension else ["k"]
+    # the formula's positional parameters are its coefficients, then the
+    # components of a fixed dimension
+    coefs = [_Traced(f"c[{j}]", False, lines)
+             for j in range(formula.__code__.co_argcount - (dimension or 0))]
+    outs = formula(*coefs, *(_Traced(f"s[{q}]", True, lines) for q in components))
+
+    def function(suffix, value):
+        body = [f"const {value if varies else 'double'} {t} = {e};" for t, varies, e in lines]
+        body += [f"out[{q}] = {out.text};" for q, out in zip(components, outs, strict=True)]
+        head = (f"/* _stepkernel._{name}, traced */\n"
+                f"static inline void {name}{suffix}(const double *c, int64_t n, "
+                f"const {value} *s, {value} *out)\n{{\n")
+        if dimension:
+            return head + "".join(f"    {b}\n" for b in ["(void)n;", *body]) + "}\n\n"
+        return (head + "    for (int64_t k = 0; k < n; k++) {\n"
+                + "".join(f"        {b}\n" for b in body) + "    }\n}\n\n")
+
+    if dimension:
+        return (function("", "double") + function("_lanes", "lane")
+                + f"KERNEL({name}, {dimension}, PAIRED({name}, {dimension}))\n\n")
+    return function("", "double") + f"KERNEL({name}, n, START)\n\n"
+
+
+_SOURCE = _PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items()) + _LOOPS
+
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-Wl,--exclude-libs,ALL",
@@ -402,9 +593,6 @@ _NAME = hashlib.sha256(
     " ".join((_SOURCE, *_FLAGS, np.__version__)).encode()
 ).hexdigest() + ".so"
 
-# state dimension each C drift is written for; None: any
-_DIMENSION = {"hopf": 2, "van_der_pol": 2, "ornstein_uhlenbeck": None}
-
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 # each member loop's arguments: (count, gens, bad, work, n_steps,
@@ -412,13 +600,13 @@ _I = ctypes.c_int64
 # them, then the values _bind binds: an _I as an int, a _P as a float64 copy
 _MEMBERS = [_I, _P, _P, _P, _I, _I]
 _ARGTYPES = {
-    **dict.fromkeys(_DIMENSION, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
+    **dict.fromkeys(_FORMULAS, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
     "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
     "linear": _MEMBERS + [_P, _P] + [_I, _P],
 }
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
-# unless one member's steps are more
+# unless two members' steps are more
 _CALL_PATH_STEPS = 1 << 14
 
 # cache file -> loaded library, or None when it could not be built or loaded
@@ -427,7 +615,8 @@ _loaded: dict = {}
 
 class KernelSpec(NamedTuple):
     """The C drift ``name`` with coefficients ``coefs`` computes ``drift``,
-    which is ``formula(*coefs, *components)`` on the state's columns.
+    which applies the formula ``_FORMULAS[name]`` to them and the state's
+    columns.
 
     ``coefs`` is None when a coefficient would not round like a float64
     in numpy (a long double, say); the numpy loops and drift then run.
@@ -435,14 +624,14 @@ class KernelSpec(NamedTuple):
 
     name: str
     coefs: Optional[tuple]
-    formula: Callable
     drift: Callable
 
 
-def spec(name: str, coefs, formula) -> KernelSpec:
-    """The spec of the C drift ``name`` with coefficients ``coefs`` and the
-    numpy drift that applies ``formula`` to them and a state's columns."""
+def spec(name: str, coefs) -> KernelSpec:
+    """The spec of the drift ``name`` with coefficients ``coefs`` and the
+    numpy drift that applies its formula to them and a state's columns."""
     coefs = tuple(coefs)
+    formula = _FORMULAS[name][0]
     dtype = np.result_type(np.float64, *coefs)
     exact = dtype == np.float64
 
@@ -455,17 +644,17 @@ def spec(name: str, coefs, formula) -> KernelSpec:
             rows[j] = value
         return out
 
-    return KernelSpec(name, tuple(float(c) for c in coefs) if exact else None, formula, drift)
+    return KernelSpec(name, tuple(float(c) for c in coefs) if exact else None, drift)
 
 
 def _spec_of(system) -> Optional[KernelSpec]:
     """``system``'s spec while its drift is still the spec's, its
-    coefficients round like float64 and its dimension is the C drift's;
+    coefficients round like float64 and its dimension is the formula's;
     else None."""
     ks = system._kernel
     if ks is None or ks.drift is not system.drift or ks.coefs is None:
         return None
-    return ks if _DIMENSION[ks.name] in (None, system.dimension) else None
+    return ks if _FORMULAS[ks.name][1] in (None, system.dimension) else None
 
 
 def single_state(system) -> Optional[Callable]:
@@ -480,7 +669,7 @@ def single_state(system) -> Optional[Callable]:
     ks = _spec_of(system)
     if ks is None:
         return None
-    formula, coefs = ks.formula, ks.coefs
+    formula, coefs = _FORMULAS[ks.name][0], ks.coefs
 
     def f(t, y):
         try:
@@ -578,8 +767,9 @@ def _bind(name, width, shapes, *shared) -> Optional[Callable]:
     ``loop(*records, record_every, n_steps, rngs)``, or None for the numpy
     loop.  ``width`` is the doubles of scratch a call needs, and ``shapes``
     the shape of a row of each record, (P, rows, *shape) float64 and
-    C-contiguous; a call runs about ``_CALL_PATH_STEPS`` path-steps, at
-    least one member.
+    C-contiguous; a call runs about ``_CALL_PATH_STEPS`` path-steps of an
+    even count of members, at least two, so that lanes find their partner
+    in the call (a thread's block may still end on an odd member).
     """
     values = []
     for kind, x in zip(_ARGTYPES[name][len(_MEMBERS) + len(shapes):], shared, strict=True):
@@ -616,7 +806,7 @@ def _bind(name, width, shapes, *shared) -> Optional[Callable]:
             fn(b - a, at(gens, a), at(bad, a), work.ctypes.data, n_steps, record_every,
                *(at(x, a) for x in records), *bound)
 
-        _in_threads(block, P, max(1, _CALL_PATH_STEPS // n_steps))
+        _in_threads(block, P, 2 * max(1, _CALL_PATH_STEPS // (2 * n_steps)))
         return bad
 
     return loop

@@ -118,7 +118,7 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
     frequency grid w_k = 2 pi k / (N dt); no windowing is applied.  The
     paths must be finite.
     """
-    arr = _require_array("paths", np.atleast_2d(paths), (None, None))
+    arr = _require_array("paths", paths, (None, None), ndmin=2)
     _require_real("dt", dt)
     n = arr.shape[1]
     centred = arr - arr.mean(axis=1, keepdims=True)
@@ -211,7 +211,7 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     (``_stepkernel._in_threads``), where numpy's calls release the GIL, each
     with its own pair of buffers; no value depends on the block.
     """
-    x = _require_array("samples", np.ravel(samples), None)
+    x = _require_array("samples", samples, None).ravel()
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
     _require_count("grid_size", grid_size, 2)
@@ -256,7 +256,7 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
 def kurtosis(samples) -> float:
     """Non-excess kurtosis m4 / m2^2 with population moments of at least
     30 finite samples."""
-    x = _require_array("samples", np.ravel(samples), None)
+    x = _require_array("samples", samples, None).ravel()
     if x.size < 30:
         raise ConfigError(f"kurtosis needs >= 30 samples, got {x.size}")
     x = x - x.mean()
@@ -288,7 +288,7 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     depends on the block.  ``omegas`` must be a nonempty 1-D array of
     finite, nonnegative values (:class:`ConfigError` before any sampling).
     """
-    omegas = _require_array("omegas", np.atleast_1d(omegas), (None,))
+    omegas = _require_array("omegas", omegas, (None,), ndmin=1)
     if np.any(omegas < 0.0):
         raise ConfigError("omegas must be nonnegative")
 

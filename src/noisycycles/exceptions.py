@@ -17,7 +17,8 @@ array argument a third, written once here and raised as
   allowed, nonnegative ("{name} must be finite and >= 0, got {value}");
   an int too large for a float is not finite;
 - an array (``_require_array``) is real ("{name} must be an array of real
-  numbers, got dtype {dtype}"), then of its shape ("{name} must have shape
+  numbers, got dtype {dtype}", where a ragged nested sequence is of dtype
+  object), then of its shape ("{name} must have shape
   {spec}, got {shape}", where an ``N`` axis, as in ``(N,)`` or ``(N, 1)``,
   takes any length of at least 1), then finite ("{name} must be finite,
   got {x} at index {i}" for the first such element, i an int in 1-D).
@@ -71,14 +72,19 @@ def _require_real(name, value, zero=False):
         raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
-def _require_array(name, value, shape):
-    """``np.asarray(value, dtype=float)``, refused unless it is real, of
-    ``shape`` (None: any length of at least 1; a None ``shape``: any shape)
-    and finite."""
-    dtype = np.asarray(value).dtype
+def _require_array(name, value, shape, ndmin=0):
+    """``np.asarray(value, dtype=float)`` with leading axes of length 1 up
+    to ``ndmin`` axes, as ``np.atleast_1d`` and ``np.atleast_2d`` add them,
+    refused unless it is real, of ``shape`` (None: any length of at least
+    1; a None ``shape``: any shape) and finite."""
+    try:
+        dtype = np.asarray(value).dtype
+    except ValueError:  # numpy refuses a ragged nested sequence
+        dtype = np.dtype(object)
     if dtype.kind not in "biuf":
         raise ConfigError(f"{name} must be an array of real numbers, got dtype {dtype}")
     arr = np.asarray(value, dtype=float)
+    arr = arr.reshape((1,) * (ndmin - arr.ndim) + arr.shape)
     if shape is not None and not (arr.ndim == len(shape) and all(
             n == s or s is None and n >= 1 for n, s in zip(arr.shape, shape))):
         spec = ", ".join("N" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)

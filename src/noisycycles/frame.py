@@ -646,7 +646,7 @@ def reconstruct(cycle, frame, tau, z0, dt=1.0, channel_labels=None) -> Trajector
     (:class:`ConfigError`).
     """
     tau = _require_array("tau", tau, (None,))
-    z0 = _require_array("z0", np.atleast_2d(z0), (tau.size, cycle.dimension - 1))
+    z0 = _require_array("z0", z0, (tau.size, cycle.dimension - 1), ndmin=2)
     l_sp = _periodic_spline(cycle.grid, cycle.L, cycle.period)
     u_sp = _periodic_spline(cycle.grid, frame.U, cycle.period)
     wrapped = np.mod(tau, cycle.period)

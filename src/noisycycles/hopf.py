@@ -91,16 +91,6 @@ def _nsr_of(sigma, lambda_, r):
     return np.sqrt(sigma**2 / (2.0 * lambda_)) / r
 
 
-def _hopf_formula(half, neg_half, r2, alpha0, shift, x, y):
-    # each difference of the module docstring's formula is a sum with a
-    # negated coefficient, which rounds to the same bits
-    rho2 = (x * x + y * y) / r2
-    return (
-        (half * x + y * -alpha0) + (neg_half * x + y * -shift) * rho2,
-        (half * y + x * alpha0) + (neg_half * y + x * shift) * rho2,
-    )
-
-
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
     """Analytic Jacobian of the drift at a single state."""
     x, y = np.asarray(state, dtype=float)
@@ -121,10 +111,10 @@ def hopf_jacobian(params: HopfParams, state) -> np.ndarray:
 
 def hopf_system(params: HopfParams) -> SdeSystem:
     """The oscillator as an additive-noise system with isotropic noise; its
-    drift is ``_hopf_formula`` in the kernel spec of its compiled twin."""
+    drift is the formula ``_stepkernel._hopf`` of its kernel spec."""
     lam, alpha0 = params.lambda_, params.alpha0
     coefs = (0.5 * lam, -0.5 * lam, params.r**2, alpha0, params.alpha - alpha0)
-    kernel = _stepkernel.spec("hopf", coefs, _hopf_formula)
+    kernel = _stepkernel.spec("hopf", coefs)
     return SdeSystem(
         dimension=2,
         drift=kernel.drift,

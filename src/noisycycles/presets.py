@@ -23,7 +23,7 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
     """
     _require_real("mu", mu)
 
-    kernel = _stepkernel.spec("van_der_pol", (mu,), _van_der_pol_formula)
+    kernel = _stepkernel.spec("van_der_pol", (mu,))
 
     def jacobian(y):
         x, v = np.asarray(y, dtype=float)
@@ -39,8 +39,3 @@ def van_der_pol(mu=1.0, sigma=0.0) -> SdeSystem:
         jacobian=jacobian,
         _kernel=kernel,
     )
-
-
-def _van_der_pol_formula(mu, x, v):
-    return v, mu * (1.0 - x * x) * v - x
-

@@ -109,6 +109,9 @@ class SdeSystem:
         Analytic Jacobian, (n,) -> (n, n).  Consumers fall back to central
         finite differences when absent.
 
+    A ``drift``, or a ``jacobian`` other than None, that is not callable
+    is a :class:`ConfigError`.
+
     A drift passed in here always runs through the integrator's numpy
     loop.  The systems the package builds (``hopf_system``,
     ``van_der_pol``, ``ornstein_uhlenbeck``) carry a compiled loop that
@@ -127,6 +130,10 @@ class SdeSystem:
     def __post_init__(self):
         n = self.dimension
         _require_count("dimension", n, 1)
+        if not callable(self.drift):
+            raise ConfigError(f"drift must be callable, got {self.drift!r}")
+        if self.jacobian is not None and not callable(self.jacobian):
+            raise ConfigError(f"jacobian must be callable, got {self.jacobian!r}")
         if self.noise_matrix is None:
             sigma = 0.0 if self.isotropic_sigma is None else self.isotropic_sigma
             _require_real("isotropic_sigma", sigma, zero=True)
@@ -260,8 +267,14 @@ def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
 
 
 def _scales(dt):
-    """sq = sqrt(dt), zc = dt^1.5 / 2 and inv3 = 1 / sqrt(3) of ``_increments``."""
-    return np.sqrt(dt), dt ** 1.5 / 2.0, 1.0 / np.sqrt(3.0)
+    """sq = sqrt(dt), zc = dt^1.5 / 2 and inv3 = 1 / sqrt(3) of
+    ``_increments``; a ``dt`` whose dt^1.5 overflows is refused."""
+    try:
+        with np.errstate(over="raise"):
+            cube = dt ** 1.5
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"dt must have a finite dt ** 1.5, got {dt}") from None
+    return np.sqrt(dt), cube / 2.0, 1.0 / np.sqrt(3.0)
 
 
 def _increments(rngs, n_steps, dim, dt):
@@ -420,7 +433,11 @@ def _numpy_loop(system, rk15, offsets, constants, increments=None):
 
 def _phase_initial(initial_state, n):
     """A phase/deviation start (z0 ..., tau0) of length n, or () for zeros."""
-    if np.shape(initial_state) == (0,):
+    try:
+        empty = np.shape(initial_state) == (0,)
+    except ValueError:  # a ragged nested sequence, which the array rule refuses
+        empty = False
+    if empty:
         return np.zeros(n - 1), 0.0
     start = _require_array("initial_state", initial_state, (None,))
     if start.size != n:
@@ -579,7 +596,7 @@ def strong_order_estimate(
 def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
     """The linear relaxation process dz = -lambda z dt + sigma dW."""
     _require_real("lambda_", lambda_)
-    kernel = _stepkernel.spec("ornstein_uhlenbeck", (float(lambda_),), _ou_formula)
+    kernel = _stepkernel.spec("ornstein_uhlenbeck", (float(lambda_),))
     return SdeSystem(
         dimension=dimension,
         drift=kernel.drift,
@@ -587,10 +604,6 @@ def ornstein_uhlenbeck(lambda_, sigma, dimension=1) -> SdeSystem:
         vectorized=True,
         _kernel=kernel,
     )
-
-
-def _ou_formula(lam, *z):
-    return tuple(-lam * c for c in z)
 
 
 def ou_exact_endpoint(lambda_, sigma):

@@ -186,6 +186,25 @@ def test_a_wrongly_typed_or_non_finite_scalar_is_a_config_error(entry, value):
     assert str(err.value) == _message(name, rule, value)
 
 
+@pytest.mark.parametrize("dt", [1e300, np.float64(1e300), 10**300])
+def test_a_dt_whose_power_one_and_a_half_overflows_is_a_config_error(dt):
+    # dt^1.5 scales the area increments; a dt below the float limit passes
+    # the real rule, but its dt^1.5 does not fit in a float
+    for run in (lambda: integrate_path(_OU, IntegratorConfig(dt=dt, n_steps=4, initial_state=(0.0,))),
+                lambda: strong_order_estimate(_OU, (1.0,), 4 * dt, [dt, dt / 2, dt / 4], 2)):
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as err:
+            warnings.simplefilter("error")
+            run()
+        assert str(err.value).startswith("dt must have a finite dt ** 1.5, got ")
+
+
+@pytest.mark.parametrize("field, value", [("drift", None), ("drift", 1.0), ("jacobian", "J")])
+def test_an_sde_system_refuses_a_drift_or_jacobian_that_is_not_callable(field, value):
+    with pytest.raises(ConfigError) as err:
+        SdeSystem(**{"dimension": 2, "drift": np.negative, field: value})
+    assert str(err.value) == f"{field} must be callable, got {value!r}"
+
+
 _LAGS = list(np.arange(10) * 0.5)
 _DECAY = list(np.exp(-np.arange(10) * 0.5))
 
@@ -272,6 +291,10 @@ def _faulty(entry, fault):
         return value, f"{name} must have shape {spec}, got {np.shape(value)}"
     if fault == "None":
         return None, f"{name} must be an array of real numbers, got dtype object"
+    if fault == "ragged":
+        # rows of two lengths, which numpy refuses to stack
+        ragged = [list(np.ravel(value)) + [0.0], [0.0]]
+        return ragged, f"{name} must be an array of real numbers, got dtype object"
     element, k = _ELEMENTS[fault]
     k %= np.size(value)
     bad = np.array(value, dtype=object)
@@ -286,7 +309,7 @@ def _faulty(entry, fault):
 @pytest.mark.parametrize("entry, fault", [
     (entry, fault)
     for entry, (*_, wrong) in ARRAYS.items()
-    for fault in ("str", "None", "nan", "inf", "-inf", "shape")
+    for fault in ("str", "None", "ragged", "nan", "inf", "-inf", "shape")
     if not (fault == "shape" and wrong is None)
     and not (fault == "None" and entry in _TAKES_NONE)
 ])

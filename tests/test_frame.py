@@ -632,7 +632,7 @@ def test_reduced_member_is_its_solo_run_across_chunk_boundaries():
 @requires_compiler
 @pytest.mark.parametrize("name", ["van der pol", "3-d"])
 @pytest.mark.parametrize("n_paths", [5, 8])
-@pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
+@pytest.mark.parametrize("calls", ["many members a call", "fewest members a call"])
 def test_reduced_members_do_not_depend_on_the_thread_count(name, n_paths, calls):
     contract.check_members_at_any_thread_count(f"reduced {name}", calls, n_paths)
 

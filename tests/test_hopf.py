@@ -296,7 +296,7 @@ def test_compiled_linear_loop_is_bitwise_the_numpy_loop(leading, nsr_value, init
 
 @requires_compiler
 @pytest.mark.parametrize("leading", [False, True], ids=["full", "leading"])
-@pytest.mark.parametrize("calls", ["many members a call", "one member a call"])
+@pytest.mark.parametrize("calls", ["many members a call", "fewest members a call"])
 def test_linear_members_are_their_solo_runs_at_any_thread_count(leading, calls):
     # 1 and 2 members and one more member than CPUs
     for n_paths in (1, 2, _stepkernel._threads(1 << 20) + 1):

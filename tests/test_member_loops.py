@@ -375,11 +375,12 @@ def check_member_is_solo(name, config, record_every, n_paths, k, n_threads=1):
 
 def check_members_at_any_thread_count(name, calls, n_paths):
     """At 1, 2 and 3 threads every member equals the numpy loop's, and its
-    solo run.  3000 steps make calls of _CALL_PATH_STEPS // 3000 = 5
-    members, and one more step than _CALL_PATH_STEPS calls of one member."""
+    solo run.  3000 steps make calls of 4 members, the even count nearest
+    below _CALL_PATH_STEPS // 3000, and one more step than _CALL_PATH_STEPS
+    calls of the fewest, two (one where a thread's block has one left)."""
     case = CASES[name]
     n_steps = {"many members a call": 3000,
-               "one member a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
+               "fewest members a call": _stepkernel._CALL_PATH_STEPS + 1}[calls]
     record_every = 3 if n_steps % 3 == 0 else 1
     start = (0.02,) * (len(case.start) - 1) + (0.4,)
     config = IntegratorConfig(dt=1e-3, n_steps=n_steps, seed=17, initial_state=start)
@@ -550,8 +551,8 @@ _RUNS = dict(data=st.data(), scheme=st.sampled_from(list(Scheme)),
 @given(n_paths=st.integers(1, 40), k=st.integers(0, 39), **_RUNS)
 def test_member_is_its_solo_run(binder, data, scheme, n_paths, record_every, beyond, k,
                                 n_threads):
-    # one member past _CHUNK steps runs one member a call, many short
-    # members many a call
+    # members past _CHUNK steps run two a call, many short members many a
+    # call
     name = data.draw(st.sampled_from(_cases_of(binder)), label="case")
     start = data.draw(CASES[name].starts, label="start")
     config = past_a_chunk(n_paths, record_every, beyond, scheme=scheme, seed=17,
@@ -582,6 +583,84 @@ def test_a_long_ensemble_draws_its_normals_as_numpy_does():
     # with the tables of the numpy installed
     config = IntegratorConfig(dt=1e-3, n_steps=2500, seed=4, initial_state=(1.0, 0.0))
     check_compiled_is_numpy("hopf", config, 100, 40)
+
+
+# the integrator's drifts whose compiled loop runs two members at a time, a
+# lane each, and an unpaired member (the last of an odd count, of a call or
+# of a thread's block) alone
+LANES = ("hopf", "van der pol")
+
+
+@requires_compiler
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_paths", [3, 7, 21])
+@pytest.mark.parametrize("name", LANES)
+def test_lanes_and_the_unpaired_member_give_the_numpy_and_solo_bytes(name, n_paths, n_threads):
+    case = CASES[name]
+    for scheme in Scheme:
+        config = IntegratorConfig(dt=1e-3, n_steps=300, scheme=scheme, seed=29,
+                                  initial_state=(0.4, -0.0))
+        with threads(n_threads):
+            members = record_bytes(case.run(config, 3, n_paths))
+        with numpy_loop():
+            assert record_bytes(case.run(config, 3, n_paths)) == members
+        for k in range(n_paths):
+            assert record_bytes(case.run(member(config, k), 3, None)) == [members[k]]
+
+
+# ensembles whose members diverge (system, config, n_paths): in the noisy
+# ones one member of a pair stops while its partner records on past it, to
+# a later divergence or to the end; in the quiet ones every member is the
+# same, so both lanes of each pair stop at the same step
+LANE_DIVERGENCES = {
+    # first bad steps 11, 9, 2, none, 4, 11, 29, 8
+    "hopf, one lane": (SYSTEMS["hopf"](2.5), IntegratorConfig(
+        dt=0.08, n_steps=42, seed=3, initial_state=(1.0, 0.0)), 8),
+    # 17, 25, 27, 29, none, none, none, 11
+    "van der pol, one lane": (SYSTEMS["van der pol"](2.0), IntegratorConfig(
+        dt=0.1, n_steps=42, seed=3, initial_state=(2.0, 0.0)), 8),
+    "hopf, both lanes": (SYSTEMS["hopf"](0.0), IntegratorConfig(
+        dt=0.05, n_steps=42, seed=3, initial_state=(2.3, 0.0)), 7),
+    "van der pol, both lanes": (SYSTEMS["van der pol"](0.0), IntegratorConfig(
+        dt=0.1, n_steps=42, seed=3, initial_state=(5.5, 0.0)), 7),
+}
+
+
+@requires_compiler
+@pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("setup", sorted(LANE_DIVERGENCES))
+def test_a_member_whose_partner_diverges_records_on_alone(setup, n_threads):
+    # the compiled loop, called directly, runs every member to its own first
+    # bad step or to the end; that step and the rows before it are the solo
+    # numpy run's, for record_every 3
+    system, config, n_paths = LANE_DIVERGENCES[setup]
+    seeds = [sde.path_seed(config.seed, k) for k in range(n_paths)]
+    firsts = []
+    with numpy_loop():
+        for seed in seeds:
+            try:
+                integrate_path(system, dataclasses.replace(config, seed=seed))
+                firsts.append(-1)
+            except DivergenceError as err:
+                firsts.append(err.step_index)
+    pairs = list(zip(firsts[::2], firsts[1::2]))
+    if "both" in setup:
+        assert all(a == b > 0 for a, b in pairs)
+    else:
+        assert any(a >= 0 and b < 0 or b >= 0 and a < 0 for a, b in pairs)
+    loop = _stepkernel.loop_for(*sde._stepping(system, config.scheme, config.dt))
+    rec = np.empty((n_paths, config.n_steps // 3 + 1, 2))
+    rec[:, 0] = config.initial_state
+    with threads(n_threads):
+        bad = loop(rec, 3, config.n_steps, [sde._generator(seed) for seed in seeds])
+    assert bad.tolist() == firsts
+    for k, first in enumerate(firsts):
+        steps = config.n_steps if first < 0 else first // 3 * 3
+        with numpy_loop():
+            solo = (integrate_path(system, dataclasses.replace(config, n_steps=steps,
+                                                               seed=seeds[k]), 3).values
+                    if steps else np.array([config.initial_state]))
+        assert rec[k, :steps // 3 + 1].tobytes() == solo.tobytes()
 
 
 @pytest.mark.parametrize("setup", sorted(DIVERGENCES))
