@@ -1,6 +1,7 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
 package builds, of ``frame.simulate_reduced`` and of
-``hopf.simulate_hopf_linear``.
+``hopf.simulate_hopf_linear``, and the compiled bookkeeping of
+``fitting``'s Nelder-Mead restarts.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
@@ -63,7 +64,7 @@ the scalar loop from the start.  A wider vector would be split into
 compiles the source with ``-Wvector-operation-performance -Werror``, which
 refuses that.
 
-Every ``nc_`` function takes ``(count, gens, bad, work, n_steps,
+Every member loop ``nc_`` function takes ``(count, gens, bad, work, n_steps,
 record_every, records..., shared...)``: members [0, count)'s ``bitgen_t``
 pointers and first bad steps, scratch, the counts, a pointer at the first
 member of each record, then what all members share.  :func:`_bind` alone
@@ -75,6 +76,19 @@ for the call.  A member owns its generator, its state and its rows, so the
 split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 :func:`linear_loop` add only their own rules and end in ``_bind``.
 
+``nc_nelder_mead`` is no member loop: it is ``fitting._nelder_mead``, the
+package's copy of scipy's bounded Nelder-Mead, for all of a fit's restarts
+at once, with every ``+ - * /``, comparison, clip and budget rule of that
+generator in its order.  Each restart is a state machine over flat arrays
+(its phase, nfev, nit, simplex and values); one call takes the values of
+the points it asked for last, advances every live restart until it needs
+new points, and writes them all into one (points, n) buffer.
+:func:`nelder_mead` makes one call a round and evaluates the points with
+``fitting``'s numpy objective.  The C orders a simplex only when its
+values are distinct and not NaN, where every sort agrees with numpy's;
+otherwise the restart waits a round for ``np.argsort`` of its values,
+so ties keep numpy's order on every CPU.
+
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
@@ -84,12 +98,12 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the five
+the archive's symbols out of the library's exports, which are the six
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice.
 Without a compiler, without ``objcopy``, without numpy's static library,
-or without a writable cache, the numpy loops run instead, with the same
-results.
+or without a writable cache, the numpy loops and fitting's Python
+restarts run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -484,6 +498,242 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
 }
 """
 
+_NELDER_MEAD = r"""
+/* fitting._nelder_mead's phases: what a restart does next, or what it
+   waits for the values or the order of */
+enum { NM_START, NM_SIMPLEX, NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE,
+       NM_REFLECT, NM_EXPAND, NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
+
+/* np.clip(v, lo, hi): v stays only if v > lo, then only if v < hi (so
+   -0.0 clips to a bound of 0.0), and NaN stays NaN */
+static inline double clipped(double v, double lo, double hi)
+{
+    double m = v <= lo ? lo : v;
+    return m >= hi ? hi : m;
+}
+
+/* The n + 1 vertices of sim and their values fsim in the order of
+   numpy's argsort of fsim: `order` when given, else fsim's own order when
+   no value is NaN and no two are equal, which every sort gives.  Returns
+   0, changing nothing, when there is no order to take: ties, NaN and a
+   +0.0 beside a -0.0 leave it to numpy. */
+static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
+{
+    int64_t idx[n + 1];
+    if (order) {
+        memcpy(idx, order, sizeof idx);
+    } else {
+        for (int64_t q = 0; q <= n; q++) {
+            if (isnan(fsim[q]))
+                return 0;
+            for (int64_t r = 0; r < q; r++)
+                if (fsim[r] == fsim[q])
+                    return 0;
+        }
+        for (int64_t q = 0; q <= n; q++) {
+            int64_t r = q;
+            for (; r > 0 && fsim[idx[r - 1]] > fsim[q]; r--)
+                idx[r] = idx[r - 1];
+            idx[r] = q;
+        }
+    }
+    double s[(n + 1) * n], f[n + 1];
+    memcpy(s, sim, sizeof s);
+    memcpy(f, fsim, sizeof f);
+    for (int64_t q = 0; q <= n; q++) {
+        memcpy(sim + q * n, s + idx[q] * n, n * sizeof *s);
+        fsim[q] = f[idx[q]];
+    }
+    return 1;
+}
+
+/* One restart of fitting._nelder_mead, from its phase to the next point
+   it needs: every + - * /, comparison, clip and budget rule of the
+   generator, in its order.  values holds the values of the points it asked
+   for last, and order numpy's order of fsim when it asked for one.  It
+   writes the points it needs into `points` and returns their count, or -1
+   to ask for the order of fsim, or 0 when it has ended.  state = (phase,
+   nfev, nit, asked), asked the count of points asked for, or -1; sim holds
+   the (n + 1) x n simplex, x0 in its first row at NM_START; work holds
+   xbar, xr, up to n pending points and fxr.  k = (rho, chi, psi, sigma,
+   nonzdelt, zdelt, xatol, fatol), fitting's constants. */
+static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const double *k,
+                          const double *lower, const double *upper, int64_t *state,
+                          double *sim, double *fsim, double *work, const double *values,
+                          const int64_t *order, double *points)
+{
+    const double rho = k[0], chi = k[1], psi = k[2], sigma = k[3];
+    int64_t *phase = state, *nfev = state + 1, *nit = state + 2, *asked = state + 3;
+    double *xbar = work, *xr = xbar + n, *pending = xr + n, *fxr = pending + n * n;
+    double *worst = sim + n * n;
+    double c = 0.0; /* the point asked for: (1 + c) xbar - c worst, clipped */
+    for (;;) {
+        switch (*phase) {
+        case NM_START:
+            for (int64_t j = 0; j < n; j++)
+                sim[j] = clipped(sim[j], lower[j], upper[j]);
+            for (int64_t q = 1; q <= n; q++) {
+                double *y = sim + q * n;
+                memcpy(y, sim, n * sizeof *y);
+                y[q - 1] = y[q - 1] != 0 ? (1 + k[4]) * y[q - 1] : k[5];
+            }
+            /* a vertex past an upper bound is reflected into the interior */
+            for (int64_t q = 0; q < (n + 1) * n; q++) {
+                const int64_t j = q % n;
+                sim[q] = clipped(sim[q] > upper[j] ? 2 * upper[j] - sim[q] : sim[q],
+                                 lower[j], upper[j]);
+            }
+            *nfev = n + 1 < maxfev ? n + 1 : maxfev;
+            *phase = NM_SIMPLEX;
+            *asked = *nfev > 0 ? *nfev : 0;
+            if (*asked) {
+                memcpy(points, sim, *asked * n * sizeof *sim);
+                return *asked;
+            }
+            break;
+        case NM_SIMPLEX:
+            for (int64_t q = 0; q <= n; q++)
+                fsim[q] = q < *asked ? values[q] : INFINITY;
+            *phase = NM_FIRST_SORT;
+            break;
+        case NM_FIRST_SORT: /* sorted twice, as scipy does */
+        case NM_SECOND_SORT:
+        case NM_SORT:
+            if (!nm_sorted(n, sim, fsim, *asked < 0 ? order : NULL))
+                return *asked = -1;
+            *asked = 0;
+            if (*phase == NM_SECOND_SORT)
+                *nit = 1;
+            *phase = *phase == NM_FIRST_SORT ? NM_SECOND_SORT : NM_ITERATE;
+            break;
+        case NM_ITERATE: {
+            if (!(*nfev < maxfev && *nit < maxiter)) {
+                *phase = NM_DONE;
+                return 0;
+            }
+            int converged = 1;
+            for (int64_t q = n; converged && q < (n + 1) * n; q++)
+                converged = fabs(sim[q] - sim[q % n]) <= k[6];
+            for (int64_t q = 1; converged && q <= n; q++)
+                converged = fabs(fsim[0] - fsim[q]) <= k[7];
+            if (converged) {
+                *phase = NM_DONE;
+                return 0;
+            }
+            for (int64_t j = 0; j < n; j++) {
+                double sum = sim[j];
+                for (int64_t q = 1; q < n; q++)
+                    sum = sum + sim[q * n + j];
+                xbar[j] = sum / n;
+            }
+            for (int64_t j = 0; j < n; j++)
+                xr[j] = clipped((1 + rho) * xbar[j] - rho * worst[j], lower[j], upper[j]);
+            memcpy(points, xr, n * sizeof *xr);
+            *phase = NM_REFLECT;
+            return *asked = 1;
+        }
+        case NM_REFLECT:
+            *fxr = values[0];
+            ++*nfev;
+            /* each `*nfev < maxfev` is where scipy's wrapper would refuse */
+            *phase = NM_SORT;
+            if (*fxr < fsim[0]) {
+                if (*nfev < maxfev) {
+                    c = rho * chi;
+                    *phase = NM_EXPAND;
+                }
+            } else if (*fxr < fsim[n - 1]) {
+                memcpy(worst, xr, n * sizeof *xr);
+                fsim[n] = *fxr;
+                ++*nit;
+            } else if (*nfev < maxfev) {
+                c = *fxr < fsim[n] ? psi * rho : -psi;
+                *phase = *fxr < fsim[n] ? NM_OUTSIDE : NM_INSIDE;
+            }
+            if (*phase == NM_SORT)
+                break;
+            for (int64_t j = 0; j < n; j++)
+                pending[j] = clipped((1 + c) * xbar[j] - c * worst[j], lower[j], upper[j]);
+            memcpy(points, pending, n * sizeof *pending);
+            return *asked = 1;
+        case NM_EXPAND:
+            ++*nfev;
+            memcpy(worst, values[0] < *fxr ? pending : xr, n * sizeof *xr);
+            fsim[n] = values[0] < *fxr ? values[0] : *fxr;
+            ++*nit;
+            *phase = NM_SORT;
+            break;
+        case NM_OUTSIDE:
+        case NM_INSIDE: {
+            int shrink = *phase == NM_OUTSIDE ? !(values[0] <= *fxr) : !(values[0] < fsim[n]);
+            ++*nfev;
+            if (!shrink) {
+                memcpy(worst, pending, n * sizeof *pending);
+                fsim[n] = values[0];
+                ++*nit;
+                *phase = NM_SORT;
+                break;
+            }
+            for (int64_t q = n; q < (n + 1) * n; q++)
+                pending[q - n] = clipped(sim[q % n] + sigma * (sim[q] - sim[q % n]),
+                                         lower[q % n], upper[q % n]);
+            *asked = maxfev - *nfev < n ? maxfev - *nfev : n;
+            *phase = NM_SHRINK;
+            if (*asked) {
+                memcpy(points, pending, *asked * n * sizeof *pending);
+                return *asked;
+            }
+            break;
+        }
+        case NM_SHRINK:
+            /* a vertex the budget refuses is moved all the same */
+            *nfev += *asked;
+            memcpy(sim + n, pending, (*asked < n ? *asked + 1 : n) * n * sizeof *sim);
+            memcpy(fsim + 1, values, *asked * sizeof *fsim);
+            *nit += *asked == n;
+            *asked = 0;
+            *phase = NM_SORT;
+            break;
+        default:
+            return 0;
+        }
+    }
+}
+
+/* fitting._nelder_mead's restarts [0, count) in lock step, on n
+   parameters: each restart, in order, takes its values from `values`, in
+   the order of the points it asked for, and advances (nm_advance) until
+   it needs points, which go into `points` after those of the restarts
+   before it.  Returns the count of points; waiting[0] gets the count of
+   restarts that wait for numpy's order of their values, and waiting[1
+   ...] those restarts.  Restart r owns state[4 r ...], sim[(n + 1) n r
+   ...], fsim[(n + 1) r ...], order[(n + 1) r ...] and work[(n n + 2 n + 1)
+   r ...]; a restart has ended when it asks for nothing. */
+int64_t nc_nelder_mead(int64_t count, int64_t n, int64_t maxfev, int64_t maxiter,
+                       const double *k, const double *lower, const double *upper,
+                       int64_t *state, double *sim, double *fsim, double *work,
+                       const double *values, const int64_t *order, double *points,
+                       int64_t *waiting)
+{
+    int64_t total = 0, at = 0;
+    waiting[0] = 0;
+    for (int64_t r = 0; r < count; r++) {
+        int64_t *own = state + 4 * r;
+        const double *mine = values + at;
+        at += own[3] > 0 ? own[3] : 0;
+        int64_t got = nm_advance(n, maxfev, maxiter, k, lower, upper, own,
+                                 sim + (n + 1) * n * r, fsim + (n + 1) * r,
+                                 work + (n * n + 2 * n + 1) * r, mine, order + (n + 1) * r,
+                                 points + total * n);
+        if (got < 0)
+            waiting[++waiting[0]] = r;
+        else
+            total += got;
+    }
+    return total;
+}
+"""
+
 # The formula of each drift the package builds, written once: an
 # elementwise function of the coefficients, then the state's components,
 # with + - * / in the order they round.  The numpy drift of ``spec``,
@@ -578,7 +828,8 @@ def _c_drift(name, formula, dimension) -> str:
     return function("", "double") + f"KERNEL({name}, n, START)\n\n"
 
 
-_SOURCE = _PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items()) + _LOOPS
+_SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
+           + _LOOPS + _NELDER_MEAD)
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
@@ -603,7 +854,11 @@ _ARGTYPES = {
     **dict.fromkeys(_FORMULAS, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
     "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
     "linear": _MEMBERS + [_P, _P] + [_I, _P],
+    # not a member loop: (count, n, maxfev, maxiter) and eleven arrays
+    "nelder_mead": [_I] * 4 + [_P] * 11,
 }
+# what an nc_ function returns, when not None
+_RESTYPES = {"nelder_mead": _I}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless two members' steps are more
@@ -712,7 +967,7 @@ def _library():
             lib = ctypes.CDLL(target)
             for name, argtypes in _ARGTYPES.items():
                 fn = getattr(lib, f"nc_{name}")
-                fn.argtypes, fn.restype = argtypes, None
+                fn.argtypes, fn.restype = argtypes, _RESTYPES.get(name)
         except (OSError, subprocess.SubprocessError):
             lib = None
         _loaded[target] = lib
@@ -870,3 +1125,48 @@ def linear_loop(leading_order, terms) -> Optional[Callable]:
     arguments of its numpy loop, ``hopf._linear_loop``, or None for that
     loop; the records are z (P, rows) and tau (P, rows)."""
     return _bind("linear", 10, [(), ()], leading_order, terms)
+
+
+def nelder_mead(evaluate, starts, lower, upper, constants, maxfev, maxiter) -> Optional[list]:
+    """``fitting._nelder_mead``'s restarts from the rows of ``starts``
+    within [``lower``, ``upper``], run in lock step by ``nc_nelder_mead``,
+    or None without the library.
+
+    A round is one call, which advances every live restart until it needs
+    points and returns them all, and one ``evaluate(points) -> values`` of
+    them.  A restart whose values it cannot order (ties, NaN) waits for
+    numpy's argsort of them, which this loop gives before the next call.
+    ``constants`` are fitting's (rho, chi, psi, sigma, nonzdelt, zdelt,
+    xatol, fatol).  Returns each restart's last simplex and values, as
+    lists of floats, and its nfev and nit.
+    """
+    lib = _library()
+    if lib is None:
+        return None
+    starts = np.array(starts, dtype=np.float64, ndmin=2)
+    count, n = starts.shape
+    arrays = [np.array(x, dtype=np.float64) for x in (constants, lower, upper)]
+    if [x.shape for x in arrays] != [(8,), (n,), (n,)]:
+        raise ValueError("nc_nelder_mead got bounds or constants of mismatched shapes")
+    state = np.zeros((count, 4), np.int64)  # every restart at NM_START
+    sim = np.zeros((count, n + 1, n))
+    sim[:, 0] = starts
+    fsim = np.empty((count, n + 1))
+    order = np.empty((count, n + 1), np.int64)
+    values = np.empty(count * (n + 1))
+    points = np.empty((count * (n + 1), n))
+    waiting = np.empty(count + 1, np.int64)
+    arrays += [state, sim, fsim, np.empty((count, n * n + 2 * n + 1)), values, order,
+               points, waiting]
+    pointers = [x.ctypes.data for x in arrays]
+    while True:
+        asked = lib.nc_nelder_mead(count, n, maxfev, maxiter, *pointers)
+        sorts = int(waiting[0])
+        if sorts:
+            for r in waiting[1:sorts + 1].tolist():
+                order[r] = fsim[r].argsort()
+        if asked:
+            values[:asked] = evaluate(points[:asked])
+        elif not sorts:
+            return [(s, f, nfev, nit) for s, f, (nfev, nit)
+                    in zip(sim.tolist(), fsim.tolist(), state[:, 1:3].tolist())]

@@ -200,7 +200,8 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly.
     The samples must be finite, an explicit bandwidth positive and finite,
     and ``grid_size`` an integer of at least 2 (:class:`ConfigError`
-    before any work).
+    before any work).  A bandwidth whose grid or normalization leaves
+    float's range is a :class:`DegenerateSampleError`.
 
     The kernel sums run over chunks of 4096 samples, in order.  Each
     chunk's exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in
@@ -215,20 +216,35 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
     _require_count("grid_size", grid_size, 2)
-    if bandwidth is None:
-        std = x.std()
-        q75, q25 = np.percentile(x, [75.0, 25.0])
-        spread = min(std, (q75 - q25) / 1.34)
-        bandwidth = 0.9 * spread * x.size ** (-0.2)
-        if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
+    # samples or a bandwidth near float's limits overflow the spread, the
+    # grid's ends or the normalization, which are then refused, not warned
+    # about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bandwidth is None:
+            std = x.std()
+            q75, q25 = np.percentile(x, [75.0, 25.0])
+            spread = min(std, (q75 - q25) / 1.34)
+            bandwidth = 0.9 * spread * x.size ** (-0.2)
+            if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
+                raise DegenerateSampleError(
+                    f"sample spread is degenerate (bandwidth {bandwidth})"
+                )
+        else:
+            _require_real("bandwidth", bandwidth)
+        ends = (x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth)
+        if not np.isfinite(ends[1] - ends[0]):
             raise DegenerateSampleError(
-                f"sample spread is degenerate (bandwidth {bandwidth})"
+                f"the density grid from {ends[0]} to {ends[1]} overflows "
+                f"(bandwidth {bandwidth})"
             )
-    else:
-        _require_real("bandwidth", bandwidth)
-    grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
+        norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
+        if not norm > 0.0:
+            raise DegenerateSampleError(
+                f"the density's normalization overflows (bandwidth {bandwidth}, "
+                f"{x.size} samples)"
+            )
+    grid = np.linspace(*ends, grid_size)
     density = np.zeros(grid_size)
-    norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
     width = min(x.size, _KDE_CHUNK)
 
     def rows(a, b):

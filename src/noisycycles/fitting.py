@@ -15,13 +15,23 @@ The Nelder-Mead is the package's own copy of scipy 1.17's bounded
 ``_minimize_neldermead`` (``adaptive=False``), written on Python floats
 with every operation of scipy's in its order, so each restart returns
 the bits ``scipy.optimize.minimize(..., method="Nelder-Mead")`` returns.
-Each restart is a generator that yields the points it needs evaluated
-and receives their values; the five run in lock step, and a round takes
-``np.exp`` of all pending points at once and evaluates the template once
-on a (points, grid) array.  The template's per-point coefficients stay
-on scalars (``analysis._acv_coefficients``, ``_psd_coefficients``) and
-its curve on (points, 1) columns, so each row has the bits of the same
-point evaluated alone.
+Each restart is a generator (``_nelder_mead``) that yields the points it
+needs evaluated and receives their values; the five run in lock step
+(``_lock_step``), and a round takes ``np.exp`` of all pending points at
+once and evaluates the template once on a (points, grid) array.  The
+template's per-point coefficients stay on scalars
+(``analysis._acv_coefficients``, ``_psd_coefficients``) and its curve on
+(points, 1) columns, so each row has the bits of the same point
+evaluated alone.
+
+Where the compiled library builds, the restarts' bookkeeping runs in C
+instead (``_stepkernel.nelder_mead``): one call a round advances every
+restart to the points it needs, with every operation of the generator in
+its order, and the same numpy objective evaluates them.  The C orders a
+simplex itself only when its values are distinct and not NaN, where any
+sort gives numpy's order; otherwise it asks for numpy's argsort, so ties
+are ordered as here on every CPU.  The generators are the reference the
+tests hold the compiled copy to, and what a host without the library runs.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _stepkernel
 from .analysis import (
     AcvEstimate,
     PsdEstimate,
@@ -65,6 +76,8 @@ _MAXITER = _MAXFEV = 20000
 # simplex steps of scipy's non-adaptive Nelder-Mead
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
+# the constants of the compiled copy, _stepkernel.nelder_mead
+_STEPS = (_RHO, _CHI, _PSI, _SIGMA, _NONZDELT, _ZDELT, _XATOL, _FATOL)
 
 
 class FitTarget(enum.Enum):
@@ -97,7 +110,14 @@ class FitProblem:
             )
         axis = "lags" if self.target is FitTarget.ACV else "omegas"
         grid = _require_array(f"curve.{axis}", getattr(self.curve, axis), (None,))
-        _require_array("curve.values", self.curve.values, (grid.size,))
+        values = _require_array("curve.values", self.curve.values, (grid.size,))
+        # the objective's normalization, which must stay within float's range
+        with np.errstate(over="ignore"):
+            squares = float(np.sum(values * values))
+        if not np.isfinite(squares):
+            raise ConfigError(
+                f"curve.values' sum of squares overflows ({squares}): scale the curve down"
+            )
         if not isinstance(self.bounds, (dict, type(None))):
             raise ConfigError(
                 f"bounds must be a dict, got {type(self.bounds).__name__}"
@@ -422,6 +442,13 @@ def _nelder_mead(x0, lower, upper):
             nit += allowed == n
         sim, fsim = _ordered(sim, fsim)
 
+    return _run(sim, fsim, nfev, nit)
+
+
+def _run(sim, fsim, nfev, nit):
+    """The :class:`_Run` of a restart that ended with the simplex ``sim``
+    and values ``fsim`` (sorted lists) after ``nfev`` evaluations and
+    ``nit`` iterations."""
     success = not (nfev >= _MAXFEV or nit >= _MAXITER)
     return _Run(sim[0], np.min(fsim), nfev, nit, success, (sim, fsim))
 
@@ -491,9 +518,13 @@ def _objective(problem: FitProblem):
 
 def _restarts(objective, starts, lower, upper):
     """The :class:`_Run` of each restart of a fit, from the objective of
-    :func:`_objective` and the starts and log bounds of :func:`_starts`."""
-    restarts = [_nelder_mead(x.tolist(), lower, upper) for x in starts]
-    return _lock_step(restarts, objective)
+    :func:`_objective` and the starts and log bounds of :func:`_starts`:
+    on the compiled copy where the library builds, else on the generators;
+    the two give the same bits."""
+    ended = _stepkernel.nelder_mead(objective, starts, lower, upper, _STEPS, _MAXFEV, _MAXITER)
+    if ended is not None:
+        return [_run(*end) for end in ended]
+    return _lock_step([_nelder_mead(x.tolist(), lower, upper) for x in starts], objective)
 
 
 def fit(problem: FitProblem) -> FitResult:

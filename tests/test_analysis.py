@@ -1,6 +1,7 @@
 """Estimators and closed-form curves, checked against slow direct oracles."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ def test_kde_bandwidth_override_and_degenerate_sample():
     assert wide.bandwidth == 2.0
     with pytest.raises(DegenerateSampleError):
         kde(np.ones(100))
+
+
+@pytest.mark.parametrize("samples, bandwidth", [
+    ([1e308, -1e308, 0.0], None), ([-8e307, 8e307], None), ([0.0, 1.0], 1e308),
+    ([-1e308, 1e308], 1.0), (np.linspace(0.0, 1.0, 100), 1e307),
+])
+def test_kde_refuses_a_grid_that_overflows(samples, bandwidth):
+    # a finite bandwidth whose grid ends, their span or the normalization
+    # leave float's range: not an all-NaN or all-zero density after
+    # overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError, match="overflows"):
+            kde(samples, bandwidth=bandwidth)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,6 +1,7 @@
 """Template fitting: self-consistency, invariances, the full pipeline, and
 the fit's own Nelder-Mead against scipy's, restart by restart."""
 
+import contextlib
 import linecache
 import sys
 import warnings
@@ -36,7 +37,7 @@ from noisycycles import (
     sigma_for_nsr,
     simulate_hopf_linear,
 )
-from noisycycles import fitting
+from noisycycles import _stepkernel, fitting
 from noisycycles.analysis import (
     _acv_coefficients,
     _acv_curve,
@@ -44,7 +45,26 @@ from noisycycles.analysis import (
     _psd_curve,
 )
 
+from conftest import numpy_loop, requires_compiler
+
 TAU = 2.0 * np.pi
+
+# the two drivers of a fit's restarts: the compiled Nelder-Mead, which
+# must have built, and the Python reference, which a host without the
+# library runs
+_DRIVERS = [pytest.param("compiled", marks=requires_compiler), "python"]
+# the function each driver runs a fit's restarts in
+_RUNS_IN = {"compiled": (_stepkernel, "nelder_mead"), "python": (fitting, "_lock_step")}
+
+
+@contextlib.contextmanager
+def _driver(name):
+    if name == "python":
+        with numpy_loop():
+            yield
+    else:
+        assert _stepkernel._library() is not None, "the compiled library did not build"
+        yield
 
 
 def _params(nsr=0.1):
@@ -206,12 +226,15 @@ def test_problem_validation():
         {"bounds": {"r": (float("nan"), 2.0)}},
         {"bounds": [("r", (0.1, 1.0))]},
         {"initial": (1, 2, 3, 4)},
+        {"curve": AcvEstimate(lags=np.arange(0.0, 5.0, 0.01),
+                              values=1e300 * acv_formula(_params(), np.arange(0.0, 5.0, 0.01)))},
     ],
-    ids=["triple", "scalar", "strings", "nan", "list", "tuple-initial"],
+    ids=["triple", "scalar", "strings", "nan", "list", "tuple-initial", "overflowing-squares"],
 )
 def test_malformed_problem_is_a_config_error(field):
-    with pytest.raises(ConfigError):
-        FitProblem(target=FitTarget.ACV, curve=_template_acv(_params()), **field)
+    # with warnings as errors, an overflow warning fails this too
+    with pytest.raises(ConfigError, match="sum of squares" if "curve" in field else None):
+        FitProblem(**{"target": FitTarget.ACV, "curve": _template_acv(_params()), **field})
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +318,8 @@ def _hexed(value):
     return float(value).hex() if isinstance(value, float) else value
 
 
-# fit(...).to_dict() and restart_residuals of ensemble_curves, as float.hex
+# fit(...).to_dict() and restart_residuals of ensemble_curves, as float.hex,
+# then restart_evaluations and restart_converged
 _PINNED_FITS = {
     FitTarget.ACV: (
         {"params": {"r": "0x1.ff772ba8eac01p-1", "alpha": "0x1.9162eb0a74c14p+2",
@@ -307,6 +331,8 @@ _PINNED_FITS = {
          "target": "acv", "n_points": 201},
         ["0x1.1eed721622059p-15", "0x1.1eed721622038p-15", "0x1.1eed721622002p-15",
          "0x1.1eed721622002p-15", "0x1.da019db48c567p-17"],
+        (1040, 1171, 1266, 1290, 678),
+        (True,) * 5,
     ),
     FitTarget.PSD: (
         {"params": {"r": "0x1.0321f2f83146ep+0", "alpha": "0x1.9100e7e73bd99p+2",
@@ -317,19 +343,39 @@ _PINNED_FITS = {
                      "period": "0x1.00b71813e5bcap+0", "nsr": "0x1.44be27139bef5p-7"},
          "target": "psd", "n_points": 201},
         ["0x1.7b7d11964b43fp-4"] + ["0x1.7b7d11964b432p-4"] * 4,
+        (800, 814, 872, 832, 715),
+        (True,) * 5,
     ),
 }
 
 
+@pytest.mark.parametrize("driver", _DRIVERS)
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
-def test_fit_of_an_ensemble_curve_keeps_its_bits(ensemble_curves, target):
+def test_fit_of_an_ensemble_curve_keeps_its_bits(ensemble_curves, target, driver):
     # the objective evaluates the template arithmetic without building a
-    # HopfParams per evaluation; every bit of the result stays as it was
+    # HopfParams per evaluation; every bit of the result stays as it was,
+    # on either driver (the Python one is what a host without the library
+    # runs)
     curve = ensemble_curves[target is FitTarget.PSD]
-    result = fit(FitProblem(target=target, curve=curve))
-    expected, residuals = _PINNED_FITS[target]
+    with _driver(driver):
+        result = fit(FitProblem(target=target, curve=curve))
+    expected, residuals, evaluations, converged = _PINNED_FITS[target]
     assert _hexed(result.to_dict()) == expected
     assert [float(r).hex() for r in result.restart_residuals] == residuals
+    assert result.restart_evaluations == evaluations
+    assert result.restart_converged == converged
+
+
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_a_fit_runs_its_restarts_in_its_driver(driver):
+    module, name = _RUNS_IN[driver]
+    with _driver(driver), mock.patch.object(
+        module, name, wraps=getattr(module, name)
+    ) as runs, mock.patch.object(fitting, "_nelder_mead", wraps=fitting._nelder_mead) as made:
+        fit(_small_problem())
+    assert runs.call_count == 1
+    # the compiled driver makes none of the Python generators
+    assert made.call_count == (5 if driver == "python" else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +424,19 @@ def _scipy_restarts(problem, maxfev=20000):
     return [_scipy(objective, x, lower, upper, maxfev) for x in starts]
 
 
-def _fit_restarts(problem):
+def _fit_restarts(problem, driver):
     """The runs of fit's lock-step restarts on ``problem``, from the
-    objective, starts and bounds that fit prepares."""
+    objective, starts and bounds that fit prepares, on ``driver``."""
     objective = fitting._objective(problem)[0]
     with np.errstate(all="ignore"):
         starts, lower, upper = fitting._starts(problem)
-    return fitting._restarts(objective, starts, lower, upper)
+    return _lock_step_runs(objective, starts, lower, upper, driver)
 
 
-def _lock_step_runs(objective, starts, lower, upper):
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
+def _lock_step_runs(objective, starts, lower, upper, driver):
+    with _driver(driver), warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        return fitting._lock_step(
-            [fitting._nelder_mead(list(x), lower, upper) for x in starts], objective
-        )
+        return fitting._restarts(objective, np.array(starts, dtype=float), lower, upper)
 
 
 def _assert_same_runs(ours, theirs):
@@ -464,6 +508,7 @@ def _problems(draw):
 
 # a budget of 2000 lets the fit's problems converge; one that never
 # converges (a NaN objective) costs 2000 evaluations, not 20000
+@pytest.mark.parametrize("driver", _DRIVERS)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(problem=_problems(), maxfev=st.one_of(st.just(2000), st.integers(0, 60)))
 @example(
@@ -474,10 +519,10 @@ def _problems(draw):
     ),
     maxfev=2000,
 )
-def test_lock_step_fit_equals_scipy_restart_by_restart(problem, maxfev):
+def test_lock_step_fit_equals_scipy_restart_by_restart(problem, maxfev, driver):
     theirs = _scipy_restarts(problem, maxfev)
-    with mock.patch.object(fitting, "_MAXFEV", maxfev), np.errstate(all="ignore"):
-        ours = _fit_restarts(problem)
+    with mock.patch.object(fitting, "_MAXFEV", maxfev):
+        ours = _fit_restarts(problem, driver)
     _assert_same_runs(ours, theirs)
 
 
@@ -487,6 +532,7 @@ _COORDS = st.one_of(
 )
 
 
+@pytest.mark.parametrize("driver", _DRIVERS)
 @settings(max_examples=100, deadline=None)
 @given(
     starts=st.lists(st.lists(_COORDS, min_size=4, max_size=4), min_size=1, max_size=5),
@@ -502,20 +548,22 @@ _COORDS = st.one_of(
     quantum=None,
     maxfev=2000,
 )
-def test_nelder_mead_core_equals_scipy(starts, ends, target, quantum, maxfev):
+def test_nelder_mead_core_equals_scipy(starts, ends, target, quantum, maxfev, driver):
     # arbitrary starts and log bounds, straight into the optimizer: starts
     # at or past an upper bound, signed zeros against a bound of 0.0, ties
+    # (which the compiled driver leaves to numpy's argsort)
     problem = _small_problem(target)
     lower, upper = [lo for lo, _ in ends], [hi for _, hi in ends]
     objective = _one_point_objective(problem, quantum)
     theirs = [_scipy(objective, x, lower, upper, maxfev) for x in starts]
     with mock.patch.object(fitting, "_MAXFEV", maxfev):
         batched = _lock_step_objective(problem, quantum)
-        ours = _lock_step_runs(batched, starts, lower, upper)
+        ours = _lock_step_runs(batched, starts, lower, upper, driver)
     _assert_same_runs(ours, theirs)
 
 
-def test_nan_values_never_converge_as_in_scipy():
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_nan_values_never_converge_as_in_scipy(driver):
     # a simplex within xatol whose last vertex is NaN: scipy's np.max of the
     # value spread is NaN, so it does not stop there; nor does the copy
     def objective(x):
@@ -525,7 +573,7 @@ def test_nan_values_never_converge_as_in_scipy():
     theirs = _scipy(objective, [0.0] * 4, lower, upper, maxfev=200)
     with mock.patch.object(fitting, "_MAXFEV", 200):
         ours = _lock_step_runs(
-            lambda points: [objective(x) for x in points], [[0.0] * 4], lower, upper
+            lambda points: [objective(x) for x in points], [[0.0] * 4], lower, upper, driver
         )
     _assert_same_runs(ours, [theirs])
     assert theirs.nit > 1
@@ -564,7 +612,8 @@ def _last_branch(run):
     return result, branches[-1] if branches else None
 
 
-def test_small_budgets_stop_in_every_branch_as_scipy_does():
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_small_budgets_stop_in_every_branch_as_scipy_does(driver):
     # a tied objective shrinks early; each budget below cuts one evaluation
     problem = _small_problem(initial=_TRUTH)
     start, lower, upper = [0.3, 1.5, 2.5, -1.0], [-1.0] * 4, [3.0] * 4
@@ -577,7 +626,7 @@ def test_small_budgets_stop_in_every_branch_as_scipy_does():
         stopped_in.add(branch)
         with mock.patch.object(fitting, "_MAXFEV", maxfev):
             batched = _lock_step_objective(problem, 0.05)
-            ours = _lock_step_runs(batched, [start], lower, upper)
+            ours = _lock_step_runs(batched, [start], lower, upper, driver)
         _assert_same_runs(ours, [theirs])
         assert ours[0].nfev == maxfev and not ours[0].success
     assert stopped_in == set(_BRANCHES.values())
@@ -605,15 +654,20 @@ def test_no_converged_restart_raises_with_the_best_attached():
 
 
 
+@pytest.mark.parametrize("driver", _DRIVERS)
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
 @pytest.mark.parametrize("field", ["r", "sigma"])
-def test_start_with_no_finite_template_is_a_config_error(target, field):
+def test_start_with_no_finite_template_is_a_config_error(target, field, driver):
     # r = 1e250 overflows the template to inf, sigma = 1e300 to NaN: from
     # such starts the optimizer's whole budget ends in ConvergenceError
     start = {"alpha": TAU, "alpha0": TAU, "lambda_": TAU, "r": 1.0, "sigma": 0.3}
     start[field] = 1e250 if field == "r" else 1e300
     problem = _small_problem(target, initial=HopfParams(**start))
-    with mock.patch.object(fitting, "_lock_step", side_effect=AssertionError("optimizer ran")):
+    # the driver fit would run its restarts in
+    # (test_a_fit_runs_its_restarts_in_its_driver)
+    with _driver(driver), mock.patch.object(
+        *_RUNS_IN[driver], side_effect=AssertionError("optimizer ran")
+    ):
         with pytest.raises(ConfigError, match="not finite at any of the 5 start points"):
             fit(problem)
 
@@ -638,12 +692,13 @@ def test_fit_params_are_python_floats(target):
     assert all(type(getattr(p, name)) is float for name in _FIELDS + ("alpha0",))
 
 
+@pytest.mark.parametrize("driver", _DRIVERS)
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
-def test_ensemble_fit_restarts_equal_scipy(ensemble_curves, target):
+def test_ensemble_fit_restarts_equal_scipy(ensemble_curves, target, driver):
     curve = ensemble_curves[target is FitTarget.PSD]
     problem = FitProblem(target=target, curve=curve)
     theirs = _scipy_restarts(problem)
-    _assert_same_runs(_fit_restarts(problem), theirs)
+    _assert_same_runs(_fit_restarts(problem, driver), theirs)
     result = fit(problem)
     assert result.restart_evaluations == tuple(t.nfev for t in theirs)
     assert result.restart_converged == tuple(t.success for t in theirs)

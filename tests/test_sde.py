@@ -342,7 +342,8 @@ def test_a_build_keeps_the_builds_of_other_sources(tmp_path, monkeypatch):
 
 @requires_compiler
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
-def test_the_library_exports_only_its_member_loops():
+def test_the_library_exports_only_its_nc_functions():
+    # the member loops and the fit's Nelder-Mead
     assert _stepkernel._library() is not None
     library = Path(_stepkernel._cache_dir(), _stepkernel._NAME)
     listing = subprocess.run(
@@ -350,7 +351,7 @@ def test_the_library_exports_only_its_member_loops():
     ).stdout
     exported = {line.split()[-1] for line in listing.splitlines() if line.strip()}
     assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation",
-                        "nc_linear"}
+                        "nc_linear", "nc_nelder_mead"}
 
 
 @pytest.mark.parametrize(
