@@ -32,7 +32,8 @@ Every member loop, compiled or numpy, is built with its constants and
 called by the one member driver, ``sde._simulate``, as ``loop(*records,
 record_every, n_steps, rngs)``: it fills in the member-major records, (P,
 n_steps // record_every + 1, ...), from the start in row 0, and returns
-each member's first diverging step, or -1, for the driver to raise.  The C
+a first diverging step, or -1, for each member, for the driver to raise
+(a member of a lane pair may report -1 when its partner diverged).  The C
 source writes the compiled member loop once, ``MEMBER_LOOP``: one member
 at a time through its steps, each step's normals drawn from the member's
 Philox generator with ``normal``, a copy of numpy's ziggurat below that
@@ -48,21 +49,21 @@ its rows: ``nc_hopf``, ``nc_van_der_pol`` and ``nc_ornstein_uhlenbeck`` run
 ``sde_step_double``, ``nc_phase_deviation`` runs ``phase_deviation_step``
 and ``nc_linear`` runs ``linear_step``.
 
-The drifts of a fixed dimension, Hopf's and van der Pol's, also get a lane
-twin (``hopf_lanes``, ``van_der_pol_lanes``): the same statements on a
-``lane``, a gcc vector of two doubles, one member each, which is the
-16-byte width of SSE2, the x86-64 baseline, so the build needs no ``-m``
-flag and no CPU check.  Their loops take members in pairs (``sde_pair``):
-``sde_step_lane``, the step of ``sde_step_double`` written once for both
-(``SDE_STEP``), advances both lanes, each drawing its own member's normals
-in the scalar order, and each lane rounds as its member alone would.  When
-a member's step is bad it stops there, and its partner, if its step was
-good, goes on in the scalar loop from its state; a member without a
-partner (the last of an odd count, of a call or of a thread's block) runs
-the scalar loop from the start.  A wider vector would be split into
-16-byte pieces at these flags and run slower than the scalar loop; CI
-compiles the source with ``-Wvector-operation-performance -Werror``, which
-refuses that.
+Every drift also gets a lane twin (``hopf_lanes`` and so on): the same
+statements on a ``lane``, a gcc vector of two doubles, one member each,
+which is the 16-byte width of SSE2, the x86-64 baseline, so the build needs
+no ``-m`` flag and no CPU check.  The integrator's loops take members in
+pairs (``sde_pair``): ``sde_step_lane``, the step of ``sde_step_double``
+written once for both (``SDE_STEP``), advances both lanes, each drawing its
+own member's normals in the scalar order, and each lane rounds as its
+member alone would.  A pair stops at the first step where either member is
+bad; a member bad there reports it and its partner reports -1, which
+changes nothing the driver raises: the earliest bad step of all members
+and the lowest member at it.  A member without a partner (the last of an
+odd count, of a call or of a thread's block) runs the scalar loop.  A wider
+vector would be split into 16-byte pieces at these flags and run slower
+than the scalar loop; CI compiles the source with
+``-Wvector-operation-performance -Werror``, which refuses that.
 
 Every member loop ``nc_`` function takes ``(count, gens, bad, work, n_steps,
 record_every, records..., shared...)``: members [0, count)'s ``bitgen_t``
@@ -79,15 +80,16 @@ split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 ``nc_nelder_mead`` is no member loop: it is ``fitting._nelder_mead``, the
 package's copy of scipy's bounded Nelder-Mead, for all of a fit's restarts
 at once, with every ``+ - * /``, comparison, clip and budget rule of that
-generator in its order.  Each restart is a state machine over flat arrays
-(its phase, nfev, nit, simplex and values); one call takes the values of
-the points it asked for last, advances every live restart until it needs
-new points, and writes them all into one (points, n) buffer.
-:func:`nelder_mead` makes one call a round and evaluates the points with
-``fitting``'s numpy objective.  The C orders a simplex only when its
-values are distinct and not NaN, where every sort agrees with numpy's;
-otherwise the restart waits a round for ``np.argsort`` of its values,
-so ties keep numpy's order on every CPU.
+generator in its order after the start simplex, which both drivers take
+from ``fitting._simplex``.  Each restart is a state machine over flat
+arrays (its phase, nfev, nit, simplex and values); one call takes the
+values of the points it asked for last, advances every live restart until
+it needs new points, and writes them all into one (points, n) buffer.
+:func:`nelder_mead` evaluates every start simplex at once, then makes one
+call a round and evaluates the points with ``fitting``'s numpy objective.
+The C orders a simplex only when its values are distinct and not NaN,
+where every sort agrees with numpy's; otherwise the restart waits a round
+for ``np.argsort`` of its values, so ties keep numpy's order on every CPU.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
@@ -166,9 +168,9 @@ static inline double normal(bitgen_t *gen)
     }
 }
 
-/* The member loop every nc_ function runs, once: members [0, count), one
-   after another, each driven by dim Wiener components.  Member p owns rows
-   [p rows, (p + 1) rows) of the loop's record(s), rows = n_steps /
+/* The member loop every nc_ function runs, once: members [first, count),
+   one after another, each driven by dim Wiener components.  Member p owns
+   rows [p rows, (p + 1) rows) of the loop's record(s), rows = n_steps /
    record_every + 1.  LOAD reads the start from `row`, the member's row 0,
    into cur.  Each of the n_steps steps draws the step's 2 dim normals u
    from gens[p] with normal, in (dim, 2) order, as sde._normals does; STEP
@@ -178,18 +180,15 @@ static inline double normal(bitgen_t *gen)
    STORE writes cur into `row`, the member's row t / record_every.  The
    caller, an nc_ function, takes count, gens, bad, work, n_steps and
    record_every first (the order _bind calls it with) and declares u, cur
-   and next; LOAD, STEP and STORE see p, row and i besides.  LOAD may run
-   steps itself (PAIRED below): it then leaves p, i, row, left and cur
-   where the member it hands over goes on, and `following` at the first
-   member it has not run. */
-#define MEMBER_LOOP(dim, LOAD, STEP, STORE)                                  \
-    for (int64_t p = 0, following = 1, rows = n_steps / record_every + 1;    \
-         p < count; p = following++) {                                       \
+   and next; LOAD, STEP and STORE see p, row and i besides. */
+#define MEMBER_LOOP(first, dim, LOAD, STEP, STORE)                           \
+    for (int64_t p = first, rows = n_steps / record_every + 1;               \
+         p < count; p++) {                                                   \
         int64_t left = record_every; /* steps to the next record */          \
-        int64_t row = p * rows, i = 0;                                       \
+        int64_t row = p * rows;                                              \
         bad[p] = -1;                                                         \
         LOAD;                                                                \
-        for (; i < n_steps; i++) {                                           \
+        for (int64_t i = 0; i < n_steps; i++) {                              \
             for (int64_t j = 0; j < 2 * (dim); j++)                          \
                 u[j] = normal(gens[p]);                                      \
             if (STEP) {                                                      \
@@ -281,89 +280,75 @@ static inline int lane_outside(const lane *x, int64_t n, int l, double trust)
     return out;
 }
 
-/* Members p and p + 1 of an integrator loop (MEMBER_LOOP, whose i, row and
-   left it takes) with the lane drift f, one member a lane, from their row
-   0 through the steps both take.  Each lane draws its member's 2 n normals
-   a step from the member's own generator, in MEMBER_LOOP's order, and
-   writes the member's rows.  At the first bad step of either member, bad
-   gets that step and the pair ends; a member whose step there was good is
-   handed to the scalar loop: its state in cur, and i, row and left where
-   it goes on.  Returns that member, or p + 1 with i = n_steps when there
-   is none. */
-__attribute__((always_inline)) static inline int64_t sde_pair(
+/* Members p and p + 1 of an integrator loop with the lane drift f, one
+   member a lane, from their row 0 of the n-value record rows at rec.  Each
+   lane draws its member's 2 n normals a step from the member's own
+   generator, in MEMBER_LOOP's order, and writes the member's rows.  The
+   pair stops at the first step where either member is bad: bad gets that
+   step for each member bad there and -1 for the other, which records
+   nothing more.  sde._check_members raises only for the earliest bad step
+   and the lowest member at it, which no later step can change. */
+__attribute__((always_inline)) static inline void sde_pair(
     void (*f)(const double *, int64_t, const lane *, lane *), const double *c, int64_t n,
     int64_t rk15, const double *s, const double *off, const double *k, bitgen_t *const *gens,
-    int64_t *bad, int64_t p, int64_t n_steps, int64_t record_every, double *rec, int64_t rows,
-    int64_t *i, int64_t *row, int64_t *left, double *cur)
+    int64_t *bad, int64_t p, int64_t n_steps, int64_t record_every, double *rec)
 {
-    /* inlined into each nc_ loop, f is its lane drift and n a constant,
-       and gcc keeps these arrays in registers */
+    /* inlined into each nc_ loop, f is its lane drift and n, for a drift
+       of a fixed dimension, a constant, and gcc keeps these arrays in
+       registers */
     lane u[2 * n], x[n], y[n], work[3 * n + 4 * n * n], *now = x, *after = y;
-    double *member[2] = {rec + *row * n, rec + (*row + rows) * n};
-    int64_t written = 0;
-    bad[p + 1] = -1;
+    const int64_t rows = n_steps / record_every + 1;
+    double *member[2] = {rec + p * rows * n, rec + (p + 1) * rows * n};
+    bad[p] = bad[p + 1] = -1;
     for (int64_t q = 0; q < n; q++)
         x[q] = (lane){member[0][q], member[1][q]};
-    for (; *i < n_steps; ++*i) {
+    for (int64_t i = 0, left = record_every; i < n_steps; i++) {
         for (int l = 0; l < 2; l++)
             for (int64_t j = 0; j < 2 * n; j++)
                 u[j][l] = normal(gens[p + l]);
         sde_step_lane(f, c, n, rk15, s, off, k, u, now, after, work);
-        int ok[2] = {!lane_outside(after, n, 0, k[4]), !lane_outside(after, n, 1, k[4])};
+        int out[2] = {lane_outside(after, n, 0, k[4]), lane_outside(after, n, 1, k[4])};
+        if (out[0] || out[1]) {
+            for (int l = 0; l < 2; l++)
+                if (out[l])
+                    bad[p + l] = i;
+            return;
+        }
         lane *swap = now;
         now = after;
         after = swap;
-        if (!--*left) {
-            written++;
-            for (int l = 0; l < 2; l++)
-                for (int64_t q = 0; ok[l] && q < n; q++)
-                    member[l][written * n + q] = now[q][l];
-            *left = record_every;
-        }
-        if (!ok[0] || !ok[1]) {
-            for (int l = 0; l < 2; l++)
-                if (!ok[l])
-                    bad[p + l] = *i;
-            if (!ok[0] && !ok[1])
-                break;
-            int l = !ok[0];
-            for (int64_t q = 0; q < n; q++)
-                cur[q] = now[q][l];
-            ++*i;
-            *row += l * rows + written;
-            return p + l;
+        if (!--left) {
+            for (int l = 0; l < 2; l++) {
+                member[l] += n;
+                for (int64_t q = 0; q < n; q++)
+                    member[l][q] = now[q][l];
+            }
+            left = record_every;
         }
     }
-    *i = n_steps;
-    return p + 1;
 }
 
 /* Members [0, count) of the integrator with the drift name of dim
-   components, n when set at run time (MEMBER_LOOP): the record rows of n
-   values start at rec, and each step is sde_step_double's, bad when next
-   is outside the trust region k[4].  LOAD is START, or PAIRED(name, dim)
-   for a drift with a lane twin name_lanes, which runs members p and p + 1
-   together (sde_pair) where p has a partner. */
-#define KERNEL(name, dim, LOAD)                                                          \
+   components, n when set at run time: the record rows of n values start at
+   rec, members in pairs through sde_pair with the lane twin name_lanes,
+   and the last of an odd count alone (MEMBER_LOOP), each step
+   sde_step_double's, bad when next is outside the trust region k[4]. */
+#define KERNEL(name, dim)                                                                \
     void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,     \
                    int64_t n_steps, int64_t record_every, double *rec, const double *c,  \
                    int64_t n, int64_t rk15, const double *s, const double *off,          \
                    const double *k)                                                      \
     {                                                                                    \
+        const int64_t paired = count - count % 2;                                        \
+        for (int64_t p = 0; p < paired; p += 2)                                          \
+            sde_pair(name##_lanes, c, dim, rk15, s, off, k, gens, bad, p, n_steps,       \
+                     record_every, rec);                                                 \
         double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;        \
-        MEMBER_LOOP(dim, LOAD,                                                           \
+        MEMBER_LOOP(paired, dim, memcpy(cur, rec + row * n, n * sizeof *cur),            \
                     (sde_step_double(name, c, dim, rk15, s, off, k, u, cur, next, scratch), \
                      outside(next, dim, k[4])),                                          \
                     memcpy(rec + row * n, cur, n * sizeof *cur))                         \
     }
-#define START memcpy(cur, rec + row * n, n * sizeof *cur)
-#define PAIRED(name, dim)                                                               \
-    if (p + 1 < count) {                                                                \
-        following = p + 2;                                                              \
-        p = sde_pair(name##_lanes, c, dim, rk15, s, off, k, gens, bad, p, n_steps,      \
-                     record_every, rec, rows, &i, &row, &left, cur);                    \
-    } else                                                                              \
-        START
 """
 
 _LOOPS = r"""
@@ -446,7 +431,7 @@ void nc_phase_deviation(int64_t count, bitgen_t *const *gens, int64_t *bad,
                         const double *k)
 {
     double *u = work, *cur = u + 2 * (d + 1), *next = cur + d + 1, *J = next + d + 1;
-    MEMBER_LOOP(d + 1,
+    MEMBER_LOOP(0, d + 1,
                 { for (int64_t j = 0; j < d; j++) cur[j] = z_out[row * d + j] + 0.0;
                   cur[d] = tau_out[row]; },
                 phase_deviation_step(knots, m, j0_table, speed_table, d, k, u, cur, next, J),
@@ -491,7 +476,7 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
                int64_t leading, const double *k)
 {
     double *u = work, *cur = u + 4, *next = cur + 3;
-    MEMBER_LOOP(2,
+    MEMBER_LOOP(0, 2,
                 { cur[0] = z_out[row]; cur[1] = 0.0; cur[2] = k[0] * cur[0]; },
                 linear_step(leading, k, i, u, cur, next),
                 { z_out[row] = cur[0]; tau_out[row] = cur[1]; })
@@ -501,8 +486,8 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
 _NELDER_MEAD = r"""
 /* fitting._nelder_mead's phases: what a restart does next, or what it
    waits for the values or the order of */
-enum { NM_START, NM_SIMPLEX, NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE,
-       NM_REFLECT, NM_EXPAND, NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
+enum { NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE, NM_REFLECT, NM_EXPAND,
+       NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
 
 /* np.clip(v, lo, hi): v stays only if v > lo, then only if v < hi (so
    -0.0 clips to a bound of 0.0), and NaN stays NaN */
@@ -554,9 +539,10 @@ static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
    writes the points it needs into `points` and returns their count, or -1
    to ask for the order of fsim, or 0 when it has ended.  state = (phase,
    nfev, nit, asked), asked the count of points asked for, or -1; sim holds
-   the (n + 1) x n simplex, x0 in its first row at NM_START; work holds
-   xbar, xr, up to n pending points and fxr.  k = (rho, chi, psi, sigma,
-   nonzdelt, zdelt, xatol, fatol), fitting's constants. */
+   the (n + 1) x n simplex and fsim its values, the start simplex and its
+   first values at NM_FIRST_SORT; work holds xbar, xr, up to n pending
+   points and fxr.  k = (rho, chi, psi, sigma, xatol, fatol), fitting's
+   constants. */
 static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const double *k,
                           const double *lower, const double *upper, int64_t *state,
                           double *sim, double *fsim, double *work, const double *values,
@@ -569,33 +555,6 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
     double c = 0.0; /* the point asked for: (1 + c) xbar - c worst, clipped */
     for (;;) {
         switch (*phase) {
-        case NM_START:
-            for (int64_t j = 0; j < n; j++)
-                sim[j] = clipped(sim[j], lower[j], upper[j]);
-            for (int64_t q = 1; q <= n; q++) {
-                double *y = sim + q * n;
-                memcpy(y, sim, n * sizeof *y);
-                y[q - 1] = y[q - 1] != 0 ? (1 + k[4]) * y[q - 1] : k[5];
-            }
-            /* a vertex past an upper bound is reflected into the interior */
-            for (int64_t q = 0; q < (n + 1) * n; q++) {
-                const int64_t j = q % n;
-                sim[q] = clipped(sim[q] > upper[j] ? 2 * upper[j] - sim[q] : sim[q],
-                                 lower[j], upper[j]);
-            }
-            *nfev = n + 1 < maxfev ? n + 1 : maxfev;
-            *phase = NM_SIMPLEX;
-            *asked = *nfev > 0 ? *nfev : 0;
-            if (*asked) {
-                memcpy(points, sim, *asked * n * sizeof *sim);
-                return *asked;
-            }
-            break;
-        case NM_SIMPLEX:
-            for (int64_t q = 0; q <= n; q++)
-                fsim[q] = q < *asked ? values[q] : INFINITY;
-            *phase = NM_FIRST_SORT;
-            break;
         case NM_FIRST_SORT: /* sorted twice, as scipy does */
         case NM_SECOND_SORT:
         case NM_SORT:
@@ -613,9 +572,9 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
             }
             int converged = 1;
             for (int64_t q = n; converged && q < (n + 1) * n; q++)
-                converged = fabs(sim[q] - sim[q % n]) <= k[6];
+                converged = fabs(sim[q] - sim[q % n]) <= k[4];
             for (int64_t q = 1; converged && q <= n; q++)
-                converged = fabs(fsim[0] - fsim[q]) <= k[7];
+                converged = fabs(fsim[0] - fsim[q]) <= k[5];
             if (converged) {
                 *phase = NM_DONE;
                 return 0;
@@ -799,10 +758,10 @@ for _op, _method in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"))
 def _c_drift(name, formula, dimension) -> str:
     """C of the drift ``name``: ``formula`` traced into ``void name(c, n,
     s, out)`` on doubles, one statement an operation in the formula's
-    order, and the integrator loop ``nc_name`` that steps with it
-    (``KERNEL``).  For a fixed ``dimension`` the same statements on lanes
-    give ``name_lanes``, which the loop runs two members at a time; else
-    the formula is traced on one component, s[k], for each of the n."""
+    order, the same statements on lanes as ``name_lanes``, and the
+    integrator loop ``nc_name`` that steps with both (``KERNEL``).  Without
+    a fixed ``dimension`` the formula is traced on one component, s[k], for
+    each of the n."""
     lines = []
     components = range(dimension) if dimension else ["k"]
     # the formula's positional parameters are its coefficients, then the
@@ -822,10 +781,8 @@ def _c_drift(name, formula, dimension) -> str:
         return (head + "    for (int64_t k = 0; k < n; k++) {\n"
                 + "".join(f"        {b}\n" for b in body) + "    }\n}\n\n")
 
-    if dimension:
-        return (function("", "double") + function("_lanes", "lane")
-                + f"KERNEL({name}, {dimension}, PAIRED({name}, {dimension}))\n\n")
-    return function("", "double") + f"KERNEL({name}, n, START)\n\n"
+    return (function("", "double") + function("_lanes", "lane")
+            + f"KERNEL({name}, {dimension or 'n'})\n\n")
 
 
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
@@ -1127,34 +1084,38 @@ def linear_loop(leading_order, terms) -> Optional[Callable]:
     return _bind("linear", 10, [(), ()], leading_order, terms)
 
 
-def nelder_mead(evaluate, starts, lower, upper, constants, maxfev, maxiter) -> Optional[list]:
-    """``fitting._nelder_mead``'s restarts from the rows of ``starts``
-    within [``lower``, ``upper``], run in lock step by ``nc_nelder_mead``,
-    or None without the library.
+def nelder_mead(evaluate, simplices, lower, upper, constants, maxfev, maxiter) -> Optional[list]:
+    """``fitting._nelder_mead``'s restarts from the start simplices
+    ``simplices`` (``fitting._simplex``) within [``lower``, ``upper``], run
+    in lock step by ``nc_nelder_mead``, or None without the library.
 
-    A round is one call, which advances every live restart until it needs
-    points and returns them all, and one ``evaluate(points) -> values`` of
-    them.  A restart whose values it cannot order (ties, NaN) waits for
-    numpy's argsort of them, which this loop gives before the next call.
-    ``constants`` are fitting's (rho, chi, psi, sigma, nonzdelt, zdelt,
-    xatol, fatol).  Returns each restart's last simplex and values, as
-    lists of floats, and its nfev and nit.
+    The first round evaluates the first ``min(n + 1, maxfev)`` vertices of
+    every restart with one ``evaluate(points) -> values``, restart after
+    restart, and gives the others +inf.  Every later round is one call,
+    which advances every live restart until it needs points and returns
+    them all, and one ``evaluate`` of them.  A restart whose values it
+    cannot order (ties, NaN) waits for numpy's argsort of them, which this
+    loop gives before the next call.  ``constants`` are fitting's (rho,
+    chi, psi, sigma, xatol, fatol).  Returns each restart's last simplex
+    and values, as lists of floats, and its nfev and nit.
     """
     lib = _library()
     if lib is None:
         return None
-    starts = np.array(starts, dtype=np.float64, ndmin=2)
-    count, n = starts.shape
+    sim = np.array(simplices, dtype=np.float64, ndmin=3)
+    count, n = sim.shape[0], sim.shape[2]
     arrays = [np.array(x, dtype=np.float64) for x in (constants, lower, upper)]
-    if [x.shape for x in arrays] != [(8,), (n,), (n,)]:
-        raise ValueError("nc_nelder_mead got bounds or constants of mismatched shapes")
-    state = np.zeros((count, 4), np.int64)  # every restart at NM_START
-    sim = np.zeros((count, n + 1, n))
-    sim[:, 0] = starts
-    fsim = np.empty((count, n + 1))
+    if [x.shape for x in arrays] != [(6,), (n,), (n,)] or sim.shape[1] != n + 1:
+        raise ValueError("nc_nelder_mead got simplices, bounds or constants of mismatched shapes")
+    first = min(n + 1, maxfev)
+    state = np.zeros((count, 4), np.int64)  # every restart at NM_FIRST_SORT
+    state[:, 1] = first
+    fsim = np.full((count, n + 1), np.inf)
+    if first > 0:
+        fsim[:, :first] = np.reshape(evaluate(sim[:, :first].reshape(-1, n)), (count, first))
     order = np.empty((count, n + 1), np.int64)
-    values = np.empty(count * (n + 1))
-    points = np.empty((count * (n + 1), n))
+    values = np.empty(count * n)
+    points = np.empty((count * n, n))
     waiting = np.empty(count + 1, np.int64)
     arrays += [state, sim, fsim, np.empty((count, n * n + 2 * n + 1)), values, order,
                points, waiting]

@@ -128,8 +128,10 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 
 
 def acv_formula(params: HopfParams, u) -> np.ndarray:
-    """Leading-order autocovariance of the x component; even in the lag."""
-    u = np.abs(np.asarray(u, dtype=float))
+    """Leading-order autocovariance of the x component; even in the lag.
+    ``u`` is an array of finite lags of any shape (:class:`ConfigError`
+    otherwise)."""
+    u = np.abs(_require_array("u", u, None))
     return _acv_curve(
         _acv_coefficients(params.r, params.alpha, params.lambda_, params.sigma), u
     )
@@ -154,13 +156,15 @@ def _acv_curve(coefficients, u):
 
 
 def psd_formula(params: HopfParams, omega) -> np.ndarray:
-    """Leading-order two-sided spectral density; even in frequency."""
+    """Leading-order two-sided spectral density; even in frequency.
+    ``omega`` is an array of finite frequencies of any shape
+    (:class:`ConfigError` otherwise)."""
     if params.sigma == 0.0:
         raise DegenerateSpectrumError(
             "sigma = 0 gives a line spectrum (delta peaks at +-alpha); "
             "the density formula is degenerate there"
         )
-    w = np.asarray(omega, dtype=float)
+    w = _require_array("omega", omega, None)
     return _psd_curve(
         _psd_coefficients(params.r, params.alpha, params.lambda_, params.sigma), w
     )
@@ -302,11 +306,23 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     (``_stepkernel._in_threads``), where numpy's calls release the GIL;
     each block reuses two buffers of the lag grid's length, and no value
     depends on the block.  ``omegas`` must be a nonempty 1-D array of
-    finite, nonnegative values (:class:`ConfigError` before any sampling).
+    finite, nonnegative values whose largest, times the largest |lag| of
+    an estimate or times 128 for a callable, is finite (:class:`ConfigError`
+    before any sampling).
     """
     omegas = _require_array("omegas", omegas, (None,), ndmin=1)
     if np.any(omegas < 0.0):
         raise ConfigError("omegas must be nonnegative")
+
+    def refuse_overflow(factor, what):
+        # the largest frequency times the largest lag, or times the 128 of a
+        # callable's lag step pi / (128 omega), must stay within float's range
+        with np.errstate(over="ignore"):
+            overflows = np.isinf(omegas.max() * factor)
+        if overflows:
+            raise ConfigError(
+                f"omegas times {what} must be finite, got {omegas.max():g} * {factor:g}"
+            )
 
     if isinstance(acv, AcvEstimate):
         lags = _require_array("acv.lags", acv.lags, (None,))
@@ -319,7 +335,9 @@ def wk_transform(acv, omegas) -> PsdEstimate:
         if below.size:
             cut = min((below[0] + 1) * 512, vals.size)
             lags, vals = lags[:cut], vals[:cut]
+        refuse_overflow(max(-lags[0], lags[-1]), "the largest |lag|")
     else:
+        refuse_overflow(128.0, "128")
         w_max = max(omegas.max(), 1e-12)
         du = np.pi / (128.0 * w_max)
         lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)

@@ -20,7 +20,6 @@ from .sde import Trajectory
 
 __all__ = [
     "write_trajectory",
-    "read_trajectory",
     "write_cycle_frame",
     "write_curve",
     "read_curve",
@@ -90,19 +89,6 @@ def write_trajectory(path, trajectory: Trajectory):
     """Table with header t,<label1>,<label2>,..."""
     header = ("t",) + tuple(trajectory.channel_labels)
     _write_table(path, header, [trajectory.t] + list(trajectory.values.T))
-
-
-def read_trajectory(path) -> Trajectory:
-    """Inverse of :func:`write_trajectory`; the time column must be uniform."""
-    labels, data = _read_table(path)
-    if labels[0] != "t" or len(labels) < 2:
-        raise ConfigError(f"{path}: expected header t,<labels...>, got {labels}")
-    if data.shape[0] < 2:
-        raise ConfigError(f"{path}: need at least two samples")
-    dt = _uniform_step(data[:, 0])
-    if dt is None:
-        raise ConfigError(f"{path}: time column is not uniformly spaced")
-    return Trajectory(dt=dt, values=data[:, 1:], channel_labels=tuple(labels[1:]))
 
 
 def _uniform_step(t):

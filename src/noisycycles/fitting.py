@@ -15,8 +15,9 @@ The Nelder-Mead is the package's own copy of scipy 1.17's bounded
 ``_minimize_neldermead`` (``adaptive=False``), written on Python floats
 with every operation of scipy's in its order, so each restart returns
 the bits ``scipy.optimize.minimize(..., method="Nelder-Mead")`` returns.
-Each restart is a generator (``_nelder_mead``) that yields the points it
-needs evaluated and receives their values; the five run in lock step
+Each restart starts from scipy's simplex around its start point
+(``_simplex``) and is a generator (``_nelder_mead``) that yields the points
+it needs evaluated and receives their values; the five run in lock step
 (``_lock_step``), and a round takes ``np.exp`` of all pending points at
 once and evaluates the template once on a (points, grid) array.  The
 template's per-point coefficients stay on scalars
@@ -25,12 +26,12 @@ template's per-point coefficients stay on scalars
 evaluated alone.
 
 Where the compiled library builds, the restarts' bookkeeping runs in C
-instead (``_stepkernel.nelder_mead``): one call a round advances every
-restart to the points it needs, with every operation of the generator in
-its order, and the same numpy objective evaluates them.  The C orders a
-simplex itself only when its values are distinct and not NaN, where any
-sort gives numpy's order; otherwise it asks for numpy's argsort, so ties
-are ordered as here on every CPU.  The generators are the reference the
+instead (``_stepkernel.nelder_mead``), from the same start simplices: one
+call a round advances every restart to the points it needs, with every
+operation of the generator in its order, and the same numpy objective
+evaluates them.  The C orders a simplex itself only when its values are
+distinct and not NaN, where any sort gives numpy's order; otherwise it
+asks for numpy's argsort, so ties are ordered as here on every CPU.  The generators are the reference the
 tests hold the compiled copy to, and what a host without the library runs.
 """
 
@@ -77,7 +78,7 @@ _MAXITER = _MAXFEV = 20000
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the constants of the compiled copy, _stepkernel.nelder_mead
-_STEPS = (_RHO, _CHI, _PSI, _SIGMA, _NONZDELT, _ZDELT, _XATOL, _FATOL)
+_STEPS = (_RHO, _CHI, _PSI, _SIGMA, _XATOL, _FATOL)
 
 
 class FitTarget(enum.Enum):
@@ -348,35 +349,38 @@ class _Run(NamedTuple):
     final_simplex: tuple
 
 
-def _nelder_mead(x0, lower, upper):
-    """One bounded Nelder-Mead restart from ``x0`` within [lower, upper]
-    (lists of floats), as a generator.
+def _clipped(x, lower, upper):
+    """np.clip of the list ``x``: v stays only if v > lo, then only if v <
+    hi (so -0.0 clips to a bound of 0.0), and NaN stays NaN."""
+    return [hi if (m := lo if v <= lo else v) >= hi else m for v, lo, hi in zip(x, lower, upper)]
+
+
+def _simplex(x0, lower, upper):
+    """scipy's start simplex around ``x0`` within [lower, upper] (lists of
+    floats): x0 clipped, then one vertex a coordinate, that coordinate
+    stepped, and a vertex past an upper bound reflected into the interior.
+    Both drivers of the restarts start from it."""
+    x0 = _clipped(x0, lower, upper)
+    sim = [x0]
+    for k in range(len(x0)):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    return [_clipped([2 * hi - v if v > hi else v for v, hi in zip(x, upper)], lower, upper)
+            for x in sim]
+
+
+def _nelder_mead(sim, lower, upper):
+    """One bounded Nelder-Mead restart from the start simplex ``sim``
+    (:func:`_simplex`) within [lower, upper] (lists of floats), as a
+    generator.
 
     It yields the list of points it needs evaluated next, is sent their
     values, and returns a :class:`_Run`.  Budget stops follow scipy's
     wrapper, which refuses evaluation ``_MAXFEV + 1``: the iteration it
     falls in ends there, uncounted, and keeps what it had changed.
     """
-    n = len(x0)
-
-    def clipped(x):
-        # np.clip: v stays only if v > lo, then only if v < hi (so -0.0
-        # clips to a bound of 0.0), and NaN stays NaN
-        return [
-            hi if (m := lo if v <= lo else v) >= hi else m
-            for v, lo, hi in zip(x, lower, upper)
-        ]
-
-    x0 = clipped(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
-    # a vertex past an upper bound is reflected into the interior
-    sim = [
-        clipped([2 * hi - v if v > hi else v for v, hi in zip(x, upper)]) for x in sim
-    ]
+    n = len(sim) - 1
     nfev = min(n + 1, _MAXFEV)
     values = (yield sim[:nfev]) if nfev else []
     # sorted twice, as scipy does: a second argsort can reorder ties
@@ -398,7 +402,7 @@ def _nelder_mead(x0, lower, upper):
         def beyond(c):
             # (1 + c) xbar - c worst: reflect, expand and both contractions
             # (c = -psi gives scipy's (1 - psi) xbar + psi worst exactly)
-            return clipped([(1 + c) * b - c * w for b, w in zip(xbar, worst)])
+            return _clipped([(1 + c) * b - c * w for b, w in zip(xbar, worst)], lower, upper)
 
         xr = beyond(_RHO)
         (fxr,) = yield [xr]
@@ -430,7 +434,7 @@ def _nelder_mead(x0, lower, upper):
                 nit += 1
         if shrink:
             moved = [
-                clipped([b + _SIGMA * (v - b) for v, b in zip(x, best)])
+                _clipped([b + _SIGMA * (v - b) for v, b in zip(x, best)], lower, upper)
                 for x in sim[1:]
             ]
             allowed = min(n, _MAXFEV - nfev)
@@ -521,10 +525,12 @@ def _restarts(objective, starts, lower, upper):
     :func:`_objective` and the starts and log bounds of :func:`_starts`:
     on the compiled copy where the library builds, else on the generators;
     the two give the same bits."""
-    ended = _stepkernel.nelder_mead(objective, starts, lower, upper, _STEPS, _MAXFEV, _MAXITER)
+    simplices = [_simplex(x.tolist(), lower, upper) for x in starts]
+    ended = _stepkernel.nelder_mead(objective, simplices, lower, upper, _STEPS, _MAXFEV,
+                                    _MAXITER)
     if ended is not None:
         return [_run(*end) for end in ended]
-    return _lock_step([_nelder_mead(x.tolist(), lower, upper) for x in starts], objective)
+    return _lock_step([_nelder_mead(sim, lower, upper) for sim in simplices], objective)
 
 
 def fit(problem: FitProblem) -> FitResult:

@@ -315,7 +315,10 @@ def _simulate(config, n_paths, record_every, starts, loop, error=DivergenceError
     n_steps, rngs)`` fills in the other rows, member p drawing from
     ``rngs[p]``, the Philox generator of its seed, and returns each member's
     first bad step, or -1, for which ``_check_members`` raises ``error``
-    with ``message``.  Every simulator runs its members here.
+    with ``message``.  A loop may stop a member early once another has gone
+    bad, which then reports -1: the earliest bad step and the lowest member
+    at it, all the driver raises, stay.  Every simulator runs its members
+    here.
     ``members``, when given, is the ``(seeds, path_ids, rngs)`` those
     members already have, which spares deriving them again.
     """

@@ -221,22 +221,31 @@ def test_wk_transform_does_not_depend_on_the_thread_count(n_omegas):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("omegas, message", [
-    ([np.nan], "omegas must be finite, got nan at index 0"),
-    ([1.0, np.inf], "omegas must be finite, got inf at index 1"),
-    ([-np.inf], "omegas must be finite, got -inf at index 0"),
-    ([], r"omegas must have shape \(N,\), got \(0,\)"),
-    ([[0.5, 1.0]], r"omegas must have shape \(N,\), got \(1, 2\)"),
-], ids=["nan", "inf", "minus-inf", "empty", "2-D"])
-def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omegas, message):
+@pytest.mark.parametrize("omegas, message, estimated", [
+    ([np.nan], "omegas must be finite, got nan at index 0", False),
+    ([1.0, np.inf], "omegas must be finite, got inf at index 1", False),
+    ([-np.inf], "omegas must be finite, got -inf at index 0", False),
+    ([], r"omegas must have shape \(N,\), got \(0,\)", False),
+    ([[0.5, 1.0]], r"omegas must have shape \(N,\), got \(1, 2\)", False),
+    # a callable's lag step pi / (128 omega) would be pi / inf
+    ([1.0, 1e308], r"omegas times 128 must be finite, got 1e\+308 \* 128", False),
+    # cos(omega lag) of the estimate's last lag would take omega lag = inf
+    ([1.0, 1e308], r"omegas times the largest \|lag\| must be finite, got 1e\+308 \* 9.9",
+     True),
+], ids=["nan", "inf", "minus-inf", "empty", "2-D", "overflowing grid", "overflowing lag"])
+def test_wk_transform_refuses_frequencies_it_cannot_handle_before_sampling(omegas, message,
+                                                                           estimated):
     sampled = []
 
     def acv(u):
         sampled.append(u)
         return np.exp(-np.abs(u))
 
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        wk_transform(acv, np.array(omegas, dtype=float))
+    lags = np.arange(100) * 0.1
+    estimate = AcvEstimate(lags=lags, values=np.exp(-lags))
+    with warnings.catch_warnings(), pytest.raises(ConfigError, match=f"^{message}$"):
+        warnings.simplefilter("error")
+        wk_transform(estimate if estimated else acv, np.array(omegas, dtype=float))
     assert not sampled
 
 

@@ -23,6 +23,7 @@ from noisycycles import (
     IntegratorConfig,
     PsdEstimate,
     SdeSystem,
+    acv_formula,
     averaged_periodogram,
     build_frame,
     find_limit_cycle,
@@ -34,6 +35,7 @@ from noisycycles import (
     kurtosis,
     ornstein_uhlenbeck,
     path_seed,
+    psd_formula,
     reconstruct,
     reduce,
     sample_acv,
@@ -256,6 +258,9 @@ ARRAYS = {
     # both ravel their samples
     "kde samples": (kde, "samples", list(_SERIES), None),
     "kurtosis samples": (kurtosis, "samples", list(_SERIES), None),
+    # the templates take lags and frequencies of any shape
+    "acv_formula u": (lambda v: acv_formula(_hopf(), v), "u", [0.0, 0.5], None),
+    "psd_formula omega": (lambda v: psd_formula(_hopf(), v), "omega", [0.5, 1.0], None),
     "wk_transform omegas": (
         lambda v: wk_transform(AcvEstimate(_LAGS, _DECAY), v),
         "omegas", [0.5, 1.0], ([[0.5, 1.0]], "(N,)")),

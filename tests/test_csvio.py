@@ -26,7 +26,6 @@ from noisycycles.csvio import (
     load_json_config,
     read_column,
     read_curve,
-    read_trajectory,
     write_curve,
     write_cycle_frame,
     write_fit_json,
@@ -50,11 +49,11 @@ def test_trajectory_round_trip_is_bitwise(tmp_path):
     p = tmp_path / "tr.csv"
     write_trajectory(p, tr)
     assert p.read_text().splitlines()[0] == "t,x,y,w"
-    back = read_trajectory(p)
-    assert back.channel_labels == ("x", "y", "w")
-    assert back.dt == 0.25
-    # %.17g is enough digits to reproduce any double exactly
-    assert np.array_equal(back.values, tr.values)
+    for j, label in enumerate(tr.channel_labels):
+        values, dt = read_column(p, label)
+        assert dt == 0.25
+        # %.17g is enough digits to reproduce any double exactly
+        assert values.tobytes() == tr.values[:, j].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -169,33 +168,30 @@ def test_malformed_rows_report_location(tmp_path):
 
 
 def test_trajectory_needs_uniform_times(tmp_path):
+    # a trajectory whose times are not uniform gives no dt to infer
     p = tmp_path / "ragged.csv"
     p.write_text("t,x\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
-    with pytest.raises(ConfigError):
-        read_trajectory(p)
+    values, dt = read_column(p)
+    assert dt is None and values.tolist() == [1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("times", [
-    [0.0, 0.1, 0.2, 0.3],
-    [0.0, 0.1, 0.3],
-    [0.0, 0.0, 0.0],
-    [0.3, 0.2, 0.1],
-    [0.0, 0.1, 0.2 + 5e-10],
-    [0.0, 0.1, 0.2 + 2e-9],
-    [0.0, 10.0, 20.0 + 5e-9],
-    [0.0, 10.0, 20.0 + 2e-8],
-    [0.0, float("nan"), 0.2],
+@pytest.mark.parametrize("times, uniform", [
+    ([0.0, 0.1, 0.2, 0.3], True),
+    ([0.0, 0.1, 0.3], False),
+    ([0.0, 0.0, 0.0], False),
+    ([0.3, 0.2, 0.1], False),
+    ([0.0, 0.1, 0.2 + 5e-10], True),
+    ([0.0, 0.1, 0.2 + 2e-9], False),
+    ([0.0, 10.0, 20.0 + 5e-9], True),
+    ([0.0, 10.0, 20.0 + 2e-8], False),
+    ([0.0, float("nan"), 0.2], False),
 ])
-def test_trajectory_and_column_reads_share_one_time_check(tmp_path, times):
-    # read_column infers dt exactly when read_trajectory accepts the file
+def test_column_reads_infer_dt_only_from_uniform_times(tmp_path, times, uniform):
+    # positive steps within 1e-9 max(dt, 1) of the first give the first
     p = tmp_path / "t.csv"
     p.write_text("t,x\n" + "".join(f"{t!r},1.0\n" for t in times))
     _, dt = read_column(p)
-    if dt is None:
-        with pytest.raises(ConfigError, match="not uniformly spaced"):
-            read_trajectory(p)
-    else:
-        assert read_trajectory(p).dt == dt == times[1] - times[0]
+    assert dt == (times[1] - times[0] if uniform else None)
 
 
 def test_failed_write_leaves_nothing_behind(tmp_path):

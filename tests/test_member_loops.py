@@ -585,10 +585,10 @@ def test_a_long_ensemble_draws_its_normals_as_numpy_does():
     check_compiled_is_numpy("hopf", config, 100, 40)
 
 
-# the integrator's drifts whose compiled loop runs two members at a time, a
+# the integrator's drifts, whose compiled loop runs two members at a time, a
 # lane each, and an unpaired member (the last of an odd count, of a call or
 # of a thread's block) alone
-LANES = ("hopf", "van der pol")
+LANES = ("hopf", "van der pol", "ou-1", "ou-3")
 
 
 @requires_compiler
@@ -599,7 +599,7 @@ def test_lanes_and_the_unpaired_member_give_the_numpy_and_solo_bytes(name, n_pat
     case = CASES[name]
     for scheme in Scheme:
         config = IntegratorConfig(dt=1e-3, n_steps=300, scheme=scheme, seed=29,
-                                  initial_state=(0.4, -0.0))
+                                  initial_state=(0.4, -0.0, 0.7)[:len(case.start)])
         with threads(n_threads):
             members = record_bytes(case.run(config, 3, n_paths))
         with numpy_loop():
@@ -609,9 +609,10 @@ def test_lanes_and_the_unpaired_member_give_the_numpy_and_solo_bytes(name, n_pat
 
 
 # ensembles whose members diverge (system, config, n_paths): in the noisy
-# ones one member of a pair stops while its partner records on past it, to
-# a later divergence or to the end; in the quiet ones every member is the
-# same, so both lanes of each pair stop at the same step
+# ones the members' solo runs stop at different steps, or not at all, so one
+# member of a pair can be bad while its partner would run on; in the quiet
+# ones every member is the same, so both lanes of each pair stop at the same
+# step
 LANE_DIVERGENCES = {
     # first bad steps 11, 9, 2, none, 4, 11, 29, 8
     "hopf, one lane": (SYSTEMS["hopf"](2.5), IntegratorConfig(
@@ -629,10 +630,11 @@ LANE_DIVERGENCES = {
 @requires_compiler
 @pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
 @pytest.mark.parametrize("setup", sorted(LANE_DIVERGENCES))
-def test_a_member_whose_partner_diverges_records_on_alone(setup, n_threads):
-    # the compiled loop, called directly, runs every member to its own first
-    # bad step or to the end; that step and the rows before it are the solo
-    # numpy run's, for record_every 3
+def test_a_pair_stops_at_the_first_bad_step_of_either_member(setup, n_threads):
+    # the compiled loop, called directly at record_every 3, stops a pair
+    # where either member is bad: a member that reports a step is bad there
+    # alone too, the earliest step and its lowest member are the solo runs',
+    # and every member's rows before that step are its solo numpy run's
     system, config, n_paths = LANE_DIVERGENCES[setup]
     seeds = [sde.path_seed(config.seed, k) for k in range(n_paths)]
     firsts = []
@@ -652,15 +654,21 @@ def test_a_member_whose_partner_diverges_records_on_alone(setup, n_threads):
     rec = np.empty((n_paths, config.n_steps // 3 + 1, 2))
     rec[:, 0] = config.initial_state
     with threads(n_threads):
-        bad = loop(rec, 3, config.n_steps, [sde._generator(seed) for seed in seeds])
-    assert bad.tolist() == firsts
-    for k, first in enumerate(firsts):
-        steps = config.n_steps if first < 0 else first // 3 * 3
+        bad = loop(rec, 3, config.n_steps, [sde._generator(seed) for seed in seeds]).tolist()
+    assert [b for b in bad if b >= 0] == [f for b, f in zip(bad, firsts) if b >= 0]
+    earliest = min(f for f in firsts if f >= 0)
+    assert min(b for b in bad if b >= 0) == earliest
+    assert bad.index(earliest) == firsts.index(earliest)
+    steps = earliest // 3 * 3
+    for k in range(n_paths):
         with numpy_loop():
             solo = (integrate_path(system, dataclasses.replace(config, n_steps=steps,
                                                                seed=seeds[k]), 3).values
                     if steps else np.array([config.initial_state]))
         assert rec[k, :steps // 3 + 1].tobytes() == solo.tobytes()
+    if "one lane" in setup:
+        # a member stopped with its partner, before its own solo run's end
+        assert any(b < 0 <= f for b, f in zip(bad, firsts))
 
 
 @pytest.mark.parametrize("setup", sorted(DIVERGENCES))
