@@ -287,21 +287,24 @@ static inline int lane_outside(const lane *x, int64_t n, int l, double trust)
    pair stops at the first step where either member is bad: bad gets that
    step for each member bad there and -1 for the other, which records
    nothing more.  sde._check_members raises only for the earliest bad step
-   and the lowest member at it, which no later step can change. */
+   and the lowest member at it, which no later step can change.  work
+   holds the pair's 7n + 4n^2 lanes, on the heap: at a run-time n they
+   would outgrow a thread's stack. */
 __attribute__((always_inline)) static inline void sde_pair(
     void (*f)(const double *, int64_t, const lane *, lane *), const double *c, int64_t n,
     int64_t rk15, const double *s, const double *off, const double *k, bitgen_t *const *gens,
-    int64_t *bad, int64_t p, int64_t n_steps, int64_t record_every, double *rec)
+    int64_t *bad, int64_t p, int64_t n_steps, int64_t record_every, double *rec,
+    lane *work)
 {
-    /* inlined into each nc_ loop, f is its lane drift and n, for a drift
-       of a fixed dimension, a constant, and gcc keeps these arrays in
-       registers */
-    lane u[2 * n], x[n], y[n], work[3 * n + 4 * n * n], *now = x, *after = y;
+    /* inlined into each nc_ loop: f is its lane drift and n, for a drift
+       of a fixed dimension, a constant */
+    lane *u = work, *now = u + 2 * n, *after = now + n;
+    work = after + n;
     const int64_t rows = n_steps / record_every + 1;
     double *member[2] = {rec + p * rows * n, rec + (p + 1) * rows * n};
     bad[p] = bad[p + 1] = -1;
     for (int64_t q = 0; q < n; q++)
-        x[q] = (lane){member[0][q], member[1][q]};
+        now[q] = (lane){member[0][q], member[1][q]};
     for (int64_t i = 0, left = record_every; i < n_steps; i++) {
         for (int l = 0; l < 2; l++)
             for (int64_t j = 0; j < 2 * n; j++)
@@ -332,7 +335,9 @@ __attribute__((always_inline)) static inline void sde_pair(
    components, n when set at run time: the record rows of n values start at
    rec, members in pairs through sde_pair with the lane twin name_lanes,
    and the last of an odd count alone (MEMBER_LOOP), each step
-   sde_step_double's, bad when next is outside the trust region k[4]. */
+   sde_step_double's, bad when next is outside the trust region k[4].
+   work holds 2 (7n + 4n^2) + 1 doubles: the pairs' lanes from its first
+   16-byte boundary, then the lone member's 7n + 4n^2 doubles. */
 #define KERNEL(name, dim)                                                                \
     void nc_##name(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,     \
                    int64_t n_steps, int64_t record_every, double *rec, const double *c,  \
@@ -340,9 +345,10 @@ __attribute__((always_inline)) static inline void sde_pair(
                    const double *k)                                                      \
     {                                                                                    \
         const int64_t paired = count - count % 2;                                        \
+        lane *lanes = (lane *)(((uintptr_t)work + 15) & -(uintptr_t)16);                 \
         for (int64_t p = 0; p < paired; p += 2)                                          \
             sde_pair(name##_lanes, c, dim, rk15, s, off, k, gens, bad, p, n_steps,       \
-                     record_every, rec);                                                 \
+                     record_every, rec, lanes);                                          \
         double *u = work, *cur = u + 2 * n, *next = cur + n, *scratch = next + n;        \
         MEMBER_LOOP(paired, dim, memcpy(cur, rec + row * n, n * sizeof *cur),            \
                     (sde_step_double(name, c, dim, rk15, s, off, k, u, cur, next, scratch), \
@@ -1036,7 +1042,7 @@ def loop_for(system, rk15, offsets, constants) -> Optional[Callable]:
     if ks is None or np.any(S - np.diag(np.diag(S))):
         return None
     n = system.dimension
-    return _bind(ks.name, 7 * n + 4 * n * n, [(n,)],
+    return _bind(ks.name, 2 * (7 * n + 4 * n * n) + 1, [(n,)],
                  ks.coefs, n, rk15, np.diag(S), offsets, constants)
 
 

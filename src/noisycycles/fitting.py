@@ -31,8 +31,9 @@ call a round advances every restart to the points it needs, with every
 operation of the generator in its order, and the same numpy objective
 evaluates them.  The C orders a simplex itself only when its values are
 distinct and not NaN, where any sort gives numpy's order; otherwise it
-asks for numpy's argsort, so ties are ordered as here on every CPU.  The generators are the reference the
-tests hold the compiled copy to, and what a host without the library runs.
+asks for numpy's argsort, so ties are ordered as here on every CPU.  The
+generators are the reference the tests hold the compiled copy to, and
+what a host without the library runs.
 """
 
 from __future__ import annotations

@@ -608,6 +608,19 @@ def test_lanes_and_the_unpaired_member_give_the_numpy_and_solo_bytes(name, n_pat
             assert record_bytes(case.run(member(config, k), 3, None)) == [members[k]]
 
 
+@requires_compiler
+def test_a_pair_of_a_large_dimension_keeps_its_lanes_off_the_stack():
+    # a pair's 7n + 4n^2 lanes are 10 MB at n = 400, more than a thread's
+    # stack holds; from the heap scratch the pair runs as the numpy loop
+    run = _ensemble(ornstein_uhlenbeck(1.0, 0.3, dimension=400))
+    for scheme in Scheme:
+        config = IntegratorConfig(dt=1e-3, n_steps=3, scheme=scheme, seed=5,
+                                  initial_state=tuple(np.linspace(-1.0, 1.0, 400)))
+        with threads(1):
+            compiled, numpy = compiled_and_numpy(lambda: record_bytes(run(config, 1, 2)))
+        assert compiled == numpy
+
+
 # ensembles whose members diverge (system, config, n_paths): in the noisy
 # ones the members' solo runs stop at different steps, or not at all, so one
 # member of a pair can be bad while its partner would run on; in the quiet
