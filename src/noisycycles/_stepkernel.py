@@ -1,7 +1,7 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
 package builds, of ``frame.simulate_reduced`` and of
 ``hopf.simulate_hopf_linear``, and the compiled bookkeeping of
-``fitting``'s Nelder-Mead restarts.
+``fitting``'s Nelder-Mead restarts and its templates.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
@@ -86,10 +86,21 @@ arrays (its phase, nfev, nit, simplex and values); one call takes the
 values of the points it asked for last, advances every live restart until
 it needs new points, and writes them all into one (points, n) buffer.
 :func:`nelder_mead` evaluates every start simplex at once, then makes one
-call a round and evaluates the points with ``fitting``'s numpy objective.
+call a round and evaluates the points with ``fitting``'s objective.
 The C orders a simplex only when its values are distinct and not NaN,
 where every sort agrees with numpy's; otherwise the restart waits a round
 for ``np.argsort`` of its values, so ties keep numpy's order on every CPU.
+
+The fit's two templates, ``_acv_curve`` and ``_psd_curve``, are written
+once here too, and :func:`template` evaluates them in C for a batch of
+points, emitted from the same formulas (``_c_template``).  ``_Traced``
+also records ``** 2`` (numpy's square, x * x), ``np.cos`` (libm's, which
+numpy's float64 cos calls) and ``np.exp``; an exp is numpy's SIMD exp,
+whose bits C cannot promise, so the template splits there:
+``nc_acv_exponents`` writes every exp argument of the batch into one
+buffer, ``np.exp`` maps it in place, and ``nc_acv`` forms the curve less
+the data from it.  ``nc_psd``, which has no exp, is one call.  The rows'
+sums of squares stay numpy's BLAS dots.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
 against numpy's ``bitgen.h`` (no Python headers) into
@@ -100,12 +111,12 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the six
+the archive's symbols out of the library's exports, which are the nine
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice.
 Without a compiler, without ``objcopy``, without numpy's static library,
-or without a writable cache, the numpy loops and fitting's Python
-restarts run instead, with the same results.
+or without a writable cache, the numpy loops, fitting's Python restarts
+and its numpy templates run instead, with the same results.
 """
 
 from __future__ import annotations
@@ -731,29 +742,83 @@ _FORMULAS = {
 }
 
 
+# The two templates ``fitting`` fits, written once: the curve of
+# ``analysis._acv_coefficients`` and of ``_psd_coefficients`` on a grid,
+# with each coefficient a scalar or a (points, 1) column of many points.
+# ``acv_formula``, ``psd_formula`` and fitting's numpy objective apply them,
+# and the compiled template (``_c_template``, :func:`template`) is traced
+# from them.
+
+def _acv_curve(coefficients, u):
+    """The ACV template at lags ``u`` >= 0 from ``_acv_coefficients``."""
+    half_r2, nsr2, neg_lam, alpha, neg_half_s2 = coefficients
+    amp = 1.0 + nsr2 * np.exp(neg_lam * u)
+    return half_r2 * amp * np.cos(alpha * u) * np.exp(neg_half_s2 * u)
+
+
+def _psd_curve(coefficients, w):
+    """The PSD template at frequencies ``w`` from ``_psd_coefficients``.
+
+    Each pair is scale (4(alpha^2+w^2) + width^2) over the split-peak
+    denominator ([4(alpha-w)^2 + width^2][4(alpha+w)^2 + width^2]).
+    """
+    alpha, alpha2, *pairs = coefficients
+    base = 4.0 * (alpha2 + w**2)
+    left, right = 4.0 * (alpha - w) ** 2, 4.0 * (alpha + w) ** 2
+    direct, broadened = (
+        scale * (base + width2) / ((left + width2) * (right + width2))
+        for scale, width2 in (pairs[:2], pairs[2:])
+    )
+    return direct + broadened
+
+
+# name (fitting's FitTarget value) -> (curve, its coefficients a point)
+_TEMPLATES = {"acv": (_acv_curve, 5), "psd": (_psd_curve, 6)}
+
+
 class _Traced:
-    """A value of a formula traced into C (``_c_drift``): the C operand
-    that names it, and whether it varies with the state or comes from
-    coefficients and constants alone.  ``+ - * /`` and unary minus each
-    append one statement (name, varies, expression) to ``lines`` and give
-    the value it names; a number becomes an exact hex float constant.  Any
-    other operation is a ``TypeError``."""
+    """A value of a formula traced into C (``_c_drift``, ``_c_template``):
+    the C operand that names it, whether it varies with the state (or the
+    grid) or comes from coefficients and constants alone, and whether it
+    names a statement.  ``+ - * /``, unary minus, ``** 2`` (numpy's square
+    of an array, x * x, not libm's pow), ``np.cos`` (libm's, which numpy's
+    float64 cos calls) and ``np.exp`` each append one statement (name,
+    varies, expression, the statements it reads, and for an exp the
+    statement it takes the exp of) to ``lines`` and give the value it names;
+    a number becomes an exact hex float constant.  An exp is numpy's SIMD
+    exp, whose bits C cannot promise: its statement reads exp q of the row
+    from a buffer numpy has mapped, ``e[q * m + j]``.  Any other operation
+    is a ``TypeError``."""
 
-    def __init__(self, text, varies, lines):
-        self.text, self.varies, self.lines = text, varies, lines
+    def __init__(self, text, varies, lines, named=False):
+        self.text, self.varies, self.lines, self.named = text, varies, lines, named
 
-    def _let(self, expression, varies):
+    def _let(self, expression, varies, operands, exponent=None):
         name = f"t{len(self.lines)}"
-        self.lines.append((name, varies, expression))
-        return _Traced(name, varies, self.lines)
+        reads = [x.text for x in operands if x.named]
+        self.lines.append((name, varies, expression, reads, exponent))
+        return _Traced(name, varies, self.lines, True)
 
     def _binary(self, op, a, b):
         a, b = (x if isinstance(x, _Traced) else _Traced(f"({float(x).hex()})", False, self.lines)
                 for x in (a, b))
-        return self._let(f"{a.text} {op} {b.text}", a.varies or b.varies)
+        return self._let(f"{a.text} {op} {b.text}", a.varies or b.varies, (a, b))
 
     def __neg__(self):
-        return self._let(f"-{self.text}", self.varies)
+        return self._let(f"-{self.text}", self.varies, (self,))
+
+    def __pow__(self, exponent):
+        return self._binary("*", self, self) if exponent == 2 else NotImplemented
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or inputs != (self,):
+            return NotImplemented
+        if ufunc is np.cos:
+            return self._let(f"cos({self.text})", self.varies, (self,))
+        if ufunc is np.exp:
+            q = sum(line[4] is not None for line in self.lines)
+            return self._let(f"e[{q} * m + j]", self.varies, (), self.text)
+        return NotImplemented
 
 
 for _op, _method in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv")):
@@ -777,7 +842,7 @@ def _c_drift(name, formula, dimension) -> str:
     outs = formula(*coefs, *(_Traced(f"s[{q}]", True, lines) for q in components))
 
     def function(suffix, value):
-        body = [f"const {value if varies else 'double'} {t} = {e};" for t, varies, e in lines]
+        body = [f"const {value if varies else 'double'} {t} = {e};" for t, varies, e, *_ in lines]
         body += [f"out[{q}] = {out.text};" for q, out in zip(components, outs, strict=True)]
         head = (f"/* _stepkernel._{name}, traced */\n"
                 f"static inline void {name}{suffix}(const double *c, int64_t n, "
@@ -791,8 +856,55 @@ def _c_drift(name, formula, dimension) -> str:
             + f"KERNEL({name}, {dimension or 'n'})\n\n")
 
 
+def _c_template(name, curve, width):
+    """C of the template ``name`` and its count of exps a point: ``curve``
+    traced on one row's ``width`` coefficients c[0 ...] and the grid value
+    g[j], one statement an operation in the curve's order.  Each C function
+    takes (k, m, coefs, g, exps, data, out) and runs rows [0, k) of the (k,
+    width) coefs over the m grid values; row i's exps are rows [exps i,
+    exps (i + 1)) of the (exps k, m) buffer ``exps``.  ``nc_name`` writes
+    row i's curve less the data into row i of the (k, m) ``out``.  With
+    exps, ``nc_name_exponents`` writes their arguments into ``exps`` first,
+    for numpy to map in place; each function emits only the statements its
+    outputs read, and an exp's statement ends what it reads."""
+    lines = []
+    value = curve([_Traced(f"c[{q}]", False, lines) for q in range(width)],
+                  _Traced("g[j]", True, lines))
+    exps = [line[4] for line in lines if line[4] is not None]
+    stages = [("", [f"o[j] = {value.text} - data[j];"], [value.text])]
+    if exps:
+        stores = [f"e[{q} * m + j] = {x};" for q, x in enumerate(exps)]
+        stages.insert(0, ("_exponents", stores, exps))
+    text = ""
+    for suffix, stores, outputs in stages:
+        keep = set(outputs)
+        for t, _, _, reads, _ in reversed(lines):
+            if t in keep:
+                keep.update(reads)
+        body = [f"const double {t} = {e};" for t, _, e, _, _ in lines if t in keep]
+        if suffix and any(x is not None for t, *_, x in lines if t in keep):
+            raise TypeError(f"the {name} template takes an exp of an exp")
+        rows = [f"const double *c = coefs + {width} * i;"]
+        rows += [f"double *e = exps + {len(exps)} * m * i;"] * bool(exps)
+        rows += ["double *o = out + m * i;"] * (not suffix)
+        unused = ["exps"] * (not exps) + ["data", "out"] * bool(suffix)
+        text += (f"/* _stepkernel._{name}_curve, traced */\n"
+                 f"void nc_{name}{suffix}(int64_t k, int64_t m, const double *coefs, "
+                 f"const double *g, double *exps, const double *data, double *out)\n{{\n"
+                 + "".join(f"    (void){x};\n" for x in unused)
+                 + "    for (int64_t i = 0; i < k; i++) {\n"
+                 + "".join(f"        {r}\n" for r in rows)
+                 + "        for (int64_t j = 0; j < m; j++) {\n"
+                 + "".join(f"            {b}\n" for b in body + stores)
+                 + "        }\n    }\n}\n\n")
+    return text, len(exps)
+
+
+# name -> (C of the template, its exps a point)
+_TRACED = {name: _c_template(name, *entry) for name, entry in _TEMPLATES.items()}
+
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
-           + _LOOPS + _NELDER_MEAD)
+           + _LOOPS + _NELDER_MEAD + "".join(text for text, _ in _TRACED.values()))
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
@@ -819,6 +931,9 @@ _ARGTYPES = {
     "linear": _MEMBERS + [_P, _P] + [_I, _P],
     # not a member loop: (count, n, maxfev, maxiter) and eleven arrays
     "nelder_mead": [_I] * 4 + [_P] * 11,
+    # a template's functions: (k, m) and five arrays
+    **{f"{name}{suffix}": [_I, _I] + [_P] * 5 for name, (_, exps) in _TRACED.items()
+       for suffix in ("_exponents", "")[not exps:]},
 }
 # what an nc_ function returns, when not None
 _RESTYPES = {"nelder_mead": _I}
@@ -1137,3 +1252,51 @@ def nelder_mead(evaluate, simplices, lower, upper, constants, maxfev, maxiter) -
         elif not sorts:
             return [(s, f, nfev, nit) for s, f, (nfev, nit)
                     in zip(sim.tolist(), fsim.tolist(), state[:, 1:3].tolist())]
+
+
+def template(name, grid, data, points) -> Optional[Callable]:
+    """The template ``name`` of ``_TEMPLATES`` on ``grid`` less ``data``, in
+    the compiled library, for batches of at most ``points`` rows of
+    coefficients, or None without the library.
+
+    ``residuals(rows)`` takes the (k, width) coefficients of k points and
+    returns their (k, grid) residuals, each row with the bits of the numpy
+    curve less the data.  With exps, one call writes every row's exp
+    arguments into the (exps k, grid) buffer, ``np.exp`` maps it in place
+    (numpy's SIMD exp, whose bits C cannot promise), and a second call forms
+    the curve less the data; without, one call does.  The buffers and their
+    pointers are made once, and the rows returned are a view of the output
+    buffer, which the next call overwrites.  More than ``points`` rows, or
+    rows of another width, are a ``ValueError``.
+    """
+    lib = _library()
+    if lib is None:
+        return None
+    exps = _TRACED[name][1]
+    width = _TEMPLATES[name][1]
+    grid, data = (np.array(x, dtype=np.float64, ndmin=1) for x in (grid, data))
+    m = grid.size
+    if grid.shape != (m,) or data.shape != (m,):
+        raise ValueError(f"nc_{name} got a grid and data of mismatched shapes")
+    # the closure holds every array whose pointer it passes, grid and data
+    # included
+    arrays = [np.empty((points, width)), grid, np.empty((exps * points, m)), data,
+              np.empty((points, m))]
+    pointers = [x.ctypes.data for x in arrays]
+    exponents = getattr(lib, f"nc_{name}_exponents") if exps else None
+    curve = getattr(lib, f"nc_{name}")
+
+    def residuals(rows):
+        k = len(rows)
+        if k > points or k and len(rows[0]) != width:
+            raise ValueError(f"nc_{name} got {k} rows of {len(rows[0])} coefficients for "
+                             f"buffers of {points} rows of {width}")
+        coefs, _, mapped, _, out = arrays
+        coefs[:k] = rows
+        if exps:
+            exponents(k, m, *pointers)
+            np.exp(mapped[:exps * k], out=mapped[:exps * k])
+        curve(k, m, *pointers)
+        return out[:k]
+
+    return residuals

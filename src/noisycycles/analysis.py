@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stepkernel
+from ._stepkernel import _acv_curve, _psd_curve
 from .exceptions import (
     ConfigError,
     DegenerateSampleError,
@@ -93,7 +94,10 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
 
     Computed with an FFT over a zero-padded copy, identical to the direct
     sum  (1/N) sum_t (x_t - m)(x_{t+k} - m).  The series must be finite
-    and cover at least twice the requested lag span.
+    and cover at least twice the requested lag span, and the centred
+    series small enough that 4 nfft (sum |x - m|)^2, which bounds every
+    product of the transform, stays within float's range
+    (:class:`ConfigError` before any transform).
     """
     x = _require_array("series", series, (None,))
     n = x.size
@@ -104,8 +108,14 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
         raise ConfigError(
             f"max_lag {max_lag} exceeds half the series span {n * dt / 2.0}"
         )
-    x = x - x.mean()
     nfft = 1 << int(np.ceil(np.log2(n + k_max + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        # |DFT|^2 is at most (sum |x|)^2, and the inverse transform sums
+        # nfft of them before it divides; 4 covers the transforms' rounding
+        bound = 4.0 * nfft * np.abs(x).sum() ** 2
+    if not np.isfinite(bound):
+        raise ConfigError("the series is too large: its ACV's transform overflows; scale it down")
     spec = np.fft.rfft(x, nfft)
     acv = np.fft.irfft(spec * spec.conj(), nfft)[: k_max + 1] / n
     return AcvEstimate(lags=np.arange(k_max + 1) * dt, values=acv)
@@ -130,11 +140,21 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 def acv_formula(params: HopfParams, u) -> np.ndarray:
     """Leading-order autocovariance of the x component; even in the lag.
     ``u`` is an array of finite lags of any shape (:class:`ConfigError`
-    otherwise)."""
+    otherwise, and where a term overflows)."""
     u = np.abs(_require_array("u", u, None))
-    return _acv_curve(
-        _acv_coefficients(params.r, params.alpha, params.lambda_, params.sigma), u
-    )
+    return _formula("acv_formula", params, _acv_coefficients, _acv_curve, u)
+
+
+def _formula(name, params, coefficients, curve, grid):
+    """``curve`` on ``grid`` at the coefficients of ``params``; a term that
+    overflows, which Python raises and numpy warns about, is a
+    :class:`ConfigError`.  The template's own helpers keep Python's
+    ``OverflowError``, which fitting's objective retries on numpy scalars."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return curve(coefficients(params.r, params.alpha, params.lambda_, params.sigma), grid)
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"{name} overflows at {params}") from None
 
 
 def _acv_coefficients(r, alpha, lam, sigma):
@@ -147,27 +167,17 @@ def _acv_coefficients(r, alpha, lam, sigma):
     return 0.5 * r**2, _nsr_of(sigma, lam, r) ** 2, -lam, alpha, -0.5 * (sigma / r) ** 2
 
 
-def _acv_curve(coefficients, u):
-    """The ACV template at lags ``u`` >= 0 from ``_acv_coefficients``,
-    each coefficient a scalar or a (points, 1) column of many points."""
-    half_r2, nsr2, neg_lam, alpha, neg_half_s2 = coefficients
-    amp = 1.0 + nsr2 * np.exp(neg_lam * u)
-    return half_r2 * amp * np.cos(alpha * u) * np.exp(neg_half_s2 * u)
-
-
 def psd_formula(params: HopfParams, omega) -> np.ndarray:
     """Leading-order two-sided spectral density; even in frequency.
     ``omega`` is an array of finite frequencies of any shape
-    (:class:`ConfigError` otherwise)."""
+    (:class:`ConfigError` otherwise, and where a term overflows)."""
     if params.sigma == 0.0:
         raise DegenerateSpectrumError(
             "sigma = 0 gives a line spectrum (delta peaks at +-alpha); "
             "the density formula is degenerate there"
         )
     w = _require_array("omega", omega, None)
-    return _psd_curve(
-        _psd_coefficients(params.r, params.alpha, params.lambda_, params.sigma), w
-    )
+    return _formula("psd_formula", params, _psd_coefficients, _psd_curve, w)
 
 
 def _psd_coefficients(r, alpha, lam, sigma):
@@ -179,23 +189,6 @@ def _psd_coefficients(r, alpha, lam, sigma):
     g = s2 + 2.0 * lam
     broadened = _nsr_of(sigma, lam, r) ** 2 * 2.0 * r2 * g
     return alpha, alpha**2, 2.0 * r2 * s2, s2**2, broadened, g**2
-
-
-def _psd_curve(coefficients, w):
-    """The PSD template at frequencies ``w`` from ``_psd_coefficients``,
-    each coefficient a scalar or a (points, 1) column of many points.
-
-    Each pair is scale (4(alpha^2+w^2) + width^2) over the split-peak
-    denominator ([4(alpha-w)^2 + width^2][4(alpha+w)^2 + width^2]).
-    """
-    alpha, alpha2, *pairs = coefficients
-    base = 4.0 * (alpha2 + w**2)
-    left, right = 4.0 * (alpha - w) ** 2, 4.0 * (alpha + w) ** 2
-    direct, broadened = (
-        scale * (base + width2) / ((left + width2) * (right + width2))
-        for scale, width2 in (pairs[:2], pairs[2:])
-    )
-    return direct + broadened
 
 
 def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
@@ -327,7 +320,9 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     if isinstance(acv, AcvEstimate):
         lags = _require_array("acv.lags", acv.lags, (None,))
         vals = _require_array("acv.values", acv.values, (lags.size,))
-        if not np.all(np.diff(lags) > 0.0):
+        with np.errstate(over="ignore"):  # a spacing past float's range is refused below
+            increasing = np.all(np.diff(lags) > 0.0)
+        if not increasing:
             raise ConfigError("ACV lags must be strictly increasing")
         c0 = abs(vals[0])
         env = _block_envelope(vals, 512)
@@ -342,8 +337,15 @@ def wk_transform(acv, omegas) -> PsdEstimate:
         du = np.pi / (128.0 * w_max)
         lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        spacing = np.diff(lags)
+        # the trapezoid of |ACV|, in the order below: |cos| <= 1, so no sum
+        # or product of any frequency's trapezoid exceeds its terms
+        bound = np.multiply(spacing, np.abs(vals[1:]) + np.abs(vals[:-1])) / 2.0
+        bound = 2.0 * bound.sum()
+    if not np.isfinite(bound):
+        raise ConfigError("the ACV's trapezoid overflows: scale the ACV down")
     values = np.empty(omegas.size)
-    spacing = np.diff(lags)
 
     def frequencies(a, b):
         y = np.empty(lags.size)

@@ -23,12 +23,19 @@ once and evaluates the template once on a (points, grid) array.  The
 template's per-point coefficients stay on scalars
 (``analysis._acv_coefficients``, ``_psd_coefficients``) and its curve on
 (points, 1) columns, so each row has the bits of the same point
-evaluated alone.
+evaluated alone, and each row's sum of squares is its own BLAS dot.
+Where the compiled library builds, the same coefficients reach C as a
+(points, 5) or (points, 6) array, and the curve less the data runs there
+(``_stepkernel.template``, emitted from the same template functions):
+numpy keeps only what C cannot promise to round alike, the ACV's exps
+(numpy's SIMD ``exp``, one in-place call on every exp argument of the
+round) and the sums of squares.  The PSD template has no exp and is one
+C call a round.
 
 Where the compiled library builds, the restarts' bookkeeping runs in C
 instead (``_stepkernel.nelder_mead``), from the same start simplices: one
 call a round advances every restart to the points it needs, with every
-operation of the generator in its order, and the same numpy objective
+operation of the generator in its order, and the same objective
 evaluates them.  The C orders a simplex itself only when its values are
 distinct and not NaN, where any sort gives numpy's order; otherwise it
 asks for numpy's argsort, so ties are ordered as here on every CPU.  The
@@ -80,6 +87,8 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the constants of the compiled copy, _stepkernel.nelder_mead
 _STEPS = (_RHO, _CHI, _PSI, _SIGMA, _XATOL, _FATOL)
+# the most points one objective call takes: a round of start simplices
+_BATCH = _RESTARTS * (len(_NAMES) + 1)
 
 
 class FitTarget(enum.Enum):
@@ -487,11 +496,9 @@ def _lock_step(restarts, evaluate):
     return runs
 
 
-def _curves(template, thetas, grid):
-    """The template (its coefficients and curve functions) on ``grid`` at
-    each row (r, alpha, lambda, sigma) of ``thetas``: a (points, grid)
-    array whose rows have the bits of each point evaluated alone."""
-    coefficients, curve = template
+def _coefficients(coefficients, thetas):
+    """The template's coefficients at each row (r, alpha, lambda, sigma) of
+    ``thetas``, a list of tuples, on Python floats where they do not raise."""
     rows = []
     for theta in thetas.tolist():
         try:
@@ -500,23 +507,38 @@ def _curves(template, thetas, grid):
             # where a Python float raises, a numpy scalar overflows to inf
             # or divides to inf or NaN; elsewhere the two round alike
             rows.append(coefficients(*map(np.float64, theta)))
-    return curve(np.array(rows).T[:, :, None], grid)
+    return rows
+
+
+def _curves(template, thetas, grid):
+    """The template (its coefficients and curve functions) on ``grid`` at
+    each row (r, alpha, lambda, sigma) of ``thetas``: a (points, grid)
+    array whose rows have the bits of each point evaluated alone."""
+    coefficients, curve = template
+    return curve(np.array(_coefficients(coefficients, thetas)).T[:, :, None], grid)
 
 
 def _objective(problem: FitProblem):
-    """The fit's objective on a batch of log-parameter points, its
-    normalization and the grid size."""
+    """The fit's objective on a batch of at most ``_BATCH`` log-parameter
+    points, its normalization and the grid size."""
     grid, data, template = _prepared_data(problem)
     denom = float(np.sum(data * data))
     if denom <= 0.0 or grid.size < 4:
         raise ConfigError("curve carries no signal to fit")
+    compiled = _stepkernel.template(problem.target.value, grid, data, _BATCH)
 
     # inside finite log bounds every exp is positive and finite, so the
-    # template needs no HopfParams and its validation per evaluation;
-    # each row's sum of squares is its own BLAS dot, as one point's was
+    # template needs no HopfParams and its validation per evaluation; the
+    # compiled template gives the bits of the numpy curve less the data,
+    # and each row's sum of squares is the BLAS dot of one point's
+    def residuals(thetas):
+        if compiled is None:
+            return _curves(template, thetas, grid) - data
+        return compiled(_coefficients(template[0], thetas))
+
     def objective(points):
-        resid = _curves(template, np.exp(points), grid) - data
-        return [float(row @ row) / denom for row in resid]
+        resid = residuals(np.exp(points))
+        return (np.vecdot(resid, resid) / denom).tolist()
 
     return objective, denom, grid.size
 

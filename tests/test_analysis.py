@@ -61,6 +61,20 @@ def test_sample_acv_needs_a_finite_nonnegative_lag(max_lag):
         sample_acv(np.zeros(100), 0.1, max_lag=max_lag)
 
 
+def test_sample_acv_refuses_a_series_whose_transform_overflows(monkeypatch):
+    # this warned about an overflow in the spectrum's product
+    def no_transform(*args):
+        raise AssertionError("the series must be checked before any transform")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="its ACV's transform overflows"):
+            sample_acv(np.full(64, 1e200), 1.0, 4.0)
+        with pytest.raises(ConfigError, match="its ACV's transform overflows"):
+            sample_acv(np.where(np.arange(64) % 2, 1e300, -1e300), 1.0, 4.0)
+
+
 def test_sample_acv_at_lag_zero_is_the_variance():
     x = np.random.default_rng(3).normal(size=200)
     est = sample_acv(x, 0.1, max_lag=0.0)
@@ -119,6 +133,20 @@ def test_psd_formula_peak_and_variance():
     # the spectral convention ties the half-line integral to ACV(0)
     var = np.trapezoid(psd, w) / np.pi
     assert var == pytest.approx(acv_formula(p, np.array([0.0]))[0], rel=1e-3)
+
+
+@pytest.mark.parametrize("formula, r, grid", [
+    (acv_formula, 1e200, [0.0, 1.0]), (acv_formula, 1e-200, [0.0, 1.0]),
+    (psd_formula, 1.0, [1e200]), (psd_formula, 1e200, [1.0]), (psd_formula, 1e-200, [1.0]),
+], ids=["acv-large-r", "acv-small-r", "psd-large-omega", "psd-large-r", "psd-small-r"])
+def test_a_formula_term_that_overflows_is_a_config_error(formula, r, grid):
+    # these raised OverflowError from a Python square or warned about a
+    # numpy one
+    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=r, sigma=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{formula.__name__} overflows at HopfParams"):
+            formula(p, np.array(grid))
 
 
 def test_psd_formula_needs_noise():
@@ -263,7 +291,10 @@ _WITH_NAN = np.where(np.arange(100) == 50, np.nan, np.exp(-_LAGS))
     (_LAGS[::-1], np.exp(-_LAGS), "^ACV lags must be strictly increasing$"),
     (np.append(_LAGS[:-1], np.inf), np.exp(-_LAGS),
      "^acv.lags must be finite, got inf at index 99$"),
-], ids=["nan-value", "reversed-lags", "infinite-lag"])
+    (np.arange(10) * 0.1, np.full(10, 1e308), "^the ACV's trapezoid overflows"),
+    (np.array([-8e307, 8e307]), np.array([1.0, 1.0]), "^the ACV's trapezoid overflows"),
+], ids=["nan-value", "reversed-lags", "infinite-lag", "overflowing-values",
+        "overflowing-product"])
 def test_wk_transform_refuses_an_estimate_it_cannot_integrate_before_quadrature(
     monkeypatch, lags, vals, message
 ):
@@ -274,6 +305,18 @@ def test_wk_transform_refuses_an_estimate_it_cannot_integrate_before_quadrature(
     monkeypatch.setattr(_stepkernel, "_in_threads", no_quadrature)
     with pytest.raises(ConfigError, match=message):
         wk_transform(AcvEstimate(lags=lags, values=vals), np.array([1.0, 2.0]))
+
+
+def test_wk_transform_refuses_a_callable_whose_trapezoid_overflows(monkeypatch):
+    # this warned about an overflow in the trapezoid's add
+    def no_quadrature(*args):
+        raise AssertionError("the samples must be checked before any quadrature")
+
+    monkeypatch.setattr(_stepkernel, "_in_threads", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^the ACV's trapezoid overflows"):
+            wk_transform(lambda u: 1e308 * np.exp(-np.abs(u)), np.array([1.0]))
 
 
 def _kde_as_written(x, grid_size, bandwidth):

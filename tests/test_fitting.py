@@ -727,3 +727,100 @@ def test_batched_template_rows_equal_the_one_point_formulas():
         p = HopfParams(alpha=alpha, alpha0=alpha, lambda_=lam, r=r, sigma=sigma)
         assert acv_row.tobytes() == acv_formula(p, u).tobytes()
         assert psd_row.tobytes() == psd_formula(p, w).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The compiled template against the numpy curves
+
+
+def _numpy_objective(problem):
+    """fit's objective as the numpy curves give it: ``_curves`` less the
+    data, and each row's sum of squares its own BLAS dot."""
+    grid, data, template = fitting._prepared_data(problem)
+    denom = float(np.sum(data * data))
+
+    def objective(points):
+        resid = fitting._curves(template, np.exp(points), grid) - data
+        return [float(row @ row) / denom for row in resid]
+
+    return objective
+
+
+# log-parameters the restarts can send besides those inside the bounds:
+# e^460 ~ 1e200, whose Python square overflows and retries on numpy
+# scalars, e^800 = inf and e^-800 = 0.0, and +-inf, which give inf and NaN
+# rows.  A NaN coordinate, which the clipped simplex never holds, is left
+# out: its NaN meets the NaNs that inf makes, and which of two NaNs an
+# operation keeps (their sign) depends on the operand order the compiler
+# picks.
+_BEYOND = st.sampled_from([460.0, -460.0, 800.0, -800.0, np.inf, -np.inf])
+
+
+@requires_compiler
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(list(FitTarget)), data=st.data())
+@example(target=FitTarget.ACV, data=None)
+@example(target=FitTarget.PSD, data=None)
+def test_the_compiled_template_gives_the_numpy_objective_bits(target, data):
+    problem = _small_problem(target, ripple=0.1)
+    with np.errstate(all="ignore"):
+        starts, lower, upper = fitting._starts(problem)
+    if data is None:  # a full first round, at the bounds and beyond them
+        points = [lower, upper, [460.0, 800.0, -800.0, np.inf], [-np.inf, 0.0, 1.0, 460.0]]
+        points = (points + [x.tolist() for x in starts] * 5)[:fitting._BATCH]
+    else:
+        k = data.draw(st.integers(1, fitting._BATCH), label="k")
+        coordinates = [st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]), _BEYOND)
+                       for lo, hi in zip(lower, upper)]
+        points = data.draw(st.lists(st.tuples(*coordinates), min_size=k, max_size=k))
+    points = np.array(points, dtype=float)
+    grid, values, (coefficients, _) = fitting._prepared_data(problem)
+    residuals = _stepkernel.template(target.value, grid, values, fitting._BATCH)
+    objective = fitting._objective(problem)[0]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rows = fitting._coefficients(coefficients, np.exp(points))
+        got = residuals(rows).tobytes()
+        want = (fitting._curves((coefficients, _), np.exp(points), grid) - values).tobytes()
+        assert got == want
+        assert np.array(objective(points)).tobytes() == np.array(
+            _numpy_objective(problem)(points)).tobytes()
+
+
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_a_fit_evaluates_its_template_in_its_driver(driver):
+    # the compiled template where the library builds, numpy's _curves
+    # without it; never both
+    bound = []
+
+    def spy(*args):
+        residuals = template(*args)
+        bound.append(residuals and mock.Mock(wraps=residuals))
+        return bound[-1]
+
+    template = _stepkernel.template
+    with _driver(driver), mock.patch.object(_stepkernel, "template", spy), mock.patch.object(
+        fitting, "_curves", wraps=fitting._curves
+    ) as curves:
+        fit(_small_problem())
+    assert len(bound) == 1
+    if driver == "compiled":
+        assert bound[0].call_count > 0 and curves.call_count == 0
+    else:
+        assert bound[0] is None and curves.call_count > 0
+
+
+@requires_compiler
+def test_a_batch_wider_than_the_template_buffers_is_a_value_error():
+    # the C would write past the buffers
+    problem = _small_problem()
+    grid, data, _ = fitting._prepared_data(problem)
+    residuals = _stepkernel.template("acv", grid, data, 3)
+    assert residuals(np.ones((3, 5))).shape == (3, grid.size)
+    for rows in (np.ones((4, 5)), np.ones((2, 4)), np.ones((2, 6))):
+        with pytest.raises(ValueError, match="nc_acv got"):
+            residuals(rows)
+    objective = fitting._objective(problem)[0]
+    assert len(objective(np.zeros((fitting._BATCH, 4)))) == fitting._BATCH
+    with pytest.raises(ValueError, match="buffers of 25 rows"):
+        objective(np.zeros((fitting._BATCH + 1, 4)))

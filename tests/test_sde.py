@@ -343,7 +343,7 @@ def test_a_build_keeps_the_builds_of_other_sources(tmp_path, monkeypatch):
 @requires_compiler
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
 def test_the_library_exports_only_its_nc_functions():
-    # the member loops and the fit's Nelder-Mead
+    # the member loops, the fit's Nelder-Mead and its two templates
     assert _stepkernel._library() is not None
     library = Path(_stepkernel._cache_dir(), _stepkernel._NAME)
     listing = subprocess.run(
@@ -351,7 +351,7 @@ def test_the_library_exports_only_its_nc_functions():
     ).stdout
     exported = {line.split()[-1] for line in listing.splitlines() if line.strip()}
     assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation",
-                        "nc_linear", "nc_nelder_mead"}
+                        "nc_linear", "nc_nelder_mead", "nc_acv_exponents", "nc_acv", "nc_psd"}
 
 
 @pytest.mark.parametrize(
