@@ -83,27 +83,34 @@ at once, with every ``+ - * /``, comparison, clip and budget rule of that
 generator in its order after the start simplex, which both drivers take
 from ``fitting._simplex``.  Each restart is a state machine over flat
 arrays (its phase, nfev, nit, simplex and values); one call takes the
-values of the points it asked for last, advances every live restart until
-it needs new points, and writes them all into one (points, n) buffer.
-:func:`nelder_mead` evaluates every start simplex at once, then makes one
-call a round and evaluates the points with ``fitting``'s objective.
-The C orders a simplex only when its values are distinct and not NaN,
-where every sort agrees with numpy's; otherwise the restart waits a round
-for ``np.argsort`` of its values, so ties keep numpy's order on every CPU.
+values of the points it asked for last, divides them by the objective's
+normalization, advances every live restart until it needs new points, and
+writes them all into one (points, n) buffer.  :func:`nelder_mead` makes
+one call a round, the start simplices' round first, and has the objective
+write the points' values straight into the Nelder-Mead's buffer.  The C
+orders a simplex only when its values are distinct and not NaN, where
+every sort agrees with numpy's; otherwise the restart waits a round for
+``np.argsort`` of its values, so ties keep numpy's order on every CPU.
 
-The fit's two templates, ``_acv_curve`` and ``_psd_curve``, are written
-once here too, and :func:`template` evaluates them in C for a batch of
-points, emitted from the same formulas (``_c_template``).  ``_Traced``
-also records ``** 2`` (numpy's square, x * x), ``np.cos`` (libm's, which
-numpy's float64 cos calls) and ``np.exp``; an exp is numpy's SIMD exp,
-whose bits C cannot promise, so the template splits there:
-``nc_acv_exponents`` writes every exp argument of the batch into one
-buffer, ``np.exp`` maps it in place, and ``nc_acv`` forms the curve less
-the data from it.  ``nc_psd``, which has no exp, is one call.  The rows'
-sums of squares stay numpy's BLAS dots.
+The fit's two templates are written once here too: each point's
+coefficients (``_acv_coefficients``, ``_psd_coefficients``, through
+``_nsr_of``) and the curve on a grid (``_acv_curve``, ``_psd_curve``).
+:func:`template` evaluates them in C for a batch of points, emitted from
+the same functions (``_c_template``): ``_Traced`` also records ``** 2``
+(numpy's square x * x on a value that varies with the grid, libm's
+``pow(x, 2.0)`` on a coefficient, as a Python float or numpy scalar
+squares), ``np.sqrt``, ``np.cos`` (libm's, which numpy's float64 cos
+calls) and ``np.exp``.  An exp is numpy's SIMD exp, whose bits C cannot
+promise, so the template splits there: ``nc_acv_exponents`` writes every
+point's coefficients and every exp argument of the batch into buffers,
+``np.exp`` maps the exp arguments in place, and ``nc_acv`` forms the curve
+less the data from them.  ``nc_psd``, which has no exp, is one call.  The
+rows' sums of squares stay numpy's BLAS dots.  The Nelder-Mead and the
+templates take one array of pointers to their buffers, bound once per fit,
+which keeps ctypes' conversions per call to one or three arguments.
 
-The library is compiled on first use with ``gcc -O2 -ffp-contract=off``
-against numpy's ``bitgen.h`` (no Python headers) into
+The library is compiled on first use with ``gcc -O2 -ffp-contract=off
+-fno-builtin-pow`` against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
 under the sha256 of its source (the emitted drifts included), flags and
 numpy version; builds of other hashes stay, so checkouts that share the
@@ -113,7 +120,8 @@ the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
 the archive's symbols out of the library's exports, which are the nine
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
-and an add into one FMA, which rounds once where numpy rounds twice.
+and an add into one FMA, which rounds once where numpy rounds twice, and
+``-fno-builtin-pow`` from rewriting ``pow(x, 2.0)`` as x * x.
 Without a compiler, without ``objcopy``, without numpy's static library,
 or without a writable cache, the numpy loops, fitting's Python restarts
 and its numpy templates run instead, with the same results.
@@ -503,8 +511,8 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
 _NELDER_MEAD = r"""
 /* fitting._nelder_mead's phases: what a restart does next, or what it
    waits for the values or the order of */
-enum { NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE, NM_REFLECT, NM_EXPAND,
-       NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
+enum { NM_START, NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE, NM_REFLECT,
+       NM_EXPAND, NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
 
 /* np.clip(v, lo, hi): v stays only if v > lo, then only if v < hi (so
    -0.0 clips to a bound of 0.0), and NaN stays NaN */
@@ -556,10 +564,9 @@ static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
    writes the points it needs into `points` and returns their count, or -1
    to ask for the order of fsim, or 0 when it has ended.  state = (phase,
    nfev, nit, asked), asked the count of points asked for, or -1; sim holds
-   the (n + 1) x n simplex and fsim its values, the start simplex and its
-   first values at NM_FIRST_SORT; work holds xbar, xr, up to n pending
-   points and fxr.  k = (rho, chi, psi, sigma, xatol, fatol), fitting's
-   constants. */
+   the (n + 1) x n simplex and fsim its values, the start simplex and +inf
+   at NM_START; work holds xbar, xr, up to n pending points and fxr.  k =
+   (rho, chi, psi, sigma, xatol, fatol), fitting's constants. */
 static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const double *k,
                           const double *lower, const double *upper, int64_t *state,
                           double *sim, double *fsim, double *work, const double *values,
@@ -572,9 +579,18 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
     double c = 0.0; /* the point asked for: (1 + c) xbar - c worst, clipped */
     for (;;) {
         switch (*phase) {
+        case NM_START: /* the start simplex's vertices that the budget allows */
+            *nfev = maxfev < n + 1 ? maxfev : n + 1;
+            *phase = NM_FIRST_SORT;
+            if (!*nfev)
+                break;
+            memcpy(points, sim, *nfev * n * sizeof *sim);
+            return *asked = *nfev;
         case NM_FIRST_SORT: /* sorted twice, as scipy does */
         case NM_SECOND_SORT:
         case NM_SORT:
+            if (*phase == NM_FIRST_SORT && *asked > 0)
+                memcpy(fsim, values, *asked * sizeof *fsim);
             if (!nm_sorted(n, sim, fsim, *asked < 0 ? order : NULL))
                 return *asked = -1;
             *asked = 0;
@@ -677,27 +693,36 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
 }
 
 /* fitting._nelder_mead's restarts [0, count) in lock step, on n
-   parameters: each restart, in order, takes its values from `values`, in
-   the order of the points it asked for, and advances (nm_advance) until
-   it needs points, which go into `points` after those of the restarts
-   before it.  Returns the count of points; waiting[0] gets the count of
-   restarts that wait for numpy's order of their values, and waiting[1
-   ...] those restarts.  Restart r owns state[4 r ...], sim[(n + 1) n r
-   ...], fsim[(n + 1) r ...], order[(n + 1) r ...] and work[(n n + 2 n + 1)
-   r ...]; a restart has ended when it asks for nothing. */
-int64_t nc_nelder_mead(int64_t count, int64_t n, int64_t maxfev, int64_t maxiter,
-                       const double *k, const double *lower, const double *upper,
-                       int64_t *state, double *sim, double *fsim, double *work,
-                       const double *values, const int64_t *order, double *points,
-                       int64_t *waiting)
+   parameters, from the pointers a = (size, k, lower, upper, state, sim,
+   fsim, work, values, order, points, waiting), bound once per fit; size =
+   (count, n, maxfev, maxiter) and k = (rho, chi, psi, sigma, xatol, fatol,
+   scale).  It first divides the values of the points asked for last by
+   scale, the objective's normalization, as numpy's `/` would.  Then each
+   restart, in order, takes its values from `values`, in the order of the
+   points it asked for, and advances (nm_advance) until it needs points,
+   which go into `points` after those of the restarts before it.  Returns
+   the count of points; waiting[0] gets the count of restarts that wait
+   for numpy's order of their values, and waiting[1 ...] those restarts.
+   Restart r owns state[4 r ...], sim[(n + 1) n r ...], fsim[(n + 1) r
+   ...], order[(n + 1) r ...] and work[(n n + 2 n + 1) r ...]; a restart
+   has ended when it asks for nothing. */
+int64_t nc_nelder_mead(void *const *a)
 {
+    const int64_t *size = a[0], count = size[0], n = size[1];
+    const double *k = a[1];
+    int64_t *state = a[4], *order = a[9], *waiting = a[11];
+    double *sim = a[5], *fsim = a[6], *work = a[7], *values = a[8], *points = a[10];
     int64_t total = 0, at = 0;
+    for (int64_t r = 0; r < count; r++)
+        for (int64_t q = 0; q < state[4 * r + 3]; q++, at++)
+            values[at] = values[at] / k[6];
+    at = 0;
     waiting[0] = 0;
     for (int64_t r = 0; r < count; r++) {
         int64_t *own = state + 4 * r;
         const double *mine = values + at;
         at += own[3] > 0 ? own[3] : 0;
-        int64_t got = nm_advance(n, maxfev, maxiter, k, lower, upper, own,
+        int64_t got = nm_advance(n, size[2], size[3], k, a[2], a[3], own,
                                  sim + (n + 1) * n * r, fsim + (n + 1) * r,
                                  work + (n * n + 2 * n + 1) * r, mine, order + (n + 1) * r,
                                  points + total * n);
@@ -742,12 +767,39 @@ _FORMULAS = {
 }
 
 
-# The two templates ``fitting`` fits, written once: the curve of
-# ``analysis._acv_coefficients`` and of ``_psd_coefficients`` on a grid,
-# with each coefficient a scalar or a (points, 1) column of many points.
-# ``acv_formula``, ``psd_formula`` and fitting's numpy objective apply them,
-# and the compiled template (``_c_template``, :func:`template`) is traced
-# from them.
+# The two templates ``fitting`` fits, written once: the scalars of
+# ``_acv_coefficients`` and ``_psd_coefficients`` at one parameter point,
+# and the curve on a grid, with each coefficient a scalar or a (points, 1)
+# column of many points.  ``acv_formula``, ``psd_formula`` and fitting's
+# numpy objective apply them, and the compiled template (``_c_template``,
+# :func:`template`) is traced from them.
+
+def _nsr_of(sigma, lambda_, r):
+    """sqrt(sigma^2 / (2 lambda)) / r, which ``hopf.nsr`` reports; on
+    Python floats a square past float's range is an ``OverflowError``."""
+    return np.sqrt(sigma**2 / (2.0 * lambda_)) / r
+
+
+def _acv_coefficients(r, alpha, lam, sigma):
+    """The scalars of the ACV template at one parameter point:
+    (r^2/2, NSR^2, -lambda, alpha, -s^2/2).
+
+    Squares stay on scalars (``x**2`` is libm ``pow`` there, ``x*x`` on
+    arrays), so a point gives the same bits alone or in a batch.
+    """
+    return 0.5 * r**2, _nsr_of(sigma, lam, r) ** 2, -lam, alpha, -0.5 * (sigma / r) ** 2
+
+
+def _psd_coefficients(r, alpha, lam, sigma):
+    """The scalars of the PSD template at one parameter point, sigma > 0:
+    alpha, alpha^2, then the prefactor weight 2 r^2 width and width^2 of
+    the direct (width s^2) and the broadened (width g) Lorentzian pair."""
+    s2 = (sigma / r) ** 2
+    r2 = r**2
+    g = s2 + 2.0 * lam
+    broadened = _nsr_of(sigma, lam, r) ** 2 * 2.0 * r2 * g
+    return alpha, alpha**2, 2.0 * r2 * s2, s2**2, broadened, g**2
+
 
 def _acv_curve(coefficients, u):
     """The ACV template at lags ``u`` >= 0 from ``_acv_coefficients``."""
@@ -772,23 +824,28 @@ def _psd_curve(coefficients, w):
     return direct + broadened
 
 
-# name (fitting's FitTarget value) -> (curve, its coefficients a point)
-_TEMPLATES = {"acv": (_acv_curve, 5), "psd": (_psd_curve, 6)}
+# name (fitting's FitTarget value) -> (coefficients, curve)
+_TEMPLATES = {"acv": (_acv_coefficients, _acv_curve), "psd": (_psd_coefficients, _psd_curve)}
+# the parameters (r, alpha, lambda, sigma) of a template's point
+_PARAMETERS = 4
 
 
 class _Traced:
     """A value of a formula traced into C (``_c_drift``, ``_c_template``):
     the C operand that names it, whether it varies with the state (or the
     grid) or comes from coefficients and constants alone, and whether it
-    names a statement.  ``+ - * /``, unary minus, ``** 2`` (numpy's square
-    of an array, x * x, not libm's pow), ``np.cos`` (libm's, which numpy's
-    float64 cos calls) and ``np.exp`` each append one statement (name,
-    varies, expression, the statements it reads, and for an exp the
-    statement it takes the exp of) to ``lines`` and give the value it names;
-    a number becomes an exact hex float constant.  An exp is numpy's SIMD
-    exp, whose bits C cannot promise: its statement reads exp q of the row
-    from a buffer numpy has mapped, ``e[q * m + j]``.  Any other operation
-    is a ``TypeError``."""
+    names a statement.  ``+ - * /``, unary minus, ``** 2``, ``np.sqrt``
+    (IEEE's, as libm's), ``np.cos`` (libm's, which numpy's float64 cos
+    calls) and ``np.exp`` each append one statement (name, varies,
+    expression, the statements it reads, and for an exp the statement it
+    takes the exp of) to ``lines`` and give the value it names; a number
+    becomes an exact hex float constant.  ``** 2`` follows what the Python
+    formula squares: a value that varies is numpy's square of an array, x
+    * x, and one that does not is a Python float's or numpy scalar's
+    square, libm's ``pow(x, 2.0)``, which differs from x * x for a few x.
+    An exp is numpy's SIMD exp, whose bits C cannot promise: its statement
+    reads exp q of the row from a buffer numpy has mapped, ``e[q * m +
+    j]``.  Any other operation is a ``TypeError``."""
 
     def __init__(self, text, varies, lines, named=False):
         self.text, self.varies, self.lines, self.named = text, varies, lines, named
@@ -808,13 +865,17 @@ class _Traced:
         return self._let(f"-{self.text}", self.varies, (self,))
 
     def __pow__(self, exponent):
-        return self._binary("*", self, self) if exponent == 2 else NotImplemented
+        if exponent != 2:
+            return NotImplemented
+        if self.varies:
+            return self._binary("*", self, self)
+        return self._let(f"pow({self.text}, 2.0)", False, (self,))
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs or inputs != (self,):
             return NotImplemented
-        if ufunc is np.cos:
-            return self._let(f"cos({self.text})", self.varies, (self,))
+        if ufunc in (np.sqrt, np.cos):
+            return self._let(f"{ufunc.__name__}({self.text})", self.varies, (self,))
         if ufunc is np.exp:
             q = sum(line[4] is not None for line in self.lines)
             return self._let(f"e[{q} * m + j]", self.varies, (), self.text)
@@ -856,27 +917,37 @@ def _c_drift(name, formula, dimension) -> str:
             + f"KERNEL({name}, {dimension or 'n'})\n\n")
 
 
-def _c_template(name, curve, width):
-    """C of the template ``name`` and its count of exps a point: ``curve``
-    traced on one row's ``width`` coefficients c[0 ...] and the grid value
-    g[j], one statement an operation in the curve's order.  Each C function
-    takes (k, m, coefs, g, exps, data, out) and runs rows [0, k) of the (k,
-    width) coefs over the m grid values; row i's exps are rows [exps i,
-    exps (i + 1)) of the (exps k, m) buffer ``exps``.  ``nc_name`` writes
-    row i's curve less the data into row i of the (k, m) ``out``.  With
-    exps, ``nc_name_exponents`` writes their arguments into ``exps`` first,
-    for numpy to map in place; each function emits only the statements its
+def _c_template(name, coefficients, curve):
+    """C of the template ``name``, its coefficients a point and its count
+    of exps a point.  ``coefficients`` is traced on one row of the
+    parameters, th[0 ...], each coefficient stored as c[q], and ``curve`` on
+    the coefficients c[0 ...] and the grid value g[j], one statement an
+    operation in their order.  Each C function takes (k, m, a), rows [0, k)
+    over m grid values, and the pointers a = (g, data, thetas, coefs, exps,
+    out), bound once per fit: the (k, 4) thetas, the (k, width) coefs, the
+    (exps k, m) exps, row i's exps its rows [exps i, exps (i + 1)), and the
+    (k, m) out.  The first function writes each row's coefficients; with
+    exps, it is ``nc_name_exponents`` and also writes their arguments into
+    exps, for numpy to map in place.  ``nc_name`` writes row i's curve less
+    the data into row i of out.  The curve's statements are only those its
     outputs read, and an exp's statement ends what it reads."""
     lines = []
+    values = coefficients(*(_Traced(f"th[{q}]", False, lines) for q in range(_PARAMETERS)))
+    if any(line[4] is not None for line in lines):
+        raise TypeError(f"the {name} template takes an exp of its parameters")
+    head = [f"const double {t} = {e};" for t, _, e, _, _ in lines]
+    head += [f"c[{q}] = {x.text};" for q, x in enumerate(values)]
+    width, split = len(values), len(lines)
     value = curve([_Traced(f"c[{q}]", False, lines) for q in range(width)],
                   _Traced("g[j]", True, lines))
+    lines = lines[split:]
     exps = [line[4] for line in lines if line[4] is not None]
     stages = [("", [f"o[j] = {value.text} - data[j];"], [value.text])]
     if exps:
         stores = [f"e[{q} * m + j] = {x};" for q, x in enumerate(exps)]
         stages.insert(0, ("_exponents", stores, exps))
     text = ""
-    for suffix, stores, outputs in stages:
+    for first, (suffix, stores, outputs) in zip((True, False), stages):
         keep = set(outputs)
         for t, _, _, reads, _ in reversed(lines):
             if t in keep:
@@ -884,32 +955,39 @@ def _c_template(name, curve, width):
         body = [f"const double {t} = {e};" for t, _, e, _, _ in lines if t in keep]
         if suffix and any(x is not None for t, *_, x in lines if t in keep):
             raise TypeError(f"the {name} template takes an exp of an exp")
-        rows = [f"const double *c = coefs + {width} * i;"]
+        # the first function writes the coefficients, a later one reads them
+        coefs = "double" if first else "const double"
+        frame = ["const double *g = a[0];"]
+        frame += ["const double *data = a[1];", "double *out = a[5];"] * (not suffix)
+        frame += ["const double *thetas = a[2];"] * first
+        frame += [f"{coefs} *coefs = a[3];"]
+        frame += ["double *exps = a[4];"] * bool(exps)
+        rows = [f"const double *th = thetas + {_PARAMETERS} * i;"] * first
+        rows += [f"{coefs} *c = coefs + {width} * i;"]
+        rows += head * first
         rows += [f"double *e = exps + {len(exps)} * m * i;"] * bool(exps)
         rows += ["double *o = out + m * i;"] * (not suffix)
-        unused = ["exps"] * (not exps) + ["data", "out"] * bool(suffix)
-        text += (f"/* _stepkernel._{name}_curve, traced */\n"
-                 f"void nc_{name}{suffix}(int64_t k, int64_t m, const double *coefs, "
-                 f"const double *g, double *exps, const double *data, double *out)\n{{\n"
-                 + "".join(f"    (void){x};\n" for x in unused)
+        text += (f"/* _stepkernel._{name}_coefficients and _{name}_curve, traced */\n"
+                 f"void nc_{name}{suffix}(int64_t k, int64_t m, void *const *a)\n{{\n"
+                 + "".join(f"    {f}\n" for f in frame)
                  + "    for (int64_t i = 0; i < k; i++) {\n"
                  + "".join(f"        {r}\n" for r in rows)
                  + "        for (int64_t j = 0; j < m; j++) {\n"
                  + "".join(f"            {b}\n" for b in body + stores)
                  + "        }\n    }\n}\n\n")
-    return text, len(exps)
+    return text, width, len(exps)
 
 
-# name -> (C of the template, its exps a point)
+# name -> (C of the template, its coefficients a point, its exps a point)
 _TRACED = {name: _c_template(name, *entry) for name, entry in _TEMPLATES.items()}
 
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
-           + _LOOPS + _NELDER_MEAD + "".join(text for text, _ in _TRACED.values()))
+           + _LOOPS + _NELDER_MEAD + "".join(text for text, *_ in _TRACED.values()))
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-Wl,--exclude-libs,ALL",
-          f"-I{np.get_include()}")
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared", "-fPIC",
+          "-Wl,--exclude-libs,ALL", f"-I{np.get_include()}")
 # numpy's static library, whose ziggurat tables are local symbols; the
 # build links a copy in which they are global
 _ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
@@ -929,10 +1007,10 @@ _ARGTYPES = {
     **dict.fromkeys(_FORMULAS, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
     "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
     "linear": _MEMBERS + [_P, _P] + [_I, _P],
-    # not a member loop: (count, n, maxfev, maxiter) and eleven arrays
-    "nelder_mead": [_I] * 4 + [_P] * 11,
-    # a template's functions: (k, m) and five arrays
-    **{f"{name}{suffix}": [_I, _I] + [_P] * 5 for name, (_, exps) in _TRACED.items()
+    # not member loops, but bound once per fit: the Nelder-Mead takes the
+    # pointers to its arrays, a template's functions (k, m) and theirs
+    "nelder_mead": [_P],
+    **{f"{name}{suffix}": [_I, _I, _P] for name, (*_, exps) in _TRACED.items()
        for suffix in ("_exponents", "")[not exps:]},
 }
 # what an nc_ function returns, when not None
@@ -1205,20 +1283,30 @@ def linear_loop(leading_order, terms) -> Optional[Callable]:
     return _bind("linear", 10, [(), ()], leading_order, terms)
 
 
-def nelder_mead(evaluate, simplices, lower, upper, constants, maxfev, maxiter) -> Optional[list]:
+def _frame(arrays) -> np.ndarray:
+    """The pointers to ``arrays``, as the one argument of a function bound
+    once per fit (``nc_nelder_mead``, a template's ``nc_`` functions); the
+    caller keeps the arrays and the frame alive while it calls."""
+    return np.array([x.ctypes.data for x in arrays], np.uintp)
+
+
+def nelder_mead(evaluate, scale, simplices, lower, upper, constants, maxfev,
+                maxiter) -> Optional[list]:
     """``fitting._nelder_mead``'s restarts from the start simplices
     ``simplices`` (``fitting._simplex``) within [``lower``, ``upper``], run
     in lock step by ``nc_nelder_mead``, or None without the library.
 
-    The first round evaluates the first ``min(n + 1, maxfev)`` vertices of
-    every restart with one ``evaluate(points) -> values``, restart after
-    restart, and gives the others +inf.  Every later round is one call,
-    which advances every live restart until it needs points and returns
-    them all, and one ``evaluate`` of them.  A restart whose values it
-    cannot order (ties, NaN) waits for numpy's argsort of them, which this
-    loop gives before the next call.  ``constants`` are fitting's (rho,
-    chi, psi, sigma, xatol, fatol).  Returns each restart's last simplex
-    and values, as lists of floats, and its nfev and nit.
+    A round is one call, which advances every live restart until it needs
+    points and writes them all into one buffer, and one ``evaluate(points,
+    values)``, which writes the objective's value of each point, times
+    ``scale``, into ``values``, a view of the Nelder-Mead's own buffer; the
+    next call divides them by ``scale``.  The first round asks for the
+    first ``min(n + 1, maxfev)`` vertices of every restart, restart after
+    restart, and gives the others +inf.  A restart whose values it cannot
+    order (ties, NaN) waits for numpy's argsort of them, which this loop
+    gives before the next call.  ``constants`` are fitting's (rho, chi,
+    psi, sigma, xatol, fatol).  Returns each restart's last simplex and
+    values, as lists of floats, and its nfev and nit.
     """
     lib = _library()
     if lib is None:
@@ -1228,75 +1316,88 @@ def nelder_mead(evaluate, simplices, lower, upper, constants, maxfev, maxiter) -
     arrays = [np.array(x, dtype=np.float64) for x in (constants, lower, upper)]
     if [x.shape for x in arrays] != [(6,), (n,), (n,)] or sim.shape[1] != n + 1:
         raise ValueError("nc_nelder_mead got simplices, bounds or constants of mismatched shapes")
-    first = min(n + 1, maxfev)
-    state = np.zeros((count, 4), np.int64)  # every restart at NM_FIRST_SORT
-    state[:, 1] = first
+    arrays[0] = np.append(arrays[0], scale)
+    state = np.zeros((count, 4), np.int64)  # every restart at NM_START
     fsim = np.full((count, n + 1), np.inf)
-    if first > 0:
-        fsim[:, :first] = np.reshape(evaluate(sim[:, :first].reshape(-1, n)), (count, first))
     order = np.empty((count, n + 1), np.int64)
-    values = np.empty(count * n)
-    points = np.empty((count * n, n))
+    values = np.empty(count * (n + 1))
+    points = np.empty((count * (n + 1), n))
     waiting = np.empty(count + 1, np.int64)
-    arrays += [state, sim, fsim, np.empty((count, n * n + 2 * n + 1)), values, order,
-               points, waiting]
-    pointers = [x.ctypes.data for x in arrays]
+    arrays = [np.array([count, n, maxfev, maxiter], np.int64), *arrays, state, sim, fsim,
+              np.empty((count, n * n + 2 * n + 1)), values, order, points, waiting]
+    frame = _frame(arrays)
+    at = frame.ctypes.data
+    # the points and values of a round, for each count of points
+    rounds = [(points[:k], values[:k]) for k in range(values.size + 1)]
     while True:
-        asked = lib.nc_nelder_mead(count, n, maxfev, maxiter, *pointers)
+        asked = lib.nc_nelder_mead(at)
         sorts = int(waiting[0])
         if sorts:
             for r in waiting[1:sorts + 1].tolist():
                 order[r] = fsim[r].argsort()
         if asked:
-            values[:asked] = evaluate(points[:asked])
+            evaluate(*rounds[asked])
         elif not sorts:
             return [(s, f, nfev, nit) for s, f, (nfev, nit)
                     in zip(sim.tolist(), fsim.tolist(), state[:, 1:3].tolist())]
 
 
-def template(name, grid, data, points) -> Optional[Callable]:
-    """The template ``name`` of ``_TEMPLATES`` on ``grid`` less ``data``, in
-    the compiled library, for batches of at most ``points`` rows of
-    coefficients, or None without the library.
+class _Template:
+    """The template ``name`` of ``_TEMPLATES`` on ``grid`` less ``data`` in
+    the compiled library, bound for batches of at most ``capacity`` points:
+    the objective of fitting's compiled rounds.
 
-    ``residuals(rows)`` takes the (k, width) coefficients of k points and
-    returns their (k, grid) residuals, each row with the bits of the numpy
-    curve less the data.  With exps, one call writes every row's exp
-    arguments into the (exps k, grid) buffer, ``np.exp`` maps it in place
-    (numpy's SIMD exp, whose bits C cannot promise), and a second call forms
-    the curve less the data; without, one call does.  The buffers and their
-    pointers are made once, and the rows returned are a view of the output
-    buffer, which the next call overwrites.  More than ``points`` rows, or
-    rows of another width, are a ``ValueError``.
+    ``template(points, out)`` takes k rows of log-parameters (log r, log
+    alpha, log lambda, log sigma) and writes each row's sum of squared
+    residuals, numpy's BLAS dot, into ``out``.  ``np.exp`` maps the rows
+    into parameters; one C call writes each row's coefficients into
+    ``coefficients`` and, with exps, every exp argument of the batch into
+    one buffer, which ``np.exp`` maps in place (numpy's SIMD exp, whose
+    bits C cannot promise); and one C call writes each row's curve less the
+    data into ``residuals``.  Without exps one C call does both.  Each row
+    has the bits of the numpy objective at that point.  The buffers, their
+    pointers and their views for each k are made once; more than
+    ``capacity`` rows, or rows of another width, are a ``ValueError``.
     """
+
+    def __init__(self, lib, name, grid, data, capacity):
+        _, width, exps = _TRACED[name]
+        grid, data = (np.array(x, dtype=np.float64, ndmin=1) for x in (grid, data))
+        m = grid.size
+        if grid.shape != (m,) or data.shape != (m,):
+            raise ValueError(f"nc_{name} got a grid and data of mismatched shapes")
+        thetas = np.empty((capacity, _PARAMETERS))
+        self.coefficients = np.empty((capacity, width))
+        self.residuals = np.empty((capacity, m))
+        mapped = np.empty((exps * capacity, m))
+        # the template holds every array whose pointer it passes
+        self._arrays = [grid, data, thetas, self.coefficients, mapped, self.residuals]
+        self._frame = _frame(self._arrays)
+        self._at, self._m, self._name, self._capacity = self._frame.ctypes.data, m, name, capacity
+        self._exponents = getattr(lib, f"nc_{name}_exponents") if exps else None
+        self._curve = getattr(lib, f"nc_{name}")
+        self._views = [(thetas[:k], mapped[:exps * k], self.residuals[:k])
+                       for k in range(capacity + 1)]
+
+    def __call__(self, points, out):
+        k = len(points)
+        if k > self._capacity or points.shape[1:] != (_PARAMETERS,):
+            raise ValueError(f"nc_{self._name} got {points.shape} points for buffers of "
+                             f"{self._capacity} rows of {_PARAMETERS}")
+        thetas, mapped, residuals = self._views[k]
+        # each output passed positionally, which spares numpy parsing a
+        # keyword on every round
+        np.exp(points, thetas)
+        if self._exponents is not None:
+            self._exponents(k, self._m, self._at)
+            np.exp(mapped, mapped)
+        self._curve(k, self._m, self._at)
+        np.vecdot(residuals, residuals, out)
+
+
+def template(name, grid, data, capacity) -> Optional[_Template]:
+    """The compiled objective of the template ``name`` on ``grid`` less
+    ``data`` for batches of at most ``capacity`` points (:class:`_Template`),
+    or None without the library."""
     lib = _library()
-    if lib is None:
-        return None
-    exps = _TRACED[name][1]
-    width = _TEMPLATES[name][1]
-    grid, data = (np.array(x, dtype=np.float64, ndmin=1) for x in (grid, data))
-    m = grid.size
-    if grid.shape != (m,) or data.shape != (m,):
-        raise ValueError(f"nc_{name} got a grid and data of mismatched shapes")
-    # the closure holds every array whose pointer it passes, grid and data
-    # included
-    arrays = [np.empty((points, width)), grid, np.empty((exps * points, m)), data,
-              np.empty((points, m))]
-    pointers = [x.ctypes.data for x in arrays]
-    exponents = getattr(lib, f"nc_{name}_exponents") if exps else None
-    curve = getattr(lib, f"nc_{name}")
-
-    def residuals(rows):
-        k = len(rows)
-        if k > points or k and len(rows[0]) != width:
-            raise ValueError(f"nc_{name} got {k} rows of {len(rows[0])} coefficients for "
-                             f"buffers of {points} rows of {width}")
-        coefs, _, mapped, _, out = arrays
-        coefs[:k] = rows
-        if exps:
-            exponents(k, m, *pointers)
-            np.exp(mapped[:exps * k], out=mapped[:exps * k])
-        curve(k, m, *pointers)
-        return out[:k]
-
-    return residuals
+    return None if lib is None else _Template(lib, name, grid, data, capacity)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stepkernel
-from ._stepkernel import _acv_curve, _psd_curve
+from ._stepkernel import _acv_coefficients, _acv_curve, _psd_coefficients, _psd_curve
 from .exceptions import (
     ConfigError,
     DegenerateSampleError,
@@ -39,7 +39,7 @@ from .exceptions import (
     _require_count,
     _require_real,
 )
-from .hopf import HopfParams, _nsr_of
+from .hopf import HopfParams
 
 __all__ = [
     "AcvEstimate",
@@ -126,12 +126,20 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 
     Per path the raw (untapered) periodogram |DFT|^2 dt / N is taken on the
     frequency grid w_k = 2 pi k / (N dt); no windowing is applied.  The
-    paths must be finite.
+    paths must be finite, and small enough that their periodogram stays
+    within float's range (:class:`ConfigError` before any transform).
     """
     arr = _require_array("paths", paths, (None, None), ndmin=2)
     _require_real("dt", dt)
     n = arr.shape[1]
-    centred = arr - arr.mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = arr - arr.mean(axis=1, keepdims=True)
+        # a path's |DFT|^2 is at most (sum |x|)^2, scaled by dt / n and
+        # summed over the paths for their mean; 4 covers the transform's
+        # rounding
+        bound = 4.0 * arr.shape[0] * max(dt / n, 1.0) * np.abs(centred).sum(axis=1).max() ** 2
+    if not np.isfinite(bound):
+        raise ConfigError("the paths are too large: their periodogram overflows; scale them down")
     pgram = np.abs(np.fft.rfft(centred, axis=1)) ** 2 * (dt / n)
     omegas = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
     return PsdEstimate(omegas=omegas, values=pgram.mean(axis=0))
@@ -157,16 +165,6 @@ def _formula(name, params, coefficients, curve, grid):
         raise ConfigError(f"{name} overflows at {params}") from None
 
 
-def _acv_coefficients(r, alpha, lam, sigma):
-    """The scalars of the ACV template at one parameter point:
-    (r^2/2, NSR^2, -lambda, alpha, -s^2/2).
-
-    Squares stay on scalars (``x**2`` is libm ``pow`` there, ``x*x`` on
-    arrays), so a point gives the same bits alone or in a batch.
-    """
-    return 0.5 * r**2, _nsr_of(sigma, lam, r) ** 2, -lam, alpha, -0.5 * (sigma / r) ** 2
-
-
 def psd_formula(params: HopfParams, omega) -> np.ndarray:
     """Leading-order two-sided spectral density; even in frequency.
     ``omega`` is an array of finite frequencies of any shape
@@ -178,17 +176,6 @@ def psd_formula(params: HopfParams, omega) -> np.ndarray:
         )
     w = _require_array("omega", omega, None)
     return _formula("psd_formula", params, _psd_coefficients, _psd_curve, w)
-
-
-def _psd_coefficients(r, alpha, lam, sigma):
-    """The scalars of the PSD template at one parameter point, sigma > 0:
-    alpha, alpha^2, then the prefactor weight 2 r^2 width and width^2 of
-    the direct (width s^2) and the broadened (width g) Lorentzian pair."""
-    s2 = (sigma / r) ** 2
-    r2 = r**2
-    g = s2 + 2.0 * lam
-    broadened = _nsr_of(sigma, lam, r) ** 2 * 2.0 * r2 * g
-    return alpha, alpha**2, 2.0 * r2 * s2, s2**2, broadened, g**2
 
 
 def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
@@ -268,11 +255,17 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
 
 def kurtosis(samples) -> float:
     """Non-excess kurtosis m4 / m2^2 with population moments of at least
-    30 finite samples."""
+    30 finite samples, small enough that their fourth powers stay within
+    float's range (:class:`ConfigError` before any moment)."""
     x = _require_array("samples", samples, None).ravel()
     if x.size < 30:
         raise ConfigError(f"kurtosis needs >= 30 samples, got {x.size}")
-    x = x - x.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - x.mean()
+        # the fourth moment sums x^4 over the samples; 2 covers the rounding
+        bound = 2.0 * x.size * np.abs(x).max() ** 4
+    if not np.isfinite(bound):
+        raise ConfigError("the samples are too large: their fourth moment overflows; scale them down")
     m2 = np.mean(x * x)
     if m2 == 0.0:
         raise DegenerateSampleError("zero variance sample")

@@ -21,26 +21,30 @@ it needs evaluated and receives their values; the five run in lock step
 (``_lock_step``), and a round takes ``np.exp`` of all pending points at
 once and evaluates the template once on a (points, grid) array.  The
 template's per-point coefficients stay on scalars
-(``analysis._acv_coefficients``, ``_psd_coefficients``) and its curve on
-(points, 1) columns, so each row has the bits of the same point
-evaluated alone, and each row's sum of squares is its own BLAS dot.
-Where the compiled library builds, the same coefficients reach C as a
-(points, 5) or (points, 6) array, and the curve less the data runs there
-(``_stepkernel.template``, emitted from the same template functions):
-numpy keeps only what C cannot promise to round alike, the ACV's exps
-(numpy's SIMD ``exp``, one in-place call on every exp argument of the
-round) and the sums of squares.  The PSD template has no exp and is one
-C call a round.
+(``_stepkernel._acv_coefficients``, ``_psd_coefficients``, on Python floats
+and retried on numpy scalars where those raise) and its curve on (points,
+1) columns, so each row has the bits of the same point evaluated alone,
+and each row's sum of squares is its own BLAS dot.  The generators and
+these numpy curves are the reference the tests hold the compiled copies
+to, and what a host without the library runs.
 
-Where the compiled library builds, the restarts' bookkeeping runs in C
-instead (``_stepkernel.nelder_mead``), from the same start simplices: one
-call a round advances every restart to the points it needs, with every
-operation of the generator in its order, and the same objective
-evaluates them.  The C orders a simplex itself only when its values are
-distinct and not NaN, where any sort gives numpy's order; otherwise it
-asks for numpy's argsort, so ties are ordered as here on every CPU.  The
-generators are the reference the tests hold the compiled copy to, and
-what a host without the library runs.
+Where the compiled library builds, a round has no Python work per point.
+The restarts' bookkeeping runs in C (``_stepkernel.nelder_mead``), from
+the same start simplices: one call a round advances every restart to the
+points it needs, with every operation of the generator in its order, and
+writes them into its buffer.  The objective is the compiled template
+(``_stepkernel.template``), whose coefficients and curve are traced from
+the same template functions, on buffers bound once per fit: ``np.exp``
+maps the points into parameters, one C call writes every point's
+coefficients (a scalar square is libm's ``pow``, as on the scalars) and
+the ACV's exp arguments, numpy's SIMD ``exp`` maps those in place, one C
+call writes the curves less the data, and ``np.vecdot`` writes each row's
+sum of squares into the Nelder-Mead's values, which its next call divides
+by the normalization as numpy's ``/`` does.  The PSD template has no exp,
+and its coefficients and curve are one C call.  The C orders a simplex
+itself only when its values are distinct and not NaN, where any sort gives
+numpy's order; otherwise it asks for numpy's argsort, so ties are ordered
+as here on every CPU.
 """
 
 from __future__ import annotations
@@ -52,14 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _stepkernel
-from .analysis import (
-    AcvEstimate,
-    PsdEstimate,
-    _acv_coefficients,
-    _acv_curve,
-    _psd_coefficients,
-    _psd_curve,
-)
+from ._stepkernel import _acv_coefficients, _acv_curve, _psd_coefficients, _psd_curve
+from .analysis import AcvEstimate, PsdEstimate
 from .exceptions import ConfigError, ConvergenceError, GuessFailureError, _require_array
 from .hopf import HopfParams, nsr as _nsr
 from .sde import _generator
@@ -295,8 +293,8 @@ def initial_guess(curve, target: FitTarget) -> HopfParams:
 
 def _prepared_data(problem: FitProblem):
     """The grid, the data and the template (its per-point coefficients and
-    its curve: ``analysis._acv_*`` on |lags|, or ``analysis._psd_*``) of
-    the fit."""
+    its curve: ``_stepkernel._acv_*`` on |lags|, or ``_stepkernel._psd_*``)
+    of the fit."""
     if problem.target is FitTarget.ACV:
         lags = np.asarray(problem.curve.lags, float)
         vals = np.asarray(problem.curve.values, float)
@@ -520,40 +518,54 @@ def _curves(template, thetas, grid):
 
 def _objective(problem: FitProblem):
     """The fit's objective on a batch of at most ``_BATCH`` log-parameter
-    points, its normalization and the grid size."""
+    points, times its normalization, as ``squares(points, out)``, which
+    writes each point's sum of squared residuals into ``out``; the
+    normalization; and the grid size.
+
+    Where the library builds, ``squares`` is the compiled template
+    (``_stepkernel.template``), else numpy's ``_curves`` less the data;
+    each row's sum of squares is the BLAS dot of one point's, and both give
+    the same bits.  Inside finite log bounds every exp is positive and
+    finite, so the template needs no HopfParams and its validation per
+    evaluation.
+    """
     grid, data, template = _prepared_data(problem)
     denom = float(np.sum(data * data))
     if denom <= 0.0 or grid.size < 4:
         raise ConfigError("curve carries no signal to fit")
     compiled = _stepkernel.template(problem.target.value, grid, data, _BATCH)
+    if compiled is not None:
+        return compiled, denom, grid.size
 
-    # inside finite log bounds every exp is positive and finite, so the
-    # template needs no HopfParams and its validation per evaluation; the
-    # compiled template gives the bits of the numpy curve less the data,
-    # and each row's sum of squares is the BLAS dot of one point's
-    def residuals(thetas):
-        if compiled is None:
-            return _curves(template, thetas, grid) - data
-        return compiled(_coefficients(template[0], thetas))
+    def squares(points, out):
+        resid = _curves(template, np.exp(points), grid) - data
+        np.vecdot(resid, resid, out=out)
 
-    def objective(points):
-        resid = residuals(np.exp(points))
-        return (np.vecdot(resid, resid) / denom).tolist()
-
-    return objective, denom, grid.size
+    return squares, denom, grid.size
 
 
-def _restarts(objective, starts, lower, upper):
+def _values(squares, denom, points):
+    """The objective at ``points``, rows of log-parameters, as a list of
+    floats: ``squares`` of :func:`_objective` over its normalization."""
+    points = np.array(points, dtype=float)
+    out = np.empty(len(points))
+    squares(points, out)
+    return (out / denom).tolist()
+
+
+def _restarts(squares, denom, starts, lower, upper):
     """The :class:`_Run` of each restart of a fit, from the objective of
     :func:`_objective` and the starts and log bounds of :func:`_starts`:
-    on the compiled copy where the library builds, else on the generators;
-    the two give the same bits."""
+    on the compiled copy where the library builds, which has ``squares``
+    write into its own buffers, else on the generators; the two give the
+    same bits."""
     simplices = [_simplex(x.tolist(), lower, upper) for x in starts]
-    ended = _stepkernel.nelder_mead(objective, simplices, lower, upper, _STEPS, _MAXFEV,
+    ended = _stepkernel.nelder_mead(squares, denom, simplices, lower, upper, _STEPS, _MAXFEV,
                                     _MAXITER)
     if ended is not None:
         return [_run(*end) for end in ended]
-    return _lock_step([_nelder_mead(sim, lower, upper) for sim in simplices], objective)
+    return _lock_step([_nelder_mead(sim, lower, upper) for sim in simplices],
+                      lambda points: _values(squares, denom, points))
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -566,16 +578,17 @@ def fit(problem: FitProblem) -> FitResult:
     :class:`ConfigError` before any step when the objective is not finite
     at any of the restarts' start points.
     """
-    objective, denom, n_points = _objective(problem)
+    squares, denom, n_points = _objective(problem)
+    # a template or a sum of squares that overflows is the inf or NaN scipy
+    # would see, without a warning
     with np.errstate(all="ignore"):
         starts, lower, upper = _starts(problem)
-        at_starts = objective(np.array(starts))
-    if not np.isfinite(at_starts).any():
-        raise ConfigError(
-            f"the objective is not finite at any of the {len(starts)} start points: "
-            f"the template overflows there or the curve is not finite"
-        )
-    runs = _restarts(objective, starts, lower, upper)
+        if not np.isfinite(_values(squares, denom, starts)).any():
+            raise ConfigError(
+                f"the objective is not finite at any of the {len(starts)} start points: "
+                f"the template overflows there or the curve is not finite"
+            )
+        runs = _restarts(squares, denom, starts, lower, upper)
     best = None
     history = []
     for run in runs:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import SingularAmplitudeError, _require_real
+from .exceptions import ConfigError, SingularAmplitudeError, _require_real
 from .sde import SdeSystem, _chunks, _normals, _phase_initial, _record, _simulate
 
 __all__ = [
@@ -83,12 +83,12 @@ def sigma_for_nsr(nsr, lambda_, r) -> float:
 
 
 def nsr(params: HopfParams) -> float:
-    """sqrt(sigma^2 / (2 lambda)) / r."""
-    return _nsr_of(params.sigma, params.lambda_, params.r)
-
-
-def _nsr_of(sigma, lambda_, r):
-    return np.sqrt(sigma**2 / (2.0 * lambda_)) / r
+    """sqrt(sigma^2 / (2 lambda)) / r; a sigma whose square leaves float's
+    range is a :class:`ConfigError`."""
+    try:
+        return _stepkernel._nsr_of(params.sigma, params.lambda_, params.r)
+    except OverflowError:
+        raise ConfigError(f"the NSR overflows at {params}") from None
 
 
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:

@@ -75,6 +75,25 @@ def test_sample_acv_refuses_a_series_whose_transform_overflows(monkeypatch):
             sample_acv(np.where(np.arange(64) % 2, 1e300, -1e300), 1.0, 4.0)
 
 
+@pytest.mark.parametrize("estimator, samples, message", [
+    (lambda x: averaged_periodogram(x, 1.0), np.full((2, 64), 1e200), "their periodogram overflows"),
+    (lambda x: averaged_periodogram(x, 1e306), np.arange(64.0)[None], "their periodogram overflows"),
+    (kurtosis, np.arange(40) * 1e200, "their fourth moment overflows"),
+    (kurtosis, np.full(40, 1e308), "their fourth moment overflows"),
+], ids=["periodogram", "periodogram-large-dt", "kurtosis", "kurtosis-mean"])
+def test_an_estimator_refuses_samples_it_would_overflow_on(monkeypatch, estimator, samples, message):
+    # these warned about an overflow in a square or a product
+    def no_work(*args, **kwargs):
+        raise AssertionError("the samples must be checked before any transform or moment")
+
+    monkeypatch.setattr(np.fft, "rfft", no_work)
+    monkeypatch.setattr(np, "mean", no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=message):
+            estimator(samples)
+
+
 def test_sample_acv_at_lag_zero_is_the_variance():
     x = np.random.default_rng(3).normal(size=200)
     est = sample_acv(x, 0.1, max_lag=0.0)

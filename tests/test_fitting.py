@@ -2,6 +2,7 @@
 the fit's own Nelder-Mead against scipy's, restart by restart."""
 
 import contextlib
+import itertools
 import linecache
 import sys
 import warnings
@@ -398,10 +399,26 @@ def _one_point_objective(problem, quantum=None):
 
 
 def _lock_step_objective(problem, quantum=None):
-    objective = fitting._objective(problem)[0]
+    """fit's objective as its restarts take it, ``(squares, denom)``;
+    ``quantum`` floors each value to a multiple of it, which makes ties."""
+    squares, denom, _ = fitting._objective(problem)
     if quantum is None:
-        return objective
-    return lambda points: [float(np.floor(v / quantum)) for v in objective(points)]
+        return squares, denom
+
+    def floored(points, out):
+        squares(points, out)
+        out[:] = np.floor(out / denom / quantum)
+
+    return floored, 1.0
+
+
+def _as_squares(objective):
+    """A list-valued objective of a batch of points as ``(squares, denom)``:
+    dividing by 1.0 keeps every value's bits."""
+    def squares(points, out):
+        out[:] = objective(points)
+
+    return squares, 1.0
 
 
 def _scipy(objective, x0, lower, upper, maxfev=20000):
@@ -427,16 +444,17 @@ def _scipy_restarts(problem, maxfev=20000):
 def _fit_restarts(problem, driver):
     """The runs of fit's lock-step restarts on ``problem``, from the
     objective, starts and bounds that fit prepares, on ``driver``."""
-    objective = fitting._objective(problem)[0]
+    objective = fitting._objective(problem)[:2]
     with np.errstate(all="ignore"):
         starts, lower, upper = fitting._starts(problem)
     return _lock_step_runs(objective, starts, lower, upper, driver)
 
 
 def _lock_step_runs(objective, starts, lower, upper, driver):
+    # objective: (squares, denom)
     with _driver(driver), warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        return fitting._restarts(objective, np.array(starts, dtype=float), lower, upper)
+        return fitting._restarts(*objective, np.array(starts, dtype=float), lower, upper)
 
 
 def _assert_same_runs(ours, theirs):
@@ -573,7 +591,8 @@ def test_nan_values_never_converge_as_in_scipy(driver):
     theirs = _scipy(objective, [0.0] * 4, lower, upper, maxfev=200)
     with mock.patch.object(fitting, "_MAXFEV", 200):
         ours = _lock_step_runs(
-            lambda points: [objective(x) for x in points], [[0.0] * 4], lower, upper, driver
+            _as_squares(lambda points: [objective(x) for x in points]), [[0.0] * 4], lower,
+            upper, driver
         )
     _assert_same_runs(ours, [theirs])
     assert theirs.nit > 1
@@ -707,18 +726,27 @@ def test_ensemble_fit_restarts_equal_scipy(ensemble_curves, target, driver):
     }
 
 
-def test_batched_template_rows_equal_the_one_point_formulas():
-    # points where a scalar square (libm pow) and x*x round apart, in r,
-    # alpha and sigma/r: the coefficients must take the scalar square
-    def uneven(v):
-        return v**2 != v * v
+def _uneven(v):
+    """Whether a scalar square (libm pow) and x*x round ``v`` apart."""
+    return v**2 != v * v
 
-    pool = np.exp(np.random.default_rng(11).uniform(-1.0, 2.0, 100_000)).tolist()
-    squares = [v for v in pool if uneven(v)]
-    thetas = []
-    for r, alpha, lam in zip(squares[:6], squares[6:12], pool):
-        sigma = next(v for v in pool if uneven(v / r))
-        thetas.append((r, alpha, lam, sigma))
+
+def _uneven_points():
+    """Parameter rows (r, alpha, lambda, sigma) where a scalar square and
+    x*x round apart in r, alpha and sigma/r, and their log-parameters."""
+    logs = np.random.default_rng(11).uniform(-1.0, 2.0, 100_000)
+    pool = np.exp(logs).tolist()
+    squares = [q for q, v in enumerate(pool) if _uneven(v)]
+    rows = []
+    for r, alpha, lam in zip(squares[:6], squares[6:12], range(6)):
+        sigma = next(q for q, v in enumerate(pool) if _uneven(v / pool[r]))
+        rows.append((r, alpha, lam, sigma))
+    return [tuple(pool[q] for q in row) for row in rows], logs[np.array(rows)]
+
+
+def test_batched_template_rows_equal_the_one_point_formulas():
+    # the coefficients must take the scalar square
+    thetas, _ = _uneven_points()
     u = np.linspace(0.0, 3.0, 301)
     w = np.linspace(0.05, 12.0, 240)
     acv = fitting._curves((_acv_coefficients, _acv_curve), np.array(thetas), u)
@@ -753,7 +781,46 @@ def _numpy_objective(problem):
 # out: its NaN meets the NaNs that inf makes, and which of two NaNs an
 # operation keeps (their sign) depends on the operand order the compiler
 # picks.
-_BEYOND = st.sampled_from([460.0, -460.0, 800.0, -800.0, np.inf, -np.inf])
+_BEYOND_VALUES = [460.0, -460.0, 800.0, -800.0, np.inf, -np.inf]
+_BEYOND = st.sampled_from(_BEYOND_VALUES)
+
+
+def _compiled_round(template, problem, points):
+    """The compiled template's coefficients, residual rows and objective
+    values at ``points``, and numpy's, as bytes."""
+    grid, values, (coefficients, curve) = fitting._prepared_data(problem)
+    denom = fitting._objective(problem)[1]
+    k = len(points)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        squares = np.empty(k)
+        template(points, squares)
+        thetas = np.exp(points)
+        want = (np.array(fitting._coefficients(coefficients, thetas)),
+                fitting._curves((coefficients, curve), thetas, grid) - values,
+                np.array(_numpy_objective(problem)(points)))
+        got = (template.coefficients[:k], template.residuals[:k], squares / denom)
+    return [x.tobytes() for x in got], [x.tobytes() for x in want]
+
+
+@requires_compiler
+@pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
+def test_the_compiled_coefficients_equal_the_python_ones(target):
+    # row for row and bit for bit: where a scalar square (libm pow) and x*x
+    # round apart, and where Python raises (a square past float's range, a
+    # division by a lambda or an r of 0.0) and its retry on numpy scalars
+    # gives inf or NaN, with the uneven squares of the other coordinates
+    thetas, logs = _uneven_points()
+    assert all(_uneven(r) for r, *_ in np.exp(logs).tolist())
+    rows = [*logs.tolist(), *itertools.product(_BEYOND_VALUES[::2], repeat=4)]
+    for row, coordinate, beyond in itertools.product(logs.tolist(), range(4), _BEYOND_VALUES):
+        rows.append(row[:coordinate] + [beyond] + row[coordinate + 1:])
+    problem = _small_problem(target, ripple=0.1)
+    grid, values, _ = fitting._prepared_data(problem)
+    template = _stepkernel.template(target.value, grid, values, fitting._BATCH)
+    for at in range(0, len(rows), fitting._BATCH):
+        got, want = _compiled_round(template, problem, np.array(rows[at:at + fitting._BATCH]))
+        assert got == want
 
 
 @requires_compiler
@@ -773,18 +840,10 @@ def test_the_compiled_template_gives_the_numpy_objective_bits(target, data):
         coordinates = [st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]), _BEYOND)
                        for lo, hi in zip(lower, upper)]
         points = data.draw(st.lists(st.tuples(*coordinates), min_size=k, max_size=k))
-    points = np.array(points, dtype=float)
-    grid, values, (coefficients, _) = fitting._prepared_data(problem)
-    residuals = _stepkernel.template(target.value, grid, values, fitting._BATCH)
-    objective = fitting._objective(problem)[0]
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        rows = fitting._coefficients(coefficients, np.exp(points))
-        got = residuals(rows).tobytes()
-        want = (fitting._curves((coefficients, _), np.exp(points), grid) - values).tobytes()
-        assert got == want
-        assert np.array(objective(points)).tobytes() == np.array(
-            _numpy_objective(problem)(points)).tobytes()
+    grid, values, _ = fitting._prepared_data(problem)
+    template = _stepkernel.template(target.value, grid, values, fitting._BATCH)
+    got, want = _compiled_round(template, problem, np.array(points, dtype=float))
+    assert got == want
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)
@@ -794,11 +853,11 @@ def test_a_fit_evaluates_its_template_in_its_driver(driver):
     bound = []
 
     def spy(*args):
-        residuals = template(*args)
-        bound.append(residuals and mock.Mock(wraps=residuals))
+        template = bind(*args)
+        bound.append(template and mock.Mock(wraps=template))
         return bound[-1]
 
-    template = _stepkernel.template
+    bind = _stepkernel.template
     with _driver(driver), mock.patch.object(_stepkernel, "template", spy), mock.patch.object(
         fitting, "_curves", wraps=fitting._curves
     ) as curves:
@@ -810,17 +869,47 @@ def test_a_fit_evaluates_its_template_in_its_driver(driver):
         assert bound[0] is None and curves.call_count > 0
 
 
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_only_the_generator_driver_takes_python_coefficients(driver):
+    # a compiled round takes its coefficients in C; the generators' rounds
+    # and the start check each take them in Python, once a round
+    with _driver(driver), mock.patch.object(
+        fitting, "_coefficients", wraps=fitting._coefficients
+    ) as coefficients, mock.patch.object(fitting, "_values", wraps=fitting._values) as rounds:
+        fit(_small_problem())
+    if driver == "compiled":
+        assert coefficients.call_count == 0 and rounds.call_count == 1
+    else:
+        assert coefficients.call_count == rounds.call_count > 100
+
+
 @requires_compiler
 def test_a_batch_wider_than_the_template_buffers_is_a_value_error():
     # the C would write past the buffers
     problem = _small_problem()
     grid, data, _ = fitting._prepared_data(problem)
-    residuals = _stepkernel.template("acv", grid, data, 3)
-    assert residuals(np.ones((3, 5))).shape == (3, grid.size)
-    for rows in (np.ones((4, 5)), np.ones((2, 4)), np.ones((2, 6))):
+    template = _stepkernel.template("acv", grid, data, 3)
+    out = np.empty(4)
+    template(np.zeros((3, 4)), out[:3])
+    assert template.residuals.shape == (3, grid.size) and np.isfinite(out[:3]).all()
+    for points in (np.zeros((4, 4)), np.zeros((2, 3)), np.zeros((2, 5))):
         with pytest.raises(ValueError, match="nc_acv got"):
-            residuals(rows)
-    objective = fitting._objective(problem)[0]
-    assert len(objective(np.zeros((fitting._BATCH, 4)))) == fitting._BATCH
+            template(points, out[:len(points)])
+    squares = fitting._objective(problem)[0]
+    assert len(fitting._values(squares, 1.0, np.zeros((fitting._BATCH, 4)))) == fitting._BATCH
     with pytest.raises(ValueError, match="buffers of 25 rows"):
-        objective(np.zeros((fitting._BATCH + 1, 4)))
+        fitting._values(squares, 1.0, np.zeros((fitting._BATCH + 1, 4)))
+
+
+@pytest.mark.parametrize("driver", _DRIVERS)
+def test_a_point_whose_residuals_overflow_is_inf_without_a_warning(driver):
+    # a curve near float's limit: some points' sums of squares overflow,
+    # which warned from the restarts' np.vecdot; they are the inf scipy sees
+    omegas = np.linspace(0.1, 20.0, 200)
+    curve = PsdEstimate(omegas=omegas, values=1e150 / (1.0 + (omegas - 6.28) ** 2))
+    problem = FitProblem(target=FitTarget.PSD, curve=curve)
+    with _driver(driver), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(problem)
+    assert np.isfinite(result.residual) and result.residual > 1e297
+    _assert_same_runs(_fit_restarts(problem, driver), _scipy_restarts(problem))

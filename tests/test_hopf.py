@@ -53,6 +53,19 @@ def test_noise_ratio_round_trip():
     assert nsr(p) == pytest.approx(0.3)
 
 
+def test_an_nsr_whose_square_overflows_is_a_config_error():
+    # this escaped as Python's OverflowError from sigma**2
+    p = HopfParams(alpha=1.0, alpha0=1.0, lambda_=1e-320, r=1.0, sigma=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^the NSR overflows at HopfParams"):
+            nsr(p)
+    # the template's helper keeps its OverflowError, which fitting's
+    # objective retries on numpy scalars
+    with pytest.raises(OverflowError):
+        _stepkernel._nsr_of(p.sigma, p.lambda_, p.r)
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         HopfParams(alpha=TAU, alpha0=TAU, lambda_=-1.0, r=1.0, sigma=0.1)
