@@ -129,6 +129,7 @@ and its numpy templates run instead, with the same results.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import hashlib
 import math
@@ -1140,10 +1141,11 @@ def _threads(P) -> int:
 def _in_threads(run, P, group) -> None:
     """``run(a, b)`` over contiguous groups [a, b) of at most ``group`` of
     ``P`` items (members, frequencies or grid rows), split into one block of groups
-    per thread (``_threads``), the first block in this thread.  This thread
-    handles signals between two calls.  When a call raises
-    (KeyboardInterrupt, say), the other threads stop after their current
-    call and this thread raises it."""
+    per thread (``_threads``), the first block in this thread.  Each other
+    thread runs in a copy of this thread's context, and so under its numpy
+    error state.  This thread handles signals between two calls.  When a
+    call raises (KeyboardInterrupt, say), the other threads stop after
+    their current call and this thread raises it."""
     t = _threads(P)
     edges = [P * j // t for j in range(t + 1)]
     stop = threading.Event()
@@ -1159,7 +1161,8 @@ def _in_threads(run, P, group) -> None:
             errors.append(exc)
             stop.set()
 
-    others = [threading.Thread(target=block, args=edges[j:j + 2]) for j in range(1, t)]
+    others = [threading.Thread(target=contextvars.copy_context().run,
+                               args=(block, *edges[j:j + 2])) for j in range(1, t)]
     for thread in others:
         thread.start()
     try:

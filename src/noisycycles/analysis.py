@@ -35,6 +35,7 @@ from .exceptions import (
     ConfigError,
     DegenerateSampleError,
     DegenerateSpectrumError,
+    _float_rule,
     _require_array,
     _require_count,
     _require_real,
@@ -94,31 +95,24 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
 
     Computed with an FFT over a zero-padded copy, identical to the direct
     sum  (1/N) sum_t (x_t - m)(x_{t+k} - m).  The series must be finite
-    and cover at least twice the requested lag span, and the centred
-    series small enough that 4 nfft (sum |x - m|)^2, which bounds every
-    product of the transform, stays within float's range
-    (:class:`ConfigError` before any transform).
+    and cover at least twice the requested lag span (:class:`ConfigError`
+    before any transform); an overflow, invalid operation or division by
+    zero on the way is a :class:`ConfigError` too.
     """
     x = _require_array("series", series, (None,))
     n = x.size
     _require_real("dt", dt)
     _require_real("max_lag", max_lag, zero=True)
-    k_max = int(np.floor(max_lag / dt + 1e-9))
-    if max_lag > n * dt / 2.0:
-        raise ConfigError(
-            f"max_lag {max_lag} exceeds half the series span {n * dt / 2.0}"
-        )
-    nfft = 1 << int(np.ceil(np.log2(n + k_max + 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_rule(ConfigError, f"the sample ACV overflows at dt {dt}: scale the series "
+                                  "or dt down"):
+        if max_lag > n * dt / 2.0:
+            raise ConfigError(f"max_lag {max_lag} exceeds half the series span {n * dt / 2.0}")
+        k_max = int(np.floor(max_lag / dt + 1e-9))
+        nfft = 1 << int(np.ceil(np.log2(n + k_max + 1)))
         x = x - x.mean()
-        # |DFT|^2 is at most (sum |x|)^2, and the inverse transform sums
-        # nfft of them before it divides; 4 covers the transforms' rounding
-        bound = 4.0 * nfft * np.abs(x).sum() ** 2
-    if not np.isfinite(bound):
-        raise ConfigError("the series is too large: its ACV's transform overflows; scale it down")
-    spec = np.fft.rfft(x, nfft)
-    acv = np.fft.irfft(spec * spec.conj(), nfft)[: k_max + 1] / n
-    return AcvEstimate(lags=np.arange(k_max + 1) * dt, values=acv)
+        spec = np.fft.rfft(x, nfft)
+        acv = np.fft.irfft(spec * spec.conj(), nfft)[: k_max + 1] / n
+        return AcvEstimate(lags=np.arange(k_max + 1) * dt, values=acv)
 
 
 def averaged_periodogram(paths, dt) -> PsdEstimate:
@@ -126,56 +120,49 @@ def averaged_periodogram(paths, dt) -> PsdEstimate:
 
     Per path the raw (untapered) periodogram |DFT|^2 dt / N is taken on the
     frequency grid w_k = 2 pi k / (N dt); no windowing is applied.  The
-    paths must be finite, and small enough that their periodogram stays
-    within float's range (:class:`ConfigError` before any transform).
+    paths must be finite (:class:`ConfigError` before any transform); an
+    overflow, invalid operation or division by zero in the periodogram or
+    its frequency grid is a :class:`ConfigError` too.
     """
     arr = _require_array("paths", paths, (None, None), ndmin=2)
     _require_real("dt", dt)
     n = arr.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_rule(ConfigError, f"the periodogram overflows at dt {dt}: "
+                                  "scale the paths or dt"):
         centred = arr - arr.mean(axis=1, keepdims=True)
-        # a path's |DFT|^2 is at most (sum |x|)^2, scaled by dt / n and
-        # summed over the paths for their mean; 4 covers the transform's
-        # rounding
-        bound = 4.0 * arr.shape[0] * max(dt / n, 1.0) * np.abs(centred).sum(axis=1).max() ** 2
-    if not np.isfinite(bound):
-        raise ConfigError("the paths are too large: their periodogram overflows; scale them down")
-    pgram = np.abs(np.fft.rfft(centred, axis=1)) ** 2 * (dt / n)
-    omegas = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
-    return PsdEstimate(omegas=omegas, values=pgram.mean(axis=0))
+        pgram = np.abs(np.fft.rfft(centred, axis=1)) ** 2 * (dt / n)
+        omegas = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
+        return PsdEstimate(omegas=omegas, values=pgram.mean(axis=0))
 
 
 def acv_formula(params: HopfParams, u) -> np.ndarray:
     """Leading-order autocovariance of the x component; even in the lag.
     ``u`` is an array of finite lags of any shape (:class:`ConfigError`
-    otherwise, and where a term overflows)."""
+    otherwise, and where a term overflows, is invalid or divides by zero).
+    The coefficients are formed on numpy scalars, which round as Python's
+    floats do but flag a product or quotient that overflows to inf."""
     u = np.abs(_require_array("u", u, None))
-    return _formula("acv_formula", params, _acv_coefficients, _acv_curve, u)
+    with _float_rule(ConfigError, f"acv_formula overflows at {params}"):
+        return _acv_curve(_acv_coefficients(*_numpy_scalars(params)), u)
 
 
-def _formula(name, params, coefficients, curve, grid):
-    """``curve`` on ``grid`` at the coefficients of ``params``; a term that
-    overflows, which Python raises and numpy warns about, is a
-    :class:`ConfigError`.  The template's own helpers keep Python's
-    ``OverflowError``, which fitting's objective retries on numpy scalars."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return curve(coefficients(params.r, params.alpha, params.lambda_, params.sigma), grid)
-    except (OverflowError, FloatingPointError):
-        raise ConfigError(f"{name} overflows at {params}") from None
+def _numpy_scalars(params):
+    return map(np.float64, (params.r, params.alpha, params.lambda_, params.sigma))
 
 
 def psd_formula(params: HopfParams, omega) -> np.ndarray:
     """Leading-order two-sided spectral density; even in frequency.
     ``omega`` is an array of finite frequencies of any shape
-    (:class:`ConfigError` otherwise, and where a term overflows)."""
+    (:class:`ConfigError` otherwise, and where a term overflows, is
+    invalid or divides by zero; the coefficients as in :func:`acv_formula`)."""
     if params.sigma == 0.0:
         raise DegenerateSpectrumError(
             "sigma = 0 gives a line spectrum (delta peaks at +-alpha); "
             "the density formula is degenerate there"
         )
     w = _require_array("omega", omega, None)
-    return _formula("psd_formula", params, _psd_coefficients, _psd_curve, w)
+    with _float_rule(ConfigError, f"psd_formula overflows at {params}"):
+        return _psd_curve(_psd_coefficients(*_numpy_scalars(params)), w)
 
 
 def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
@@ -184,8 +171,9 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     bandwidth = 0.9 min(std, IQR / 1.34) N^{-1/5} unless given explicitly.
     The samples must be finite, an explicit bandwidth positive and finite,
     and ``grid_size`` an integer of at least 2 (:class:`ConfigError`
-    before any work).  A bandwidth whose grid or normalization leaves
-    float's range is a :class:`DegenerateSampleError`.
+    before any work).  A zero Silverman bandwidth, and an overflow, invalid
+    operation or division by zero in the bandwidth, the grid, the kernel
+    sums or the normalization, are a :class:`DegenerateSampleError`.
 
     The kernel sums run over chunks of 4096 samples, in order.  Each
     chunk's exp(-0.5 d d), d = (grid - x) / bandwidth, is formed in place in
@@ -200,76 +188,60 @@ def kde(samples, grid_size=512, bandwidth=None) -> DensityEstimate:
     if x.size < 2:
         raise ConfigError("at least 2 samples are required")
     _require_count("grid_size", grid_size, 2)
-    # samples or a bandwidth near float's limits overflow the spread, the
-    # grid's ends or the normalization, which are then refused, not warned
-    # about
-    with np.errstate(over="ignore", invalid="ignore"):
+    if bandwidth is not None:
+        _require_real("bandwidth", bandwidth)
+    with _float_rule(DegenerateSampleError, "the density overflows: scale the samples "
+                                            "or the bandwidth"):
         if bandwidth is None:
             std = x.std()
             q75, q25 = np.percentile(x, [75.0, 25.0])
             spread = min(std, (q75 - q25) / 1.34)
             bandwidth = 0.9 * spread * x.size ** (-0.2)
-            if not (bandwidth > 0.0 and np.isfinite(bandwidth)):
-                raise DegenerateSampleError(
-                    f"sample spread is degenerate (bandwidth {bandwidth})"
-                )
-        else:
-            _require_real("bandwidth", bandwidth)
-        ends = (x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth)
-        if not np.isfinite(ends[1] - ends[0]):
-            raise DegenerateSampleError(
-                f"the density grid from {ends[0]} to {ends[1]} overflows "
-                f"(bandwidth {bandwidth})"
-            )
+            if not bandwidth > 0.0:
+                raise DegenerateSampleError(f"sample spread is degenerate (bandwidth {bandwidth})")
+        grid = np.linspace(x.min() - 4.0 * bandwidth, x.max() + 4.0 * bandwidth, grid_size)
+        density = np.zeros(grid_size)
+        width = min(x.size, _KDE_CHUNK)
+
+        def rows(a, b):
+            d_buf = np.empty(_KDE_ROWS * width)
+            e_buf = np.empty(_KDE_ROWS * width)
+            for top in range(a, b, _KDE_ROWS):
+                at = grid[top:min(top + _KDE_ROWS, b), None]
+                total = density[top:top + at.size]
+                for start in range(0, x.size, width):
+                    chunk = x[start:start + width]
+                    used = at.size * chunk.size
+                    d = d_buf[:used].reshape(at.size, chunk.size)
+                    e = e_buf[:used].reshape(at.size, chunk.size)
+                    np.subtract(at, chunk, out=d)
+                    d /= bandwidth
+                    np.multiply(-0.5, d, out=e)
+                    e *= d
+                    np.exp(e, out=e)
+                    total += e.sum(axis=1)
+
+        _stepkernel._in_threads(rows, grid_size, grid_size)
         norm = 1.0 / (np.sqrt(2.0 * np.pi) * bandwidth * x.size)
-        if not norm > 0.0:
-            raise DegenerateSampleError(
-                f"the density's normalization overflows (bandwidth {bandwidth}, "
-                f"{x.size} samples)"
-            )
-    grid = np.linspace(*ends, grid_size)
-    density = np.zeros(grid_size)
-    width = min(x.size, _KDE_CHUNK)
-
-    def rows(a, b):
-        d_buf = np.empty(_KDE_ROWS * width)
-        e_buf = np.empty(_KDE_ROWS * width)
-        for top in range(a, b, _KDE_ROWS):
-            at = grid[top:min(top + _KDE_ROWS, b), None]
-            total = density[top:top + at.size]
-            for start in range(0, x.size, width):
-                chunk = x[start:start + width]
-                used = at.size * chunk.size
-                d = d_buf[:used].reshape(at.size, chunk.size)
-                e = e_buf[:used].reshape(at.size, chunk.size)
-                np.subtract(at, chunk, out=d)
-                d /= bandwidth
-                np.multiply(-0.5, d, out=e)
-                e *= d
-                np.exp(e, out=e)
-                total += e.sum(axis=1)
-
-    _stepkernel._in_threads(rows, grid_size, grid_size)
-    return DensityEstimate(grid=grid, density=norm * density, bandwidth=float(bandwidth))
+        return DensityEstimate(grid=grid, density=norm * density, bandwidth=float(bandwidth))
 
 
 def kurtosis(samples) -> float:
     """Non-excess kurtosis m4 / m2^2 with population moments of at least
-    30 finite samples, small enough that their fourth powers stay within
-    float's range (:class:`ConfigError` before any moment)."""
+    30 finite samples (:class:`ConfigError` before any moment).  An
+    overflow, invalid operation or division by zero in the moments is a
+    :class:`ConfigError`, and an m2^2 of zero, underflowed or not, a
+    :class:`DegenerateSampleError`."""
     x = _require_array("samples", samples, None).ravel()
     if x.size < 30:
         raise ConfigError(f"kurtosis needs >= 30 samples, got {x.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_rule(ConfigError, "the samples are too large: their fourth moment overflows; "
+                                  "scale them down"):
         x = x - x.mean()
-        # the fourth moment sums x^4 over the samples; 2 covers the rounding
-        bound = 2.0 * x.size * np.abs(x).max() ** 4
-    if not np.isfinite(bound):
-        raise ConfigError("the samples are too large: their fourth moment overflows; scale them down")
-    m2 = np.mean(x * x)
-    if m2 == 0.0:
-        raise DegenerateSampleError("zero variance sample")
-    return float(np.mean(x**4) / m2**2)
+        m2_squared = np.mean(x * x) ** 2
+        if m2_squared == 0.0:
+            raise DegenerateSampleError("zero variance sample")
+        return float(np.mean(x**4) / m2_squared)
 
 
 def wk_transform(acv, omegas) -> PsdEstimate:
@@ -284,7 +256,9 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     not finite raises :class:`ConfigError` naming its first such lag).  An
     estimate is refused with :class:`ConfigError` before any quadrature
     unless its lags and values are finite real 1-D arrays of one length
-    and its lags strictly increase.  Trapezoid quadrature throughout.
+    and its lags strictly increase.  Trapezoid quadrature throughout; an
+    overflow, invalid operation or division by zero in the lag grid, the
+    sampled ACV or the quadrature is a :class:`ConfigError`.
 
     The frequencies are taken one at a time with the arithmetic of
     ``np.trapezoid``: cos(w u) ACV(u), then d (y[1:] + y[:-1]) / 2 summed
@@ -292,68 +266,45 @@ def wk_transform(acv, omegas) -> PsdEstimate:
     (``_stepkernel._in_threads``), where numpy's calls release the GIL;
     each block reuses two buffers of the lag grid's length, and no value
     depends on the block.  ``omegas`` must be a nonempty 1-D array of
-    finite, nonnegative values whose largest, times the largest |lag| of
-    an estimate or times 128 for a callable, is finite (:class:`ConfigError`
-    before any sampling).
+    finite, nonnegative values (:class:`ConfigError` before any sampling).
     """
     omegas = _require_array("omegas", omegas, (None,), ndmin=1)
     if np.any(omegas < 0.0):
         raise ConfigError("omegas must be nonnegative")
-
-    def refuse_overflow(factor, what):
-        # the largest frequency times the largest lag, or times the 128 of a
-        # callable's lag step pi / (128 omega), must stay within float's range
-        with np.errstate(over="ignore"):
-            overflows = np.isinf(omegas.max() * factor)
-        if overflows:
-            raise ConfigError(
-                f"omegas times {what} must be finite, got {omegas.max():g} * {factor:g}"
-            )
-
-    if isinstance(acv, AcvEstimate):
-        lags = _require_array("acv.lags", acv.lags, (None,))
-        vals = _require_array("acv.values", acv.values, (lags.size,))
-        with np.errstate(over="ignore"):  # a spacing past float's range is refused below
-            increasing = np.all(np.diff(lags) > 0.0)
-        if not increasing:
-            raise ConfigError("ACV lags must be strictly increasing")
-        c0 = abs(vals[0])
-        env = _block_envelope(vals, 512)
-        below = np.nonzero(env < 1e-6 * c0)[0]
-        if below.size:
-            cut = min((below[0] + 1) * 512, vals.size)
-            lags, vals = lags[:cut], vals[:cut]
-        refuse_overflow(max(-lags[0], lags[-1]), "the largest |lag|")
-    else:
-        refuse_overflow(128.0, "128")
-        w_max = max(omegas.max(), 1e-12)
-        du = np.pi / (128.0 * w_max)
-        lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)
-
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _float_rule(ConfigError, "the ACV's transform overflows: scale the ACV, its lags "
+                                  "or the frequencies down"):
+        if isinstance(acv, AcvEstimate):
+            lags = _require_array("acv.lags", acv.lags, (None,))
+            vals = _require_array("acv.values", acv.values, (lags.size,))
+            if not np.all(np.diff(lags) > 0.0):
+                raise ConfigError("ACV lags must be strictly increasing")
+            c0 = abs(vals[0])
+            env = _block_envelope(vals, 512)
+            below = np.nonzero(env < 1e-6 * c0)[0]
+            if below.size:
+                cut = min((below[0] + 1) * 512, vals.size)
+                lags, vals = lags[:cut], vals[:cut]
+        else:
+            w_max = max(omegas.max(), 1e-12)
+            du = np.pi / (128.0 * w_max)
+            lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)
         spacing = np.diff(lags)
-        # the trapezoid of |ACV|, in the order below: |cos| <= 1, so no sum
-        # or product of any frequency's trapezoid exceeds its terms
-        bound = np.multiply(spacing, np.abs(vals[1:]) + np.abs(vals[:-1])) / 2.0
-        bound = 2.0 * bound.sum()
-    if not np.isfinite(bound):
-        raise ConfigError("the ACV's trapezoid overflows: scale the ACV down")
-    values = np.empty(omegas.size)
+        values = np.empty(omegas.size)
 
-    def frequencies(a, b):
-        y = np.empty(lags.size)
-        area = np.empty(spacing.size)
-        for k in range(a, b):
-            np.multiply(omegas[k], lags, out=y)
-            np.cos(y, out=y)
-            np.multiply(vals, y, out=y)
-            np.add(y[1:], y[:-1], out=area)
-            np.multiply(spacing, area, out=area)
-            area /= 2.0
-            values[k] = 2.0 * area.sum()
+        def frequencies(a, b):
+            y = np.empty(lags.size)
+            area = np.empty(spacing.size)
+            for k in range(a, b):
+                np.multiply(omegas[k], lags, out=y)
+                np.cos(y, out=y)
+                np.multiply(vals, y, out=y)
+                np.add(y[1:], y[:-1], out=area)
+                np.multiply(spacing, area, out=area)
+                area /= 2.0
+                values[k] = 2.0 * area.sum()
 
-    _stepkernel._in_threads(frequencies, omegas.size, omegas.size)
-    return PsdEstimate(omegas=omegas, values=values)
+        _stepkernel._in_threads(frequencies, omegas.size, omegas.size)
+        return PsdEstimate(omegas=omegas, values=values)
 
 
 def _block_envelope(vals, block):

@@ -25,8 +25,24 @@ array argument a third, written once here and raised as
 
 A ``str`` or ``None`` is not a real number, and is refused like a value out
 of range, never with a ``TypeError``.
+
+A fourth rule covers the arithmetic that follows these checks.  Each public
+estimator, formula and scale that can leave float's range runs it under
+``_float_rule``: numpy's overflow, invalid operation and division by zero
+raise (an underflow stays silent), and ``FloatingPointError``, with Python's
+``OverflowError`` and ``ZeroDivisionError``, becomes the entry point's own
+error and message, a :class:`ConfigError` or, for ``kde``'s grid and
+normalization, a :class:`DegenerateSampleError`.  The rule reaches the worker
+threads of ``_stepkernel._in_threads``.  A Python float's ``*`` and ``/``
+overflow to inf without a flag, so the scalars the rule must see are numpy
+scalars.  Sites that mean to make inf or NaN opt out with a local
+``np.errstate(... "ignore")``: the fit, whose restarts and their retry on
+numpy scalars (``fitting._coefficients``) meet inf and NaN, and
+``simulate_reduced``; the simulators report a blow-up as a
+:class:`DivergenceError` and run outside the rule.
 """
 
+import contextlib
 import numbers
 import sys
 
@@ -89,12 +105,24 @@ def _require_array(name, value, shape, ndmin=0):
             n == s or s is None and n >= 1 for n, s in zip(arr.shape, shape))):
         spec = ", ".join("N" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)
         raise ConfigError(f"{name} must have shape ({spec}), got {arr.shape}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        at = tuple(bad[0].tolist())
+    finite = np.isfinite(arr)
+    if not finite.all():  # np.argwhere finds nothing in a 0-d array
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
         where = at[0] if arr.ndim == 1 else at
         raise ConfigError(f"{name} must be finite, got {arr[at]} at index {where}")
     return arr
+
+
+@contextlib.contextmanager
+def _float_rule(error, message):
+    """Run the block with numpy's overflow, invalid operation and division by
+    zero raised, an underflow ignored, and raise ``error(message)`` for any of
+    them or for Python's ``OverflowError`` or ``ZeroDivisionError``."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
+        raise error(message) from None
 
 
 class NumericsError(NoisyCyclesError):

@@ -58,7 +58,13 @@ import numpy as np
 from . import _stepkernel
 from ._stepkernel import _acv_coefficients, _acv_curve, _psd_coefficients, _psd_curve
 from .analysis import AcvEstimate, PsdEstimate
-from .exceptions import ConfigError, ConvergenceError, GuessFailureError, _require_array
+from .exceptions import (
+    ConfigError,
+    ConvergenceError,
+    GuessFailureError,
+    _float_rule,
+    _require_array,
+)
 from .hopf import HopfParams, nsr as _nsr
 from .sde import _generator
 
@@ -120,13 +126,10 @@ class FitProblem:
         axis = "lags" if self.target is FitTarget.ACV else "omegas"
         grid = _require_array(f"curve.{axis}", getattr(self.curve, axis), (None,))
         values = _require_array("curve.values", self.curve.values, (grid.size,))
-        # the objective's normalization, which must stay within float's range
-        with np.errstate(over="ignore"):
-            squares = float(np.sum(values * values))
-        if not np.isfinite(squares):
-            raise ConfigError(
-                f"curve.values' sum of squares overflows ({squares}): scale the curve down"
-            )
+        # the objective divides by this sum of squares
+        with _float_rule(ConfigError, "curve.values' sum of squares overflows: "
+                                      "scale the curve down"):
+            np.sum(values * values)
         if not isinstance(self.bounds, (dict, type(None))):
             raise ConfigError(
                 f"bounds must be a dict, got {type(self.bounds).__name__}"

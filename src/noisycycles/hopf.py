@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError, SingularAmplitudeError, _require_real
+from .exceptions import ConfigError, SingularAmplitudeError, _float_rule, _require_real
 from .sde import SdeSystem, _chunks, _normals, _phase_initial, _record, _simulate
 
 __all__ = [
@@ -75,20 +75,23 @@ class HopfParams:
 
 def sigma_for_nsr(nsr, lambda_, r) -> float:
     """Noise amplitude giving the requested noise-to-signal ratio; nsr is
-    finite and >= 0, lambda_ and r positive and finite (ConfigError)."""
+    finite and >= 0, lambda_ and r positive and finite, and the amplitude
+    finite (ConfigError).  It is formed on numpy scalars, which round as
+    Python's floats do but flag a product that overflows to inf."""
     _require_real("nsr", nsr, zero=True)
     _require_real("lambda_", lambda_)
     _require_real("r", r)
-    return float(nsr) * r * np.sqrt(2.0 * lambda_)
+    with _float_rule(ConfigError, f"the noise amplitude overflows at nsr {nsr}, "
+                                  f"lambda_ {lambda_}, r {r}"):
+        return np.float64(nsr) * r * np.sqrt(2.0 * np.float64(lambda_))
 
 
 def nsr(params: HopfParams) -> float:
-    """sqrt(sigma^2 / (2 lambda)) / r; a sigma whose square leaves float's
-    range is a :class:`ConfigError`."""
-    try:
-        return _stepkernel._nsr_of(params.sigma, params.lambda_, params.r)
-    except OverflowError:
-        raise ConfigError(f"the NSR overflows at {params}") from None
+    """sqrt(sigma^2 / (2 lambda)) / r, on numpy scalars as in
+    :func:`sigma_for_nsr`; an NSR that leaves float's range is a
+    :class:`ConfigError`."""
+    with _float_rule(ConfigError, f"the NSR overflows at {params}"):
+        return _stepkernel._nsr_of(*map(np.float64, (params.sigma, params.lambda_, params.r)))
 
 
 def hopf_jacobian(params: HopfParams, state) -> np.ndarray:

@@ -44,7 +44,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _stepkernel
-from .exceptions import ConfigError, DivergenceError, _require_array, _require_count, _require_real
+from .exceptions import (
+    ConfigError,
+    DivergenceError,
+    _float_rule,
+    _require_array,
+    _require_count,
+    _require_real,
+)
 
 __all__ = [
     "Scheme",
@@ -269,11 +276,8 @@ def _normals(rngs, n_steps: int, dim: int) -> np.ndarray:
 def _scales(dt):
     """sq = sqrt(dt), zc = dt^1.5 / 2 and inv3 = 1 / sqrt(3) of
     ``_increments``; a ``dt`` whose dt^1.5 overflows is refused."""
-    try:
-        with np.errstate(over="raise"):
-            cube = dt ** 1.5
-    except (OverflowError, FloatingPointError):
-        raise ConfigError(f"dt must have a finite dt ** 1.5, got {dt}") from None
+    with _float_rule(ConfigError, f"dt must have a finite dt ** 1.5, got {dt}"):
+        cube = dt ** 1.5
     return np.sqrt(dt), cube / 2.0, 1.0 / np.sqrt(3.0)
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import noisycycles
 from noisycycles import (
@@ -21,6 +23,7 @@ from noisycycles import (
     FitTarget,
     HopfParams,
     IntegratorConfig,
+    NoisyCyclesError,
     PsdEstimate,
     SdeSystem,
     acv_formula,
@@ -33,6 +36,7 @@ from noisycycles import (
     integrate_path,
     kde,
     kurtosis,
+    nsr,
     ornstein_uhlenbeck,
     path_seed,
     psd_formula,
@@ -47,6 +51,7 @@ from noisycycles import (
     wk_transform,
 )
 
+from conftest import threads
 import test_member_loops as contract
 
 MODULES = ["noisycycles"] + [
@@ -325,3 +330,101 @@ def test_a_wrongly_typed_shaped_or_non_finite_array_is_a_config_error(entry, fau
         with pytest.raises(ConfigError) as err:
             ARRAYS[entry][0](value)
     assert str(err.value) == message
+
+
+# the floating-point rule: numbers at float's limits, non-numbers and wrong
+# shapes, which every estimator, formula and scale either takes to a finite
+# result or refuses with a package error, without a warning
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-300, 1e-160, 1e-8, 1.0, 2.0, 2 * np.pi, 1e8, 1e160,
+                     1e300, 1e306, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+_SCALARS = st.one_of(
+    *[_POSITIVE] * 8,
+    st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, None, "1", 10**400]),
+    st.floats(), st.integers(-3, 64),
+)
+# series of up to 64 samples, scaled towards float's limits
+_SCALE = st.sampled_from([1e-320, 1e-300, 1e-160, 1.0, 1e160, 1e300, 1e306])
+_SAMPLES = st.builds(lambda n, scale, wave: (np.sin(0.3 * np.arange(n)) if wave
+                                             else np.arange(n)) * scale,
+                     st.one_of(st.integers(0, 64), st.sampled_from([40, 64])), _SCALE,
+                     st.booleans())
+# an increasing grid and values of its length
+_CURVES = st.builds(lambda n, step, scale: (np.arange(n) * step,
+                                            np.cos(0.3 * np.arange(n)) * scale),
+                    st.integers(1, 64), _SCALE, _SCALE)
+_ARRAYS = st.one_of(
+    _SAMPLES, _SAMPLES, _SAMPLES,
+    st.builds(lambda x, rows: np.tile(x, (rows, 1)), _SAMPLES, st.integers(1, 3)),
+    st.lists(_SCALARS, max_size=64),
+    st.lists(st.lists(st.floats(), max_size=8), max_size=8),  # ragged unless the lengths agree
+    _SCALARS,
+)
+
+
+def _acv_at(r, alpha, lambda_, sigma, u):
+    return acv_formula(_hopf(r=r, alpha=alpha, alpha0=alpha, lambda_=lambda_, sigma=sigma), u)
+
+
+def _psd_at(r, alpha, lambda_, sigma, omega):
+    return psd_formula(_hopf(r=r, alpha=alpha, alpha0=alpha, lambda_=lambda_, sigma=sigma), omega)
+
+
+def _nsr_at(r, alpha, lambda_, sigma):
+    return nsr(_hopf(r=r, alpha=alpha, alpha0=alpha, lambda_=lambda_, sigma=sigma))
+
+
+def _wk_at(lags, values, omegas):
+    return wk_transform(AcvEstimate(lags=lags, values=values), omegas)
+
+
+def _problem(target, estimate, grid, values):
+    return FitProblem(target=target, curve=estimate(grid, values)).curve
+
+
+_CALLS = st.one_of(
+    st.tuples(st.just(sample_acv), _ARRAYS, _SCALARS, _SCALARS),
+    st.builds(lambda x, dt, k: (sample_acv, x, dt, k * dt), _SAMPLES, _POSITIVE,
+              st.integers(0, 32)),
+    st.tuples(st.just(averaged_periodogram), _ARRAYS, _SCALARS),
+    st.tuples(st.just(_acv_at), *[_SCALARS] * 4, _ARRAYS),
+    st.tuples(st.just(_psd_at), *[_SCALARS] * 4, _ARRAYS),
+    st.tuples(st.just(kde), _ARRAYS, st.one_of(st.integers(-2, 64), st.none(), st.just(2.5)),
+              st.one_of(st.none(), _SCALARS)),
+    st.tuples(st.just(kde), _SAMPLES, st.just(512), st.one_of(st.none(), _POSITIVE)),
+    st.tuples(st.just(kurtosis), _ARRAYS),
+    st.tuples(st.just(kurtosis), _SAMPLES),
+    st.tuples(st.just(_wk_at), _ARRAYS, _ARRAYS, _ARRAYS),
+    st.builds(lambda curve, omegas: (_wk_at, *curve, omegas), _CURVES, _SAMPLES),
+    st.tuples(st.just(_problem), st.sampled_from([*FitTarget, "acv"]),
+              st.sampled_from([AcvEstimate, PsdEstimate]), _ARRAYS, _ARRAYS),
+    st.builds(lambda target, curve: (_problem, *target, *curve),
+              st.sampled_from([(FitTarget.ACV, AcvEstimate), (FitTarget.PSD, PsdEstimate)]),
+              _CURVES),
+    st.tuples(st.just(_nsr_at), *[_SCALARS] * 4),
+    st.tuples(st.just(sigma_for_nsr), *[_SCALARS] * 3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=_CALLS)
+@example(call=(kurtosis, np.arange(40) * 1e-160))
+@example(call=(averaged_periodogram, np.arange(64.0)[None], 1e-320))
+@example(call=(kde, np.arange(40.0), 512, 1e-320))
+@example(call=(sigma_for_nsr, 1e300, 1e300, 1e300))
+@example(call=(_nsr_at, 1.0, 1.0, 1e-300, 1e150))
+@example(call=(_acv_at, 1.0, 1.0, 1e-300, 1e150, [0.0]))
+@example(call=(sample_acv, np.arange(10.0), 1e-300, 1e300))
+@example(call=(_psd_at, 1.0, 1.0, 1.0, 1.0, np.nan))
+def test_every_entry_point_gives_a_finite_result_or_a_package_error(call):
+    function, *args = call
+    with warnings.catch_warnings(), threads(2):
+        warnings.simplefilter("error")
+        try:
+            result = function(*args)
+        except NoisyCyclesError:
+            return
+    for value in vars(result).values() if hasattr(result, "__dict__") else [result]:
+        assert np.isfinite(value).all(), (call, result)

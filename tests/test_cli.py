@@ -366,6 +366,17 @@ def test_a_nsr_that_is_not_finite_is_named_as_the_nsr(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_nsr_whose_noise_amplitude_overflows_is_a_config_error(capsys):
+    # sigma = nsr r sqrt(2 lambda), a Python float product, was inf, which
+    # HopfParams refused as an infinite sigma
+    argv = ("formula", "--template", "acv", "--nsr", "1e300", "--r", "1e300", "--lambda", "1e300")
+    assert _call(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == ("noisycycles formula: error: the noise amplitude overflows at "
+                                    "nsr 1e+300, lambda_ 1e+300, r 1e+300")
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (("--grid-size", "-3"), 1, "error: grid_size must be >= 2, got -3"),
     (("--grid-size", "0"), 1, "error: grid_size must be >= 2, got 0"),

@@ -53,17 +53,31 @@ def test_noise_ratio_round_trip():
     assert nsr(p) == pytest.approx(0.3)
 
 
-def test_an_nsr_whose_square_overflows_is_a_config_error():
-    # this escaped as Python's OverflowError from sigma**2
-    p = HopfParams(alpha=1.0, alpha0=1.0, lambda_=1e-320, r=1.0, sigma=1e200)
+@pytest.mark.parametrize("sigma, lambda_", [(1e200, 1e-320), (1e150, 1e-300)],
+                         ids=["square", "quotient"])
+def test_an_nsr_whose_square_overflows_is_a_config_error(sigma, lambda_):
+    # the square escaped as Python's OverflowError from sigma**2, and the
+    # quotient sigma^2 / (2 lambda), a Python float, returned inf
+    p = HopfParams(alpha=1.0, alpha0=1.0, lambda_=lambda_, r=1.0, sigma=sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="^the NSR overflows at HopfParams"):
             nsr(p)
+    p = HopfParams(alpha=1.0, alpha0=1.0, lambda_=1e-320, r=1.0, sigma=1e200)
     # the template's helper keeps its OverflowError, which fitting's
     # objective retries on numpy scalars
     with pytest.raises(OverflowError):
         _stepkernel._nsr_of(p.sigma, p.lambda_, p.r)
+
+
+@pytest.mark.parametrize("nsr_, lambda_, r", [(1e300, 1e300, 1e300), (1.0, 1.7e308, 1.0)],
+                         ids=["product", "two-lambda"])
+def test_a_noise_amplitude_that_overflows_is_a_config_error(nsr_, lambda_, r):
+    # Python's float product returned inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^the noise amplitude overflows at nsr "):
+            sigma_for_nsr(nsr_, lambda_, r)
 
 
 def test_params_validation():
