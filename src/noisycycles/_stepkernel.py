@@ -109,6 +109,19 @@ rows' sums of squares stay numpy's BLAS dots.  The Nelder-Mead and the
 templates take one array of pointers to their buffers, bound once per fit,
 which keeps ctypes' conversions per call to one or three arguments.
 
+``nc_frame`` is no member loop either: it is ``frame._transport``, the
+RK4 transport of the comoving frame and its rate, in one call
+(:func:`frame_transport`).  Its outer products and RK4 sums are C in
+numpy's order; its matrix products, the SVD of each step's projection and
+the dot of the orthogonality norm go through OpenBLAS and LAPACK, whose
+kernels sum in an order chosen by the CPU, so the C calls numpy's own
+float64 strided loops of ``np.matmul``, ``svd_f`` and ``np.vecdot`` with
+the strides numpy passes them (:func:`_ufunc_loops`), and gives numpy's
+bits whichever kernels run.  It reads their floating-point exception
+flags as numpy does: an SVD that raises FE_INVALID is numpy's
+``LinAlgError``, and any other exception that numpy's error state does
+not ignore sends the frame to the numpy loop, which reports it.
+
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off
 -fno-builtin-pow`` against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
@@ -118,19 +131,22 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the nine
+the archive's symbols out of the library's exports, which are the ten
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice, and
 ``-fno-builtin-pow`` from rewriting ``pow(x, 2.0)`` as x * x.
 Without a compiler, without ``objcopy``, without numpy's static library,
 or without a writable cache, the numpy loops, fitting's Python restarts
-and its numpy templates run instead, with the same results.
+and its numpy templates, and the frame's numpy transport run instead,
+with the same results; so does the transport where numpy does not hand
+out its loops.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -142,6 +158,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 _PRELUDE = r"""
+#include <fenv.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -506,6 +523,142 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
                 { cur[0] = z_out[row]; cur[1] = 0.0; cur[2] = k[0] * cur[0]; },
                 linear_step(leading, k, i, u, cur, next),
                 { z_out[row] = cur[0]; tau_out[row] = cur[1]; })
+}
+"""
+
+_FRAME = r"""
+/* numpy's strided inner loop of a float64 ufunc as _get_strided_loop fills
+   it in (_stepkernel._ufunc_loops): the loop, its context and its data */
+typedef struct {
+    int (*loop)(void *, char *const *, const intptr_t *, const intptr_t *, void *);
+    void *context, *auxdata;
+} ufunc_loop;
+
+/* out = a @ b for n x n matrices by numpy's matmul loop, with the core
+   strides np.matmul passes it: a's rows and columns ra and ca bytes apart,
+   b and out C-contiguous.  a == b with transposed strides is np.matmul(x.T,
+   x), which numpy's loop takes to syrk. */
+static void matmul(const ufunc_loop *f, int64_t n, const double *a, intptr_t ra, intptr_t ca,
+                   const double *b, double *out)
+{
+    const intptr_t row = n * sizeof(double), col = sizeof(double);
+    char *const data[] = {(char *)a, (char *)b, (char *)out};
+    const intptr_t dims[] = {1, n, n, n};
+    const intptr_t steps[] = {0, 0, 0, ra, ca, row, col, row, col};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+}
+
+/* u, s, vt of the n x n C-contiguous a by numpy's svd_f loop, as
+   np.linalg.svd(a) calls it: the loop raises FE_INVALID when LAPACK does
+   not converge, where numpy raises LinAlgError */
+static void svd(const ufunc_loop *f, int64_t n, const double *a, double *u, double *s,
+                double *vt)
+{
+    const intptr_t row = n * sizeof(double), col = sizeof(double);
+    char *const data[] = {(char *)a, (char *)u, (char *)s, (char *)vt};
+    const intptr_t dims[] = {1, n, n, n};
+    const intptr_t steps[] = {0, 0, 0, 0, row, col, row, col, col, row, col};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+}
+
+/* np.linalg.norm of the `size` contiguous doubles x: the square root of
+   x.dot(x), whose ddot numpy's vecdot loop calls too */
+static double norm(const ufunc_loop *f, int64_t size, const double *x)
+{
+    double squares;
+    char *const data[] = {(char *)x, (char *)x, (char *)&squares};
+    const intptr_t dims[] = {1, size};
+    const intptr_t steps[] = {0, 0, 0, sizeof(double), sizeof(double)};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+    return sqrt(squares);
+}
+
+/* frame._transport's dU: -outer(tan, td) @ U @ p0 + outer(td, t0) into out,
+   with tan and td the rows of the tangent and its rate; work holds 2 n n
+   doubles */
+static void frame_rate(const ufunc_loop *mm, int64_t n, const double *tan, const double *td,
+                       const double *t0, const double *p0, const double *U, double *out,
+                       double *work)
+{
+    const intptr_t row = n * sizeof(double), col = sizeof(double);
+    double *a = work, *b = work + n * n;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < n; j++)
+            a[i * n + j] = -(tan[i] * td[j]);
+    matmul(mm, n, a, row, col, U, b);
+    matmul(mm, n, b, row, col, p0, out);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < n; j++)
+            out[i * n + j] = out[i * n + j] + td[i] * t0[j];
+}
+
+/* What nc_frame returns when no step lost orthogonality: all done, the SVD
+   did not converge, or a floating-point exception of `watch` was raised */
+enum { FRAME_DONE = -1, FRAME_SVD = -2, FRAME_RAISED = -3 };
+
+/* frame._transport: the frame U on m grid rows from m * substeps RK4 steps
+   of h, each step's U projected to u @ vt of its SVD, then its rate V on
+   the grid rows, every operation numpy's in numpy's order: the elementwise
+   ones here, the matrix products, the SVD and the norm's dot by numpy's
+   own loops (loops = matmul, svd_f, vecdot).  tan and rate hold the rows
+   of frame._transport, 3 m substeps + m of n values.  Returns FRAME_DONE,
+   the step whose drift from orthogonality passed 1e-6, with the drift in
+   *drift, FRAME_SVD, or FRAME_RAISED when an operation raised an exception
+   of watch (the flags numpy's error state does not ignore; bits 1, 2, 4
+   and 8 for overflow, invalid, divide and underflow), which the numpy loop
+   then reports.  The SVD's own exceptions are numpy's to ignore but
+   FE_INVALID.  work holds 10 n n + n doubles. */
+int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double *tan,
+                 const double *rate, const double *t0, const double *p0, double *U, double *V,
+                 double *drift, double *work, const ufunc_loop *loops, int64_t watch)
+{
+    const int64_t s = m * substeps, nn = n * n;
+    const intptr_t row = n * sizeof(double), col = sizeof(double);
+    const int raised = (watch & 1 ? FE_OVERFLOW : 0) | (watch & 2 ? FE_INVALID : 0)
+                       | (watch & 4 ? FE_DIVBYZERO : 0) | (watch & 8 ? FE_UNDERFLOW : 0);
+    const double half = h / 2.0, sixth = h / 6.0;
+    double *cur = work, *k1 = cur + nn, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn;
+    double *x = k4 + nn, *u = x + nn, *vt = u + nn, *sv = vt + nn, *scratch = sv + n;
+    for (int64_t q = 0; q < nn; q++)
+        U[q] = cur[q] = q % (n + 1) ? 0.0 : 1.0;
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t k = 0; k < s; k++) {
+        frame_rate(loops, n, tan + k * n, rate + k * n, t0, p0, cur, k1, scratch);
+        for (int64_t q = 0; q < nn; q++)
+            x[q] = cur[q] + half * k1[q];
+        frame_rate(loops, n, tan + (s + k) * n, rate + (s + k) * n, t0, p0, x, k2, scratch);
+        for (int64_t q = 0; q < nn; q++)
+            x[q] = cur[q] + half * k2[q];
+        frame_rate(loops, n, tan + (s + k) * n, rate + (s + k) * n, t0, p0, x, k3, scratch);
+        for (int64_t q = 0; q < nn; q++)
+            x[q] = cur[q] + h * k3[q];
+        frame_rate(loops, n, tan + (2 * s + k) * n, rate + (2 * s + k) * n, t0, p0, x, k4,
+                   scratch);
+        for (int64_t q = 0; q < nn; q++)
+            x[q] = cur[q] + sixth * (((k1[q] + 2.0 * k2[q]) + 2.0 * k3[q]) + k4[q]);
+        /* norm(x.T @ x - eye) */
+        matmul(loops, n, x, col, row, x, scratch);
+        for (int64_t q = 0; q < nn; q++)
+            scratch[q] = scratch[q] - (q % (n + 1) ? 0.0 : 1.0);
+        const double d = norm(loops + 2, nn, scratch);
+        if (fetestexcept(raised))
+            return FRAME_RAISED;
+        if (d > 1e-6) {
+            *drift = d;
+            return k;
+        }
+        svd(loops + 1, n, x, u, sv, vt);
+        if (fetestexcept(FE_INVALID))
+            return FRAME_SVD;
+        feclearexcept(FE_ALL_EXCEPT);
+        matmul(loops, n, u, row, col, vt, cur);
+        if ((k + 1) % substeps == 0 && k + 1 < s)
+            memcpy(U + (k + 1) / substeps * nn, cur, nn * sizeof *cur);
+    }
+    for (int64_t i = 0; i < m; i++)
+        frame_rate(loops, n, tan + (3 * s + i) * n, rate + (3 * s + i) * n, t0, p0, U + i * nn,
+                   V + i * nn, scratch);
+    return fetestexcept(raised) ? FRAME_RAISED : FRAME_DONE;
 }
 """
 
@@ -983,7 +1136,7 @@ def _c_template(name, coefficients, curve):
 _TRACED = {name: _c_template(name, *entry) for name, entry in _TEMPLATES.items()}
 
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
-           + _LOOPS + _NELDER_MEAD + "".join(text for text, *_ in _TRACED.values()))
+           + _LOOPS + _FRAME + _NELDER_MEAD + "".join(text for text, *_ in _TRACED.values()))
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
@@ -1013,9 +1166,11 @@ _ARGTYPES = {
     "nelder_mead": [_P],
     **{f"{name}{suffix}": [_I, _I, _P] for name, (*_, exps) in _TRACED.items()
        for suffix in ("_exponents", "")[not exps:]},
+    # the frame transport, called once per frame
+    "frame": [_I, _I, _I, ctypes.c_double] + [_P] * 9 + [_I],
 }
 # what an nc_ function returns, when not None
-_RESTYPES = {"nelder_mead": _I}
+_RESTYPES = {"nelder_mead": _I, "frame": _I}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless two members' steps are more
@@ -1284,6 +1439,79 @@ def linear_loop(leading_order, terms) -> Optional[Callable]:
     arguments of its numpy loop, ``hopf._linear_loop``, or None for that
     loop; the records are z (P, rows) and tau (P, rows)."""
     return _bind("linear", 10, [(), ()], leading_order, terms)
+
+
+class _CallInfo(ctypes.Structure):
+    """The head of numpy's ``ufunc_call_info``, which the capsule named
+    ``numpy_1.24_ufunc_call_info`` holds."""
+
+    _fields_ = [("loop", _P), ("context", _P), ("auxdata", _P), ("requires_pyapi", ctypes.c_ubyte)]
+
+
+@functools.cache
+def _ufunc_loops():
+    """numpy's float64 strided inner loops of ``np.matmul``, ``np.linalg``'s
+    ``svd_f`` and ``np.vecdot``, the loops ``nc_frame`` calls, as an array of
+    their (loop, context, auxdata) pointers, and the call-info capsules that
+    own them, which must live while they are called.  numpy hands them out
+    through the experimental ``ufunc._resolve_dtypes_and_context`` and
+    ``_get_strided_loop``; ctypes reads the capsule, so the build needs no
+    Python headers.  None where numpy lacks that API, names the capsule
+    otherwise or has a loop that needs the Python API."""
+    pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    float64 = np.dtype(np.float64)
+    loops, capsules = [], []
+    try:
+        from numpy.linalg import _umath_linalg
+
+        for ufunc in (np.matmul, _umath_linalg.svd_f, np.vecdot):
+            _, capsule = ufunc._resolve_dtypes_and_context((float64,) * ufunc.nargs)
+            ufunc._get_strided_loop(capsule)
+            info = _CallInfo.from_address(pointer(capsule, b"numpy_1.24_ufunc_call_info"))
+            if info.requires_pyapi or not info.loop:
+                return None
+            loops += [info.loop, info.context, info.auxdata]
+            capsules.append(capsule)
+    except (AttributeError, ImportError, NotImplementedError, TypeError, ValueError):
+        return None
+    return np.array(loops, np.uintp), capsules
+
+
+# what nc_frame returns for an SVD that did not converge and for a
+# floating-point exception; else a step that lost orthogonality, or -1
+_FRAME_SVD, _FRAME_RAISED = -2, -3
+# numpy's error-state names, by nc_frame's bit for each
+_WATCHED = ((1, "over"), (2, "invalid"), (4, "divide"), (8, "under"))
+
+
+def frame_transport(tan, rate, t0, p0, h, m, substeps) -> Optional[tuple]:
+    """``frame._transport`` in one call of ``nc_frame`` on the same
+    arguments, with the same results, or None for that loop: without the
+    library or numpy's loops (``_ufunc_loops``), for a value that is not
+    float64, or when an operation raised a floating-point exception that
+    numpy's error state does not ignore, so that the numpy loop reports it
+    as numpy does.  An SVD that does not converge raises numpy's
+    ``LinAlgError``, as ``np.linalg.svd`` does."""
+    lib, loops = _library(), _ufunc_loops()
+    values = [np.asarray(x) for x in (tan, rate, t0, p0, h)]
+    if lib is None or loops is None or any(x.dtype != np.float64 for x in values):
+        return None
+    tan, rate, t0, p0 = (np.ascontiguousarray(x) for x in values[:4])
+    n = t0.size
+    if tan.shape != rate.shape or tan.shape != ((3 * substeps + 1) * m, n) or p0.shape != (n, n):
+        raise ValueError("nc_frame got rows, a tangent or a projector of mismatched shapes")
+    U, V = np.empty((m, n, n)), np.empty((m, n, n))
+    drift, work = np.zeros(1), np.empty(10 * n * n + n)
+    errors = np.geterr()
+    watch = sum(bit for bit, name in _WATCHED if errors[name] != "ignore")
+    lost = lib.nc_frame(m, n, substeps, float(h), *(x.ctypes.data for x in (
+        tan, rate, t0, p0, U, V, drift, work, loops[0])), watch)
+    if lost == _FRAME_RAISED:
+        return None
+    if lost == _FRAME_SVD:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return U, V, lost, drift[0]
 
 
 def _frame(arrays) -> np.ndarray:

@@ -58,6 +58,9 @@ __all__ = [
 # lag samples a callable ACV may take in wk_transform before it is judged
 # non-decaying
 _MAX_LAGS = 2**21
+# times wk_transform may halve a callable ACV's first lag step before it
+# judges the ACV not continuous at zero
+_MAX_HALVINGS = 64
 
 # samples in one kde chunk, and grid rows in one kde block: a block's two
 # buffers of 16 x 4096 doubles (1 MiB) stay in a core's L2 cache
@@ -249,8 +252,10 @@ def wk_transform(acv, omegas) -> PsdEstimate:
 
     ``acv`` is either an :class:`AcvEstimate` (integrated on its own lag
     grid) or a callable u -> ACV(u); for callables the lag grid is built
-    automatically with 256 lags per period of the highest frequency,
-    extending until the block envelope of |ACV| falls below 1e-6 of ACV(0)
+    automatically with 256 lags per period of the highest frequency, its
+    step halved until the ACV moves by at most 1% of ACV(0) over the first
+    one (at most 64 times, else :class:`ConfigError`), and extends until
+    the block envelope of |ACV| falls below 1e-6 of ACV(0)
     (inputs that do not decay within 2**21 lags, e.g. a noiseless template,
     raise :class:`DegenerateSpectrumError`; a block holding a value that is
     not finite raises :class:`ConfigError` naming its first such lag).  An
@@ -286,8 +291,7 @@ def wk_transform(acv, omegas) -> PsdEstimate:
                 lags, vals = lags[:cut], vals[:cut]
         else:
             w_max = max(omegas.max(), 1e-12)
-            du = np.pi / (128.0 * w_max)
-            lags, vals = _sampled_until_decay(acv, du, _MAX_LAGS * du)
+            lags, vals = _sampled_until_decay(acv, np.pi / (128.0 * w_max))
         spacing = np.diff(lags)
         values = np.empty(omegas.size)
 
@@ -320,10 +324,29 @@ def _require_finite(lags, vals):
         raise ConfigError(f"ACV must be finite, got {vals[bad[0]]} at lag {lags[bad[0]]:g}")
 
 
-def _sampled_until_decay(fn, du, cap):
-    c0 = abs(float(fn(0.0)))
+def _sampled_until_decay(fn, du):
+    """Lags k du and ``fn`` there, in blocks, until a block's envelope falls
+    below 1e-6 of |ACV(0)|.  ``du`` is halved first until the ACV moves by
+    at most 1e-2 |ACV(0)| over one step, probed one lag at a time as ACV(0)
+    is, so that a step set by a low top frequency still resolves the decay.
+    """
+    v0 = float(fn(0.0))
+    c0 = abs(v0)
     if not np.isfinite(c0) or c0 == 0.0:
         raise ConfigError("ACV(0) must be finite and nonzero")
+    for _ in range(_MAX_HALVINGS + 1):
+        v = float(fn(du))
+        if not np.isfinite(v):
+            raise ConfigError(f"ACV must be finite, got {v} at lag {du:g}")
+        if abs(v - v0) <= 1e-2 * c0:
+            break
+        du /= 2.0
+    else:
+        raise ConfigError(
+            f"the ACV moves by more than 1% of ACV(0) = {v0:g} within every lag step "
+            f"down to {2.0 * du:g}: a callable ACV must be continuous at lag 0"
+        )
+    cap = _MAX_LAGS * du
     block = 4096
     chunks_u, chunks_v = [], []
     start = 0

@@ -391,28 +391,24 @@ def _normal_basis(t0) -> np.ndarray:
     return b * np.sign(b[idx, np.arange(n - 1)])
 
 
-def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
-    """Integrate the frame equation along the cycle grid.
+def _transport(tan, rate, t0, p0, h, m, substeps):
+    """The numpy loop of :func:`build_frame`'s transport, the reference of
+    ``_stepkernel.frame_transport``, which takes the same arguments and
+    gives the same results.
 
-    Classical RK4 with ``substeps`` stages per grid interval; after every
-    step U is projected to the nearest orthogonal matrix (polar
-    projection), and the drift from orthogonality before projection must
-    stay below 1e-6 or the grid is judged too coarse.  All frame
-    invariants are verified before returning.
+    U starts at the identity and takes s = m ``substeps`` classical RK4
+    steps of ``h``; each step's U is projected to the nearest orthogonal
+    matrix, and every ``substeps``-th is kept, U[i] at grid point i.  Then
+    V[i] = dU/dt at U[i].  The tangent and its rate are the rows of ``tan``
+    and ``rate``: row k at the start of step k, rows s + k and 2 s + k half
+    way and at its end, and rows 3 s + i at grid point i; ``t0`` is the
+    first tangent and ``p0`` the projector normal to it.  Returns U, V and
+    the first step whose drift from orthogonality before the projection,
+    the Frobenius norm of U^T U - I, passes 1e-6, with that drift, or -1;
+    U and V are unfinished after such a step.
     """
-    _require_count("substeps", substeps, 1)
-    m, n = cycle.L.shape
-    t0 = cycle.T[0]
-    p0 = np.eye(n) - np.outer(t0, t0)
-    h = cycle.period / (m * substeps)
-    # both splines are called once, at every time needed: RK4 step k at
-    # t[k], t[k] + h/2 and t[k] + h (rows k, s + k, 2s + k), with t summed
-    # h by h from 0, and V at the grid (rows 3s on)
+    n = t0.size
     s = m * substeps
-    t = np.concatenate([[0.0], np.add.accumulate(np.full(s - 1, h))])
-    times = np.concatenate([t, t + h / 2.0, t + h, cycle.grid])
-    tan = _periodic_spline(cycle.grid, cycle.T, cycle.period)(times)
-    rate = _periodic_spline(cycle.grid, cycle.tangent_rate(), cycle.period)(times)
 
     def dU(at, U):
         td = rate[at]
@@ -429,15 +425,66 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
         cur = cur + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift_from_orthogonal = np.linalg.norm(cur.T @ cur - np.eye(n))
         if drift_from_orthogonal > 1e-6:
-            raise NumericsError(
-                f"frame lost orthogonality ({drift_from_orthogonal:.2e}) at t = {t[k] + h:.4g}; "
-                "rebuild on a finer grid (find_limit_cycle's grid_size, the CLI's --grid-size)"
-            )
+            return U, None, k, drift_from_orthogonal
         cur = _nearest_orthogonal(cur)
         if (k + 1) % substeps == 0 and k + 1 < s:
             U[(k + 1) // substeps] = cur
 
     V = np.array([dU(3 * s + i, U[i]) for i in range(m)])
+    return U, V, -1, 0.0
+
+
+def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
+    """Integrate the frame equation along the cycle grid.
+
+    Classical RK4 with ``substeps`` stages per grid interval; after every
+    step U is projected to the nearest orthogonal matrix (polar
+    projection), and the drift from orthogonality before projection must
+    stay below 1e-6 or the grid is judged too coarse.  All frame
+    invariants are verified before returning.
+
+    Python evaluates the tangent's and its rate's periodic splines once, at
+    every time the steps need, and the normal basis.  The steps themselves
+    run in one call of the compiled library (``_stepkernel.frame_transport``):
+    the outer products and RK4 sums in C, in numpy's order, and the matrix
+    products, the SVD of the projection and the dot of the orthogonality
+    norm in numpy's own float64 loops, which the C calls with the strides
+    numpy would pass.  Those go through OpenBLAS and LAPACK, whose kernels
+    sum in an order that depends on the CPU, so only numpy's loops give
+    numpy's bits on every host.  The numpy loop (``_transport``) is the
+    reference, and it runs instead, with the same results, without the
+    library or numpy's loop API, and whenever an operation raises a
+    floating-point exception that numpy's error state does not ignore, so
+    that numpy reports it.
+
+    Raises
+    ------
+    NumericsError
+        When a step drifts from orthogonality by more than 1e-6, or the
+        built frame breaks an invariant: the grid is too coarse.
+    numpy.linalg.LinAlgError
+        When a projection's SVD does not converge (a NaN reached it).
+    """
+    _require_count("substeps", substeps, 1)
+    m, n = cycle.L.shape
+    t0 = cycle.T[0]
+    p0 = np.eye(n) - np.outer(t0, t0)
+    h = cycle.period / (m * substeps)
+    # both splines are called once, at every time needed: RK4 step k at
+    # t[k], t[k] + h/2 and t[k] + h (rows k, s + k, 2s + k), with t summed
+    # h by h from 0, and V at the grid (rows 3s on)
+    s = m * substeps
+    t = np.concatenate([[0.0], np.add.accumulate(np.full(s - 1, h))])
+    times = np.concatenate([t, t + h / 2.0, t + h, cycle.grid])
+    tan = _periodic_spline(cycle.grid, cycle.T, cycle.period)(times)
+    rate = _periodic_spline(cycle.grid, cycle.tangent_rate(), cycle.period)(times)
+    args = (tan, rate, t0, p0, h, m, substeps)
+    U, V, lost, drift = _stepkernel.frame_transport(*args) or _transport(*args)
+    if lost >= 0:
+        raise NumericsError(
+            f"frame lost orthogonality ({drift:.2e}) at t = {t[lost] + h:.4g}; "
+            "rebuild on a finer grid (find_limit_cycle's grid_size, the CLI's --grid-size)"
+        )
     frame = ComovingFrame(U=U, V=V, basis_P0=_normal_basis(t0))
     ortho, tangent_dev, lemma_dev = _frame_deviations(cycle, frame)
     if ortho > 1e-8 or tangent_dev > 1e-6 or lemma_dev > 1e-6:
@@ -452,8 +499,11 @@ def build_frame(cycle: CycleParameterization, substeps=1) -> ComovingFrame:
 def _frame_deviations(cycle, frame):
     """Worst deviations from the frame invariants over the grid: from
     orthogonality of U, of U T0 from T, and of |V| from |dT/dt|."""
-    eye = np.eye(cycle.dimension)
-    ortho = max(np.linalg.norm(u.T @ u - eye) for u in frame.U)
+    # the Frobenius norm of each U^T U - I: numpy's matmul takes each
+    # product to syrk and vecdot's ddot is norm's, as for one matrix
+    m = len(frame.U)
+    drift = (frame.U.transpose(0, 2, 1) @ frame.U - np.eye(cycle.dimension)).reshape(m, -1)
+    ortho = np.sqrt(np.vecdot(drift, drift)).max()
     carried = np.einsum("mij,j->mi", frame.U, cycle.T[0])
     tangent_dev = np.linalg.norm(carried - cycle.T, axis=1).max()
     # the rotation-rate identity is about the operator norm, not Frobenius

@@ -189,6 +189,42 @@ def test_wk_transform_rejects_non_decaying_input():
         wk_transform(lambda u: np.cos(u), np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("omegas", [[0.0], [0.0, 1e-3]])
+def test_wk_transform_resolves_a_callable_acv_at_a_low_top_frequency(omegas):
+    # the lag step pi / (128 w_max) alone spans the whole decay of e^-|u|
+    # (2.45e10 at [0.0], 24.5 at [0.0, 1e-3]); halved until the ACV moves
+    # by at most 1% over one step, it resolves 2 / (1 + w^2)
+    got = wk_transform(lambda u: np.exp(-np.abs(u)), omegas).values
+    assert got == pytest.approx(2.0 / (1.0 + np.square(omegas)), rel=1e-5)
+
+
+def test_wk_transform_keeps_the_top_frequency_step_of_the_hopf_template():
+    # criterion 9's grid: at 4 alpha the template moves by 1.4e-4 of ACV(0)
+    # over the first step, which is kept
+    p = _params(0.1)
+    du = np.pi / (128.0 * 4.0 * p.alpha)
+    lags, _ = _sampled_until_decay(lambda u: acv_formula(p, u), du)
+    assert lags[1] == du
+
+
+def test_wk_transform_refuses_a_callable_acv_that_jumps_at_lag_zero():
+    probes = []
+
+    def acv(u):
+        probes.append(u)
+        return np.where(u == 0.0, 1.0, 0.5) * np.exp(-np.abs(u))
+
+    message = (r"^the ACV moves by more than 1% of ACV\(0\) = 1 within every lag step "
+               r"down to \S+: a callable ACV must be continuous at lag 0$")
+    with pytest.raises(ConfigError, match=message):
+        wk_transform(acv, [1.0])
+    # ACV(0), then the first step and its 64 halvings, one lag at a time
+    assert len(probes) == 66 and all(np.ndim(u) == 0 for u in probes)
+    # a probe that is not finite is named as a block's value is
+    with pytest.raises(ConfigError, match=r"^ACV must be finite, got nan at lag 0\.0245437$"):
+        wk_transform(lambda u: np.where(u == 0.0, 1.0, np.nan), [1.0])
+
+
 @pytest.mark.parametrize("value, after, block", [(np.nan, 1.0, 0), (np.inf, 150.0, 1)])
 def test_wk_transform_refuses_an_acv_that_is_not_finite_at_its_first_block(value, after, block):
     # not a line spectrum sampled to the 2**21-lag cap: the first block that
@@ -230,7 +266,7 @@ def test_wk_transform_is_bitwise_the_trapezoid_blocks(n_omegas):
 
     got = wk_transform(fn, w).values
     du = np.pi / (128.0 * w.max())
-    lags, vals = _sampled_until_decay(fn, du, 2**21 * du)
+    lags, vals = _sampled_until_decay(fn, du)
     assert got.tobytes() == _wk_blocks(lags, vals, w).tobytes()
 
     # an estimate whose 512-lag block envelope first falls below 1e-6 of

@@ -409,8 +409,12 @@ def test_the_search_gives_up_at_its_horizon(monkeypatch):
 
 def test_coarse_grid_is_refused():
     cycle = find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=16)
-    with pytest.raises(NumericsError):
-        build_frame(cycle)
+    messages = []
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, pytest.raises(NumericsError) as err:
+            build_frame(cycle)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def _frame_stage_loop(cycle, substeps):
@@ -450,14 +454,108 @@ def vdp2_cycle():
     return find_limit_cycle(van_der_pol(2.0), (2.0, 0.0), grid_size=2048)
 
 
+@pytest.fixture(scope="module")
+def vdp_half_cycle():
+    return find_limit_cycle(van_der_pol(0.5), (2.0, 0.0))
+
+
+# the planar Hopf, van der Pol at mu 0.5, 1 and 2, and the 3-D tilted Hopf
+FRAME_CYCLES = ["hopf_cycle", "vdp_half_cycle", "vdp_cycle", "vdp2_cycle", "cycle_3d"]
+
+
 @pytest.mark.parametrize("substeps", [1, 2])
-@pytest.mark.parametrize("cycle_name", ["hopf_cycle", "vdp2_cycle"])
+@pytest.mark.parametrize("cycle_name", FRAME_CYCLES)
 def test_frame_is_bitwise_the_per_stage_spline_loop(request, cycle_name, substeps):
+    # the compiled transport calls numpy's own matmul, SVD and dot loops,
+    # so it gives numpy's bits whichever BLAS kernels and SIMD loops the
+    # host dispatches
     cycle = request.getfixturevalue(cycle_name)
-    frame = build_frame(cycle, substeps=substeps)
     U, V = _frame_stage_loop(cycle, substeps)
-    assert frame.U.tobytes() == U.tobytes()
-    assert frame.V.tobytes() == V.tobytes()
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop:
+            frame = build_frame(cycle, substeps=substeps)
+        assert frame.U.tobytes() == U.tobytes()
+        assert frame.V.tobytes() == V.tobytes()
+
+
+def _no_projection(A):
+    raise AssertionError("the numpy transport ran")
+
+
+@requires_compiler
+def test_the_frame_takes_its_compiled_transport(monkeypatch, hopf_cycle):
+    # the numpy loop alone projects through _nearest_orthogonal
+    with monkeypatch.context() as mp:
+        mp.setattr(frame_module, "_nearest_orthogonal", _no_projection)
+        frame = build_frame(hopf_cycle, substeps=2)
+    # without the library, or without numpy's loops, the numpy loop runs
+    # and gives the same bits
+    for missing in ("_library", "_ufunc_loops"):
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(_stepkernel, missing, lambda: None)
+            mp.setattr(frame_module, "_nearest_orthogonal",
+                       lambda A: calls.append(A) or _nearest_orthogonal(A))
+            numpy_frame = build_frame(hopf_cycle, substeps=2)
+        assert len(calls) == 2 * hopf_cycle.grid_size
+        assert numpy_frame.U.tobytes() == frame.U.tobytes()
+        assert numpy_frame.V.tobytes() == frame.V.tobytes()
+
+
+def test_numpy_hands_out_its_float64_loops():
+    # a numpy whose strided-loop API or capsule changed gives None, and the
+    # numpy loop runs; this one must give all three loops
+    loops, capsules = _stepkernel._ufunc_loops()
+    assert loops.dtype == np.uintp and loops.shape == (9,) and loops[::3].all()
+    assert len(capsules) == 3
+
+
+def _overflowing(cycle):
+    # a Jacobian sample of 1e160: its tangent rate overflows the first
+    # stages' products, so an inf and then a NaN reach the SVD
+    J = cycle.J.copy()
+    J[5] *= 1e160
+    return dataclasses.replace(cycle, J=J)
+
+
+@requires_compiler
+def test_a_nan_in_the_svd_is_numpys_linalg_error_on_both_paths(monkeypatch, hopf_cycle):
+    cycle = _overflowing(hopf_cycle)
+    ran = []
+    numpy_transport = frame_module._transport
+    monkeypatch.setattr(frame_module, "_transport",
+                        lambda *args: ran.append(1) or numpy_transport(*args))
+    for loop, runs in ((contextlib.nullcontext(), 0), (numpy_loop(), 1)):
+        with loop, np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError) as err:
+            build_frame(cycle)
+        assert str(err.value) == "SVD did not converge"
+        # with the library, the compiled transport raises it itself
+        assert len(ran) == runs
+
+
+def test_a_floating_point_exception_is_reported_by_the_numpy_loop(hopf_cycle):
+    # numpy's error state decides what an overflow does; the compiled
+    # transport hands such a frame to the numpy loop, which reports it
+    cycle = _overflowing(hopf_cycle)
+    for loop in (contextlib.nullcontext, numpy_loop):
+        with loop(), np.errstate(over="raise"), pytest.raises(FloatingPointError) as err:
+            build_frame(cycle)
+        assert str(err.value) == "overflow encountered in matmul"
+        with loop(), np.errstate(over="warn", invalid="warn"), \
+                pytest.warns(RuntimeWarning) as caught, pytest.raises(np.linalg.LinAlgError):
+            build_frame(cycle)
+        assert [str(w.message) for w in caught] == [
+            "overflow encountered in matmul", "invalid value encountered in matmul"]
+
+
+@pytest.mark.parametrize("cycle_name", ["hopf_cycle", "vdp2_cycle", "cycle_3d"])
+def test_frame_deviations_orthogonality_is_the_per_matrix_norm(request, cycle_name):
+    # the stacked matmul and vecdot give each matrix's norm bit for bit
+    cycle = request.getfixturevalue(cycle_name)
+    frame = build_frame(cycle)
+    eye = np.eye(cycle.dimension)
+    per_matrix = max(np.linalg.norm(u.T @ u - eye) for u in frame.U)
+    assert frame_module._frame_deviations(cycle, frame)[0].tobytes() == per_matrix.tobytes()
 
 
 def test_a_one_dimensional_cycle_has_no_reduced_model():
@@ -692,9 +790,13 @@ def test_the_cycle_search_refuses_a_drift_not_finite_at_the_guess_up_front(
 def test_the_orthogonality_error_sends_the_user_to_a_finer_grid():
     # more substeps never reach the limit on this grid; a finer grid does
     cycle = find_limit_cycle(van_der_pol(1.0), (2.0, 0.0), grid_size=64)
-    with pytest.raises(NumericsError) as err:
-        build_frame(cycle)
-    message = str(err.value)
+    messages = []
+    for loop in (contextlib.nullcontext(), numpy_loop()):
+        with loop, pytest.raises(NumericsError) as err:
+            build_frame(cycle)
+        messages.append(str(err.value))
+    message = messages[0]
+    assert messages[1] == message
     assert message.startswith("frame lost orthogonality (3.93e-05) at t = ")
     assert "grid_size" in message and "--grid-size" in message
     assert "substep" not in message
