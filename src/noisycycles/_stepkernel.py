@@ -1,7 +1,7 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
 package builds, of ``frame.simulate_reduced`` and of
-``hopf.simulate_hopf_linear``, and the compiled bookkeeping of
-``fitting``'s Nelder-Mead restarts and its templates.
+``hopf.simulate_hopf_linear``, ``fitting``'s compiled Nelder-Mead restarts
+and its templates, and the frame's compiled transport.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
@@ -77,37 +77,40 @@ for the call.  A member owns its generator, its state and its rows, so the
 split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 :func:`linear_loop` add only their own rules and end in ``_bind``.
 
-``nc_nelder_mead`` is no member loop: it is ``fitting._nelder_mead``, the
-package's copy of scipy's bounded Nelder-Mead, for all of a fit's restarts
-at once, with every ``+ - * /``, comparison, clip and budget rule of that
-generator in its order after the start simplex, which both drivers take
-from ``fitting._simplex``.  Each restart is a state machine over flat
-arrays (its phase, nfev, nit, simplex and values); one call takes the
-values of the points it asked for last, divides them by the objective's
-normalization, advances every live restart until it needs new points, and
-writes them all into one (points, n) buffer.  :func:`nelder_mead` makes
-one call a round, the start simplices' round first, and has the objective
-write the points' values straight into the Nelder-Mead's buffer.  The C
-orders a simplex only when its values are distinct and not NaN, where
-every sort agrees with numpy's; otherwise the restart waits a round for
-``np.argsort`` of its values, so ties keep numpy's order on every CPU.
+``nc_fit`` is no member loop: it is ``fitting._nelder_mead``, the
+package's copy of scipy's bounded Nelder-Mead, for all of a fit's restarts,
+with every ``+ - * /``, comparison, clip and budget rule of that generator
+in its order after the start simplex, which both drivers take from
+``fitting._simplex``.  Each restart is a state machine over its own rows
+of flat arrays (its phase, nfev, nit, simplex and values) that writes the
+points it needs, has the objective write their values, and divides those
+by the objective's normalization.  :func:`fit_restarts` binds them once
+per fit and hands the restarts to ``_threads(count)`` workers, each the
+next restart to the next free worker; a restart depends on nothing but
+its own rows, so which worker ran it changes no value.  One call runs
+every round of every restart.  The C orders a simplex only when its
+values are distinct and not NaN, where every sort agrees with numpy's;
+otherwise the restart waits, and when every restart has ended or waits,
+``np.argsort`` orders the waiting ones' values and the workers run again,
+so ties keep numpy's order on every CPU.
 
 The fit's two templates are written once here too: each point's
 coefficients (``_acv_coefficients``, ``_psd_coefficients``, through
 ``_nsr_of``) and the curve on a grid (``_acv_curve``, ``_psd_curve``).
-:func:`template` evaluates them in C for a batch of points, emitted from
-the same functions (``_c_template``): ``_Traced`` also records ``** 2``
-(numpy's square x * x on a value that varies with the grid, libm's
-``pow(x, 2.0)`` on a coefficient, as a Python float or numpy scalar
-squares), ``np.sqrt``, ``np.cos`` (libm's, which numpy's float64 cos
+:func:`template` binds their C objective, ``nc_acv`` or ``nc_psd``,
+emitted from the same functions (``_c_template``): ``_Traced`` also
+records ``** 2`` (numpy's square x * x on a value that varies with the
+grid, libm's ``pow(x, 2.0)`` on a coefficient, as a Python float or numpy
+scalar squares), ``np.sqrt``, ``np.cos`` (libm's, which numpy's float64 cos
 calls) and ``np.exp``.  An exp is numpy's SIMD exp, whose bits C cannot
-promise, so the template splits there: ``nc_acv_exponents`` writes every
-point's coefficients and every exp argument of the batch into buffers,
-``np.exp`` maps the exp arguments in place, and ``nc_acv`` forms the curve
-less the data from them.  ``nc_psd``, which has no exp, is one call.  The
-rows' sums of squares stay numpy's BLAS dots.  The Nelder-Mead and the
-templates take one array of pointers to their buffers, bound once per fit,
-which keeps ctypes' conversions per call to one or three arguments.
+promise, and each row's sum of squares is a BLAS dot, whose order of
+summation depends on the CPU, so the objective calls numpy's own float64
+``exp`` and ``vecdot`` loops (:func:`_ufunc_loops`) for them: numpy's exp
+maps a round's points into parameters, traced C writes each point's
+coefficients and the ACV's exp arguments, numpy's exp maps those in place,
+traced C forms the curve less the data, and numpy's vecdot writes each
+row's sum of squares into the Nelder-Mead's values.  The fit runs under
+``np.errstate(all="ignore")``, so no floating-point flag is read.
 
 ``nc_frame`` is no member loop either: it is ``frame._transport``, the
 RK4 transport of the comoving frame and its rate, in one call
@@ -131,15 +134,15 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the ten
+the archive's symbols out of the library's exports, which are the nine
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice, and
 ``-fno-builtin-pow`` from rewriting ``pow(x, 2.0)`` as x * x.
 Without a compiler, without ``objcopy``, without numpy's static library,
 or without a writable cache, the numpy loops, fitting's Python restarts
 and its numpy templates, and the frame's numpy transport run instead,
-with the same results; so does the transport where numpy does not hand
-out its loops.
+with the same results; so do the fit and the transport where numpy does
+not hand out its loops.
 """
 
 from __future__ import annotations
@@ -528,11 +531,13 @@ void nc_linear(int64_t count, bitgen_t *const *gens, int64_t *bad, double *work,
 
 _FRAME = r"""
 /* numpy's strided inner loop of a float64 ufunc as _get_strided_loop fills
-   it in (_stepkernel._ufunc_loops): the loop, its context and its data */
+   it in (_stepkernel._ufunc_loops, which hands out matmul's, svd_f's,
+   vecdot's and exp's in this order): the loop, its context and its data */
 typedef struct {
     int (*loop)(void *, char *const *, const intptr_t *, const intptr_t *, void *);
     void *context, *auxdata;
 } ufunc_loop;
+enum { LOOP_MATMUL, LOOP_SVD, LOOP_VECDOT, LOOP_EXP };
 
 /* out = a @ b for n x n matrices by numpy's matmul loop, with the core
    strides np.matmul passes it: a's rows and columns ra and ca bytes apart,
@@ -561,15 +566,33 @@ static void svd(const ufunc_loop *f, int64_t n, const double *a, double *u, doub
     f->loop(f->context, data, dims, steps, f->auxdata);
 }
 
+/* np.vecdot(x, x, out) of k C-contiguous rows of m doubles by numpy's
+   vecdot loop: each row's sum of squares, its own ddot */
+static void row_squares(const ufunc_loop *f, int64_t k, int64_t m, const double *x, double *out)
+{
+    const intptr_t row = m * sizeof(double), col = sizeof(double);
+    char *const data[] = {(char *)x, (char *)x, (char *)out};
+    const intptr_t dims[] = {k, m};
+    const intptr_t steps[] = {row, row, col, col, col};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+}
+
+/* np.exp(x, out) of `size` contiguous doubles by numpy's exp loop, in
+   place when out is x */
+static void exp_of(const ufunc_loop *f, int64_t size, const double *x, double *out)
+{
+    char *const data[] = {(char *)x, (char *)out};
+    const intptr_t dims[] = {size};
+    const intptr_t steps[] = {sizeof(double), sizeof(double)};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+}
+
 /* np.linalg.norm of the `size` contiguous doubles x: the square root of
    x.dot(x), whose ddot numpy's vecdot loop calls too */
 static double norm(const ufunc_loop *f, int64_t size, const double *x)
 {
     double squares;
-    char *const data[] = {(char *)x, (char *)x, (char *)&squares};
-    const intptr_t dims[] = {1, size};
-    const intptr_t steps[] = {0, 0, 0, sizeof(double), sizeof(double)};
-    f->loop(f->context, data, dims, steps, f->auxdata);
+    row_squares(f, 1, size, x, &squares);
     return sqrt(squares);
 }
 
@@ -640,14 +663,14 @@ int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double 
         matmul(loops, n, x, col, row, x, scratch);
         for (int64_t q = 0; q < nn; q++)
             scratch[q] = scratch[q] - (q % (n + 1) ? 0.0 : 1.0);
-        const double d = norm(loops + 2, nn, scratch);
+        const double d = norm(loops + LOOP_VECDOT, nn, scratch);
         if (fetestexcept(raised))
             return FRAME_RAISED;
         if (d > 1e-6) {
             *drift = d;
             return k;
         }
-        svd(loops + 1, n, x, u, sv, vt);
+        svd(loops + LOOP_SVD, n, x, u, sv, vt);
         if (fetestexcept(FE_INVALID))
             return FRAME_SVD;
         feclearexcept(FE_ALL_EXCEPT);
@@ -846,46 +869,52 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
     }
 }
 
-/* fitting._nelder_mead's restarts [0, count) in lock step, on n
-   parameters, from the pointers a = (size, k, lower, upper, state, sim,
-   fsim, work, values, order, points, waiting), bound once per fit; size =
-   (count, n, maxfev, maxiter) and k = (rho, chi, psi, sigma, xatol, fatol,
-   scale).  It first divides the values of the points asked for last by
-   scale, the objective's normalization, as numpy's `/` would.  Then each
-   restart, in order, takes its values from `values`, in the order of the
-   points it asked for, and advances (nm_advance) until it needs points,
-   which go into `points` after those of the restarts before it.  Returns
-   the count of points; waiting[0] gets the count of restarts that wait
-   for numpy's order of their values, and waiting[1 ...] those restarts.
-   Restart r owns state[4 r ...], sim[(n + 1) n r ...], fsim[(n + 1) r
-   ...], order[(n + 1) r ...] and work[(n n + 2 n + 1) r ...]; a restart
-   has ended when it asks for nothing. */
-int64_t nc_nelder_mead(void *const *a)
+/* The objective of nc_fit at the k log-parameter points at `points`: the
+   sum of squared residuals of each into `values`, the caller dividing them
+   by the normalization; rows [row, row + k) of the buffers the pointers a
+   give are its own.  Nonzero stops the fit. */
+typedef int (*fit_objective)(void *const *a, int64_t row, int64_t k, const double *points,
+                             double *values);
+
+/* fitting._nelder_mead's restarts [0, count) on n parameters, from the
+   pointers a = (size, k, lower, upper, state, sim, fsim, work, values,
+   order, points, objective, objective's pointers, shared), bound once per
+   fit; size = (count, n, maxfev, maxiter), k = (rho, chi, psi, sigma,
+   xatol, fatol, scale) and shared = (the next restart to take, stop).
+   Each caller is a worker that takes the next restart nobody has taken
+   and runs its rounds: nm_advance writes the points it needs, the
+   objective their values, and each value is divided by scale, the
+   objective's normalization, as numpy's `/` would, until the restart has
+   ended or waits for numpy's order of its values (state[4 r + 3] is -1).
+   A restart reads and writes only its own rows, so which worker runs it
+   changes no value: restart r owns state[4 r ...], sim[(n + 1) n r ...],
+   fsim, order and values[(n + 1) r ...], points[(n + 1) n r ...], the
+   objective's rows [(n + 1) r, (n + 1) (r + 1)) and work[(n n + 2 n + 1)
+   r ...].  An objective that returns nonzero sets stop, and every worker
+   stops after its current round. */
+void nc_fit(void *const *a)
 {
     const int64_t *size = a[0], count = size[0], n = size[1];
     const double *k = a[1];
-    int64_t *state = a[4], *order = a[9], *waiting = a[11];
+    const fit_objective objective = (fit_objective)a[11];
+    int64_t *state = a[4], *order = a[9], *shared = a[13];
     double *sim = a[5], *fsim = a[6], *work = a[7], *values = a[8], *points = a[10];
-    int64_t total = 0, at = 0;
-    for (int64_t r = 0; r < count; r++)
-        for (int64_t q = 0; q < state[4 * r + 3]; q++, at++)
-            values[at] = values[at] / k[6];
-    at = 0;
-    waiting[0] = 0;
-    for (int64_t r = 0; r < count; r++) {
-        int64_t *own = state + 4 * r;
-        const double *mine = values + at;
-        at += own[3] > 0 ? own[3] : 0;
-        int64_t got = nm_advance(n, size[2], size[3], k, a[2], a[3], own,
-                                 sim + (n + 1) * n * r, fsim + (n + 1) * r,
-                                 work + (n * n + 2 * n + 1) * r, mine, order + (n + 1) * r,
-                                 points + total * n);
-        if (got < 0)
-            waiting[++waiting[0]] = r;
-        else
-            total += got;
+    for (int64_t r; (r = __atomic_fetch_add(shared, 1, __ATOMIC_RELAXED)) < count;) {
+        const int64_t row = (n + 1) * r;
+        double *mine = values + row, *asked = points + row * n;
+        for (int64_t got; !__atomic_load_n(shared + 1, __ATOMIC_RELAXED)
+                          && (got = nm_advance(n, size[2], size[3], k, a[2], a[3], state + 4 * r,
+                                               sim + row * n, fsim + row,
+                                               work + (n * n + 2 * n + 1) * r, mine,
+                                               order + row, asked)) > 0;) {
+            if (objective(a[12], row, got, asked, mine)) {
+                __atomic_store_n(shared + 1, 1, __ATOMIC_RELAXED);
+                break;
+            }
+            for (int64_t q = 0; q < got; q++)
+                mine[q] = mine[q] / k[6];
+        }
     }
-    return total;
 }
 """
 
@@ -1076,15 +1105,20 @@ def _c_template(name, coefficients, curve):
     of exps a point.  ``coefficients`` is traced on one row of the
     parameters, th[0 ...], each coefficient stored as c[q], and ``curve`` on
     the coefficients c[0 ...] and the grid value g[j], one statement an
-    operation in their order.  Each C function takes (k, m, a), rows [0, k)
-    over m grid values, and the pointers a = (g, data, thetas, coefs, exps,
-    out), bound once per fit: the (k, 4) thetas, the (k, width) coefs, the
-    (exps k, m) exps, row i's exps its rows [exps i, exps (i + 1)), and the
-    (k, m) out.  The first function writes each row's coefficients; with
-    exps, it is ``nc_name_exponents`` and also writes their arguments into
-    exps, for numpy to map in place.  ``nc_name`` writes row i's curve less
-    the data into row i of out.  The curve's statements are only those its
-    outputs read, and an exp's statement ends what it reads."""
+    operation in their order.  ``nc_name(a, row, k, points, values)`` is
+    the objective ``nc_fit`` runs (``fit_objective``) on the pointers a =
+    (g, data, thetas, coefs, exps, out, loops, size), bound once per fit:
+    the (rows, 4) thetas, the (rows, width) coefs, the (exps rows, m) exps,
+    row i's exps its rows [exps i, exps (i + 1)), the (rows, m) out,
+    numpy's loops (``_ufunc_loops``) and size = (m,).  On rows [row, row +
+    k) it takes numpy's exp of the points into thetas; writes each row's
+    coefficients, and with exps every exp argument of the rows
+    (``name_exponents``), which numpy's exp then maps in place; writes row
+    i's curve less the data into row i of out (``name_residuals``, which
+    also writes the coefficients without exps); and writes each row's sum
+    of squares into values by numpy's vecdot.  The curve's statements are
+    only those its outputs read, and an exp's statement ends what it
+    reads."""
     lines = []
     values = coefficients(*(_Traced(f"th[{q}]", False, lines) for q in range(_PARAMETERS)))
     if any(line[4] is not None for line in lines):
@@ -1096,23 +1130,23 @@ def _c_template(name, coefficients, curve):
                   _Traced("g[j]", True, lines))
     lines = lines[split:]
     exps = [line[4] for line in lines if line[4] is not None]
-    stages = [("", [f"o[j] = {value.text} - data[j];"], [value.text])]
+    stages = [("residuals", [f"o[j] = {value.text} - data[j];"], [value.text])]
     if exps:
         stores = [f"e[{q} * m + j] = {x};" for q, x in enumerate(exps)]
-        stages.insert(0, ("_exponents", stores, exps))
+        stages.insert(0, ("exponents", stores, exps))
     text = ""
-    for first, (suffix, stores, outputs) in zip((True, False), stages):
+    for first, (stage, stores, outputs) in zip((True, False), stages):
         keep = set(outputs)
         for t, _, _, reads, _ in reversed(lines):
             if t in keep:
                 keep.update(reads)
         body = [f"const double {t} = {e};" for t, _, e, _, _ in lines if t in keep]
-        if suffix and any(x is not None for t, *_, x in lines if t in keep):
+        if stage == "exponents" and any(x is not None for t, *_, x in lines if t in keep):
             raise TypeError(f"the {name} template takes an exp of an exp")
         # the first function writes the coefficients, a later one reads them
         coefs = "double" if first else "const double"
         frame = ["const double *g = a[0];"]
-        frame += ["const double *data = a[1];", "double *out = a[5];"] * (not suffix)
+        frame += ["const double *data = a[1];", "double *out = a[5];"] * (stage == "residuals")
         frame += ["const double *thetas = a[2];"] * first
         frame += [f"{coefs} *coefs = a[3];"]
         frame += ["double *exps = a[4];"] * bool(exps)
@@ -1120,15 +1154,28 @@ def _c_template(name, coefficients, curve):
         rows += [f"{coefs} *c = coefs + {width} * i;"]
         rows += head * first
         rows += [f"double *e = exps + {len(exps)} * m * i;"] * bool(exps)
-        rows += ["double *o = out + m * i;"] * (not suffix)
+        rows += ["double *o = out + m * i;"] * (stage == "residuals")
         text += (f"/* _stepkernel._{name}_coefficients and _{name}_curve, traced */\n"
-                 f"void nc_{name}{suffix}(int64_t k, int64_t m, void *const *a)\n{{\n"
+                 f"static void {name}_{stage}(int64_t first, int64_t last, int64_t m, "
+                 f"void *const *a)\n{{\n"
                  + "".join(f"    {f}\n" for f in frame)
-                 + "    for (int64_t i = 0; i < k; i++) {\n"
+                 + "    for (int64_t i = first; i < last; i++) {\n"
                  + "".join(f"        {r}\n" for r in rows)
                  + "        for (int64_t j = 0; j < m; j++) {\n"
                  + "".join(f"            {b}\n" for b in body + stores)
                  + "        }\n    }\n}\n\n")
+    steps = [f"exp_of(loops + LOOP_EXP, {_PARAMETERS} * k, points, thetas + {_PARAMETERS} * row);"]
+    if exps:
+        mapped = f"exps + {len(exps)} * m * row"
+        steps += [f"{name}_exponents(row, row + k, m, a);",
+                  f"exp_of(loops + LOOP_EXP, {len(exps)} * m * k, {mapped}, {mapped});"]
+    steps += [f"{name}_residuals(row, row + k, m, a);",
+              "row_squares(loops + LOOP_VECDOT, k, m, out + m * row, values);", "return 0;"]
+    frame = ["const ufunc_loop *loops = a[6];", "const int64_t m = *(const int64_t *)a[7];",
+             "double *thetas = a[2], *out = a[5];"] + ["double *exps = a[4];"] * bool(exps)
+    text += (f"/* the objective of the {name} template (fit_objective) */\n"
+             f"int nc_{name}(void *const *a, int64_t row, int64_t k, const double *points, "
+             f"double *values)\n{{\n" + "".join(f"    {f}\n" for f in frame + steps) + "}\n\n")
     return text, width, len(exps)
 
 
@@ -1161,16 +1208,16 @@ _ARGTYPES = {
     **dict.fromkeys(_FORMULAS, _MEMBERS + [_P] + [_P, _I, _I, _P, _P, _P]),
     "phase_deviation": _MEMBERS + [_P, _P] + [_P, _I, _P, _P, _I, _P],
     "linear": _MEMBERS + [_P, _P] + [_I, _P],
-    # not member loops, but bound once per fit: the Nelder-Mead takes the
-    # pointers to its arrays, a template's functions (k, m) and theirs
-    "nelder_mead": [_P],
-    **{f"{name}{suffix}": [_I, _I, _P] for name, (*_, exps) in _TRACED.items()
-       for suffix in ("_exponents", "")[not exps:]},
+    # not member loops, but bound once per fit: the fit's restarts take the
+    # pointers to their arrays, a template's objective (fit_objective) its
+    # own, a first row, a count and the points and values
+    "fit": [_P],
+    **dict.fromkeys(_TRACED, [_P, _I, _I, _P, _P]),
     # the frame transport, called once per frame
     "frame": [_I, _I, _I, ctypes.c_double] + [_P] * 9 + [_I],
 }
 # what an nc_ function returns, when not None
-_RESTYPES = {"nelder_mead": _I, "frame": _I}
+_RESTYPES = {"frame": _I, **dict.fromkeys(_TRACED, ctypes.c_int)}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless two members' steps are more
@@ -1451,9 +1498,10 @@ class _CallInfo(ctypes.Structure):
 @functools.cache
 def _ufunc_loops():
     """numpy's float64 strided inner loops of ``np.matmul``, ``np.linalg``'s
-    ``svd_f`` and ``np.vecdot``, the loops ``nc_frame`` calls, as an array of
-    their (loop, context, auxdata) pointers, and the call-info capsules that
-    own them, which must live while they are called.  numpy hands them out
+    ``svd_f``, ``np.vecdot`` and ``np.exp``, the loops ``nc_frame`` and the
+    fit's objectives call, as an array of their (loop, context, auxdata)
+    pointers, and the call-info capsules that own them, which must live
+    while they are called.  numpy hands them out
     through the experimental ``ufunc._resolve_dtypes_and_context`` and
     ``_get_strided_loop``; ctypes reads the capsule, so the build needs no
     Python headers.  None where numpy lacks that API, names the capsule
@@ -1465,7 +1513,7 @@ def _ufunc_loops():
     try:
         from numpy.linalg import _umath_linalg
 
-        for ufunc in (np.matmul, _umath_linalg.svd_f, np.vecdot):
+        for ufunc in (np.matmul, _umath_linalg.svd_f, np.vecdot, np.exp):
             _, capsule = ufunc._resolve_dtypes_and_context((float64,) * ufunc.nargs)
             ufunc._get_strided_loop(capsule)
             info = _CallInfo.from_address(pointer(capsule, b"numpy_1.24_ufunc_call_info"))
@@ -1515,120 +1563,147 @@ def frame_transport(tan, rate, t0, p0, h, m, substeps) -> Optional[tuple]:
 
 
 def _frame(arrays) -> np.ndarray:
-    """The pointers to ``arrays``, as the one argument of a function bound
-    once per fit (``nc_nelder_mead``, a template's ``nc_`` functions); the
-    caller keeps the arrays and the frame alive while it calls."""
-    return np.array([x.ctypes.data for x in arrays], np.uintp)
+    """The pointers to ``arrays``, or the addresses given as ints, as the
+    one argument of a function bound once per fit (``nc_fit``, a
+    template's objective); the caller keeps the arrays and the frame alive
+    while it calls."""
+    return np.array([x if isinstance(x, int) else x.ctypes.data for x in arrays], np.uintp)
 
 
-def nelder_mead(evaluate, scale, simplices, lower, upper, constants, maxfev,
-                maxiter) -> Optional[list]:
+# nc_fit's objective, as ctypes calls a Python one
+_OBJECTIVE = ctypes.CFUNCTYPE(ctypes.c_int, _P, _I, _I, _P, _P)
+
+
+def fit_restarts(objective, scale, simplices, lower, upper, constants, maxfev,
+                 maxiter) -> Optional[list]:
     """``fitting._nelder_mead``'s restarts from the start simplices
-    ``simplices`` (``fitting._simplex``) within [``lower``, ``upper``], run
-    in lock step by ``nc_nelder_mead``, or None without the library.
+    ``simplices`` (``fitting._simplex``) within [``lower``, ``upper``], all
+    their rounds run by ``nc_fit``, or None without the library or numpy's
+    loops (``_ufunc_loops``).
 
-    A round is one call, which advances every live restart until it needs
-    points and writes them all into one buffer, and one ``evaluate(points,
-    values)``, which writes the objective's value of each point, times
-    ``scale``, into ``values``, a view of the Nelder-Mead's own buffer; the
-    next call divides them by ``scale``.  The first round asks for the
-    first ``min(n + 1, maxfev)`` vertices of every restart, restart after
-    restart, and gives the others +inf.  A restart whose values it cannot
-    order (ties, NaN) waits for numpy's argsort of them, which this loop
-    gives before the next call.  ``constants`` are fitting's (rho, chi,
-    psi, sigma, xatol, fatol).  Returns each restart's last simplex and
-    values, as lists of floats, and its nfev and nit.
+    ``objective`` is a compiled template (:class:`_Template`), whose C
+    objective ``nc_fit`` calls itself, or ``objective(points, values)``,
+    which writes the objective's value of each point, times ``scale``, into
+    ``values``; ``nc_fit`` calls that through ctypes, one call at a time.
+    Restarts go to ``_threads(count)`` workers, one at a time to the next
+    free worker, and each runs until it ends or cannot order its values
+    (ties, NaN): there it waits, and when every restart has ended or
+    waits, numpy's argsort orders the waiting ones' values and the
+    workers run again.  The first round of a restart asks for the first
+    ``min(n + 1, maxfev)`` vertices and gives the others +inf.
+    ``constants`` are fitting's (rho, chi, psi, sigma, xatol, fatol).
+    Returns each restart's last simplex and values, as lists of floats, and
+    its nfev and nit.
     """
-    lib = _library()
-    if lib is None:
+    lib, loops = _library(), _ufunc_loops()
+    if lib is None or loops is None:
         return None
     sim = np.array(simplices, dtype=np.float64, ndmin=3)
     count, n = sim.shape[0], sim.shape[2]
     arrays = [np.array(x, dtype=np.float64) for x in (constants, lower, upper)]
     if [x.shape for x in arrays] != [(6,), (n,), (n,)] or sim.shape[1] != n + 1:
-        raise ValueError("nc_nelder_mead got simplices, bounds or constants of mismatched shapes")
+        raise ValueError("nc_fit got simplices, bounds or constants of mismatched shapes")
     arrays[0] = np.append(arrays[0], scale)
     state = np.zeros((count, 4), np.int64)  # every restart at NM_START
     fsim = np.full((count, n + 1), np.inf)
     order = np.empty((count, n + 1), np.int64)
     values = np.empty(count * (n + 1))
     points = np.empty((count * (n + 1), n))
-    waiting = np.empty(count + 1, np.int64)
+    shared = np.zeros(2, np.int64)
+    errors = []
+    if isinstance(objective, _Template):
+        if objective.capacity < values.size or n != _PARAMETERS:
+            raise ValueError(f"nc_fit got {count} restarts of {n} parameters for a template of "
+                             f"{objective.capacity} rows")
+        function, bound = objective.function, objective.frame
+    else:
+        function = _OBJECTIVE(_serialized(objective, points, values, errors))
+        bound = np.zeros(1, np.uintp)
     arrays = [np.array([count, n, maxfev, maxiter], np.int64), *arrays, state, sim, fsim,
-              np.empty((count, n * n + 2 * n + 1)), values, order, points, waiting]
-    frame = _frame(arrays)
-    at = frame.ctypes.data
-    # the points and values of a round, for each count of points
-    rounds = [(points[:k], values[:k]) for k in range(values.size + 1)]
+              np.empty((count, n * n + 2 * n + 1)), values, order, points,
+              ctypes.cast(function, _P).value, bound, shared]
+    at = _frame(arrays).ctypes.data
     while True:
-        asked = lib.nc_nelder_mead(at)
-        sorts = int(waiting[0])
-        if sorts:
-            for r in waiting[1:sorts + 1].tolist():
-                order[r] = fsim[r].argsort()
-        if asked:
-            evaluate(*rounds[asked])
-        elif not sorts:
+        shared[:] = 0
+        _in_threads(lambda a, b: lib.nc_fit(at), _threads(count), 1)
+        if errors:
+            raise errors[0]
+        waiting = state[:, 3] < 0
+        if not waiting.any():
             return [(s, f, nfev, nit) for s, f, (nfev, nit)
                     in zip(sim.tolist(), fsim.tolist(), state[:, 1:3].tolist())]
+        order[waiting] = np.argsort(fsim[waiting])
+
+
+def _serialized(objective, points, values, errors):
+    """``objective(points, values)`` as ``nc_fit`` calls its objective,
+    on the rows it names of ``points`` and ``values``, the fit's buffers,
+    one call at a time; an exception goes into ``errors`` and stops the
+    fit."""
+    lock = threading.Lock()
+
+    def call(_, row, k, *pointers):
+        try:
+            with lock:
+                objective(points[row:row + k], values[row:row + k])
+        except BaseException as exc:  # re-raised by fit_restarts
+            errors.append(exc)
+            return 1
+        return 0
+
+    return call
 
 
 class _Template:
     """The template ``name`` of ``_TEMPLATES`` on ``grid`` less ``data`` in
-    the compiled library, bound for batches of at most ``capacity`` points:
-    the objective of fitting's compiled rounds.
+    the compiled library, bound for at most ``capacity`` rows: the
+    objective of the compiled fit.
 
-    ``template(points, out)`` takes k rows of log-parameters (log r, log
-    alpha, log lambda, log sigma) and writes each row's sum of squared
-    residuals, numpy's BLAS dot, into ``out``.  ``np.exp`` maps the rows
-    into parameters; one C call writes each row's coefficients into
-    ``coefficients`` and, with exps, every exp argument of the batch into
-    one buffer, which ``np.exp`` maps in place (numpy's SIMD exp, whose
-    bits C cannot promise); and one C call writes each row's curve less the
-    data into ``residuals``.  Without exps one C call does both.  Each row
-    has the bits of the numpy objective at that point.  The buffers, their
-    pointers and their views for each k are made once; more than
-    ``capacity`` rows, or rows of another width, are a ``ValueError``.
+    ``function`` is its C objective, ``nc_name`` (``fit_objective``), and
+    ``frame`` the pointers it takes; ``nc_fit`` calls it with each
+    restart's rows.  ``template(points, out)`` is one call of that
+    objective on rows [0, k) for k rows of log-parameters (log r, log
+    alpha, log lambda, log sigma): numpy's exp of the rows into parameters,
+    each row's coefficients and, with exps, its exp arguments, mapped in
+    place by numpy's exp (numpy's SIMD exp, whose bits C cannot promise),
+    each row's curve less the data into ``residuals``, and each row's sum
+    of squared residuals, numpy's vecdot, into ``out``.  Each row has the
+    bits of the numpy objective at that point.  More than ``capacity``
+    rows, or rows of another width, are a ``ValueError``.
     """
 
-    def __init__(self, lib, name, grid, data, capacity):
+    def __init__(self, lib, loops, name, grid, data, capacity):
         _, width, exps = _TRACED[name]
         grid, data = (np.array(x, dtype=np.float64, ndmin=1) for x in (grid, data))
         m = grid.size
         if grid.shape != (m,) or data.shape != (m,):
             raise ValueError(f"nc_{name} got a grid and data of mismatched shapes")
-        thetas = np.empty((capacity, _PARAMETERS))
         self.coefficients = np.empty((capacity, width))
         self.residuals = np.empty((capacity, m))
-        mapped = np.empty((exps * capacity, m))
         # the template holds every array whose pointer it passes
-        self._arrays = [grid, data, thetas, self.coefficients, mapped, self.residuals]
-        self._frame = _frame(self._arrays)
-        self._at, self._m, self._name, self._capacity = self._frame.ctypes.data, m, name, capacity
-        self._exponents = getattr(lib, f"nc_{name}_exponents") if exps else None
-        self._curve = getattr(lib, f"nc_{name}")
-        self._views = [(thetas[:k], mapped[:exps * k], self.residuals[:k])
-                       for k in range(capacity + 1)]
+        self._arrays = [grid, data, np.empty((capacity, _PARAMETERS)), self.coefficients,
+                        np.empty((exps * capacity, m)), self.residuals, loops,
+                        np.array([m], np.int64)]
+        self.frame = _frame(self._arrays)
+        self.function = getattr(lib, f"nc_{name}")
+        self.capacity, self._name = capacity, name
 
     def __call__(self, points, out):
+        points = np.ascontiguousarray(points, dtype=np.float64)
         k = len(points)
-        if k > self._capacity or points.shape[1:] != (_PARAMETERS,):
+        if k > self.capacity or points.shape[1:] != (_PARAMETERS,):
             raise ValueError(f"nc_{self._name} got {points.shape} points for buffers of "
-                             f"{self._capacity} rows of {_PARAMETERS}")
-        thetas, mapped, residuals = self._views[k]
-        # each output passed positionally, which spares numpy parsing a
-        # keyword on every round
-        np.exp(points, thetas)
-        if self._exponents is not None:
-            self._exponents(k, self._m, self._at)
-            np.exp(mapped, mapped)
-        self._curve(k, self._m, self._at)
-        np.vecdot(residuals, residuals, out)
+                             f"{self.capacity} rows of {_PARAMETERS}")
+        values = np.empty(k)
+        self.function(self.frame.ctypes.data, 0, k, points.ctypes.data, values.ctypes.data)
+        out[:] = values
 
 
 def template(name, grid, data, capacity) -> Optional[_Template]:
     """The compiled objective of the template ``name`` on ``grid`` less
-    ``data`` for batches of at most ``capacity`` points (:class:`_Template`),
-    or None without the library."""
-    lib = _library()
-    return None if lib is None else _Template(lib, name, grid, data, capacity)
+    ``data`` for at most ``capacity`` rows (:class:`_Template`), or None
+    without the library or numpy's loops (``_ufunc_loops``)."""
+    lib, loops = _library(), _ufunc_loops()
+    if lib is None or loops is None:
+        return None
+    return _Template(lib, loops[0], name, grid, data, capacity)

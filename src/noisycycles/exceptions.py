@@ -105,11 +105,17 @@ def _require_array(name, value, shape, ndmin=0):
             n == s or s is None and n >= 1 for n, s in zip(arr.shape, shape))):
         spec = ", ".join("N" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)
         raise ConfigError(f"{name} must have shape ({spec}), got {arr.shape}")
+    return _require_finite_array(name, arr)
+
+
+def _require_finite_array(name, arr, error=ConfigError):
+    """The float array ``arr``, refused with ``error`` naming its first
+    value that is not finite."""
     finite = np.isfinite(arr)
     if not finite.all():  # np.argwhere finds nothing in a 0-d array
         at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
         where = at[0] if arr.ndim == 1 else at
-        raise ConfigError(f"{name} must be finite, got {arr[at]} at index {where}")
+        raise error(f"{name} must be finite, got {arr[at]} at index {where}")
     return arr
 
 

@@ -26,25 +26,25 @@ and retried on numpy scalars where those raise) and its curve on (points,
 1) columns, so each row has the bits of the same point evaluated alone,
 and each row's sum of squares is its own BLAS dot.  The generators and
 these numpy curves are the reference the tests hold the compiled copies
-to, and what a host without the library runs.
+to, and what a host without the library or numpy's loops runs.
 
-Where the compiled library builds, a round has no Python work per point.
-The restarts' bookkeeping runs in C (``_stepkernel.nelder_mead``), from
-the same start simplices: one call a round advances every restart to the
-points it needs, with every operation of the generator in its order, and
-writes them into its buffer.  The objective is the compiled template
-(``_stepkernel.template``), whose coefficients and curve are traced from
-the same template functions, on buffers bound once per fit: ``np.exp``
-maps the points into parameters, one C call writes every point's
+Where the compiled library builds and numpy hands out its loops, a whole
+fit's rounds run in one C call (``_stepkernel.fit_restarts``), from the
+same start simplices.  Each restart advances to the points it needs, with
+every operation of the generator in its order, and has the compiled
+template (``_stepkernel.template``), whose coefficients and curve are
+traced from the same template functions, write their values: numpy's own
+``exp`` loop maps the points into parameters, C writes every point's
 coefficients (a scalar square is libm's ``pow``, as on the scalars) and
-the ACV's exp arguments, numpy's SIMD ``exp`` maps those in place, one C
-call writes the curves less the data, and ``np.vecdot`` writes each row's
-sum of squares into the Nelder-Mead's values, which its next call divides
-by the normalization as numpy's ``/`` does.  The PSD template has no exp,
-and its coefficients and curve are one C call.  The C orders a simplex
-itself only when its values are distinct and not NaN, where any sort gives
-numpy's order; otherwise it asks for numpy's argsort, so ties are ordered
-as here on every CPU.
+the ACV's exp arguments, numpy's ``exp`` loop maps those in place, C
+writes the curves less the data, and numpy's ``vecdot`` loop writes each
+row's sum of squares, which the restart divides by the normalization as
+numpy's ``/`` does.  The restarts are shared by one worker a CPU; each
+has its own rows of every buffer, so the bits do not depend on the
+workers.  The C orders a simplex itself only when its values are distinct
+and not NaN, where any sort gives numpy's order; otherwise the restart
+waits for numpy's argsort, and the call after it resumes the restart, so
+ties are ordered as here on every CPU.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _MAXITER = _MAXFEV = 20000
 # simplex steps of scipy's non-adaptive Nelder-Mead
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
-# the constants of the compiled copy, _stepkernel.nelder_mead
+# the constants of the compiled copy, _stepkernel.fit_restarts
 _STEPS = (_RHO, _CHI, _PSI, _SIGMA, _XATOL, _FATOL)
 # the most points one objective call takes: a round of start simplices
 _BATCH = _RESTARTS * (len(_NAMES) + 1)
@@ -525,8 +525,9 @@ def _objective(problem: FitProblem):
     writes each point's sum of squared residuals into ``out``; the
     normalization; and the grid size.
 
-    Where the library builds, ``squares`` is the compiled template
-    (``_stepkernel.template``), else numpy's ``_curves`` less the data;
+    Where the library builds and numpy hands out its loops, ``squares`` is
+    the compiled template (``_stepkernel.template``), else numpy's
+    ``_curves`` less the data;
     each row's sum of squares is the BLAS dot of one point's, and both give
     the same bits.  Inside finite log bounds every exp is positive and
     finite, so the template needs no HopfParams and its validation per
@@ -559,12 +560,12 @@ def _values(squares, denom, points):
 def _restarts(squares, denom, starts, lower, upper):
     """The :class:`_Run` of each restart of a fit, from the objective of
     :func:`_objective` and the starts and log bounds of :func:`_starts`:
-    on the compiled copy where the library builds, which has ``squares``
-    write into its own buffers, else on the generators; the two give the
-    same bits."""
+    on the compiled copy where the library builds and numpy hands out its
+    loops, which runs a compiled template's objective itself, else on the
+    generators; the two give the same bits."""
     simplices = [_simplex(x.tolist(), lower, upper) for x in starts]
-    ended = _stepkernel.nelder_mead(squares, denom, simplices, lower, upper, _STEPS, _MAXFEV,
-                                    _MAXITER)
+    ended = _stepkernel.fit_restarts(squares, denom, simplices, lower, upper, _STEPS, _MAXFEV,
+                                     _MAXITER)
     if ended is not None:
         return [_run(*end) for end in ended]
     return _lock_step([_nelder_mead(sim, lower, upper) for sim in simplices],

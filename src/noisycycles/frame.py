@@ -46,6 +46,7 @@ from .exceptions import (
     StabilityWarning,
     _require_array,
     _require_count,
+    _require_finite_array,
     _require_real,
 )
 from .sde import (
@@ -105,6 +106,10 @@ class CycleParameterization:
     speed: np.ndarray
 
     def __post_init__(self):
+        # NaN passes the two checks below, and then fails in scipy's spline
+        for name in ("grid", "L", "f_on_L", "T", "J"):
+            _require_finite_array(f"cycle {name}", np.asarray(getattr(self, name), float),
+                                  NumericsError)
         norms = np.linalg.norm(self.T, axis=1)
         if np.abs(norms - 1.0).max() > 1e-10:
             raise NumericsError("cycle tangents are not unit vectors")

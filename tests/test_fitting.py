@@ -46,26 +46,30 @@ from noisycycles.analysis import (
     _psd_curve,
 )
 
-from conftest import numpy_loop, requires_compiler
+from conftest import numpy_loop, requires_compiler, threads
 
 TAU = 2.0 * np.pi
 
-# the two drivers of a fit's restarts: the compiled Nelder-Mead, which
-# must have built, and the Python reference, which a host without the
-# library runs
+# the two drivers of a fit's restarts: the compiled fit, which must have
+# built, and the Python reference, which a host without the library runs
 _DRIVERS = [pytest.param("compiled", marks=requires_compiler), "python"]
+# the compiled fit also on two workers, whatever the CPUs
+_WORKER_DRIVERS = [*_DRIVERS, pytest.param("compiled-2", marks=requires_compiler)]
 # the function each driver runs a fit's restarts in
-_RUNS_IN = {"compiled": (_stepkernel, "nelder_mead"), "python": (fitting, "_lock_step")}
+_RUNS_IN = {"compiled": (_stepkernel, "fit_restarts"), "python": (fitting, "_lock_step")}
 
 
 @contextlib.contextmanager
 def _driver(name):
+    # "compiled-N": the compiled fit's restarts shared by at most N workers
     if name == "python":
         with numpy_loop():
             yield
     else:
         assert _stepkernel._library() is not None, "the compiled library did not build"
-        yield
+        _, _, workers = name.partition("-")
+        with threads(int(workers)) if workers else contextlib.nullcontext():
+            yield
 
 
 def _params(nsr=0.1):
@@ -379,6 +383,67 @@ def test_a_fit_runs_its_restarts_in_its_driver(driver):
     assert made.call_count == (5 if driver == "python" else 0)
 
 
+def _bits(runs):
+    """Every bit of each restart's run (:class:`fitting._Run`)."""
+    return [(np.array(run.x).tobytes(), run.fun.tobytes(), run.nfev, run.nit, run.success,
+             np.array(run.final_simplex[0]).tobytes(), np.array(run.final_simplex[1]).tobytes())
+            for run in runs]
+
+
+@pytest.fixture(scope="module")
+def generator_runs(ensemble_curves):
+    # the generator driver's restarts on both ensemble curves
+    return {target: _bits(_fit_restarts(FitProblem(target=target, curve=curve), "python"))
+            for target, curve in zip(FitTarget, ensemble_curves)}
+
+
+@requires_compiler
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
+def test_the_compiled_fit_is_the_generator_drivers_at_any_worker_count(
+        ensemble_curves, generator_runs, target, workers):
+    # a restart reads and writes only its own rows, so whichever worker ran
+    # it its run is the generators' bit for bit; five workers on five
+    # restarts outnumber the CPUs of most hosts, and a short switch interval
+    # interleaves the Python between the workers' calls more often
+    problem = FitProblem(target=target, curve=ensemble_curves[target is FitTarget.PSD])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = _fit_restarts(problem, f"compiled-{workers}")
+    finally:
+        sys.setswitchinterval(interval)
+    assert _bits(runs) == generator_runs[target]
+
+
+def _tied_runs():
+    # a tied objective, whose restart waits for numpy's argsort
+    problem = _small_problem(initial=_TRUTH)
+    start, lower, upper = [0.3, 1.5, 2.5, -1.0], [-1.0] * 4, [3.0] * 4
+    return _lock_step_runs(_lock_step_objective(problem, 0.05), [start] * 2, lower, upper,
+                           "compiled")
+
+
+@requires_compiler
+@pytest.mark.parametrize("case", ["acv", "psd", "ties"])
+def test_a_fit_makes_one_loop_call_and_one_more_per_argsort_resume(ensemble_curves, case):
+    # the workers run every round of every restart in one call; a restart
+    # whose values tie or are NaN waits for numpy's argsort, and the call
+    # after that sort is the only other one (whether an ensemble fit meets
+    # a tie depends on the bits numpy's loops give on the CPU)
+    with mock.patch.object(
+        _stepkernel, "_in_threads", wraps=_stepkernel._in_threads
+    ) as calls, mock.patch.object(np, "argsort", wraps=np.argsort) as sorts:
+        if case == "ties":
+            _tied_runs()
+        else:
+            curve = ensemble_curves[case == "psd"]
+            with _driver("compiled"):
+                fit(FitProblem(target=FitTarget(case), curve=curve))
+    assert calls.call_count == 1 + sorts.call_count
+    assert sorts.call_count > 0 or case != "ties"
+
+
 # ---------------------------------------------------------------------------
 # The fit's Nelder-Mead against scipy.optimize.minimize(method="Nelder-Mead")
 
@@ -443,8 +508,11 @@ def _scipy_restarts(problem, maxfev=20000):
 
 def _fit_restarts(problem, driver):
     """The runs of fit's lock-step restarts on ``problem``, from the
-    objective, starts and bounds that fit prepares, on ``driver``."""
-    objective = fitting._objective(problem)[:2]
+    objective, starts and bounds that fit prepares, on ``driver``: the
+    Python one with numpy's objective, as a host without the library runs
+    it."""
+    with _driver(driver):
+        objective = fitting._objective(problem)[:2]
     with np.errstate(all="ignore"):
         starts, lower, upper = fitting._starts(problem)
     return _lock_step_runs(objective, starts, lower, upper, driver)
@@ -550,7 +618,7 @@ _COORDS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("driver", _DRIVERS)
+@pytest.mark.parametrize("driver", _WORKER_DRIVERS)
 @settings(max_examples=100, deadline=None)
 @given(
     starts=st.lists(st.lists(_COORDS, min_size=4, max_size=4), min_size=1, max_size=5),
@@ -580,7 +648,7 @@ def test_nelder_mead_core_equals_scipy(starts, ends, target, quantum, maxfev, dr
     _assert_same_runs(ours, theirs)
 
 
-@pytest.mark.parametrize("driver", _DRIVERS)
+@pytest.mark.parametrize("driver", _WORKER_DRIVERS)
 def test_nan_values_never_converge_as_in_scipy(driver):
     # a simplex within xatol whose last vertex is NaN: scipy's np.max of the
     # value spread is NaN, so it does not stop there; nor does the copy
@@ -631,7 +699,7 @@ def _last_branch(run):
     return result, branches[-1] if branches else None
 
 
-@pytest.mark.parametrize("driver", _DRIVERS)
+@pytest.mark.parametrize("driver", _WORKER_DRIVERS)
 def test_small_budgets_stop_in_every_branch_as_scipy_does(driver):
     # a tied objective shrinks early; each budget below cuts one evaluation
     problem = _small_problem(initial=_TRUTH)
@@ -848,25 +916,27 @@ def test_the_compiled_template_gives_the_numpy_objective_bits(target, data):
 
 @pytest.mark.parametrize("driver", _DRIVERS)
 def test_a_fit_evaluates_its_template_in_its_driver(driver):
-    # the compiled template where the library builds, numpy's _curves
+    # the compiled template where the library builds, whose objective the
+    # start check calls once and nc_fit runs itself; numpy's _curves
     # without it; never both
     bound = []
 
     def spy(*args):
-        template = bind(*args)
-        bound.append(template and mock.Mock(wraps=template))
+        bound.append(bind(*args))
         return bound[-1]
 
     bind = _stepkernel.template
     with _driver(driver), mock.patch.object(_stepkernel, "template", spy), mock.patch.object(
-        fitting, "_curves", wraps=fitting._curves
-    ) as curves:
+        _stepkernel._Template, "__call__", autospec=True, side_effect=_stepkernel._Template.__call__
+    ) as checked, mock.patch.object(fitting, "_curves", wraps=fitting._curves) as curves, \
+            mock.patch.object(*_RUNS_IN["compiled"], wraps=_stepkernel.fit_restarts) as runs:
         fit(_small_problem())
     assert len(bound) == 1
     if driver == "compiled":
-        assert bound[0].call_count > 0 and curves.call_count == 0
+        assert checked.call_count == 1 and curves.call_count == 0
+        assert runs.call_args.args[0] is bound[0]
     else:
-        assert bound[0] is None and curves.call_count > 0
+        assert bound[0] is None and checked.call_count == 0 and curves.call_count > 0
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)
@@ -899,6 +969,11 @@ def test_a_batch_wider_than_the_template_buffers_is_a_value_error():
     assert len(fitting._values(squares, 1.0, np.zeros((fitting._BATCH, 4)))) == fitting._BATCH
     with pytest.raises(ValueError, match="buffers of 25 rows"):
         fitting._values(squares, 1.0, np.zeros((fitting._BATCH + 1, 4)))
+    # a restart's start simplex takes 5 rows
+    simplex = fitting._simplex([0.0] * 4, [-1.0] * 4, [1.0] * 4)
+    with pytest.raises(ValueError, match="template of 3 rows"):
+        _stepkernel.fit_restarts(template, 1.0, [simplex], [-1.0] * 4, [1.0] * 4,
+                                 fitting._STEPS, 100, 100)
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)

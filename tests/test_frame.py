@@ -69,6 +69,16 @@ def cycle_3d():
     return contract.limit_cycle("3-d")
 
 
+@pytest.mark.parametrize("field", ["grid", "L", "f_on_L", "T", "J"])
+def test_a_cycle_with_a_sample_that_is_not_finite_is_a_numerics_error(hopf_cycle, field):
+    # NaN passed the tangents' checks, and building the frame failed in
+    # scipy's spline with a ValueError
+    values = getattr(hopf_cycle, field).copy()
+    values[5] = np.nan
+    with pytest.raises(NumericsError, match=rf"^cycle {field} must be finite, got nan at index"):
+        dataclasses.replace(hopf_cycle, **{field: values})
+
+
 def test_circular_cycle_geometry(hopf_cycle):
     assert hopf_cycle.period == pytest.approx(1.0, abs=1e-9)
     radius = np.linalg.norm(hopf_cycle.L, axis=1)
@@ -504,10 +514,10 @@ def test_the_frame_takes_its_compiled_transport(monkeypatch, hopf_cycle):
 
 def test_numpy_hands_out_its_float64_loops():
     # a numpy whose strided-loop API or capsule changed gives None, and the
-    # numpy loop runs; this one must give all three loops
+    # numpy loops run; this one must give all four loops
     loops, capsules = _stepkernel._ufunc_loops()
-    assert loops.dtype == np.uintp and loops.shape == (9,) and loops[::3].all()
-    assert len(capsules) == 3
+    assert loops.dtype == np.uintp and loops.shape == (12,) and loops[::3].all()
+    assert len(capsules) == 4
 
 
 def _overflowing(cycle):
