@@ -890,8 +890,8 @@ typedef int (*fit_objective)(void *const *a, int64_t row, int64_t k, const doubl
    changes no value: restart r owns state[4 r ...], sim[(n + 1) n r ...],
    fsim, order and values[(n + 1) r ...], points[(n + 1) n r ...], the
    objective's rows [(n + 1) r, (n + 1) (r + 1)) and work[(n n + 2 n + 1)
-   r ...].  An objective that returns nonzero sets stop, and every worker
-   stops after its current round. */
+   r ...].  An objective that returns nonzero, or the caller, sets stop,
+   and every worker stops after its current round. */
 void nc_fit(void *const *a)
 {
     const int64_t *size = a[0], count = size[0], n = size[1];
@@ -1340,20 +1340,27 @@ def _threads(P) -> int:
     return max(1, min(cpus or 1, P))
 
 
-def _in_threads(run, P, group) -> None:
+def _in_threads(run, P, group, halt=None) -> None:
     """``run(a, b)`` over contiguous groups [a, b) of at most ``group`` of
     ``P`` items (members, frequencies or grid rows), split into one block of groups
     per thread (``_threads``), the first block in this thread.  Each other
     thread runs in a copy of this thread's context, and so under its numpy
     error state.  This thread handles signals between two calls.  When a
     call raises (KeyboardInterrupt, say), the other threads stop after
-    their current call and this thread raises it."""
+    their current call, ``halt()`` (if given) asks a call running to stop
+    early, and this thread raises it once every other thread has returned:
+    none still writes into the caller's arrays."""
     t = _threads(P)
     edges = [P * j // t for j in range(t + 1)]
     stop = threading.Event()
     errors = []
 
-    def block(a, b):
+    def stopping():
+        stop.set()
+        if halt is not None:
+            halt()
+
+    def block(a, b, done=None):
         try:
             for g in range(a, b, group):
                 if stop.is_set():
@@ -1361,10 +1368,16 @@ def _in_threads(run, P, group) -> None:
                 run(g, min(g + group, b))
         except BaseException as exc:  # re-raised below, in this thread
             errors.append(exc)
-            stop.set()
+            stopping()
+        finally:
+            if done is not None:
+                done.set()
 
+    # a join that an interrupt cut short may mark its thread stopped while
+    # it still runs (CPython 3.11 does), so the threads say when they are done
+    done = [threading.Event() for _ in range(1, t)]
     others = [threading.Thread(target=contextvars.copy_context().run,
-                               args=(block, *edges[j:j + 2])) for j in range(1, t)]
+                               args=(block, *edges[j:j + 2], done[j - 1])) for j in range(1, t)]
     for thread in others:
         thread.start()
     try:
@@ -1372,7 +1385,9 @@ def _in_threads(run, P, group) -> None:
         for thread in others:
             thread.join()
     except BaseException:  # interrupted while joining
-        stop.set()
+        stopping()
+        for event in done:
+            event.wait()
         raise
     if errors:
         raise errors[0]
@@ -1622,10 +1637,17 @@ def fit_restarts(objective, scale, simplices, lower, upper, constants, maxfev,
     arrays = [np.array([count, n, maxfev, maxiter], np.int64), *arrays, state, sim, fsim,
               np.empty((count, n * n + 2 * n + 1)), values, order, points,
               ctypes.cast(function, _P).value, bound, shared]
-    at = _frame(arrays).ctypes.data
+    frame = _frame(arrays)  # nc_fit reads its pointers from here on every call
+
+    def run(a, b):
+        lib.nc_fit(frame.ctypes.data)
+
+    def halt():  # an interrupt: every worker stops after its current round
+        shared[1] = 1
+
     while True:
         shared[:] = 0
-        _in_threads(lambda a, b: lib.nc_fit(at), _threads(count), 1)
+        _in_threads(run, _threads(count), 1, halt)
         if errors:
             raise errors[0]
         waiting = state[:, 3] < 0

@@ -976,6 +976,36 @@ def test_a_batch_wider_than_the_template_buffers_is_a_value_error():
                                  fitting._STEPS, 100, 100)
 
 
+@requires_compiler
+def test_the_fit_driver_keeps_its_pointers_while_its_objective_allocates():
+    # nc_fit reads its pointers from one array on every round: while the fit
+    # runs, no array of that size allocated meanwhile (in a Python
+    # objective, here) may be given its memory, as numpy's cache gives a
+    # freed block to the next array of its size
+    frames, taken, held = [], [], []
+    frame_of = _stepkernel._frame
+
+    def framed(arrays):
+        frame = frame_of(arrays)
+        frames.append((frame.ctypes.data, len(arrays)))
+        return frame
+
+    problem = _small_problem()
+    squares, denom = _lock_step_objective(problem)
+
+    def allocating(points, out):
+        held.extend(np.empty(frames[-1][1], np.uintp) for _ in range(4))
+        taken.extend(x.ctypes.data for x in held[-4:])
+        squares(points, out)
+
+    with np.errstate(all="ignore"):
+        starts = fitting._starts(problem)
+    with mock.patch.object(_stepkernel, "_frame", framed):
+        runs = _lock_step_runs((allocating, denom), *starts, "compiled-1")
+    assert len(frames) == 1 and taken and frames[0][0] not in taken
+    assert _bits(runs) == _bits(_fit_restarts(problem, "python"))
+
+
 @pytest.mark.parametrize("driver", _DRIVERS)
 def test_a_point_whose_residuals_overflow_is_inf_without_a_warning(driver):
     # a curve near float's limit: some points' sums of squares overflow,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import shutil
+import signal
 import stat
 import subprocess
 import sysconfig
@@ -221,6 +222,26 @@ def test_member_groups_cover_the_blocks_and_an_interrupt_stops_them():
     # blocks [0, 1), [1, 3) and [3, 5): the third thread's error reaches the caller
     with threads(3), pytest.raises(ValueError, match="members 3-4"):
         _stepkernel._in_threads(failing_elsewhere, 5, 1)
+
+
+def test_an_interrupt_halts_a_long_call_and_waits_for_it_to_return():
+    # interrupted while it waits, the caller asks a call that runs long (a
+    # whole compiled fit) to stop early by halt(), and raises only once it
+    # has returned: until then it writes into the caller's arrays
+    halted, returned = threading.Event(), []
+
+    def long_call(a, b):
+        if threading.current_thread() is threading.main_thread():
+            return
+        time.sleep(0.05)  # the caller waits in join by now
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        assert halted.wait(10.0)
+        time.sleep(0.05)
+        returned.append(a)
+
+    with threads(2), pytest.raises(KeyboardInterrupt):
+        _stepkernel._in_threads(long_call, 2, 1, halted.set)
+    assert returned == [1]
 
 
 @requires_compiler
