@@ -77,11 +77,11 @@ for the call.  A member owns its generator, its state and its rows, so the
 split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 :func:`linear_loop` add only their own rules and end in ``_bind``.
 
-``nc_fit`` is no member loop: it is ``fitting._nelder_mead``, the
-package's copy of scipy's bounded Nelder-Mead, for all of a fit's restarts,
-with every ``+ - * /``, comparison, clip and budget rule of that generator
-in its order after the start simplex, which both drivers take from
-``fitting._simplex``.  Each restart is a state machine over its own rows
+``nc_fit`` is no member loop: its ``nm_advance`` is the package's copy of
+scipy's bounded ``_minimize_neldermead`` (``adaptive=False``), for all of
+a fit's restarts, with every ``+ - * /``, comparison, clip and budget rule
+of scipy's in its order after the start simplex, which it takes from
+``fitting._simplex``; a host without the library runs scipy's own.  Each restart is a state machine over its own rows
 of flat arrays (its phase, nfev, nit, simplex and values) that writes the
 points it needs, has the objective write their values, and divides those
 by the objective's normalization.  :func:`fit_restarts` binds them once
@@ -686,8 +686,8 @@ int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double 
 """
 
 _NELDER_MEAD = r"""
-/* fitting._nelder_mead's phases: what a restart does next, or what it
-   waits for the values or the order of */
+/* the phases of a restart of scipy's _minimize_neldermead: what it does
+   next, or what it waits for the values or the order of */
 enum { NM_START, NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE, NM_REFLECT,
        NM_EXPAND, NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
 
@@ -734,12 +734,15 @@ static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
     return 1;
 }
 
-/* One restart of fitting._nelder_mead, from its phase to the next point
-   it needs: every + - * /, comparison, clip and budget rule of the
-   generator, in its order.  values holds the values of the points it asked
-   for last, and order numpy's order of fsim when it asked for one.  It
-   writes the points it needs into `points` and returns their count, or -1
-   to ask for the order of fsim, or 0 when it has ended.  state = (phase,
+/* One restart of scipy's bounded _minimize_neldermead (adaptive=False),
+   from its phase to the next point it needs: every + - * /, comparison,
+   clip and budget rule of scipy's, in its order.  Budget stops follow
+   scipy's wrapper, which refuses evaluation maxfev + 1: the iteration it
+   falls in ends there, uncounted, and keeps what it had changed.  values
+   holds the values of the points it asked for last, and order numpy's
+   order of fsim when it asked for one.  It writes the points it needs
+   into `points` and returns their count, or -1 to ask for the order of
+   fsim, or 0 when it has ended.  state = (phase,
    nfev, nit, asked), asked the count of points asked for, or -1; sim holds
    the (n + 1) x n simplex and fsim its values, the start simplex and +inf
    at NM_START; work holds xbar, xr, up to n pending points and fxr.  k =
@@ -876,7 +879,7 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
 typedef int (*fit_objective)(void *const *a, int64_t row, int64_t k, const double *points,
                              double *values);
 
-/* fitting._nelder_mead's restarts [0, count) on n parameters, from the
+/* scipy's Nelder-Mead restarts [0, count) on n parameters, from the
    pointers a = (size, k, lower, upper, state, sim, fsim, work, values,
    order, points, objective, objective's pointers, shared), bound once per
    fit; size = (count, n, maxfev, maxiter), k = (rho, chi, psi, sigma,
@@ -1591,10 +1594,10 @@ _OBJECTIVE = ctypes.CFUNCTYPE(ctypes.c_int, _P, _I, _I, _P, _P)
 
 def fit_restarts(objective, scale, simplices, lower, upper, constants, maxfev,
                  maxiter) -> Optional[list]:
-    """``fitting._nelder_mead``'s restarts from the start simplices
-    ``simplices`` (``fitting._simplex``) within [``lower``, ``upper``], all
-    their rounds run by ``nc_fit``, or None without the library or numpy's
-    loops (``_ufunc_loops``).
+    """Restarts of scipy's bounded ``_minimize_neldermead`` from the start
+    simplices ``simplices`` (``fitting._simplex``) within [``lower``,
+    ``upper``], all their rounds run by ``nc_fit``, or None without the
+    library or numpy's loops (``_ufunc_loops``).
 
     ``objective`` is a compiled template (:class:`_Template`), whose C
     objective ``nc_fit`` calls itself, or ``objective(points, values)``,

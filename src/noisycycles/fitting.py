@@ -11,40 +11,34 @@ guess.  The objective is normalized by the curve's sum of squares, which
 makes the whole procedure scale equivariant: scaling the curve by c^2
 scales the fitted r and sigma by c and leaves alpha and lambda unchanged.
 
-The Nelder-Mead is the package's own copy of scipy 1.17's bounded
-``_minimize_neldermead`` (``adaptive=False``), written on Python floats
-with every operation of scipy's in its order, so each restart returns
-the bits ``scipy.optimize.minimize(..., method="Nelder-Mead")`` returns.
-Each restart starts from scipy's simplex around its start point
-(``_simplex``) and is a generator (``_nelder_mead``) that yields the points
-it needs evaluated and receives their values; the five run in lock step
-(``_lock_step``), and a round takes ``np.exp`` of all pending points at
-once and evaluates the template once on a (points, grid) array.  The
-template's per-point coefficients stay on scalars
-(``_stepkernel._acv_coefficients``, ``_psd_coefficients``, on Python floats
-and retried on numpy scalars where those raise) and its curve on (points,
-1) columns, so each row has the bits of the same point evaluated alone,
-and each row's sum of squares is its own BLAS dot.  The generators and
-these numpy curves are the reference the tests hold the compiled copies
-to, and what a host without the library or numpy's loops runs.
+The Nelder-Mead is scipy's bounded ``_minimize_neldermead``
+(``adaptive=False``).  Where the compiled library builds and numpy hands
+out its loops, a whole fit's rounds run in one C call
+(``_stepkernel.fit_restarts``), whose ``nm_advance`` copies scipy's with
+every operation in its order, from scipy's start simplex (``_simplex``),
+so each restart returns the bits ``scipy.optimize.minimize(...,
+method="Nelder-Mead")`` returns.  Each restart advances to the points it
+needs and has the compiled template (``_stepkernel.template``), whose
+coefficients and curve are traced from the template functions, write
+their values: numpy's own ``exp`` loop maps the points into parameters, C
+writes every point's coefficients (a scalar square is libm's ``pow``, as
+on the scalars) and the ACV's exp arguments, numpy's ``exp`` loop maps
+those in place, C writes the curves less the data, and numpy's ``vecdot``
+loop writes each row's sum of squares, which the restart divides by the
+normalization as numpy's ``/`` does.  The restarts are shared by one
+worker a CPU; each has its own rows of every buffer, so the bits do not
+depend on the workers.  The C orders a simplex itself only when its
+values are distinct and not NaN, where any sort gives numpy's order;
+otherwise the restart waits for numpy's argsort, and the call after it
+resumes the restart, so ties are ordered as here on every CPU.
 
-Where the compiled library builds and numpy hands out its loops, a whole
-fit's rounds run in one C call (``_stepkernel.fit_restarts``), from the
-same start simplices.  Each restart advances to the points it needs, with
-every operation of the generator in its order, and has the compiled
-template (``_stepkernel.template``), whose coefficients and curve are
-traced from the same template functions, write their values: numpy's own
-``exp`` loop maps the points into parameters, C writes every point's
-coefficients (a scalar square is libm's ``pow``, as on the scalars) and
-the ACV's exp arguments, numpy's ``exp`` loop maps those in place, C
-writes the curves less the data, and numpy's ``vecdot`` loop writes each
-row's sum of squares, which the restart divides by the normalization as
-numpy's ``/`` does.  The restarts are shared by one worker a CPU; each
-has its own rows of every buffer, so the bits do not depend on the
-workers.  The C orders a simplex itself only when its values are distinct
-and not NaN, where any sort gives numpy's order; otherwise the restart
-waits for numpy's argsort, and the call after it resumes the restart, so
-ties are ordered as here on every CPU.
+A host without the library or numpy's loops runs each restart through
+``scipy.optimize.minimize`` itself, one point a call, on the numpy
+template: its per-point coefficients on scalars
+(``_stepkernel._acv_coefficients``, ``_psd_coefficients``, on Python
+floats and retried on numpy scalars where those raise), its curve on
+(points, 1) columns and each row's sum of squares its own BLAS dot.  These
+numpy curves are the reference the tests hold the compiled template to.
 """
 
 from __future__ import annotations
@@ -54,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import _stepkernel
 from ._stepkernel import _acv_coefficients, _acv_curve, _psd_coefficients, _psd_curve
@@ -352,7 +347,7 @@ def _starts(problem: FitProblem):
 class _Run(NamedTuple):
     """One restart's outcome, as ``scipy.optimize.minimize`` reports it."""
 
-    x: list
+    x: list | np.ndarray
     fun: np.float64
     nfev: int
     nit: int
@@ -370,7 +365,7 @@ def _simplex(x0, lower, upper):
     """scipy's start simplex around ``x0`` within [lower, upper] (lists of
     floats): x0 clipped, then one vertex a coordinate, that coordinate
     stepped, and a vertex past an upper bound reflected into the interior.
-    Both drivers of the restarts start from it."""
+    The compiled restarts start from it; scipy builds the same one."""
     x0 = _clipped(x0, lower, upper)
     sim = [x0]
     for k in range(len(x0)):
@@ -381,120 +376,12 @@ def _simplex(x0, lower, upper):
             for x in sim]
 
 
-def _nelder_mead(sim, lower, upper):
-    """One bounded Nelder-Mead restart from the start simplex ``sim``
-    (:func:`_simplex`) within [lower, upper] (lists of floats), as a
-    generator.
-
-    It yields the list of points it needs evaluated next, is sent their
-    values, and returns a :class:`_Run`.  Budget stops follow scipy's
-    wrapper, which refuses evaluation ``_MAXFEV + 1``: the iteration it
-    falls in ends there, uncounted, and keeps what it had changed.
-    """
-    n = len(sim) - 1
-    nfev = min(n + 1, _MAXFEV)
-    values = (yield sim[:nfev]) if nfev else []
-    # sorted twice, as scipy does: a second argsort can reorder ties
-    sim, fsim = _ordered(*_ordered(sim, values + [np.inf] * (n + 1 - nfev)))
-
-    nit = 1
-    while nfev < _MAXFEV and nit < _MAXITER:
-        best, fbest = sim[0], fsim[0]
-        if all(
-            abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best)
-        ) and all(abs(fbest - f) <= _FATOL for f in fsim[1:]):
-            break
-        xbar = best
-        for x in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, x)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-
-        def beyond(c):
-            # (1 + c) xbar - c worst: reflect, expand and both contractions
-            # (c = -psi gives scipy's (1 - psi) xbar + psi worst exactly)
-            return _clipped([(1 + c) * b - c * w for b, w in zip(xbar, worst)], lower, upper)
-
-        xr = beyond(_RHO)
-        (fxr,) = yield [xr]
-        nfev += 1
-        shrink = False
-        # each `nfev < _MAXFEV` below is where scipy's wrapper would refuse
-        if fxr < fbest:
-            if nfev < _MAXFEV:
-                xe = beyond(_RHO * _CHI)
-                (fxe,) = yield [xe]
-                nfev += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-                nit += 1
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-            nit += 1
-        elif nfev < _MAXFEV:
-            if fxr < fsim[-1]:
-                xc = beyond(_PSI * _RHO)
-                (fxc,) = yield [xc]
-                shrink = not fxc <= fxr
-            else:
-                xc = beyond(-_PSI)
-                (fxc,) = yield [xc]
-                shrink = not fxc < fsim[-1]
-            nfev += 1
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-                nit += 1
-        if shrink:
-            moved = [
-                _clipped([b + _SIGMA * (v - b) for v, b in zip(x, best)], lower, upper)
-                for x in sim[1:]
-            ]
-            allowed = min(n, _MAXFEV - nfev)
-            values = (yield moved[:allowed]) if allowed else []
-            nfev += allowed
-            # a vertex the budget refuses is moved all the same
-            sim[1 : allowed + 2] = moved[: allowed + 1]
-            fsim[1 : allowed + 1] = values
-            nit += allowed == n
-        sim, fsim = _ordered(sim, fsim)
-
-    return _run(sim, fsim, nfev, nit)
-
-
 def _run(sim, fsim, nfev, nit):
     """The :class:`_Run` of a restart that ended with the simplex ``sim``
     and values ``fsim`` (sorted lists) after ``nfev`` evaluations and
     ``nit`` iterations."""
     success = not (nfev >= _MAXFEV or nit >= _MAXITER)
     return _Run(sim[0], np.min(fsim), nfev, nit, success, (sim, fsim))
-
-
-def _ordered(sim, fsim):
-    """Vertices and values sorted by value with numpy's default argsort,
-    whose order of ties, NaN and inf scipy's results depend on."""
-    order = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
-def _lock_step(restarts, evaluate):
-    """Run generator restarts (see :func:`_nelder_mead`) side by side: each
-    round evaluates the pending points of every live restart with one call
-    of ``evaluate(points) -> values`` and sends each its own values."""
-    runs = [None] * len(restarts)
-    live = [(k, gen, None) for k, gen in enumerate(restarts)]
-    while live:
-        asked = []
-        for k, gen, values in live:
-            try:
-                asked.append((k, gen, gen.send(values)))
-            except StopIteration as stop:
-                runs[k] = stop.value
-        batch = [x for _, _, points in asked for x in points]
-        values = evaluate(batch) if batch else []
-        live, at = [], 0
-        for k, gen, points in asked:
-            live.append((k, gen, values[at : at + len(points)]))
-            at += len(points)
-    return runs
 
 
 def _coefficients(coefficients, thetas):
@@ -561,15 +448,18 @@ def _restarts(squares, denom, starts, lower, upper):
     """The :class:`_Run` of each restart of a fit, from the objective of
     :func:`_objective` and the starts and log bounds of :func:`_starts`:
     on the compiled copy where the library builds and numpy hands out its
-    loops, which runs a compiled template's objective itself, else on the
-    generators; the two give the same bits."""
+    loops, which runs a compiled template's objective itself, else on
+    ``scipy.optimize.minimize``, one point a call; the two give the same
+    bits."""
     simplices = [_simplex(x.tolist(), lower, upper) for x in starts]
     ended = _stepkernel.fit_restarts(squares, denom, simplices, lower, upper, _STEPS, _MAXFEV,
                                      _MAXITER)
     if ended is not None:
         return [_run(*end) for end in ended]
-    return _lock_step([_nelder_mead(sim, lower, upper) for sim in simplices],
-                      lambda points: _values(squares, denom, points))
+    options = {"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAXITER, "maxfev": _MAXFEV}
+    runs = [minimize(lambda x: _values(squares, denom, [x])[0], x0, method="Nelder-Mead",
+                     bounds=list(zip(lower, upper)), options=options) for x0 in starts]
+    return [_Run(**{name: run[name] for name in _Run._fields}) for run in runs]
 
 
 def fit(problem: FitProblem) -> FitResult:

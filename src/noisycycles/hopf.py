@@ -67,11 +67,6 @@ class HopfParams:
             _require_real(name, getattr(self, name))
         _require_real("sigma", self.sigma, zero=True)
 
-    @classmethod
-    def from_nsr(cls, alpha, alpha0, lambda_, r, nsr) -> "HopfParams":
-        """Build a parameter set with sigma chosen to hit a target NSR."""
-        return cls(alpha, alpha0, lambda_, r, sigma_for_nsr(nsr, lambda_, r))
-
 
 def sigma_for_nsr(nsr, lambda_, r) -> float:
     """Noise amplitude giving the requested noise-to-signal ratio; nsr is

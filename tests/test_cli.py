@@ -144,6 +144,41 @@ def test_decompose_through_config_file(tmp_path):
     assert len(lines) == 513
 
 
+def test_decompose_takes_a_plugin_system(tmp_path, capsys, monkeypatch):
+    # README: `decompose --plugin mymodule:make_system`, a factory or an
+    # SdeSystem, runs the cycle search of the preset with the same guess
+    (tmp_path / "vdp_plugin.py").write_text(
+        "from noisycycles import van_der_pol\n"
+        "def make_system():\n"
+        "    return van_der_pol(1.0)\n"
+        "system = van_der_pol(1.0)\n"
+        "not_a_system = 3\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    preset = tmp_path / "preset.csv"
+    assert _call("decompose", "--system", "van-der-pol", "--mu", "1.0", "--output",
+                 str(preset)) == 0
+    for spec in ("vdp_plugin:make_system", "vdp_plugin:system"):
+        out = tmp_path / "plugin.csv"
+        assert _call("decompose", "--plugin", spec, "--guess", "2,0", "--output",
+                     str(out)) == 0
+        assert out.read_bytes() == preset.read_bytes()
+    capsys.readouterr()
+    for argv, message in [
+        (("--plugin", "vdp_plugin", "--guess", "2,0"),
+         "--plugin expects module.path:object, got 'vdp_plugin'"),
+        (("--plugin", "no_such_plugin_module:make", "--guess", "2,0"),
+         "cannot load plugin 'no_such_plugin_module:make': "
+         "No module named 'no_such_plugin_module'"),
+        (("--plugin", "vdp_plugin:not_a_system", "--guess", "2,0"),
+         "plugin 'vdp_plugin:not_a_system' is not an SdeSystem"),
+        (("--plugin", "vdp_plugin:make_system"), "--guess is required with --plugin"),
+    ]:
+        assert _call("decompose", *argv, "--output", str(tmp_path / "bad.csv")) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"noisycycles: error: {message}"
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_unknown_config_key_exits_one(tmp_path, capsys, monkeypatch):
     decompose = ("decompose", "--system", "hopf", "--output", str(tmp_path / "x.csv"))
 
@@ -223,14 +258,19 @@ def test_config_values_are_flag_defaults(tmp_path):
 
 def test_config_value_equals_the_same_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dt": 0.002, "r": 2.0, "scheme": "euler-maruyama"}))
-    common = ("simulate", "--model", "hopf-exact", "--nsr", "0.1", "--steps", "500", "--seed", "4")
-    assert _call("--config", str(cfg), *common, "--output", str(tmp_path / "a.csv")) == 0
-    assert _call(
-        *common, "--dt", "0.002", "--r", "2", "--scheme", "euler-maruyama",
-        "--output", str(tmp_path / "b.csv"),
-    ) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    for doc, common, flags in [
+        ({"dt": 0.002, "r": 2.0, "scheme": "euler-maruyama"},
+         ("simulate", "--model", "hopf-exact", "--nsr", "0.1", "--steps", "500", "--seed", "4"),
+         ("--dt", "0.002", "--r", "2", "--scheme", "euler-maruyama")),
+        # the key "lambda" is the flag --lambda, whose dest is lambda_
+        ({"lambda": 3.0}, ("formula", "--template", "psd", "--nsr", "0.1"), ("--lambda", "3")),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        assert _call("--config", str(cfg), *common, "--output", str(tmp_path / "a.csv")) == 0
+        assert _call(*common, *flags, "--output", str(tmp_path / "b.csv")) == 0
+        assert _call(*common, "--output", str(tmp_path / "c.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

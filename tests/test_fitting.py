@@ -55,8 +55,9 @@ TAU = 2.0 * np.pi
 _DRIVERS = [pytest.param("compiled", marks=requires_compiler), "python"]
 # the compiled fit also on two workers, whatever the CPUs
 _WORKER_DRIVERS = [*_DRIVERS, pytest.param("compiled-2", marks=requires_compiler)]
-# the function each driver runs a fit's restarts in
-_RUNS_IN = {"compiled": (_stepkernel, "fit_restarts"), "python": (fitting, "_lock_step")}
+# the function each driver runs a fit's restarts in: all of them in one
+# call of the compiled fit, or one scipy minimize each
+_RUNS_IN = {"compiled": (_stepkernel, "fit_restarts"), "python": (fitting, "minimize")}
 
 
 @contextlib.contextmanager
@@ -376,11 +377,11 @@ def test_a_fit_runs_its_restarts_in_its_driver(driver):
     module, name = _RUNS_IN[driver]
     with _driver(driver), mock.patch.object(
         module, name, wraps=getattr(module, name)
-    ) as runs, mock.patch.object(fitting, "_nelder_mead", wraps=fitting._nelder_mead) as made:
+    ) as runs, mock.patch.object(fitting, "minimize", wraps=fitting.minimize) as scipy_runs:
         fit(_small_problem())
-    assert runs.call_count == 1
-    # the compiled driver makes none of the Python generators
-    assert made.call_count == (5 if driver == "python" else 0)
+    assert runs.call_count == (1 if driver == "compiled" else fitting._RESTARTS)
+    # the compiled driver runs none of scipy's
+    assert scipy_runs.call_count == (fitting._RESTARTS if driver == "python" else 0)
 
 
 def _bits(runs):
@@ -391,8 +392,9 @@ def _bits(runs):
 
 
 @pytest.fixture(scope="module")
-def generator_runs(ensemble_curves):
-    # the generator driver's restarts on both ensemble curves
+def scipy_runs(ensemble_curves):
+    # scipy's restarts on both ensemble curves, as a host without the
+    # library runs them
     return {target: _bits(_fit_restarts(FitProblem(target=target, curve=curve), "python"))
             for target, curve in zip(FitTarget, ensemble_curves)}
 
@@ -400,10 +402,10 @@ def generator_runs(ensemble_curves):
 @requires_compiler
 @pytest.mark.parametrize("workers", [1, 2, 5])
 @pytest.mark.parametrize("target", list(FitTarget), ids=lambda t: t.value)
-def test_the_compiled_fit_is_the_generator_drivers_at_any_worker_count(
-        ensemble_curves, generator_runs, target, workers):
+def test_the_compiled_fit_equals_scipy_at_any_worker_count(
+        ensemble_curves, scipy_runs, target, workers):
     # a restart reads and writes only its own rows, so whichever worker ran
-    # it its run is the generators' bit for bit; five workers on five
+    # it its run is scipy's bit for bit; five workers on five
     # restarts outnumber the CPUs of most hosts, and a short switch interval
     # interleaves the Python between the workers' calls more often
     problem = FitProblem(target=target, curve=ensemble_curves[target is FitTarget.PSD])
@@ -413,14 +415,14 @@ def test_the_compiled_fit_is_the_generator_drivers_at_any_worker_count(
         runs = _fit_restarts(problem, f"compiled-{workers}")
     finally:
         sys.setswitchinterval(interval)
-    assert _bits(runs) == generator_runs[target]
+    assert _bits(runs) == scipy_runs[target]
 
 
 def _tied_runs():
     # a tied objective, whose restart waits for numpy's argsort
     problem = _small_problem(initial=_TRUTH)
     start, lower, upper = [0.3, 1.5, 2.5, -1.0], [-1.0] * 4, [3.0] * 4
-    return _lock_step_runs(_lock_step_objective(problem, 0.05), [start] * 2, lower, upper,
+    return _restart_runs(_restarts_objective(problem, 0.05), [start] * 2, lower, upper,
                            "compiled")
 
 
@@ -463,7 +465,7 @@ def _one_point_objective(problem, quantum=None):
     return objective
 
 
-def _lock_step_objective(problem, quantum=None):
+def _restarts_objective(problem, quantum=None):
     """fit's objective as its restarts take it, ``(squares, denom)``;
     ``quantum`` floors each value to a multiple of it, which makes ties."""
     squares, denom, _ = fitting._objective(problem)
@@ -507,18 +509,18 @@ def _scipy_restarts(problem, maxfev=20000):
 
 
 def _fit_restarts(problem, driver):
-    """The runs of fit's lock-step restarts on ``problem``, from the
-    objective, starts and bounds that fit prepares, on ``driver``: the
-    Python one with numpy's objective, as a host without the library runs
+    """The runs of fit's restarts on ``problem``, from the objective,
+    starts and bounds that fit prepares, on ``driver``: the Python one is
+    scipy's with numpy's objective, as a host without the library runs
     it."""
     with _driver(driver):
         objective = fitting._objective(problem)[:2]
     with np.errstate(all="ignore"):
         starts, lower, upper = fitting._starts(problem)
-    return _lock_step_runs(objective, starts, lower, upper, driver)
+    return _restart_runs(objective, starts, lower, upper, driver)
 
 
-def _lock_step_runs(objective, starts, lower, upper, driver):
+def _restart_runs(objective, starts, lower, upper, driver):
     # objective: (squares, denom)
     with _driver(driver), warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -605,7 +607,7 @@ def _problems(draw):
     ),
     maxfev=2000,
 )
-def test_lock_step_fit_equals_scipy_restart_by_restart(problem, maxfev, driver):
+def test_fit_restarts_equal_scipy_restart_by_restart(problem, maxfev, driver):
     theirs = _scipy_restarts(problem, maxfev)
     with mock.patch.object(fitting, "_MAXFEV", maxfev):
         ours = _fit_restarts(problem, driver)
@@ -643,8 +645,8 @@ def test_nelder_mead_core_equals_scipy(starts, ends, target, quantum, maxfev, dr
     objective = _one_point_objective(problem, quantum)
     theirs = [_scipy(objective, x, lower, upper, maxfev) for x in starts]
     with mock.patch.object(fitting, "_MAXFEV", maxfev):
-        batched = _lock_step_objective(problem, quantum)
-        ours = _lock_step_runs(batched, starts, lower, upper, driver)
+        batched = _restarts_objective(problem, quantum)
+        ours = _restart_runs(batched, starts, lower, upper, driver)
     _assert_same_runs(ours, theirs)
 
 
@@ -658,7 +660,7 @@ def test_nan_values_never_converge_as_in_scipy(driver):
     lower, upper = [-1e-9] * 4, [1e-9] * 4
     theirs = _scipy(objective, [0.0] * 4, lower, upper, maxfev=200)
     with mock.patch.object(fitting, "_MAXFEV", 200):
-        ours = _lock_step_runs(
+        ours = _restart_runs(
             _as_squares(lambda points: [objective(x) for x in points]), [[0.0] * 4], lower,
             upper, driver
         )
@@ -712,8 +714,8 @@ def test_small_budgets_stop_in_every_branch_as_scipy_does(driver):
         )
         stopped_in.add(branch)
         with mock.patch.object(fitting, "_MAXFEV", maxfev):
-            batched = _lock_step_objective(problem, 0.05)
-            ours = _lock_step_runs(batched, [start], lower, upper, driver)
+            batched = _restarts_objective(problem, 0.05)
+            ours = _restart_runs(batched, [start], lower, upper, driver)
         _assert_same_runs(ours, [theirs])
         assert ours[0].nfev == maxfev and not ours[0].success
     assert stopped_in == set(_BRANCHES.values())
@@ -940,9 +942,9 @@ def test_a_fit_evaluates_its_template_in_its_driver(driver):
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)
-def test_only_the_generator_driver_takes_python_coefficients(driver):
-    # a compiled round takes its coefficients in C; the generators' rounds
-    # and the start check each take them in Python, once a round
+def test_only_the_scipy_fallback_takes_python_coefficients(driver):
+    # a compiled round takes its coefficients in C; scipy's evaluations and
+    # the start check each take them in Python, once a call
     with _driver(driver), mock.patch.object(
         fitting, "_coefficients", wraps=fitting._coefficients
     ) as coefficients, mock.patch.object(fitting, "_values", wraps=fitting._values) as rounds:
@@ -991,7 +993,7 @@ def test_the_fit_driver_keeps_its_pointers_while_its_objective_allocates():
         return frame
 
     problem = _small_problem()
-    squares, denom = _lock_step_objective(problem)
+    squares, denom = _restarts_objective(problem)
 
     def allocating(points, out):
         held.extend(np.empty(frames[-1][1], np.uintp) for _ in range(4))
@@ -1001,9 +1003,37 @@ def test_the_fit_driver_keeps_its_pointers_while_its_objective_allocates():
     with np.errstate(all="ignore"):
         starts = fitting._starts(problem)
     with mock.patch.object(_stepkernel, "_frame", framed):
-        runs = _lock_step_runs((allocating, denom), *starts, "compiled-1")
+        runs = _restart_runs((allocating, denom), *starts, "compiled-1")
     assert len(frames) == 1 and taken and frames[0][0] not in taken
     assert _bits(runs) == _bits(_fit_restarts(problem, "python"))
+
+
+class _Refused(Exception):
+    pass
+
+
+@requires_compiler
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_in_a_python_objective_stops_the_compiled_fit(workers):
+    # nc_fit calls a Python objective through ctypes, which cannot carry an
+    # exception: it stops every worker after its current call and is
+    # raised from fit_restarts; a worker waiting on the objective's lock
+    # may make one more call
+    problem = _small_problem()
+    squares, denom = _restarts_objective(problem)
+    calls = []
+
+    def failing(points, out):
+        calls.append(len(points))
+        if len(calls) == 7:
+            raise _Refused("the seventh call")
+        squares(points, out)
+
+    with np.errstate(all="ignore"):
+        starts = fitting._starts(problem)
+    with pytest.raises(_Refused, match="the seventh call"):
+        _restart_runs((failing, denom), *starts, f"compiled-{workers}")
+    assert 7 <= len(calls) <= 7 + workers - 1
 
 
 @pytest.mark.parametrize("driver", _DRIVERS)

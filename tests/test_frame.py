@@ -20,6 +20,7 @@ from noisycycles import (
     NumericsError,
     ReducedModel,
     SdeSystem,
+    StabilityWarning,
     build_frame,
     find_limit_cycle,
     hopf_system,
@@ -106,10 +107,16 @@ def test_planar_normal_is_outward(hopf_cycle, hopf_frame):
 
 def test_reduction_of_the_circular_cycle(hopf_cycle, hopf_frame):
     sigma = sigma_for_nsr(0.1, TAU, 1.0)
-    model = reduce(hopf_cycle, hopf_frame, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = reduce(hopf_cycle, hopf_frame, sigma)
     assert np.abs(model.J0 + TAU).max() < 1e-8
     assert model.speed == pytest.approx(np.full(model.speed.size, TAU), abs=1e-6)
     assert model.sigma == sigma
+    # the Jacobian negated repels: J0 = +2 pi, whose one-period monodromy
+    # exp(2 pi) = 535.49 is no contraction
+    with pytest.warns(StabilityWarning, match=r"spectral radius 535\.49\d >= 1"):
+        reduce(dataclasses.replace(hopf_cycle, J=-hopf_cycle.J), hopf_frame, sigma)
 
 
 def test_relaxation_cycle_period_and_stability(vdp_cycle):

@@ -49,7 +49,7 @@ def test_noise_ratio_round_trip():
     sigma = sigma_for_nsr(0.1, TAU, 1.0)
     assert sigma**2 == pytest.approx(0.04 * np.pi)
     assert nsr(_params(0.1)) == pytest.approx(0.1)
-    p = HopfParams.from_nsr(alpha=TAU, alpha0=TAU, lambda_=TAU, r=2.0, nsr=0.3)
+    p = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=2.0, sigma=sigma_for_nsr(0.3, TAU, 2.0))
     assert nsr(p) == pytest.approx(0.3)
 
 
