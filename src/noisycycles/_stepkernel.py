@@ -77,22 +77,23 @@ for the call.  A member owns its generator, its state and its rows, so the
 split changes no value.  :func:`loop_for`, :func:`reduced_loop` and
 :func:`linear_loop` add only their own rules and end in ``_bind``.
 
-``nc_fit`` is no member loop: its ``nm_advance`` is the package's copy of
-scipy's bounded ``_minimize_neldermead`` (``adaptive=False``), for all of
-a fit's restarts, with every ``+ - * /``, comparison, clip and budget rule
-of scipy's in its order after the start simplex, which it takes from
-``fitting._simplex``; a host without the library runs scipy's own.  Each restart is a state machine over its own rows
-of flat arrays (its phase, nfev, nit, simplex and values) that writes the
-points it needs, has the objective write their values, and divides those
-by the objective's normalization.  :func:`fit_restarts` binds them once
-per fit and hands the restarts to ``_threads(count)`` workers, each the
-next restart to the next free worker; a restart depends on nothing but
-its own rows, so which worker ran it changes no value.  One call runs
-every round of every restart.  The C orders a simplex only when its
-values are distinct and not NaN, where every sort agrees with numpy's;
-otherwise the restart waits, and when every restart has ended or waits,
-``np.argsort`` orders the waiting ones' values and the workers run again,
-so ties keep numpy's order on every CPU.
+``nc_fit`` is no member loop: its ``nm_run`` is the package's copy of
+scipy's bounded ``_minimize_neldermead`` (``adaptive=False``) for one
+restart, scipy's loop line for line with every ``+ - * /``, comparison,
+clip and budget rule in its order, and scipy's start simplex
+(``nm_simplex``); a host without the library runs scipy's own.  A
+restart calls the objective where scipy calls ``func``, on its own
+points and values, and divides each value by the objective's
+normalization.  :func:`fit_restarts` binds a fit's restarts once and
+hands them to ``_threads(count)`` workers, each the next restart to the
+next free worker; a restart depends on nothing but its own rows, so
+which worker ran it changes no value.  One call runs every restart
+straight through.  The C orders a simplex only when its values are
+distinct and not NaN, where every sort agrees with numpy's; otherwise
+the restart waits, keeping only its phase, nfev, nit and that it waits,
+and when every restart has ended or waits, ``np.argsort`` orders the
+waiting ones' values and the workers resume them, so ties keep numpy's
+order on every CPU.
 
 The fit's two templates are written once here too: each point's
 coefficients (``_acv_coefficients``, ``_psd_coefficients``, through
@@ -106,7 +107,7 @@ calls) and ``np.exp``.  An exp is numpy's SIMD exp, whose bits C cannot
 promise, and each row's sum of squares is a BLAS dot, whose order of
 summation depends on the CPU, so the objective calls numpy's own float64
 ``exp`` and ``vecdot`` loops (:func:`_ufunc_loops`) for them: numpy's exp
-maps a round's points into parameters, traced C writes each point's
+maps a call's points into parameters, traced C writes each point's
 coefficients and the ACV's exp arguments, numpy's exp maps those in place,
 traced C forms the curve less the data, and numpy's vecdot writes each
 row's sum of squares into the Nelder-Mead's values.  The fit runs under
@@ -686,10 +687,10 @@ int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double 
 """
 
 _NELDER_MEAD = r"""
-/* the phases of a restart of scipy's _minimize_neldermead: what it does
-   next, or what it waits for the values or the order of */
-enum { NM_START, NM_FIRST_SORT, NM_SECOND_SORT, NM_SORT, NM_ITERATE, NM_REFLECT,
-       NM_EXPAND, NM_OUTSIDE, NM_INSIDE, NM_SHRINK, NM_DONE };
+/* where a restart of scipy's _minimize_neldermead resumes: at its start,
+   at the first or the second sort of its start simplex, in its loop, or
+   nowhere, having ended */
+enum { NM_START, NM_FIRST_SORT, NM_SECOND_SORT, NM_ITERATE, NM_DONE };
 
 /* np.clip(v, lo, hi): v stays only if v > lo, then only if v < hi (so
    -0.0 clips to a bound of 0.0), and NaN stays NaN */
@@ -699,24 +700,76 @@ static inline double clipped(double v, double lo, double hi)
     return m >= hi ? hi : m;
 }
 
-/* The n + 1 vertices of sim and their values fsim in the order of
-   numpy's argsort of fsim: `order` when given, else fsim's own order when
-   no value is NaN and no two are equal, which every sort gives.  Returns
-   0, changing nothing, when there is no order to take: ties, NaN and a
-   +0.0 beside a -0.0 leave it to numpy. */
-static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
+/* The objective of nc_fit at the k log-parameter points at `points`: the
+   sum of squared residuals of each into `values`, the caller dividing them
+   by the normalization; rows [row, row + k) of the buffers the pointers a
+   give are its own.  Nonzero stops the fit. */
+typedef int (*fit_objective)(void *const *a, int64_t row, int64_t k, const double *points,
+                             double *values);
+
+/* scipy's start simplex around x0, sim's row 0, within [lower, upper]:
+   x0 clipped, one vertex a coordinate with that coordinate stepped by
+   nonzdelt, or set to zdelt where it is 0, a vertex past an upper bound
+   reflected into the interior, and every vertex clipped */
+static void nm_simplex(int64_t n, double nonzdelt, double zdelt, const double *lower,
+                       const double *upper, double *sim)
+{
+    for (int64_t j = 0; j < n; j++)
+        sim[j] = clipped(sim[j], lower[j], upper[j]);
+    for (int64_t v = 1; v <= n; v++) {
+        double *y = sim + v * n;
+        memcpy(y, sim, n * sizeof *sim);
+        y[v - 1] = y[v - 1] != 0 ? (1 + nonzdelt) * y[v - 1] : zdelt;
+    }
+    for (int64_t q = 0; q < (n + 1) * n; q++) {
+        const double hi = upper[q % n];
+        sim[q] = clipped(sim[q] > hi ? 2 * hi - sim[q] : sim[q], lower[q % n], hi);
+    }
+}
+
+/* scipy's func on the k points at x, their values into f, each divided by
+   the normalization k[8] as numpy's `/` does, counted in nfev as scipy's
+   wrapper counts them: it evaluates only the first maxfev - nfev, in one
+   call, and returns 0 when it refused one, else 1, or -1, evaluating
+   nothing, once the fit stops (shared[1], which an objective that returns
+   nonzero sets).  a and row are nc_fit's and the restart's. */
+static int nm_func(void *const *a, int64_t row, int64_t k, const double *x, double *f,
+                   int64_t *nfev)
+{
+    const int64_t left = ((const int64_t *)a[0])[2] - *nfev, allowed = left < k ? left : k;
+    const double scale = ((const double *)a[1])[8];
+    int64_t *stop = (int64_t *)a[10] + 1;
+    if (allowed) {
+        if (__atomic_load_n(stop, __ATOMIC_RELAXED)
+            || ((fit_objective)a[8])(a[9], row, allowed, x, f)) {
+            __atomic_store_n(stop, 1, __ATOMIC_RELAXED);
+            return -1;
+        }
+        for (int64_t q = 0; q < allowed; q++)
+            f[q] = f[q] / scale;
+    }
+    *nfev += allowed;
+    return allowed == k;
+}
+
+/* The n + 1 vertices of sim and their values fsim in the order of numpy's
+   argsort of fsim: by `order`, numpy's, when the restart waits for it,
+   else by fsim itself when no value is NaN and no two are equal, where
+   every sort agrees.  Otherwise (ties, NaN, a +0.0 beside a -0.0) it
+   changes nothing, the restart waits for numpy's order, and it returns 0. */
+static int nm_sort(int64_t n, double *sim, double *fsim, const int64_t *order, int64_t *waits)
 {
     int64_t idx[n + 1];
-    if (order) {
+    if (*waits) {
         memcpy(idx, order, sizeof idx);
+        *waits = 0;
     } else {
-        for (int64_t q = 0; q <= n; q++) {
-            if (isnan(fsim[q]))
-                return 0;
-            for (int64_t r = 0; r < q; r++)
-                if (fsim[r] == fsim[q])
+        for (int64_t q = 0; q <= n; q++)
+            for (int64_t r = 0; r <= q; r++)
+                if (r < q ? fsim[r] == fsim[q] : isnan(fsim[q])) {
+                    *waits = 1;
                     return 0;
-        }
+                }
         for (int64_t q = 0; q <= n; q++) {
             int64_t r = q;
             for (; r > 0 && fsim[idx[r - 1]] > fsim[q]; r--)
@@ -734,64 +787,68 @@ static int nm_sorted(int64_t n, double *sim, double *fsim, const int64_t *order)
     return 1;
 }
 
-/* One restart of scipy's bounded _minimize_neldermead (adaptive=False),
-   from its phase to the next point it needs: every + - * /, comparison,
-   clip and budget rule of scipy's, in its order.  Budget stops follow
-   scipy's wrapper, which refuses evaluation maxfev + 1: the iteration it
-   falls in ends there, uncounted, and keeps what it had changed.  values
-   holds the values of the points it asked for last, and order numpy's
-   order of fsim when it asked for one.  It writes the points it needs
-   into `points` and returns their count, or -1 to ask for the order of
-   fsim, or 0 when it has ended.  state = (phase,
-   nfev, nit, asked), asked the count of points asked for, or -1; sim holds
-   the (n + 1) x n simplex and fsim its values, the start simplex and +inf
-   at NM_START; work holds xbar, xr, up to n pending points and fxr.  k =
-   (rho, chi, psi, sigma, xatol, fatol), fitting's constants. */
-static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const double *k,
-                          const double *lower, const double *upper, int64_t *state,
-                          double *sim, double *fsim, double *work, const double *values,
-                          const int64_t *order, double *points)
+/* sim[-1] = x; fsim[-1] = fx */
+static void nm_replace(int64_t n, double *sim, double *fsim, const double *x, double fx)
 {
+    memcpy(sim + n * n, x, n * sizeof *x);
+    fsim[n] = fx;
+}
+
+/* Restart r of scipy's bounded _minimize_neldermead (adaptive=False), its
+   loop line for line: every + - * /, comparison and clip in scipy's order,
+   and each evaluation where scipy calls func, the start simplex's in one
+   call and a shrink's in one.  Budget stops follow scipy's wrapper, which
+   refuses evaluation maxfev + 1: the iteration it falls in ends there,
+   uncounted, and keeps what it had changed, so a shrink that the budget
+   cuts short has moved the vertex whose evaluation was refused.  It
+   returns when the restart ends, when the fit stops, or when a sort waits
+   for numpy's order (nm_sort); the call after that sort resumes the
+   restart at its phase.  Restart r owns state[4 r ...] = (phase, nfev,
+   nit, waits), sim[(n + 1) n r ...], fsim and order[(n + 1) r ...], and
+   the objective's rows [(n + 1) r, (n + 1) (r + 1)). */
+static void nm_run(void *const *a, int64_t r)
+{
+    const int64_t *size = a[0], n = size[1], maxfev = size[2], maxiter = size[3];
+    const int64_t row = (n + 1) * r;
+    const double *k = a[1], *lower = a[2], *upper = a[3];
     const double rho = k[0], chi = k[1], psi = k[2], sigma = k[3];
-    int64_t *phase = state, *nfev = state + 1, *nit = state + 2, *asked = state + 3;
-    double *xbar = work, *xr = xbar + n, *pending = xr + n, *fxr = pending + n * n;
-    double *worst = sim + n * n;
-    double c = 0.0; /* the point asked for: (1 + c) xbar - c worst, clipped */
-    for (;;) {
-        switch (*phase) {
-        case NM_START: /* the start simplex's vertices that the budget allows */
-            *nfev = maxfev < n + 1 ? maxfev : n + 1;
-            *phase = NM_FIRST_SORT;
-            if (!*nfev)
-                break;
-            memcpy(points, sim, *nfev * n * sizeof *sim);
-            return *asked = *nfev;
-        case NM_FIRST_SORT: /* sorted twice, as scipy does */
-        case NM_SECOND_SORT:
-        case NM_SORT:
-            if (*phase == NM_FIRST_SORT && *asked > 0)
-                memcpy(fsim, values, *asked * sizeof *fsim);
-            if (!nm_sorted(n, sim, fsim, *asked < 0 ? order : NULL))
-                return *asked = -1;
-            *asked = 0;
-            if (*phase == NM_SECOND_SORT)
-                *nit = 1;
-            *phase = *phase == NM_FIRST_SORT ? NM_SECOND_SORT : NM_ITERATE;
-            break;
-        case NM_ITERATE: {
-            if (!(*nfev < maxfev && *nit < maxiter)) {
-                *phase = NM_DONE;
-                return 0;
-            }
+    int64_t *phase = (int64_t *)a[4] + 4 * r, *nfev = phase + 1, *nit = phase + 2;
+    int64_t *waits = phase + 3;
+    double *sim = (double *)a[5] + row * n, *fsim = (double *)a[6] + row, *worst = sim + n * n;
+    const int64_t *order = (const int64_t *)a[7] + row;
+    double xbar[n], xr[n], x[n], fxr, fx;
+    int got;
+    switch (*phase) {
+    case NM_START:
+        nm_simplex(n, k[6], k[7], lower, upper, sim);
+        for (int64_t q = 0; q <= n; q++)
+            fsim[q] = INFINITY;
+        if (nm_func(a, row, n + 1, sim, fsim, nfev) < 0)
+            return;
+        *phase = NM_FIRST_SORT;
+        /* fall through */
+    case NM_FIRST_SORT:
+        if (!nm_sort(n, sim, fsim, order, waits))
+            return;
+        *phase = NM_SECOND_SORT;
+        /* fall through */
+    case NM_SECOND_SORT:
+        if (!nm_sort(n, sim, fsim, order, waits))
+            return;
+        *nit = 1;
+        *phase = NM_ITERATE;
+        /* fall through */
+    case NM_ITERATE:
+        if (*waits) /* the sort that ended the last iteration */
+            nm_sort(n, sim, fsim, order, waits);
+        while (*nfev < maxfev && *nit < maxiter) {
             int converged = 1;
             for (int64_t q = n; converged && q < (n + 1) * n; q++)
                 converged = fabs(sim[q] - sim[q % n]) <= k[4];
             for (int64_t q = 1; converged && q <= n; q++)
                 converged = fabs(fsim[0] - fsim[q]) <= k[5];
-            if (converged) {
-                *phase = NM_DONE;
-                return 0;
-            }
+            if (converged)
+                break;
             for (int64_t j = 0; j < n; j++) {
                 double sum = sim[j];
                 for (int64_t q = 1; q < n; q++)
@@ -800,124 +857,69 @@ static int64_t nm_advance(int64_t n, int64_t maxfev, int64_t maxiter, const doub
             }
             for (int64_t j = 0; j < n; j++)
                 xr[j] = clipped((1 + rho) * xbar[j] - rho * worst[j], lower[j], upper[j]);
-            memcpy(points, xr, n * sizeof *xr);
-            *phase = NM_REFLECT;
-            return *asked = 1;
-        }
-        case NM_REFLECT:
-            *fxr = values[0];
-            ++*nfev;
-            /* each `*nfev < maxfev` is where scipy's wrapper would refuse */
-            *phase = NM_SORT;
-            if (*fxr < fsim[0]) {
-                if (*nfev < maxfev) {
-                    c = rho * chi;
-                    *phase = NM_EXPAND;
+            if ((got = nm_func(a, row, 1, xr, &fxr, nfev)) < 0)
+                return;
+            if (fxr < fsim[0]) {
+                for (int64_t j = 0; j < n; j++)
+                    x[j] = clipped((1 + rho * chi) * xbar[j] - rho * chi * worst[j], lower[j],
+                                   upper[j]);
+                if ((got = nm_func(a, row, 1, x, &fx, nfev)) > 0) {
+                    if (fx < fxr)
+                        nm_replace(n, sim, fsim, x, fx);
+                    else
+                        nm_replace(n, sim, fsim, xr, fxr);
                 }
-            } else if (*fxr < fsim[n - 1]) {
-                memcpy(worst, xr, n * sizeof *xr);
-                fsim[n] = *fxr;
-                ++*nit;
-            } else if (*nfev < maxfev) {
-                c = *fxr < fsim[n] ? psi * rho : -psi;
-                *phase = *fxr < fsim[n] ? NM_OUTSIDE : NM_INSIDE;
+            } else if (fxr < fsim[n - 1]) {
+                nm_replace(n, sim, fsim, xr, fxr);
+            } else {
+                /* an outside contraction, or an inside one */
+                const int outside = fxr < fsim[n];
+                for (int64_t j = 0; j < n; j++)
+                    x[j] = clipped(outside ? (1 + psi * rho) * xbar[j] - psi * rho * worst[j]
+                                           : (1 - psi) * xbar[j] + psi * worst[j],
+                                   lower[j], upper[j]);
+                if ((got = nm_func(a, row, 1, x, &fx, nfev)) > 0) {
+                    if (outside ? fx <= fxr : fx < fsim[n]) {
+                        nm_replace(n, sim, fsim, x, fx);
+                    } else {
+                        /* shrink: scipy moves each vertex, then evaluates
+                           it, so a refused evaluation leaves its vertex
+                           moved */
+                        const int64_t left = maxfev - *nfev, moved = left < n ? left + 1 : n;
+                        for (int64_t q = n; q < (moved + 1) * n; q++)
+                            sim[q] = clipped(sim[q % n] + sigma * (sim[q] - sim[q % n]),
+                                             lower[q % n], upper[q % n]);
+                        got = nm_func(a, row, n, sim + n, fsim + 1, nfev);
+                    }
+                }
             }
-            if (*phase == NM_SORT)
-                break;
-            for (int64_t j = 0; j < n; j++)
-                pending[j] = clipped((1 + c) * xbar[j] - c * worst[j], lower[j], upper[j]);
-            memcpy(points, pending, n * sizeof *pending);
-            return *asked = 1;
-        case NM_EXPAND:
-            ++*nfev;
-            memcpy(worst, values[0] < *fxr ? pending : xr, n * sizeof *xr);
-            fsim[n] = values[0] < *fxr ? values[0] : *fxr;
-            ++*nit;
-            *phase = NM_SORT;
-            break;
-        case NM_OUTSIDE:
-        case NM_INSIDE: {
-            int shrink = *phase == NM_OUTSIDE ? !(values[0] <= *fxr) : !(values[0] < fsim[n]);
-            ++*nfev;
-            if (!shrink) {
-                memcpy(worst, pending, n * sizeof *pending);
-                fsim[n] = values[0];
-                ++*nit;
-                *phase = NM_SORT;
-                break;
-            }
-            for (int64_t q = n; q < (n + 1) * n; q++)
-                pending[q - n] = clipped(sim[q % n] + sigma * (sim[q] - sim[q % n]),
-                                         lower[q % n], upper[q % n]);
-            *asked = maxfev - *nfev < n ? maxfev - *nfev : n;
-            *phase = NM_SHRINK;
-            if (*asked) {
-                memcpy(points, pending, *asked * n * sizeof *pending);
-                return *asked;
-            }
-            break;
+            if (got < 0)
+                return;
+            *nit += got;
+            if (!nm_sort(n, sim, fsim, order, waits))
+                return;
         }
-        case NM_SHRINK:
-            /* a vertex the budget refuses is moved all the same */
-            *nfev += *asked;
-            memcpy(sim + n, pending, (*asked < n ? *asked + 1 : n) * n * sizeof *sim);
-            memcpy(fsim + 1, values, *asked * sizeof *fsim);
-            *nit += *asked == n;
-            *asked = 0;
-            *phase = NM_SORT;
-            break;
-        default:
-            return 0;
-        }
+        *phase = NM_DONE;
     }
 }
 
-/* The objective of nc_fit at the k log-parameter points at `points`: the
-   sum of squared residuals of each into `values`, the caller dividing them
-   by the normalization; rows [row, row + k) of the buffers the pointers a
-   give are its own.  Nonzero stops the fit. */
-typedef int (*fit_objective)(void *const *a, int64_t row, int64_t k, const double *points,
-                             double *values);
-
-/* scipy's Nelder-Mead restarts [0, count) on n parameters, from the
-   pointers a = (size, k, lower, upper, state, sim, fsim, work, values,
-   order, points, objective, objective's pointers, shared), bound once per
-   fit; size = (count, n, maxfev, maxiter), k = (rho, chi, psi, sigma,
-   xatol, fatol, scale) and shared = (the next restart to take, stop).
-   Each caller is a worker that takes the next restart nobody has taken
-   and runs its rounds: nm_advance writes the points it needs, the
-   objective their values, and each value is divided by scale, the
-   objective's normalization, as numpy's `/` would, until the restart has
-   ended or waits for numpy's order of its values (state[4 r + 3] is -1).
+/* scipy's Nelder-Mead restarts [0, count) on n parameters (nm_run), from
+   the pointers a = (size, k, lower, upper, state, sim, fsim, order,
+   objective, objective's pointers, shared), bound once per fit; size =
+   (count, n, maxfev, maxiter), k = (rho, chi, psi, sigma, xatol, fatol,
+   nonzdelt, zdelt, scale), fitting's constants and the objective's
+   normalization, row 0 of each restart's simplex its start, and shared =
+   (the next restart to take, stop).  Each caller is a worker that takes
+   the next restart nobody has taken and runs it until it ends or waits.
    A restart reads and writes only its own rows, so which worker runs it
-   changes no value: restart r owns state[4 r ...], sim[(n + 1) n r ...],
-   fsim, order and values[(n + 1) r ...], points[(n + 1) n r ...], the
-   objective's rows [(n + 1) r, (n + 1) (r + 1)) and work[(n n + 2 n + 1)
-   r ...].  An objective that returns nonzero, or the caller, sets stop,
-   and every worker stops after its current round. */
+   changes no value.  An objective that returns nonzero, or the caller,
+   sets stop, and every worker stops before its next evaluation. */
 void nc_fit(void *const *a)
 {
-    const int64_t *size = a[0], count = size[0], n = size[1];
-    const double *k = a[1];
-    const fit_objective objective = (fit_objective)a[11];
-    int64_t *state = a[4], *order = a[9], *shared = a[13];
-    double *sim = a[5], *fsim = a[6], *work = a[7], *values = a[8], *points = a[10];
-    for (int64_t r; (r = __atomic_fetch_add(shared, 1, __ATOMIC_RELAXED)) < count;) {
-        const int64_t row = (n + 1) * r;
-        double *mine = values + row, *asked = points + row * n;
-        for (int64_t got; !__atomic_load_n(shared + 1, __ATOMIC_RELAXED)
-                          && (got = nm_advance(n, size[2], size[3], k, a[2], a[3], state + 4 * r,
-                                               sim + row * n, fsim + row,
-                                               work + (n * n + 2 * n + 1) * r, mine,
-                                               order + row, asked)) > 0;) {
-            if (objective(a[12], row, got, asked, mine)) {
-                __atomic_store_n(shared + 1, 1, __ATOMIC_RELAXED);
-                break;
-            }
-            for (int64_t q = 0; q < got; q++)
-                mine[q] = mine[q] / k[6];
-        }
-    }
+    const int64_t count = ((const int64_t *)a[0])[0];
+    int64_t *shared = a[10];
+    for (int64_t r; (r = __atomic_fetch_add(shared, 1, __ATOMIC_RELAXED)) < count;)
+        nm_run(a, r);
 }
 """
 
@@ -1589,63 +1591,62 @@ def _frame(arrays) -> np.ndarray:
 
 
 # nc_fit's objective, as ctypes calls a Python one
-_OBJECTIVE = ctypes.CFUNCTYPE(ctypes.c_int, _P, _I, _I, _P, _P)
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_OBJECTIVE = ctypes.CFUNCTYPE(ctypes.c_int, _P, _I, _I, _DOUBLES, _DOUBLES)
 
 
-def fit_restarts(objective, scale, simplices, lower, upper, constants, maxfev,
+def fit_restarts(objective, scale, starts, lower, upper, constants, maxfev,
                  maxiter) -> Optional[list]:
-    """Restarts of scipy's bounded ``_minimize_neldermead`` from the start
-    simplices ``simplices`` (``fitting._simplex``) within [``lower``,
-    ``upper``], all their rounds run by ``nc_fit``, or None without the
-    library or numpy's loops (``_ufunc_loops``).
+    """Restarts of scipy's bounded ``_minimize_neldermead`` from the rows
+    of ``starts``, (count, n), within [``lower``, ``upper``], each run by
+    ``nc_fit`` from its start simplex, which the C builds as scipy does, or
+    None without the library or numpy's loops (``_ufunc_loops``).
 
     ``objective`` is a compiled template (:class:`_Template`), whose C
     objective ``nc_fit`` calls itself, or ``objective(points, values)``,
     which writes the objective's value of each point, times ``scale``, into
-    ``values``; ``nc_fit`` calls that through ctypes, one call at a time.
-    Restarts go to ``_threads(count)`` workers, one at a time to the next
-    free worker, and each runs until it ends or cannot order its values
+    ``values``; ``nc_fit`` calls that through ctypes, one call at a time,
+    on the restart's own points and values.  Restarts go to
+    ``_threads(count)`` workers, one at a time to the next free worker, and
+    each runs straight through until it ends or cannot order its values
     (ties, NaN): there it waits, and when every restart has ended or
     waits, numpy's argsort orders the waiting ones' values and the
-    workers run again.  The first round of a restart asks for the first
-    ``min(n + 1, maxfev)`` vertices and gives the others +inf.
-    ``constants`` are fitting's (rho, chi, psi, sigma, xatol, fatol).
-    Returns each restart's last simplex and values, as lists of floats, and
-    its nfev and nit.
+    workers resume them.  ``constants`` are fitting's (rho, chi, psi,
+    sigma, xatol, fatol, nonzdelt, zdelt).  Returns each restart's last
+    simplex and values, as lists of floats, and its nfev and nit.
     """
     lib, loops = _library(), _ufunc_loops()
     if lib is None or loops is None:
         return None
-    sim = np.array(simplices, dtype=np.float64, ndmin=3)
-    count, n = sim.shape[0], sim.shape[2]
+    starts = np.array(starts, dtype=np.float64, ndmin=2)
+    count, n = starts.shape
     arrays = [np.array(x, dtype=np.float64) for x in (constants, lower, upper)]
-    if [x.shape for x in arrays] != [(6,), (n,), (n,)] or sim.shape[1] != n + 1:
-        raise ValueError("nc_fit got simplices, bounds or constants of mismatched shapes")
+    if [x.shape for x in arrays] != [(8,), (n,), (n,)]:
+        raise ValueError("nc_fit got starts, bounds or constants of mismatched shapes")
     arrays[0] = np.append(arrays[0], scale)
     state = np.zeros((count, 4), np.int64)  # every restart at NM_START
-    fsim = np.full((count, n + 1), np.inf)
+    sim = np.empty((count, n + 1, n))
+    sim[:, 0] = starts  # each start simplex is built around its row 0
+    fsim = np.empty((count, n + 1))
     order = np.empty((count, n + 1), np.int64)
-    values = np.empty(count * (n + 1))
-    points = np.empty((count * (n + 1), n))
     shared = np.zeros(2, np.int64)
     errors = []
     if isinstance(objective, _Template):
-        if objective.capacity < values.size or n != _PARAMETERS:
+        if objective.capacity < fsim.size or n != _PARAMETERS:
             raise ValueError(f"nc_fit got {count} restarts of {n} parameters for a template of "
                              f"{objective.capacity} rows")
         function, bound = objective.function, objective.frame
     else:
-        function = _OBJECTIVE(_serialized(objective, points, values, errors))
+        function = _OBJECTIVE(_serialized(objective, n, errors))
         bound = np.zeros(1, np.uintp)
-    arrays = [np.array([count, n, maxfev, maxiter], np.int64), *arrays, state, sim, fsim,
-              np.empty((count, n * n + 2 * n + 1)), values, order, points,
+    arrays = [np.array([count, n, maxfev, maxiter], np.int64), *arrays, state, sim, fsim, order,
               ctypes.cast(function, _P).value, bound, shared]
     frame = _frame(arrays)  # nc_fit reads its pointers from here on every call
 
     def run(a, b):
         lib.nc_fit(frame.ctypes.data)
 
-    def halt():  # an interrupt: every worker stops after its current round
+    def halt():  # an interrupt: every worker stops before its next evaluation
         shared[1] = 1
 
     while True:
@@ -1653,24 +1654,25 @@ def fit_restarts(objective, scale, simplices, lower, upper, constants, maxfev,
         _in_threads(run, _threads(count), 1, halt)
         if errors:
             raise errors[0]
-        waiting = state[:, 3] < 0
+        waiting = state[:, 3] == 1
         if not waiting.any():
             return [(s, f, nfev, nit) for s, f, (nfev, nit)
                     in zip(sim.tolist(), fsim.tolist(), state[:, 1:3].tolist())]
         order[waiting] = np.argsort(fsim[waiting])
 
 
-def _serialized(objective, points, values, errors):
-    """``objective(points, values)`` as ``nc_fit`` calls its objective,
-    on the rows it names of ``points`` and ``values``, the fit's buffers,
-    one call at a time; an exception goes into ``errors`` and stops the
-    fit."""
+def _serialized(objective, n, errors):
+    """``objective(points, values)`` as ``nc_fit`` calls its objective:
+    on the k points of n coordinates and the k values at the pointers it
+    is given, one call at a time; an exception goes into ``errors`` and
+    stops the fit."""
     lock = threading.Lock()
 
-    def call(_, row, k, *pointers):
+    def call(_, row, k, points, values):
         try:
             with lock:
-                objective(points[row:row + k], values[row:row + k])
+                objective(np.ctypeslib.as_array(points, (k, n)),
+                          np.ctypeslib.as_array(values, (k,)))
         except BaseException as exc:  # re-raised by fit_restarts
             errors.append(exc)
             return 1

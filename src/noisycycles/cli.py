@@ -397,12 +397,12 @@ def _load_plugin(options, parser):
     module_name, _, attr = spec.partition(":")
     if not attr:
         parser.error(f"--plugin expects module.path:object, got {spec!r}")
-    try:
+    try:  # the module's own code and the factory's may raise anything
         obj = getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
-        parser.error(f"cannot load plugin {spec!r}: {exc}")
-    if callable(obj) and not isinstance(obj, SdeSystem):
-        obj = obj()
+        if callable(obj) and not isinstance(obj, SdeSystem):
+            obj = obj()
+    except Exception as exc:
+        parser.error(f"cannot load plugin {spec!r}: {type(exc).__name__}: {exc}")
     if not isinstance(obj, SdeSystem):
         parser.error(f"plugin {spec!r} is not an SdeSystem")
     return obj, None

@@ -13,24 +13,25 @@ scales the fitted r and sigma by c and leaves alpha and lambda unchanged.
 
 The Nelder-Mead is scipy's bounded ``_minimize_neldermead``
 (``adaptive=False``).  Where the compiled library builds and numpy hands
-out its loops, a whole fit's rounds run in one C call
-(``_stepkernel.fit_restarts``), whose ``nm_advance`` copies scipy's with
-every operation in its order, from scipy's start simplex (``_simplex``),
-so each restart returns the bits ``scipy.optimize.minimize(...,
-method="Nelder-Mead")`` returns.  Each restart advances to the points it
-needs and has the compiled template (``_stepkernel.template``), whose
-coefficients and curve are traced from the template functions, write
-their values: numpy's own ``exp`` loop maps the points into parameters, C
-writes every point's coefficients (a scalar square is libm's ``pow``, as
-on the scalars) and the ACV's exp arguments, numpy's ``exp`` loop maps
-those in place, C writes the curves less the data, and numpy's ``vecdot``
-loop writes each row's sum of squares, which the restart divides by the
-normalization as numpy's ``/`` does.  The restarts are shared by one
-worker a CPU; each has its own rows of every buffer, so the bits do not
-depend on the workers.  The C orders a simplex itself only when its
-values are distinct and not NaN, where any sort gives numpy's order;
-otherwise the restart waits for numpy's argsort, and the call after it
-resumes the restart, so ties are ordered as here on every CPU.
+out its loops, a whole fit runs in one C call
+(``_stepkernel.fit_restarts``), whose ``nm_run`` is scipy's loop written
+out line by line, with every operation in its order, from scipy's start
+simplex, which the same C builds; so each restart returns the bits
+``scipy.optimize.minimize(..., method="Nelder-Mead")`` returns.  Where
+scipy calls ``func``, the restart has the compiled template
+(``_stepkernel.template``), whose coefficients and curve are traced from
+the template functions, write its points' values: numpy's own ``exp``
+loop maps the points into parameters, C writes every point's
+coefficients (a scalar square is libm's ``pow``, as on the scalars) and
+the ACV's exp arguments, numpy's ``exp`` loop maps those in place, C
+writes the curves less the data, and numpy's ``vecdot`` loop writes each
+row's sum of squares, which the restart divides by the normalization as
+numpy's ``/`` does.  The restarts are shared by one worker a CPU; each
+has its own rows of every buffer, so the bits do not depend on the
+workers.  The C orders a simplex itself only when its values are
+distinct and not NaN, where any sort gives numpy's order; otherwise the
+restart waits for numpy's argsort, and the call after it resumes the
+restart, so ties are ordered as here on every CPU.
 
 A host without the library or numpy's loops runs each restart through
 ``scipy.optimize.minimize`` itself, one point a call, on the numpy
@@ -85,8 +86,8 @@ _MAXITER = _MAXFEV = 20000
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # the constants of the compiled copy, _stepkernel.fit_restarts
-_STEPS = (_RHO, _CHI, _PSI, _SIGMA, _XATOL, _FATOL)
-# the most points one objective call takes: a round of start simplices
+_STEPS = (_RHO, _CHI, _PSI, _SIGMA, _XATOL, _FATOL, _NONZDELT, _ZDELT)
+# the compiled template's rows: each restart's n + 1 of them
 _BATCH = _RESTARTS * (len(_NAMES) + 1)
 
 
@@ -355,27 +356,6 @@ class _Run(NamedTuple):
     final_simplex: tuple
 
 
-def _clipped(x, lower, upper):
-    """np.clip of the list ``x``: v stays only if v > lo, then only if v <
-    hi (so -0.0 clips to a bound of 0.0), and NaN stays NaN."""
-    return [hi if (m := lo if v <= lo else v) >= hi else m for v, lo, hi in zip(x, lower, upper)]
-
-
-def _simplex(x0, lower, upper):
-    """scipy's start simplex around ``x0`` within [lower, upper] (lists of
-    floats): x0 clipped, then one vertex a coordinate, that coordinate
-    stepped, and a vertex past an upper bound reflected into the interior.
-    The compiled restarts start from it; scipy builds the same one."""
-    x0 = _clipped(x0, lower, upper)
-    sim = [x0]
-    for k in range(len(x0)):
-        y = list(x0)
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
-    return [_clipped([2 * hi - v if v > hi else v for v, hi in zip(x, upper)], lower, upper)
-            for x in sim]
-
-
 def _run(sim, fsim, nfev, nit):
     """The :class:`_Run` of a restart that ended with the simplex ``sim``
     and values ``fsim`` (sorted lists) after ``nfev`` evaluations and
@@ -451,8 +431,7 @@ def _restarts(squares, denom, starts, lower, upper):
     loops, which runs a compiled template's objective itself, else on
     ``scipy.optimize.minimize``, one point a call; the two give the same
     bits."""
-    simplices = [_simplex(x.tolist(), lower, upper) for x in starts]
-    ended = _stepkernel.fit_restarts(squares, denom, simplices, lower, upper, _STEPS, _MAXFEV,
+    ended = _stepkernel.fit_restarts(squares, denom, starts, lower, upper, _STEPS, _MAXFEV,
                                      _MAXITER)
     if ended is not None:
         return [_run(*end) for end in ended]

@@ -153,7 +153,12 @@ def test_decompose_takes_a_plugin_system(tmp_path, capsys, monkeypatch):
         "    return van_der_pol(1.0)\n"
         "system = van_der_pol(1.0)\n"
         "not_a_system = 3\n"
+        "def make(mu):\n"
+        "    return van_der_pol(mu)\n"
     )
+    # a module that does not parse, and one that raises as it is imported
+    (tmp_path / "broken_plugin.py").write_text("return van_der_pol\n")
+    (tmp_path / "raising_plugin.py").write_text("raise RuntimeError('no system today')\n")
     monkeypatch.syspath_prepend(str(tmp_path))
     preset = tmp_path / "preset.csv"
     assert _call("decompose", "--system", "van-der-pol", "--mu", "1.0", "--output",
@@ -169,13 +174,23 @@ def test_decompose_takes_a_plugin_system(tmp_path, capsys, monkeypatch):
          "--plugin expects module.path:object, got 'vdp_plugin'"),
         (("--plugin", "no_such_plugin_module:make", "--guess", "2,0"),
          "cannot load plugin 'no_such_plugin_module:make': "
-         "No module named 'no_such_plugin_module'"),
+         "ModuleNotFoundError: No module named 'no_such_plugin_module'"),
+        (("--plugin", "broken_plugin:make_system", "--guess", "2,0"),
+         "cannot load plugin 'broken_plugin:make_system': "
+         "SyntaxError: 'return' outside function (broken_plugin.py, line 1)"),
+        (("--plugin", "raising_plugin:make_system", "--guess", "2,0"),
+         "cannot load plugin 'raising_plugin:make_system': RuntimeError: no system today"),
+        (("--plugin", "vdp_plugin:make", "--guess", "2,0"),
+         "cannot load plugin 'vdp_plugin:make': "
+         "TypeError: make() missing 1 required positional argument: 'mu'"),
         (("--plugin", "vdp_plugin:not_a_system", "--guess", "2,0"),
          "plugin 'vdp_plugin:not_a_system' is not an SdeSystem"),
         (("--plugin", "vdp_plugin:make_system"), "--guess is required with --plugin"),
     ]:
         assert _call("decompose", *argv, "--output", str(tmp_path / "bad.csv")) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"noisycycles: error: {message}"
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"noisycycles: error: {message}"
+        assert "Traceback" not in err
     assert not (tmp_path / "bad.csv").exists()
 
 

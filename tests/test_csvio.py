@@ -206,3 +206,13 @@ def test_failed_write_leaves_nothing_behind(tmp_path):
         write_trajectory(target, Boom())
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_rename_removes_its_part_file(tmp_path):
+    # the temporary file is written, then the rename onto a directory fails
+    target = tmp_path / "taken.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_curve(target, "x", "y", [1.0], [2.0])
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []

@@ -185,6 +185,16 @@ def test_guess_requires_oscillation():
         fit(FitProblem(target=FitTarget.ACV, curve=flat))
 
 
+def test_a_guess_from_one_zero_crossing_and_few_peaks():
+    # cos(0.9 u) up to u = 2 crosses zero once and peaks only at u = 0:
+    # alpha = pi / (2 u0), from the interpolated crossing u0, and sigma = 0
+    lags = np.linspace(0.0, 2.0, 40)
+    guess = initial_guess(AcvEstimate(lags=lags, values=np.cos(0.9 * lags)), FitTarget.ACV)
+    assert round(guess.alpha, 7) == 0.8999997
+    assert guess.alpha0 == guess.alpha and guess.sigma == 0.0
+    assert guess.lambda_ == guess.alpha / TAU and guess.r == np.sqrt(2.0)
+
+
 def test_guess_requires_positive_zero_lag():
     lags = np.arange(0.0, 5.0, 0.01)
     curve = AcvEstimate(lags=lags, values=-np.cos(TAU * lags))
@@ -972,9 +982,8 @@ def test_a_batch_wider_than_the_template_buffers_is_a_value_error():
     with pytest.raises(ValueError, match="buffers of 25 rows"):
         fitting._values(squares, 1.0, np.zeros((fitting._BATCH + 1, 4)))
     # a restart's start simplex takes 5 rows
-    simplex = fitting._simplex([0.0] * 4, [-1.0] * 4, [1.0] * 4)
     with pytest.raises(ValueError, match="template of 3 rows"):
-        _stepkernel.fit_restarts(template, 1.0, [simplex], [-1.0] * 4, [1.0] * 4,
+        _stepkernel.fit_restarts(template, 1.0, [[0.0] * 4], [-1.0] * 4, [1.0] * 4,
                                  fitting._STEPS, 100, 100)
 
 

@@ -70,6 +70,8 @@ def test_system_validation():
     with pytest.raises(ConfigError):
         SdeSystem(dimension=1, drift=lambda y: y, isotropic_sigma=-1.0)
     for make, message in (
+        (lambda: SdeSystem(dimension=2, drift=lambda y: y, noise_matrix=np.eye(2),
+                           isotropic_sigma=0.5), "noise_matrix conflicts with isotropic_sigma"),
         (lambda: SdeSystem(dimension=2.0, drift=lambda y: y), "dimension must be an integer, got 2.0"),
         (lambda: ornstein_uhlenbeck(1.0, 0.1, dimension=2.5), "dimension must be an integer, got 2.5"),
     ):

@@ -1,8 +1,18 @@
 """The validation suite's table of criteria and how ``run_all`` walks it,
-on stubbed checks: the real suite takes the better part of a minute."""
+on stubbed checks (the real suite takes the better part of a minute), and
+criterion 11 alone, on a synthetic series."""
 
-from noisycycles import validation
+import numpy as np
+
+from noisycycles import (
+    HopfParams,
+    IntegratorConfig,
+    sigma_for_nsr,
+    simulate_hopf_linear,
+    validation,
+)
 from noisycycles.cli import run as cli_run
+from noisycycles.csvio import write_curve
 from noisycycles.validation import NINO_ENV_VAR, CriterionResult
 
 # the names `noisycycles validate` prints, by index
@@ -78,3 +88,23 @@ def test_a_named_nino_file_that_cannot_be_read_fails_check_11(tmp_path, monkeypa
     assert validation.run_all() == [failed]
     assert cli_run(["validate", "--nino", str(typo)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_11_fits_a_monthly_series_with_or_without_its_time_column(tmp_path):
+    # a Nino-like cycle: period 4.2 yr, lambda 0.3/yr, NSR 0.5, 150 years
+    # sampled monthly; its bands are the published series', so only that
+    # both fits run and agree across the two files is asserted
+    alpha = 2.0 * np.pi / 4.2
+    params = HopfParams(alpha=alpha, alpha0=alpha, lambda_=0.3, r=1.0,
+                        sigma=sigma_for_nsr(0.5, 0.3, 1.0))
+    run = simulate_hopf_linear(params, IntegratorConfig(dt=1.0 / 12.0, n_steps=150 * 12, seed=11),
+                               leading_order=True)
+    timed, bare = tmp_path / "timed.csv", tmp_path / "bare.csv"
+    write_curve(timed, "t", "nino34", run.t, run.x)  # t in years
+    bare.write_text("nino34\n" + "".join(f"{v!r}\n" for v in run.x.tolist()))
+    # without a t column the check takes monthly samples, dt 1/12 yr
+    results = [validation.check_nino_reproduction(str(path)) for path in (timed, bare)]
+    assert results[0] == results[1]
+    result = results[0]
+    assert (result.index, result.skipped) == (11, False)
+    assert "ACV fit: sigma^2/ACV(0)" in result.detail and "; PSD fit: " in result.detail
