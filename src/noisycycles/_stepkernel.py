@@ -1,7 +1,8 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
 package builds, of ``frame.simulate_reduced`` and of
 ``hopf.simulate_hopf_linear``, ``fitting``'s compiled Nelder-Mead restarts
-and its templates, and the frame's compiled transport.
+and its templates, the frame's compiled transport and the cycle finder's
+compiled DOP853 steps.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
@@ -126,6 +127,20 @@ flags as numpy does: an SVD that raises FE_INVALID is numpy's
 ``LinAlgError``, and any other exception that numpy's error state does
 not ignore sends the frame to the numpy loop, which reports it.
 
+``nc_dop853`` takes the steps of a scipy ``DOP853`` solver that
+``frame.find_limit_cycle`` built on a spec's drift (:func:`dop853`):
+scipy's ``OdeSolver.step`` and ``DOP853._step_impl`` line for line, with
+the drift's scalar C (the table ``DRIFTS``), and its dense output's
+coefficients F.  Every ``np.dot`` of the stages goes through numpy's matmul
+loop and every norm, section and escape dot through its vecdot loop,
+which ``np.dot`` and ``@`` give the bits of on these shapes whichever
+OpenBLAS kernels run; scipy's tables are bound from its
+``dop853_coefficients`` (:func:`_dop853_tables`).  It steps until the
+solver finishes or fails, or until a step crosses the search's section
+or escape radius, and stops before a step that raised a floating-point
+exception which numpy's error state does not ignore, which scipy then
+takes.
+
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off
 -fno-builtin-pow`` against numpy's ``bitgen.h`` (no Python headers) into
 ``$XDG_CACHE_HOME/noisycycles`` (``~/.cache/noisycycles`` when unset),
@@ -135,15 +150,15 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the nine
+the archive's symbols out of the library's exports, which are the ten
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice, and
 ``-fno-builtin-pow`` from rewriting ``pow(x, 2.0)`` as x * x.
 Without a compiler, without ``objcopy``, without numpy's static library,
 or without a writable cache, the numpy loops, fitting's Python restarts
-and its numpy templates, and the frame's numpy transport run instead,
-with the same results; so do the fit and the transport where numpy does
-not hand out its loops.
+and its numpy templates, the frame's numpy transport and scipy's DOP853
+steps run instead, with the same results; so do the fit, the transport
+and the DOP853 steps where numpy does not hand out its loops.
 """
 
 from __future__ import annotations
@@ -540,18 +555,28 @@ typedef struct {
 } ufunc_loop;
 enum { LOOP_MATMUL, LOOP_SVD, LOOP_VECDOT, LOOP_EXP };
 
-/* out = a @ b for n x n matrices by numpy's matmul loop, with the core
-   strides np.matmul passes it: a's rows and columns ra and ca bytes apart,
-   b and out C-contiguous.  a == b with transposed strides is np.matmul(x.T,
-   x), which numpy's loop takes to syrk. */
+/* out = a @ b for an m x k a and a k x p b by numpy's matmul loop, with the
+   core strides in bytes np.matmul passes it: a's rows and columns ra and ca
+   apart, b's rb and cb and out's ro and co, and 0 for the missing dimension
+   of a vector */
+static void product(const ufunc_loop *f, int64_t m, int64_t k, int64_t p, const double *a,
+                    intptr_t ra, intptr_t ca, const double *b, intptr_t rb, intptr_t cb,
+                    double *out, intptr_t ro, intptr_t co)
+{
+    char *const data[] = {(char *)a, (char *)b, (char *)out};
+    const intptr_t dims[] = {1, m, k, p};
+    const intptr_t steps[] = {0, 0, 0, ra, ca, rb, cb, ro, co};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+}
+
+/* out = a @ b for n x n matrices, a's rows and columns ra and ca bytes
+   apart, b and out C-contiguous.  a == b with transposed strides is
+   np.matmul(x.T, x), which numpy's loop takes to syrk. */
 static void matmul(const ufunc_loop *f, int64_t n, const double *a, intptr_t ra, intptr_t ca,
                    const double *b, double *out)
 {
     const intptr_t row = n * sizeof(double), col = sizeof(double);
-    char *const data[] = {(char *)a, (char *)b, (char *)out};
-    const intptr_t dims[] = {1, n, n, n};
-    const intptr_t steps[] = {0, 0, 0, ra, ca, row, col, row, col};
-    f->loop(f->context, data, dims, steps, f->auxdata);
+    product(f, n, n, n, a, ra, ca, b, row, col, out, row, col);
 }
 
 /* u, s, vt of the n x n C-contiguous a by numpy's svd_f loop, as
@@ -588,13 +613,32 @@ static void exp_of(const ufunc_loop *f, int64_t size, const double *x, double *o
     f->loop(f->context, data, dims, steps, f->auxdata);
 }
 
+/* np.vecdot(x, y) of `size` contiguous doubles by numpy's vecdot loop: the
+   ddot of x @ y and of x.dot(y) */
+static double dot(const ufunc_loop *f, int64_t size, const double *x, const double *y)
+{
+    double out;
+    char *const data[] = {(char *)x, (char *)y, (char *)&out};
+    const intptr_t dims[] = {1, size};
+    const intptr_t steps[] = {0, 0, 0, sizeof(double), sizeof(double)};
+    f->loop(f->context, data, dims, steps, f->auxdata);
+    return out;
+}
+
 /* np.linalg.norm of the `size` contiguous doubles x: the square root of
-   x.dot(x), whose ddot numpy's vecdot loop calls too */
+   x.dot(x) */
 static double norm(const ufunc_loop *f, int64_t size, const double *x)
 {
-    double squares;
-    row_squares(f, 1, size, x, &squares);
-    return sqrt(squares);
+    return sqrt(dot(f, size, x, x));
+}
+
+/* the floating-point exceptions of nc_ watch bits 1, 2, 4 and 8: overflow,
+   invalid, divide and underflow, which numpy's error state does not
+   ignore (_stepkernel._watch) */
+static int watched(int64_t watch)
+{
+    return (watch & 1 ? FE_OVERFLOW : 0) | (watch & 2 ? FE_INVALID : 0)
+           | (watch & 4 ? FE_DIVBYZERO : 0) | (watch & 8 ? FE_UNDERFLOW : 0);
 }
 
 /* frame._transport's dU: -outer(tan, td) @ U @ p0 + outer(td, t0) into out,
@@ -638,8 +682,7 @@ int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double 
 {
     const int64_t s = m * substeps, nn = n * n;
     const intptr_t row = n * sizeof(double), col = sizeof(double);
-    const int raised = (watch & 1 ? FE_OVERFLOW : 0) | (watch & 2 ? FE_INVALID : 0)
-                       | (watch & 4 ? FE_DIVBYZERO : 0) | (watch & 8 ? FE_UNDERFLOW : 0);
+    const int raised = watched(watch);
     const double half = h / 2.0, sixth = h / 6.0;
     double *cur = work, *k1 = cur + nn, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn;
     double *x = k4 + nn, *u = x + nn, *vt = u + nn, *sv = vt + nn, *scratch = sv + n;
@@ -683,6 +726,232 @@ int64_t nc_frame(int64_t m, int64_t n, int64_t substeps, double h, const double 
         frame_rate(loops, n, tan + (3 * s + i) * n, rate + (3 * s + i) * n, t0, p0, U + i * nn,
                    V + i * nn, scratch);
     return fetestexcept(raised) ? FRAME_RAISED : FRAME_DONE;
+}
+"""
+
+_DOP853 = r"""
+/* scipy's DOP853 tables (dop853_coefficients.A, B, E3, E5 and D, as
+   _stepkernel._dop853_tables binds them): 16 stages, the first 12 a step's
+   and 13 with its last f, 4 rows of D */
+enum { DOP_A, DOP_B, DOP_E3, DOP_E5, DOP_D };
+enum { DOP_STAGES = 12, DOP_EXTENDED = 16, DOP_POWER = 7 };
+/* what ends a call of nc_dop853: the solver finished, a step failed, a step
+   crossed the section upwards, a step took |y| across the escape radius,
+   the record is full, or a step raised a watched floating-point exception */
+enum { DOP_FINISHED, DOP_FAILED, DOP_CROSSED, DOP_ESCAPED, DOP_FULL, DOP_RAISED };
+
+/* np.dot(K[:k].T, v[:k]) into out: the n x k matrix K[:k].T of the stage
+   rows of n doubles at K, by numpy's matmul loop */
+static void stage_sum(const ufunc_loop *mm, int64_t n, int64_t k, const double *K,
+                      const double *v, double *out)
+{
+    product(mm, n, k, 1, K, sizeof(double), n * sizeof(double), v, sizeof(double), 0, out,
+            sizeof(double), 0);
+}
+
+/* np.maximum(a, b), whose comparison raises no exception */
+static inline double maximum(double a, double b)
+{
+    return isgreaterequal(a, b) || isnan(a) ? a : b;
+}
+
+/* scipy's rk_step into K and y_new: K[0] = f, stage s = 1 ... 11 the drift
+   at y + np.dot(K[:s].T, A[s, :s]) * h, y_new = y + h * np.dot(K[:12].T,
+   B), and K[12] the drift there; dy holds n doubles */
+static void rk_step(void (*drift)(const double *, int64_t, const double *, double *),
+                    const double *c, int64_t n, const ufunc_loop *mm, const double *const *tab,
+                    const double *y, const double *f, double h, double *K, double *y_new,
+                    double *dy)
+{
+    memcpy(K, f, n * sizeof *f);
+    for (int64_t s = 1; s < DOP_STAGES; s++) {
+        stage_sum(mm, n, s, K, tab[DOP_A] + s * DOP_EXTENDED, dy);
+        for (int64_t i = 0; i < n; i++)
+            dy[i] = y[i] + dy[i] * h;
+        drift(c, n, dy, K + s * n);
+    }
+    stage_sum(mm, n, DOP_STAGES, K, tab[DOP_B], dy);
+    for (int64_t i = 0; i < n; i++)
+        y_new[i] = y[i] + h * dy[i];
+    drift(c, n, y_new, K + DOP_STAGES * n);
+}
+
+/* scipy's DOP853._estimate_error_norm of the stages K, h and scale: err5
+   and err3 hold n doubles each */
+static double error_norm(int64_t n, const ufunc_loop *loops, const double *const *tab,
+                         const double *K, double h, const double *scale, double *err5,
+                         double *err3)
+{
+    stage_sum(loops, n, DOP_STAGES + 1, K, tab[DOP_E5], err5);
+    stage_sum(loops, n, DOP_STAGES + 1, K, tab[DOP_E3], err3);
+    for (int64_t i = 0; i < n; i++) {
+        err5[i] = err5[i] / scale[i];
+        err3[i] = err3[i] / scale[i];
+    }
+    /* np.linalg.norm(x) ** 2: a numpy scalar's power, libm's pow */
+    const double e5 = pow(norm(loops + LOOP_VECDOT, n, err5), 2.0);
+    const double e3 = pow(norm(loops + LOOP_VECDOT, n, err3), 2.0);
+    if (e5 == 0 && e3 == 0)
+        return 0.0;
+    return fabs(h) * e5 / sqrt((e5 + 0.01 * e3) * n);
+}
+
+/* scipy's DOP853._dense_output_impl of the step of h from y_old to y with
+   the stages K (16 rows, the first 13 the step's): stages 13 ... 15, then
+   its 7 rows F of n doubles; dy holds 5 n doubles */
+static void dense_rows(void (*drift)(const double *, int64_t, const double *, double *),
+                       const double *c, int64_t n, const ufunc_loop *mm,
+                       const double *const *tab, const double *y_old, const double *y,
+                       const double *f, double h, double *K, double *F, double *dy)
+{
+    for (int64_t s = DOP_STAGES + 1; s < DOP_EXTENDED; s++) {
+        stage_sum(mm, n, s, K, tab[DOP_A] + s * DOP_EXTENDED, dy);
+        for (int64_t i = 0; i < n; i++)
+            dy[i] = y_old[i] + dy[i] * h;
+        drift(c, n, dy, K + s * n);
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double delta = y[i] - y_old[i];
+        F[i] = delta;
+        F[n + i] = h * K[i] - delta;
+        F[2 * n + i] = 2 * delta - h * (f[i] + K[i]);
+    }
+    double *DK = dy + n;
+    const intptr_t row = n * sizeof(double), col = sizeof(double);
+    product(mm, DOP_POWER - 3, DOP_EXTENDED, n, tab[DOP_D], DOP_EXTENDED * sizeof(double), col,
+            K, row, col, DK, row, col);
+    for (int64_t i = 0; i < (DOP_POWER - 3) * n; i++)
+        F[3 * n + i] = h * DK[i];
+}
+
+/* normal @ (y - ystar) and y @ y - radius2 for section = (radius2, normal
+   ..., ystar ...); diff holds n doubles */
+static void section_values(const ufunc_loop *vd, int64_t n, const double *section,
+                           const double *y, double *diff, double *g, double *e)
+{
+    for (int64_t i = 0; i < n; i++)
+        diff[i] = y[i] - section[1 + n + i];
+    *g = dot(vd, n, section + 1, diff);
+    *e = dot(vd, n, y, y) - section[0];
+}
+
+/* Steps of scipy's DOP853 (OdeSolver.step and DOP853._step_impl) with the
+   scalar drift `drift` of _stepkernel._FORMULAS on the coefficients c,
+   every operation scipy's in scipy's order: the elementwise ones here, each
+   np.dot by numpy's matmul loop and each norm's dot by its vecdot loop
+   (loops = matmul, svd_f, vecdot).  k = (t_bound, direction, max_step,
+   rtol, SAFETY, MIN_FACTOR, MAX_FACTOR, error_exponent, atol ...) and
+   state = (t, h_abs, t_old, h_previous, y ..., f ..., y_old ...), read and
+   written.  Without a section it steps until the solver finishes, writing
+   each step's (t_old, t, y_old ..., F ...) into the next of `capacity`
+   records (none when 0) and returning DOP_FULL when they are full.  With
+   section = (radius2, normal ..., ystar ...) it stops after the step where
+   y @ y - radius2 changes sign (DOP_ESCAPED) or normal @ (y - ystar) rises
+   through 0 (DOP_CROSSED, its record in record 0).  A step is taken only
+   when none of its operations raised an exception of watch (watched()'s
+   bits), else it returns DOP_RAISED before it, for scipy to take it; a
+   step whose size fell below its least is DOP_FAILED (scipy's
+   TOO_SMALL_STEP).
+   *steps gets the count of steps taken.  work holds 26 n doubles. */
+int64_t nc_dop853(int64_t which, const double *c, int64_t n, const double *k, double *state,
+                  const double *section, double *record, int64_t capacity, int64_t *steps,
+                  double *work, const double *const *tab, const ufunc_loop *loops,
+                  int64_t watch)
+{
+    void (*const drift)(const double *, int64_t, const double *, double *) = DRIFTS[which];
+    const double t_bound = k[0], direction = k[1], max_step = k[2], rtol = k[3];
+    const double safety = k[4], min_factor = k[5], max_factor = k[6], exponent = k[7];
+    const double *atol = k + 8;
+    const int raised = watched(watch);
+    const int64_t size = 2 + (1 + DOP_POWER) * n;
+    double *y = state + 4, *f = y + n, *y_old = f + n;
+    double *K = work, *y_new = K + DOP_EXTENDED * n, *scale = y_new + n, *err5 = scale + n;
+    double *err3 = err5 + n, *dy = err3 + n;
+    double g = 0.0, e = 0.0;
+    *steps = 0;
+    feclearexcept(FE_ALL_EXCEPT);
+    if (section)
+        section_values(loops + LOOP_VECDOT, n, section, y, dy, &g, &e);
+    if (fetestexcept(raised))
+        return DOP_RAISED;
+    for (;;) {
+        const double t = state[0];
+        const double min_step = 10 * fabs(nextafter(t, direction * INFINITY) - t);
+        double h_abs = state[1] > max_step ? max_step : state[1] < min_step ? min_step : state[1];
+        double h = 0.0, t_new = t;
+        int accepted = 0, rejected = 0, failed = 0;
+        while (!accepted) {
+            if (h_abs < min_step) {
+                failed = 1;
+                break;
+            }
+            h = h_abs * direction;
+            t_new = t + h;
+            if (direction * (t_new - t_bound) > 0)
+                t_new = t_bound;
+            h = t_new - t;
+            h_abs = fabs(h);
+            rk_step(drift, c, n, loops, tab, y, f, h, K, y_new, dy);
+            for (int64_t i = 0; i < n; i++)
+                scale[i] = atol[i] + maximum(fabs(y[i]), fabs(y_new[i])) * rtol;
+            const double norm_of_error = error_norm(n, loops, tab, K, h, scale, err5, err3);
+            if (isless(norm_of_error, 1)) {
+                double factor = max_factor;
+                if (norm_of_error != 0) {
+                    const double x = safety * pow(norm_of_error, exponent);
+                    factor = isless(x, max_factor) ? x : max_factor;
+                }
+                if (rejected)
+                    factor = isless(factor, 1) ? factor : 1;
+                h_abs *= factor;
+                accepted = 1;
+            } else {
+                const double x = safety * pow(norm_of_error, exponent);
+                h_abs *= isgreater(x, min_factor) ? x : min_factor;
+                rejected = 1;
+            }
+        }
+        double g_new = 0.0, e_new = 0.0;
+        int ended = DOP_FINISHED;
+        if (!failed && section) {
+            section_values(loops + LOOP_VECDOT, n, section, y_new, dy, &g_new, &e_new);
+            if ((islessequal(e, 0.0) && islessequal(0.0, e_new))
+                || (islessequal(e_new, 0.0) && islessequal(0.0, e)))
+                ended = DOP_ESCAPED;
+            else if (islessequal(g, 0.0) && islessequal(0.0, g_new))
+                ended = DOP_CROSSED;
+        }
+        double *rec = record + (ended == DOP_CROSSED ? 0 : *steps * size);
+        const int kept = !failed && (ended == DOP_CROSSED || (!section && capacity));
+        if (kept)
+            dense_rows(drift, c, n, loops, tab, y, y_new, K + DOP_STAGES * n, h, K, rec + 2 + n,
+                       dy);
+        if (fetestexcept(raised))
+            return DOP_RAISED;
+        if (failed)
+            return DOP_FAILED;
+        if (kept) {
+            rec[0] = t;
+            rec[1] = t_new;
+            memcpy(rec + 2, y, n * sizeof *y);
+        }
+        state[0] = t_new;
+        state[1] = h_abs;
+        state[2] = t;
+        state[3] = h;
+        memcpy(y_old, y, n * sizeof *y);
+        memcpy(y, y_new, n * sizeof *y);
+        memcpy(f, K + DOP_STAGES * n, n * sizeof *f);
+        ++*steps;
+        g = g_new;
+        e = e_new;
+        if (ended != DOP_FINISHED)
+            return ended;
+        if (direction * (t_new - t_bound) >= 0)
+            return DOP_FINISHED;
+        if (!section && capacity && *steps == capacity)
+            return DOP_FULL;
+    }
 }
 """
 
@@ -1187,8 +1456,14 @@ def _c_template(name, coefficients, curve):
 # name -> (C of the template, its coefficients a point, its exps a point)
 _TRACED = {name: _c_template(name, *entry) for name, entry in _TEMPLATES.items()}
 
+# nc_dop853's drift table, in the order of _FORMULAS
+_DRIFTS = ("/* the scalar drifts, nc_dop853's `which` their index in _FORMULAS */\n"
+           "static void (*const DRIFTS[])(const double *, int64_t, const double *, double *) = {"
+           + ", ".join(_FORMULAS) + "};\n")
+
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
-           + _LOOPS + _FRAME + _NELDER_MEAD + "".join(text for text, *_ in _TRACED.values()))
+           + _DRIFTS + _LOOPS + _FRAME + _DOP853 + _NELDER_MEAD
+           + "".join(text for text, *_ in _TRACED.values()))
 
 _COMPILER = "gcc"
 _OBJCOPY = "objcopy"
@@ -1220,9 +1495,11 @@ _ARGTYPES = {
     **dict.fromkeys(_TRACED, [_P, _I, _I, _P, _P]),
     # the frame transport, called once per frame
     "frame": [_I, _I, _I, ctypes.c_double] + [_P] * 9 + [_I],
+    # the cycle finder's DOP853 steps, called once per stretch of steps
+    "dop853": [_I, _P, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _I],
 }
 # what an nc_ function returns, when not None
-_RESTYPES = {"frame": _I, **dict.fromkeys(_TRACED, ctypes.c_int)}
+_RESTYPES = {"frame": _I, "dop853": _I, **dict.fromkeys(_TRACED, ctypes.c_int)}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless two members' steps are more
@@ -1277,8 +1554,8 @@ def _spec_of(system) -> Optional[KernelSpec]:
 
 
 def single_state(system) -> Optional[Callable]:
-    """``system``'s drift at one state as ``f(t, y)`` for ``solve_ivp``, or
-    None when ``_spec_of`` finds no spec.
+    """``system``'s drift at one state as ``f(t, y)`` for scipy's
+    ``DOP853``, or None when ``_spec_of`` finds no spec.
 
     ``f`` applies the spec's formula to the coefficients and ``y``'s
     components as Python floats, whose ``+ - * /`` round as numpy's do, and
@@ -1549,8 +1826,15 @@ def _ufunc_loops():
 # what nc_frame returns for an SVD that did not converge and for a
 # floating-point exception; else a step that lost orthogonality, or -1
 _FRAME_SVD, _FRAME_RAISED = -2, -3
-# numpy's error-state names, by nc_frame's bit for each
+# numpy's error-state names, by the bit of nc_frame's and nc_dop853's watch
 _WATCHED = ((1, "over"), (2, "invalid"), (4, "divide"), (8, "under"))
+
+
+def _watch() -> int:
+    """The floating-point exceptions numpy's error state does not ignore,
+    as the watch bits of ``nc_frame`` and ``nc_dop853``."""
+    errors = np.geterr()
+    return sum(bit for bit, name in _WATCHED if errors[name] != "ignore")
 
 
 def frame_transport(tan, rate, t0, p0, h, m, substeps) -> Optional[tuple]:
@@ -1571,15 +1855,103 @@ def frame_transport(tan, rate, t0, p0, h, m, substeps) -> Optional[tuple]:
         raise ValueError("nc_frame got rows, a tangent or a projector of mismatched shapes")
     U, V = np.empty((m, n, n)), np.empty((m, n, n))
     drift, work = np.zeros(1), np.empty(10 * n * n + n)
-    errors = np.geterr()
-    watch = sum(bit for bit, name in _WATCHED if errors[name] != "ignore")
     lost = lib.nc_frame(m, n, substeps, float(h), *(x.ctypes.data for x in (
-        tan, rate, t0, p0, U, V, drift, work, loops[0])), watch)
+        tan, rate, t0, p0, U, V, drift, work, loops[0])), _watch())
     if lost == _FRAME_RAISED:
         return None
     if lost == _FRAME_SVD:
         raise np.linalg.LinAlgError("SVD did not converge")
     return U, V, lost, drift[0]
+
+
+@functools.cache
+def _dop853_tables():
+    """scipy's DOP853 tables (``dop853_coefficients``' A, B, E3, E5 and D)
+    as ``nc_dop853`` reads them, the pointers to them, and scipy's step-size
+    constants (SAFETY, MIN_FACTOR and MAX_FACTOR of its ``rk`` module); None
+    where the tables have other shapes than the C's."""
+    from scipy.integrate._ivp import dop853_coefficients as coefficients, rk
+
+    tables = [np.ascontiguousarray(getattr(coefficients, name), dtype=np.float64)
+              for name in ("A", "B", "E3", "E5", "D")]
+    if ((coefficients.N_STAGES, coefficients.N_STAGES_EXTENDED, coefficients.INTERPOLATOR_POWER)
+            != (12, 16, 7) or [x.shape for x in tables] != [(16, 16), (12,), (13,), (13,), (4, 16)]):
+        return None
+    return tables, _frame(tables), (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+
+
+# what nc_dop853 returns, by its name in frame._advance, and the records a
+# call writes at most
+_DOP853_ENDED = ("finished", "failed", "crossed", "escaped", "full", "raised")
+_DOP853_RECORDS = 256
+
+
+def dop853(system) -> Optional[Callable]:
+    """The compiled stepper of scipy ``DOP853`` solvers on ``system``'s
+    drift, or None without a spec (``_spec_of``), the library, numpy's
+    loops (``_ufunc_loops``) or scipy's tables (``_dop853_tables``).
+
+    ``stepper(solver, section, outputs)`` takes the steps of
+    ``frame._advance``'s scipy loop in ``nc_dop853``, on a solver of the
+    drift ``single_state(system)``, with the same results, and leaves the
+    solver's t, y, f, h_abs, t_old, y_old, h_previous and status where
+    scipy's steps would.  It returns what ``frame._advance`` returns, each
+    step's dense output appended to ``outputs`` unless that is None, or
+    None when a step raised a floating-point exception that numpy's error
+    state does not ignore: the solver then stands before that step, for
+    scipy's steps to take it and report the exception as numpy does.  A
+    solver that is not running, and so takes no step, is left to
+    ``frame._advance`` too.
+    """
+    ks = _spec_of(system)
+    lib, loops, tables = _library(), _ufunc_loops(), _dop853_tables()
+    if ks is None or lib is None or loops is None or tables is None:
+        return None
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    _, pointers, constants = tables
+    which, coefs = list(_FORMULAS).index(ks.name), np.array(ks.coefs, dtype=np.float64)
+
+    def stepper(solver, section=None, outputs=None):
+        n = solver.n
+        if solver.status != "running" or solver.y.dtype != np.float64 or np.ndim(solver.rtol):
+            return None
+        k = np.array([solver.t_bound, solver.direction, solver.max_step, solver.rtol, *constants,
+                      solver.error_exponent, *np.broadcast_to(solver.atol, n)], dtype=np.float64)
+        state = np.concatenate([[solver.t, solver.h_abs, 0.0, 0.0], solver.y, solver.f,
+                                np.zeros(n)])
+        bounds = None if section is None else np.concatenate([[section[2]], *section[:2]])
+        # the search records the step that crossed, the one turn every step
+        capacity = 1 if section is not None else _DOP853_RECORDS if outputs is not None else 0
+        work, steps, watch = np.empty(26 * n), np.zeros(1, np.int64), _watch()
+
+        def dense(r):  # a record: (t_old, t, y_old ..., F ...)
+            return Dop853DenseOutput(r[0], r[1], r[2:2 + n], r[2 + n:].reshape(7, n))
+
+        ended = "full"
+        while ended == "full":
+            record = np.empty((capacity, 2 + 8 * n))
+            ended = _DOP853_ENDED[lib.nc_dop853(
+                which, coefs.ctypes.data, n, k.ctypes.data, state.ctypes.data,
+                None if bounds is None else bounds.ctypes.data, record.ctypes.data, capacity,
+                steps.ctypes.data, work.ctypes.data, pointers.ctypes.data, loops[0].ctypes.data,
+                watch)]
+            if steps[0]:
+                solver.t, solver.h_abs, solver.t_old, solver.h_previous = state[:4].tolist()
+                solver.y, solver.f, solver.y_old = (state[4 + j * n:4 + (j + 1) * n].copy()
+                                                    for j in range(3))
+                if solver.direction * (solver.t - solver.t_bound) >= 0:
+                    solver.status = "finished"
+            if outputs is not None:
+                outputs += [dense(r) for r in record[:steps[0]]]
+        if ended == "raised":
+            return None
+        if ended == "failed":
+            solver.status = "failed"
+            return ended, solver.TOO_SMALL_STEP
+        return ended, dense(record[0]) if ended == "crossed" else outputs
+
+    return stepper
 
 
 def _frame(arrays) -> np.ndarray:

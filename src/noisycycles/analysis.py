@@ -105,7 +105,7 @@ def sample_acv(series, dt, max_lag) -> AcvEstimate:
     x = _require_array("series", series, (None,))
     n = x.size
     _require_real("dt", dt)
-    _require_real("max_lag", max_lag, zero=True)
+    _require_real("max_lag", max_lag, least=0)
     with _float_rule(ConfigError, f"the sample ACV overflows at dt {dt}: scale the series "
                                   "or dt down"):
         if max_lag > n * dt / 2.0:

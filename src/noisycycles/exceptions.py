@@ -13,15 +13,17 @@ array argument a third, written once here and raised as
   "{name} must be an integer, got {value!r}", which is also the message
   for a value that is not a real number at all;
 - a real (``_require_real``) is a finite real number, positive
-  ("{name} must be positive and finite, got {value}") or, where zero is
-  allowed, nonnegative ("{name} must be finite and >= 0, got {value}");
-  an int too large for a float is not finite;
+  ("{name} must be positive and finite, got {value}") or, where it has a
+  least value, at least that ("{name} must be finite and >= {least},
+  got {value}", least 0 where zero is allowed); an int too large for a
+  float is not finite;
 - an array (``_require_array``) is real ("{name} must be an array of real
   numbers, got dtype {dtype}", where a ragged nested sequence is of dtype
   object), then of its shape ("{name} must have shape
   {spec}, got {shape}", where an ``N`` axis, as in ``(N,)`` or ``(N, 1)``,
-  takes any length of at least 1), then finite ("{name} must be finite,
-  got {x} at index {i}" for the first such element, i an int in 1-D).
+  takes any length of at least 1), then, unless its caller leaves that
+  to a later check, finite ("{name} must be finite, got {x} at index {i}"
+  for the first such element, i an int in 1-D).
 
 A ``str`` or ``None`` is not a real number, and is refused like a value out
 of range, never with a ``TypeError``.
@@ -80,19 +82,19 @@ def _require_count(name, value, least):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_real(name, value, zero=False):
+def _require_real(name, value, least=None):
     # compared, not converted: float() of an int beyond the float range overflows
-    if not (isinstance(value, numbers.Real) and (value >= 0 if zero else value > 0)
+    if not (isinstance(value, numbers.Real) and (value > 0 if least is None else value >= least)
             and value <= sys.float_info.max):
-        rule = "finite and >= 0" if zero else "positive and finite"
+        rule = "positive and finite" if least is None else f"finite and >= {least:g}"
         raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
-def _require_array(name, value, shape, ndmin=0):
+def _require_array(name, value, shape, ndmin=0, finite=True):
     """``np.asarray(value, dtype=float)`` with leading axes of length 1 up
     to ``ndmin`` axes, as ``np.atleast_1d`` and ``np.atleast_2d`` add them,
     refused unless it is real, of ``shape`` (None: any length of at least
-    1; a None ``shape``: any shape) and finite."""
+    1; a None ``shape``: any shape) and, when ``finite``, finite."""
     try:
         dtype = np.asarray(value).dtype
     except ValueError:  # numpy refuses a ragged nested sequence
@@ -105,7 +107,7 @@ def _require_array(name, value, shape, ndmin=0):
             n == s or s is None and n >= 1 for n, s in zip(arr.shape, shape))):
         spec = ", ".join("N" if s is None else str(s) for s in shape) + "," * (len(shape) == 1)
         raise ConfigError(f"{name} must have shape ({spec}), got {arr.shape}")
-    return _require_finite_array(name, arr)
+    return _require_finite_array(name, arr) if finite else arr
 
 
 def _require_finite_array(name, arr, error=ConfigError):

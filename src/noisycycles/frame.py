@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -85,6 +85,8 @@ _CLOSURE_TOL = 1.0e-8
 _MAX_TIME = 1000.0
 # solve_ivp's tolerances for an event's root
 _ROOT_TOL = 4.0 * np.finfo(float).eps
+# the least transient_time, which is also the search's window: 1e5 windows
+_MIN_TRANSIENT = 0.01
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,21 @@ def find_limit_cycle(
     |y| = 1e6 later in the same window than the converged crossing, and
     a stationary state at that window's end, are no longer watched for.
 
-    The transient, the search and the one-turn resampling take the drift
-    at one state many thousand times.  For a system the package builds,
-    whose drift is still its kernel spec's, they get
-    ``_stepkernel.single_state``: the spec's formula on Python floats, the
-    numpy drift's bits without its per-call overhead.  Any other drift is
-    called as it is.
+    The transient, the search and the one-turn resampling each build a
+    scipy ``DOP853``, which takes the first drift and the first step size,
+    and step it (:func:`_advance`).  For a system the package builds, whose
+    drift is still its kernel spec's, the solvers get
+    ``_stepkernel.single_state`` (the spec's formula on Python floats, the
+    numpy drift's bits without its per-call overhead), and the compiled
+    stepper ``_stepkernel.dop853`` takes their steps: scipy's step in C
+    with the spec's C drift and numpy's own matmul and vecdot loops for
+    its dots, in one call for the transient, one per search window and
+    crossing, and a few for the one turn, whose dense outputs become
+    scipy's ``OdeSolution``.  It gives scipy's bits whichever BLAS kernels
+    run.  Scipy's own steps are the reference; they run for any other
+    drift, without the library or numpy's loops, and from a step that
+    raised a floating-point exception which numpy's error state does not
+    ignore, so that numpy reports it.
 
     Parameters
     ----------
@@ -204,7 +215,8 @@ def find_limit_cycle(
     grid_size : int
         Samples per period, m; an integer of at least 8.
     transient_time : float
-        Relaxation horizon, and the span of each recurrence-search window.
+        Relaxation horizon, and the span of each recurrence-search window;
+        at least 0.01, which allows 1e5 windows.
 
     A drift that is not finite at ``initial_guess`` is refused up front:
     DOP853's first step size would be NaN, and scipy retries it without
@@ -216,8 +228,9 @@ def find_limit_cycle(
     ConfigError
         If ``grid_size`` is not an integer >= 8, ``initial_guess`` is not
         a finite real array of shape (n,), ``transient_time`` is not
-        positive and finite, or the drift at ``initial_guess`` is not
-        finite.
+        finite and >= 0.01, the drift at ``initial_guess`` is not finite,
+        or the system's Jacobian is not a real (n, n) array on the cycle
+        (one that is not finite there is a NumericsError).
     FixedPointError
         If the trajectory settles on a state with vanishing drift.
     NoCycleError
@@ -233,7 +246,7 @@ def find_limit_cycle(
         return np.asarray(rhs(0.0, y), dtype=float)
 
     y0 = _require_array("initial_guess", initial_guess, (ode.dimension,))
-    _require_real("transient_time", transient_time)
+    _require_real("transient_time", transient_time, least=_MIN_TRANSIENT)
     if not np.isfinite(f(y0)).all():
         raise ConfigError(f"the drift at initial_guess {y0} must be finite, got {f(y0)}")
 
@@ -246,19 +259,20 @@ def find_limit_cycle(
         return sp
 
     check_not_fixed_point(y0)
-    relax = solve_ivp(
-        rhs, (0.0, transient_time), y0, method="DOP853", rtol=1e-10, atol=1e-12
-    )
-    if not relax.success:
-        raise NumericsError(f"transient integration failed: {relax.message}")
-    ystar = relax.y[:, -1]
+    stepper = _stepkernel.dop853(ode)
+    relax = DOP853(rhs, 0.0, y0, float(transient_time), rtol=1e-10, atol=1e-12)
+    ended, message = _advance(relax, stepper)
+    if ended == "failed":
+        raise NumericsError(f"transient integration failed: {message}")
+    ystar = relax.y
     sp = check_not_fixed_point(ystar)
     normal = f(ystar) / sp
 
     # collect crossings until two consecutive section states coincide to
     # 1e-10 (relative); their spacing is the period
     crossings = []
-    for te, ye in _section_crossings(rhs, ystar, normal, transient_time, check_not_fixed_point):
+    search = _section_crossings(rhs, stepper, ystar, normal, transient_time, check_not_fixed_point)
+    for te, ye in search:
         # a spiral into a focus keeps crossing the section with ever
         # smaller drift; catch that before the gaps look converged
         check_not_fixed_point(ye)
@@ -280,25 +294,19 @@ def find_limit_cycle(
     (t_before, _), (t_last, anchor) = crossings[-2:]
     period = t_last - t_before
 
-    one_turn = solve_ivp(
-        rhs,
-        (0.0, period),
-        anchor,
-        method="DOP853",
-        rtol=_ODE_RTOL,
-        atol=1e-14,
-        dense_output=True,
-    )
-    if not one_turn.success:
-        raise NumericsError(f"cycle resampling failed: {one_turn.message}")
-    closure = np.linalg.norm(one_turn.sol(period) - anchor)
+    turn = DOP853(rhs, 0.0, anchor, float(period), rtol=_ODE_RTOL, atol=1e-14)
+    ended, steps = _advance(turn, stepper, dense=True)
+    if ended == "failed":
+        raise NumericsError(f"cycle resampling failed: {steps}")
+    one_turn = OdeSolution([0.0] + [step.t for step in steps], steps)
+    closure = np.linalg.norm(one_turn(period) - anchor)
     if closure > _CLOSURE_TOL * (1.0 + np.linalg.norm(anchor)):
         raise NoCycleError(
             f"cycle does not close: |L(period) - L(0)| = {closure:.2e}"
         )
 
     grid = np.arange(grid_size) * (period / grid_size)
-    L = one_turn.sol(grid).T
+    L = one_turn(grid).T
     f_on_L = np.asarray(_batched(ode)(L), dtype=float)
     speed = np.linalg.norm(f_on_L, axis=1)
     T = f_on_L / speed[:, None]
@@ -315,52 +323,90 @@ def find_limit_cycle(
     )
 
 
-def _section_crossings(rhs, ystar, normal, window, check_window_end):
+def _advance(solver, stepper, section=None, dense=False):
+    """Step the scipy ``DOP853`` ``solver`` until it finishes or a step
+    fails, or, with ``section`` = (normal, ystar, radius2), until a step
+    takes y @ y - radius2 across 0 or normal @ (y - ystar) up through 0 (the
+    event rule of ``solve_ivp``, read at each step's end).
+
+    Returns "finished" with the list of each step's dense output when
+    ``dense`` is set (else None), "failed" with scipy's message, "crossed"
+    with the dense output of the step that crossed the section, or
+    "escaped".  The compiled ``stepper`` (``_stepkernel.dop853``), when
+    given, takes the steps with the same results; a step that raised a
+    floating-point exception which numpy's error state does not ignore is
+    taken again here, by scipy, which reports it, and scipy's steps go on
+    to the end of the call.
+    """
+    outputs = [] if dense else None
+    ended = stepper(solver, section, outputs) if stepper is not None else None
+    if ended is not None:
+        return ended
+    if section is not None:
+        normal, ystar, radius2 = section
+
+        def values(y):
+            return normal @ (y - ystar), y @ y - radius2
+
+        g, e = values(solver.y)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            return "failed", message
+        if dense:
+            outputs.append(solver.dense_output())
+        if section is not None:
+            g_new, e_new = values(solver.y)
+            if e <= 0.0 <= e_new or e_new <= 0.0 <= e:
+                return "escaped", None
+            if g <= 0.0 <= g_new:
+                return "crossed", solver.dense_output()
+            g, e = g_new, e_new
+    return "finished", outputs
+
+
+def _section_crossings(rhs, stepper, ystar, normal, window, check_window_end):
     """The upward crossings (t, y) of the section normal @ (y - ystar) = 0
     by the trajectory from ``ystar``, each yielded as soon as its step is
     taken.  DOP853 runs in windows of ``window`` up to ``_MAX_TIME`` under
-    ``solve_ivp``'s event rule: section and escape values at each step's
-    end, and on a step where the section rose through zero a dense output,
-    brentq's root at solve_ivp's tolerances and the dense state there.  A
-    step that takes |y| across ``_ESCAPE_RADIUS`` raises NoCycleError, and
-    ``check_window_end`` gets each window's last state.
+    ``solve_ivp``'s event rule (:func:`_advance`, with the compiled
+    ``stepper`` when given): on a step where the section rose through zero,
+    brentq's root of the step's dense output at solve_ivp's tolerances and
+    the dense state there.  A step that takes |y| across
+    ``_ESCAPE_RADIUS`` raises NoCycleError, and ``check_window_end`` gets
+    each window's last state.
     """
-    radius2 = _ESCAPE_RADIUS**2
-
-    def section(y):
-        return normal @ (y - ystar)
-
+    section = (normal, ystar, _ESCAPE_RADIUS**2)
     t, y = 0.0, ystar
     while t < _MAX_TIME:
         solver = DOP853(
             rhs, t, y, t + min(window, _MAX_TIME - t), rtol=_ODE_RTOL, atol=_ODE_ATOL
         )
-        g, e = section(y), y @ y - radius2
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise NumericsError(f"recurrence search failed: {message}")
-            g_new, e_new = section(solver.y), solver.y @ solver.y - radius2
-            if e <= 0.0 <= e_new or e_new <= 0.0 <= e:
+        while True:
+            ended, detail = _advance(solver, stepper, section)
+            if ended == "failed":
+                raise NumericsError(f"recurrence search failed: {detail}")
+            if ended == "escaped":
                 raise NoCycleError(
                     f"trajectory escaped |y| = {_ESCAPE_RADIUS:g} without recurring"
                 )
-            if g <= 0.0 <= g_new:
-                sol = solver.dense_output()
-                te = brentq(
-                    lambda s: section(sol(s)), solver.t_old, solver.t,
-                    xtol=_ROOT_TOL, rtol=_ROOT_TOL,
-                )
-                yield te, sol(te)
-            g, e = g_new, e_new
+            if ended == "finished":
+                break
+            te = brentq(
+                lambda s: normal @ (detail(s) - ystar), detail.t_old, detail.t,
+                xtol=_ROOT_TOL, rtol=_ROOT_TOL,
+            )
+            yield te, detail(te)
         t, y = solver.t, solver.y
         check_window_end(y)
 
 
 def _jacobian_samples(ode, f, points) -> np.ndarray:
-    if ode.jacobian is not None:
-        return np.array([np.asarray(ode.jacobian(p), dtype=float) for p in points])
     m, n = points.shape
+    if ode.jacobian is not None:
+        # a sample that is not finite is the cycle's NumericsError
+        return _require_array("jacobian", [ode.jacobian(p) for p in points], (m, n, n),
+                              finite=False)
     J = np.empty((m, n, n))
     for i, p in enumerate(points):
         step = 1e-6 * (1.0 + np.linalg.norm(p))
@@ -528,7 +574,7 @@ def reduce(cycle: CycleParameterization, frame: ComovingFrame, sigma) -> Reduced
     Emits :class:`StabilityWarning` when the one-period monodromy of J0 is
     not a contraction.
     """
-    _require_real("sigma", sigma, zero=True)
+    _require_real("sigma", sigma, least=0)
     U, B = frame.U, frame.basis_P0
     ub = np.einsum("mij,jk->mik", U, B)
     jub = np.einsum("mij,mjk->mik", cycle.J, ub)

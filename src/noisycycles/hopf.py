@@ -65,7 +65,7 @@ class HopfParams:
     def __post_init__(self):
         for name in ("alpha", "alpha0", "lambda_", "r"):
             _require_real(name, getattr(self, name))
-        _require_real("sigma", self.sigma, zero=True)
+        _require_real("sigma", self.sigma, least=0)
 
 
 def sigma_for_nsr(nsr, lambda_, r) -> float:
@@ -73,7 +73,7 @@ def sigma_for_nsr(nsr, lambda_, r) -> float:
     finite and >= 0, lambda_ and r positive and finite, and the amplitude
     finite (ConfigError).  It is formed on numpy scalars, which round as
     Python's floats do but flag a product that overflows to inf."""
-    _require_real("nsr", nsr, zero=True)
+    _require_real("nsr", nsr, least=0)
     _require_real("lambda_", lambda_)
     _require_real("r", r)
     with _float_rule(ConfigError, f"the noise amplitude overflows at nsr {nsr}, "

@@ -143,7 +143,7 @@ class SdeSystem:
             raise ConfigError(f"jacobian must be callable, got {self.jacobian!r}")
         if self.noise_matrix is None:
             sigma = 0.0 if self.isotropic_sigma is None else self.isotropic_sigma
-            _require_real("isotropic_sigma", sigma, zero=True)
+            _require_real("isotropic_sigma", sigma, least=0)
             self.noise_matrix = float(sigma) * np.eye(n)
         else:
             self.noise_matrix = _require_array("noise_matrix", self.noise_matrix, (n, n))

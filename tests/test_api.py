@@ -114,9 +114,10 @@ _SERIES = np.sin(np.arange(64.0))
 _QUIET = hopf_system(_hopf(sigma=0.0))
 
 # every scalar argument of the public entry points: the call that takes it,
-# its name in the message, and its rule, a count's least value or "positive"
-# or "zero" for a finite real, > 0 or >= 0; the last entry says whether None
-# is a value the argument takes rather than a wrong type
+# its name in the message, and its rule, a count's least value (an int) or
+# "positive" or "zero" for a finite real, > 0 or >= 0, or a finite real's
+# least value (a float); the last entry says whether None is a value the
+# argument takes rather than a wrong type
 SCALARS = {
     "SdeSystem dimension": (lambda v: SdeSystem(dimension=v, drift=np.negative), "dimension", 1, False),
     "SdeSystem isotropic_sigma": (lambda v: SdeSystem(dimension=1, drift=np.negative, isotropic_sigma=v),
@@ -144,9 +145,10 @@ SCALARS = {
     "find_limit_cycle grid_size": (
         lambda v: find_limit_cycle(_QUIET, (0.3, 0.0), grid_size=v),
         "grid_size", 8, False),
+    # also the search's window: 1e5 windows at the least
     "find_limit_cycle transient_time": (
         lambda v: find_limit_cycle(_QUIET, (0.3, 0.0), transient_time=v),
-        "transient_time", "positive", False),
+        "transient_time", 0.01, False),
     # both refuse the scalar before they read the cycle or the frame
     "build_frame substeps": (lambda v: build_frame(None, substeps=v), "substeps", 1, False),
     "reduce sigma": (lambda v: reduce(None, None, v), "sigma", "zero", False),
@@ -169,8 +171,8 @@ SCALARS = {
 def _message(name, rule, value):
     if rule == "positive":
         return f"{name} must be positive and finite, got {value}"
-    if rule == "zero":
-        return f"{name} must be finite and >= 0, got {value}"
+    if rule == "zero" or isinstance(rule, float):
+        return f"{name} must be finite and >= {0 if rule == 'zero' else rule}, got {value}"
     if isinstance(value, float) and not value >= rule:
         return f"{name} must be >= {rule}, got {value}"
     return f"{name} must be an integer, got {value!r}"
@@ -182,7 +184,7 @@ def _message(name, rule, value):
     # an int beyond the float range is not finite; a count takes it
     for value in ("1", None, np.nan, np.inf, -np.inf, 10**400)
     if not (value is None and takes_none)
-    and not (value == 10**400 and rule not in ("positive", "zero"))
+    and not (value == 10**400 and isinstance(rule, int))
 ])
 def test_a_wrongly_typed_or_non_finite_scalar_is_a_config_error(entry, value):
     call, name, rule, _ = SCALARS[entry]

@@ -395,15 +395,18 @@ def test_formula_grid_flags_must_be_positive(capsys, flags):
     (("decompose", "--system", "hopf", "--substeps", "-1"),
      "noisycycles decompose: error: substeps must be >= 1, got -1"),
     (("decompose", "--system", "hopf", "--transient", "nan"),
-     "noisycycles decompose: error: transient_time must be positive and finite, got nan"),
+     "noisycycles decompose: error: transient_time must be finite and >= 0.01, got nan"),
     (("decompose", "--system", "hopf", "--transient", "0"),
-     "noisycycles decompose: error: transient_time must be positive and finite, got 0.0"),
+     "noisycycles decompose: error: transient_time must be finite and >= 0.01, got 0.0"),
     (("decompose", "--system", "hopf", "--transient", "-1"),
-     "noisycycles decompose: error: transient_time must be positive and finite, got -1.0"),
+     "noisycycles decompose: error: transient_time must be finite and >= 0.01, got -1.0"),
+    # the transient is also the search's window: this one never returned
+    (("decompose", "--system", "hopf", "--transient", "1e-300"),
+     "noisycycles decompose: error: transient_time must be finite and >= 0.01, got 1e-300"),
 ], ids=["dt-0-periods", "dt-0-steps", "periods-nan", "record-every-0-exact",
         "record-every-0-linear", "record-every-0-reduced", "initial-nan-exact",
         "initial-nan-linear", "substeps-0", "substeps-neg",
-        "transient-nan", "transient-0", "transient-neg"])
+        "transient-nan", "transient-0", "transient-neg", "transient-tiny"])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert _call(*argv, "--nsr", "0.1", "--output", str(tmp_path / "x.csv")) == 1
     out, err = capsys.readouterr()

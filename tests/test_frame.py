@@ -165,10 +165,39 @@ def test_noisy_system_is_rejected():
         find_limit_cycle(noisy, (0.3, 0.0))
 
 
-@pytest.mark.parametrize("transient_time", [np.nan, 0.0, -1.0, np.inf])
-def test_cycle_search_needs_a_positive_finite_transient(transient_time):
-    with pytest.raises(ConfigError, match=r"^transient_time must be positive and finite, got "):
-        find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), transient_time=transient_time)
+@pytest.mark.parametrize("transient_time", [np.nan, 0.0, -1.0, np.inf, 1e-300, 0.0099])
+def test_cycle_search_needs_a_finite_transient_of_at_least_a_hundredth(transient_time):
+    # the transient is also the search's window: at 1e-300 the search would
+    # take 1e303 windows, and never returned
+    with pytest.raises(ConfigError) as err:
+        find_limit_cycle(van_der_pol(1.0), (2.0, 0.0), grid_size=16, transient_time=transient_time)
+    assert str(err.value) == f"transient_time must be finite and >= 0.01, got {transient_time}"
+
+
+def test_the_least_transient_finds_the_cycle():
+    cycle = find_limit_cycle(van_der_pol(1.0), (2.0, 0.0), grid_size=16, transient_time=0.01)
+    assert cycle.period == pytest.approx(VDP_PERIOD, abs=1e-8)
+
+
+@pytest.mark.parametrize("jacobian, message", [
+    (lambda y: np.eye(3), "jacobian must have shape (16, 2, 2), got (16, 3, 3)"),
+    (lambda y: np.ones(2), "jacobian must have shape (16, 2, 2), got (16, 2)"),
+    (lambda y: [[1.0, 0.0], [0.0]], "jacobian must be an array of real numbers, got dtype object"),
+    (lambda y: 1j * np.eye(2), "jacobian must be an array of real numbers, got dtype complex128"),
+], ids=["3x3", "vector", "ragged", "complex"])
+def test_a_jacobian_that_is_not_a_real_n_by_n_array_is_a_config_error(jacobian, message):
+    # a 3 x 3 Jacobian escaped from the tangent rate's einsum as numpy's
+    # ValueError
+    system = dataclasses.replace(van_der_pol(1.0), jacobian=jacobian)
+    with pytest.raises(ConfigError) as err:
+        find_limit_cycle(system, (2.0, 0.0), grid_size=16)
+    assert str(err.value) == message
+
+
+def test_a_jacobian_that_is_not_finite_is_the_cycles_numerics_error():
+    system = dataclasses.replace(van_der_pol(1.0), jacobian=lambda y: np.full((2, 2), np.nan))
+    with pytest.raises(NumericsError, match=r"^cycle J must be finite, got nan at index \(0, 0, 0\)$"):
+        find_limit_cycle(system, (2.0, 0.0), grid_size=16)
 
 
 @pytest.mark.parametrize("substeps", [0, -1, 2.0, 1.5])
@@ -202,7 +231,6 @@ def test_cycle_search_needs_an_integer_grid_of_eight_up_front(monkeypatch, grid_
     def no_search(*args, **kwargs):
         raise AssertionError("the grid must be checked before any integration")
 
-    monkeypatch.setattr(frame_module, "solve_ivp", no_search)
     monkeypatch.setattr(frame_module, "DOP853", no_search)
     with pytest.raises(ConfigError) as err:
         find_limit_cycle(contract.quiet_hopf(), (0.3, 0.0), grid_size=grid_size)
@@ -260,25 +288,24 @@ def test_cycle_from_the_single_state_drift_is_bitwise_the_numpy_drifts(mu, guess
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
-def test_solve_ivp_gets_the_single_state_drift_only_while_the_spec_holds(monkeypatch):
+# the compiled DOP853 stepper (_stepkernel.dop853), and scipy's stepping,
+# which a host without the library runs
+STEPPERS = {"compiled": contextlib.nullcontext, "scipy": numpy_loop}
+
+
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_dop853_gets_the_single_state_drift_only_while_the_spec_holds(monkeypatch, stepper):
     params = HopfParams(alpha=TAU, alpha0=TAU, lambda_=TAU, r=1.0, sigma=0.0)
     quiet = hopf_system(params)
     twin = _stepkernel.single_state(quiet).__code__
-    handed, called = [], []
+    handed = []
+    real = frame_module.DOP853
 
-    def spy(name):
-        real = getattr(frame_module, name)
+    def spy(fun, *args, **kwargs):
+        handed.append(fun)
+        return real(fun, *args, **kwargs)
 
-        def call(fun, *args, **kwargs):
-            handed.append(fun)
-            called.append(name)
-            return real(fun, *args, **kwargs)
-
-        monkeypatch.setattr(frame_module, name, call)
-
-    # solve_ivp for the transient and the one turn, the stepper for the search
-    spy("solve_ivp")
-    spy("DOP853")
+    monkeypatch.setattr(frame_module, "DOP853", spy)
     cases = {
         "spec": (quiet, True),
         "row-wise": (dataclasses.replace(quiet, vectorized=False), True),
@@ -288,12 +315,33 @@ def test_solve_ivp_gets_the_single_state_drift_only_while_the_spec_holds(monkeyp
     }
     for name, (system, fast) in cases.items():
         handed.clear()
-        called.clear()
-        find_limit_cycle(system, (0.3, 0.0), grid_size=16, transient_time=5.0)
+        with STEPPERS[stepper]():
+            find_limit_cycle(system, (0.3, 0.0), grid_size=16, transient_time=5.0)
         # the transient, the recurrence search's windows and the one turn
         assert len(handed) >= 3, name
-        assert called[0] == called[-1] == "solve_ivp" and "DOP853" in called, name
         assert all((fun.__code__ is twin) == fast for fun in handed), name
+
+
+def _scipy_steps_refused(self):
+    raise AssertionError("scipy stepped the solver")
+
+
+@requires_compiler
+def test_the_cycle_finder_takes_the_compiled_stepper_while_the_spec_holds(monkeypatch):
+    # scipy still builds each solver, its first f and step; the compiled
+    # stepper alone steps them without scipy's step
+    monkeypatch.setattr(frame_module.DOP853, "step", _scipy_steps_refused)
+    for system, guess in [(contract.quiet_hopf(), (0.3, 0.0)), (van_der_pol(1.0), (2.0, 0.0))]:
+        find_limit_cycle(system, guess, grid_size=16, transient_time=5.0)
+        replaced = dataclasses.replace(system, drift=lambda y, system=system: system.drift(y))
+        assert _stepkernel.dop853(replaced) is None
+        with pytest.raises(AssertionError, match="^scipy stepped the solver$"):
+            find_limit_cycle(replaced, guess, grid_size=16, transient_time=5.0)
+    # without the library, numpy's loops or scipy's tables, scipy steps
+    for missing in ("_library", "_ufunc_loops", "_dop853_tables"):
+        with monkeypatch.context() as mp:
+            mp.setattr(_stepkernel, missing, lambda: None)
+            assert _stepkernel.dop853(van_der_pol(1.0)) is None
 
 
 def _windowed_search(system, guess, transient_time):
@@ -341,8 +389,9 @@ def _tilted_hopf():
                      vectorized=True)
 
 
-# the benchmark's four oscillators, van der Pol searches over several
-# windows, and the 3-D cycle over one window and over many
+# the benchmark's four oscillators, van der Pol and two Hopf systems
+# searched over several windows, and the 3-D cycle over one window and
+# over many
 _SEARCHES = {
     "vdp-mu0.5": (lambda: van_der_pol(0.5), (2.0, 0.0), 100.0),
     "vdp-mu1": (lambda: van_der_pol(1.0), (2.0, 0.0), 100.0),
@@ -350,40 +399,50 @@ _SEARCHES = {
     "hopf": (contract.quiet_hopf, (0.3, 0.0), 100.0),
     **{f"vdp-mu{mu:g}-window{window:g}": (lambda mu=mu: van_der_pol(mu), (2.0, 0.0), window)
        for mu in (0.5, 1.0, 2.0) for window in (3.0, 5.0, 20.0)},
+    **{f"hopf-window{window:g}": (contract.quiet_hopf, (0.3, 0.0), window)
+       for window in (3.0, 5.0, 20.0)},
+    **{f"hopf-shifted-window{window:g}": (lambda: _SPEC_SYSTEMS["hopf"], (0.3, 0.1), window)
+       for window in (3.0, 5.0, 20.0, 100.0)},
     "tilted-window100": (_tilted_hopf, (0.5, 0.1, 0.0), 100.0),
     "tilted-window0.7": (_tilted_hopf, (0.5, 0.1, 0.0), 0.7),
 }
 
 
 def _spy_on_the_search(monkeypatch):
-    """Record the crossings the search yields and the (t_old, t) of each
-    step its stepper takes."""
+    """Record the crossings the search yields and the (t_old, t) of the
+    last step of each stretch of steps it takes (frame._advance), which
+    ends at a crossing, an escape or a window's end on both paths."""
     crossings, steps = [], []
-    real = frame_module._section_crossings
+    real_search, real_advance = frame_module._section_crossings, frame_module._advance
 
     def search(*args):
-        for crossing in real(*args):
+        for crossing in real_search(*args):
             crossings.append(crossing)
             yield crossing
 
-    class Stepper(DOP853):
-        def step(self):
-            message = super().step()
-            steps.append((self.t_old, self.t))
-            return message
+    def advance(solver, *args, **kwargs):
+        ended = real_advance(solver, *args, **kwargs)
+        steps.append((solver.t_old, solver.t))
+        return ended
 
     monkeypatch.setattr(frame_module, "_section_crossings", search)
-    monkeypatch.setattr(frame_module, "DOP853", Stepper)
+    monkeypatch.setattr(frame_module, "_advance", advance)
     return crossings, steps
 
 
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
 @pytest.mark.parametrize("case", sorted(_SEARCHES))
-def test_the_search_finds_the_windowed_solve_ivp_crossings_bitwise(monkeypatch, case):
+def test_the_search_finds_the_windowed_solve_ivp_crossings_bitwise(monkeypatch, case, stepper):
+    # the compiled stepper calls numpy's own matmul and vecdot loops, so it
+    # gives scipy's bits whichever BLAS kernels and SIMD loops the host
+    # dispatches; the cycle's other samples are computed from L and the
+    # period alone
     make, guess, window = _SEARCHES[case]
     system = make()
     rhs, times, states = _windowed_search(system, guess, window)
     crossings, _ = _spy_on_the_search(monkeypatch)
-    cycle = find_limit_cycle(system, guess, grid_size=64, transient_time=window)
+    with STEPPERS[stepper]():
+        cycle = find_limit_cycle(system, guess, grid_size=64, transient_time=window)
     assert np.array([te for te, _ in crossings]).tobytes() == np.array(times).tobytes()
     assert [ye.tobytes() for _, ye in crossings] == [ye.tobytes() for ye in states]
     period = times[-1] - times[-2]
@@ -393,14 +452,89 @@ def test_the_search_finds_the_windowed_solve_ivp_crossings_bitwise(monkeypatch, 
     assert cycle.L.tobytes() == one_turn.sol(cycle.grid).T.tobytes()
 
 
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
 @pytest.mark.parametrize("case", ["vdp-mu2", "vdp-mu2-window3"])
-def test_the_search_stops_in_the_step_of_the_converged_crossing(monkeypatch, case):
+def test_the_search_stops_in_the_step_of_the_converged_crossing(monkeypatch, case, stepper):
     make, guess, window = _SEARCHES[case]
     crossings, steps = _spy_on_the_search(monkeypatch)
-    find_limit_cycle(make(), guess, grid_size=64, transient_time=window)
-    # with a window of 3 the converged crossing is the third, at t = 15.3
-    t_old, t = steps[-1]
+    with STEPPERS[stepper]():
+        find_limit_cycle(make(), guess, grid_size=64, transient_time=window)
+    # with a window of 3 the converged crossing is the third, at t = 15.3;
+    # the last stretch is the search's, the one turn's comes after it
+    t_old, t = steps[-2]
     assert t_old <= crossings[-1][0] <= t
+
+
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_a_finished_solver_takes_no_step(stepper):
+    # the search advances its solver again after a crossing, which may be
+    # in the window's last step
+    system = van_der_pol(1.0)
+    rhs = _stepkernel.single_state(system)
+    with STEPPERS[stepper]():
+        advance = _stepkernel.dop853(system)
+        solver = DOP853(rhs, 0.0, np.array([2.0, 0.0]), 0.5, rtol=1e-12, atol=1e-12)
+        section = (np.array([1.0, 0.0]), np.array([2.0, 0.0]), _ESCAPE_RADIUS**2)
+        assert frame_module._advance(solver, advance, section)[0] == "finished"
+        before = (solver.t, solver.t_old, solver.h_abs, solver.y.tobytes())
+        assert frame_module._advance(solver, advance, section) == ("finished", None)
+        assert frame_module._advance(solver, advance, dense=True) == ("finished", [])
+    assert (solver.t, solver.t_old, solver.h_abs, solver.y.tobytes()) == before
+    assert solver.t == 0.5
+
+
+class _Late(DOP853):
+    """A solver whose times start 1e18 later, where a step of a hundredth
+    is below the spacing of the numbers."""
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0 + 1e18, y0, t_bound + 1e18, **options)
+
+
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_a_step_below_the_spacing_of_the_numbers_fails_with_scipys_message(monkeypatch, stepper):
+    calls = []
+    step = DOP853.step
+    monkeypatch.setattr(DOP853, "step", lambda self: calls.append(1) or step(self))
+    monkeypatch.setattr(frame_module, "DOP853", _Late)
+    # a linear drift: its stages stay finite, so no exception sends the
+    # compiled stepper's steps to scipy
+    with STEPPERS[stepper](), pytest.raises(NumericsError) as err:
+        find_limit_cycle(ornstein_uhlenbeck(1.5, 0.0, dimension=2), (1.0, 1.0))
+    assert str(err.value) == f"transient integration failed: {DOP853.TOO_SMALL_STEP}"
+    assert len(calls) == (stepper == "scipy")
+
+
+def _hopf_solver(rhs):
+    # a first step of 1e-20 from |y| = 1e30 overflows the drift's cube
+    return DOP853(rhs, 0.0, np.array([1e30, 0.0]), 1e-20, rtol=1e-10, atol=1e-12,
+                  first_step=1e-20)
+
+
+@requires_compiler
+def test_a_step_that_overflows_is_taken_by_scipy_with_numpys_warnings(monkeypatch):
+    system = contract.quiet_hopf()
+    rhs = _stepkernel.single_state(system)
+    calls = []
+    step = DOP853.step
+    monkeypatch.setattr(DOP853, "step", lambda self: calls.append(1) or step(self))
+    runs = []
+    for stepper in (_stepkernel.dop853(system), None):
+        calls.clear()
+        solver = _hopf_solver(rhs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ended, _ = frame_module._advance(solver, stepper)
+        runs.append((ended, solver.t, solver.y.tobytes(), [str(w.message) for w in caught],
+                     len(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == "finished" and "overflow encountered in dot" in runs[0][3]
+    # with every exception ignored, the compiled stepper takes every step
+    with np.errstate(all="ignore"):
+        solver = _hopf_solver(rhs)
+        calls.clear()
+        assert frame_module._advance(solver, _stepkernel.dop853(system))[0] == "finished"
+    assert not calls and solver.t == runs[0][1] and solver.y.tobytes() == runs[0][2]
 
 
 def _unstable_focus(y):
@@ -787,7 +921,6 @@ def test_the_cycle_search_refuses_a_drift_not_finite_at_the_guess_up_front(
     def no_search(*args, **kwargs):
         raise AssertionError("the drift must be checked before any integration")
 
-    monkeypatch.setattr(frame_module, "solve_ivp", no_search)
     monkeypatch.setattr(frame_module, "DOP853", no_search)
     def plugin_drift(y):
         return np.array([y[1], coefficient * (1.0 - y[0] ** 2) * y[1] - y[0]])
