@@ -1,8 +1,8 @@
 """Compiled member loops of ``sde.integrate_ensemble`` for the drifts the
 package builds, of ``frame.simulate_reduced`` and of
 ``hopf.simulate_hopf_linear``, ``fitting``'s compiled Nelder-Mead restarts
-and its templates, the frame's compiled transport and the cycle finder's
-compiled DOP853 steps.
+and its templates, the frame's compiled transport, the cycle finder's
+compiled DOP853 steps and ``csvio``'s compiled table text.
 
 ``hopf_system``, ``van_der_pol`` and ``ornstein_uhlenbeck`` attach a
 :class:`KernelSpec` to their system: the name of a drift in ``_FORMULAS``
@@ -138,8 +138,21 @@ OpenBLAS kernels run; scipy's tables are bound from its
 ``dop853_coefficients`` (:func:`_dop853_tables`).  It steps until the
 solver finishes or fails, or until a step crosses the search's section
 or escape radius, and stops before a step that raised a floating-point
-exception which numpy's error state does not ignore, which scipy then
-takes.
+exception which numpy's error state does not ignore: scipy takes that
+step, and ``nc_dop853`` the steps after it.
+
+``nc_table`` writes the body of a ``csvio`` table (:func:`table_text`),
+each value as CPython's ``'%.17g' % x`` gives it.  Its 17 digits are N =
+round(v 10^(16 - X)), X = floor(log10 v), from the 128-bit powers of
+ten of ``_powers_of_ten`` (built once, in Python's exact integers): a
+product of v's significand and 10^(16 - X) in ``unsigned __int128``,
+with X from an estimate corrected by one.  Where the power is exact (0 <=
+16 - X <= 55) so is the product, and a tie rounds to even; elsewhere no
+tie can occur, and a value whose fraction lies within the product's
+error of one half makes the call decline the table, which Python's ``%``
+then writes.  Python's g layout follows: the exponent form, of at least
+two digits, for X < -4 or X >= 17, no trailing zeros or ``.``, ``-0``,
+``inf`` and ``-inf`` with their sign, and ``nan`` for any NaN.
 
 The library is compiled on first use with ``gcc -O2 -ffp-contract=off
 -fno-builtin-pow`` against numpy's ``bitgen.h`` (no Python headers) into
@@ -150,15 +163,16 @@ cache do not rebuild each other's (a build is about 70 KB).  The
 ziggurat's tables are local symbols of numpy's static ``libnpyrandom.a``;
 the build links a copy of the archive in which ``objcopy
 --globalize-symbol`` has made them global, and ``--exclude-libs`` keeps
-the archive's symbols out of the library's exports, which are the ten
+the archive's symbols out of the library's exports, which are the eleven
 ``nc_`` functions.  ``-ffp-contract=off`` keeps gcc from fusing a multiply
 and an add into one FMA, which rounds once where numpy rounds twice, and
 ``-fno-builtin-pow`` from rewriting ``pow(x, 2.0)`` as x * x.
 Without a compiler, without ``objcopy``, without numpy's static library,
 or without a writable cache, the numpy loops, fitting's Python restarts
-and its numpy templates, the frame's numpy transport and scipy's DOP853
-steps run instead, with the same results; so do the fit, the transport
-and the DOP853 steps where numpy does not hand out its loops.
+and its numpy templates, the frame's numpy transport, scipy's DOP853
+steps and Python's ``%`` for the tables run instead, with the same
+results; so do the fit, the transport and the DOP853 steps where numpy
+does not hand out its loops.
 """
 
 from __future__ import annotations
@@ -1192,6 +1206,161 @@ void nc_fit(void *const *a)
 }
 """
 
+_TABLE = r"""
+typedef unsigned __int128 u128;
+
+#define TEN16 10000000000000000ULL
+#define TEN17 100000000000000000ULL
+/* 10^k = 5^k 2^k is exact in 128 bits for 0 <= k <= 55: 5^55 < 2^128 */
+#define TENS_EXACT 55
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* N = round(v 10^(16 - X)), X = floor(log10 v), of v = m 2^e > 0 with m's
+   top bit at bit 63, from the estimate x of X, X or X - 1: N into *n, in
+   [10^16, 10^17), and the X of N into *xout (one more where N rounds up
+   to 10^17).  v 10^k is m P 2^(e + q), P 2^q the table's 10^k (tens: P's
+   high and low 64 bits, twos: q, the entry of k at k - least); top, the
+   high 128 bits of the 192-bit m P, is v 10^k in units of 2^-sh.  Where P
+   is 10^k exactly (0 <= k <= TENS_EXACT) top and the low 64 bits are the
+   exact product and a tie rounds to even.  Elsewhere P is 10^k rounded,
+   so top is within 1.5 units of v 10^k, which is no tie there (a double
+   at a tie has 0 <= k <= 24); 0 when its fraction is within 2 units of
+   one half, or k is not in the table. */
+static int scaled(uint64_t m, int64_t e, int64_t x, const uint64_t *tens, const int64_t *twos,
+                  int64_t least, int64_t count, uint64_t *n, int64_t *xout)
+{
+    for (int pass = 0; pass < 2; pass++, x++) {
+        const int64_t k = 16 - x, i = k - least;
+        if (i < 0 || i >= count)
+            return 0;
+        const u128 low = (u128)m * tens[2 * i + 1];
+        const u128 top = (u128)m * tens[2 * i] + (low >> 64);
+        const int64_t sh = -(e + twos[i] + 64);
+        if (sh < 64 || sh > 127)
+            return 0;
+        const u128 half = (u128)1 << (sh - 1), frac = top & ((half << 1) - 1);
+        uint64_t q = (uint64_t)(top >> sh);
+        if (q >= TEN17)
+            continue; /* X is x + 1 */
+        int up;
+        if (k >= 0 && k <= TENS_EXACT)
+            up = frac > half || (frac == half && ((uint64_t)low || (q & 1)));
+        else if (frac + 2 >= half && frac <= half + 2)
+            return 0;
+        else
+            up = frac > half;
+        q += up;
+        if (q == TEN17) {
+            q = TEN16;
+            x++;
+        }
+        if (q < TEN16)
+            return 0;
+        *n = q;
+        *xout = x;
+        return 1;
+    }
+    return 0;
+}
+
+/* CPython's '%.17g' % v at p: the end of the text, or NULL where scaled
+   declines.  Python's g layout: 17 digits less their trailing zeros, in
+   exponent form (a sign and at least two digits) when X < -4 or X >= 17,
+   else positional without a trailing '.'; "nan" for a NaN of either
+   sign, "inf" and "-0" with the sign. */
+static char *field(double v, char *p, const uint64_t *tens, const int64_t *twos, int64_t least,
+                   int64_t count)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t fraction = bits & ((1ULL << 52) - 1);
+    const int64_t biased = (bits >> 52) & 0x7ff;
+    if (biased == 0x7ff && fraction) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (!biased && !fraction) {
+        *p = '0';
+        return p + 1;
+    }
+    const uint64_t m = biased ? fraction | 1ULL << 52 : fraction;
+    const int lz = __builtin_clzll(m);
+    const int64_t e = (biased ? biased - 1075 : -1074) - lz; /* v = (m << lz) 2^e */
+    /* floor((e + 63) log10 2), the floor of log10 of 2^floor(log2 v) */
+    uint64_t n;
+    int64_t x;
+    if (!scaled(m << lz, e, ((e + 63) * 78913) >> 18, tens, twos, least, count, &n, &x))
+        return NULL;
+    char d[17];
+    uint32_t lo = n % 100000000, hi = n / 100000000;
+    for (int i = 15; i >= 9; i -= 2, lo /= 100)
+        memcpy(d + i, PAIRS + 2 * (lo % 100), 2);
+    for (int i = 7; i >= 1; i -= 2, hi /= 100)
+        memcpy(d + i, PAIRS + 2 * (hi % 100), 2);
+    d[0] = '0' + hi;
+    int64_t digits = 17;
+    while (d[digits - 1] == '0')
+        digits--;
+    if (x < -4 || x >= 17) {
+        *p++ = d[0];
+        if (digits > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, digits - 1);
+            p += digits - 1;
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        const int64_t a = x < 0 ? -x : x;
+        if (a >= 100)
+            *p++ = '0' + a / 100;
+        memcpy(p, PAIRS + 2 * (a % 100), 2);
+        return p + 2;
+    }
+    if (x < 0) {
+        memcpy(p, "0.000", 1 - x);
+        memcpy(p + 1 - x, d, digits);
+        return p + 1 - x + digits;
+    }
+    memcpy(p, d, x + 1);
+    p += x + 1;
+    if (digits > x + 1) {
+        *p++ = '.';
+        memcpy(p, d + x + 1, digits - x - 1);
+        p += digits - x - 1;
+    }
+    return p;
+}
+
+/* The rows of values, (rows, cols) C-contiguous, as csvio's table body:
+   each value's field, then ',' or, after a row's last, '\n', into out
+   (at most 25 bytes a value), with the powers of ten (tens, twos, least,
+   count) of scaled.  The bytes written, or -1 where scaled declines a
+   value, for Python's '%' to write the table. */
+int64_t nc_table(int64_t rows, int64_t cols, const double *values, char *out,
+                 const uint64_t *tens, const int64_t *twos, int64_t least, int64_t count)
+{
+    char *p = out;
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++) {
+            p = field(*values++, p, tens, twos, least, count);
+            if (!p)
+                return -1;
+            *p++ = j + 1 < cols ? ',' : '\n';
+        }
+    return p - out;
+}
+"""
+
 # The formula of each drift the package builds, written once: an
 # elementwise function of the coefficients, then the state's components,
 # with + - * / in the order they round.  The numpy drift of ``spec``,
@@ -1462,7 +1631,7 @@ _DRIFTS = ("/* the scalar drifts, nc_dop853's `which` their index in _FORMULAS *
            + ", ".join(_FORMULAS) + "};\n")
 
 _SOURCE = (_PRELUDE + "".join(_c_drift(name, *entry) for name, entry in _FORMULAS.items())
-           + _DRIFTS + _LOOPS + _FRAME + _DOP853 + _NELDER_MEAD
+           + _DRIFTS + _LOOPS + _FRAME + _DOP853 + _NELDER_MEAD + _TABLE
            + "".join(text for text, *_ in _TRACED.values()))
 
 _COMPILER = "gcc"
@@ -1497,9 +1666,11 @@ _ARGTYPES = {
     "frame": [_I, _I, _I, ctypes.c_double] + [_P] * 9 + [_I],
     # the cycle finder's DOP853 steps, called once per stretch of steps
     "dop853": [_I, _P, _I, _P, _P, _P, _P, _I, _P, _P, _P, _P, _I],
+    # csvio's table bodies, called once per table
+    "table": [_I, _I, _P, _P, _P, _P, _I, _I],
 }
 # what an nc_ function returns, when not None
-_RESTYPES = {"frame": _I, "dop853": _I, **dict.fromkeys(_TRACED, ctypes.c_int)}
+_RESTYPES = {"frame": _I, "dop853": _I, "table": _I, **dict.fromkeys(_TRACED, ctypes.c_int)}
 
 # path-steps one call of the member loop runs, a few milliseconds' worth,
 # unless two members' steps are more
@@ -1899,9 +2070,9 @@ def dop853(system) -> Optional[Callable]:
     step's dense output appended to ``outputs`` unless that is None, or
     None when a step raised a floating-point exception that numpy's error
     state does not ignore: the solver then stands before that step, for
-    scipy's steps to take it and report the exception as numpy does.  A
-    solver that is not running, and so takes no step, is left to
-    ``frame._advance`` too.
+    scipy's step to take it and report the exception as numpy does, and
+    the stepper to be called again after it.  A solver that is not
+    running, and so takes no step, is left to ``frame._advance`` too.
     """
     ks = _spec_of(system)
     lib, loops, tables = _library(), _ufunc_loops(), _dop853_tables()
@@ -1952,6 +2123,51 @@ def dop853(system) -> Optional[Callable]:
         return ended, dense(record[0]) if ended == "crossed" else outputs
 
     return stepper
+
+
+# the k of the powers of ten 10^k that nc_table scales by, 16 - X for the
+# decimal exponents X of positive doubles, -324 ... 308
+_TENS = range(16 - 308, 16 + 324 + 1)
+# bytes nc_table writes for one value at most: "-2.2250738585072014e-308,"
+_FIELD = 25
+
+
+@functools.cache
+def _powers_of_ten():
+    """10^k for k in ``_TENS`` as ``nc_table`` reads them: P, 10^k / 2^q
+    rounded to the nearest integer in [2^127, 2^128), as its high and low
+    64-bit words, and q, computed in Python's exact integers."""
+    words, twos = [], []
+    for k in _TENS:
+        if k >= 0:  # 10^k in [2^(b - 1), 2^b)
+            q = (10**k).bit_length() - 128
+            num, den = 10**k << max(-q, 0), 1 << max(q, 0)
+        else:  # 10^-k in (2^(b - 1), 2^b)
+            q = -(10**-k).bit_length() - 127
+            num, den = 1 << -q, 10**-k
+        P = (2 * num + den) // (2 * den)
+        words += [P >> 64, P & (1 << 64) - 1]
+        twos.append(q)
+    return np.array(words, np.uint64), np.array(twos, np.int64)
+
+
+def table_text(arr) -> Optional[bytes]:
+    """The rows of the float64 array ``arr``, (rows, columns), as
+    ``nc_table`` writes them: CPython's ``'%.17g' % x`` of each value, with
+    ``,`` between the values of a row and ``\\n`` after each row; None
+    without the library, or when ``nc_table`` declines a value whose
+    scaled fraction lies within its error of one half: ``csvio``'s ``%``
+    then writes the table."""
+    lib = _library()
+    if lib is None:
+        return None
+    values = np.ascontiguousarray(arr, dtype=np.float64)
+    rows, cols = values.shape
+    out = np.empty(values.size * _FIELD, np.uint8)
+    words, twos = _powers_of_ten()
+    size = lib.nc_table(rows, cols, values.ctypes.data, out.ctypes.data, words.ctypes.data,
+                        twos.ctypes.data, _TENS.start, len(_TENS))
+    return None if size < 0 else out[:size].tobytes()
 
 
 def _frame(arrays) -> np.ndarray:

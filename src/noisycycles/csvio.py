@@ -2,9 +2,18 @@
 
 All tables are comma-separated with a single header line and full double
 precision values (17 significant digits), so a written file reproduces the
-arrays bit-for-bit on read.  Writes go through a temporary file in the
-destination directory followed by an atomic rename; readers report the
-offending line of malformed input.
+arrays bit-for-bit on read.  A table's labels and columns are checked
+before any value is formatted: a label is ASCII without ``,``, CR or LF,
+and a column a real 1-D array of the first column's length, else
+:class:`ConfigError`.  The values are CPython's ``'%.17g' % x``: one call
+of the compiled ``nc_table`` (``_stepkernel.table_text``) writes the
+text of the whole table, and Python's ``%`` (``_percent_text``), its
+reference, writes the same bytes without the compiled library or for a
+table in which ``nc_table`` cannot round a value from its 128-bit powers
+of ten.  Writes go through a temporary file in the destination directory
+followed by an atomic rename, and a write the system refuses is a
+:class:`ConfigError` naming the output; readers report the offending
+line of malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ import tempfile
 
 import numpy as np
 
-from .exceptions import ConfigError
+from ._stepkernel import table_text
+from .exceptions import ConfigError, _require_array
 from .sde import Trajectory
 
 __all__ = [
@@ -33,27 +43,60 @@ _FMT = "%.17g"
 
 def _atomic_bytes(path, payload: bytes):
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
-def _table_text(header, columns):
-    """The text of a table: one header line, then one line per row.  One
-    template of ``_FMT`` fields formats every value at once."""
-    arr = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+def _table(header, columns):
+    """A table's header line and its values as a (rows, columns) float64
+    array, once every label is ASCII without ``,``, CR or LF and every
+    column a real 1-D array of the first one's length, which the table's
+    reader needs."""
+    for label in header:
+        if not label.isascii() or any(c in label for c in ",\r\n"):
+            raise ConfigError(f"a column label must be ASCII without ',', CR or LF, got {label!r}")
+    arrays = []
+    for label, column in zip(header, columns, strict=True):
+        shape = arrays[0].shape if arrays else (None,)
+        arrays.append(_require_array(f"column {label!r}", column, shape, finite=False))
+    return ",".join(header) + "\n", np.column_stack(arrays)
+
+
+def _percent_text(arr):
+    """The rows of ``arr`` as ``_FMT`` fields, one template formatting
+    every value at once: the reference of ``nc_table``."""
     row = ",".join([_FMT] * arr.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (row * arr.shape[0]) % tuple(arr.ravel().tolist())
+    return (row * arr.shape[0]) % tuple(arr.ravel().tolist())
+
+
+def _table_bytes(header, columns):
+    """``_table_text`` as the ASCII bytes the writers write."""
+    head, arr = _table(header, columns)
+    return head.encode("ascii") + (table_text(arr) or _percent_text(arr).encode("ascii"))
+
+
+def _table_text(header, columns):
+    """The text of a table: one header line, then one line per row, each
+    value CPython's ``'%.17g' % x``.  One call of the compiled
+    ``_stepkernel.table_text`` writes the rows; Python's ``%``
+    (``_percent_text``) writes the same bytes without the library, or for
+    a table with a value ``nc_table`` cannot round from its powers of
+    ten."""
+    return _table_bytes(header, columns).decode("ascii")
 
 
 def _write_table(path, header, columns):
-    _atomic_bytes(path, _table_text(header, columns).encode("ascii"))
+    _atomic_bytes(path, _table_bytes(header, columns))
 
 
 def _read_table(path):

@@ -335,21 +335,23 @@ def _advance(solver, stepper, section=None, dense=False):
     "escaped".  The compiled ``stepper`` (``_stepkernel.dop853``), when
     given, takes the steps with the same results; a step that raised a
     floating-point exception which numpy's error state does not ignore is
-    taken again here, by scipy, which reports it, and scipy's steps go on
-    to the end of the call.
+    taken again here, by scipy, which reports it, and the stepper takes the
+    steps after it.
     """
     outputs = [] if dense else None
-    ended = stepper(solver, section, outputs) if stepper is not None else None
-    if ended is not None:
-        return ended
     if section is not None:
         normal, ystar, radius2 = section
 
         def values(y):
             return normal @ (y - ystar), y @ y - radius2
 
-        g, e = values(solver.y)
+        seen = None  # the solver.y that g and e are the section values of
     while solver.status == "running":
+        ended = stepper(solver, section, outputs) if stepper is not None else None
+        if ended is not None:
+            return ended
+        if section is not None and seen is not solver.y:
+            g, e = values(solver.y)
         message = solver.step()
         if solver.status == "failed":
             return "failed", message
@@ -361,7 +363,7 @@ def _advance(solver, stepper, section=None, dense=False):
                 return "escaped", None
             if g <= 0.0 <= g_new:
                 return "crossed", solver.dense_output()
-            g, e = g_new, e_new
+            g, e, seen = g_new, e_new, solver.y
     return "finished", outputs
 
 

@@ -508,6 +508,13 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_an_output_in_a_missing_directory_exits_one_naming_it(tmp_path, capsys):
+    out = tmp_path / "nowhere" / "acv.csv"
+    assert _call("formula", "--template", "acv", "--nsr", "0.1", "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"noisycycles formula: error: cannot write {out}: No such file or directory\n")
+
+
 @pytest.mark.parametrize("argv, text, message", [
     # a UTF-8 byte-order mark, and a micro sign in a data row
     (("analyze", "--what", "kurtosis"), b"\xef\xbb\xbft,x\n0,1\n0.1,2\n",

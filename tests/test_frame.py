@@ -511,29 +511,50 @@ def _hopf_solver(rhs):
                   first_step=1e-20)
 
 
+# a section, and an escape radius, that the overflowing steps never cross
+_NO_CROSSING = (np.array([-1.0, 0.0]), np.zeros(2), 1e70)
+
+
 @requires_compiler
-def test_a_step_that_overflows_is_taken_by_scipy_with_numpys_warnings(monkeypatch):
+@pytest.mark.parametrize("mode", ["steps", "dense", "section"])
+def test_a_step_that_overflows_is_taken_by_scipy_with_numpys_warnings(monkeypatch, mode):
+    section, dense = _NO_CROSSING if mode == "section" else None, mode == "dense"
     system = contract.quiet_hopf()
     rhs = _stepkernel.single_state(system)
-    calls = []
+    calls, log = [], []  # the warnings each of scipy's steps gave; the warnings caught
     step = DOP853.step
-    monkeypatch.setattr(DOP853, "step", lambda self: calls.append(1) or step(self))
-    runs = []
+
+    def counted(self):
+        before = len(log[-1])
+        message = step(self)
+        calls.append(len(log[-1]) - before)
+        return message
+
+    monkeypatch.setattr(DOP853, "step", counted)
+    runs, warned = [], []
     for stepper in (_stepkernel.dop853(system), None):
         calls.clear()
         solver = _hopf_solver(rhs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ended, _ = frame_module._advance(solver, stepper)
+            log.append(caught)
+            ended, outputs = frame_module._advance(solver, stepper, section, dense)
+        # each step's dense output, in order
+        outputs = [(d.t_old, d.t, d.y_old.tobytes(), d.F.tobytes()) for d in outputs or ()]
         runs.append((ended, solver.t, solver.y.tobytes(), [str(w.message) for w in caught],
-                     len(calls)))
+                     outputs))
+        warned.append(list(calls))
     assert runs[0] == runs[1]
     assert runs[0][0] == "finished" and "overflow encountered in dot" in runs[0][3]
+    assert len(runs[0][4]) == (len(warned[1]) if dense else 0)
+    # scipy takes only the steps that raised, the compiled stepper the rest
+    assert all(warned[0]) and len(warned[0]) == sum(map(bool, warned[1])) < len(warned[1])
     # with every exception ignored, the compiled stepper takes every step
     with np.errstate(all="ignore"):
         solver = _hopf_solver(rhs)
         calls.clear()
-        assert frame_module._advance(solver, _stepkernel.dop853(system))[0] == "finished"
+        assert frame_module._advance(solver, _stepkernel.dop853(system), section,
+                                     dense)[0] == "finished"
     assert not calls and solver.t == runs[0][1] and solver.y.tobytes() == runs[0][2]
 
 

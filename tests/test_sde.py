@@ -367,7 +367,8 @@ def test_a_build_keeps_the_builds_of_other_sources(tmp_path, monkeypatch):
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
 def test_the_library_exports_only_its_nc_functions():
     # the member loops, the fit's restarts and its two templates'
-    # objectives, the frame's transport and the cycle finder's DOP853 steps
+    # objectives, the frame's transport, the cycle finder's DOP853 steps and
+    # csvio's table bodies
     assert _stepkernel._library() is not None
     library = Path(_stepkernel._cache_dir(), _stepkernel._NAME)
     listing = subprocess.run(
@@ -375,7 +376,8 @@ def test_the_library_exports_only_its_nc_functions():
     ).stdout
     exported = {line.split()[-1] for line in listing.splitlines() if line.strip()}
     assert exported == {"nc_hopf", "nc_van_der_pol", "nc_ornstein_uhlenbeck", "nc_phase_deviation",
-                        "nc_linear", "nc_fit", "nc_acv", "nc_psd", "nc_frame", "nc_dop853"}
+                        "nc_linear", "nc_fit", "nc_acv", "nc_psd", "nc_frame", "nc_dop853",
+                        "nc_table"}
 
 
 @pytest.mark.parametrize(
